@@ -138,12 +138,12 @@ func main() {
 		if *all || len(ids) > 0 {
 			log.Fatal("-snapshot replaces the report; drop -all/-id")
 		}
-		writeSnapshot(ctx, *in, *format, *snapshot, *stream, *workers, *shardDays)
+		a, _ := analyzeInput(ctx, *in, *format, *stream, *workers, *shardDays, true)
+		emitSnapshot(a, *snapshot)
 		return
 	}
 
 	var p *filemig.Pipeline
-	streamed := false
 	switch {
 	case *in == "" && *stream:
 		fmt.Fprintln(os.Stderr,
@@ -157,7 +157,6 @@ func main() {
 			log.Fatal(err)
 		}
 		p = &filemig.Pipeline{Report: rep}
-		streamed = true
 	case *in == "":
 		var err error
 		p, err = filemig.Run(filemig.Config{Scale: *scale, Seed: *seed})
@@ -165,71 +164,63 @@ func main() {
 			log.Fatal(err)
 		}
 	default:
-		if *stream && *in != "-" && *format == "auto" {
-			// The facade picks the fastest path the file's format allows:
-			// b2 goes through the index-seek block-parallel analysis, v1
-			// and b1 through the sharded streaming path.
-			rep, err := filemig.AnalyzeTraceFileContext(ctx, *in, *workers,
-				time.Duration(*shardDays)*24*time.Hour)
+		a, recs := analyzeInput(ctx, *in, *format, *stream, *workers, *shardDays, false)
+		p = &filemig.Pipeline{Records: recs, Report: a.Report()}
+	}
+
+	renderExperiments(p, ids, *all, *stream)
+}
+
+// analyzeInput is the one place that picks an analysis path for a trace
+// input: under -stream a named b2 file goes through its block index
+// (core.AccumulateB2) and anything else through the sharded sequential
+// path (core.AccumulateStream); without -stream the records are
+// collected and analysed as a slice, the only path that also returns
+// them. The analysis is byte-identical on all three. journal keeps the
+// reference journal a snapshot needs. Every error is fatal.
+func analyzeInput(ctx context.Context, in, format string, stream bool, workers, shardDays int, journal bool) (*core.Analysis, []trace.Record) {
+	opts := core.StreamOptions{
+		Options:       core.Options{DedupWindow: workload.DedupWindow, Journal: journal},
+		Workers:       workers,
+		ShardDuration: time.Duration(shardDays) * 24 * time.Hour,
+	}
+	if stream {
+		if bf, bfile := openB2Indexed(in, format); bf != nil {
+			defer bfile.Close()
+			a, err := core.AccumulateB2(ctx, core.B2Options{StreamOptions: opts}, bf)
 			if err != nil {
 				log.Fatal(err)
 			}
-			p = &filemig.Pipeline{Report: rep}
-			streamed = true
-			break
+			return a, nil
 		}
-		if *stream {
-			if bf, bfile := openB2Indexed(*in, *format); bf != nil {
-				defer bfile.Close()
-				rep, err := core.AnalyzeB2(ctx, core.B2Options{StreamOptions: core.StreamOptions{
-					Options:       core.Options{DedupWindow: workload.DedupWindow},
-					Workers:       *workers,
-					ShardDuration: time.Duration(*shardDays) * 24 * time.Hour,
-				}}, bf)
-				if err != nil {
-					log.Fatal(err)
-				}
-				p = &filemig.Pipeline{Report: rep}
-				streamed = true
-				break
-			}
-		}
-		f := os.Stdin
-		if *in != "-" {
-			var err error
-			f, err = os.Open(*in)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-		}
-		src, err := trace.OpenStreamFlag(f, *format)
+	}
+	f := os.Stdin
+	if in != "-" {
+		var err error
+		f, err = os.Open(in)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if *stream {
-			rep, err := core.AnalyzeStream(ctx, core.StreamOptions{
-				Options:       core.Options{DedupWindow: workload.DedupWindow},
-				Workers:       *workers,
-				ShardDuration: time.Duration(*shardDays) * 24 * time.Hour,
-			}, src)
-			if err != nil {
-				log.Fatal(err)
-			}
-			p = &filemig.Pipeline{Report: rep}
-			streamed = true
-		} else {
-			recs, err := trace.Collect(src)
-			if err != nil {
-				log.Fatal(err)
-			}
-			a := core.New(core.Options{DedupWindow: workload.DedupWindow})
-			a.AddAll(recs)
-			p = &filemig.Pipeline{Records: recs, Report: a.Report()}
-		}
+		defer f.Close()
 	}
-
-	renderExperiments(p, ids, *all, streamed)
+	src, err := trace.OpenStreamFlag(f, format)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if stream {
+		a, err := core.AccumulateStream(ctx, opts, src)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return a, nil
+	}
+	recs, err := trace.Collect(src)
+	if err != nil {
+		log.Fatal(err)
+	}
+	a := core.New(opts.Options)
+	a.AddAll(recs)
+	return a, recs
 }
 
 // renderExperiments prints the selected (or all) experiments from a
@@ -294,62 +285,6 @@ func openB2Indexed(in, format string) (*trace.B2File, *os.File) {
 		log.Fatal(err)
 	}
 	return bf, f
-}
-
-// writeSnapshot analyses the trace input with the journal enabled and
-// serializes the analysis as an s1 snapshot — the map step of a
-// distributed run. A named b2 input under -stream takes the index-seek
-// parallel path; the snapshot bytes are identical either way.
-func writeSnapshot(ctx context.Context, in, format, out string, stream bool, workers, shardDays int) {
-	opts := core.Options{DedupWindow: workload.DedupWindow, Journal: true}
-	shardDur := time.Duration(shardDays) * 24 * time.Hour
-	var a *core.Analysis
-	var err error
-	var bf *trace.B2File
-	if stream {
-		var bfile *os.File
-		if bf, bfile = openB2Indexed(in, format); bf != nil {
-			defer bfile.Close()
-			a, err = core.AccumulateB2(ctx, core.B2Options{StreamOptions: core.StreamOptions{
-				Options:       opts,
-				Workers:       workers,
-				ShardDuration: shardDur,
-			}}, bf)
-		}
-	}
-	if bf == nil {
-		f := os.Stdin
-		if in != "-" {
-			f, err = os.Open(in)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-		}
-		var src trace.Stream
-		src, err = trace.OpenStreamFlag(f, format)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if stream {
-			a, err = core.AccumulateStream(ctx, core.StreamOptions{
-				Options:       opts,
-				Workers:       workers,
-				ShardDuration: shardDur,
-			}, src)
-		} else {
-			var recs []trace.Record
-			recs, err = trace.Collect(src)
-			if err == nil {
-				a = core.New(opts)
-				a.AddAll(recs)
-			}
-		}
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-	emitSnapshot(a, out)
 }
 
 // emitSnapshot serializes an analysis as an s1 snapshot to the named

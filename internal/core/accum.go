@@ -180,22 +180,14 @@ func AccumulatePartial(opts Options, recs []trace.Record) *Partial {
 // journal is replayed. Segments must fold in time order.
 func (a *Accumulator) Fold(p *Partial) {
 	sub := p.acc
-	a.total += sub.total
-	a.errors += sub.errors
+	a.foldSums(sub)
 	if sub.days > a.days {
 		a.days = sub.days
 	}
 	for oi := 0; oi < 2; oi++ {
-		for ci := 0; ci < device.NClasses; ci++ {
-			a.refs[oi][ci] += sub.refs[oi][ci]
-			a.bytes[oi][ci] += sub.bytes[oi][ci]
-			a.latency[oi][ci].n += sub.latency[oi][ci].n
-			a.latency[oi][ci].micros += sub.latency[oi][ci].micros
-		}
 		a.dynFiles[oi].Merge(sub.dynFiles[oi])
 		a.dynBytes[oi].Merge(sub.dynBytes[oi])
 	}
-	a.foldLatCDF(sub)
 	for h := range a.hourBytes {
 		a.hourBytes[h][0] += sub.hourBytes[h][0]
 		a.hourBytes[h][1] += sub.hourBytes[h][1]
@@ -281,17 +273,7 @@ func (a *Accumulator) FoldReplay(p *Partial) error {
 		return errors.New("journal entries present but no segment so far has a start time")
 	}
 
-	a.total += sub.total
-	a.errors += sub.errors
-	for oi := 0; oi < 2; oi++ {
-		for ci := 0; ci < device.NClasses; ci++ {
-			a.refs[oi][ci] += sub.refs[oi][ci]
-			a.bytes[oi][ci] += sub.bytes[oi][ci]
-			a.latency[oi][ci].n += sub.latency[oi][ci].n
-			a.latency[oi][ci].micros += sub.latency[oi][ci].micros
-		}
-	}
-	a.foldLatCDF(sub)
+	a.foldSums(sub)
 
 	remap := a.remapIDs(sub)
 	for k := range sub.journal {
@@ -357,18 +339,7 @@ func (a *Accumulator) FoldPartials(ps []*Partial) error {
 	}
 
 	for _, p := range ps {
-		sub := p.acc
-		a.total += sub.total
-		a.errors += sub.errors
-		for oi := 0; oi < 2; oi++ {
-			for ci := 0; ci < device.NClasses; ci++ {
-				a.refs[oi][ci] += sub.refs[oi][ci]
-				a.bytes[oi][ci] += sub.bytes[oi][ci]
-				a.latency[oi][ci].n += sub.latency[oi][ci].n
-				a.latency[oi][ci].micros += sub.latency[oi][ci].micros
-			}
-		}
-		a.foldLatCDF(sub)
+		a.foldSums(p.acc)
 	}
 
 	// Merge-replay the journals. The heap orders by (start, segment
@@ -438,8 +409,21 @@ func (h journalHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *journalHeap) Push(x any)   { *h = append(*h, x.(journalCursor)) }
 func (h *journalHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
-// foldLatCDF folds the segment's Figure 3 latency CDFs into the master.
-func (a *Accumulator) foldLatCDF(sub *Accumulator) {
+// foldSums folds a segment's position-independent state into the
+// master — record and error counts, the op×class accumulators, and the
+// Figure 3 startup-latency CDFs — the part every fold shares because it
+// adds up the same whatever order or origin the segments have.
+func (a *Accumulator) foldSums(sub *Accumulator) {
+	a.total += sub.total
+	a.errors += sub.errors
+	for oi := 0; oi < 2; oi++ {
+		for ci := 0; ci < device.NClasses; ci++ {
+			a.refs[oi][ci] += sub.refs[oi][ci]
+			a.bytes[oi][ci] += sub.bytes[oi][ci]
+			a.latency[oi][ci].n += sub.latency[oi][ci].n
+			a.latency[oi][ci].micros += sub.latency[oi][ci].micros
+		}
+	}
 	for ci, c := range sub.latCDF {
 		if c == nil {
 			continue

@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
+	"filemig/internal/pool"
 	"filemig/internal/trace"
 )
 
@@ -151,32 +151,18 @@ func B2TaskRanges(f *trace.B2File, shard time.Duration) [][2]int {
 	return out
 }
 
-// accumulateB2Range runs blocks [lo, hi) (origin already resolved into
-// opts.Start) through the serial or parallel group pipeline.
+// accumulateB2Range fans the shard groups of blocks [lo, hi) (origin
+// already resolved into opts.Start) over the pool, each worker decoding
+// its groups' blocks with a private block decoder. A failed block stops
+// dispatch: at most Workers+1 groups past the last folded one are ever
+// decoded.
 func accumulateB2Range(ctx context.Context, opts B2Options, f *trace.B2File, lo, hi int) (*Analysis, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	master := New(opts.Options)
-	master.start = opts.Start
-
 	groups := b2Groups(opts, f, lo, hi)
-	if workers == 1 {
-		d := f.NewBlockDecoder()
-		for _, g := range groups {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			sh, err := accumulateB2Group(opts, f, d, g)
-			if err != nil {
-				return nil, err
-			}
-			master.Fold(sh)
-		}
-		return master, nil
-	}
-	return accumulateB2Parallel(ctx, opts, f, master, groups, workers)
+	return foldShards(ctx, opts.StreamOptions, pool.Indices(len(groups)),
+		func() func(int) (*Partial, error) {
+			d := f.NewBlockDecoder()
+			return func(i int) (*Partial, error) { return accumulateB2Group(opts, f, d, groups[i]) }
+		})
 }
 
 // b2Window returns the range of blocks overlapping [From, To) from the
@@ -267,85 +253,4 @@ func accumulateB2Group(opts B2Options, f *trace.B2File, d *trace.B2BlockDecoder,
 		recs = kept
 	}
 	return AccumulatePartial(opts.Options, recs), nil
-}
-
-// accumulateB2Parallel fans block groups over a worker pool, each
-// worker decoding its groups' blocks with a private block decoder, and
-// merges shard results in group order — the same bounded pending-map
-// shape as analyzeParallel, with in-flight groups capped by the pool.
-// Cancellation is checked between dispatches: in-flight groups finish
-// and merge, no new group starts, and ctx's error is returned.
-func accumulateB2Parallel(ctx context.Context, opts B2Options, f *trace.B2File, master *Analysis, groups []blockGroup, workers int) (*Analysis, error) {
-	type result struct {
-		idx int
-		sh  *Partial
-		err error
-	}
-	jobs := make(chan int)
-	results := make(chan result)
-	sem := make(chan struct{}, workers+1)
-
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			d := f.NewBlockDecoder()
-			for idx := range jobs {
-				sh, err := accumulateB2Group(opts, f, d, groups[idx])
-				results <- result{idx: idx, sh: sh, err: err}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	var firstErr error
-	errAt := len(groups)
-	mergeDone := make(chan struct{})
-	go func() {
-		defer close(mergeDone)
-		pending := map[int]*Partial{}
-		next := 0
-		for res := range results {
-			if res.err != nil {
-				// Keep the earliest failing group's error, deterministic
-				// at any worker count, and stop merging past it.
-				if res.idx < errAt {
-					errAt, firstErr = res.idx, res.err
-				}
-				pending[res.idx] = nil
-			} else {
-				pending[res.idx] = res.sh
-			}
-			for sh, ok := pending[next]; ok; sh, ok = pending[next] {
-				delete(pending, next)
-				if next < errAt {
-					master.Fold(sh)
-				}
-				next++
-				<-sem
-			}
-		}
-	}()
-
-	var ctxErr error
-	for idx := range groups {
-		if ctxErr = ctx.Err(); ctxErr != nil {
-			break
-		}
-		sem <- struct{}{}
-		jobs <- idx
-	}
-	close(jobs)
-	<-mergeDone
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if ctxErr != nil {
-		return nil, ctxErr
-	}
-	return master, nil
 }

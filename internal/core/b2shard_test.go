@@ -299,6 +299,44 @@ func TestB2AnalyzeErrorsDeterministic(t *testing.T) {
 	}
 }
 
+// TestB2AnalyzeStopsDecodingAfterFailedGroup pins that a failed block
+// stops dispatch: with an early block corrupt, the earliest block's
+// error comes back and only the groups the pool's window had already
+// admitted — Workers+1 from the failing one on — are ever decoded, not
+// the whole file.
+func TestB2AnalyzeStopsDecodingAfterFailedGroup(t *testing.T) {
+	const workers = 2
+	const shard = 24 * time.Hour
+	res := streamFixture(t)
+	enc := encodeB2Blocks(t, res.Records, 20)
+	groups := B2TaskRanges(openB2(t, enc), shard)
+	if len(groups) < 40 {
+		t.Fatalf("fixture cuts into only %d groups", len(groups))
+	}
+	const failing = 2 // group index
+	bad := groups[failing][0]
+	mut := append([]byte(nil), enc...)
+	mut[b2BlockBodyOffset(t, enc, bad)] ^= 0x40
+	// A later corrupt block must neither win nor be reached.
+	mut[b2BlockBodyOffset(t, enc, groups[len(groups)-1][0])] ^= 0x40
+
+	f := openB2(t, mut)
+	_, err := AnalyzeB2(context.Background(),
+		B2Options{StreamOptions: StreamOptions{Workers: workers, ShardDuration: shard}}, f)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("block %d ", bad)) {
+		t.Fatalf("err = %v, want block %d's", err, bad)
+	}
+	// The failing group is never folded, so the window admits at most
+	// groups failing..failing+workers after the ones before it.
+	limit := int64(groups[failing+workers][1])
+	if got := f.DecodeCount(); got > limit {
+		t.Errorf("decoded %d blocks after group %d failed, want <= %d", got, failing, limit)
+	}
+	if limit*4 > int64(f.NumBlocks()) {
+		t.Fatalf("fixture too small to show the stop: limit %d of %d blocks", limit, f.NumBlocks())
+	}
+}
+
 // b2BlockBodyOffset walks the documented frame layout — a one-line
 // header, then framed sections of tag byte, uvarint body length, body,
 // and 4-byte CRC (docs/trace-format.md) — and returns an offset in the

@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
+	"filemig/internal/pool"
 	"filemig/internal/trace"
 )
 
@@ -83,11 +83,6 @@ func AccumulateStream(ctx context.Context, opts StreamOptions, src trace.Stream)
 	if opts.ShardDuration <= 0 {
 		opts.ShardDuration = DefaultShardDuration
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-
 	first, err := src.Next()
 	if err == io.EOF {
 		return New(opts.Options), nil
@@ -102,13 +97,31 @@ func AccumulateStream(ctx context.Context, opts StreamOptions, src trace.Stream)
 		origin = first.Start.Truncate(24 * time.Hour)
 	}
 	opts.Start = origin
-	master := New(opts.Options)
-	master.start = origin
+	return foldShards(ctx, opts, shardCutter(opts, first, src),
+		func() func([]trace.Record) (*Partial, error) {
+			return func(batch []trace.Record) (*Partial, error) {
+				return AccumulatePartial(opts.Options, batch), nil
+			}
+		})
+}
 
-	if workers == 1 {
-		return analyzeSerial(ctx, opts, master, first, src)
+// foldShards is the pool run the stream and b2 paths share: next
+// produces shard jobs on the calling goroutine, the workers turn them
+// into Partials, and the pool's merger folds those in shard order into
+// a master anchored at opts.Start (the origin, already resolved). The
+// producer (decode-bound) and the fold (journal replay) overlap, and
+// the pool's window keeps at most Workers+1 shards between produced
+// and folded.
+func foldShards[J any](ctx context.Context, opts StreamOptions, next func() (J, error),
+	newWorker func() func(J) (*Partial, error)) (*Analysis, error) {
+	master := New(opts.Options)
+	master.start = opts.Start
+	err := pool.Run(ctx, opts.Workers, next, newWorker,
+		func(sh *Partial) error { master.Fold(sh); return nil })
+	if err != nil {
+		return nil, err
 	}
-	return analyzeParallel(ctx, opts, master, first, src, workers)
+	return master, nil
 }
 
 // shardIndex places a record in its time partition.
@@ -121,128 +134,36 @@ func shardIndex(origin time.Time, d time.Duration, at time.Time) int64 {
 	return idx
 }
 
-// nextShard reads one shard's worth of records. first is the record that
-// opened the shard (already read); the returned next is the record that
-// opens the following shard, or zero with done=true at EOF.
-func nextShard(opts StreamOptions, first trace.Record, src trace.Stream) (
-	batch []trace.Record, next trace.Record, done bool, err error) {
-	idx := shardIndex(opts.Start, opts.ShardDuration, first.Start)
-	batch = append(batch, first)
-	prev := first.Start
-	for {
-		r, err := src.Next()
-		if err == io.EOF {
-			return batch, trace.Record{}, true, nil
-		}
-		if err != nil {
-			return nil, trace.Record{}, false, err
-		}
-		if r.Start.Before(prev) {
-			return nil, trace.Record{}, false,
-				fmt.Errorf("core: stream out of order: %v after %v", r.Start, prev)
-		}
-		prev = r.Start
-		if shardIndex(opts.Start, opts.ShardDuration, r.Start) != idx {
-			return batch, r, false, nil
-		}
-		batch = append(batch, r)
-	}
-}
-
-// analyzeSerial is the workers == 1 path: accumulate and merge one shard
-// at a time on the calling goroutine.
-func analyzeSerial(ctx context.Context, opts StreamOptions, master *Analysis, first trace.Record, src trace.Stream) (*Analysis, error) {
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		batch, next, done, err := nextShard(opts, first, src)
-		if err != nil {
-			return nil, err
-		}
-		master.Fold(AccumulatePartial(opts.Options, batch))
+// shardCutter returns the producer that cuts src into one shard's
+// worth of records per call, then io.EOF. first is the record that
+// opens the first shard (already read).
+func shardCutter(opts StreamOptions, first trace.Record, src trace.Stream) func() ([]trace.Record, error) {
+	done := false
+	return func() ([]trace.Record, error) {
 		if done {
-			return master, nil
+			return nil, io.EOF
 		}
-		first = next
-	}
-}
-
-// analyzeParallel fans shards over a worker pool and merges results in
-// shard order. In-flight shards are bounded by the pool size: a semaphore
-// token is held from the moment a shard is cut until it has been merged.
-// Cancellation is checked between shard cuts: in-flight shards finish
-// and merge, no new shard is read, and ctx's error is returned.
-func analyzeParallel(ctx context.Context, opts StreamOptions, master *Analysis, first trace.Record, src trace.Stream, workers int) (*Analysis, error) {
-	type job struct {
-		idx   int
-		batch []trace.Record
-	}
-	type result struct {
-		idx int
-		sh  *Partial
-	}
-	jobs := make(chan job)
-	results := make(chan result)
-	sem := make(chan struct{}, workers+1)
-
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				results <- result{idx: j.idx, sh: AccumulatePartial(opts.Options, j.batch)}
+		idx := shardIndex(opts.Start, opts.ShardDuration, first.Start)
+		batch := []trace.Record{first}
+		prev := first.Start
+		for {
+			r, err := src.Next()
+			if err == io.EOF {
+				done = true
+				return batch, nil
 			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Merger: fold results in shard order, buffering out-of-order
-	// arrivals (at most the pool size).
-	mergeDone := make(chan struct{})
-	go func() {
-		defer close(mergeDone)
-		pending := map[int]*Partial{}
-		next := 0
-		for res := range results {
-			pending[res.idx] = res.sh
-			for sh, ok := pending[next]; ok; sh, ok = pending[next] {
-				delete(pending, next)
-				master.Fold(sh)
-				next++
-				<-sem
+			if err != nil {
+				return nil, err
 			}
+			if r.Start.Before(prev) {
+				return nil, fmt.Errorf("core: stream out of order: %v after %v", r.Start, prev)
+			}
+			prev = r.Start
+			if shardIndex(opts.Start, opts.ShardDuration, r.Start) != idx {
+				first = r // opens the next shard
+				return batch, nil
+			}
+			batch = append(batch, r)
 		}
-	}()
-
-	var readErr error
-	idx := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			readErr = err
-			break
-		}
-		batch, next, done, err := nextShard(opts, first, src)
-		if err != nil {
-			readErr = err
-			break
-		}
-		sem <- struct{}{}
-		jobs <- job{idx: idx, batch: batch}
-		idx++
-		if done {
-			break
-		}
-		first = next
 	}
-	close(jobs)
-	<-mergeDone
-	if readErr != nil {
-		return nil, readErr
-	}
-	return master, nil
 }

@@ -27,14 +27,15 @@ var Layering = &Analyzer{
 var allowedImports = map[string][]string{
 	"units":      {},
 	"stats":      {},
+	"pool":       {},
 	"sim":        {"units"},
 	"device":     {"units"},
 	"namespace":  {"stats", "units"},
-	"trace":      {"device", "units"},
+	"trace":      {"device", "pool", "units"},
 	"workload":   {"device", "namespace", "stats", "trace", "units"},
 	"mss":        {"device", "sim", "stats", "trace", "units"},
-	"core":       {"device", "namespace", "stats", "trace", "units", "workload"},
-	"migration":  {"trace", "units"},
+	"core":       {"device", "namespace", "pool", "stats", "trace", "units", "workload"},
+	"migration":  {"pool", "trace", "units"},
 	"experiment": {"migration", "trace", "units", "workload"},
 	"dist":       {"core", "experiment", "trace"},
 	"serve":      {"core", "dist", "migration", "trace", "units"},

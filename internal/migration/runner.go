@@ -3,78 +3,30 @@ package migration
 import (
 	"context"
 	"fmt"
-	"sync"
 
+	"filemig/internal/pool"
 	"filemig/internal/units"
 )
 
 // The sweep runner: the paper's experiments replay the same reference
 // string many times — once per capacity, policy, or STP exponent — and
 // every replay is independent (a fresh Cache and a fresh Policy per job),
-// so the sweeps fan out over a bounded worker pool. Results are written
+// so the sweeps fan out over the bounded worker pool. Results are written
 // by job index, preserving input order regardless of completion order,
 // and each job's replay stays single-threaded and deterministic.
 
-// forEachJob runs fn(0..jobs-1) on at most workers goroutines and
-// returns the lowest-indexed job's error. A failing job cancels the
-// pool so no further jobs dispatch, but jobs already dispatched still
-// run — dispatch is in index order, so every job below the failing
-// index has been dispatched and the lowest-indexed failure is always
-// the one reported, at any worker count. Cancelling ctx stops dispatch
-// and drains dispatched jobs unrun; it is reported as ctx's error.
-// workers <= 1 runs serially on the calling goroutine; this package
-// never reads the host CPU count, so callers wanting one worker per
-// CPU resolve the count explicitly (cmd/* use internal/host).
+// forEachJob runs fn(0..jobs-1) through pool.Run with nothing to
+// deliver — each fn writes its own result by index — so it inherits the
+// pool's contract: the lowest-indexed job's error at any worker count,
+// no dispatch after a failure or a cancelled ctx (jobs already
+// dispatched still run), workers <= 1 serial on the calling goroutine.
+// This package never reads the host CPU count, so callers wanting one
+// worker per CPU resolve the count explicitly (cmd/* use internal/host).
 func forEachJob(ctx context.Context, jobs, workers int, fn func(i int) error) error {
-	if workers > jobs {
-		workers = jobs
-	}
-	if workers <= 1 {
-		for i := 0; i < jobs; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	pool, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errs := make([]error, jobs)
-	next := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if ctx.Err() != nil {
-					continue // drain: the caller cancelled
-				}
-				if errs[i] = fn(i); errs[i] != nil {
-					cancel()
-				}
-			}
-		}()
-	}
-dispatch:
-	for i := 0; i < jobs; i++ {
-		select {
-		case next <- i:
-		case <-pool.Done():
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return ctx.Err()
+	return pool.Run(ctx, workers, pool.Indices(jobs),
+		func() func(int) (struct{}, error) {
+			return func(i int) (struct{}, error) { return struct{}{}, fn(i) }
+		}, nil)
 }
 
 // CapacitySweepWorkers is CapacitySweep with an explicit worker count

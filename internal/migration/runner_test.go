@@ -1,47 +1,6 @@
 package migration
 
-import (
-	"context"
-	"errors"
-	"sync/atomic"
-	"testing"
-)
-
-func TestForEachJobRunsEveryJobOncePerWorkerCount(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 7, 100} {
-		var ran [50]int32
-		err := forEachJob(context.Background(), len(ran), workers, func(i int) error {
-			atomic.AddInt32(&ran[i], 1)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, n := range ran {
-			if n != 1 {
-				t.Fatalf("workers=%d: job %d ran %d times", workers, i, n)
-			}
-		}
-	}
-}
-
-func TestForEachJobReportsFirstErrorByJobOrder(t *testing.T) {
-	errA, errB := errors.New("a"), errors.New("b")
-	for _, workers := range []int{1, 4} {
-		err := forEachJob(context.Background(), 10, workers, func(i int) error {
-			switch i {
-			case 3:
-				return errA
-			case 7:
-				return errB
-			}
-			return nil
-		})
-		if err != errA {
-			t.Errorf("workers=%d: err = %v, want job 3's error", workers, err)
-		}
-	}
-}
+import "testing"
 
 func TestCapacitySweepParallelMatchesSerial(t *testing.T) {
 	accs := syntheticString(5000, 21)

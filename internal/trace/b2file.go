@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"filemig/internal/pool"
 )
 
 // B2File is the seekable view of a b2 trace: it reads the footer and
@@ -254,89 +257,48 @@ func (d *B2BlockDecoder) DecodeInto(i int, dst []Record) error {
 	return nil
 }
 
-// b2Result carries one decoded block from a worker to the stream
-// consumer.
-type b2Result struct {
-	recs []Record
-	err  error
-}
-
 // Stream returns a Stream over the whole file that decodes blocks with
 // the given number of worker goroutines but yields records in exact
 // file order — byte-for-byte the same sequence at any worker count.
-// At most workers+cap blocks are in flight, so memory stays bounded on
-// arbitrarily large files. The stream must be drained to io.EOF or its
-// first error; both tear the workers down.
+// At most workers+1 decoded blocks wait for the consumer, so memory
+// stays bounded on arbitrarily large files. The stream must be drained
+// to io.EOF or its first error; both tear the workers down.
 func (f *B2File) Stream(workers int) Stream {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(f.entries) && len(f.entries) > 0 {
-		workers = len(f.entries)
-	}
-	type job struct {
-		i  int
-		ch chan b2Result
-	}
-	jobs := make(chan job)
-	// The results channel carries per-block result slots in block order;
-	// its capacity is the dispatch window — once the consumer falls that
-	// many blocks behind, the dispatcher stops handing out work.
-	results := make(chan chan b2Result, workers)
+	s := &b2ParallelStream{blocks: make(chan []Record)}
+	// The pump runs the pool and feeds Next; by the time it closes
+	// blocks every worker has finished, so once Next has reported the
+	// end or an error nothing still touches the underlying reader.
 	go func() {
-		defer close(jobs)
-		defer close(results)
-		for i := range f.entries {
-			ch := make(chan b2Result, 1)
-			results <- ch
-			jobs <- job{i, ch}
-		}
+		s.err = pool.Run(context.Background(), workers, pool.Indices(len(f.entries)),
+			func() func(int) ([]Record, error) { return f.NewBlockDecoder().Decode },
+			func(recs []Record) error { s.blocks <- recs; return nil })
+		close(s.blocks)
 	}()
-	for w := 0; w < workers; w++ {
-		go func() {
-			d := f.NewBlockDecoder()
-			for j := range jobs {
-				recs, err := d.Decode(j.i)
-				j.ch <- b2Result{recs: recs, err: err}
-			}
-		}()
-	}
-	return &b2ParallelStream{results: results}
+	return s
 }
 
 // b2ParallelStream yields records from parallel block decodes in block
 // order. Errors are deterministic too: the error reported is the
-// earliest failing block's, regardless of which worker failed first.
+// earliest failing block's, regardless of which worker failed first,
+// after every record of the blocks before it.
 type b2ParallelStream struct {
-	results chan chan b2Result
-	cur     []Record
-	next    int
-	err     error
+	blocks chan []Record
+	err    error // the pool's verdict; written before blocks is closed
+	cur    []Record
+	next   int
 }
 
 // Next returns the next record in file order.
 func (s *b2ParallelStream) Next() (Record, error) {
 	for s.next >= len(s.cur) {
-		if s.err != nil {
-			return Record{}, s.err
-		}
-		ch, ok := <-s.results
+		recs, ok := <-s.blocks
 		if !ok {
+			if s.err != nil {
+				return Record{}, s.err
+			}
 			return Record{}, io.EOF
 		}
-		res := <-ch
-		if res.err != nil {
-			s.err = res.err
-			// Drain the remaining blocks synchronously — bounded by the
-			// file — so that when the error returns, the dispatcher and
-			// every worker have finished and nothing still touches the
-			// underlying reader.
-			for ch := range s.results {
-				<-ch
-			}
-			return Record{}, s.err
-		}
-		s.cur, s.next = res.recs, 0
+		s.cur, s.next = recs, 0
 	}
 	rec := s.cur[s.next]
 	s.next++
