@@ -605,6 +605,7 @@ func BenchmarkPeriodicityDetection(b *testing.B) {
 	p, _ := fixture(b)
 	r := analyze(p)
 	var day float64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		periods := r.DominantPeriods(2)
@@ -916,8 +917,11 @@ func BenchmarkStagingWriteBehind(b *testing.B) {
 // --- Substrate throughput ---
 
 func BenchmarkTraceGeneration(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := workload.Generate(workload.DefaultConfig(0.002, int64(i)))
+		// One seed for every iteration: benchgate compares allocs/op, which
+		// must not depend on how many iterations a run asked for.
+		res, err := workload.Generate(workload.DefaultConfig(0.002, 1993))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1075,8 +1079,8 @@ func BenchmarkMigdIngest(b *testing.B) {
 		b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/total, "allocs/rec")
 	})
 	// The fold is the daemon's own contribution to GET /v1/report —
-	// rendering the folded state costs the same as offline (dominated by
-	// the Periodogram, measured by BenchmarkPeriodicityDetection).
+	// rendering the folded state costs the same as offline (its
+	// Periodogram is measured by BenchmarkPeriodicityDetection).
 	b.Run("fold", func(b *testing.B) {
 		s := newServer()
 		for _, f := range frames {

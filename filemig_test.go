@@ -49,6 +49,26 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPeriodicityLinePinned holds the report's most expensive line to what
+// `tracegen -scale 0.02 -sim | mssanalyze -all` printed with the direct
+// O(n²) periodogram (captured at commit 32ec0af): the input the benchmark's
+// pipe-report workload renders, at three seeds.
+func TestPeriodicityLinePinned(t *testing.T) {
+	const prefix = "Periodicity of MSS requests (dominant periods, hours): "
+	for _, c := range []struct {
+		seed int64
+		want string
+	}{{1, "24 12 169 8"}, {7, "24 12 169 8"}, {1993, "24 12 8 84"}} {
+		p, err := Run(Config{Scale: 0.02, Seed: c.seed})
+		if err != nil {
+			t.Fatalf("seed %d: %v", c.seed, err)
+		}
+		if got := core.RenderPeriodicity(p.Report); got != prefix+c.want+"\n" {
+			t.Errorf("seed %d: rendered %q, want %q", c.seed, got, prefix+c.want+"\n")
+		}
+	}
+}
+
 func TestRunSkipSimulation(t *testing.T) {
 	p, err := Run(Config{Scale: 0.002, Seed: 6, SkipSimulation: true, Days: 60})
 	if err != nil {

@@ -1,0 +1,8 @@
+package stats
+
+// The external tests (package stats_test) reach the reference DFT and the
+// ranking step through these.
+var (
+	DirectPeriodogram = directPeriodogram
+	RankPeriods       = rankPeriods
+)

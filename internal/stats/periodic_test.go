@@ -1,10 +1,160 @@
 package stats
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
+
+// directPeriodogram is the O(n²) discrete Fourier sum Periodogram used to
+// be: one cosine and one sine per (frequency, sample) pair, then a sort.
+// It stays here as the reference the fast transform is held to.
+func directPeriodogram(series []float64) []PeriodogramPoint {
+	n := len(series)
+	if n < 4 {
+		return nil
+	}
+	mean := 0.0
+	for _, v := range series {
+		mean += v
+	}
+	mean /= float64(n)
+	pts := make([]PeriodogramPoint, 0, n/2)
+	for k := 1; k <= n/2; k++ {
+		var re, im float64
+		w := 2 * math.Pi * float64(k) / float64(n)
+		for t, v := range series {
+			c := v - mean
+			re += c * math.Cos(w*float64(t))
+			im -= c * math.Sin(w*float64(t))
+		}
+		power := (re*re + im*im) / float64(n)
+		pts = append(pts, PeriodogramPoint{Period: float64(n) / float64(k), Power: power})
+	}
+	sort.Slice(pts, func(i, j int) bool { return pts[i].Period < pts[j].Period })
+	return pts
+}
+
+// checkAgainstDirect holds Periodogram to the reference: the same points
+// in the same order, every Period bit for bit, every Power within 1e-9 of
+// the spectrum's largest.
+func checkAgainstDirect(t *testing.T, series []float64) {
+	t.Helper()
+	got, want := Periodogram(series), directPeriodogram(series)
+	if len(got) != len(want) {
+		t.Fatalf("n=%d: %d points, direct DFT gives %d", len(series), len(got), len(want))
+	}
+	maxPower := 0.0
+	for _, p := range want {
+		maxPower = math.Max(maxPower, p.Power)
+	}
+	for i := range want {
+		if math.Float64bits(got[i].Period) != math.Float64bits(want[i].Period) {
+			t.Fatalf("n=%d point %d: period %v, direct DFT gives %v", len(series), i, got[i].Period, want[i].Period)
+		}
+		if d := math.Abs(got[i].Power - want[i].Power); !(d <= 1e-9*maxPower) {
+			t.Fatalf("n=%d period %v: power %v, direct DFT gives %v (|Δ|/max = %g)",
+				len(series), want[i].Period, got[i].Power, want[i].Power, d/maxPower)
+		}
+	}
+}
+
+// TestPeriodogramMatchesDirect covers powers of two, small primes, a
+// large prime, the two-year hourly length (2³·3·17·43) and its odd
+// neighbour — every shape the chirp-z padding has to absorb.
+func TestPeriodogramMatchesDirect(t *testing.T) {
+	for _, n := range []int{4, 5, 7, 8, 240, 1009, 17544, 17545} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			if n > 10000 {
+				if testing.Short() {
+					t.Skip("the direct DFT takes seconds at this length")
+				}
+				t.Parallel()
+			}
+			s := synthDiurnal(n/168+1, 0.5, int64(n))[:n]
+			for i := range s {
+				s[i] += float64(i) / float64(n) // a ramp, so the mean matters
+			}
+			checkAgainstDirect(t, s)
+		})
+	}
+}
+
+func FuzzPeriodogramMatchesDirect(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4})
+	f.Add([]byte{255, 255, 0, 0, 255, 255, 0, 0, 255, 255})
+	f.Add(make([]byte, 26))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 2*128 {
+			data = data[:2*128]
+		}
+		series := make([]float64, len(data)/2)
+		for i := range series {
+			series[i] = float64(int16(binary.BigEndian.Uint16(data[2*i:]))) / 16
+		}
+		checkAgainstDirect(t, series)
+	})
+}
+
+// TestPeriodogramParseval: the centred series has no power at frequency
+// zero, so the powers at k = 1..n-1 sum to its energy; bins k and n-k are
+// mirror images and the periodogram keeps the lower half.
+func TestPeriodogramParseval(t *testing.T) {
+	for _, n := range []int{9, 64, 1009, 17544} {
+		s := synthDiurnal(n/168+1, 1, int64(n))[:n]
+		mean, energy := 0.0, 0.0
+		for _, v := range s {
+			mean += v
+		}
+		mean /= float64(n)
+		for _, v := range s {
+			energy += (v - mean) * (v - mean)
+		}
+		sum := 0.0
+		for _, p := range Periodogram(s) {
+			if p.Period == 2 { // k = n/2 is its own mirror
+				sum += p.Power
+			} else {
+				sum += 2 * p.Power
+			}
+		}
+		if math.Abs(sum-energy) > 1e-9*energy {
+			t.Errorf("n=%d: spectrum sums to %v, series energy is %v", n, sum, energy)
+		}
+	}
+}
+
+// TestRankPeriodsTieBreak pins the ranking on hand-built spectra: bins of
+// equal power come out shorter period first whatever order they went in,
+// so the list cannot depend on the sort or on last-bit differences in how
+// the powers were summed.
+func TestRankPeriodsTieBreak(t *testing.T) {
+	pts := []PeriodogramPoint{
+		{Period: 2, Power: 1}, {Period: 8, Power: 5}, {Period: 12, Power: 5},
+		{Period: 24, Power: 9}, {Period: 25, Power: 9}, {Period: 168, Power: 5},
+		{Period: 500, Power: 100}, {Period: 40, Power: 5},
+	}
+	// 500 is past the cutoff; 24 beats its equal 25, which then collapses
+	// into it; the four-way tie at power 5 ranks 8, 12, 40, 168.
+	want := []float64{24, 8, 12, 40, 168, 2}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+		if got := rankPeriods(pts, 400, 10, 0.1); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: ranked %v, want %v", trial, got, want)
+		}
+	}
+	if got := rankPeriods(pts, 400, 2, 0.1); !reflect.DeepEqual(got, want[:2]) {
+		t.Errorf("max 2: ranked %v, want %v", got, want[:2])
+	}
+	if got := rankPeriods(nil, 400, 2, 0.1); got != nil {
+		t.Errorf("empty spectrum ranked %v, want nil", got)
+	}
+}
 
 // synthDiurnal builds an hourly series with daily and weekly structure,
 // mimicking the shape of the NCAR read stream.

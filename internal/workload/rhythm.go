@@ -44,14 +44,34 @@ var readDayWeights = [7]float64{0.45, 0.95, 1.25, 1.30, 1.30, 1.20, 0.55}
 // the course of the week, as the Cray CPU runs batch jobs all weekend."
 var writeDayWeights = [7]float64{0.97, 0.96, 1.00, 1.02, 1.02, 1.01, 1.00}
 
-// Rhythm answers intensity queries for a configured trace.
+// Rhythm answers intensity queries for a configured trace. The calendar
+// is tabulated once at construction — the generator asks for a day's read
+// weight and the trace-wide maximum once per planned read.
 type Rhythm struct {
 	start      time.Time
 	days       int
 	holidays   bool
 	readGrowth float64
 	holiday    map[int]float64 // day index -> read multiplier
-	readHours  [24]float64     // hour-of-day read weights, possibly reshaped
+	readDay    []float64       // ReadDayWeight of every trace day
+	maxReadDay float64         // the largest readDay entry
+	readHours  hourProfile     // hour-of-day read weights, possibly reshaped
+	writeHours hourProfile
+}
+
+// hourProfile is an hour-of-day weight table beside its sum, the
+// normaliser of every hour draw.
+type hourProfile struct {
+	weights [24]float64
+	total   float64
+}
+
+func newHourProfile(weights [24]float64) hourProfile {
+	p := hourProfile{weights: weights}
+	for _, w := range weights {
+		p.total += w
+	}
+	return p
 }
 
 // NewRhythm builds the rhythm model for a trace starting at start and
@@ -69,15 +89,25 @@ func NewShapedRhythm(start time.Time, days int, holidays bool, readGrowth, sharp
 	if readGrowth <= 0 {
 		r.readGrowth = 1
 	}
-	r.readHours = readHourWeights
+	readHours := readHourWeights
 	if sharpness > 0 && sharpness != 1 {
-		for h, w := range r.readHours {
-			r.readHours[h] = math.Pow(w, sharpness)
+		for h, w := range readHours {
+			readHours[h] = math.Pow(w, sharpness)
 		}
 	}
+	r.readHours = newHourProfile(readHours)
+	r.writeHours = newHourProfile(writeHourWeights)
 	r.holiday = map[int]float64{}
 	if holidays {
 		r.markHolidays()
+	}
+	r.readDay = make([]float64, max(days, 0))
+	for d := range r.readDay {
+		w := r.readDayWeight(d)
+		r.readDay[d] = w
+		if w > r.maxReadDay {
+			r.maxReadDay = w
+		}
 	}
 	return r
 }
@@ -109,9 +139,10 @@ func (r *Rhythm) suppress(from time.Time, days int, factor float64) {
 	}
 }
 
-// dayInfo reports the weekday of trace day d.
+// weekday reports the weekday of trace day d: whole days from the start
+// shift the weekday by d mod 7, with no calendar arithmetic.
 func (r *Rhythm) weekday(day int) time.Weekday {
-	return r.start.AddDate(0, 0, day).Weekday()
+	return time.Weekday(((int(r.start.Weekday())+day)%7 + 7) % 7)
 }
 
 // growth reports the linear read-growth multiplier on trace day d,
@@ -129,6 +160,14 @@ func (r *Rhythm) growth(day int) float64 {
 // ReadDayWeight reports the relative read intensity of trace day d,
 // combining weekday, holiday and growth effects.
 func (r *Rhythm) ReadDayWeight(day int) float64 {
+	if day >= 0 && day < len(r.readDay) {
+		return r.readDay[day]
+	}
+	return r.readDayWeight(day)
+}
+
+// readDayWeight computes what ReadDayWeight tabulates.
+func (r *Rhythm) readDayWeight(day int) float64 {
 	w := readDayWeights[r.weekday(day)] * r.growth(day)
 	if f, ok := r.holiday[day]; ok {
 		w *= f
@@ -160,33 +199,21 @@ func (r *Rhythm) HolidayFactor(day int) float64 {
 
 // MaxReadDayWeight bounds ReadDayWeight over the trace, for rejection
 // sampling.
-func (r *Rhythm) MaxReadDayWeight() float64 {
-	max := 0.0
-	for d := 0; d < r.days; d++ {
-		if w := r.ReadDayWeight(d); w > max {
-			max = w
-		}
-	}
-	return max
-}
+func (r *Rhythm) MaxReadDayWeight() float64 { return r.maxReadDay }
 
 // SampleReadHour draws an hour of day from the read profile.
 func (r *Rhythm) SampleReadHour(rng *rand.Rand) int {
-	return sampleHour(r.readHours, rng)
+	return r.readHours.sample(rng)
 }
 
 // SampleWriteHour draws an hour of day from the write profile.
 func (r *Rhythm) SampleWriteHour(rng *rand.Rand) int {
-	return sampleHour(writeHourWeights, rng)
+	return r.writeHours.sample(rng)
 }
 
-func sampleHour(weights [24]float64, rng *rand.Rand) int {
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	u := rng.Float64() * total
-	for h, w := range weights {
+func (p *hourProfile) sample(rng *rand.Rand) int {
+	u := rng.Float64() * p.total
+	for h, w := range p.weights {
 		u -= w
 		if u <= 0 {
 			return h

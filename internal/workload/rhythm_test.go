@@ -166,3 +166,58 @@ func TestMaxReadDayWeightBounds(t *testing.T) {
 		}
 	}
 }
+
+// calendarReadDayWeight recomputes a day's read weight from the calendar,
+// the way ReadDayWeight worked before the table: the date by AddDate, its
+// weekday from the time package, the holiday from the date itself.
+func calendarReadDayWeight(r *Rhythm, day int) float64 {
+	date := r.start.AddDate(0, 0, day)
+	w := readDayWeights[date.Weekday()] * r.growth(day)
+	if !r.holidays {
+		return w
+	}
+	switch m, d := date.Month(), date.Day(); {
+	case m == time.November && date.Weekday() == time.Thursday && d >= 22 && d <= 28,
+		m == time.November && date.Weekday() == time.Friday && d >= 23 && d <= 29:
+		w *= 0.25 // Thanksgiving and the Friday after
+	case m == time.December && d >= 24, m == time.January && d == 1:
+		w *= 0.30 // Christmas through New Year
+	}
+	return w
+}
+
+// TestReadDayTableMatchesCalendar: every tabulated weight, and the
+// weekday arithmetic under it, equals the value recomputed from the
+// calendar, bit for bit, and the stored maximum is their maximum.
+func TestReadDayTableMatchesCalendar(t *testing.T) {
+	starts := []time.Time{
+		trace.Epoch, // October 1990
+		time.Date(1991, time.June, 12, 0, 0, 0, 0, time.UTC),     // non-leap year, midweek
+		time.Date(1992, time.February, 27, 0, 0, 0, 0, time.UTC), // two days before a leap day
+	}
+	for _, start := range starts {
+		for _, holidays := range []bool{true, false} {
+			for _, days := range []int{7, 90, 731, 1500} {
+				r := NewRhythm(start, days, holidays, 2.0)
+				max := 0.0
+				for d := 0; d < days; d++ {
+					if got, want := r.weekday(d), start.AddDate(0, 0, d).Weekday(); got != want {
+						t.Fatalf("%s +%d: weekday %v, calendar says %v", start.Format("2006-01-02"), d, got, want)
+					}
+					want := calendarReadDayWeight(r, d)
+					if got := r.ReadDayWeight(d); got != want {
+						t.Fatalf("%s holidays=%v days=%d: day %d weight %v, calendar gives %v",
+							start.Format("2006-01-02"), holidays, days, d, got, want)
+					}
+					if want > max {
+						max = want
+					}
+				}
+				if got := r.MaxReadDayWeight(); got != max {
+					t.Errorf("%s holidays=%v days=%d: MaxReadDayWeight %v, max over days %v",
+						start.Format("2006-01-02"), holidays, days, got, max)
+				}
+			}
+		}
+	}
+}
