@@ -717,7 +717,7 @@ func BenchmarkCapacitySweep(b *testing.B) {
 }
 
 // BenchmarkCapacitySweepSerial is the serial baseline for
-// BenchmarkCapacitySweep (STP replays are scan-path either way).
+// BenchmarkCapacitySweep.
 func BenchmarkCapacitySweepSerial(b *testing.B) {
 	_, accs := fixture(b)
 	fractions := []float64{0.005, 0.015, 0.05}
@@ -732,9 +732,16 @@ func BenchmarkCapacitySweepSerial(b *testing.B) {
 // BenchmarkEvictionHeap measures the tentpole directly: the same LRU
 // replay with the indexed eviction heap versus the forced scan fallback.
 func BenchmarkEvictionHeap(b *testing.B) {
+	benchVictimPaths(b, "heap", migration.LRU{})
+}
+
+// benchVictimPaths replays the fixture at 1/50 capacity under p on its
+// own victim path (sub-benchmark fast) and under ScanOnly{p} ("scan").
+func benchVictimPaths(b *testing.B, fast string, p migration.Policy) {
 	_, accs := fixture(b)
 	capacity := migration.TotalReferencedBytes(accs) / 50
 	run := func(b *testing.B, p migration.Policy) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			c, err := migration.NewCache(migration.CacheConfig{Capacity: capacity, Policy: p})
 			if err != nil {
@@ -743,8 +750,15 @@ func BenchmarkEvictionHeap(b *testing.B) {
 			c.Replay(accs)
 		}
 	}
-	b.Run("heap", func(b *testing.B) { run(b, migration.LRU{}) })
-	b.Run("scan", func(b *testing.B) { run(b, migration.ScanOnly{P: migration.LRU{}}) })
+	b.Run(fast, func(b *testing.B) { run(b, p) })
+	b.Run("scan", func(b *testing.B) { run(b, migration.ScanOnly{P: p}) })
+}
+
+// BenchmarkEvictionAged is the same comparison for the aged index: one
+// STP^1.4 replay picking victims through the weight-class index versus
+// the forced full scan — identical victims, far fewer Rank calls.
+func BenchmarkEvictionAged(b *testing.B) {
+	benchVictimPaths(b, "index", migration.STP{K: 1.4})
 }
 
 func BenchmarkSTPExponentSweep(b *testing.B) {

@@ -27,14 +27,15 @@ func allocAccesses() []Access {
 // TestCacheReplaySteadyStateAllocs pins the free-list recycling: once a
 // cache has been through the access string, replaying it again on the
 // same instance allocates nothing per access — on the heap path (LRU),
-// on the scan path (STP, STP-adapt), on the victim path (ARC), and
-// through the stateful observers' dense arenas (LRU-K, GDSF, cost)
-// alike.
+// on the aged index (STP, SAAC, STP-adapt: the class table is built once
+// and the list links live in the recycled slots), on the scan path
+// (ScanOnly), on the victim path (ARC), and through the stateful
+// observers' dense arenas (LRU-K, GDSF, cost) alike.
 func TestCacheReplaySteadyStateAllocs(t *testing.T) {
 	accs := allocAccesses()
 	capacity := TotalReferencedBytes(accs) / 10
-	for _, p := range []Policy{LRU{}, STP{K: 1.4}, NewARC(), NewLRUK(2),
-		NewGDSF(), NewCostAware(DefaultTapeRateMBps), NewAdaptiveSTP()} {
+	for _, p := range []Policy{LRU{}, STP{K: 1.4}, SAAC{}, ScanOnly{P: STP{K: 1.4}}, NewARC(),
+		NewLRUK(2), NewGDSF(), NewCostAware(DefaultTapeRateMBps), NewAdaptiveSTP()} {
 		c, err := NewCache(CacheConfig{Capacity: capacity, Policy: p})
 		if err != nil {
 			t.Fatal(err)

@@ -135,11 +135,15 @@ func (r CacheResult) PersonMinutesPerDay(days float64, extraLatency time.Duratio
 	return float64(r.ReadMisses) * extraLatency.Minutes() / days
 }
 
+// residentFile is one resident's slot. A cache runs one victim path, so
+// the keyed heap and the aged index share key and slot rather than each
+// widening every slot with fields the other never reads.
 type residentFile struct {
 	CachedFile
-	prefetched bool    // resident due to prefetch, not yet demanded
-	key        float64 // eviction priority under a KeyedPolicy
-	heapIndex  int     // position in Cache.order; -1 off-heap
+	prefetched bool          // resident due to prefetch, not yet demanded
+	key        float64       // keyed: eviction priority; aged: weight
+	slot       int           // keyed: position in Cache.order, -1 off-heap; aged: weight class
+	prev, next *residentFile // aged only: neighbours in the class's LastRef-ordered list
 }
 
 // evictHeap is the indexed priority heap over resident files: the top is
@@ -156,12 +160,12 @@ func (h evictHeap) Less(i, j int) bool {
 }
 func (h evictHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].heapIndex = i
-	h[j].heapIndex = j
+	h[i].slot = i
+	h[j].slot = j
 }
 func (h *evictHeap) Push(x any) {
 	f := x.(*residentFile)
-	f.heapIndex = len(*h)
+	f.slot = len(*h)
 	*h = append(*h, f)
 }
 func (h *evictHeap) Pop() any {
@@ -169,7 +173,7 @@ func (h *evictHeap) Pop() any {
 	n := len(old)
 	f := old[n-1]
 	old[n-1] = nil
-	f.heapIndex = -1
+	f.slot = -1
 	*h = old[:n-1]
 	return f
 }
@@ -184,8 +188,11 @@ func (h *evictHeap) Pop() any {
 // is the policy's own NextVictim when it implements VictimPolicy (ARC's
 // structural dual-list choice), O(log R) when it implements KeyedPolicy
 // (its order is maintained in an indexed heap, updated on insert and
-// touch), and otherwise a deterministic scan of the residents in
-// ascending file ID order, so rank-crossing policies stay correct.
+// touch), the aged index when it implements AgedPolicy (STP, SAAC,
+// adaptive STP: the policy's own Rank at the shrink's frozen clock, in
+// (rank, lowest file ID) order, over only the residents a bound cannot
+// exclude — see pickAged), and otherwise a deterministic scan of every
+// resident in ascending file ID order (Random, third-party policies).
 // Policies implementing AccessObserver are fed every insert, touch, and
 // removal, in replay order.
 type Cache struct {
@@ -195,13 +202,16 @@ type Cache struct {
 	used     units.Bytes
 	res      CacheResult
 
-	keyed  KeyedPolicy    // non-nil when cfg.Policy supports heap ordering
-	obs    AccessObserver // non-nil when the policy observes accesses
-	victim VictimPolicy   // non-nil when the policy picks victims itself
-	order  evictHeap
-	live   liveSet         // scan path only: resident IDs
-	free   []*residentFile // recycled slots
-	ranked []rankedFile    // scratch: scan candidates with ranks
+	keyed   KeyedPolicy    // non-nil when cfg.Policy supports heap ordering
+	obs     AccessObserver // non-nil when the policy observes accesses
+	victim  VictimPolicy   // non-nil when the policy picks victims itself
+	aged    AgedPolicy     // non-nil when the policy's ranks factor into weight × aging
+	order   evictHeap
+	classes []agedClass     // aged path only: residents by weight class
+	top     int             // aged path only: no class above this one is occupied
+	live    liveSet         // scan path only: resident IDs
+	free    []*residentFile // recycled slots
+	ranked  []rankedFile    // scratch: scan candidates with ranks
 }
 
 // NewCache builds a cache simulator.
@@ -218,9 +228,12 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	}
 	if kp, ok := cfg.Policy.(KeyedPolicy); ok {
 		c.keyed = kp
+	} else if ap, ok := cfg.Policy.(AgedPolicy); ok && ap.AgingMonotone() {
+		c.aged = ap
+		c.classes = make([]agedClass, agedClasses)
 	}
 	// Observer, victim, and capacity capabilities survive a ScanOnly
-	// wrapper: ScanOnly exists to disable the keyed fast path, not to
+	// wrapper: ScanOnly exists to disable the keyed and aged paths, not to
 	// cut a stateful policy off from the accesses it must see.
 	core := policyCore(cfg.Policy)
 	if o, ok := core.(AccessObserver); ok {
@@ -388,8 +401,11 @@ func (c *Cache) touch(f *residentFile, now time.Time) {
 	if c.keyed != nil {
 		if k := c.keyed.Key(&f.CachedFile); k != f.key {
 			f.key = k
-			heap.Fix(&c.order, f.heapIndex)
+			heap.Fix(&c.order, f.slot)
 		}
+	} else if c.aged != nil {
+		c.agedUnlink(f)
+		c.agedLink(f)
 	}
 }
 
@@ -419,7 +435,7 @@ func (c *Cache) insert(a Access, now time.Time, prefetched bool) {
 			ID: a.FileID, Size: size, Inserted: now, LastRef: now, Refs: 1,
 		},
 		prefetched: prefetched,
-		heapIndex:  -1,
+		slot:       -1,
 	}
 	c.resident = growTo(c.resident, a.FileID)
 	c.resident[a.FileID] = f
@@ -431,6 +447,8 @@ func (c *Cache) insert(a Access, now time.Time, prefetched bool) {
 	if c.keyed != nil {
 		f.key = c.keyed.Key(&f.CachedFile)
 		heap.Push(&c.order, f)
+	} else if c.aged != nil {
+		c.agedLink(f)
 	} else {
 		c.live.add(a.FileID)
 	}
@@ -446,9 +464,11 @@ func (c *Cache) remove(f *residentFile) {
 	c.resident[f.ID] = nil
 	c.nres--
 	if c.keyed != nil {
-		if f.heapIndex >= 0 {
-			heap.Remove(&c.order, f.heapIndex)
+		if f.slot >= 0 {
+			heap.Remove(&c.order, f.slot)
 		}
+	} else if c.aged != nil {
+		c.agedUnlink(f)
 	} else {
 		c.live.drop(f.ID)
 	}
@@ -476,9 +496,14 @@ func (c *Cache) shrinkTo(target units.Bytes, now time.Time, protect int) {
 		}
 		return
 	}
-	if c.keyed != nil {
+	if c.keyed != nil || c.aged != nil {
 		for c.used > target {
-			victim := c.pickHeap(protect)
+			var victim *residentFile
+			if c.keyed != nil {
+				victim = c.pickHeap(protect)
+			} else {
+				victim = c.pickAged(now, protect)
+			}
 			if victim == nil {
 				return // nothing evictable
 			}
@@ -545,9 +570,11 @@ func siftDown(h []rankedFile, i int) {
 	}
 }
 
-// shrinkScan is the eviction path for rank-crossing policies (STP, SAAC,
-// Random). The clock is fixed for the whole shrink and untouched files'
-// ranks cannot move, so every candidate is ranked exactly once; the
+// shrinkScan is the eviction path for policies with no victim-path
+// capability (Random, third-party policies, anything under ScanOnly) —
+// and the reference the aged index must reproduce victim for victim.
+// The clock is fixed for the whole shrink and untouched files' ranks
+// cannot move, so every candidate is ranked exactly once; the
 // candidates are then max-heapified on (rank, lowest file ID) and popped
 // until enough space is free. One Rank pass amortises over every victim
 // of the shrink, instead of the historical full re-scan per eviction.

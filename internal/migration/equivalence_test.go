@@ -23,12 +23,14 @@ func shippedPolicies() map[string]func(accs []Access) Policy {
 	}
 }
 
-// TestHeapMatchesScanVictimSelection proves the tentpole refactor safe:
-// for every shipped policy, replaying a generated workload with the
-// indexed eviction heap (the default for keyed policies) produces exactly
-// the same result — hence the same victim sequence — as forcing the
-// deterministic scan path with ScanOnly. For scan-only policies the two
-// runs take the same path and the test pins determinism instead.
+// TestHeapMatchesScanVictimSelection proves the fast victim paths safe:
+// for every shipped policy, replaying a generated workload on the path
+// the cache picks by default — the indexed eviction heap for keyed
+// policies, the aged index for STP and SAAC — produces exactly the same
+// result, hence the same victim sequence, as forcing the deterministic
+// full scan with ScanOnly. Random is scan-path on both sides, so its row
+// pins determinism instead. (TestAgedIndexMatchesScan is the step-by-
+// step, adversarial-input version for the aged index.)
 func TestHeapMatchesScanVictimSelection(t *testing.T) {
 	workloads := []struct {
 		name string

@@ -59,9 +59,9 @@ type CapacityAware interface {
 }
 
 // policyCore unwraps ScanOnly for capability discovery: ScanOnly hides
-// only the KeyedPolicy fast path; observer, victim, and capacity
-// capabilities must keep working underneath it or stateful policies
-// would silently stop updating on the scan path.
+// only the KeyedPolicy and AgedPolicy victim paths; observer, victim,
+// and capacity capabilities must keep working underneath it or stateful
+// policies would silently stop updating on the scan path.
 func policyCore(p Policy) Policy {
 	if s, ok := p.(ScanOnly); ok {
 		return s.P

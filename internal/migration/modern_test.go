@@ -24,8 +24,8 @@ func modernPolicies() map[string]func(accs []Access) Policy {
 // TestModernHeapMatchesScan extends the heap-vs-scan equivalence proof
 // to the new keyed policies (LRU-K and the greedy-dual pair): forcing
 // the scan path with ScanOnly — which passes the observer hooks
-// through — must reproduce the heap path's results exactly. STP-adapt
-// is scan-only on both sides, so its rows pin determinism instead. ARC
+// through — must reproduce the heap path's results exactly. STP-adapt's
+// rows compare its aged index against the same full scan. ARC
 // is absent by design: its victims come from NextVictim on either
 // path, so the comparison would be vacuous (TestARCListInvariants
 // covers it).

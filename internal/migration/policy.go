@@ -39,18 +39,19 @@ type Policy interface {
 // file ID) and pick victims in O(log R) instead of scanning every
 // resident file. Key is recomputed only when a file is inserted or
 // touched. Policies whose ranks cross over time (STP, SAAC, Random) must
-// not implement it; they keep the deterministic scan fallback.
+// not implement it: STP and SAAC declare AgedPolicy instead, Random
+// keeps the deterministic scan fallback.
 type KeyedPolicy interface {
 	Policy
 	Key(f *CachedFile) float64
 }
 
-// ScanOnly wraps a policy and hides any KeyedPolicy capability, forcing
-// the cache onto the scan path — used by the equivalence tests and
-// benchmarks to compare heap and scan victim selection. Only the keyed
-// fast path is hidden: the cache still resolves AccessObserver,
-// VictimPolicy, and CapacityAware through the wrapper, so stateful
-// policies keep seeing their accesses.
+// ScanOnly wraps a policy and hides any KeyedPolicy or AgedPolicy
+// capability, forcing the cache onto the scan path — the reference the
+// equivalence tests and benchmarks compare heap and aged-index victim
+// selection against. Only the fast victim paths are hidden: the cache
+// still resolves AccessObserver, VictimPolicy, and CapacityAware through
+// the wrapper, so stateful policies keep seeing their accesses.
 type ScanOnly struct{ P Policy }
 
 // Name implements Policy.
@@ -72,7 +73,11 @@ func timeKey(t time.Time) float64 {
 // largest (time since last reference)^K × size. K=1.4 was the best
 // exponent in Smith's study and the one Lawrie validated; K=1 is the
 // plain space-time product; K→0 degenerates toward pure size; K→∞ toward
-// LRU.
+// LRU. Ranks cross over time, so STP is never heap-keyed; it is an
+// AgedPolicy (weight = size, aging = age^K), and the cache picks its
+// victims through the aged index — same Rank, same frozen clock, same
+// (rank, lowest file ID) order as the full scan, minus the residents a
+// bound proves cannot win.
 type STP struct {
 	K float64
 }
@@ -93,6 +98,20 @@ func (p STP) Rank(f *CachedFile, now time.Time) float64 {
 	}
 	return math.Pow(age, p.K) * float64(f.Size)
 }
+
+// stpAgedMaxK is the largest exponent the aged index takes: the shortest
+// age, 1 ns, is about 1e-14 days, so up to here age^K × size is zero or
+// a normal float64 and AgedPolicy's contract holds.
+const stpAgedMaxK = 16
+
+// Weight implements AgedPolicy: the size factor of the product.
+func (p STP) Weight(f *CachedFile) float64 { return float64(f.Size) }
+
+// AgingMonotone implements AgedPolicy: age^K is non-decreasing for
+// 0 <= K <= stpAgedMaxK. A negative K ranks young files highest, and a
+// NaN, infinite or huge K leaves float64's normal range; those
+// exponents keep the scan path.
+func (p STP) AgingMonotone() bool { return p.K >= 0 && p.K <= stpAgedMaxK }
 
 // LRU evicts the least recently used file regardless of size.
 type LRU struct{}
@@ -183,6 +202,13 @@ func (SAAC) Rank(f *CachedFile, now time.Time) float64 {
 	}
 	return idle * float64(f.Size) / float64(1+f.Refs)
 }
+
+// Weight implements AgedPolicy: size over the reference count, which a
+// touch changes — the cache refiles the file on every touch.
+func (SAAC) Weight(f *CachedFile) float64 { return float64(f.Size) / float64(1+f.Refs) }
+
+// AgingMonotone implements AgedPolicy: the aging curve is the idle time.
+func (SAAC) AgingMonotone() bool { return true }
 
 // OPT is the clairvoyant bound: evict the file whose next reference is
 // farthest in the future (never-referenced files first, largest first

@@ -84,7 +84,8 @@ func TestSTPRankPinnedValues(t *testing.T) {
 
 func TestKeyedPolicyCapability(t *testing.T) {
 	// Policies with time-invariant victim ordering expose Key; the
-	// rank-crossing ones must not, so the cache keeps the scan fallback.
+	// rank-crossing ones must not — a frozen heap order would be wrong
+	// for them (STP and SAAC take the aged index instead, Random the scan).
 	keyed := []Policy{LRU{}, FIFO{}, LargestFirst{}, SmallestFirst{}, NewOPT(NewFutureIndex(nil))}
 	for _, p := range keyed {
 		if _, ok := p.(KeyedPolicy); !ok {

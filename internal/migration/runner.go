@@ -106,8 +106,9 @@ func MultiPolicySweepContext(ctx context.Context, accs []Access, fractions []flo
 	mks []func() Policy, workers int) ([]PolicySweep, error) {
 	total := TotalReferencedBytes(accs)
 	out := make([]PolicySweep, len(mks))
-	// One serial builder pass per cell — builders need not be
-	// goroutine-safe, and every job needs a private policy instance.
+	// One serial builder call per cell — builders need not be
+	// goroutine-safe, every job needs a private policy instance, and a
+	// stateful builder (OPT's FutureIndex, a seeded Random) is not cheap.
 	policies := make([][]Policy, len(mks))
 	for i, mk := range mks {
 		p := mk()
@@ -117,7 +118,10 @@ func MultiPolicySweepContext(ctx context.Context, accs []Access, fractions []flo
 		out[i] = PolicySweep{Policy: p.Name(), Points: make([]SweepPoint, len(fractions))}
 		policies[i] = make([]Policy, len(fractions))
 		for j := range fractions {
-			policies[i][j] = mk()
+			if j > 0 { // the build that named the row is cell 0's policy
+				p = mk()
+			}
+			policies[i][j] = p
 		}
 	}
 	err := forEachJob(ctx, len(mks)*len(fractions), workers, func(job int) error {

@@ -82,6 +82,23 @@ func TestMultiPolicySweepMatchesPerPolicySweeps(t *testing.T) {
 	}
 }
 
+// TestMultiPolicySweepBuildsOncePerCell pins the builder budget: one
+// call per (policy, fraction) cell, none extra to read the row's name.
+func TestMultiPolicySweepBuildsOncePerCell(t *testing.T) {
+	accs := syntheticString(300, 26)
+	fractions := []float64{0.01, 0.05, 0.2}
+	calls := 0
+	mk := func() Policy { calls++; return NewOPT(NewFutureIndex(accs)) }
+	sweeps, err := MultiPolicySweep(accs, fractions, []func() Policy{mk}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != len(fractions) || sweeps[0].Policy != "OPT" {
+		t.Errorf("builder ran %d times for %d cells (row %q), want one per cell",
+			calls, len(fractions), sweeps[0].Policy)
+	}
+}
+
 func TestSTPExponentSweep(t *testing.T) {
 	accs := syntheticString(4000, 24)
 	capacity := TotalReferencedBytes(accs) / 30

@@ -38,8 +38,9 @@ const (
 // wall clock — so two replays of the same string produce the same
 // exponent trajectory and the same victims (seeded-deterministic in
 // the degenerate sense: there is no seed to vary). Ranks cross over
-// time, so AdaptiveSTP keeps the deterministic scan eviction path, like
-// STP itself.
+// time, so AdaptiveSTP is an AgedPolicy, like STP itself: the aged
+// index calls this Rank under whatever exponent is current and keeps no
+// cross-file state a refit could invalidate.
 type AdaptiveSTP struct {
 	k    float64
 	last []time.Time             // FileID -> previous reference time; zero = unseen
@@ -126,3 +127,11 @@ func (p *AdaptiveSTP) Rank(f *CachedFile, now time.Time) float64 {
 	}
 	return math.Pow(age, p.k) * float64(f.Size)
 }
+
+// Weight implements AgedPolicy: the size factor of the product.
+func (*AdaptiveSTP) Weight(f *CachedFile) float64 { return float64(f.Size) }
+
+// AgingMonotone implements AgedPolicy: the fitted exponent is clamped to
+// [0.5, 3], and it only moves in FileAccessed — never inside a shrink —
+// so every victim of one shrink is picked under one curve.
+func (*AdaptiveSTP) AgingMonotone() bool { return true }
