@@ -11,7 +11,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -1038,9 +1041,11 @@ func BenchmarkDistributedGrid(b *testing.B) {
 // BenchmarkMigdIngest measures the live daemon's hot path: a client's
 // pre-framed b1 batches through frame decode + validation + segment
 // observe (the work POST /v1/ingest/batch does per request, minus HTTP),
-// and the journal-merge fold behind GET /v1/report over the resulting
-// segments. Sustained records/sec and allocations per record ride along
-// as b.ReportMetric metrics.
+// the same trace as 100-record batches through a real listener to the
+// ack (what the "minus HTTP" leaves out), the journal-merge fold behind
+// GET /v1/report over the resulting segments, and a checkpoint encoded
+// and restored into a fresh daemon. Sustained records/sec and
+// allocations per record ride along as b.ReportMetric metrics.
 func BenchmarkMigdIngest(b *testing.B) {
 	p, _ := fixture(b)
 	recs := p.Records
@@ -1092,6 +1097,40 @@ func BenchmarkMigdIngest(b *testing.B) {
 		b.ReportMetric(total/b.Elapsed().Seconds(), "recs/s")
 		b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/total, "allocs/rec")
 	})
+	// One closed-loop client, keep-alive, 100-record batches: a batch
+	// forwarder's view of the daemon, HTTP included.
+	b.Run("http", func(b *testing.B) {
+		var small [][]byte
+		for i := 0; i < len(recs); i += 100 {
+			var buf bytes.Buffer
+			if err := trace.WriteAllFormat(&buf, recs[i:min(i+100, len(recs))], trace.FormatBinary); err != nil {
+				b.Fatal(err)
+			}
+			small = append(small, dist.EncodeFrame(buf.Bytes()))
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			hs := httptest.NewServer(newServer())
+			b.StartTimer()
+			for _, f := range small {
+				resp, err := hs.Client().Post(hs.URL+"/v1/ingest/batch", "application/octet-stream", bytes.NewReader(f))
+				if err != nil {
+					b.Fatal(err)
+				}
+				_, err = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					b.Fatalf("POST /v1/ingest/batch: status %d, err %v", resp.StatusCode, err)
+				}
+			}
+			b.StopTimer()
+			hs.Close()
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(b.N)*float64(len(recs))/b.Elapsed().Seconds(), "recs/s")
+		b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(b.N*len(small)), "us/batch")
+	})
 	// The fold is the daemon's own contribution to GET /v1/report —
 	// rendering the folded state costs the same as offline (its
 	// Periodogram is measured by BenchmarkPeriodicityDetection).
@@ -1113,6 +1152,29 @@ func BenchmarkMigdIngest(b *testing.B) {
 			if m.Report().Table3.GrandTotal == 0 {
 				b.Fatal("empty report")
 			}
+		}
+	})
+	// A restart: the checkpoint as the daemon hands it over (every
+	// frame cached after the first encoding), decoded into a fresh one.
+	b.Run("restore", func(b *testing.B) {
+		s := newServer()
+		for _, f := range frames {
+			batch, err := serve.DecodeIngestFrame(f)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s.Ingest(batch)
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ckpt, err := s.EncodeCheckpoint()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := newServer().RestoreCheckpoint(ckpt); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(ckpt)))
 		}
 	})
 }

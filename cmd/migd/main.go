@@ -12,7 +12,10 @@
 // With -checkpoint, migd restores from the file at startup when it
 // exists, checkpoints every -checkpoint-every ingested records and
 // every -checkpoint-interval of wall time, and writes a final
-// checkpoint after draining in-flight requests on SIGINT/SIGTERM.
+// checkpoint after draining in-flight requests on SIGINT/SIGTERM. The
+// interval and final checkpoints are skipped (and say so) when nothing
+// was ingested since the last one or the restore and the file is still
+// in place.
 package main
 
 import (
@@ -31,6 +34,16 @@ import (
 	"filemig/internal/core"
 	"filemig/internal/host"
 	"filemig/internal/serve"
+)
+
+// Connection hygiene for the listener. Neither bounds a request that is
+// making progress: ReadHeaderTimeout is how long a client may take to
+// send its request line and headers (a body, a report render and the
+// response are not timed), IdleTimeout how long a keep-alive connection
+// may sit between requests before the daemon closes it.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -92,7 +105,7 @@ func run(listen, checkpoint string, ckptEvery int64, ckptInterval, dedup, shardD
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	hs := &http.Server{Addr: listen, Handler: s}
+	hs := &http.Server{Addr: listen, Handler: s, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	if ckptInterval > 0 && checkpoint != "" {
 		go func() {
 			t := time.NewTicker(ckptInterval)
@@ -102,8 +115,10 @@ func run(listen, checkpoint string, ckptEvery int64, ckptInterval, dedup, shardD
 				case <-ctx.Done():
 					return
 				case <-t.C:
-					if err := s.Checkpoint(); err != nil {
+					if wrote, err := s.CheckpointIfChanged(); err != nil {
 						log.Printf("interval checkpoint: %v", err)
+					} else if !wrote {
+						log.Printf("interval checkpoint skipped: nothing ingested since the last one")
 					}
 				}
 			}
@@ -124,10 +139,15 @@ func run(listen, checkpoint string, ckptEvery int64, ckptInterval, dedup, shardD
 		return err
 	}
 	if checkpoint != "" {
-		if err := s.Checkpoint(); err != nil {
+		wrote, err := s.CheckpointIfChanged()
+		if err != nil {
 			return fmt.Errorf("final checkpoint: %w", err)
 		}
-		log.Printf("final checkpoint written to %s", checkpoint)
+		if wrote {
+			log.Printf("final checkpoint written to %s", checkpoint)
+		} else {
+			log.Printf("final checkpoint skipped: nothing ingested since %s was written or restored", checkpoint)
+		}
 	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"time"
 
@@ -18,17 +17,19 @@ import (
 // feeds an Accumulator directly (New + Add); the stream and b2 paths cut
 // the trace into contiguous segments, accumulate each into a Partial,
 // and Fold them into a master in time order; the s1 snapshot codec
-// serializes an Accumulator and decodes back into a Partial that
-// FoldReplay merges; and the migd daemon (internal/serve) keeps live
-// Partials per ingest segment and FoldPartials them on demand. The
-// three folds differ in how much they recompute and what they assume
-// about segment order:
+// serializes an Accumulator and decodes back into a journal-only
+// Partial that FoldReplay merges; and the migd daemon (internal/serve)
+// keeps one journal-only Partial per ingest segment, all over one
+// daemon-wide path table, and FoldPartials them on demand. The three
+// folds differ in how much they recompute and what they assume about
+// segment order:
 //
 //   - Fold requires master and segment to share a calendar origin
 //     (AccumulateStream and AccumulateB2 resolve Options.Start once for
 //     exactly this reason). Every derived series then folds by integer
 //     sums and sample-list concatenation, and only the per-file journal
-//     is replayed — the fast in-process merge.
+//     is replayed — the fast in-process merge, and the one fold that
+//     needs a full Partial (NewPartial), which carries those series.
 //   - FoldReplay makes no origin assumption: only the fields a journal
 //     replay cannot recompute — the op×class accumulators and the
 //     startup-latency CDFs, which need the device class the journal does
@@ -57,13 +58,29 @@ type Accumulator = Analysis
 // accumulator name.
 func NewAccumulator(opts Options) *Accumulator { return New(opts) }
 
-// Partial is one contiguous trace segment's partial accumulation: a
-// segment-local Accumulator whose reference journal is always retained
-// (it is the replay log Fold and FoldReplay consume), plus the segment's
-// boundary instants for Figure 7's cross-segment intervals and for
-// ordering segments at fold time.
+// Partial is one trace segment's partial accumulation. At its core it is
+// exactly what an s1 snapshot serializes — the sums (start instant,
+// counts, op×class cells, Figure 3 latency CDFs, the reference journal)
+// over a path table — plus the segment's boundary instants for ordering
+// segments at fold time. That core is all a journal-only segment
+// (NewSegment, or one decoded from a snapshot) holds, and all
+// FoldReplay, FoldPartials and the s1 encoder read. A full Partial
+// (NewPartial) additionally accumulates the derived series of a
+// contiguous shard as it observes — the calendar, periodicity, Figure 7
+// and Figure 10 state Fold merges by addition instead of replaying.
 type Partial struct {
-	acc *Accumulator
+	*sums
+
+	// paths is the table the journal's FileIDs index: private to a full
+	// Partial (dense in the segment's own first-seen order), shared by
+	// every segment of one daemon.
+	paths  *trace.Interner
+	dedup  time.Duration
+	origin time.Time // Options.Start: the calendar origin, when pinned
+
+	// full holds the derived series (and is where sums lives); nil in a
+	// journal-only segment.
+	full *Accumulator
 
 	// first and last bound every observed record, errors included;
 	// firstOK and lastOK bound the good references only.
@@ -71,29 +88,49 @@ type Partial struct {
 	firstOK, lastOK time.Time
 }
 
-// NewPartial opens an empty segment accumulator. The segment journals
-// unconditionally and never carries a namespace Tree, whatever opts
-// says: a Partial's journal is its serialized truth.
+// NewPartial opens an empty full segment accumulator over a private
+// path table — the stream and b2 shard workers' kind, the only kind
+// Fold accepts. The segment journals unconditionally and never carries
+// a namespace Tree, whatever opts says: a Partial's journal is its
+// serialized truth.
 func NewPartial(opts Options) *Partial {
 	opts.Journal = true
 	opts.Tree = nil
-	return &Partial{acc: New(opts)}
+	acc := New(opts)
+	return &Partial{sums: &acc.sums, paths: acc.interner, dedup: acc.opts.DedupWindow, origin: opts.Start, full: acc}
 }
 
-// Observe feeds one record into the segment. Records must arrive in
-// non-decreasing start order within the segment. Per-file dedup state is
-// not advanced here — it cannot be known without the earlier segments —
-// only captured in the journal for replay at fold time.
-func (p *Partial) Observe(r *trace.Record) {
+// NewSegment opens an empty journal-only segment over a shared path
+// table: Observe runs the sums half of the slice path's accumulation
+// and appends the journal entry, nothing else, so a segment costs its
+// journal and a few hundred bytes. The caller owns paths and its
+// locking: it interns a record's path (under whatever lock guards the
+// table) before handing Observe the ID.
+func NewSegment(opts Options, paths *trace.Interner) *Partial {
+	return &Partial{sums: &sums{}, paths: paths, dedup: dedupWindow(opts.DedupWindow), origin: opts.Start}
+}
+
+// Observe feeds one record into the segment; id is the FileID of the
+// record's MSS path in the segment's path table (ignored for an error
+// record). Records must arrive in non-decreasing start order within the
+// segment. Per-file dedup state is not advanced here — it cannot be
+// known without the earlier segments — only captured in the journal for
+// replay at fold time.
+//
+//filemig:hotpath
+func (p *Partial) Observe(r *trace.Record, id trace.FileID) {
 	if p.first.IsZero() {
 		p.first = r.Start
 	}
 	p.last = r.Start
-	if !p.acc.addShared(r) {
+	if !p.addSums(r, p.origin) {
 		return
 	}
-	p.acc.addInterval(r.Start)
-	p.acc.appendJournal(p.acc.internFile(r.MSSPath), r.Op, r.Start, r.Size)
+	if p.full != nil {
+		p.full.addDerived(r.Start, opIndex(r.Op), int64(r.Size))
+		p.full.addInterval(r.Start)
+	}
+	p.appendJournal(id, r.Op, r.Start, r.Size)
 	if p.firstOK.IsZero() {
 		p.firstOK = r.Start
 	}
@@ -102,23 +139,23 @@ func (p *Partial) Observe(r *trace.Record) {
 
 // Records reports how many records the segment has observed, errors
 // included.
-func (p *Partial) Records() int64 { return p.acc.total }
+func (p *Partial) Records() int64 { return p.total }
 
 // Errors reports how many of the segment's records were error records.
-func (p *Partial) Errors() int64 { return p.acc.errors }
+func (p *Partial) Errors() int64 { return p.errors }
 
 // VisitRefs replays the segment's good references in record order,
-// calling fn with each reference's canonical path, op, start, and size —
-// the hook migd uses to rebuild its live per-file table after restoring
-// segments from a checkpoint.
-func (p *Partial) VisitRefs(fn func(path string, op trace.Op, start time.Time, size units.Bytes)) {
-	for k := range p.acc.journal {
-		e := &p.acc.journal[k]
+// calling fn with each reference's FileID in the segment's path table,
+// op, start, and size — the hook migd uses to rebuild its live per-file
+// rows after decoding segments from a checkpoint.
+func (p *Partial) VisitRefs(fn func(id trace.FileID, op trace.Op, start time.Time, size units.Bytes)) {
+	for k := range p.journal {
+		e := &p.journal[k]
 		op := trace.Read
 		if e.write {
 			op = trace.Write
 		}
-		fn(p.acc.interner.Path(e.id), op, time.Unix(0, e.start).UTC(), units.Bytes(e.size))
+		fn(e.id, op, time.Unix(0, e.start).UTC(), units.Bytes(e.size))
 	}
 }
 
@@ -126,25 +163,16 @@ func (p *Partial) VisitRefs(fn func(path string, op trace.Op, start time.Time, s
 // (zero for an empty segment), errors included.
 func (p *Partial) Bounds() (first, last time.Time) { return p.first, p.last }
 
-// WriteSnapshot serializes the segment's accumulator in the s1 format —
-// the daemon's checkpoint unit. The segment stays live and can keep
-// observing records afterwards.
-func (p *Partial) WriteSnapshot(w io.Writer) error {
-	return p.acc.WriteSnapshot(w)
-}
-
-// PartialFromSnapshot rebuilds a segment from a decoded snapshot
-// accumulator plus its externally-recorded record-time bounds (the s1
-// format does not carry the bounds of error records; the daemon's
-// checkpoint frames do).
-func PartialFromSnapshot(acc *Accumulator, first, last time.Time) (*Partial, error) {
-	if !acc.opts.Journal {
-		return nil, errors.New("core: a segment accumulator must carry its journal")
-	}
-	p := &Partial{acc: acc, first: first, last: last}
-	if n := len(acc.journal); n > 0 {
-		p.firstOK = time.Unix(0, acc.journal[0].start).UTC()
-		p.lastOK = time.Unix(0, acc.journal[n-1].start).UTC()
+// setBounds installs a decoded segment's record-time bounds: the
+// good-reference bounds come from the journal, and the all-record bounds
+// are first and last where the caller recorded them (the s1 format does
+// not carry the bounds of error records; the daemon's checkpoint frames
+// do), else the good-reference bounds.
+func (p *Partial) setBounds(first, last time.Time) {
+	p.first, p.last = first, last
+	if n := len(p.journal); n > 0 {
+		p.firstOK = time.Unix(0, p.journal[0].start).UTC()
+		p.lastOK = time.Unix(0, p.journal[n-1].start).UTC()
 		if p.first.IsZero() {
 			p.first = p.firstOK
 		}
@@ -152,35 +180,40 @@ func PartialFromSnapshot(acc *Accumulator, first, last time.Time) (*Partial, err
 			p.last = p.lastOK
 		}
 	}
-	return p, nil
 }
 
 // AccumulatePartial runs one contiguous segment of records through a
-// fresh Partial — the stream and b2 shard workers' unit of work.
+// fresh full Partial — the stream and b2 shard workers' unit of work.
 func AccumulatePartial(opts Options, recs []trace.Record) *Partial {
 	p := NewPartial(opts)
 	// Pre-size the periodicity series to the segment's last hour so the
 	// grow-by-append loop in addDerived allocates once per segment.
 	if len(recs) > 0 && !opts.Start.IsZero() {
 		if hi := int(recs[len(recs)-1].Start.Sub(opts.Start) / time.Hour); hi >= 0 {
-			p.acc.hourlyReqs = make([]float64, 0, hi+1)
-			p.acc.hourlyRead = make([]float64, 0, hi+1)
+			p.full.hourlyReqs = make([]float64, 0, hi+1)
+			p.full.hourlyRead = make([]float64, 0, hi+1)
 		}
 	}
 	for i := range recs {
-		p.Observe(&recs[i])
+		r := &recs[i]
+		var id trace.FileID
+		if r.OK() {
+			id = p.paths.Intern(r.MSSPath)
+		}
+		p.Observe(r, id)
 	}
 	return p
 }
 
-// Fold merges one segment into the master. Master and segment must share
-// a calendar origin — AccumulateStream and AccumulateB2 resolve
-// Options.Start once before cutting segments — so every derived series
-// folds by plain sums and sample concatenation; only the per-file
-// journal is replayed. Segments must fold in time order.
+// Fold merges one full segment (NewPartial, AccumulatePartial) into the
+// master. Master and segment must share a calendar origin —
+// AccumulateStream and AccumulateB2 resolve Options.Start once before
+// cutting segments — so every derived series folds by plain sums and
+// sample concatenation; only the per-file journal is replayed. Segments
+// must fold in time order.
 func (a *Accumulator) Fold(p *Partial) {
-	sub := p.acc
-	a.foldSums(sub)
+	sub := p.full
+	a.foldSums(p.sums)
 	if sub.days > a.days {
 		a.days = sub.days
 	}
@@ -228,9 +261,9 @@ func (a *Accumulator) Fold(p *Partial) {
 		a.lastStart = p.lastOK
 	}
 
-	remap := a.remapIDs(sub)
-	for k := range sub.journal {
-		e := &sub.journal[k]
+	remap := a.remapIDs(p.paths)
+	for k := range p.journal {
+		e := &p.journal[k]
 		op := trace.Read
 		if e.write {
 			op = trace.Write
@@ -245,15 +278,14 @@ func (a *Accumulator) Fold(p *Partial) {
 // addition, and every derived series (calendar, periodicity, Figure 7
 // intervals, Figure 10, per-file state) is recomputed by replaying the
 // journal through the per-record transitions the slice path runs. This
-// is the split the s1 snapshot merge uses, and the fold the daemon's
-// report and checkpoint paths take. Segments must fold in time order;
-// an overlap with already-folded data is an error, as is a dedup-window
-// disagreement.
+// is the split the s1 snapshot merge uses. Segments must fold in time
+// order; an overlap with already-folded data is an error, as is a
+// dedup-window disagreement.
 func (a *Accumulator) FoldReplay(p *Partial) error {
-	sub := p.acc
-	if sub.opts.DedupWindow != a.opts.DedupWindow {
+	sub := p.sums
+	if p.dedup != a.opts.DedupWindow {
 		return fmt.Errorf("segment dedup window %v disagrees with the master's %v",
-			sub.opts.DedupWindow, a.opts.DedupWindow)
+			p.dedup, a.opts.DedupWindow)
 	}
 	if len(sub.journal) > 0 {
 		t0 := time.Unix(0, sub.journal[0].start).UTC()
@@ -275,7 +307,7 @@ func (a *Accumulator) FoldReplay(p *Partial) error {
 
 	a.foldSums(sub)
 
-	remap := a.remapIDs(sub)
+	remap := a.remapIDs(p.paths)
 	for k := range sub.journal {
 		e := &sub.journal[k]
 		opIdx, op := 0, trace.Read
@@ -301,19 +333,24 @@ func (a *Accumulator) FoldReplay(p *Partial) error {
 // event may split an already-extended segment's range — provided the
 // records themselves are distinct instants; ties across segments replay
 // in the given segment order. Master file IDs are assigned in replay
-// order, exactly as a single process reading the merged trace would.
+// order, exactly as a single process reading the merged trace would:
+// each path table in play gets one flat table-ID → master-ID remap,
+// filled on a file's first appearance in the merged order — so the
+// segments of a daemon, which share one table, share one remap and a
+// file costs the master one string hash however many segments name it.
+// Only the sums, the journal and the path table of a segment are read,
+// so full and journal-only segments fold alike.
 func (a *Accumulator) FoldPartials(ps []*Partial) error {
 	if a.total != 0 {
 		return errors.New("core: FoldPartials merges into a fresh accumulator")
 	}
 	entries := 0
 	for i, p := range ps {
-		sub := p.acc
-		if sub.opts.DedupWindow != a.opts.DedupWindow {
+		if p.dedup != a.opts.DedupWindow {
 			return fmt.Errorf("core: segment %d dedup window %v disagrees with the master's %v",
-				i, sub.opts.DedupWindow, a.opts.DedupWindow)
+				i, p.dedup, a.opts.DedupWindow)
 		}
-		entries += len(sub.journal)
+		entries += len(p.journal)
 	}
 
 	// Anchor the calendar origin the way the slice path does: from the
@@ -330,7 +367,7 @@ func (a *Accumulator) FoldPartials(ps []*Partial) error {
 			}
 			if first.IsZero() || p.first.Before(first) {
 				first = p.first
-				a.start = p.acc.start
+				a.start = p.start
 			}
 		}
 	}
@@ -339,7 +376,7 @@ func (a *Accumulator) FoldPartials(ps []*Partial) error {
 	}
 
 	for _, p := range ps {
-		a.foldSums(p.acc)
+		a.foldSums(p.sums)
 	}
 
 	// Merge-replay the journals. The heap orders by (start, segment
@@ -347,39 +384,44 @@ func (a *Accumulator) FoldPartials(ps []*Partial) error {
 	// so only each segment's next entry competes. File IDs intern
 	// lazily, on first appearance in the merged order.
 	h := make(journalHeap, 0, len(ps))
+	remaps := make([][]trace.FileID, len(ps))
+	byTable := make(map[*trace.Interner][]trace.FileID)
 	for si, p := range ps {
-		if len(p.acc.journal) > 0 {
-			h = append(h, journalCursor{si: si, start: p.acc.journal[0].start})
+		if len(p.journal) == 0 {
+			continue
 		}
+		h = append(h, journalCursor{si: si, start: p.journal[0].start})
+		remap, ok := byTable[p.paths]
+		if !ok {
+			remap = make([]trace.FileID, p.paths.Len())
+			for i := range remap {
+				remap[i] = trace.NoFileID
+			}
+			byTable[p.paths] = remap
+		}
+		remaps[si] = remap
 	}
 	heap.Init(&h)
-	remap := make([][]trace.FileID, len(ps))
-	seen := make([][]bool, len(ps))
-	for si, p := range ps {
-		remap[si] = make([]trace.FileID, p.acc.interner.Len())
-		seen[si] = make([]bool, p.acc.interner.Len())
-	}
 	for len(h) > 0 {
 		cur := &h[0]
-		sub := ps[cur.si].acc
-		e := &sub.journal[cur.k]
+		p := ps[cur.si]
+		e := &p.journal[cur.k]
 		op := trace.Read
 		opIdx := 0
 		if e.write {
 			op, opIdx = trace.Write, 1
 		}
 		t := time.Unix(0, e.start).UTC()
-		id := remap[cur.si][e.id]
-		if !seen[cur.si][e.id] {
-			id = a.internFile(sub.interner.Path(e.id))
-			remap[cur.si][e.id] = id
-			seen[cur.si][e.id] = true
+		id := remaps[cur.si][e.id]
+		if id == trace.NoFileID {
+			id = a.internFile(p.paths.Path(e.id))
+			remaps[cur.si][e.id] = id
 		}
 		a.addDerived(t, opIdx, e.size)
 		a.addInterval(t)
 		a.addFileAccessID(id, op, t, units.Bytes(e.size))
-		if cur.k++; cur.k < len(sub.journal) {
-			cur.start = sub.journal[cur.k].start
+		if cur.k++; cur.k < len(p.journal) {
+			cur.start = p.journal[cur.k].start
 			heap.Fix(&h, 0)
 		} else {
 			heap.Pop(&h)
@@ -413,7 +455,7 @@ func (h *journalHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *
 // master — record and error counts, the op×class accumulators, and the
 // Figure 3 startup-latency CDFs — the part every fold shares because it
 // adds up the same whatever order or origin the segments have.
-func (a *Accumulator) foldSums(sub *Accumulator) {
+func (a *sums) foldSums(sub *sums) {
 	a.total += sub.total
 	a.errors += sub.errors
 	for oi := 0; oi < 2; oi++ {
@@ -437,15 +479,15 @@ func (a *Accumulator) foldSums(sub *Accumulator) {
 	}
 }
 
-// remapIDs interns a segment's path table into the master in table
-// order, returning the segment→master FileID translation. Table order
-// is first-seen order within the segment, so folding segments in time
-// order keeps the master's ID assignment identical to a single-process
-// run over the concatenated records.
-func (a *Accumulator) remapIDs(sub *Accumulator) []trace.FileID {
-	remap := make([]trace.FileID, sub.interner.Len())
+// remapIDs interns a segment's private path table into the master in
+// table order, returning the segment→master FileID translation. Table
+// order is first-seen order within the segment, so folding segments in
+// time order keeps the master's ID assignment identical to a
+// single-process run over the concatenated records.
+func (a *Accumulator) remapIDs(paths *trace.Interner) []trace.FileID {
+	remap := make([]trace.FileID, paths.Len())
 	for i := range remap {
-		remap[i] = a.internFile(sub.interner.Path(trace.FileID(i)))
+		remap[i] = a.internFile(paths.Path(trace.FileID(i)))
 	}
 	return remap
 }

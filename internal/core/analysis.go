@@ -71,22 +71,9 @@ type Options struct {
 // string-keyed map of pointers, so a record's file lookup is one interner
 // probe and the rest of Add touches only dense array slots.
 type Analysis struct {
-	opts  Options
-	start time.Time
-	days  int
-
-	// Table 3 accumulators: [op index][device class]. Bytes are summed as
-	// integers (exact, order-independent); latency as (count, µs-sum)
-	// cells held inline — no per-cell allocation.
-	refs    [2][device.NClasses]int64
-	bytes   [2][device.NClasses]int64
-	latency [2][device.NClasses]latencyAgg
-	errors  int64
-	total   int64
-
-	// Figure 3: latency to first byte per device class; nil until the
-	// class shows a positive startup latency.
-	latCDF [device.NClasses]*stats.CDF
+	opts Options
+	sums
+	days int
 
 	// Figures 4-6: calendar series, raw bytes and request counts; the
 	// GB conversions happen once, at Report time.
@@ -114,9 +101,35 @@ type Analysis struct {
 	// Figure 10: dynamic size distributions, [op index].
 	dynFiles [2]*stats.CDF
 	dynBytes [2]*stats.WeightedCDF
+}
 
-	// journal is the good-reference journal behind Options.Journal:
-	// exactly what snapshot merging must replay, in record order.
+// sums is the part of an accumulation that an s1 snapshot serializes
+// beside its path table, and all that a journal-only segment (Partial)
+// holds: the resolved calendar origin, the record counts, everything
+// that needs a record's device class or startup latency — which the
+// journal does not carry — and the journal itself. Everything else an
+// Analysis holds is a function of the journal and is recomputed by
+// replaying it. Analysis embeds sums, so the slice path reads these
+// fields as its own.
+type sums struct {
+	start time.Time
+
+	// Table 3 accumulators: [op index][device class]. Bytes are summed as
+	// integers (exact, order-independent); latency as (count, µs-sum)
+	// cells held inline — no per-cell allocation.
+	refs    [2][device.NClasses]int64
+	bytes   [2][device.NClasses]int64
+	latency [2][device.NClasses]latencyAgg
+	errors  int64
+	total   int64
+
+	// Figure 3: latency to first byte per device class; nil until the
+	// class shows a positive startup latency.
+	latCDF [device.NClasses]*stats.CDF
+
+	// journal is the good-reference journal (Options.Journal on the
+	// slice path, always on in a Partial): exactly what snapshot merging
+	// must replay, in record order.
 	journal []journalEntry
 }
 
@@ -176,9 +189,7 @@ type fileState struct {
 
 // New builds an Analysis.
 func New(opts Options) *Analysis {
-	if opts.DedupWindow == 0 {
-		opts.DedupWindow = workload.DedupWindow
-	}
+	opts.DedupWindow = dedupWindow(opts.DedupWindow)
 	return &Analysis{
 		opts:      opts,
 		weekBytes: map[int][2]int64{},
@@ -188,6 +199,15 @@ func New(opts Options) *Analysis {
 		dynFiles:  [2]*stats.CDF{{}, {}},
 		dynBytes:  [2]*stats.WeightedCDF{{}, {}},
 	}
+}
+
+// dedupWindow resolves Options.DedupWindow's zero default: the paper's
+// eight hours.
+func dedupWindow(d time.Duration) time.Duration {
+	if d == 0 {
+		return workload.DedupWindow
+	}
+	return d
 }
 
 // Add feeds one record. Records must arrive in non-decreasing start order.
@@ -207,40 +227,52 @@ func (a *Analysis) Add(r *trace.Record) {
 // good reference; error references are excluded from all further
 // analysis, as in the paper (§5.1).
 func (a *Analysis) addShared(r *trace.Record) bool {
-	a.total++
-	if a.start.IsZero() {
-		a.start = a.opts.Start
-		if a.start.IsZero() {
-			a.start = r.Start.Truncate(24 * time.Hour)
+	if !a.addSums(r, a.opts.Start) {
+		return false
+	}
+	a.addDerived(r.Start, opIndex(r.Op), int64(r.Size))
+	return true
+}
+
+// addSums is the half of addShared a journal replay cannot recompute:
+// the record counts, the calendar origin (origin, or else the first
+// record's day), Table 3's op×class cells and Figure 3's latency CDFs —
+// the last two need the device class and startup latency, which the
+// journal does not carry, so snapshots serialize them directly and they
+// stay out of addDerived. It reports whether the record is a good
+// reference.
+//
+//filemig:hotpath
+func (s *sums) addSums(r *trace.Record, origin time.Time) bool {
+	s.total++
+	if s.start.IsZero() {
+		s.start = origin
+		if s.start.IsZero() {
+			s.start = r.Start.Truncate(24 * time.Hour)
 		}
 	}
 	if !r.OK() {
-		a.errors++
+		s.errors++
 		return false
 	}
 	opIdx, cls := opIndex(r.Op), classIndex(r.Device)
 
-	// Table 3. These cells — and Figure 3's latency CDFs below — need the
-	// device class (and startup latency), which the snapshot journal does
-	// not carry; snapshots serialize them directly instead of replaying
-	// them, so they stay out of addDerived.
-	a.refs[opIdx][cls]++
-	a.bytes[opIdx][cls] += int64(r.Size)
+	// Table 3.
+	s.refs[opIdx][cls]++
+	s.bytes[opIdx][cls] += int64(r.Size)
 	if r.Startup > 0 {
-		l := &a.latency[opIdx][cls]
+		l := &s.latency[opIdx][cls]
 		l.n++
 		l.micros += int64(r.Startup / time.Microsecond)
 
 		// Figure 3.
-		c := a.latCDF[cls]
+		c := s.latCDF[cls]
 		if c == nil {
-			c = &stats.CDF{}
-			a.latCDF[cls] = c
+			c = &stats.CDF{} //lint:hotalloc-ok once per device class that ever shows a startup latency
+			s.latCDF[cls] = c
 		}
 		c.Add(r.Startup.Seconds())
 	}
-
-	a.addDerived(r.Start, opIdx, int64(r.Size))
 	return true
 }
 
@@ -356,8 +388,8 @@ func (a *Analysis) addFileAccessID(id trace.FileID, op trace.Op, start time.Time
 // running the dedup transition locally would be wasted work.
 //
 //filemig:hotpath
-func (a *Analysis) appendJournal(id trace.FileID, op trace.Op, start time.Time, size units.Bytes) {
-	a.journal = append(a.journal, journalEntry{
+func (s *sums) appendJournal(id trace.FileID, op trace.Op, start time.Time, size units.Bytes) {
+	s.journal = append(s.journal, journalEntry{
 		start: start.UnixNano(), size: int64(size), id: id, write: op == trace.Write})
 }
 

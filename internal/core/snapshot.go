@@ -70,50 +70,75 @@ func (a *Analysis) WriteSnapshot(w io.Writer) error {
 		return errors.New("core: an analysis with a namespace Tree cannot be snapshotted (trees are not serialized)")
 	}
 	ww := trace.NewWireWriter(w)
+	// The analysis's own interner is the snapshot's path table as it
+	// stands: dense, in first-seen order.
+	if err := a.sums.encode(ww, a.opts.DedupWindow, a.interner, nil, nil); err != nil {
+		return err
+	}
+	return ww.Flush()
+}
+
+// encode emits one s1 snapshot: the sums, then the path table, then the
+// journal. order lists the snapshot's path table as IDs of paths in
+// first-seen order and local maps those IDs back to positions in it; a
+// nil order means paths is itself that table, whole and in order. The
+// caller flushes.
+func (s *sums) encode(ww *trace.WireWriter, dedup time.Duration, paths *trace.Interner, order, local []trace.FileID) error {
 	ww.Raw([]byte(trace.SnapshotHeader))
 	ww.Byte('\n')
 
 	var flags byte
-	if !a.start.IsZero() {
+	if !s.start.IsZero() {
 		flags |= snapHasStart
 	}
 	ww.Byte(flags)
-	if !a.start.IsZero() {
-		ww.Svarint(a.start.UnixNano())
+	if !s.start.IsZero() {
+		ww.Svarint(s.start.UnixNano())
 	}
-	ww.Uvarint(uint64(a.opts.DedupWindow))
+	ww.Uvarint(uint64(dedup))
 	ww.Uvarint(uint64(device.NClasses))
-	ww.Uvarint(uint64(a.total))
-	ww.Uvarint(uint64(a.errors))
+	ww.Uvarint(uint64(s.total))
+	ww.Uvarint(uint64(s.errors))
 
 	for oi := 0; oi < 2; oi++ {
 		for ci := 0; ci < device.NClasses; ci++ {
-			ww.Uvarint(uint64(a.refs[oi][ci]))
-			ww.Uvarint(uint64(a.bytes[oi][ci]))
-			ww.Uvarint(uint64(a.latency[oi][ci].n))
-			ww.Uvarint(uint64(a.latency[oi][ci].micros))
+			ww.Uvarint(uint64(s.refs[oi][ci]))
+			ww.Uvarint(uint64(s.bytes[oi][ci]))
+			ww.Uvarint(uint64(s.latency[oi][ci].n))
+			ww.Uvarint(uint64(s.latency[oi][ci].micros))
 		}
 	}
 
 	var blob []byte
-	for ci := range a.latCDF {
+	for ci := range s.latCDF {
 		blob = blob[:0]
-		if c := a.latCDF[ci]; c != nil {
+		if c := s.latCDF[ci]; c != nil {
 			blob, _ = c.AppendBinary(blob) // error is always nil
 		}
 		ww.Bytes(blob)
 	}
 
-	ww.Uvarint(uint64(a.interner.Len()))
-	for i := 0; i < a.interner.Len(); i++ {
-		ww.String(a.interner.Path(trace.FileID(i)))
+	if order == nil {
+		ww.Uvarint(uint64(paths.Len()))
+		for i := 0; i < paths.Len(); i++ {
+			ww.String(paths.Path(trace.FileID(i)))
+		}
+	} else {
+		ww.Uvarint(uint64(len(order)))
+		for _, id := range order {
+			ww.String(paths.Path(id))
+		}
 	}
 
-	ww.Uvarint(uint64(len(a.journal)))
+	ww.Uvarint(uint64(len(s.journal)))
 	var prev int64
-	for k := range a.journal {
-		e := &a.journal[k]
-		idOp := uint64(e.id) << 1
+	for k := range s.journal {
+		e := &s.journal[k]
+		id := e.id
+		if order != nil {
+			id = local[id]
+		}
+		idOp := uint64(id) << 1
 		if e.write {
 			idOp |= 1
 		}
@@ -132,7 +157,87 @@ func (a *Analysis) WriteSnapshot(w io.Writer) error {
 		ww.Uvarint(uint64(e.size))
 		prev = e.start
 	}
-	return ww.Flush()
+	return nil
+}
+
+// SegmentCodec moves journal-only segments in and out of the s1 format
+// over one shared path table — the unit of migd's checkpoint. An s1
+// snapshot numbers its paths densely in its own first-seen order, while
+// the segments of a daemon number them by one daemon-wide table; the
+// codec derives a segment's local table from its journal when encoding,
+// and translates local IDs to table IDs (interning the snapshot's
+// paths) when decoding, so the bytes are those a private-table producer
+// writes. It keeps one table-sized translation scratch and one
+// WireWriter across calls and is not safe for concurrent use; while it
+// runs nothing else may touch the table.
+type SegmentCodec struct {
+	paths *trace.Interner
+	local []trace.FileID // table ID → snapshot-local ID while one snapshot is in flight, else NoFileID
+	order []trace.FileID // snapshot-local ID → table ID
+	ww    *trace.WireWriter
+	wr    trace.WireReader
+}
+
+// NewSegmentCodec returns a codec over the given path table.
+func NewSegmentCodec(paths *trace.Interner) *SegmentCodec {
+	return &SegmentCodec{paths: paths}
+}
+
+// place files table ID id as the snapshot in flight's next local ID,
+// reporting false when the snapshot already holds it.
+func (c *SegmentCodec) place(id trace.FileID) bool {
+	for len(c.local) <= int(id) {
+		c.local = append(c.local, trace.NoFileID)
+	}
+	if c.local[id] != trace.NoFileID {
+		return false
+	}
+	c.local[id] = trace.FileID(len(c.order))
+	c.order = append(c.order, id)
+	return true
+}
+
+// release clears the translation scratch after one snapshot, touching
+// only the slots that snapshot used.
+func (c *SegmentCodec) release() {
+	for _, id := range c.order {
+		c.local[id] = trace.NoFileID
+	}
+	c.order = c.order[:0]
+}
+
+// Write serializes one segment over the codec's table as an s1 snapshot.
+// The segment stays live and can keep observing records afterwards.
+func (c *SegmentCodec) Write(w io.Writer, p *Partial) error {
+	if p.paths != c.paths {
+		return errors.New("core: segment does not index this codec's path table")
+	}
+	defer c.release()
+	for k := range p.journal {
+		c.place(p.journal[k].id)
+	}
+	if c.ww == nil {
+		c.ww = trace.NewWireWriter(w)
+	} else {
+		c.ww.Reset(w)
+	}
+	if err := p.sums.encode(c.ww, p.dedup, c.paths, c.order, c.local); err != nil {
+		return err
+	}
+	return c.ww.Flush()
+}
+
+// Decode turns one s1 snapshot held in memory straight into a
+// journal-only segment over the codec's table: it validates exactly what
+// loading a snapshot validates, interns the snapshot's paths into the
+// table, and keeps the journal under table IDs — nothing is replayed.
+// first and last are the segment's record-time bounds where the caller
+// recorded them (see setBounds). A failed Decode may already have
+// interned some of the snapshot's paths: a caller that must stay
+// all-or-nothing decodes into a table it can still discard.
+func (c *SegmentCodec) Decode(snapshot []byte, first, last time.Time) (*Partial, error) {
+	c.wr.ResetBytes(snapshot)
+	return c.decode(&c.wr, first, last)
 }
 
 // ReadSnapshot loads one s1 snapshot into a fresh Analysis, replaying
@@ -213,32 +318,30 @@ func (sm *SnapshotMerger) Analysis() (*Analysis, error) {
 	return sm.a, nil
 }
 
-// mergeSnapshot decodes one snapshot from r into a Partial and folds
-// it into m through FoldReplay — the same origin-free fold the daemon's
-// segments take. The master is untouched on any decode or validation
-// error.
+// mergeSnapshot decodes one snapshot from r into a journal-only Partial
+// over a table of its own and folds it into m through FoldReplay. The
+// master is untouched on any decode or validation error.
 func (m *Analysis) mergeSnapshot(r io.Reader, first bool) error {
-	p, err := decodeSnapshot(r)
+	p, err := NewSegmentCodec(trace.NewInterner()).decode(trace.NewWireReader(r), time.Time{}, time.Time{})
 	if err != nil {
 		return err
 	}
 	if first {
-		m.opts.DedupWindow = p.acc.opts.DedupWindow
-	} else if m.opts.DedupWindow != p.acc.opts.DedupWindow {
+		m.opts.DedupWindow = p.dedup
+	} else if m.opts.DedupWindow != p.dedup {
 		return fmt.Errorf("dedup window %v disagrees with first snapshot's %v",
-			p.acc.opts.DedupWindow, m.opts.DedupWindow)
+			p.dedup, m.opts.DedupWindow)
 	}
 	return m.FoldReplay(p)
 }
 
-// decodeSnapshot decodes one s1 snapshot into a segment Partial,
-// validating structure and cross-checking the serialized sums against
-// the journal as it goes. Nothing is replayed here: the returned
-// segment holds the raw accumulators and the absolute-time journal, and
-// FoldReplay recomputes everything derivable when the segment folds
-// into a master.
-func decodeSnapshot(r io.Reader) (*Partial, error) {
-	wr := trace.NewWireReader(r)
+// decode decodes one s1 snapshot into a journal-only Partial over the
+// codec's table, validating structure and cross-checking the serialized
+// sums against the journal as it goes. Nothing is replayed here: the
+// returned segment holds the raw accumulators and the absolute-time
+// journal, and a fold recomputes everything derivable when the segment
+// merges into a master.
+func (c *SegmentCodec) decode(wr *trace.WireReader, first, last time.Time) (*Partial, error) {
 	line, err := wr.Line()
 	if err != nil {
 		return nil, fmt.Errorf("header: %w", err)
@@ -287,10 +390,7 @@ func decodeSnapshot(r io.Reader) (*Partial, error) {
 		return nil, fmt.Errorf("%d error references exceed %d total", errRefs, total)
 	}
 
-	sub := New(Options{Journal: true, DedupWindow: time.Duration(dw)})
-	sub.start = start
-	sub.total = int64(total)
-	sub.errors = int64(errRefs)
+	sub := &sums{start: start, total: int64(total), errors: int64(errRefs)}
 
 	// The op×class accumulators; their reference sum must match the
 	// journal length below.
@@ -341,12 +441,13 @@ func decodeSnapshot(r io.Reader) (*Partial, error) {
 		return nil, fmt.Errorf("latency cdfs hold %d samples, op×class counts say %d", latSamples, latSum)
 	}
 
-	// The interner table, in first-seen order, becomes the segment's own
-	// table; FoldReplay re-interns it into the master in this same order.
+	// The snapshot's path table, in its first-seen order, interned into
+	// the codec's table; the journal below is rewritten to table IDs.
 	nPaths, err := wr.Uvarint("path count", 1<<32)
 	if err != nil {
 		return nil, err
 	}
+	defer c.release()
 	for i := uint64(0); i < nPaths; i++ {
 		p, err := wr.Bytes("path", "path length", maxSnapshotPathLen)
 		if err != nil {
@@ -355,7 +456,9 @@ func decodeSnapshot(r io.Reader) (*Partial, error) {
 		if len(p) == 0 {
 			return nil, fmt.Errorf("path %d is empty", i)
 		}
-		sub.internFile(string(p))
+		if !c.place(c.paths.InternBytes(p)) {
+			return nil, fmt.Errorf("path %d repeats an earlier path", i)
+		}
 	}
 
 	// The journal, decoded to absolute times for replay at fold time.
@@ -368,6 +471,9 @@ func decodeSnapshot(r io.Reader) (*Partial, error) {
 	}
 	if total != errRefs+uint64(refsSum) {
 		return nil, fmt.Errorf("%d total references != %d errors + %d good", total, errRefs, refsSum)
+	}
+	if nEntries > 0 && start.IsZero() {
+		return nil, errors.New("journal entries present but no start instant")
 	}
 	sub.journal = make([]journalEntry, 0, capHint(nEntries))
 	var prev int64
@@ -408,7 +514,7 @@ func decodeSnapshot(r io.Reader) (*Partial, error) {
 			return nil, err
 		}
 		sub.journal = append(sub.journal, journalEntry{
-			start: at, size: int64(size), id: sid, write: idOp&1 != 0})
+			start: at, size: int64(size), id: c.order[sid], write: idOp&1 != 0})
 		prev = at
 	}
 	if uint64(seen) != nPaths {
@@ -417,7 +523,9 @@ func decodeSnapshot(r io.Reader) (*Partial, error) {
 	if err := wr.ExpectEOF(); err != nil {
 		return nil, err
 	}
-	return PartialFromSnapshot(sub, time.Time{}, time.Time{})
+	p := &Partial{sums: sub, paths: c.paths, dedup: time.Duration(dw)}
+	p.setBounds(first, last)
+	return p, nil
 }
 
 // readBlob reads one length-prefixed binary section in window-sized

@@ -34,16 +34,30 @@ var HotAlloc = &Analyzer{
 const hotpathDirective = "//filemig:hotpath"
 
 // requiredHotpath lists the functions that must carry the annotation,
-// per package: the proven ~0 allocs/record loops from PR 3.
+// per package: the proven ~0 allocs/record loops from PR 3, and the
+// daemon's steady-state ingest path (the byte-window wire accessors,
+// the table probes, the sums half and the journal-only Observe) that
+// TestMigdIngestSteadyStateAllocs holds to zero below the HTTP layer.
 var requiredHotpath = map[string][]string{
 	ModulePath + "/internal/trace": {
 		"(*BinaryReader).decodeBody",
 		"(*Interner).Intern",
 		"(*Interner).InternBytes",
+		"(*Interner).Lookup",
+		"(*Interner).LookupBytes",
+		"(*WireReader).ReadByte",
+		"(*WireReader).Uvarint",
+		"(*WireReader).Bytes",
 		"decodeB2Columns",
 	},
 	ModulePath + "/internal/core": {
 		"(*Analysis).addFileAccessID",
+		"(*sums).addSums",
+		"(*sums).appendJournal",
+		"(*Partial).Observe",
+	},
+	ModulePath + "/internal/serve": {
+		"(*ingestScratch).lookup",
 	},
 	ModulePath + "/internal/migration": {
 		"(*Cache).Step",

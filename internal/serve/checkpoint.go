@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -11,6 +12,8 @@ import (
 
 	"filemig/internal/core"
 	"filemig/internal/dist"
+	"filemig/internal/trace"
+	"filemig/internal/units"
 )
 
 // The migd checkpoint is a header line followed by one dist wire frame
@@ -25,61 +28,129 @@ import (
 // CheckpointHeader opens every migd checkpoint file.
 const CheckpointHeader = "#migd-checkpoint c1\n"
 
+// encodeSegments brings every segment's cached checkpoint frame up to
+// date — only segments touched since their last encoding are
+// serialized, all through one codec (one WireWriter, one payload
+// buffer) — and returns the frames in trace order with the count of
+// records ingested since the last checkpoint, as of this cut. A cached
+// frame is immutable once built, so the result stays valid after the
+// lock is released.
+func (s *Server) encodeSegments() (frames [][]byte, pending int64, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	segs := s.orderedSegments()
+	frames = make([][]byte, len(segs))
+	codec := core.NewSegmentCodec(s.paths)
+	var payload bytes.Buffer
+	for i, sg := range segs {
+		if sg.dirty || sg.enc == nil {
+			if sg.enc, err = encodeSegment(codec, &payload, sg.p); err != nil {
+				return nil, 0, fmt.Errorf("serve: checkpoint segment %d: %w", i, err)
+			}
+			sg.dirty = false
+		}
+		frames[i] = sg.enc
+	}
+	return frames, s.sinceCkpt.Load(), nil
+}
+
+// encodeSegment builds one segment's checkpoint frame — its two bounds,
+// then its s1 snapshot — using payload as scratch.
+func encodeSegment(codec *core.SegmentCodec, payload *bytes.Buffer, p *core.Partial) ([]byte, error) {
+	first, last := p.Bounds()
+	var bounds [2 * binary.MaxVarintLen64]byte
+	n := binary.PutVarint(bounds[:], first.UnixNano())
+	n += binary.PutVarint(bounds[n:], last.UnixNano())
+	payload.Reset()
+	payload.Write(bounds[:n])
+	if err := codec.Write(payload, p); err != nil {
+		return nil, err
+	}
+	return dist.EncodeFrame(payload.Bytes()), nil
+}
+
 // EncodeCheckpoint serializes the daemon's full segment state in the
 // checkpoint format.
 func (s *Server) EncodeCheckpoint() ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out bytes.Buffer
-	out.WriteString(CheckpointHeader)
-	for i, sg := range s.orderedSegments() {
-		if sg.dirty || sg.enc == nil {
-			first, last := sg.p.Bounds()
-			payload := binary.AppendVarint(nil, first.UnixNano())
-			payload = binary.AppendVarint(payload, last.UnixNano())
-			var snap bytes.Buffer
-			if err := sg.p.WriteSnapshot(&snap); err != nil {
-				return nil, fmt.Errorf("serve: checkpoint segment %d: %w", i, err)
-			}
-			sg.enc = dist.EncodeFrame(append(payload, snap.Bytes()...))
-			sg.dirty = false
-		}
-		out.Write(sg.enc)
+	frames, _, err := s.encodeSegments()
+	if err != nil {
+		return nil, err
 	}
-	return out.Bytes(), nil
+	size := len(CheckpointHeader)
+	for _, f := range frames {
+		size += len(f)
+	}
+	out := make([]byte, 0, size)
+	out = append(out, CheckpointHeader...)
+	for _, f := range frames {
+		out = append(out, f...)
+	}
+	return out, nil
 }
 
 // Checkpoint writes the daemon's state to Config.CheckpointPath,
-// atomically: the bytes land in a temporary sibling first and are
+// atomically: the frames stream into a temporary sibling first, which is
 // renamed over the target, so a crash mid-write leaves the previous
 // checkpoint intact.
 func (s *Server) Checkpoint() error {
 	if s.cfg.CheckpointPath == "" {
 		return errors.New("serve: no checkpoint path configured")
 	}
-	data, err := s.EncodeCheckpoint()
+	frames, pending, err := s.encodeSegments()
 	if err != nil {
 		return err
 	}
 	tmp := s.cfg.CheckpointPath + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := writeFrames(tmp, frames); err != nil {
 		return fmt.Errorf("serve: checkpoint: %w", err)
 	}
 	if err := os.Rename(tmp, s.cfg.CheckpointPath); err != nil {
 		return fmt.Errorf("serve: checkpoint: %w", err)
 	}
 	s.checkpoints.Add(1)
-	s.sinceCkpt.Store(0)
+	s.sinceCkpt.Add(-pending)
 	return nil
 }
 
+// writeFrames writes a checkpoint file: the header, then every frame.
+func writeFrames(path string, frames [][]byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriterSize(f, 1<<16)
+	w.WriteString(CheckpointHeader)
+	for _, fr := range frames {
+		w.Write(fr) // the first error sticks and Flush returns it
+	}
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// CheckpointIfChanged is Checkpoint for the callers with nothing new to
+// say — a wall-clock tick, a shutdown: it skips the write, reporting
+// false, when no record has been ingested since the last successful
+// checkpoint (or the restore) and the checkpoint file is still in
+// place.
+func (s *Server) CheckpointIfChanged() (wrote bool, err error) {
+	if s.sinceCkpt.Load() == 0 {
+		if _, err := os.Stat(s.cfg.CheckpointPath); err == nil {
+			return false, nil
+		}
+	}
+	return true, s.Checkpoint()
+}
+
 // maybeCheckpoint runs the record-count checkpoint cadence after a
-// batch of n records was applied.
-func (s *Server) maybeCheckpoint(n int64) {
+// batch was applied.
+func (s *Server) maybeCheckpoint() {
 	if s.cfg.CheckpointEvery <= 0 || s.cfg.CheckpointPath == "" {
 		return
 	}
-	if s.sinceCkpt.Add(n) < s.cfg.CheckpointEvery {
+	if s.sinceCkpt.Load() < s.cfg.CheckpointEvery {
 		return
 	}
 	if err := s.Checkpoint(); err != nil {
@@ -88,38 +159,53 @@ func (s *Server) maybeCheckpoint(n int64) {
 }
 
 // RestoreCheckpoint loads a checkpoint produced by EncodeCheckpoint
-// into an empty server, rebuilding every segment (via the s1 snapshot
-// codec) and the live per-file table. The restored daemon's report is
+// into an empty server. Each frame's s1 snapshot decodes straight into
+// a journal-only segment — validated exactly as loading a snapshot
+// validates it, nothing replayed — over a fresh path table, and one pass
+// over the journals rebuilds the live per-file rows; only when every
+// frame has decoded is any of it installed, so a damaged checkpoint
+// leaves the server as it was. The restored daemon's report is
 // byte-identical to the pre-restart daemon's, and ingest continues from
 // where the checkpoint was cut.
 func (s *Server) RestoreCheckpoint(data []byte) error {
-	if s.records.Load() != 0 {
-		return errors.New("serve: restore into a non-empty server")
-	}
 	if len(data) < len(CheckpointHeader) || string(data[:len(CheckpointHeader)]) != CheckpointHeader {
 		return errors.New("serve: not a migd checkpoint (bad header)")
 	}
 	rest := data[len(CheckpointHeader):]
+	paths := trace.NewInterner()
+	codec := core.NewSegmentCodec(paths)
 	var segs []*segment
 	for i := 0; len(rest) > 0; i++ {
 		payload, r, err := dist.NextFrame(rest)
 		if err != nil {
 			return fmt.Errorf("serve: restore segment %d: %w", i, err)
 		}
-		sg, err := decodeSegment(payload)
+		p, err := decodeSegment(codec, payload)
 		if err != nil {
 			return fmt.Errorf("serve: restore segment %d: %w", i, err)
 		}
 		// Cache the frame exactly as read: an untouched restored segment
 		// re-checkpoints byte-identically without re-serializing.
-		sg.enc = append([]byte(nil), rest[:len(rest)-len(r)]...)
-		sg.seq = s.segSeq.Add(1)
-		segs = append(segs, sg)
+		segs = append(segs, &segment{p: p, enc: append([]byte(nil), rest[:len(rest)-len(r)]...)})
 		rest = r
+	}
+	files := make([]fileRow, paths.Len())
+	for _, sg := range segs {
+		sg.p.VisitRefs(func(id trace.FileID, op trace.Op, start time.Time, size units.Bytes) {
+			files[id].observe(op, start.UnixNano(), size)
+		})
 	}
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.tableMu.Lock()
+	defer s.tableMu.Unlock()
+	if s.records.Load() != 0 || s.paths.Len() != 0 {
+		return errors.New("serve: restore into a non-empty server")
+	}
+	s.paths, s.files = paths, files
 	for _, sg := range segs {
+		sg.seq = s.segSeq.Add(1)
 		first, _ := sg.p.Bounds()
 		sh := s.getShard(s.shardKey(first))
 		sh.segs = append(sh.segs, sg)
@@ -128,18 +214,11 @@ func (s *Server) RestoreCheckpoint(data []byte) error {
 		s.records.Add(sg.p.Records())
 		s.errRecords.Add(sg.p.Errors())
 	}
-	s.mu.Unlock()
-
-	s.filesMu.Lock()
-	for _, sg := range segs {
-		sg.p.VisitRefs(s.observeFile)
-	}
-	s.filesMu.Unlock()
 	return nil
 }
 
 // decodeSegment rebuilds one segment from a checkpoint frame payload.
-func decodeSegment(payload []byte) (*segment, error) {
+func decodeSegment(codec *core.SegmentCodec, payload []byte) (*core.Partial, error) {
 	firstNs, n := binary.Varint(payload)
 	if n <= 0 {
 		return nil, errors.New("bad first-bound varint")
@@ -149,11 +228,6 @@ func decodeSegment(payload []byte) (*segment, error) {
 	if n <= 0 {
 		return nil, errors.New("bad last-bound varint")
 	}
-	payload = payload[n:]
-	acc, err := core.ReadSnapshot(bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
 	var first, last time.Time
 	if firstNs != 0 {
 		first = time.Unix(0, firstNs).UTC()
@@ -161,11 +235,7 @@ func decodeSegment(payload []byte) (*segment, error) {
 	if lastNs != 0 {
 		last = time.Unix(0, lastNs).UTC()
 	}
-	p, err := core.PartialFromSnapshot(acc, first, last)
-	if err != nil {
-		return nil, err
-	}
-	return &segment{p: p}, nil
+	return codec.Decode(payload[n:], first, last)
 }
 
 // handleCheckpoint serves POST /v1/checkpoint: an explicit checkpoint,

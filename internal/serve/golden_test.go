@@ -1,0 +1,94 @@
+package serve
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"filemig/internal/core"
+	"filemig/internal/trace"
+)
+
+// goldenOrder is the fixed out-of-order arrival sequence the byte-level
+// tests post: the daemon fixture in two-day batches, shuffled inside
+// windows of eight by a pinned seed — late arrivals that split stripes,
+// in-order runs that extend them, the shape the benchmark's writers
+// produce. Posted by one client it fixes the segmentation, and with it
+// every checkpoint byte.
+func goldenOrder(recs []trace.Record) [][]trace.Record {
+	batches := cutBatches(recs, 2*24*time.Hour)
+	rng := rand.New(rand.NewSource(1993))
+	for lo := 0; lo < len(batches); lo += 8 {
+		w := batches[lo:min(lo+8, len(batches))]
+		rng.Shuffle(len(w), func(i, j int) { w[i], w[j] = w[j], w[i] })
+	}
+	return batches
+}
+
+// postFramed posts one framed batch straight through the handler.
+func postFramed(t testing.TB, s *Server, frame []byte) {
+	t.Helper()
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/ingest/batch", bytes.NewReader(frame)))
+	if w.Code != http.StatusOK {
+		t.Fatalf("POST /v1/ingest/batch: status %d: %s", w.Code, w.Body)
+	}
+}
+
+func sha(b []byte) string {
+	h := sha256.Sum256(b)
+	return hex.EncodeToString(h[:])
+}
+
+// The bytes a daemon at the commit before the journal-only segments
+// wrote for goldenOrder over the daemon fixture (ShardDuration 5 days,
+// pinned origin): computed there, by this test, and committed.
+const (
+	goldenCheckpointSHA = "eaeef8e7eb08fe680a60a99e55d87fc0c46bf05f94ebc6588bea2b98e6111849"
+	goldenReportSHA     = "b2821ef3f8f63949cca3ad569ad77044b320fc522fb7e96b7ad3a3c35671afa1"
+)
+
+// TestMigdCheckpointGolden pins the daemon's two byte-level outputs —
+// the checkpoint file and the rendered report — to what the daemon
+// wrote before its segments became journal-only: however the state is
+// held in memory, the same arrivals serialize to the same bytes.
+func TestMigdCheckpointGolden(t *testing.T) {
+	res := daemonFixture(t)
+	ckpt := filepath.Join(t.TempDir(), "migd.ckpt")
+	s, err := NewServer(Config{
+		Opts:           core.Options{Start: res.Config.Start, Days: res.Config.Days},
+		ShardDuration:  5 * 24 * time.Hour,
+		CheckpointPath: ckpt,
+		Now:            fixedClock(res),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range goldenOrder(res.Records) {
+		postFramed(t, s, frameBatch(t, b))
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sha(data); got != goldenCheckpointSHA {
+		t.Errorf("checkpoint file sha256 = %s, want %s (%d bytes, %d segments)", got, goldenCheckpointSHA, len(data), s.StatsNow().Segments)
+	}
+	report, err := s.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sha([]byte(report)); got != goldenReportSHA {
+		t.Errorf("/v1/report sha256 = %s, want %s", got, goldenReportSHA)
+	}
+}

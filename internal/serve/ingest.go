@@ -6,44 +6,167 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
+	"strconv"
+	"sync"
 
 	"filemig/internal/core"
 	"filemig/internal/dist"
 	"filemig/internal/trace"
-	"filemig/internal/units"
 )
 
 // maxIngestBody bounds an ingest request body, matching the dist
 // frame's own payload ceiling.
 const maxIngestBody = 1 << 30
 
+// Pool hygiene: a scratch that grew past these sizes serving one huge
+// request is dropped rather than pooled, and a body buffer is never
+// pre-sized past maxPooledBody on a Content-Length's say-so.
+const (
+	maxPooledBody = 1 << 20
+	maxPooledRecs = 1 << 13
+)
+
+// lookupStride is how many records a decode resolves against the path
+// table per hold of its read lock, so one huge body cannot keep a
+// waiting writer — and the readers queued behind it — out for long.
+const lookupStride = 256
+
+// ingestScratch is everything one ingest request needs that can be
+// reused by the next: the body buffer, the b1 reader state, the decoded
+// records, and their FileIDs where the path table already knew the
+// path. Scratches are pooled; nothing in one outlives its request
+// except what Ingest copied into the table.
+type ingestScratch struct {
+	body []byte
+	b1   trace.BinaryReader
+	recs []trace.Record
+	ids  []trace.FileID // parallel to recs; NoFileID: not in the table when decoded
+	ack  []byte         // the response body
+
+	srv   *Server             // whose table lookup probes; nil outside a request
+	canon func([]byte) string // sc.lookup, bound once
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	sc := &ingestScratch{}
+	sc.canon = sc.lookup
+	return sc
+}}
+
+// putScratch returns sc to the pool unless one request bloated it.
+func putScratch(sc *ingestScratch) {
+	sc.srv = nil
+	if cap(sc.body) > maxPooledBody || cap(sc.recs) > maxPooledRecs || cap(sc.ids) > maxPooledRecs {
+		return
+	}
+	scratchPool.Put(sc)
+}
+
+// lookup canonicalises one MSS path field of a b1 request body. A path
+// the daemon's table already holds resolves — one hash, no allocation —
+// to the table's own string and its FileID, which ingest then uses as
+// is; any other path gets a fresh string and NoFileID, and enters the
+// table only if the whole batch validates. The caller holds tableMu
+// shared.
+//
+//filemig:hotpath
+func (sc *ingestScratch) lookup(b []byte) string {
+	if id, ok := sc.srv.paths.LookupBytes(b); ok {
+		sc.ids = append(sc.ids, id)
+		return sc.srv.paths.Path(id)
+	}
+	sc.ids = append(sc.ids, trace.NoFileID)
+	return string(b) //lint:hotalloc-ok first sighting only: the copy that becomes the table's canonical string
+}
+
+// dropPath canonicalises a path field nobody will read.
+func dropPath([]byte) string { return "" }
+
+// decode decodes body — a complete trace stream in any format the codec
+// sniffs — into sc.recs and sc.ids, enforcing the non-decreasing start
+// order every accumulation path requires. The whole body is decoded and
+// validated before it returns, so a caller applies either every record
+// or none. A b1 body, the batch forwarders' format, is decoded in place:
+// the wire reader's window is body itself and the pooled reader state
+// is reset, not rebuilt. ASCII v1 and columnar b2 bodies go through the
+// ordinary stream readers.
+func (sc *ingestScratch) decode(body []byte) error {
+	sc.recs, sc.ids = sc.recs[:0], sc.ids[:0]
+	if len(body) == 0 {
+		return nil // the empty trace
+	}
+	f, err := trace.SniffFormat(body)
+	if err != nil {
+		return err
+	}
+	// Inside a request, a b1 body's MSS paths resolve against the
+	// daemon's table as they decode and its local paths, of which the
+	// daemon keeps nothing, are dropped; outside one (DecodeIngest) both
+	// go through the pooled reader's bounded cache.
+	looksUp := f == trace.FormatBinary && sc.srv != nil
+	var st trace.Stream
+	switch {
+	case looksUp:
+		sc.b1.ResetBytes(body, sc.canon, dropPath)
+		st = &sc.b1
+		sc.srv.tableMu.RLock()
+		defer sc.srv.tableMu.RUnlock()
+	case f == trace.FormatBinary:
+		sc.b1.ResetBytes(body, nil, nil)
+		st = &sc.b1
+	default:
+		st = trace.NewFormatReader(bytes.NewReader(body), f)
+	}
+	for {
+		r, err := st.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		if n := len(sc.recs); n > 0 && r.Start.Before(sc.recs[n-1].Start) {
+			return fmt.Errorf("serve: record %d starts at %v, before record %d at %v (ingest bodies must be in trace order)",
+				n+1, r.Start, n, sc.recs[n-1].Start)
+		}
+		sc.recs = append(sc.recs, r)
+		if looksUp && len(sc.recs)%lookupStride == 0 {
+			sc.srv.tableMu.RUnlock()
+			sc.srv.tableMu.RLock()
+		}
+	}
+	if !looksUp {
+		sc.ids = unknownIDs(sc.ids, len(sc.recs))
+	}
+	return nil
+}
+
+// unknownIDs returns ids resized to n entries, all NoFileID.
+func unknownIDs(ids []trace.FileID, n int) []trace.FileID {
+	ids = ids[:0]
+	for i := 0; i < n; i++ {
+		ids = append(ids, trace.NoFileID)
+	}
+	return ids
+}
+
 // DecodeIngest decodes an ingest body — a complete trace stream in any
 // format the codec sniffs (ASCII v1, binary b1, columnar b2) — into
 // records, enforcing the non-decreasing start order every accumulation
 // path requires. It decodes and validates the whole body before
 // returning, so a caller applies either every record or none; decode
-// errors carry the offending record index and byte offset.
+// errors carry the offending record index and byte offset. The returned
+// records are the caller's: nothing in them aliases body.
 func DecodeIngest(body []byte) ([]trace.Record, error) {
-	st, err := trace.OpenStream(bytes.NewReader(body))
-	if err != nil {
+	sc := scratchPool.Get().(*ingestScratch)
+	defer putScratch(sc)
+	if err := sc.decode(body); err != nil {
 		return nil, err
 	}
-	var recs []trace.Record
-	for {
-		r, err := st.Next()
-		if err == io.EOF {
-			return recs, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if n := len(recs); n > 0 && r.Start.Before(recs[n-1].Start) {
-			return nil, fmt.Errorf("serve: record %d starts at %v, before record %d at %v (ingest bodies must be in trace order)",
-				n+1, r.Start, n, recs[n-1].Start)
-		}
-		recs = append(recs, r)
+	if len(sc.recs) == 0 {
+		return nil, nil
 	}
+	return append([]trace.Record(nil), sc.recs...), nil
 }
 
 // DecodeIngestFrame unwraps one dist wire frame and decodes its payload
@@ -63,30 +186,65 @@ func DecodeIngestFrame(body []byte) ([]trace.Record, error) {
 // HTTP bodies); batches from different clients may arrive in any order
 // relative to each other.
 func (s *Server) Ingest(recs []trace.Record) {
+	sc := scratchPool.Get().(*ingestScratch)
+	sc.ids = unknownIDs(sc.ids, len(recs))
+	s.ingest(recs, sc.ids)
+	putScratch(sc)
+}
+
+// ingest applies one validated batch. ids is parallel to recs: a good
+// record's FileID in the daemon-wide table where the decoder already
+// resolved it, NoFileID where the path has yet to be interned (ingest
+// fills those in).
+func (s *Server) ingest(recs []trace.Record, ids []trace.FileID) {
 	if len(recs) == 0 {
 		return
 	}
 	s.mu.RLock()
+	s.internBatch(recs, ids)
 	for i := 0; i < len(recs); {
 		k := s.shardKey(recs[i].Start)
 		j := i + 1
 		for j < len(recs) && s.shardKey(recs[j].Start) == k {
 			j++
 		}
-		s.applyRun(k, recs[i:j])
+		s.applyRun(k, recs[i:j], ids[i:j])
 		i = j
 	}
-	s.mu.RUnlock()
-	s.updateFiles(recs)
 	s.records.Add(int64(len(recs)))
-	s.maybeCheckpoint(int64(len(recs)))
+	s.sinceCkpt.Add(int64(len(recs)))
+	s.mu.RUnlock()
+	s.maybeCheckpoint()
+}
+
+// internBatch interns the batch's not-yet-known paths into the
+// daemon-wide table — the one place the table grows, and only ever
+// with paths of a batch that validated whole — and folds every good
+// reference into its file's live row, all under one hold of the table
+// lock. The caller holds mu shared.
+func (s *Server) internBatch(recs []trace.Record, ids []trace.FileID) {
+	s.tableMu.Lock()
+	defer s.tableMu.Unlock()
+	for i := range recs {
+		r := &recs[i]
+		if !r.OK() {
+			continue
+		}
+		if ids[i] == trace.NoFileID {
+			ids[i] = s.paths.Intern(r.MSSPath)
+			if int(ids[i]) == len(s.files) {
+				s.files = append(s.files, fileRow{})
+			}
+		}
+		s.files[ids[i]].observe(r.Op, r.Start.UnixNano(), r.Size)
+	}
 }
 
 // applyRun observes one run of records that share a shard stripe,
 // appending to the stripe's newest segment when the run continues it in
 // time order and opening a fresh segment otherwise. The caller holds mu
 // shared; the stripe mutex serializes concurrent runs.
-func (s *Server) applyRun(k int64, recs []trace.Record) {
+func (s *Server) applyRun(k int64, recs []trace.Record, ids []trace.FileID) {
 	sh := s.getShard(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -94,7 +252,7 @@ func (s *Server) applyRun(k int64, recs []trace.Record) {
 	if sh.lastSeg != nil && !recs[0].Start.Before(sh.maxLast) {
 		sg = sh.lastSeg
 	} else {
-		sg = &segment{p: core.NewPartial(s.cfg.Opts), seq: s.segSeq.Add(1)}
+		sg = &segment{p: core.NewSegment(s.cfg.Opts, s.paths), seq: s.segSeq.Add(1)}
 		sh.segs = append(sh.segs, sg)
 		s.segCount.Add(1)
 	}
@@ -102,77 +260,83 @@ func (s *Server) applyRun(k int64, recs []trace.Record) {
 		if !recs[i].OK() {
 			s.errRecords.Add(1)
 		}
-		sg.p.Observe(&recs[i])
+		sg.p.Observe(&recs[i], ids[i])
 	}
 	sg.dirty = true
 	sg.enc = nil
 	sh.noteBounds(sg)
 }
 
-// updateFiles folds a batch's good references into the live per-file
-// table behind /v1/file.
-func (s *Server) updateFiles(recs []trace.Record) {
-	s.filesMu.Lock()
-	defer s.filesMu.Unlock()
-	for i := range recs {
-		r := &recs[i]
-		if !r.OK() {
-			continue
-		}
-		s.observeFile(r.MSSPath, r.Op, r.Start, r.Size)
-	}
-}
-
-// observeFile applies one good reference to the per-file table. The
-// caller holds filesMu exclusively.
-func (s *Server) observeFile(path string, op trace.Op, start time.Time, size units.Bytes) {
-	f := s.files[path]
-	if f == nil {
-		f = &fileState{first: start}
-		s.files[path] = f
-	}
-	if start.Before(f.first) {
-		f.first = start
-	}
-	if !start.Before(f.last) {
-		f.last = start
-		f.size = size
-	}
-	if op == trace.Write {
-		f.writes++
-	} else {
-		f.reads++
-	}
-}
-
 // handleIngest serves POST /v1/ingest: a bare trace-stream body.
 func (s *Server) handleIngest(w http.ResponseWriter, req *http.Request) {
-	s.ingestHTTP(w, req, DecodeIngest)
+	s.ingestHTTP(w, req, false)
 }
 
 // handleIngestBatch serves POST /v1/ingest/batch: a dist-framed
 // trace-stream body.
 func (s *Server) handleIngestBatch(w http.ResponseWriter, req *http.Request) {
-	s.ingestHTTP(w, req, DecodeIngestFrame)
+	s.ingestHTTP(w, req, true)
 }
 
-// ingestHTTP reads, decodes, and applies one ingest body.
-func (s *Server) ingestHTTP(w http.ResponseWriter, req *http.Request, decode func([]byte) ([]trace.Record, error)) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxIngestBody))
+// ingestHTTP reads, decodes, and applies one ingest body through a
+// pooled scratch: in the steady state — a batch of paths the table
+// already holds — nothing below the HTTP layer allocates.
+func (s *Server) ingestHTTP(w http.ResponseWriter, req *http.Request, framed bool) {
+	sc := scratchPool.Get().(*ingestScratch)
+	defer putScratch(sc)
+	var err error
+	sc.body, err = readBody(sc.body, http.MaxBytesReader(w, req.Body, maxIngestBody), req.ContentLength)
 	if err != nil {
 		http.Error(w, "serve: reading body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	recs, err := decode(body)
-	if err != nil {
+	payload := sc.body
+	if framed {
+		if payload, err = dist.DecodeFrame(payload); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+	}
+	sc.srv = s
+	if err := sc.decode(payload); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.Ingest(recs)
-	writeJSON(w, map[string]int64{
-		"records": int64(len(recs)),
-		"total":   s.records.Load(),
-	})
+	s.ingest(sc.recs, sc.ids)
+	// The acknowledgement, byte for byte what encoding/json indents for
+	// {"records": n, "total": m}.
+	sc.ack = append(sc.ack[:0], "{\n  \"records\": "...)
+	sc.ack = strconv.AppendInt(sc.ack, int64(len(sc.recs)), 10)
+	sc.ack = append(sc.ack, ",\n  \"total\": "...)
+	sc.ack = strconv.AppendInt(sc.ack, s.records.Load(), 10)
+	sc.ack = append(sc.ack, "\n}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(sc.ack) // a client that hung up is not the daemon's error
+}
+
+// readBody reads r to its end into buf's backing array, growing it only
+// when the body outruns it: sized once from the declared length (up to
+// maxPooledBody — past that the buffer grows as bytes actually arrive,
+// so a lying Content-Length reserves nothing), a pooled buffer takes
+// the next same-sized body without allocating.
+func readBody(buf []byte, r io.Reader, declared int64) ([]byte, error) {
+	buf = buf[:0]
+	if want := min(declared+1, maxPooledBody); int64(cap(buf)) < want {
+		buf = make([]byte, 0, want)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }
 
 // writeJSON writes v as a JSON response body.

@@ -38,21 +38,22 @@ type FileStatus struct {
 // instant. The second result reports whether the file has ever been
 // referenced.
 func (s *Server) FileStatusAt(path string, now time.Time) (FileStatus, bool) {
-	s.filesMu.RLock()
-	f := s.files[path]
-	if f == nil {
-		s.filesMu.RUnlock()
+	s.tableMu.RLock()
+	id, ok := s.paths.Lookup(path)
+	if !ok {
+		s.tableMu.RUnlock()
 		return FileStatus{}, false
 	}
+	f := s.files[id]
+	s.tableMu.RUnlock()
 	st := FileStatus{
 		Path:   path,
 		Size:   int64(f.size),
 		Reads:  f.reads,
 		Writes: f.writes,
-		First:  f.first,
-		Last:   f.last,
+		First:  time.Unix(0, f.first).UTC(),
+		Last:   time.Unix(0, f.last).UTC(),
 	}
-	s.filesMu.RUnlock()
 
 	refs := st.Reads + st.Writes
 	idle := now.Sub(st.Last)
@@ -138,9 +139,9 @@ type Stats struct {
 
 // StatsNow snapshots the live counters.
 func (s *Server) StatsNow() Stats {
-	s.filesMu.RLock()
+	s.tableMu.RLock()
 	files := int64(len(s.files))
-	s.filesMu.RUnlock()
+	s.tableMu.RUnlock()
 	s.shardsMu.Lock()
 	shards := int64(len(s.shards))
 	s.shardsMu.Unlock()

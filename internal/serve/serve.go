@@ -1,22 +1,36 @@
 // Package serve implements migd, the live ingest daemon over the
-// unified online accumulator in internal/core. The daemon holds the
-// trace as a set of core.Partial segments — one per contiguous run of
-// ingested records, striped across time shards for lock locality — and
-// derives every answer from them:
+// unified online accumulator in internal/core. What the daemon keeps is
+// the journal, not an analysis: one journal-only core.Partial segment
+// per contiguous run of ingested records — start instant, counts, the
+// op×class sums, the Figure 3 latency CDFs and one journal entry per
+// good reference, exactly what an s1 snapshot serializes — striped
+// across time shards for lock locality, all over one daemon-wide path
+// table (a trace.Interner) whose dense FileIDs the journals carry and
+// the live per-file rows are indexed by. Every answer derives from
+// that:
 //
 //   - POST /v1/ingest and /v1/ingest/batch decode a trace-stream body
-//     (the batch variant wrapped in the internal/dist CRC frame),
-//     validate it fully, and only then observe it into segment state;
+//     (the batch variant wrapped in the internal/dist CRC frame)
+//     straight out of the pooled request buffer, validate it fully, and
+//     only then intern its new paths and observe it into segment state;
 //   - GET /v1/report merges every segment's journal back into global
 //     time order inside a fresh accumulator (Accumulator.FoldPartials)
 //     and renders the full op×class report — byte-identical to the
 //     offline slice path over the same records;
 //   - GET /v1/file/{path} answers migrate/keep/prefetch for one file
-//     from the live per-file table and the STP rank of internal/migration;
+//     from its per-file row — one table probe, one slice index — and
+//     the STP rank of internal/migration;
 //   - POST /v1/checkpoint (and the record-count cadence in
 //     Config.CheckpointEvery) serializes each segment with the s1
-//     snapshot codec inside a dist frame, so a restarted daemon resumes
-//     exactly.
+//     snapshot codec inside a dist frame, and a restarted daemon decodes
+//     the frames straight back into segments — nothing is replayed — so
+//     it resumes exactly.
+//
+// Daemon-wide FileIDs are process-local: they are never serialized or
+// rendered (a checkpoint frame carries its segment's own first-seen
+// path table, derived at encode time), so two daemons holding the same
+// records agree on every output byte however differently they numbered
+// the files.
 //
 // The package is policed by miglint's determinism analyzers: it never
 // reads the wall clock (the clock is injected via Config.Now — cmd/migd
@@ -34,6 +48,7 @@ import (
 	"time"
 
 	"filemig/internal/core"
+	"filemig/internal/trace"
 	"filemig/internal/units"
 )
 
@@ -92,9 +107,10 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// segment is one live Partial plus its checkpoint cache: enc holds the
-// segment's encoded checkpoint frame from the last checkpoint, valid
-// while dirty is false, so an idle segment is never re-serialized.
+// segment is one live journal-only Partial plus its checkpoint cache:
+// enc holds the segment's encoded checkpoint frame from the last
+// checkpoint, valid while dirty is false, so an idle segment is never
+// re-serialized.
 type segment struct {
 	p     *core.Partial
 	seq   int64 // creation order, tie-break for equal first instants
@@ -125,12 +141,33 @@ func (sh *shard) noteBounds(sg *segment) {
 	}
 }
 
-// fileState is the live per-file table entry behind /v1/file.
-type fileState struct {
+// fileRow is one file's live row behind /v1/file, indexed by the file's
+// daemon-wide FileID. Instants are UnixNano, which keeps the row table
+// free of pointers.
+type fileRow struct {
 	size        units.Bytes
 	reads       int64
 	writes      int64
-	first, last time.Time
+	first, last int64
+}
+
+// observe applies one good reference to the row.
+func (f *fileRow) observe(op trace.Op, start int64, size units.Bytes) {
+	if f.reads+f.writes == 0 {
+		f.first, f.last = start, start
+	}
+	if start < f.first {
+		f.first = start
+	}
+	if start >= f.last {
+		f.last = start
+		f.size = size
+	}
+	if op == trace.Write {
+		f.writes++
+	} else {
+		f.reads++
+	}
 }
 
 // Server is the migd daemon state and its http.Handler. The zero value
@@ -144,13 +181,19 @@ type Server struct {
 
 	// mu is the big ingest/fold lock: ingest holds it shared (many
 	// batches in flight, each serialized per shard below), report and
-	// checkpoint hold it exclusive so they see every segment quiescent.
+	// checkpoint hold it exclusive so they see every segment — and the
+	// path table, which only grows under mu held shared — quiescent.
 	mu       sync.RWMutex
 	shardsMu sync.Mutex
 	shards   map[int64]*shard
 
-	filesMu sync.RWMutex
-	files   map[string]*fileState
+	// tableMu guards the daemon-wide path table and the per-file rows
+	// its FileIDs index; it nests inside mu. Ingest extends both under
+	// the write lock, once per validated batch; decode-time lookups and
+	// /v1/file take the read lock.
+	tableMu sync.RWMutex
+	paths   *trace.Interner
+	files   []fileRow
 
 	records     atomic.Int64
 	errRecords  atomic.Int64
@@ -175,7 +218,7 @@ func NewServer(cfg Config) (*Server, error) {
 		stpK:         cfg.STPK,
 		migrateAfter: cfg.MigrateAfter,
 		shards:       map[int64]*shard{},
-		files:        map[string]*fileState{},
+		paths:        trace.NewInterner(),
 	}
 	if s.shardDur <= 0 {
 		s.shardDur = DefaultShardDuration

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -234,8 +235,11 @@ func TestMigdSingleIngest(t *testing.T) {
 }
 
 // TestMigdIngestRejectsCorruptBatch proves a damaged batch is rejected
-// whole: a truncated or bit-flipped frame changes nothing, and the
-// error names the problem.
+// whole: a truncated or bit-flipped frame, or an intact frame around a
+// torn stream — which decodes ninety-odd good records before it fails —
+// changes nothing, and the error names the problem. Nothing includes
+// the daemon-wide path table: a path seen only in a rejected batch is
+// never interned.
 func TestMigdIngestRejectsCorruptBatch(t *testing.T) {
 	res := daemonFixture(t)
 	s, err := NewServer(Config{Now: fixedClock(res)})
@@ -245,29 +249,71 @@ func TestMigdIngestRejectsCorruptBatch(t *testing.T) {
 	hs := httptest.NewServer(s)
 	defer hs.Close()
 
-	frame := frameBatch(t, res.Records[:100])
-	for name, bad := range map[string][]byte{
-		"truncated": frame[:len(frame)-7],
-		"bitflip":   append(append([]byte(nil), frame[:60]...), frame[60:]...),
-	} {
-		if name == "bitflip" {
-			bad[60] ^= 0x01
+	// A good batch first, so "unchanged" is not just "empty".
+	postBatch(t, hs.URL, frameBatch(t, res.Records[:100]))
+	before, pathsBefore := s.StatsNow(), s.paths.Len()
+	if before.Files == 0 || before.Segments == 0 {
+		t.Fatalf("good batch left no state: %+v", before)
+	}
+
+	// The damaged batches carry records the daemon has not seen, and
+	// probe is a path only they hold.
+	later := res.Records[100:200]
+	var probe string
+	known := map[string]bool{}
+	for _, r := range res.Records[:100] {
+		known[r.MSSPath] = true
+	}
+	for _, r := range later {
+		if r.OK() && !known[r.MSSPath] {
+			probe = r.MSSPath
+			break
 		}
-		resp, err := http.Post(hs.URL+"/v1/ingest/batch", "application/octet-stream", bytes.NewReader(bad))
+	}
+	if probe == "" {
+		t.Fatal("fixture: the second hundred records introduce no new file")
+	}
+	frame := frameBatch(t, later)
+	var stream bytes.Buffer
+	if err := trace.WriteAllFormat(&stream, later, trace.FormatBinary); err != nil {
+		t.Fatal(err)
+	}
+	bitflip := append([]byte(nil), frame...)
+	bitflip[60] ^= 0x01
+	for _, tc := range []struct {
+		name, want string
+		body       []byte
+	}{
+		{"truncated", "frame", frame[:len(frame)-7]},
+		{"bitflip", "frame", bitflip},
+		{"torn-stream", "unexpected EOF", dist.EncodeFrame(stream.Bytes()[:stream.Len()-3])},
+	} {
+		resp, err := http.Post(hs.URL+"/v1/ingest/batch", "application/octet-stream", bytes.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s batch: status %d, want 400", name, resp.StatusCode)
+			t.Fatalf("%s batch: status %d, want 400", tc.name, resp.StatusCode)
 		}
-		if !bytes.Contains(msg, []byte("frame")) {
-			t.Fatalf("%s batch: error does not name the frame: %s", name, msg)
+		if !bytes.Contains(msg, []byte(tc.want)) {
+			t.Fatalf("%s batch: error does not mention %q: %s", tc.name, tc.want, msg)
 		}
-	}
-	if st := s.StatsNow(); st.Records != 0 {
-		t.Fatalf("corrupt batches must apply nothing, but %d records landed", st.Records)
+		if st := s.StatsNow(); st != before {
+			t.Fatalf("%s batch changed the daemon: %+v, was %+v", tc.name, st, before)
+		}
+		if n := s.paths.Len(); n != pathsBefore {
+			t.Fatalf("%s batch interned %d paths", tc.name, n-pathsBefore)
+		}
+		resp, err = http.Get(hs.URL + "/v1/file" + probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s batch: /v1/file%s is %d, want 404", tc.name, probe, resp.StatusCode)
+		}
 	}
 }
 
@@ -443,12 +489,40 @@ func TestMigdConcurrentQueries(t *testing.T) {
 	}
 }
 
+// referenceDecode is DecodeIngest as it was before the byte-window
+// decoder: the sniffing stream reader over a bytes.Reader, a private
+// interner, the same order check — the differential reference.
+func referenceDecode(body []byte) ([]trace.Record, error) {
+	st, err := trace.OpenStream(bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	var recs []trace.Record
+	for {
+		r, err := st.Next()
+		if err == io.EOF {
+			return recs, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if n := len(recs); n > 0 && r.Start.Before(recs[n-1].Start) {
+			return nil, fmt.Errorf("record %d out of order", n+1)
+		}
+		recs = append(recs, r)
+	}
+}
+
 // FuzzMigdIngestFrame fuzzes the batch ingest body decoder end to end
 // through the HTTP handler: arbitrary bodies must produce a clean 200
-// or 400, never a panic, and a non-200 must leave the daemon empty.
+// or 400, never a panic, and a non-200 must leave the daemon empty. It
+// is also differential: the body, and the payload inside it when it
+// frames one, must decode through the byte-window decoder to exactly
+// the records the stream reader yields, or fail in both — whatever
+// format (v1, b1, b2) the bytes announce.
 func FuzzMigdIngestFrame(f *testing.F) {
 	base := time.Date(1992, 1, 6, 9, 0, 0, 0, time.UTC)
-	mk := func(n int) []byte {
+	mkFormat := func(n int, format trace.Format) []byte {
 		recs := make([]trace.Record, n)
 		for i := range recs {
 			recs[i] = trace.Record{
@@ -461,11 +535,12 @@ func FuzzMigdIngestFrame(f *testing.F) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := trace.WriteAllFormat(&buf, recs, trace.FormatBinary); err != nil {
+		if err := trace.WriteAllFormat(&buf, recs, format); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
 	}
+	mk := func(n int) []byte { return mkFormat(n, trace.FormatBinary) }
 	good := dist.EncodeFrame(mk(5))
 	f.Add(good)
 	f.Add(good[:len(good)-3])
@@ -475,6 +550,11 @@ func FuzzMigdIngestFrame(f *testing.F) {
 	flip := append([]byte(nil), good...)
 	flip[len(flip)/2] ^= 0x40
 	f.Add(flip)
+	f.Add(dist.EncodeFrame(mkFormat(5, trace.FormatASCII)))
+	f.Add(dist.EncodeFrame(mkFormat(5, trace.FormatB2)))
+	f.Add(mkFormat(3, trace.FormatASCII))
+	f.Add(mkFormat(3, trace.FormatB2))
+	f.Add(dist.EncodeFrame(mk(5)[:40])) // sound frame, torn stream
 
 	now := func() time.Time { return base.AddDate(0, 0, 30) }
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -491,11 +571,33 @@ func FuzzMigdIngestFrame(f *testing.F) {
 				t.Fatalf("accepted body, broken report: %v", err)
 			}
 		case http.StatusBadRequest:
-			if n := s.StatsNow().Records; n != 0 {
-				t.Fatalf("rejected body left %d records behind", n)
+			if st := s.StatsNow(); st.Records != 0 || st.Files != 0 || st.Segments != 0 {
+				t.Fatalf("rejected body left state behind: %+v", st)
 			}
 		default:
 			t.Fatalf("unexpected status %d", w.Code)
+		}
+
+		streams := [][]byte{body}
+		if payload, err := dist.DecodeFrame(body); err == nil {
+			streams = append(streams, payload)
+			got, gerr := DecodeIngestFrame(body)
+			if (gerr == nil) != (w.Code == http.StatusOK) {
+				t.Fatalf("DecodeIngestFrame error %v, handler status %d", gerr, w.Code)
+			}
+			if gerr == nil && int64(len(got)) != s.StatsNow().Records {
+				t.Fatalf("DecodeIngestFrame yields %d records, the handler ingested %d", len(got), s.StatsNow().Records)
+			}
+		}
+		for _, b := range streams {
+			got, gerr := DecodeIngest(b)
+			want, werr := referenceDecode(b)
+			if (gerr == nil) != (werr == nil) {
+				t.Fatalf("byte-window decoder error %v, stream reader error %v", gerr, werr)
+			}
+			if gerr == nil && !reflect.DeepEqual(got, want) {
+				t.Fatalf("byte-window decoder yields %d records, stream reader %d, or they differ", len(got), len(want))
+			}
 		}
 	})
 }

@@ -159,8 +159,12 @@ type BinaryReader struct {
 	prevUID   uint32
 	started   bool
 	rec       int64
-	in        *Interner
 	local     pathCache // bounded cache for local paths (no interned consumer)
+
+	// mssCanon and localCanon canonicalise the two path fields:
+	// Interner.Canonical and the bounded cache unless ResetBytes set
+	// others.
+	mssCanon, localCanon internFunc
 }
 
 // NewBinaryReader returns a BinaryReader over r with a private path
@@ -176,7 +180,36 @@ func NewBinaryReader(r io.Reader) *BinaryReader {
 // bounded cache instead, so the interner's memory tracks distinct MSS
 // paths only.
 func NewBinaryReaderInterned(r io.Reader, in *Interner) *BinaryReader {
-	return &BinaryReader{wire: NewWireReader(r), in: in}
+	b := &BinaryReader{wire: NewWireReader(r), mssCanon: in.Canonical}
+	b.localCanon = b.local.canonical
+	return b
+}
+
+// ResetBytes re-arms the reader over a whole b1 stream held in memory,
+// decoding straight out of body (WireReader.ResetBytes: no copy, no
+// refill) and canonicalising each record's MSS and local path through
+// mss and local, which see a view into body and must return a string
+// that does not alias it; nil for either means the reader's own bounded
+// cache. Everything else the reader owns — that cache, the wire reader
+// — is kept, so one pooled reader (the zero value will do) decodes
+// request after request without allocating; body must stay untouched
+// until the last Next.
+func (r *BinaryReader) ResetBytes(body []byte, mss, local func([]byte) string) {
+	if r.wire == nil {
+		r.wire = new(WireReader)
+	}
+	r.wire.ResetBytes(body)
+	r.prevStart, r.prevUID, r.started, r.rec = time.Time{}, 0, false, 0
+	if mss == nil || local == nil {
+		cache := r.local.canonical
+		if mss == nil {
+			mss = cache
+		}
+		if local == nil {
+			local = cache
+		}
+	}
+	r.mssCanon, r.localCanon = mss, local
 }
 
 // Next decodes the next record. It returns io.EOF when the stream ends
@@ -268,12 +301,12 @@ func (r *BinaryReader) decodeBody(flags byte) (Record, error) {
 	if err != nil {
 		return rec, err
 	}
-	rec.MSSPath = r.in.Canonical(mss)
+	rec.MSSPath = r.mssCanon(mss)
 	local, err := r.pathBytes("local path", "local path length")
 	if err != nil {
 		return rec, err
 	}
-	rec.LocalPath = r.local.canonical(local)
+	rec.LocalPath = r.localCanon(local)
 	r.prevStart = rec.Start
 	r.prevUID = rec.UserID
 	return rec, nil

@@ -318,3 +318,70 @@ func TestParseFormat(t *testing.T) {
 		t.Fatal("Format.String drifted from flag spelling")
 	}
 }
+
+// drainBytes decodes a whole in-memory b1 stream through a reader
+// re-armed with ResetBytes.
+func drainBytes(r *BinaryReader, body []byte, mss func([]byte) string) ([]Record, error) {
+	r.ResetBytes(body, mss, nil)
+	var recs []Record
+	for {
+		rec, err := r.Next()
+		if err == io.EOF {
+			return recs, nil
+		}
+		if err != nil {
+			return recs, err
+		}
+		recs = append(recs, rec)
+	}
+}
+
+// TestBinaryResetBytes holds the byte-window decode to the streaming
+// one: one zero-value reader, re-armed over body after body, yields
+// exactly the records NewBinaryReader does, at every truncation fails
+// when the stream reader fails, never writes to the body it reads from,
+// hands the canonicaliser views it may intern, and — warm — decodes a
+// body of known paths allocating nothing but the header line.
+func TestBinaryResetBytes(t *testing.T) {
+	recs := randomRecords(rand.New(rand.NewSource(5)), 300)
+	full := encodeBinary(t, recs)
+	pristine := append([]byte(nil), full...)
+	want, err := ReadAll(bytes.NewReader(full))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var r BinaryReader // the zero value: ResetBytes makes it ready
+	in := NewInterner()
+	got, err := drainBytes(&r, full, in.Canonical)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("byte-window decode: %d records, err %v; stream decode: %d records", len(got), err, len(want))
+	}
+	for cut := 0; cut < len(full); cut++ {
+		_, wantErr := ReadAll(bytes.NewReader(full[:cut]))
+		if _, err := drainBytes(&r, full[:cut], in.Canonical); (err == nil) != (wantErr == nil) {
+			t.Fatalf("cut at %d of %d: byte-window error %v, stream error %v", cut, len(full), err, wantErr)
+		}
+	}
+	if got, err = drainBytes(&r, full, nil); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("byte-window decode through the bounded cache: %d records, err %v", len(got), err)
+	}
+	if !bytes.Equal(full, pristine) {
+		t.Fatal("decoding wrote to the body")
+	}
+
+	n := 0
+	canon := in.Canonical // bound once, as a pooled decoder binds its own
+	count := func() {
+		r.ResetBytes(full, canon, canon)
+		for n = 0; ; n++ {
+			if _, err := r.Next(); err != nil {
+				break
+			}
+		}
+	}
+	count()
+	if allocs := testing.AllocsPerRun(20, count); allocs > 1 || n != len(want) {
+		t.Fatalf("warm byte-window decode of %d records (want %d) allocates %v times, want 1 (the header line)", n, len(want), allocs)
+	}
+}

@@ -99,7 +99,7 @@ func OpenStream(r io.Reader) (Stream, error) {
 	if err != nil && err != io.EOF {
 		return nil, fmt.Errorf("trace: sniffing format: %v", err)
 	}
-	f, ferr := sniffFormat(head)
+	f, ferr := SniffFormat(head)
 	if ferr != nil {
 		return nil, ferr
 	}
@@ -112,8 +112,14 @@ func OpenStream(r io.Reader) (Stream, error) {
 	return NewReader(br), nil
 }
 
-// sniffFormat classifies a peeked header prefix.
-func sniffFormat(head []byte) (Format, error) {
+// SniffFormat classifies an encoded trace by the first bytes of its
+// header line — the first len(SnapshotHeader) bytes, or all there are
+// of a shorter input. OpenStream peeks them off a reader; a caller
+// already holding the whole body passes it as is.
+func SniffFormat(head []byte) (Format, error) {
+	if len(head) > len(SnapshotHeader) {
+		head = head[:len(SnapshotHeader)] // keeps the error messages to the header
+	}
 	const common = "#filemig-trace "
 	if len(head) >= len(SnapshotHeader) && string(head[:len(SnapshotHeader)]) == SnapshotHeader {
 		return 0, fmt.Errorf("trace: input is an s1 analysis snapshot, not a trace; load it with mssanalyze merge (or core.ReadSnapshot)")

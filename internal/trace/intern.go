@@ -15,6 +15,10 @@ import "strings"
 // only meaningful relative to the Interner that issued them.
 type FileID uint32
 
+// NoFileID is the FileID no Interner ever issues: the "not interned
+// (yet)" mark in ID-indexed side tables and lookup results.
+const NoFileID = ^FileID(0)
+
 // DirID densely identifies one distinct directory within an Interner.
 // Directories are numbered in the order their first file is interned,
 // which — because a never-seen directory implies a never-seen file — is
@@ -59,6 +63,26 @@ func (in *Interner) InternBytes(path []byte) FileID {
 		return id
 	}
 	return in.add(string(path)) //lint:hotalloc-ok first sighting only: the one canonical copy per distinct path
+}
+
+// Lookup returns the FileID already assigned to path without ever
+// assigning one: the read-only probe, for callers that may not extend
+// the table (migd's /v1/file answers for known files only).
+//
+//filemig:hotpath
+func (in *Interner) Lookup(path string) (FileID, bool) {
+	id, ok := in.ids[path]
+	return id, ok
+}
+
+// LookupBytes is Lookup for a byte-slice key (migd resolves a batch's
+// paths while decoding it, and interns the new ones only once the whole
+// batch has validated). It never allocates.
+//
+//filemig:hotpath
+func (in *Interner) LookupBytes(path []byte) (FileID, bool) {
+	id, ok := in.ids[string(path)] // no-alloc map lookup
+	return id, ok
 }
 
 // add registers a new path under the next dense FileID.

@@ -13,13 +13,17 @@ import (
 // internal/core. Both formats open with a one-line ASCII header and then
 // carry uvarint integers, length-prefixed byte strings, and (for s1)
 // raw little-endian float64 bits, so the buffering, refilling, varint
-// bounds checking, and mid-stream EOF conversion live here once.
+// bounds checking, and mid-stream EOF conversion live here once. A
+// reader comes in two shapes behind one set of accessors: a 64 KiB
+// window refilled from an io.Reader (files, pipes), or a window that is
+// the caller's byte slice itself (ResetBytes — a request body, a
+// checkpoint frame), which copies and refills nothing.
 
 // WireReader reads varint-framed binary streams. It owns its buffer:
 // integer fields decode inline from the buffered window, and byte fields
 // are returned as views into it wherever possible, so steady-state
 // decoding moves no memory. The zero value is not ready; use
-// NewWireReader.
+// NewWireReader or ResetBytes.
 type WireReader struct {
 	src      io.Reader
 	buf      []byte // buffered window of the stream
@@ -34,12 +38,26 @@ func NewWireReader(r io.Reader) *WireReader {
 	return &WireReader{src: r, buf: make([]byte, 1<<16)}
 }
 
+// ResetBytes re-arms the reader over an in-memory stream: the window is
+// b itself — nothing is copied, nothing refills, and byte fields come
+// back as views into b, which the caller must leave untouched while it
+// reads. It makes a zero WireReader ready, so a pooled reader decodes
+// body after body without allocating.
+func (r *WireReader) ResetBytes(b []byte) {
+	*r = WireReader{buf: b, end: len(b), srcErr: io.EOF, fetched: int64(len(b)), scratch: r.scratch}
+}
+
 // fill compacts the unread window to the front of the buffer and reads
 // more data, reporting whether any arrived. After a false return the
-// sticky source error is set. Like bufio, a reader that repeatedly
-// returns (0, nil) — legal under the io.Reader contract — is cut off
-// with io.ErrNoProgress rather than spun on forever.
+// sticky source error is set — and once it is set nothing more can
+// arrive, so the window (which may be a caller's slice) is left alone.
+// Like bufio, a reader that repeatedly returns (0, nil) — legal under
+// the io.Reader contract — is cut off with io.ErrNoProgress rather than
+// spun on forever.
 func (r *WireReader) fill() bool {
+	if r.srcErr != nil {
+		return false
+	}
 	if r.pos > 0 {
 		copy(r.buf, r.buf[r.pos:r.end])
 		r.end -= r.pos
@@ -73,6 +91,8 @@ func (r *WireReader) Offset() int64 {
 
 // ReadByte returns the next stream byte; at the end of the stream it
 // returns the sticky source error (io.EOF for a clean end).
+//
+//filemig:hotpath
 func (r *WireReader) ReadByte() (byte, error) {
 	if r.pos >= r.end && !r.fill() {
 		return 0, r.srcErr
@@ -83,9 +103,9 @@ func (r *WireReader) ReadByte() (byte, error) {
 }
 
 // Line consumes one header line up to and including its newline and
-// returns it without the newline. A line longer than the window is an
-// error; a clean end of input before any byte is io.EOF, and an end
-// mid-line is io.ErrUnexpectedEOF.
+// returns it without the newline. A line longer than a refilling window
+// is an error; a clean end of input before any byte is io.EOF, and an
+// end mid-line is io.ErrUnexpectedEOF.
 func (r *WireReader) Line() (string, error) {
 	for {
 		for i := r.pos; i < r.end; i++ {
@@ -95,7 +115,7 @@ func (r *WireReader) Line() (string, error) {
 				return line, nil
 			}
 		}
-		if r.end-r.pos >= len(r.buf) {
+		if r.srcErr == nil && r.end-r.pos >= len(r.buf) {
 			return "", fmt.Errorf("header line exceeds %d bytes", len(r.buf))
 		}
 		if !r.fill() {
@@ -114,6 +134,8 @@ func (r *WireReader) Line() (string, error) {
 // io.ErrUnexpectedEOF and rejecting values above max. The fast path
 // decodes inline from the buffered window — no per-byte calls; only a
 // varint near the window edge takes the refilling loop.
+//
+//filemig:hotpath
 func (r *WireReader) Uvarint(field string, max uint64) (uint64, error) {
 	if r.end-r.pos >= binary.MaxVarintLen64 {
 		v, k := binary.Uvarint(r.buf[r.pos:r.end])
@@ -206,6 +228,8 @@ func (r *WireReader) Fixed(field string, n int) ([]byte, error) {
 // straddling a window edge is gathered through the scratch spill. Both
 // labels arrive as literals so the hot path never builds an
 // error-message string it will not use.
+//
+//filemig:hotpath
 func (r *WireReader) Bytes(field, lenField string, max uint64) ([]byte, error) {
 	n64, err := r.Uvarint(lenField, max)
 	if err != nil {
@@ -217,8 +241,18 @@ func (r *WireReader) Bytes(field, lenField string, max uint64) ([]byte, error) {
 		r.pos += n
 		return b, nil
 	}
+	if r.srcErr != nil {
+		// The stream has ended short of the field (always the case past
+		// the end of a byte window): fail before sizing a spill to a
+		// length nothing vouches for.
+		err := r.srcErr
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("%s: %w", field, err)
+	}
 	if cap(r.scratch) < n {
-		r.scratch = make([]byte, n)
+		r.scratch = make([]byte, n) //lint:hotalloc-ok grows once to the longest field that straddles a window edge
 	}
 	buf := r.scratch[:n]
 	got := copy(buf, r.buf[r.pos:r.end])
@@ -289,6 +323,13 @@ type WireWriter struct {
 // NewWireWriter returns a WireWriter over w with a 64 KiB buffer.
 func NewWireWriter(w io.Writer) *WireWriter {
 	return &WireWriter{w: w, buf: make([]byte, 0, 1<<16)}
+}
+
+// Reset re-arms the writer over a new destination, dropping any
+// unflushed bytes and the sticky error but keeping the buffer — one
+// writer serves any number of outputs written one after another.
+func (w *WireWriter) Reset(dst io.Writer) {
+	w.w, w.buf, w.err, w.written = dst, w.buf[:0], nil, 0
 }
 
 // flushIfFull drains the buffer to the underlying writer when it is
