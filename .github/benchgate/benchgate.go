@@ -4,11 +4,12 @@
 //
 //   - allocs_op must match the committed value up to max(16, 0.5%):
 //     effectively exact — the worker-pool benchmarks jitter by a few
-//     allocations with goroutine scheduling, and the parallel b2 block
-//     decoders share an interner and a bounded path cache whose eviction
-//     order (and hence re-intern count) shifts by tens of allocations
-//     from run to run, while a real per-record allocation regression
-//     shows up thousands of times over the slack.
+//     allocations with goroutine scheduling, and each parallel b2 block
+//     decoder owns a path table and a bounded local-path cache, so
+//     which blocks land on which worker decides how many workers meet a
+//     path for the first time — tens of allocations from run to run —
+//     while a real per-record allocation regression shows up thousands
+//     of times over the slack.
 //   - b_op must stay within 10% of the committed value.
 //   - ns_op is informational only: CI boxes are noisy, so timing is
 //     printed but never fails the gate.
@@ -53,8 +54,9 @@ func load(path string) (map[string]entry, error) {
 }
 
 // allocSlack is the permitted allocs_op drift: max(16, 0.5%). The
-// proportional term covers scheduling-dependent shared-cache churn in
-// the parallel decode benchmarks (observed spread ~0.3% of the total);
+// proportional term covers scheduling-dependent per-worker table and
+// cache churn in the parallel decode benchmarks (observed spread ~0.3%
+// of the total);
 // the floor keeps small-count benchmarks effectively exact.
 func allocSlack(committed float64) float64 {
 	return math.Max(16, committed/200)

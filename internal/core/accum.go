@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -29,7 +30,9 @@ import (
 //     exactly this reason). Every derived series then folds by integer
 //     sums and sample-list concatenation, and only the per-file journal
 //     is replayed — the fast in-process merge, and the one fold that
-//     needs a full Partial (NewPartial), which carries those series.
+//     needs a full Partial (a shard worker's), which carries those series.
+//     Its segments sit over their shard worker's path table, which the
+//     worker keeps extending while earlier segments fold.
 //   - FoldReplay makes no origin assumption: only the fields a journal
 //     replay cannot recompute — the op×class accumulators and the
 //     startup-latency CDFs, which need the device class the journal does
@@ -48,7 +51,12 @@ import (
 // §5.3 dedup survival does not compose from end states (see the package
 // comment in snapshot.go), and every fold preserves the master's
 // first-seen FileID assignment by interning segment paths in the order
-// the replayed records first touch them.
+// the replayed records first touch them: Fold and FoldPartials do so
+// lazily, entry by entry, through one table-ID → master-ID remap per
+// path table (idRemaps), so the master hashes a path once per table that
+// knows it — and never a path no good reference names; FoldReplay,
+// whose segments each bring a foreign private table, walks the table,
+// which a private table keeps in that same order.
 
 // Accumulator is the unified online accumulator: Analysis under the name
 // the incremental paths use. The two names alias one type.
@@ -64,17 +72,24 @@ func NewAccumulator(opts Options) *Accumulator { return New(opts) }
 // over a path table — plus the segment's boundary instants for ordering
 // segments at fold time. That core is all a journal-only segment
 // (NewSegment, or one decoded from a snapshot) holds, and all
-// FoldReplay, FoldPartials and the s1 encoder read. A full Partial
-// (NewPartial) additionally accumulates the derived series of a
-// contiguous shard as it observes — the calendar, periodicity, Figure 7
-// and Figure 10 state Fold merges by addition instead of replaying.
+// FoldReplay, FoldPartials and the s1 encoder read. A full Partial (a
+// shard worker's, AccumulatePartial) additionally accumulates the
+// derived series of a contiguous shard as it observes — the calendar,
+// periodicity, Figure 7 and Figure 10 state Fold merges by addition
+// instead of replaying.
 type Partial struct {
 	*sums
 
-	// paths is the table the journal's FileIDs index: private to a full
-	// Partial (dense in the segment's own first-seen order), shared by
-	// every segment of one daemon.
+	// paths is the table the journal's FileIDs index: a shard worker's
+	// (every segment that worker accumulates sits over it), one daemon's
+	// (likewise), or private to the segment (AccumulatePartial, a decoded
+	// snapshot — dense in the segment's own first-seen order). view,
+	// when set, is the prefix of it the journal can reference, captured
+	// by the goroutine that owns the table when the segment was
+	// finished: what a fold on another goroutine reads paths through
+	// while the owner goes on interning.
 	paths  *trace.Interner
+	view   []string
 	dedup  time.Duration
 	origin time.Time // Options.Start: the calendar origin, when pinned
 
@@ -88,16 +103,24 @@ type Partial struct {
 	firstOK, lastOK time.Time
 }
 
-// NewPartial opens an empty full segment accumulator over a private
-// path table — the stream and b2 shard workers' kind, the only kind
-// Fold accepts. The segment journals unconditionally and never carries
-// a namespace Tree, whatever opts says: a Partial's journal is its
-// serialized truth.
-func NewPartial(opts Options) *Partial {
+// newShard opens an empty full segment accumulator — the kind Fold
+// needs — over the caller's path table (a shard worker's, which outlives
+// the segment), with the per-reference series sized for a segment of up
+// to records records reaching hours hours past the origin, so observing
+// never regrows them. The segment journals unconditionally and never
+// carries a namespace Tree, whatever opts says: a Partial's journal is
+// its serialized truth.
+func newShard(opts Options, paths *trace.Interner, records, hours int) *Partial {
 	opts.Journal = true
 	opts.Tree = nil
 	acc := New(opts)
-	return &Partial{sums: &acc.sums, paths: acc.interner, dedup: acc.opts.DedupWindow, origin: opts.Start, full: acc}
+	acc.interner = paths
+	acc.journal = make([]journalEntry, 0, records)
+	acc.interCDF = stats.NewCDF(records)
+	acc.dynFiles = [2]*stats.CDF{stats.NewCDF(records), stats.NewCDF(records)}
+	acc.hourlyReqs = make([]float64, 0, hours)
+	acc.hourlyRead = make([]float64, 0, hours)
+	return &Partial{sums: &acc.sums, paths: paths, dedup: acc.opts.DedupWindow, origin: opts.Start, full: acc}
 }
 
 // NewSegment opens an empty journal-only segment over a shared path
@@ -130,7 +153,7 @@ func (p *Partial) Observe(r *trace.Record, id trace.FileID) {
 		p.full.addDerived(r.Start, opIndex(r.Op), int64(r.Size))
 		p.full.addInterval(r.Start)
 	}
-	p.appendJournal(id, r.Op, r.Start, r.Size)
+	p.appendJournal(id, r.Op, r.Start.UnixNano(), r.Size)
 	if p.firstOK.IsZero() {
 		p.firstOK = r.Start
 	}
@@ -182,35 +205,64 @@ func (p *Partial) setBounds(first, last time.Time) {
 	}
 }
 
-// AccumulatePartial runs one contiguous segment of records through a
-// fresh full Partial — the stream and b2 shard workers' unit of work.
-func AccumulatePartial(opts Options, recs []trace.Record) *Partial {
-	p := NewPartial(opts)
-	// Pre-size the periodicity series to the segment's last hour so the
-	// grow-by-append loop in addDerived allocates once per segment.
-	if len(recs) > 0 && !opts.Start.IsZero() {
-		if hi := int(recs[len(recs)-1].Start.Sub(opts.Start) / time.Hour); hi >= 0 {
-			p.full.hourlyReqs = make([]float64, 0, hi+1)
-			p.full.hourlyRead = make([]float64, 0, hi+1)
-		}
+// pathView returns the FileID-indexed paths the journal's IDs resolve
+// through: the prefix captured when a shard worker finished the segment,
+// else the table as it stands (a daemon's segments — the caller holds
+// whatever lock guards that table).
+func (p *Partial) pathView() []string {
+	if p.view != nil {
+		return p.view
 	}
+	return p.paths.Paths()
+}
+
+// AccumulatePartial runs one contiguous segment of records through a
+// fresh full Partial over a private path table.
+func AccumulatePartial(opts Options, recs []trace.Record) *Partial {
+	return accumulateShard(opts, trace.NewInterner(), recs)
+}
+
+// accumulateShard runs one contiguous segment of records through a
+// fresh full Partial over paths — the stream shard workers' unit of
+// work, each worker handing in its own table.
+func accumulateShard(opts Options, paths *trace.Interner, recs []trace.Record) *Partial {
+	hours := 0
+	if len(recs) > 0 {
+		hours = hoursThrough(opts.Start, recs[len(recs)-1].Start)
+	}
+	p := newShard(opts, paths, len(recs), hours)
 	for i := range recs {
 		r := &recs[i]
 		var id trace.FileID
 		if r.OK() {
-			id = p.paths.Intern(r.MSSPath)
+			id = paths.Intern(r.MSSPath)
 		}
 		p.Observe(r, id)
 	}
+	p.view = paths.Paths()
 	return p
 }
 
-// Fold merges one full segment (NewPartial, AccumulatePartial) into the
-// master. Master and segment must share a calendar origin —
+// hoursThrough sizes a segment's periodicity series: how many hourly
+// slots a segment whose last record starts at last fills, counted from
+// origin; zero when the origin is not pinned or last precedes it.
+func hoursThrough(origin, last time.Time) int {
+	if origin.IsZero() || last.Before(origin) {
+		return 0
+	}
+	return int(last.Sub(origin)/time.Hour) + 1
+}
+
+// Fold merges one full segment (AccumulatePartial, a shard worker's)
+// into the master. Master and segment must share a calendar origin —
 // AccumulateStream and AccumulateB2 resolve Options.Start once before
 // cutting segments — so every derived series folds by plain sums and
-// sample concatenation; only the per-file journal is replayed. Segments
-// must fold in time order.
+// sample concatenation; only the per-file journal is replayed,
+// translating IDs lazily in journal order (see idRemaps): a journal is
+// the segment's good references in record order, so the master meets new
+// files in exactly the order a single pass over the records would. The
+// master keeps its remaps from one Fold to the next; segments must fold
+// in time order.
 func (a *Accumulator) Fold(p *Partial) {
 	sub := p.full
 	a.foldSums(p.sums)
@@ -219,7 +271,6 @@ func (a *Accumulator) Fold(p *Partial) {
 	}
 	for oi := 0; oi < 2; oi++ {
 		a.dynFiles[oi].Merge(sub.dynFiles[oi])
-		a.dynBytes[oi].Merge(sub.dynBytes[oi])
 	}
 	for h := range a.hourBytes {
 		a.hourBytes[h][0] += sub.hourBytes[h][0]
@@ -261,15 +312,55 @@ func (a *Accumulator) Fold(p *Partial) {
 		a.lastStart = p.lastOK
 	}
 
-	remap := a.remapIDs(p.paths)
+	if a.remaps == nil {
+		a.remaps = idRemaps{}
+	}
+	view := p.pathView()
+	remap := a.remaps.covering(p.paths, len(view))
 	for k := range p.journal {
 		e := &p.journal[k]
-		op := trace.Read
+		op, oi := trace.Read, 0
 		if e.write {
-			op = trace.Write
+			op, oi = trace.Write, 1
 		}
-		a.addFileAccessID(remap[e.id], op, time.Unix(0, e.start).UTC(), units.Bytes(e.size))
+		a.dynTotal[oi] += float64(e.size) //lint:floatsum-ok entry by entry in journal (= record) order, continuing the master's running sum exactly as addDerived would
+		a.addFileAccessID(a.masterID(remap, view, e.id), op, e.start, units.Bytes(e.size))
 	}
+}
+
+// idRemaps is the fold-side half of path interning: one flat table-ID →
+// master-ID translation per path table in play, NoFileID marking an ID
+// the master has not met. Fold and FoldPartials fill it lazily through
+// masterID as the replay first touches each file, so every shard of one
+// worker — or every segment of one daemon — shares a remap and a file
+// costs the master one string hash per table that knows it. The table
+// pointer is only ever a key here; paths are read through a view.
+type idRemaps map[*trace.Interner][]trace.FileID
+
+// covering returns table's remap, extended to translate IDs below n.
+func (m idRemaps) covering(table *trace.Interner, n int) []trace.FileID {
+	remap := m[table]
+	if k := len(remap); k < n {
+		remap = slices.Grow(remap, n-k)[:n]
+		for i := k; i < n; i++ {
+			remap[i] = trace.NoFileID
+		}
+		m[table] = remap
+	}
+	return remap
+}
+
+// masterID translates one journal ID through remap, interning
+// view[id] into the master on the ID's first appearance.
+//
+//filemig:hotpath
+func (a *Accumulator) masterID(remap []trace.FileID, view []string, id trace.FileID) trace.FileID {
+	m := remap[id]
+	if m == trace.NoFileID {
+		m = a.internFile(view[id])
+		remap[id] = m
+	}
+	return m
 }
 
 // FoldReplay merges one segment into the master without a shared
@@ -317,7 +408,7 @@ func (a *Accumulator) FoldReplay(p *Partial) error {
 		t := time.Unix(0, e.start).UTC()
 		a.addDerived(t, opIdx, e.size)
 		a.addInterval(t)
-		a.addFileAccessID(remap[e.id], op, t, units.Bytes(e.size))
+		a.addFileAccessID(remap[e.id], op, e.start, units.Bytes(e.size))
 	}
 	return nil
 }
@@ -385,21 +476,15 @@ func (a *Accumulator) FoldPartials(ps []*Partial) error {
 	// lazily, on first appearance in the merged order.
 	h := make(journalHeap, 0, len(ps))
 	remaps := make([][]trace.FileID, len(ps))
-	byTable := make(map[*trace.Interner][]trace.FileID)
+	views := make([][]string, len(ps))
+	byTable := idRemaps{}
 	for si, p := range ps {
 		if len(p.journal) == 0 {
 			continue
 		}
 		h = append(h, journalCursor{si: si, start: p.journal[0].start})
-		remap, ok := byTable[p.paths]
-		if !ok {
-			remap = make([]trace.FileID, p.paths.Len())
-			for i := range remap {
-				remap[i] = trace.NoFileID
-			}
-			byTable[p.paths] = remap
-		}
-		remaps[si] = remap
+		views[si] = p.pathView()
+		remaps[si] = byTable.covering(p.paths, len(views[si]))
 	}
 	heap.Init(&h)
 	for len(h) > 0 {
@@ -412,14 +497,9 @@ func (a *Accumulator) FoldPartials(ps []*Partial) error {
 			op, opIdx = trace.Write, 1
 		}
 		t := time.Unix(0, e.start).UTC()
-		id := remaps[cur.si][e.id]
-		if id == trace.NoFileID {
-			id = a.internFile(p.paths.Path(e.id))
-			remaps[cur.si][e.id] = id
-		}
 		a.addDerived(t, opIdx, e.size)
 		a.addInterval(t)
-		a.addFileAccessID(id, op, t, units.Bytes(e.size))
+		a.addFileAccessID(a.masterID(remaps[cur.si], views[cur.si], e.id), op, e.start, units.Bytes(e.size))
 		if cur.k++; cur.k < len(p.journal) {
 			cur.start = p.journal[cur.k].start
 			heap.Fix(&h, 0)
@@ -480,10 +560,12 @@ func (a *sums) foldSums(sub *sums) {
 }
 
 // remapIDs interns a segment's private path table into the master in
-// table order, returning the segment→master FileID translation. Table
-// order is first-seen order within the segment, so folding segments in
-// time order keeps the master's ID assignment identical to a
-// single-process run over the concatenated records.
+// table order, returning the segment→master FileID translation — the
+// eager remap FoldReplay uses for a decoded snapshot's table, which
+// holds exactly the paths its journal references. Table order is
+// first-seen order within the segment, so folding segments in time order
+// keeps the master's ID assignment identical to a single-process run
+// over the concatenated records.
 func (a *Accumulator) remapIDs(paths *trace.Interner) []trace.FileID {
 	remap := make([]trace.FileID, paths.Len())
 	for i := range remap {

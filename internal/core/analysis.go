@@ -13,6 +13,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"time"
 
@@ -98,9 +99,16 @@ type Analysis struct {
 	// surviving access closes one — per-file gap lists are never stored.
 	gapCDF *stats.CDF
 
-	// Figure 10: dynamic size distributions, [op index].
+	// Figure 10: dynamic size distributions, [op index]. Each access
+	// size is held once, in dynFiles; the byte-weighted curves weigh a
+	// sample by its own value, so Report derives them from the same
+	// samples plus dynTotal, the sizes' running sum in record order.
 	dynFiles [2]*stats.CDF
-	dynBytes [2]*stats.WeightedCDF
+	dynTotal [2]float64
+
+	// remaps is Fold's table-ID → master-ID translation, one per shard
+	// worker's path table; nil outside a fold (see idRemaps).
+	remaps idRemaps
 }
 
 // sums is the part of an accumulation that an s1 snapshot serializes
@@ -175,16 +183,31 @@ func (l *latencyAgg) meanSeconds() float64 {
 }
 
 // fileState is one file's part-two accumulator, held inline in the
-// FileID-indexed arena — fixed size, no per-file heap pointers.
+// FileID-indexed arena — 56 bytes, no pointers (the instants are
+// UnixNano, as in the journal), so growing or scanning the arena costs
+// the collector nothing.
 type fileState struct {
 	size      units.Bytes
 	reads     int64
 	writes    int64
-	lastRead  time.Time
-	lastWrite time.Time
-	lastDedup time.Time // last access surviving dedup, either op
+	lastRead  int64 // meaningful once everRead
+	lastWrite int64 // meaningful once everWrite
+	lastDedup int64 // last access surviving dedup, either op; meaningful once either flag is set
 	everRead  bool
 	everWrite bool
+}
+
+// nanosSince is time.Time.Sub over UnixNano instants: t-u, saturating
+// where the difference overflows a Duration.
+func nanosSince(t, u int64) time.Duration {
+	d := t - u
+	switch {
+	case t >= u && d < 0:
+		return math.MaxInt64
+	case t < u && d > 0:
+		return math.MinInt64
+	}
+	return time.Duration(d)
 }
 
 // New builds an Analysis.
@@ -197,7 +220,6 @@ func New(opts Options) *Analysis {
 		interner:  trace.NewInterner(),
 		gapCDF:    &stats.CDF{},
 		dynFiles:  [2]*stats.CDF{{}, {}},
-		dynBytes:  [2]*stats.WeightedCDF{{}, {}},
 	}
 }
 
@@ -313,7 +335,7 @@ func (a *Analysis) addDerived(start time.Time, opIdx int, size int64) {
 
 	// Figure 10 (dynamic sizes): every access counts.
 	a.dynFiles[opIdx].Add(float64(size))
-	a.dynBytes[opIdx].Add(float64(size), float64(size))
+	a.dynTotal[opIdx] += float64(size) //lint:floatsum-ok accumulated in record order on every path (Fold re-accumulates it from the journal, entry by entry), so all paths round alike
 }
 
 // addInterval feeds Figure 7: the interval from the previous good
@@ -332,7 +354,7 @@ func (a *Analysis) addInterval(start time.Time) {
 // file is resolved through the interner: a known path costs one map
 // probe, a new one extends the arena by a single inline slot.
 func (a *Analysis) addFileAccess(path string, op trace.Op, start time.Time, size units.Bytes) {
-	a.addFileAccessID(a.internFile(path), op, start, size)
+	a.addFileAccessID(a.internFile(path), op, start.UnixNano(), size)
 }
 
 // internFile resolves a path to its dense FileID, extending the
@@ -346,27 +368,29 @@ func (a *Analysis) internFile(path string) trace.FileID {
 }
 
 // addFileAccessID is addFileAccess below the interner: the dedup state
-// transition for an already-resolved FileID. Snapshot merging replays
-// decoded journals through it directly, and — when the journal is
-// enabled — it is also the single capture point feeding that journal.
+// transition for an already-resolved FileID at a UnixNano instant.
+// Snapshot merging replays decoded journals through it directly, and —
+// when the journal is enabled — it is also the single capture point
+// feeding that journal.
 //
 //filemig:hotpath
-func (a *Analysis) addFileAccessID(id trace.FileID, op trace.Op, start time.Time, size units.Bytes) {
+func (a *Analysis) addFileAccessID(id trace.FileID, op trace.Op, start int64, size units.Bytes) {
 	if a.opts.Journal {
 		a.appendJournal(id, op, start, size)
 	}
 	f := &a.files[id]
 	f.size = size
+	seen := f.everRead || f.everWrite
 	survives := false
 	if op == trace.Read {
-		if !f.everRead || start.Sub(f.lastRead) >= a.opts.DedupWindow {
+		if !f.everRead || nanosSince(start, f.lastRead) >= a.opts.DedupWindow {
 			f.reads++
 			f.lastRead = start
 			f.everRead = true
 			survives = true
 		}
 	} else {
-		if !f.everWrite || start.Sub(f.lastWrite) >= a.opts.DedupWindow {
+		if !f.everWrite || nanosSince(start, f.lastWrite) >= a.opts.DedupWindow {
 			f.writes++
 			f.lastWrite = start
 			f.everWrite = true
@@ -374,8 +398,8 @@ func (a *Analysis) addFileAccessID(id trace.FileID, op trace.Op, start time.Time
 		}
 	}
 	if survives {
-		if !f.lastDedup.IsZero() {
-			a.gapCDF.Add(start.Sub(f.lastDedup).Hours() / 24)
+		if seen {
+			a.gapCDF.Add(nanosSince(start, f.lastDedup).Hours() / 24)
 		}
 		f.lastDedup = start
 	}
@@ -388,9 +412,8 @@ func (a *Analysis) addFileAccessID(id trace.FileID, op trace.Op, start time.Time
 // running the dedup transition locally would be wasted work.
 //
 //filemig:hotpath
-func (s *sums) appendJournal(id trace.FileID, op trace.Op, start time.Time, size units.Bytes) {
-	s.journal = append(s.journal, journalEntry{
-		start: start.UnixNano(), size: int64(size), id: id, write: op == trace.Write})
+func (s *sums) appendJournal(id trace.FileID, op trace.Op, start int64, size units.Bytes) {
+	s.journal = append(s.journal, journalEntry{start: start, size: int64(size), id: id, write: op == trace.Write})
 }
 
 // AddAll feeds a whole slice.

@@ -153,15 +153,15 @@ func B2TaskRanges(f *trace.B2File, shard time.Duration) [][2]int {
 
 // accumulateB2Range fans the shard groups of blocks [lo, hi) (origin
 // already resolved into opts.Start) over the pool, each worker decoding
-// its groups' blocks with a private block decoder. A failed block stops
-// dispatch: at most Workers+1 groups past the last folded one are ever
-// decoded.
+// its groups' blocks with a private block decoder. A failed block fails
+// the run and stops dispatch: at most Workers+1 groups past the last
+// folded one are ever decoded.
 func accumulateB2Range(ctx context.Context, opts B2Options, f *trace.B2File, lo, hi int) (*Analysis, error) {
 	groups := b2Groups(opts, f, lo, hi)
 	return foldShards(ctx, opts.StreamOptions, pool.Indices(len(groups)),
 		func() func(int) (*Partial, error) {
-			d := f.NewBlockDecoder()
-			return func(i int) (*Partial, error) { return accumulateB2Group(opts, f, d, groups[i]) }
+			w := &b2Worker{opts: opts, f: f, d: f.NewBlockDecoder()}
+			return func(i int) (*Partial, error) { return w.accumulate(groups[i]) }
 		})
 }
 
@@ -231,26 +231,48 @@ func b2Groups(opts B2Options, f *trace.B2File, lo, hi int) []blockGroup {
 	return groups
 }
 
-// accumulateB2Group decodes one group's blocks into a single presized
-// record slice, applies the window filter, and accumulates the shard.
-func accumulateB2Group(opts B2Options, f *trace.B2File, d *trace.B2BlockDecoder, g blockGroup) (*Partial, error) {
-	recs := make([]trace.Record, g.count)
-	at := int64(0)
+// b2Worker is one shard worker's state: a block decoder, whose path
+// table every Partial the worker produces sits over — the decoder interns
+// each block's dictionary into it and hands back FileIDs, so the worker
+// never hashes a path — and a block-sized decode scratch.
+type b2Worker struct {
+	opts B2Options
+	f    *trace.B2File
+	d    *trace.B2BlockDecoder
+	recs []trace.Record
+	ids  []trace.FileID
+}
+
+// accumulate decodes one group block by block through the scratch,
+// observing each block's in-window records into a Partial sized from the
+// index, and closes the Partial with the prefix of the worker's table it
+// can reference — the view the fold reads while this worker moves on.
+func (w *b2Worker) accumulate(g blockGroup) (*Partial, error) {
+	p := newShard(w.opts.Options, w.d.Table(), int(g.count), hoursThrough(w.opts.Start, w.f.Meta(g.hi-1).End))
 	for i := g.lo; i < g.hi; i++ {
-		n := f.Meta(i).Count
-		if err := d.DecodeInto(i, recs[at:at+n]); err != nil {
+		n := int(w.f.Meta(i).Count)
+		if cap(w.recs) < n {
+			w.recs, w.ids = make([]trace.Record, n), make([]trace.FileID, n)
+		}
+		if err := w.d.DecodeInto(i, w.recs[:n], w.ids[:n]); err != nil {
 			return nil, err
 		}
-		at += n
+		w.observeBlock(p, w.recs[:n], w.ids[:n])
 	}
-	if !opts.From.IsZero() || !opts.To.IsZero() {
-		kept := recs[:0]
-		for i := range recs {
-			if inB2Window(&opts, recs[i].Start) {
-				kept = append(kept, recs[i])
-			}
+	p.view = w.d.Table().Paths()
+	return p, nil
+}
+
+// observeBlock feeds one decoded block's in-window records to p under
+// the FileIDs the decoder issued.
+//
+//filemig:hotpath
+func (w *b2Worker) observeBlock(p *Partial, recs []trace.Record, ids []trace.FileID) {
+	windowed := !w.opts.From.IsZero() || !w.opts.To.IsZero()
+	for k := range recs {
+		if windowed && !inB2Window(&w.opts, recs[k].Start) {
+			continue
 		}
-		recs = kept
+		p.Observe(&recs[k], ids[k])
 	}
-	return AccumulatePartial(opts.Options, recs), nil
 }

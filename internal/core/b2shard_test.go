@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"filemig/internal/trace"
-	"filemig/internal/workload"
 )
 
 // encodeB2Blocks encodes records as a b2 trace cut into blocks of the
@@ -226,46 +225,6 @@ func TestB2IndexSeekSkipsBlocks(t *testing.T) {
 	}
 }
 
-// TestB2SnapshotEquivalence pins the distributed-run contract: the
-// index-seek path with the journal enabled serializes the exact same s1
-// snapshot bytes as the sequential streaming path.
-func TestB2SnapshotEquivalence(t *testing.T) {
-	res := streamFixture(t)
-	opts := Options{DedupWindow: workload.DedupWindow, Journal: true}
-	enc := encodeB2Blocks(t, res.Records, 64)
-	recs, err := trace.ReadAll(bytes.NewReader(enc))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	a1, err := AccumulateStream(context.Background(), StreamOptions{Options: opts, Workers: 3},
-		trace.SliceStream(recs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var s1 bytes.Buffer
-	if err := a1.WriteSnapshot(&s1); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, workers := range []int{1, 4} {
-		f := openB2(t, enc)
-		a2, err := AccumulateB2(context.Background(), B2Options{StreamOptions: StreamOptions{
-			Options: opts, Workers: workers,
-		}}, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var s2 bytes.Buffer
-		if err := a2.WriteSnapshot(&s2); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(s1.Bytes(), s2.Bytes()) {
-			t.Fatalf("workers=%d: index-seek snapshot differs from the streamed snapshot", workers)
-		}
-	}
-}
-
 // TestB2AnalyzeErrorsDeterministic corrupts one block and checks every
 // worker count reports the same earliest failing block.
 func TestB2AnalyzeErrorsDeterministic(t *testing.T) {
@@ -337,11 +296,11 @@ func TestB2AnalyzeStopsDecodingAfterFailedGroup(t *testing.T) {
 	}
 }
 
-// b2BlockBodyOffset walks the documented frame layout — a one-line
-// header, then framed sections of tag byte, uvarint body length, body,
-// and 4-byte CRC (docs/trace-format.md) — and returns an offset in the
-// middle of block i's body.
-func b2BlockBodyOffset(t *testing.T, enc []byte, i int) int {
+// b2BlockBody walks the documented frame layout — a one-line header,
+// then framed sections of tag byte, uvarint body length, body, and
+// 4-byte CRC (docs/trace-format.md) — and returns block i's body bounds
+// [lo, hi) in enc; its CRC sits at hi.
+func b2BlockBody(t *testing.T, enc []byte, i int) (lo, hi int) {
 	t.Helper()
 	off := bytes.IndexByte(enc, '\n') + 1
 	for b := 0; ; b++ {
@@ -353,8 +312,15 @@ func b2BlockBodyOffset(t *testing.T, enc []byte, i int) int {
 			t.Fatalf("bad frame length at offset %d", off)
 		}
 		if b == i {
-			return off + 1 + k + int(n)/2
+			return off + 1 + k, off + 1 + k + int(n)
 		}
 		off += 1 + k + int(n) + 4
 	}
+}
+
+// b2BlockBodyOffset returns an offset in the middle of block i's body.
+func b2BlockBodyOffset(t *testing.T, enc []byte, i int) int {
+	t.Helper()
+	lo, hi := b2BlockBody(t, enc, i)
+	return lo + (hi-lo)/2
 }

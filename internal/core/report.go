@@ -248,8 +248,8 @@ func (a *Analysis) Report() *Report {
 	r.Figure10 = Figure10{
 		FilesRead:    a.dynFiles[opIndex(trace.Read)],
 		FilesWritten: a.dynFiles[opIndex(trace.Write)],
-		DataRead:     a.dynBytes[opIndex(trace.Read)],
-		DataWritten:  a.dynBytes[opIndex(trace.Write)],
+		DataRead:     stats.SelfWeighted(a.dynFiles[opIndex(trace.Read)], a.dynTotal[opIndex(trace.Read)]),
+		DataWritten:  stats.SelfWeighted(a.dynFiles[opIndex(trace.Write)], a.dynTotal[opIndex(trace.Write)]),
 	}
 	r.Figure11 = a.buildFigure11()
 	return r
@@ -366,13 +366,14 @@ func (a *Analysis) buildFileFigures() (Figure8, *stats.CDF) {
 }
 
 func (a *Analysis) buildFigure11() Figure11 {
-	f := Figure11{Files: &stats.CDF{}, Data: &stats.WeightedCDF{}}
+	files := stats.NewCDF(len(a.files))
+	total := 0.0
 	for i := range a.files {
 		s := float64(a.files[i].size)
-		f.Files.Add(s)
-		f.Data.Add(s, s)
+		files.Add(s)
+		total += s //lint:floatsum-ok accumulated in FileID order, which every path assigns alike
 	}
-	return f
+	return Figure11{Files: files, Data: stats.SelfWeighted(files, total)}
 }
 
 func (a *Analysis) buildFileStore() (Table4, Figure12) {

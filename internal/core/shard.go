@@ -99,8 +99,9 @@ func AccumulateStream(ctx context.Context, opts StreamOptions, src trace.Stream)
 	opts.Start = origin
 	return foldShards(ctx, opts, shardCutter(opts, first, src),
 		func() func([]trace.Record) (*Partial, error) {
+			paths := trace.NewInterner() // the worker's: every shard it accumulates sits over it
 			return func(batch []trace.Record) (*Partial, error) {
-				return AccumulatePartial(opts.Options, batch), nil
+				return accumulateShard(opts.Options, paths, batch), nil
 			}
 		})
 }
@@ -121,6 +122,7 @@ func foldShards[J any](ctx context.Context, opts StreamOptions, next func() (J, 
 	if err != nil {
 		return nil, err
 	}
+	master.remaps = nil // fold-time state: the workers' tables die with the run
 	return master, nil
 }
 

@@ -37,7 +37,10 @@ const hotpathDirective = "//filemig:hotpath"
 // per package: the proven ~0 allocs/record loops from PR 3, and the
 // daemon's steady-state ingest path (the byte-window wire accessors,
 // the table probes, the sums half and the journal-only Observe) that
-// TestMigdIngestSteadyStateAllocs holds to zero below the HTTP layer.
+// TestMigdIngestSteadyStateAllocs holds to zero below the HTTP layer,
+// and the index-seek worker path (the dictionary-intern hook, the
+// per-block observe loop, the fold's lazy ID translation) that
+// TestB2WorkerGroupAllocs holds to a constant per group.
 var requiredHotpath = map[string][]string{
 	ModulePath + "/internal/trace": {
 		"(*BinaryReader).decodeBody",
@@ -49,12 +52,15 @@ var requiredHotpath = map[string][]string{
 		"(*WireReader).Uvarint",
 		"(*WireReader).Bytes",
 		"decodeB2Columns",
+		"(*B2BlockDecoder).internMSS",
 	},
 	ModulePath + "/internal/core": {
 		"(*Analysis).addFileAccessID",
 		"(*sums).addSums",
 		"(*sums).appendJournal",
 		"(*Partial).Observe",
+		"(*b2Worker).observeBlock",
+		"(*Accumulator).masterID",
 	},
 	ModulePath + "/internal/serve": {
 		"(*ingestScratch).lookup",

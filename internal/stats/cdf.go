@@ -8,8 +8,23 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
+
+// byValue is the three-way form of the less function `a < b` for
+// slices.SortFunc: negative exactly when a < b, so the sort visits the
+// same comparisons and lands on the same permutation — ties included —
+// as sort.Slice with that less function did.
+func byValue(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
 
 // CDF accumulates sample values and answers empirical-distribution queries.
 // It is the workhorse behind every cumulative-percentage figure in the
@@ -88,7 +103,7 @@ func (c *CDF) ensureSorted() {
 	}
 	sort.Float64s(c.vals)
 	if len(c.runs) > 0 {
-		sort.Slice(c.runs, func(i, j int) bool { return c.runs[i].v < c.runs[j].v })
+		slices.SortFunc(c.runs, func(a, b run) int { return byValue(a.v, b.v) })
 		c.qruns = c.qruns[:0]
 		if cap(c.qruns) < len(c.vals)+len(c.runs) {
 			c.qruns = make([]run, 0, len(c.vals)+len(c.runs))
@@ -237,12 +252,31 @@ func (p Point) String() string {
 // ready to use.
 type WeightedCDF struct {
 	pairs  []weighted
+	src    *CDF // a derived curve's samples (SelfWeighted); pairs is then unused
 	total  float64
 	sorted bool
-	cum    []float64 // cumulative weights over sorted pairs
+	cum    []float64 // cumulative weights over the sorted samples
 }
 
 type weighted struct{ v, w float64 }
+
+// SelfWeighted returns the weighted curve over c's unit samples in which
+// every sample weighs its own value — the byte-weighted twin of a size
+// distribution — answering every query with the bits a WeightedCDF fed
+// Add(v, v) per sample would, without holding or sorting the samples a
+// second time: equal values carry equal weights, so the cumulative table
+// is the prefix sum of c's own sorted samples whatever order a sort
+// leaves ties in. total is the samples' sum accumulated in insertion
+// order (what such a WeightedCDF's TotalWeight would be). The curve reads
+// c in place: c must hold no AddN runs or negative samples, and takes no
+// further samples while the curve is in use; the curve itself is
+// read-only — Add and Merge are for curves built from pairs.
+func SelfWeighted(c *CDF, total float64) *WeightedCDF {
+	if len(c.runs) > 0 {
+		panic("stats: SelfWeighted over a CDF holding weighted runs")
+	}
+	return &WeightedCDF{src: c, total: total}
+}
 
 // Add records value v carrying weight w (w must be >= 0).
 func (c *WeightedCDF) Add(v, w float64) {
@@ -255,7 +289,20 @@ func (c *WeightedCDF) Add(v, w float64) {
 }
 
 // N reports the number of (value, weight) pairs added.
-func (c *WeightedCDF) N() int { return len(c.pairs) }
+func (c *WeightedCDF) N() int {
+	if c.src != nil {
+		return len(c.src.vals)
+	}
+	return len(c.pairs)
+}
+
+// value returns the i-th smallest sample value; ensureSorted first.
+func (c *WeightedCDF) value(i int) float64 {
+	if c.src != nil {
+		return c.src.vals[i]
+	}
+	return c.pairs[i].v
+}
 
 // Merge appends every (value, weight) pair of other to c in insertion
 // order. The total is re-accumulated pair by pair, so a sequence of
@@ -275,22 +322,34 @@ func (c *WeightedCDF) Merge(other *WeightedCDF) {
 // TotalWeight reports the sum of all weights.
 func (c *WeightedCDF) TotalWeight() float64 { return c.total }
 
-// ensureSorted orders the pairs by value and rebuilds the cumulative
+// ensureSorted orders the samples by value and rebuilds the cumulative
 // weight table. The table is accumulated left to right, so every query
 // returns the same float sums the historical per-query rescan produced.
 func (c *WeightedCDF) ensureSorted() {
 	if c.sorted {
 		return
 	}
-	sort.Slice(c.pairs, func(i, j int) bool { return c.pairs[i].v < c.pairs[j].v })
-	if cap(c.cum) < len(c.pairs) {
-		c.cum = make([]float64, len(c.pairs))
+	n := c.N()
+	if cap(c.cum) < n {
+		c.cum = make([]float64, n)
 	}
-	c.cum = c.cum[:len(c.pairs)]
+	c.cum = c.cum[:n]
 	w := 0.0
-	for i, p := range c.pairs {
-		w += p.w
-		c.cum[i] = w
+	if c.src != nil {
+		c.src.ensureSorted()
+		if len(c.src.vals) > 0 && c.src.vals[0] < 0 {
+			panic("stats: negative weight")
+		}
+		for i, v := range c.src.vals {
+			w += v
+			c.cum[i] = w
+		}
+	} else {
+		slices.SortFunc(c.pairs, func(a, b weighted) int { return byValue(a.v, b.v) })
+		for i, p := range c.pairs {
+			w += p.w
+			c.cum[i] = w
+		}
 	}
 	c.sorted = true
 }
@@ -301,7 +360,7 @@ func (c *WeightedCDF) P(v float64) float64 {
 		return 0
 	}
 	c.ensureSorted()
-	i := sort.Search(len(c.pairs), func(i int) bool { return c.pairs[i].v > v })
+	i := sort.Search(c.N(), func(i int) bool { return c.value(i) > v })
 	if i == 0 {
 		return 0
 	}
@@ -310,16 +369,17 @@ func (c *WeightedCDF) P(v float64) float64 {
 
 // Quantile returns the smallest value v such that P(v) >= q.
 func (c *WeightedCDF) Quantile(q float64) float64 {
-	if len(c.pairs) == 0 {
+	n := c.N()
+	if n == 0 {
 		return math.NaN()
 	}
 	c.ensureSorted()
 	target := q * c.total
-	i := sort.Search(len(c.cum), func(i int) bool { return c.cum[i] >= target })
-	if i >= len(c.pairs) {
-		return c.pairs[len(c.pairs)-1].v
+	i := sort.Search(n, func(i int) bool { return c.cum[i] >= target })
+	if i >= n {
+		return c.value(n - 1)
 	}
-	return c.pairs[i].v
+	return c.value(i)
 }
 
 // Points samples the weighted CDF at the given x values.

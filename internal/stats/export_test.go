@@ -6,3 +6,7 @@ var (
 	DirectPeriodogram = directPeriodogram
 	RankPeriods       = rankPeriods
 )
+
+// RequireSameCurve lets the external workload-shaped test reuse the
+// derived-vs-reference curve comparison.
+var RequireSameCurve = requireSameCurve

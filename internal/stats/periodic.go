@@ -3,7 +3,7 @@ package stats
 import (
 	"math"
 	"math/cmplx"
-	"sort"
+	"slices"
 )
 
 // The paper's first headline finding (§1, §5.2) is that MSS requests are
@@ -220,11 +220,11 @@ func rankPeriods(pts []PeriodogramPoint, cutoff float64, max int, tol float64) [
 			byPower = append(byPower, p)
 		}
 	}
-	sort.Slice(byPower, func(i, j int) bool {
-		if byPower[i].Power != byPower[j].Power {
-			return byPower[i].Power > byPower[j].Power
+	slices.SortFunc(byPower, func(a, b PeriodogramPoint) int {
+		if a.Power != b.Power {
+			return byValue(b.Power, a.Power)
 		}
-		return byPower[i].Period < byPower[j].Period
+		return byValue(a.Period, b.Period)
 	})
 	var out []float64
 	for _, p := range byPower {

@@ -38,3 +38,25 @@ func TestDominantPeriodsSameFromBothSpectra(t *testing.T) {
 		})
 	}
 }
+
+// TestSelfWeightedOverWorkload holds the derived byte-weighted curves of
+// Figure 10 to the (size, size) WeightedCDF they replaced, over the
+// per-access sizes of a generated trace in record order, per direction.
+func TestSelfWeightedOverWorkload(t *testing.T) {
+	res, err := workload.Generate(workload.DefaultConfig(0.005, 1993))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sizes [2][]float64
+	for i := range res.Records {
+		if r := &res.Records[i]; r.OK() {
+			sizes[r.Op] = append(sizes[r.Op], float64(r.Size))
+		}
+	}
+	for op, s := range sizes {
+		if len(s) < 1000 {
+			t.Fatalf("op %d: only %d accesses", op, len(s))
+		}
+		stats.RequireSameCurve(t, []string{"reads", "writes"}[op], s)
+	}
+}

@@ -98,8 +98,9 @@ func TestB2BlockDecodeSteadyStateAllocs(t *testing.T) {
 	}
 	d := f.NewBlockDecoder()
 	dst := make([]Record, f.Meta(0).Count)
+	ids := make([]FileID, len(dst))
 	decode := func() {
-		if err := d.DecodeInto(0, dst); err != nil {
+		if err := d.DecodeInto(0, dst, ids); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -13,7 +13,8 @@ import (
 // check: data either fails to decode, or decodes into records that
 // re-encode deterministically — encode(decode(data)) is a fixed point
 // of a further decode/encode cycle — and that the seekable parallel
-// reader agrees with the sequential one byte for byte.
+// reader agrees with the sequential one byte for byte, and a block
+// decoder's FileIDs with its records (requireDecoderContract).
 func fuzzB2RoundTrip(t *testing.T, data []byte) (accepted bool) {
 	r := NewB2Reader(bytes.NewReader(data))
 	recs, err := Collect(r)
@@ -58,6 +59,7 @@ func fuzzB2RoundTrip(t *testing.T, data []byte) (accepted bool) {
 			t.Fatalf("sequentially valid file fails parallel decode: %v", err)
 		}
 		requireSameRecords(t, par, recs, "parallel vs sequential")
+		requireDecoderContract(t, f, recs)
 	}
 	return true
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -79,6 +80,121 @@ func requireSameRecords(t *testing.T, got, want []Record, label string) {
 	}
 }
 
+// requireDecoderContract drives one block decoder over every block of
+// f, in order, and checks what DecodeInto promises beside the records:
+// ids[k] names recs[k].MSSPath in the decoder's table, for error records
+// too; the table holds each distinct path once; no decode disturbs an ID
+// issued by an earlier one; and each accepted block counts as exactly
+// one decode. want is the file's records in order.
+func requireDecoderContract(t *testing.T, f *B2File, want []Record) {
+	t.Helper()
+	d := f.NewBlockDecoder()
+	before := f.DecodeCount()
+	distinct := map[string]FileID{}
+	at := 0
+	for i := 0; i < f.NumBlocks(); i++ {
+		issued := d.Table().Paths()
+		n := int(f.Meta(i).Count)
+		recs, ids := make([]Record, n), make([]FileID, n)
+		if err := d.DecodeInto(i, recs, ids); err != nil {
+			t.Fatalf("block %d: %v", i, err)
+		}
+		requireSameRecords(t, recs, want[at:at+n], "DecodeInto")
+		at += n
+		for k := range recs {
+			if got := d.Table().Path(ids[k]); got != recs[k].MSSPath {
+				t.Fatalf("block %d record %d: ids names %q, record says %q", i, k, got, recs[k].MSSPath)
+			}
+			if id, ok := distinct[recs[k].MSSPath]; ok && id != ids[k] {
+				t.Fatalf("block %d record %d: %q issued as %d and as %d", i, k, recs[k].MSSPath, id, ids[k])
+			}
+			distinct[recs[k].MSSPath] = ids[k]
+		}
+		for id, p := range issued {
+			if got := d.Table().Path(FileID(id)); got != p {
+				t.Fatalf("block %d moved ID %d from %q to %q", i, id, p, got)
+			}
+		}
+		if got := f.DecodeCount() - before; got != int64(i+1) {
+			t.Fatalf("after block %d DecodeCount moved by %d, want one decode per block", i, got)
+		}
+	}
+	if d.Table().Len() != len(distinct) {
+		t.Fatalf("table holds %d paths for %d distinct ones", d.Table().Len(), len(distinct))
+	}
+}
+
+// resealB2Block applies mutate to block i's body in a copy of enc and
+// recomputes the frame checksum, so the damage reaches the block parser
+// instead of tripping the CRC. The body's length must not change.
+func resealB2Block(t *testing.T, enc []byte, i int, mutate func(body []byte)) []byte {
+	t.Helper()
+	f, err := OpenB2File(bytes.NewReader(enc), int64(len(enc)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := f.entries[i]
+	out := append([]byte(nil), enc...)
+	frame := out[e.offset : e.offset+e.frameLen]
+	body, err := openB2Frame(frame, b2BlockTag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate(body)
+	binary.LittleEndian.PutUint32(frame[len(frame)-4:], b2CRC(body))
+	return out
+}
+
+// TestB2DecoderRejectedBlock pins what a rejected block may and may not
+// do to its decoder's path table. A block that fails after its checksum
+// verified — here the last local-path reference points past the
+// dictionary, which only the column decode notices — has already had its
+// MSS dictionary interned: the table may have grown (strays no record
+// was issued for), but it is append-only, so every ID issued before
+// still names its path, the failed decode is not counted, and the
+// decoder goes on decoding later blocks under the same contract. The
+// analysis paths fail the whole run on such an error
+// (core.TestB2AnalyzeRejectsResealedBlock).
+func TestB2DecoderRejectedBlock(t *testing.T) {
+	_, enc := b2Fixture(t, 60, 10)
+	bad := resealB2Block(t, enc, 2, func(body []byte) { body[len(body)-1] = 0x7f })
+	f, err := OpenB2File(bytes.NewReader(bad), int64(len(bad)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := f.NewBlockDecoder()
+	recs, ids := make([]Record, 10), make([]FileID, 10)
+	for i := 0; i < 2; i++ {
+		if err := d.DecodeInto(i, recs, ids); err != nil {
+			t.Fatal(err)
+		}
+	}
+	issued := d.Table().Paths()
+	err = d.DecodeInto(2, recs, ids)
+	if err == nil || !strings.Contains(err.Error(), "local path ref") {
+		t.Fatalf("resealed block: err = %v, want the column decode's reference error", err)
+	}
+	if f.DecodeCount() != 2 {
+		t.Fatalf("DecodeCount = %d after a rejected block, want 2", f.DecodeCount())
+	}
+	if d.Table().Len() < len(issued) {
+		t.Fatalf("table shrank from %d to %d paths", len(issued), d.Table().Len())
+	}
+	for id, p := range issued {
+		if got := d.Table().Path(FileID(id)); got != p {
+			t.Fatalf("rejected block moved ID %d from %q to %q", id, p, got)
+		}
+	}
+	if err := d.DecodeInto(3, recs, ids); err != nil {
+		t.Fatal(err)
+	}
+	for k := range recs {
+		if got := d.Table().Path(ids[k]); got != recs[k].MSSPath {
+			t.Fatalf("after the rejected block, record %d: ids names %q, record says %q", k, got, recs[k].MSSPath)
+		}
+	}
+}
+
 func TestB2RoundTrip(t *testing.T) {
 	recs := sampleRecords()
 	enc := encodeB2(t, recs, DefaultB2BlockRecords)
@@ -133,6 +249,7 @@ func TestB2MultiBlock(t *testing.T) {
 	if f.DecodeCount() != 3*15 {
 		t.Fatalf("DecodeCount = %d after three full reads of 15 blocks", f.DecodeCount())
 	}
+	requireDecoderContract(t, f, recs)
 
 	// Block metadata matches the records without decoding.
 	var total int64
@@ -167,8 +284,11 @@ func TestB2SingleBlockDecode(t *testing.T) {
 	if f.DecodeCount() != 1 {
 		t.Fatalf("DecodeCount = %d, want 1", f.DecodeCount())
 	}
-	if err := d.DecodeInto(2, make([]Record, 3)); err == nil {
+	if err := d.DecodeInto(2, make([]Record, 3), nil); err == nil {
 		t.Fatal("wrong-sized dst must be rejected")
+	}
+	if err := d.DecodeInto(2, make([]Record, 10), make([]FileID, 9)); err == nil {
+		t.Fatal("wrong-sized ids must be rejected")
 	}
 }
 

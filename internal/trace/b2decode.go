@@ -78,12 +78,13 @@ type b2Block struct {
 	count      int
 	base, span int64 // first record's start and last-minus-first, seconds since epoch
 	mssDict    []string
+	mssIDs     []FileID // parallel to mssDict when a block decoder's table interned it, else empty
 	localDict  []string
 	cols       [b2NumCols][]byte
 }
 
 // internFunc canonicalises one path's bytes into a string; the readers
-// pass Interner.Canonical for MSS paths and pathCache.canonical for
+// pass an Interner-backed hook for MSS paths and pathCache.canonical for
 // local paths so dictionary entries intern once per block, not once per
 // record.
 type internFunc func([]byte) string
@@ -112,6 +113,7 @@ func parseB2Block(body []byte, mss, local internFunc, blk *b2Block) error {
 	}
 	blk.count = int(count)
 	blk.base, blk.span = int64(base), int64(span)
+	blk.mssIDs = blk.mssIDs[:0]
 	if blk.mssDict, err = parseB2Dict(&c, "mss", count, mss, blk.mssDict[:0]); err != nil {
 		return err
 	}
@@ -174,13 +176,16 @@ func parseB2Dict(c *byteCursor, which string, maxEntries uint64, canon internFun
 // exactly blk.count records. This is the bulk-decode hot loop: one pass
 // of inline varint decoding per column with no per-record dispatch, no
 // map traffic (dictionary references index the pre-canonicalised
-// slices), and no allocation — the callers own dst and reuse it. Every
-// malformed run errors: a first delta that is not zero, deltas
-// overshooting the block span, reserved flag bits, references outside
-// the dictionary, or a column with leftover or missing bytes.
+// slices), and no allocation — the callers own dst and reuse it. ids,
+// when non-nil, is as long as dst and receives each record's MSS path
+// FileID out of blk.mssIDs, so a path is hashed once per dictionary
+// entry and never per record. Every malformed run errors: a first delta
+// that is not zero, deltas overshooting the block span, reserved flag
+// bits, references outside the dictionary, or a column with leftover or
+// missing bytes.
 //
 //filemig:hotpath
-func decodeB2Columns(blk *b2Block, epoch time.Time, dst []Record) error {
+func decodeB2Columns(blk *b2Block, epoch time.Time, dst []Record, ids []FileID) error {
 	flags := blk.cols[b2ColFlags]
 	dt := byteCursor{b: blk.cols[b2ColDT]}
 	startup := byteCursor{b: blk.cols[b2ColStartup]}
@@ -245,6 +250,9 @@ func decodeB2Columns(blk *b2Block, epoch time.Time, dst []Record) error {
 			return fmt.Errorf("record %d: %v", i, err)
 		}
 		r.MSSPath = blk.mssDict[v]
+		if ids != nil {
+			ids[i] = blk.mssIDs[v]
+		}
 		if v, err = localRef.uvarint("local path ref", uint64(len(blk.localDict))-1); err != nil {
 			return fmt.Errorf("record %d: %v", i, err)
 		}

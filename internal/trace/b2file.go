@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,9 +18,11 @@ import (
 // without decoding anything. Callers plan from that metadata — the
 // index-aware shard cutter in internal/core groups whole blocks into
 // shards from it — and then decode only the blocks they need, in any
-// order, from any number of goroutines. DecodeCount exposes how many
-// block decodes actually happened, so tests can prove planning decoded
-// nothing and analysis decoded each block exactly once.
+// order, from any number of goroutines — the file itself holds no
+// decode state, so block decoders share nothing but the reader.
+// DecodeCount exposes how many block decodes actually happened, so
+// tests can prove planning decoded nothing and analysis decoded each
+// block exactly once.
 type B2File struct {
 	r       io.ReaderAt
 	epoch   time.Time
@@ -29,15 +30,6 @@ type B2File struct {
 	entries []b2IndexEntry
 	records int64
 	decodes atomic.Int64
-
-	// One interner serves every decoder so canonical path strings are
-	// shared across blocks regardless of which goroutine decodes them.
-	// It is locked per dictionary entry batch (per block), not per
-	// record, so contention and allocation stay independent of worker
-	// scheduling.
-	mu    sync.Mutex
-	in    *Interner
-	local pathCache
 }
 
 // ErrNotB2 reports that the input does not begin with a b2 header; a
@@ -58,7 +50,7 @@ type BlockMeta struct {
 // start with a b2 header return an error wrapping ErrNotB2; inputs that
 // do but are malformed past the header return a corruption error.
 func OpenB2File(r io.ReaderAt, size int64) (*B2File, error) {
-	f := &B2File{r: r, in: NewInterner()}
+	f := &B2File{r: r}
 	if err := f.readHeader(size); err != nil {
 		return nil, err
 	}
@@ -197,38 +189,77 @@ func (f *B2File) Meta(i int) BlockMeta {
 func (f *B2File) DecodeCount() int64 { return f.decodes.Load() }
 
 // B2BlockDecoder decodes individual blocks of one B2File. It owns the
-// frame and dictionary scratch a decode needs, so each concurrent
-// goroutine uses its own decoder while the canonical path table stays
-// shared through the file. Not safe for concurrent use itself.
+// frame and dictionary scratch a decode needs and its own path table:
+// every MSS dictionary entry of every block it decodes is interned there
+// once (a file-only table — no directories derived), and DecodeInto
+// hands back each record's FileID in it, so a caller that analyses by
+// FileID never hashes a path itself. Concurrent goroutines each use
+// their own decoder and share nothing; a decoder is not safe for
+// concurrent use itself.
+//
+// The table is append-only, so a FileID, once issued, names the same
+// path for the decoder's life. A block rejected after its frame
+// checksum verified may already have interned some of its dictionary —
+// paths no record was issued for. Callers treat a decode error as the
+// failure of whatever they were decoding for (the analysis paths fail
+// the whole run), and a fold interns only paths a journal references,
+// so such strays never reach a master's table.
 type B2BlockDecoder struct {
-	f    *B2File
-	body []byte
-	blk  b2Block
+	f     *B2File
+	table *Interner
+	local pathCache
+	body  []byte
+	blk   b2Block
+
+	// The dictionary hooks, bound once so a decode allocates no closure.
+	mssCanon, localCanon internFunc
 }
 
-// NewBlockDecoder returns a decoder for f's blocks.
+// NewBlockDecoder returns a decoder for f's blocks over a fresh path
+// table.
 func (f *B2File) NewBlockDecoder() *B2BlockDecoder {
-	return &B2BlockDecoder{f: f}
+	d := &B2BlockDecoder{f: f, table: newFileTable()}
+	d.mssCanon, d.localCanon = d.internMSS, d.local.canonical
+	return d
+}
+
+// Table returns the decoder's path table: the one the FileIDs DecodeInto
+// hands back index. Only the goroutine running the decoder may call its
+// methods; hand another goroutine Table().Paths(), a prefix view the
+// decoder's later appends never touch.
+func (d *B2BlockDecoder) Table() *Interner { return d.table }
+
+// internMSS is the MSS dictionary hook: the one place the decode side
+// hashes a path — once per dictionary entry, however many records
+// reference it — keeping the entry's FileID beside its canonical string.
+//
+//filemig:hotpath
+func (d *B2BlockDecoder) internMSS(b []byte) string {
+	id := d.table.InternBytes(b)
+	d.blk.mssIDs = append(d.blk.mssIDs, id)
+	return d.table.paths[id]
 }
 
 // Decode decodes block i into a freshly allocated record slice.
 func (d *B2BlockDecoder) Decode(i int) ([]Record, error) {
 	recs := make([]Record, d.f.entries[i].count)
-	if err := d.DecodeInto(i, recs); err != nil {
+	if err := d.DecodeInto(i, recs, nil); err != nil {
 		return nil, err
 	}
 	return recs, nil
 }
 
 // DecodeInto decodes block i into dst, which must hold exactly the
-// block's index record count (Meta(i).Count). The block's frame is
-// read, checksum-verified, cross-checked against its index row, and
-// column-decoded; any mismatch or malformation errors without touching
-// a shared decode state.
-func (d *B2BlockDecoder) DecodeInto(i int, dst []Record) error {
+// block's index record count (Meta(i).Count); ids, when non-nil, must be
+// as long and receives ids[k] = the FileID of dst[k].MSSPath in Table()
+// (for error records too — the trace names a path either way). The
+// block's frame is read, checksum-verified, cross-checked against its
+// index row, and column-decoded; any mismatch or malformation is an
+// error.
+func (d *B2BlockDecoder) DecodeInto(i int, dst []Record, ids []FileID) error {
 	e := &d.f.entries[i]
-	if int64(len(dst)) != e.count {
-		return fmt.Errorf("trace: b2: block %d holds %d records, dst holds %d", i, e.count, len(dst))
+	if int64(len(dst)) != e.count || (ids != nil && len(ids) != len(dst)) {
+		return fmt.Errorf("trace: b2: block %d holds %d records, dst holds %d (ids %d)", i, e.count, len(dst), len(ids))
 	}
 	if cap(d.body) < int(e.frameLen) {
 		d.body = make([]byte, e.frameLen)
@@ -241,16 +272,13 @@ func (d *B2BlockDecoder) DecodeInto(i int, dst []Record) error {
 	if err != nil {
 		return fmt.Errorf("trace: b2: block %d at byte offset %d: %v", i, e.offset, err)
 	}
-	d.f.mu.Lock()
-	err = parseB2Block(body, d.f.in.Canonical, d.f.local.canonical, &d.blk)
-	d.f.mu.Unlock()
-	if err != nil {
+	if err := parseB2Block(body, d.mssCanon, d.localCanon, &d.blk); err != nil {
 		return fmt.Errorf("trace: b2: block %d at byte offset %d: %v", i, e.offset, err)
 	}
 	if err := checkB2Block(i, &d.blk, e); err != nil {
 		return fmt.Errorf("trace: b2: at byte offset %d: %v", e.offset, err)
 	}
-	if err := decodeB2Columns(&d.blk, d.f.epoch, dst); err != nil {
+	if err := decodeB2Columns(&d.blk, d.f.epoch, dst, ids); err != nil {
 		return fmt.Errorf("trace: b2: block %d at byte offset %d: %v", i, e.offset, err)
 	}
 	d.f.decodes.Add(1)

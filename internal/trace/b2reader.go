@@ -183,7 +183,7 @@ func (r *B2Reader) readBlock() error {
 		r.recs = make([]Record, r.blk.count)
 	}
 	r.recs = r.recs[:r.blk.count]
-	if err := decodeB2Columns(&r.blk, r.epoch, r.recs); err != nil {
+	if err := decodeB2Columns(&r.blk, r.epoch, r.recs, nil); err != nil {
 		return err
 	}
 	r.next = 0

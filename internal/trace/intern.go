@@ -33,13 +33,21 @@ type Interner struct {
 	paths []string // FileID -> canonical path string
 	dirs  []DirID  // FileID -> directory ID
 
-	dirIDs   map[string]DirID
-	dirPaths []string // DirID -> directory path
+	dirIDs   map[string]DirID // nil in a file-only table (newFileTable)
+	dirPaths []string         // DirID -> directory path
 }
 
 // NewInterner returns an empty Interner.
 func NewInterner() *Interner {
 	return &Interner{ids: make(map[string]FileID), dirIDs: make(map[string]DirID)}
+}
+
+// newFileTable returns an empty Interner that derives no directories:
+// the b2 block decoders' kind, whose IDs are only ever translated into
+// a master's (which derives them once), so Dir, DirPath and NumDirs have
+// nothing to answer there and must not be called.
+func newFileTable() *Interner {
+	return &Interner{ids: make(map[string]FileID)}
 }
 
 // Intern returns the FileID for path, assigning the next dense ID (and
@@ -90,7 +98,9 @@ func (in *Interner) add(path string) FileID {
 	id := FileID(len(in.paths))
 	in.ids[path] = id
 	in.paths = append(in.paths, path)
-	in.dirs = append(in.dirs, in.internDir(path))
+	if in.dirIDs != nil {
+		in.dirs = append(in.dirs, in.internDir(path))
+	}
 	return id
 }
 
@@ -119,6 +129,12 @@ func (in *Interner) Canonical(path []byte) string {
 
 // Path returns the canonical path string for id.
 func (in *Interner) Path(id FileID) string { return in.paths[id] }
+
+// Paths returns the FileID-indexed path table as it stands: a read-only
+// prefix view that later Interns never change (they append past its end
+// or move to a new backing array), so a goroutine handed the view may
+// read it while the table's owner goes on interning.
+func (in *Interner) Paths() []string { return in.paths[:len(in.paths):len(in.paths)] }
 
 // Dir returns the directory ID derived for id's path.
 func (in *Interner) Dir(id FileID) DirID { return in.dirs[id] }
