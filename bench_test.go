@@ -95,16 +95,28 @@ func BenchmarkTable2TraceCodec(b *testing.B) {
 		b.Fatal(err)
 	}
 	encoded := buf.Bytes()
-	b.SetBytes(int64(len(encoded)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		got, err := trace.ReadAll(bytes.NewReader(encoded))
-		if err != nil || len(got) != n {
-			b.Fatalf("decode: %v (%d records)", err, len(got))
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(encoded)))
+		for i := 0; i < b.N; i++ {
+			got, err := trace.ReadAll(bytes.NewReader(encoded))
+			if err != nil || len(got) != n {
+				b.Fatalf("decode: %v (%d records)", err, len(got))
+			}
 		}
-	}
-	b.ReportMetric(float64(len(encoded))/float64(n), "bytes/rec")
-	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "recs/s")
+		b.ReportMetric(float64(len(encoded))/float64(n), "bytes/rec")
+		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "recs/s")
+	})
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(encoded)))
+		for i := 0; i < b.N; i++ {
+			if err := trace.WriteAll(io.Discard, recs); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "recs/s")
+	})
 }
 
 // BenchmarkTraceCodecBinary is BenchmarkTable2TraceCodec over the binary
@@ -948,6 +960,10 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkMSSReplay replays one trace through the MSS simulator as a
+// slice (Replay) and as a stream (ReplayStream, which holds only the
+// requests in flight). One seed for every iteration, so allocs/op does
+// not depend on the iteration count.
 func BenchmarkMSSReplay(b *testing.B) {
 	p, _ := fixture(b)
 	n := len(p.Workload.Records)
@@ -955,13 +971,35 @@ func BenchmarkMSSReplay(b *testing.B) {
 		n = 15000
 	}
 	recs := p.Workload.Records[:n]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim := mss.NewSimulator(mss.DefaultConfig(int64(i)))
-		if _, err := sim.Replay(recs); err != nil {
-			b.Fatal(err)
+	b.Run("slice", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			out, err := mss.NewSimulator(mss.DefaultConfig(1993)).Replay(recs)
+			if err != nil || len(out) != n {
+				b.Fatalf("replay: %v (%d records)", err, len(out))
+			}
 		}
-	}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n)/float64(b.N), "ns/rec")
+	})
+	b.Run("stream", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			st := mss.NewSimulator(mss.DefaultConfig(1993)).ReplayStream(trace.SliceStream(recs))
+			got := 0
+			for {
+				if _, err := st.Next(); err == io.EOF {
+					break
+				} else if err != nil {
+					b.Fatal(err)
+				}
+				got++
+			}
+			if got != n {
+				b.Fatalf("replayed %d of %d records", got, n)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n)/float64(b.N), "ns/rec")
+	})
 }
 
 // BenchmarkDistributedGrid prices the coordinator/worker fan-out

@@ -19,8 +19,10 @@
 // worker pool (-workers, -shard-days), producing byte-identical output
 // in shard-sized memory — the coalesce experiment is skipped there, as
 // it needs the raw request list, and in generate mode the MSS
-// simulation is skipped too (latency columns stay empty), since
-// simulation replays the whole trace. A named b2 file under -stream is
+// simulation is skipped too (latency columns stay empty; pipe
+// tracegen -sim into -i - for them). Without -stream each record is
+// analysed as it is read, so over a pipe the analysis overlaps the
+// producer and only the render trails EOF. A named b2 file under -stream is
 // opened through its trailing block index: shards are cut from index
 // metadata without decoding skipped blocks, and blocks decode in
 // parallel on the worker pool.
@@ -48,6 +50,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
@@ -174,9 +177,9 @@ func main() {
 // analyzeInput is the one place that picks an analysis path for a trace
 // input: under -stream a named b2 file goes through its block index
 // (core.AccumulateB2) and anything else through the sharded sequential
-// path (core.AccumulateStream); without -stream the records are
-// collected and analysed as a slice, the only path that also returns
-// them. The analysis is byte-identical on all three. journal keeps the
+// path (core.AccumulateStream); without -stream each record is analysed
+// as it is collected into a slice, the only path that also returns the
+// records. The analysis is byte-identical on all three. journal keeps the
 // reference journal a snapshot needs. Every error is fatal.
 func analyzeInput(ctx context.Context, in, format string, stream bool, workers, shardDays int, journal bool) (*core.Analysis, []trace.Record) {
 	opts := core.StreamOptions{
@@ -214,13 +217,21 @@ func analyzeInput(ctx context.Context, in, format string, stream bool, workers, 
 		}
 		return a, nil
 	}
-	recs, err := trace.Collect(src)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Observe each record as it is appended, so decode and accumulate
+	// overlap whatever is producing the input; only the render trails EOF.
 	a := core.New(opts.Options)
-	a.AddAll(recs)
-	return a, recs
+	var recs []trace.Record
+	for {
+		r, err := src.Next()
+		if err == io.EOF {
+			return a, recs
+		}
+		if err != nil {
+			log.Fatal(err)
+		}
+		a.Add(&r)
+		recs = append(recs, r)
+	}
 }
 
 // renderExperiments prints the selected (or all) experiments from a

@@ -11,9 +11,11 @@
 //	tracegen -scale 0.001 -raw          # verbose system-log form (§4.1)
 //
 // Scale 1.0 reproduces the paper's two-year, ~3.5M-request trace; start
-// small. Without -sim or -raw, records stream from the generator into
-// the encoder one at a time, so large traces never materialize in
-// memory.
+// small. Records stream from the generator — through the MSS simulator
+// with -sim, which holds only the requests in flight — into the encoder
+// one at a time, so large traces never materialize in memory and a
+// downstream reader starts work at once; only -raw collects the trace
+// first.
 package main
 
 import (
@@ -70,40 +72,32 @@ func main() {
 		w = f
 	}
 
+	// Generator → (simulator →) encoder, one record at a time: the
+	// simulator holds only the requests in flight.
+	sr, err := workload.GenerateStream(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	src := sr.Stream
+	if *sim {
+		src = mss.NewSimulator(mss.DefaultConfig(*seed)).ReplayStream(src)
+	}
 	var n int64
-	if *sim || *raw {
-		// The simulator and the raw-log renderer both need the whole
-		// trace; materialize it.
-		res, err := workload.Generate(cfg)
+	if *raw {
+		// WriteRawLog takes the trace as a slice; materialize it.
+		recs, err := trace.Collect(src)
 		if err != nil {
 			log.Fatal(err)
 		}
-		recs := res.Records
-		if *sim {
-			s := mss.NewSimulator(mss.DefaultConfig(*seed))
-			recs, err = s.Replay(recs)
-			if err != nil {
-				log.Fatal(err)
-			}
-		}
-		if *raw {
-			err = trace.WriteRawLog(w, recs)
-		} else {
-			err = trace.WriteAllFormat(w, recs, wireFormat)
-		}
-		if err != nil {
+		if err := trace.WriteRawLog(w, recs); err != nil {
 			log.Fatal(err)
 		}
 		n = int64(len(recs))
 	} else {
-		// Streaming path: generator → encoder, one record at a time. The
-		// epoch is the first record's start, matching WriteAllFormat, so
-		// the two paths quantize deltas on the same one-second grid.
-		sr, err := workload.GenerateStream(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		first, err := sr.Stream.Next()
+		// The epoch is the first record's start, matching WriteAllFormat,
+		// so streamed and materialized traces quantize deltas on the same
+		// one-second grid.
+		first, err := src.Next()
 		if err != nil && err != io.EOF {
 			log.Fatal(err)
 		}
@@ -112,7 +106,7 @@ func main() {
 			if err := tw.Write(&first); err != nil {
 				log.Fatal(err)
 			}
-			if _, err := trace.Copy(tw, sr.Stream); err != nil {
+			if _, err := trace.Copy(tw, src); err != nil {
 				log.Fatal(err)
 			}
 			if err := tw.Flush(); err != nil {

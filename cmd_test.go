@@ -7,6 +7,8 @@ package filemig
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"os"
 	"os/exec"
@@ -58,6 +60,18 @@ func TestCmdPipelines(t *testing.T) {
 	lines := bytes.Count(traceTxt, []byte("\n"))
 	if lines < 100 {
 		t.Fatalf("tracegen produced only %d lines", lines)
+	}
+
+	// tracegen -sim streams generator → simulator → encoder; its bytes
+	// are pinned to what the materializing parent of that change wrote
+	// (testdata/ci-sim.v1.sha256, which CI checks the same way).
+	pinned, err := os.ReadFile(filepath.Join("testdata", "ci-sim.v1.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(run("tracegen", nil, "-scale", "0.005", "-seed", "7", "-sim"))
+	if got := hex.EncodeToString(sum[:]); got != strings.TrimSpace(string(pinned)) {
+		t.Errorf("tracegen -scale 0.005 -seed 7 -sim sha256 = %s, pinned %s", got, strings.TrimSpace(string(pinned)))
 	}
 
 	// tracegen -raw: verbose log form.

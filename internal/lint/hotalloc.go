@@ -40,9 +40,21 @@ const hotpathDirective = "//filemig:hotpath"
 // TestMigdIngestSteadyStateAllocs holds to zero below the HTTP layer,
 // and the index-seek worker path (the dictionary-intern hook, the
 // per-block observe loop, the fold's lazy ID translation) that
-// TestB2WorkerGroupAllocs holds to a constant per group.
+// TestB2WorkerGroupAllocs holds to a constant per group, and the
+// generate → simulate → encode spine (the engine's heap push and pop,
+// the request state machine's two step functions, the v1 line writer)
+// that TestReplaySteadyStateAllocs and TestV1WriterAllocs fence.
 var requiredHotpath = map[string][]string{
+	ModulePath + "/internal/sim": {
+		"(*Engine).Schedule",
+		"(*Engine).step",
+	},
+	ModulePath + "/internal/mss": {
+		"(*request).Fire",
+		"(*request).Granted",
+	},
 	ModulePath + "/internal/trace": {
+		"(*Writer).Write",
 		"(*BinaryReader).decodeBody",
 		"(*Interner).Intern",
 		"(*Interner).InternBytes",

@@ -1,9 +1,5 @@
 package mss
 
-import (
-	"hash/fnv"
-)
-
 // Catalog maps MSS files onto tape cartridges. Placement is deterministic
 // (a hash of the MSS path), so repeated requests for one file always hit
 // the same cartridge — which is what makes mount reuse and §6's
@@ -34,10 +30,14 @@ func (c *Catalog) OffsetFrac(mssPath string) float64 {
 	return float64((h>>17)%10000) / 10000
 }
 
+// hash64 is 64-bit FNV-1a, written out so hashing a path allocates
+// nothing.
 func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return h
 }
 
 // MountCache remembers the last k cartridges left mounted on a drive
@@ -67,9 +67,8 @@ func (m *MountCache) Mount(cart int) {
 		return
 	}
 	if len(m.order) >= m.cap {
-		old := m.order[0]
-		m.order = m.order[1:]
-		delete(m.in, old)
+		delete(m.in, m.order[0])
+		m.order = m.order[:copy(m.order, m.order[1:])] // one slot per drive: shifting beats reallocating
 	}
 	m.order = append(m.order, cart)
 	m.in[cart] = true

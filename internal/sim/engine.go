@@ -8,56 +8,48 @@
 // single-threaded and deterministic: events at equal times fire in
 // scheduling order (a monotonically increasing sequence number breaks
 // ties), so simulations are exactly reproducible.
+//
+// The heap holds only events in flight. Work that is already known in
+// time order — the arrivals of a trace — is merged in from outside with
+// Arrive rather than scheduled up front, so the heap stays as small as
+// the system's concurrency instead of as large as its input.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
 
-// Event is a callback scheduled to run at a virtual time.
+// Handler receives a scheduled event. A simulated entity that moves
+// through several timed stages implements it once and schedules itself,
+// instead of allocating a callback per stage.
+type Handler interface {
+	Fire(now time.Duration)
+}
+
+// Event is a callback scheduled to run at a virtual time: the func form
+// of Handler.
 type Event func(now time.Duration)
 
-type scheduledEvent struct {
-	at    time.Duration
-	seq   uint64
-	fn    Event
-	index int
+// Fire calls the callback.
+func (fn Event) Fire(now time.Duration) { fn(now) }
+
+// event is one heap entry, ordered by (at, seq); seq is unique, so the
+// order is total and the heap's shape cannot influence it.
+type event struct {
+	at  time.Duration
+	seq uint64
+	h   Handler
 }
 
-type eventQueue []*scheduledEvent
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*scheduledEvent)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+func (a *event) before(b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Engine owns the virtual clock and the pending-event heap.
 type Engine struct {
 	now     time.Duration
-	queue   eventQueue
+	events  []event // binary min-heap
 	seq     uint64
 	stopped bool
 	steps   uint64
@@ -69,25 +61,101 @@ func New() *Engine { return &Engine{} }
 // Now reports the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Steps reports how many events have been dispatched.
+// Steps reports how many events have been dispatched, arrivals included.
 func (e *Engine) Steps() uint64 { return e.steps }
 
-// At schedules fn to run at absolute virtual time at. Scheduling in the
-// past panics: it indicates a simulator bug, never a data condition.
-func (e *Engine) At(at time.Duration, fn Event) {
+// Schedule queues h to fire at absolute virtual time at. Scheduling in
+// the past panics: it indicates a simulator bug, never a data condition.
+//
+//filemig:hotpath
+func (e *Engine) Schedule(at time.Duration, h Handler) {
+	e.mustNotPrecedeClock(at)
+	e.seq++
+	e.events = append(e.events, event{at: at, seq: e.seq, h: h})
+	// Sift the new entry up.
+	q := e.events
+	i := len(q) - 1
+	ev := q[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = ev
+}
+
+func (e *Engine) mustNotPrecedeClock(at time.Duration) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past (%v < %v)", at, e.now))
 	}
-	e.seq++
-	heap.Push(&e.queue, &scheduledEvent{at: at, seq: e.seq, fn: fn})
 }
+
+// At schedules fn to run at absolute virtual time at.
+func (e *Engine) At(at time.Duration, fn Event) { e.Schedule(at, fn) }
 
 // After schedules fn to run delay after the current time.
 func (e *Engine) After(delay time.Duration, fn Event) {
 	if delay < 0 {
 		panic("sim: negative delay")
 	}
-	e.At(e.now+delay, fn)
+	e.Schedule(e.now+delay, fn)
+}
+
+// step pops the earliest pending event, advances the clock to it and
+// fires it.
+//
+//filemig:hotpath
+func (e *Engine) step() {
+	q := e.events
+	ev := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop the handler reference
+	q = q[:n]
+	e.events = q
+	// Sift the former last entry down from the root.
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && q[r].before(&q[child]) {
+			child = r
+		}
+		if !q[child].before(&last) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	if n > 0 {
+		q[i] = last
+	}
+	e.now = ev.at
+	e.steps++
+	ev.h.Fire(ev.at)
+}
+
+// Arrive delivers an event that was never scheduled: it dispatches every
+// pending event strictly earlier than at, moves the clock to at, and
+// fires h. Events pending at exactly at fire afterwards, so a caller
+// feeding time-sorted arrivals one by one observes precisely the order
+// it would have by scheduling every arrival before the first Run — the
+// arrivals would hold the lowest sequence numbers — without the heap
+// ever holding them. Stop does not interrupt the catch-up. An arrival
+// earlier than the clock panics like any scheduling into the past.
+func (e *Engine) Arrive(at time.Duration, h Handler) {
+	e.mustNotPrecedeClock(at)
+	for len(e.events) > 0 && e.events[0].at < at {
+		e.step()
+	}
+	e.now = at
+	e.steps++
+	h.Fire(at)
 }
 
 // Stop aborts the run loop after the current event returns.
@@ -96,11 +164,8 @@ func (e *Engine) Stop() { e.stopped = true }
 // Run dispatches events until the queue empties or Stop is called.
 func (e *Engine) Run() {
 	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
-		ev := heap.Pop(&e.queue).(*scheduledEvent)
-		e.now = ev.at
-		e.steps++
-		ev.fn(e.now)
+	for len(e.events) > 0 && !e.stopped {
+		e.step()
 	}
 }
 
@@ -108,14 +173,8 @@ func (e *Engine) Run() {
 // the deadline even if the queue drains early.
 func (e *Engine) RunUntil(deadline time.Duration) {
 	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
-		if e.queue[0].at > deadline {
-			break
-		}
-		ev := heap.Pop(&e.queue).(*scheduledEvent)
-		e.now = ev.at
-		e.steps++
-		ev.fn(e.now)
+	for len(e.events) > 0 && !e.stopped && e.events[0].at <= deadline {
+		e.step()
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -123,4 +182,4 @@ func (e *Engine) RunUntil(deadline time.Duration) {
 }
 
 // Pending reports the number of events still queued.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return len(e.events) }

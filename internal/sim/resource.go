@@ -14,21 +14,61 @@ type Resource struct {
 	engine  *Engine
 
 	busy    int
-	waiting []*acquisition
+	waiting waitQueue
 
 	// Statistics.
 	arrivals   uint64
 	totalWait  time.Duration
 	maxWait    time.Duration
-	totalHold  time.Duration
 	maxQueue   int
 	lastChange time.Duration
 	busyTime   time.Duration // integral of busy servers over time
 }
 
+// Waiter is told when the server it asked for is granted. A simulated
+// entity that queues at several resources implements it once (next to
+// Handler) instead of allocating a callback per acquisition.
+type Waiter interface {
+	Granted(now time.Duration, wait time.Duration)
+}
+
+// Grant is the func form of Waiter.
+type Grant func(now time.Duration, wait time.Duration)
+
+// Granted calls the callback.
+func (g Grant) Granted(now time.Duration, wait time.Duration) { g(now, wait) }
+
 type acquisition struct {
 	arrived time.Duration
-	grant   func(now time.Duration, wait time.Duration)
+	w       Waiter
+}
+
+// waitQueue is a FIFO ring of acquisitions: push and pop are O(1) and
+// the backing array is reused, however long the queue has been busy.
+type waitQueue struct {
+	buf  []acquisition // len is zero or a power of two
+	head int
+	n    int
+}
+
+func (q *waitQueue) push(a acquisition) {
+	if q.n == len(q.buf) {
+		grown := make([]acquisition, max(4, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = a
+	q.n++
+}
+
+func (q *waitQueue) pop() acquisition {
+	a := q.buf[q.head]
+	q.buf[q.head] = acquisition{} // drop the waiter reference
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return a
 }
 
 // NewResource creates a resource with the given number of parallel servers.
@@ -50,23 +90,26 @@ func (r *Resource) accumulate(now time.Duration) {
 	r.lastChange = now
 }
 
-// Acquire requests a server. grant runs (possibly immediately) once a
+// Request asks for a server. w is told (possibly immediately) once a
 // server is free, receiving the grant time and the time spent queued. The
 // holder must call Release exactly once when done.
-func (r *Resource) Acquire(grant func(now time.Duration, wait time.Duration)) {
+func (r *Resource) Request(w Waiter) {
 	now := r.engine.Now()
 	r.arrivals++
 	if r.busy < r.servers {
 		r.accumulate(now)
 		r.busy++
-		grant(now, 0)
+		w.Granted(now, 0)
 		return
 	}
-	r.waiting = append(r.waiting, &acquisition{arrived: now, grant: grant})
-	if len(r.waiting) > r.maxQueue {
-		r.maxQueue = len(r.waiting)
+	r.waiting.push(acquisition{arrived: now, w: w})
+	if r.waiting.n > r.maxQueue {
+		r.maxQueue = r.waiting.n
 	}
 }
+
+// Acquire is Request with a callback for a waiter.
+func (r *Resource) Acquire(grant Grant) { r.Request(grant) }
 
 // Release frees one server, handing it to the longest-waiting requester if
 // any. Calling Release with no server held panics.
@@ -75,37 +118,29 @@ func (r *Resource) Release() {
 	if r.busy == 0 {
 		panic("sim: Release on idle resource " + r.name)
 	}
-	if len(r.waiting) == 0 {
+	if r.waiting.n == 0 {
 		r.accumulate(now)
 		r.busy--
 		return
 	}
-	next := r.waiting[0]
-	r.waiting = r.waiting[0].grantAfterShift(r)
+	next := r.waiting.pop()
 	wait := now - next.arrived
 	r.totalWait += wait
 	if wait > r.maxWait {
 		r.maxWait = wait
 	}
 	// The server transfers directly to the next requester; busy unchanged.
-	next.grant(now, wait)
-}
-
-func (a *acquisition) grantAfterShift(r *Resource) []*acquisition {
-	copy(r.waiting, r.waiting[1:])
-	r.waiting[len(r.waiting)-1] = nil
-	return r.waiting[:len(r.waiting)-1]
+	next.w.Granted(now, wait)
 }
 
 // Use is the common acquire→hold→release pattern: wait for a server, hold
 // it for hold, then release and invoke done (if non-nil) with the service
 // completion time and the queueing delay experienced.
-func (r *Resource) Use(hold time.Duration, done func(now time.Duration, wait time.Duration)) {
+func (r *Resource) Use(hold time.Duration, done Grant) {
 	if hold < 0 {
 		panic("sim: negative hold time")
 	}
 	r.Acquire(func(now time.Duration, wait time.Duration) {
-		r.totalHold += hold
 		r.engine.At(now+hold, func(end time.Duration) {
 			r.Release()
 			if done != nil {
@@ -116,7 +151,7 @@ func (r *Resource) Use(hold time.Duration, done func(now time.Duration, wait tim
 }
 
 // QueueLength reports the number of waiting (not in-service) requests.
-func (r *Resource) QueueLength() int { return len(r.waiting) }
+func (r *Resource) QueueLength() int { return r.waiting.n }
 
 // Busy reports the number of servers currently in service.
 func (r *Resource) Busy() int { return r.busy }

@@ -55,31 +55,70 @@ func NewWriterEpoch(w io.Writer, epoch time.Time) *Writer {
 // Count reports the number of records written.
 func (w *Writer) Count() int64 { return w.count }
 
+// v1FixedMax bounds the bytes of a v1 line besides its two paths: seven
+// numeric fields, two device names, the flags and the separators.
+const v1FixedMax = 192
+
 // Write encodes one record.
+//
+//filemig:hotpath
 func (w *Writer) Write(r *Record) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
 	if !w.headerOut {
-		if _, err := fmt.Fprintf(w.w, "%s%d\n", headerPrefix, w.epoch.Unix()); err != nil {
+		if err := w.writeHeader(); err != nil {
 			return err
 		}
-		w.headerOut = true
 	}
 	dt := int64(r.Start.Sub(w.prevStart) / time.Second)
 	if dt < 0 {
 		return fmt.Errorf("trace: record at %v out of order (previous %v)", r.Start, w.prevStart)
 	}
-	flags := encodeFlags(r)
-	uid := strconv.FormatUint(uint64(r.UserID), 10)
-	if w.prevSet && r.UserID == w.prevUID {
-		uid = "="
+	// The line is appended straight into the buffered writer's free
+	// space; making room first keeps the appends from outgrowing it (a
+	// line longer than the whole buffer still works, through a copy).
+	if w.w.Available() < len(r.MSSPath)+len(r.LocalPath)+v1FixedMax {
+		if err := w.w.Flush(); err != nil {
+			return err
+		}
 	}
-	_, err := fmt.Fprintf(w.w, "%d %s %s %s %d %d %d %s %s %s\n",
-		dt, r.Source(), r.Destination(), flags,
-		int64(r.Startup/time.Second), int64(r.Transfer/time.Millisecond),
-		int64(r.Size), uid, r.MSSPath, r.LocalPath)
-	if err != nil {
+	b := w.w.AvailableBuffer()
+	b = strconv.AppendInt(b, dt, 10)
+	b = append(b, ' ')
+	b = append(b, r.Source()...)
+	b = append(b, ' ')
+	b = append(b, r.Destination()...)
+	if r.Op == Read {
+		b = append(b, " R"...)
+	} else {
+		b = append(b, " W"...)
+	}
+	if r.Compressed {
+		b = append(b, 'C')
+	}
+	if r.Err != ErrNone {
+		b = append(b, 'E')
+		b = append(b, r.Err.String()...)
+	}
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(r.Startup/time.Second), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(r.Transfer/time.Millisecond), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(r.Size), 10)
+	if w.prevSet && r.UserID == w.prevUID {
+		b = append(b, " ="...)
+	} else {
+		b = append(b, ' ')
+		b = strconv.AppendUint(b, uint64(r.UserID), 10)
+	}
+	b = append(b, ' ')
+	b = append(b, r.MSSPath...)
+	b = append(b, ' ')
+	b = append(b, r.LocalPath...)
+	b = append(b, '\n')
+	if _, err := w.w.Write(b); err != nil {
 		return err
 	}
 	// Reconstructable state must use the *truncated* start time, or deltas
@@ -91,25 +130,14 @@ func (w *Writer) Write(r *Record) error {
 	return nil
 }
 
+func (w *Writer) writeHeader() error {
+	_, err := fmt.Fprintf(w.w, "%s%d\n", headerPrefix, w.epoch.Unix())
+	w.headerOut = err == nil
+	return err
+}
+
 // Flush flushes buffered output.
 func (w *Writer) Flush() error { return w.w.Flush() }
-
-func encodeFlags(r *Record) string {
-	var b strings.Builder
-	if r.Op == Read {
-		b.WriteByte('R')
-	} else {
-		b.WriteByte('W')
-	}
-	if r.Compressed {
-		b.WriteByte('C')
-	}
-	if r.Err != ErrNone {
-		b.WriteByte('E')
-		b.WriteString(r.Err.String())
-	}
-	return b.String()
-}
 
 func decodeFlags(s []byte, r *Record) error {
 	if len(s) == 0 {

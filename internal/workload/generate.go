@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"time"
@@ -46,9 +47,16 @@ func Generate(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	recs, err := trace.Collect(sr.Stream)
-	if err != nil {
-		return nil, err
+	recs := make([]trace.Record, 0, sr.Planned)
+	for {
+		r, err := sr.Stream.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		recs = append(recs, r)
 	}
 	return &Result{Config: sr.Config, Records: recs, Population: sr.Population,
 		Tree: sr.Tree, Rhythm: sr.Rhythm}, nil
@@ -68,20 +76,19 @@ type generator struct {
 	pop    *Population
 }
 
-// planFile expands one file into compact planned accesses: its logical
-// plan, rhythm-mapped timestamps, device routing with residence tracking,
-// and within-eight-hour duplicate requests. Each planned access carries
-// its global emission sequence number, the tie-break that makes the
-// streaming merge reproduce a stable sort of the eager emission order.
-// A plannedAccess is a quarter the size of a trace.Record (the paths,
-// size and user are per-file and materialize only when the stream
-// assembles the record), which is what lets GenerateStream hold the plan
-// instead of the trace.
-func (g *generator) planFile(f *File, rng *rand.Rand, seq *int32) []plannedAccess {
+// planFile appends one file's planned accesses to the flat plan: its
+// logical plan, rhythm-mapped timestamps, device routing with residence
+// tracking, and within-eight-hour duplicate requests. Each entry's seq is
+// its index in the plan at append time — the global emission order, the
+// tie-break that makes the one sort reproduce a stable sort of the eager
+// emission order. The paths, size and user are per-file (row) and
+// materialize only when the stream assembles a record, which is what
+// lets GenerateStream hold the plan instead of the trace.
+func (g *generator) planFile(f *File, rng *rand.Rand, plan []planned, row int32) []planned {
 	birth := g.sampleBirth(f, rng)
-	plan := buildPlan(f, birth, g.cfg.end(), rng)
-	if len(plan) == 0 {
-		return nil
+	refs := buildPlan(f, birth, g.cfg.end(), rng)
+	if len(refs) == 0 {
+		return plan
 	}
 
 	// Residence state. Pre-existing files start cold on shelf tape; files
@@ -93,9 +100,8 @@ func (g *generator) planFile(f *File, rng *rand.Rand, seq *int32) []plannedAcces
 		created = birth.Add(-2 * shelfAge)
 	}
 
-	var accs []plannedAccess
-	for planIdx, p := range plan {
-		at := g.mapToRhythm(p.at, p.op, planIdx == 0, rng)
+	for refIdx, p := range refs {
+		at := g.mapToRhythm(p.at, p.op, refIdx == 0, rng)
 		if !at.Before(g.cfg.end()) {
 			continue
 		}
@@ -114,28 +120,20 @@ func (g *generator) planFile(f *File, rng *rand.Rand, seq *int32) []plannedAcces
 			}
 		}
 		lastTouch = at
-		accs = appendAccess(accs, at, p.op, dev, seq)
+		entry := planned{row: row, op: uint8(p.op), dev: uint8(dev)}
+		plan = appendPlanned(plan, entry, at)
 		// Duplicates: batch scripts re-request the same file within the
 		// eight-hour window (§6), on the same device.
-		accs = g.planDuplicates(at, p.op, dev, rng, seq, accs)
+		plan = g.planDuplicates(at, entry, rng, plan)
 	}
-	return accs
+	return plan
 }
 
-// plannedAccess is one routed raw access before record assembly: when it
-// happens, which way the data moves, and which device serves it.
-type plannedAccess struct {
-	at  time.Time
-	seq int32 // global emission order; stable-sort tie-break
-	op  uint8 // trace.Op
-	dev uint8 // device.Class
-}
-
-// appendAccess appends one planned access and advances the sequence.
-func appendAccess(accs []plannedAccess, at time.Time, op trace.Op, dev device.Class, seq *int32) []plannedAccess {
-	accs = append(accs, plannedAccess{at: at, seq: *seq, op: uint8(op), dev: uint8(dev)})
-	*seq++
-	return accs
+// appendPlanned appends one entry at the given instant, stamped with the
+// next emission sequence number.
+func appendPlanned(plan []planned, entry planned, at time.Time) []planned {
+	entry.at, entry.seq = at.UnixNano(), int32(len(plan))
+	return append(plan, entry)
 }
 
 // sampleBirth places the file's first logical access. Created files are
@@ -244,10 +242,9 @@ func (g *generator) routeRead(f *File, at time.Time, onDisk bool, lastTouch, cre
 // the configured mean, offsets lognormal around 40 minutes, capped inside
 // the dedup window. Duplicates repeat the same operation on the same
 // device.
-func (g *generator) planDuplicates(at time.Time, op trace.Op, dev device.Class,
-	rng *rand.Rand, seq *int32, accs []plannedAccess) []plannedAccess {
+func (g *generator) planDuplicates(at time.Time, entry planned, rng *rand.Rand, plan []planned) []planned {
 	if g.cfg.DuplicateMean <= 0 {
-		return accs
+		return plan
 	}
 	p := g.cfg.DuplicateMean / (1 + g.cfg.DuplicateMean)
 	n := int(stats.Geometric{P: 1 - p}.Sample(rng))
@@ -258,23 +255,22 @@ func (g *generator) planDuplicates(at time.Time, op trace.Op, dev device.Class,
 		}
 		dupAt := at.Add(off)
 		if dupAt.Before(g.cfg.end()) {
-			accs = appendAccess(accs, dupAt, op, dev, seq)
+			plan = appendPlanned(plan, entry, dupAt)
 		}
 	}
-	return accs
+	return plan
 }
 
-// buildErrors materialises the error requests for files that never
-// existed (§5.1: 4.76% of references, dominated by nonexistence errors).
-// They carry a size of zero, land on the disk path the lookup would have
-// taken, and fail. planned is the number of good accesses already
-// planned; the error count keeps the configured fraction of the total.
-func (g *generator) buildErrors(rng *rand.Rand, planned int) []trace.Record {
+// planErrors appends the error requests for files that never existed
+// (§5.1: 4.76% of references, dominated by nonexistence errors), one
+// row each. They carry a size of zero, land on the disk path the lookup
+// would have taken, and fail. The error count keeps the configured
+// fraction of the total, given the good accesses already planned.
+func (g *generator) planErrors(rng *rand.Rand, ps *planStream) {
 	if g.cfg.ErrorFraction <= 0 {
-		return nil
+		return
 	}
-	n := int(float64(planned) * g.cfg.ErrorFraction / (1 - g.cfg.ErrorFraction))
-	recs := make([]trace.Record, 0, n)
+	n := int(float64(len(ps.plan)) * g.cfg.ErrorFraction / (1 - g.cfg.ErrorFraction))
 	for i := 0; i < n; i++ {
 		day := g.sampleReadDay(rng)
 		hour := g.rhythm.SampleReadHour(rng)
@@ -282,18 +278,19 @@ func (g *generator) buildErrors(rng *rand.Rand, planned int) []trace.Record {
 			Add(time.Duration(hour) * time.Hour).
 			Add(time.Duration(rng.Int63n(3600)) * time.Second)
 		uid := uint32(1 + rng.Intn(g.cfg.Users))
-		recs = append(recs, trace.Record{
-			Start:     at,
-			Op:        trace.Read,
-			Device:    device.ClassDisk,
-			Err:       trace.ErrNoFile,
-			Size:      0,
-			MSSPath:   fmt.Sprintf("/mss/missing/f%d", rng.Intn(1<<30)),
-			LocalPath: fmt.Sprintf("/usr/tmp/u%d/missing", uid),
-			UserID:    uid,
+		entry := planned{
+			row: int32(len(ps.rows)),
+			op:  uint8(trace.Read),
+			dev: uint8(device.ClassDisk),
+			err: uint8(trace.ErrNoFile),
+		}
+		ps.plan = appendPlanned(ps.plan, entry, at)
+		ps.rows = append(ps.rows, planRow{
+			mss:   fmt.Sprintf("/mss/missing/f%d", rng.Intn(1<<30)),
+			local: fmt.Sprintf("/usr/tmp/u%d/missing", uid),
+			uid:   uid,
 		})
 	}
-	return recs
 }
 
 // Burst-packing parameters (Figure 7): sessions of about a dozen

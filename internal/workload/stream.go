@@ -1,11 +1,11 @@
 package workload
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"filemig/internal/device"
@@ -17,13 +17,13 @@ import (
 // GenerateStream is the streaming form of Generate. Planning — reference
 // plans, calendar mapping, device routing, duplicates, errors — still
 // happens up front (it must: the shared RNG streams are consumed in file
-// order to stay deterministic), but the plan is held as compact
-// plannedAccess entries, roughly a quarter of a materialized
-// trace.Record. Records themselves are assembled lazily, one at a time,
-// by a k-way merge over the per-file plans, with burst packing applied
-// per hour bucket on the fly. Generate is Collect(GenerateStream), so
-// the two are identical record for record; TestGenerateStreamMatchesGenerate
-// pins it.
+// order to stay deterministic), but the plan is held as one flat slice
+// of 24-byte planned entries, a fifth of a materialized trace.Record,
+// sorted once on (time, emission sequence). Records themselves are
+// assembled lazily, one at a time, by walking the sorted plan, with
+// burst packing applied per hour bucket on the fly. Generate collects
+// GenerateStream, so the two are identical record for record;
+// TestGenerateStreamMatchesGenerate pins it.
 
 // StreamResult is a generated trace as a stream, plus the artefacts the
 // analyzers need.
@@ -78,149 +78,94 @@ func GenerateStream(cfg Config) (*StreamResult, error) {
 	}
 	rhythm := NewShapedRhythm(cfg.Start, cfg.Days, cfg.Holidays, cfg.ReadGrowth, cfg.DiurnalSharpness)
 
-	// Plan phase: file order, shared RNG, compact output. The sequence
-	// counter records eager emission order so the merge can reproduce a
-	// stable time sort.
+	// Plan phase: file order, shared RNG, one flat plan. Each entry
+	// carries its eager emission sequence number, and error records were
+	// emitted after every file record, so one sort on (at, seq) — keys
+	// are unique — is exactly a stable time sort of the emission order.
 	g := &generator{cfg: cfg, rhythm: rhythm, tree: tree, pop: pop}
-	var seq int32
-	planned := 0
-	ms := &mergeStream{}
+	ps := &planStream{loc: cfg.Start.Location()}
 	for i := range pop.Files {
 		f := &pop.Files[i]
-		accs := g.planFile(f, planRng, &seq)
-		if len(accs) == 0 {
+		before := len(ps.plan)
+		ps.plan = g.planFile(f, planRng, ps.plan, int32(len(ps.rows)))
+		if len(ps.plan) == before {
 			continue
 		}
-		planned += len(accs)
-		// Stable per-file time sort; merge tie-breaks on seq, so the
-		// global order equals a stable sort of the eager emission order.
-		sort.SliceStable(accs, func(a, b int) bool { return accs[a].at.Before(accs[b].at) })
-		ms.cursors = append(ms.cursors, &fileCursor{
-			accs:  accs,
+		ps.rows = append(ps.rows, planRow{
 			size:  f.Size,
 			mss:   tree.FilePath(f.ID),
 			local: fmt.Sprintf("/usr/tmp/u%d/f%d", f.Owner, f.ID),
 			uid:   f.Owner,
 		})
 	}
-	errs := g.buildErrors(errRng, planned)
-	planned += len(errs)
-	if len(errs) > 0 {
-		sort.SliceStable(errs, func(a, b int) bool { return errs[a].Start.Before(errs[b].Start) })
-		// Error records were emitted after every file record, so their
-		// sequence numbers all rank behind the file cursors' on ties.
-		ms.cursors = append(ms.cursors, &errCursor{recs: errs, baseSeq: seq})
-	}
-	heap.Init(ms)
+	g.planErrors(errRng, ps)
+	slices.SortFunc(ps.plan, func(a, b planned) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
 
-	var s trace.Stream = ms
+	var s trace.Stream = ps
 	if cfg.Bursts {
 		mean := cfg.BurstMean
 		if mean <= 0 {
 			mean = meanBurstLen
 		}
-		s = &burstStream{src: ms, rng: burstRng, mean: mean}
+		s = &burstStream{src: ps, rng: burstRng, mean: mean}
 	}
 	return &StreamResult{Config: cfg, Stream: s, Population: pop, Tree: tree,
-		Rhythm: rhythm, Planned: planned}, nil
+		Rhythm: rhythm, Planned: len(ps.plan)}, nil
 }
 
-// cursor is one sorted run feeding the merge: a file's planned accesses
-// or the error-record run.
-type cursor interface {
-	empty() bool
-	at() time.Time
-	seq() int32
-	pop() trace.Record
+// planned is one routed raw access before record assembly: when it
+// happens, which way the data moves, which device serves it, and whose
+// row supplies the rest. seq is its position in the eager emission
+// order: the stable-sort tie-break.
+type planned struct {
+	at  int64 // UnixNano
+	seq int32
+	row int32 // index into planStream.rows
+	op  uint8 // trace.Op
+	dev uint8 // device.Class
+	err uint8 // trace.ErrCode
 }
 
-// fileCursor assembles records lazily from one file's planned accesses.
-type fileCursor struct {
-	accs  []plannedAccess
-	i     int
+// planRow holds what every access of one file — or one error request —
+// shares, materialized into a record only when the stream assembles it.
+type planRow struct {
 	size  units.Bytes
 	mss   string
 	local string
 	uid   uint32
 }
 
-func (c *fileCursor) empty() bool   { return c.i >= len(c.accs) }
-func (c *fileCursor) at() time.Time { return c.accs[c.i].at }
-func (c *fileCursor) seq() int32    { return c.accs[c.i].seq }
-
-func (c *fileCursor) pop() trace.Record {
-	pa := &c.accs[c.i]
-	c.i++
-	return trace.Record{
-		Start:     pa.at,
-		Op:        trace.Op(pa.op),
-		Device:    device.Class(pa.dev),
-		Size:      c.size,
-		MSSPath:   c.mss,
-		LocalPath: c.local,
-		UserID:    c.uid,
-	}
-}
-
-// errCursor yields the pre-built error records.
-type errCursor struct {
-	recs    []trace.Record
-	i       int
-	baseSeq int32
-}
-
-func (c *errCursor) empty() bool   { return c.i >= len(c.recs) }
-func (c *errCursor) at() time.Time { return c.recs[c.i].Start }
-func (c *errCursor) seq() int32    { return c.baseSeq + int32(c.i) }
-
-func (c *errCursor) pop() trace.Record {
-	r := c.recs[c.i]
-	c.i++
-	return r
-}
-
-// mergeStream is a k-way merge over per-file cursors, ordered by
-// (time, sequence) — exactly a stable time sort of the eager emission
-// order. It doubles as the heap it merges with.
-type mergeStream struct {
-	cursors []cursor
-}
-
-// Len, Less, Swap, Push and Pop implement heap.Interface.
-func (m *mergeStream) Len() int { return len(m.cursors) }
-
-func (m *mergeStream) Less(a, b int) bool {
-	ca, cb := m.cursors[a], m.cursors[b]
-	ta, tb := ca.at(), cb.at()
-	if !ta.Equal(tb) {
-		return ta.Before(tb)
-	}
-	return ca.seq() < cb.seq()
-}
-
-func (m *mergeStream) Swap(a, b int) { m.cursors[a], m.cursors[b] = m.cursors[b], m.cursors[a] }
-
-func (m *mergeStream) Push(x any) { m.cursors = append(m.cursors, x.(cursor)) }
-
-func (m *mergeStream) Pop() any {
-	c := m.cursors[len(m.cursors)-1]
-	m.cursors = m.cursors[:len(m.cursors)-1]
-	return c
+// planStream walks the sorted plan, assembling one record per entry.
+type planStream struct {
+	plan []planned
+	rows []planRow
+	loc  *time.Location
+	i    int
 }
 
 // Next yields the globally next record.
-func (m *mergeStream) Next() (trace.Record, error) {
-	if len(m.cursors) == 0 {
+func (m *planStream) Next() (trace.Record, error) {
+	if m.i >= len(m.plan) {
 		return trace.Record{}, io.EOF
 	}
-	c := m.cursors[0]
-	rec := c.pop()
-	if c.empty() {
-		heap.Pop(m)
-	} else {
-		heap.Fix(m, 0)
-	}
-	return rec, nil
+	p := &m.plan[m.i]
+	m.i++
+	row := &m.rows[p.row]
+	return trace.Record{
+		Start:     time.Unix(0, p.at).In(m.loc),
+		Op:        trace.Op(p.op),
+		Device:    device.Class(p.dev),
+		Err:       trace.ErrCode(p.err),
+		Size:      row.size,
+		MSSPath:   row.mss,
+		LocalPath: row.local,
+		UserID:    row.uid,
+	}, nil
 }
 
 // burstStream rewrites within-hour second offsets so requests arrive in
