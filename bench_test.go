@@ -148,10 +148,10 @@ func BenchmarkTraceCodecBinary(b *testing.B) {
 
 // BenchmarkStreamAnalyze is the tentpole benchmark for the streaming
 // analysis path: the same encoded trace analysed by materializing every
-// record first (slice) versus the sharded stream (serial and parallel).
+// record first (slice) versus record by record off the decoder (stream).
 // ReportAllocs shows total allocation; the liveRecs metric shows the
 // memory shape — how many records each path holds at once: the whole
-// trace for the slice path, at most (workers+2) shards for the stream.
+// trace for the slice path, none for the stream.
 func BenchmarkStreamAnalyze(b *testing.B) {
 	p, _ := fixture(b)
 	var buf bytes.Buffer
@@ -159,11 +159,6 @@ func BenchmarkStreamAnalyze(b *testing.B) {
 		b.Fatal(err)
 	}
 	encoded := buf.Bytes()
-	const shardDur = 28 * 24 * time.Hour
-	const workers = 4
-	// Records the stream path can hold at once: the largest window of
-	// workers+2 consecutive shards.
-	maxLive := maxShardWindow(p.Records, shardDur, workers+2)
 	opts := core.Options{DedupWindow: workload.DedupWindow}
 	check := func(b *testing.B, r *core.Report) {
 		if r.Table3.GrandTotal == 0 {
@@ -183,48 +178,29 @@ func BenchmarkStreamAnalyze(b *testing.B) {
 			check(b, a.Report())
 		}
 	})
-	for _, w := range []int{1, workers} {
-		b.Run(fmt.Sprintf("stream-workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			live := maxLive
-			if w == 1 {
-				live = maxShardWindow(p.Records, shardDur, 1)
+	b.Run("stream", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ReportMetric(0, "liveRecs")
+		for i := 0; i < b.N; i++ {
+			src, err := trace.OpenStream(bytes.NewReader(encoded))
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(live), "liveRecs")
-			for i := 0; i < b.N; i++ {
-				src, err := trace.OpenStream(bytes.NewReader(encoded))
-				if err != nil {
-					b.Fatal(err)
-				}
-				rep, err := core.AnalyzeStream(context.Background(), core.StreamOptions{
-					Options: opts, Workers: w, ShardDuration: shardDur}, src)
-				if err != nil {
-					b.Fatal(err)
-				}
-				check(b, rep)
+			rep, err := core.AnalyzeStream(context.Background(), core.StreamOptions{Options: opts}, src)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
-	// In-memory variants isolate the analysis itself from codec decode,
-	// showing the parallel sharding win on its own.
+			check(b, rep)
+		}
+	})
+	// The in-memory variant isolates the analysis itself from codec
+	// decode.
 	b.Run("inmem-slice", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			a := core.New(opts)
 			a.AddAll(p.Records)
 			check(b, a.Report())
-		}
-	})
-	b.Run("inmem-stream", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rep, err := core.AnalyzeStream(context.Background(), core.StreamOptions{
-				Options: opts, Workers: workers, ShardDuration: shardDur},
-				trace.SliceStream(p.Records))
-			if err != nil {
-				b.Fatal(err)
-			}
-			check(b, rep)
 		}
 	})
 }
@@ -278,8 +254,8 @@ func BenchmarkB2Decode(b *testing.B) {
 // as b2: the same analysis fed by the sequential b2 stream reader, and
 // by the index-seek path — shard cutting from the block index,
 // parallel block decode, no record-level streaming at all. The
-// indexseek variant is the headline: it must beat the committed b1
-// stream-workers=4 baseline on both ns/op and allocs/op.
+// indexseek variant is the headline: it must beat the stream variant
+// on ns/op.
 func BenchmarkStreamAnalyzeB2(b *testing.B) {
 	p, _ := fixture(b)
 	var buf bytes.Buffer
@@ -295,15 +271,14 @@ func BenchmarkStreamAnalyzeB2(b *testing.B) {
 			b.Fatal("empty report")
 		}
 	}
-	b.Run(fmt.Sprintf("stream-workers=%d", workers), func(b *testing.B) {
+	b.Run("stream", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			src, err := trace.OpenStream(bytes.NewReader(encoded))
 			if err != nil {
 				b.Fatal(err)
 			}
-			rep, err := core.AnalyzeStream(context.Background(), core.StreamOptions{
-				Options: opts, Workers: workers, ShardDuration: shardDur}, src)
+			rep, err := core.AnalyzeStream(context.Background(), core.StreamOptions{Options: opts}, src)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -325,35 +300,6 @@ func BenchmarkStreamAnalyzeB2(b *testing.B) {
 			check(b, rep)
 		}
 	})
-}
-
-// maxShardWindow reports the most records any n consecutive time shards
-// of the given width hold.
-func maxShardWindow(recs []trace.Record, shard time.Duration, n int) int {
-	if len(recs) == 0 {
-		return 0
-	}
-	origin := recs[0].Start.Truncate(24 * time.Hour)
-	counts := map[int64]int{}
-	var last int64
-	for i := range recs {
-		k := int64(recs[i].Start.Sub(origin) / shard)
-		counts[k]++
-		if k > last {
-			last = k
-		}
-	}
-	best := 0
-	for k := int64(0); k <= last; k++ {
-		sum := 0
-		for j := k; j < k+int64(n) && j <= last; j++ {
-			sum += counts[j]
-		}
-		if sum > best {
-			best = sum
-		}
-	}
-	return best
 }
 
 // BenchmarkSnapshotRoundTrip measures the s1 snapshot codec on the
@@ -431,7 +377,7 @@ func BenchmarkGenerateStream(b *testing.B) {
 	b.Run("streamed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rep, err := RunStream(StreamConfig{Config: cfg, Workers: 4})
+			rep, err := RunStream(StreamConfig{Config: cfg})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -899,9 +845,11 @@ func BenchmarkOpticalSmallFiles(b *testing.B) {
 	p, _ := fixture(b)
 	// Small-file (disk-class) requests only, §5.4's candidate for an
 	// optical jukebox.
-	small := trace.Filter(p.Workload.Records, trace.OKOnly(), trace.ByDevice(device.ClassDisk))
-	if len(small) > 8000 {
-		small = small[:8000]
+	var small []trace.Record
+	for _, r := range p.Workload.Records {
+		if r.OK() && r.Device == device.ClassDisk && len(small) < 8000 {
+			small = append(small, r)
+		}
 	}
 	var ratio float64
 	for i := 0; i < b.N; i++ {
@@ -926,21 +874,6 @@ func BenchmarkOpticalSmallFiles(b *testing.B) {
 		ratio = om.Mean() / bm.Mean()
 	}
 	b.ReportMetric(ratio, "opticalOverDiskLatency")
-}
-
-func BenchmarkStagingWriteBehind(b *testing.B) {
-	_, accs := fixture(b)
-	deduped := migration.DedupAccesses(accs, DedupWindow)
-	capacity := migration.TotalReferencedBytes(accs) / 50
-	var savedMin float64
-	for i := 0; i < b.N; i++ {
-		eager, lazy, err := migration.CompareWriteBehind(deduped, capacity, 2e6, 30*time.Minute)
-		if err != nil {
-			b.Fatal(err)
-		}
-		savedMin = (lazy.StallTime - eager.StallTime).Minutes()
-	}
-	b.ReportMetric(savedMin, "stallSavedMin")
 }
 
 // --- Substrate throughput ---

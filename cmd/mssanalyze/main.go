@@ -6,7 +6,8 @@
 // Usage:
 //
 //	mssanalyze -i trace.txt -all
-//	mssanalyze -i trace.b1 -stream -workers 8     # sharded streaming analysis
+//	mssanalyze -i trace.b1 -stream                # keep no record
+//	mssanalyze -i trace.b2 -stream -workers 8     # index-seek, parallel decode
 //	mssanalyze -scale 0.02 -id table3 -id figure7
 //	tracegen -scale 0.01 -sim | mssanalyze -all
 //	mssanalyze -i slice0.b1 -snapshot s0.s1       # map: analyse one slice
@@ -14,18 +15,16 @@
 //
 // With -scale and no -i, a synthetic trace is generated and simulated
 // in-process. The input codec (ASCII v1, binary b1, or columnar b2) is
-// auto-detected; -format forces one. With -stream, records are never
-// materialized: the trace is cut into time shards analysed on a bounded
-// worker pool (-workers, -shard-days), producing byte-identical output
-// in shard-sized memory — the coalesce experiment is skipped there, as
-// it needs the raw request list, and in generate mode the MSS
-// simulation is skipped too (latency columns stay empty; pipe
-// tracegen -sim into -i - for them). Without -stream each record is
-// analysed as it is read, so over a pipe the analysis overlaps the
-// producer and only the render trails EOF. A named b2 file under -stream is
-// opened through its trailing block index: shards are cut from index
-// metadata without decoding skipped blocks, and blocks decode in
-// parallel on the worker pool.
+// auto-detected; -format forces one. A sequential input is analysed
+// record by record as it is read, so over a pipe the analysis overlaps
+// the producer and only the render trails EOF. With -stream the records
+// are not kept, producing byte-identical output in per-file-state
+// memory — the coalesce experiment is skipped there, as it needs the raw
+// request list, and in generate mode the MSS simulation is skipped too
+// (latency columns stay empty; pipe tracegen -sim into -i - for them). A
+// named b2 file under -stream is opened through its trailing block
+// index instead: shards are cut from index metadata (-shard-days) and
+// blocks decode in parallel on a bounded worker pool (-workers).
 //
 // With -snapshot, the analysis state is written to the named s1 file
 // ('-' for stdout) instead of printing a report; trace slices may be
@@ -50,7 +49,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"os"
@@ -93,9 +91,9 @@ func main() {
 		scale       = flag.Float64("scale", 0.01, "scale when generating")
 		seed        = flag.Int64("seed", 1, "seed when generating")
 		all         = flag.Bool("all", false, "print every table and figure")
-		stream      = flag.Bool("stream", false, "sharded streaming analysis (bounded memory)")
-		workers     = flag.Int("workers", 0, "streaming analysis worker pool size (0 = one per CPU)")
-		shardDays   = flag.Int("shard-days", 0, "streaming shard width in days (0 = 28)")
+		stream      = flag.Bool("stream", false, "streaming analysis: keep no record (bounded memory)")
+		workers     = flag.Int("workers", 0, "worker pool size for a named b2 file under -stream, or -distributed (0 = one per CPU)")
+		shardDays   = flag.Int("shard-days", 0, "shard width in days for a named b2 file under -stream, or -distributed (0 = 28)")
 		format      = flag.String("format", "auto", "input format: auto, ascii, binary or b2")
 		snapshot    = flag.String("snapshot", "", "write an s1 analysis snapshot here ('-' for stdout) instead of reporting")
 		distributed = flag.Bool("distributed", false, "serve a b2 input's shards to mssanalyze worker processes")
@@ -152,9 +150,7 @@ func main() {
 		fmt.Fprintln(os.Stderr,
 			"mssanalyze: note: -stream generates without the MSS simulator; latency columns (Table 3, Figure 3) will be empty")
 		rep, err := filemig.RunStreamContext(ctx, filemig.StreamConfig{
-			Config:        filemig.Config{Scale: *scale, Seed: *seed},
-			Workers:       *workers,
-			ShardDuration: time.Duration(*shardDays) * 24 * time.Hour,
+			Config: filemig.Config{Scale: *scale, Seed: *seed},
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -176,10 +172,9 @@ func main() {
 
 // analyzeInput is the one place that picks an analysis path for a trace
 // input: under -stream a named b2 file goes through its block index
-// (core.AccumulateB2) and anything else through the sharded sequential
-// path (core.AccumulateStream); without -stream each record is analysed
-// as it is collected into a slice, the only path that also returns the
-// records. The analysis is byte-identical on all three. journal keeps the
+// (core.AccumulateB2); everything else is core.AccumulateStream's loop
+// over a sequential read, which without -stream also keeps each record
+// it analyses. The analysis is byte-identical on both. journal keeps the
 // reference journal a snapshot needs. Every error is fatal.
 func analyzeInput(ctx context.Context, in, format string, stream bool, workers, shardDays int, journal bool) (*core.Analysis, []trace.Record) {
 	opts := core.StreamOptions{
@@ -210,28 +205,29 @@ func analyzeInput(ctx context.Context, in, format string, stream bool, workers, 
 	if err != nil {
 		log.Fatal(err)
 	}
-	if stream {
-		a, err := core.AccumulateStream(ctx, opts, src)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return a, nil
+	keep := &keepStream{src: src}
+	if !stream {
+		src = keep
 	}
-	// Observe each record as it is appended, so decode and accumulate
-	// overlap whatever is producing the input; only the render trails EOF.
-	a := core.New(opts.Options)
-	var recs []trace.Record
-	for {
-		r, err := src.Next()
-		if err == io.EOF {
-			return a, recs
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		a.Add(&r)
-		recs = append(recs, r)
+	a, err := core.AccumulateStream(ctx, opts, src)
+	if err != nil {
+		log.Fatal(err)
 	}
+	return a, keep.recs
+}
+
+// keepStream passes src through, keeping every record it yields.
+type keepStream struct {
+	src  trace.Stream
+	recs []trace.Record
+}
+
+func (k *keepStream) Next() (trace.Record, error) {
+	r, err := k.src.Next()
+	if err == nil {
+		k.recs = append(k.recs, r)
+	}
+	return r, err
 }
 
 // renderExperiments prints the selected (or all) experiments from a

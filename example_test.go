@@ -131,13 +131,11 @@ func ExampleMergeSnapshots() {
 }
 
 // ExampleRunStream is the bounded-memory variant: records flow from the
-// generator straight into the sharded analysis without ever
-// materializing the trace, and the report matches Run's (modulo the
-// skipped simulation).
+// generator straight into the analysis without ever materializing the
+// trace, and the report matches Run's (modulo the skipped simulation).
 func ExampleRunStream() {
 	rep, err := filemig.RunStream(filemig.StreamConfig{
-		Config:  filemig.Config{Scale: 0.002, Seed: 1, Days: 30},
-		Workers: 4,
+		Config: filemig.Config{Scale: 0.002, Seed: 1, Days: 30},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -140,29 +140,20 @@ type StreamConfig struct {
 	// zero (Table 3's latency rows and Figure 3 will be empty), exactly
 	// as with Run{SkipSimulation: true}.
 	Config
-
-	// ShardDuration is the analysis time partition width; zero means
-	// core.DefaultShardDuration (four weeks).
-	ShardDuration time.Duration
-
-	// Workers bounds the analysis worker pool; <= 0 means one per CPU
-	// (resolved here at the facade — the deterministic core takes only
-	// explicit counts). Output is identical for any worker count.
-	Workers int
 }
 
 // RunStream executes generate → analyse as a streaming pipeline: records
-// flow one at a time from the workload generator into the sharded
-// analysis, so peak memory holds shards in flight rather than the whole
-// trace. The Report is byte-identical to the one Run produces for the
-// same workload with SkipSimulation set.
+// flow one at a time from the workload generator into the analysis and
+// none is retained, so peak memory holds the per-file state rather than
+// the whole trace. The Report is byte-identical to the one Run produces
+// for the same workload with SkipSimulation set.
 func RunStream(cfg StreamConfig) (*core.Report, error) {
 	return RunStreamContext(context.Background(), cfg)
 }
 
 // RunStreamContext is RunStream with cancellation: a cancelled ctx
-// aborts the pipeline between analysis shards and surfaces ctx's error.
-// Cancellation never changes results.
+// aborts the analysis within a few thousand records and surfaces ctx's
+// error. Cancellation never changes results.
 func RunStreamContext(ctx context.Context, cfg StreamConfig) (*core.Report, error) {
 	wcfg, err := cfg.workloadConfig()
 	if err != nil {
@@ -172,14 +163,8 @@ func RunStreamContext(ctx context.Context, cfg StreamConfig) (*core.Report, erro
 	if err != nil {
 		return nil, err
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = host.DefaultWorkers()
-	}
 	return core.AnalyzeStream(ctx, core.StreamOptions{
-		Options:       core.Options{Start: wcfg.Start, Days: wcfg.Days, Tree: sr.Tree},
-		ShardDuration: cfg.ShardDuration,
-		Workers:       workers,
+		Options: core.Options{Start: wcfg.Start, Days: wcfg.Days, Tree: sr.Tree},
 	}, sr.Stream)
 }
 
@@ -187,16 +172,18 @@ func RunStreamContext(ctx context.Context, cfg StreamConfig) (*core.Report, erro
 // its format allows. A b2 file is opened through its trailing block
 // index and analysed with core.AnalyzeB2: shard cutting is pure index
 // arithmetic and blocks decode on the worker pool, each exactly once.
-// Any other format falls back to the sharded streaming analysis over a
-// sequential read. The report is byte-identical either way, and to
-// analysing the same records in one slice. workers <= 0 means one per
-// CPU and shard <= 0 the default four-week width, as in RunStream.
+// Any other format is read sequentially and analysed record by record
+// (core.AnalyzeStream), where workers and shard are not used. The report
+// is byte-identical either way, and to analysing the same records in one
+// slice. workers <= 0 means one per CPU and shard <= 0 the default
+// four-week width.
 func AnalyzeTraceFile(path string, workers int, shard time.Duration) (*core.Report, error) {
 	return AnalyzeTraceFileContext(context.Background(), path, workers, shard)
 }
 
 // AnalyzeTraceFileContext is AnalyzeTraceFile with cancellation,
-// aborting between shards (or b2 block groups) with ctx's error.
+// aborting between b2 block groups (or within a few thousand records of
+// a sequential read) with ctx's error.
 func AnalyzeTraceFileContext(ctx context.Context, path string, workers int, shard time.Duration) (*core.Report, error) {
 	if workers <= 0 {
 		workers = host.DefaultWorkers()
@@ -239,8 +226,8 @@ func AnalyzeTraceFileContext(ctx context.Context, path string, workers int, shar
 // report byte-identical to analysing the concatenated trace in one
 // process; slices need not align with the eight-hour dedup window and
 // workers need not agree on a calendar origin. The analysis runs on the
-// sharded streaming path, so memory stays proportional to a shard plus
-// the journal, not the trace. See docs/snapshots.md for the format.
+// streaming path, so memory stays proportional to the per-file state
+// plus the journal, not the trace. See docs/snapshots.md for the format.
 func SaveSnapshot(dst io.Writer, src io.Reader) error {
 	s, err := trace.OpenStream(src)
 	if err != nil {

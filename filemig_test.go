@@ -90,7 +90,7 @@ func TestRunStreamMatchesSkipSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunStream(StreamConfig{Config: cfg, Workers: 4})
+	rep, err := RunStream(StreamConfig{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

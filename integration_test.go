@@ -114,45 +114,6 @@ func TestCoalesceMonotonicWindows(t *testing.T) {
 	}
 }
 
-// TestDedupNeverIncreases is a property test: the §5.3 dedup of an access
-// string never grows it, and deduping twice is idempotent.
-func TestDedupNeverIncreases(t *testing.T) {
-	p := pipeline(t)
-	accs := p.Accesses()
-	if len(accs) > 10000 {
-		accs = accs[:10000]
-	}
-	once := migration.DedupAccesses(accs, DedupWindow)
-	if len(once) > len(accs) {
-		t.Fatalf("dedup grew the string: %d > %d", len(once), len(accs))
-	}
-	twice := migration.DedupAccesses(once, DedupWindow)
-	if len(twice) != len(once) {
-		t.Errorf("dedup not idempotent: %d vs %d", len(twice), len(once))
-	}
-}
-
-// TestStagingOnRealTrace runs the §6 staging comparison on the real
-// generated workload rather than a synthetic string.
-func TestStagingOnRealTrace(t *testing.T) {
-	p := pipeline(t)
-	accs := migration.DedupAccesses(p.Accesses(), DedupWindow)
-	capacity := migration.TotalReferencedBytes(accs) / 50
-	eager, lazy, err := migration.CompareWriteBehind(accs, capacity, 2e6, 30*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eager.StallTime > lazy.StallTime {
-		t.Errorf("eager stall %v exceeds lazy stall %v", eager.StallTime, lazy.StallTime)
-	}
-	if eager.CopiedBytes == 0 {
-		t.Error("eager manager copied nothing to tape")
-	}
-	if eager.Reads != lazy.Reads || eager.Writes != lazy.Writes {
-		t.Error("managers disagree on the access counts")
-	}
-}
-
 // TestCutThroughOnRealTrace checks §5.1.1's premise end to end: with an
 // application consuming slower than the MSS delivers, cut-through always
 // helps and never hurts.

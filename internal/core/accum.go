@@ -14,22 +14,22 @@ import (
 	"filemig/internal/units"
 )
 
-// The one online accumulator behind every analysis path. The slice path
-// feeds an Accumulator directly (New + Add); the stream and b2 paths cut
-// the trace into contiguous segments, accumulate each into a Partial,
-// and Fold them into a master in time order; the s1 snapshot codec
-// serializes an Accumulator and decodes back into a journal-only
-// Partial that FoldReplay merges; and the migd daemon (internal/serve)
-// keeps one journal-only Partial per ingest segment, all over one
-// daemon-wide path table, and FoldPartials them on demand. The three
-// folds differ in how much they recompute and what they assume about
-// segment order:
+// The one online accumulator behind every analysis path. The slice and
+// stream paths feed an Accumulator directly (New + Add); the b2
+// index-seek path cuts the file into contiguous block groups,
+// accumulates each into a Partial, and Folds them into a master in time
+// order; the s1 snapshot codec serializes an Accumulator and decodes
+// back into a journal-only Partial that FoldReplay merges; and the migd
+// daemon (internal/serve) keeps one journal-only Partial per ingest
+// segment, all over one daemon-wide path table, and FoldPartials them on
+// demand. The three folds differ in how much they recompute and what
+// they assume about segment order:
 //
 //   - Fold requires master and segment to share a calendar origin
-//     (AccumulateStream and AccumulateB2 resolve Options.Start once for
-//     exactly this reason). Every derived series then folds by integer
-//     sums and sample-list concatenation, and only the per-file journal
-//     is replayed — the fast in-process merge, and the one fold that
+//     (AccumulateB2Blocks resolves Options.Start once for exactly this
+//     reason). Every derived series then folds by integer sums and
+//     sample-list concatenation, and only the per-file journal is
+//     replayed — the fast in-process merge, and the one fold that
 //     needs a full Partial (a shard worker's), which carries those series.
 //     Its segments sit over their shard worker's path table, which the
 //     worker keeps extending while earlier segments fold.
@@ -55,8 +55,8 @@ import (
 // lazily, entry by entry, through one table-ID → master-ID remap per
 // path table (idRemaps), so the master hashes a path once per table that
 // knows it — and never a path no good reference names; FoldReplay,
-// whose segments each bring a foreign private table, walks the table,
-// which a private table keeps in that same order.
+// whose segments each bring a foreign private table, does the same
+// through a remap that lives for the one call.
 
 // Accumulator is the unified online accumulator: Analysis under the name
 // the incremental paths use. The two names alias one type.
@@ -219,13 +219,7 @@ func (p *Partial) pathView() []string {
 // AccumulatePartial runs one contiguous segment of records through a
 // fresh full Partial over a private path table.
 func AccumulatePartial(opts Options, recs []trace.Record) *Partial {
-	return accumulateShard(opts, trace.NewInterner(), recs)
-}
-
-// accumulateShard runs one contiguous segment of records through a
-// fresh full Partial over paths — the stream shard workers' unit of
-// work, each worker handing in its own table.
-func accumulateShard(opts Options, paths *trace.Interner, recs []trace.Record) *Partial {
+	paths := trace.NewInterner()
 	hours := 0
 	if len(recs) > 0 {
 		hours = hoursThrough(opts.Start, recs[len(recs)-1].Start)
@@ -255,8 +249,8 @@ func hoursThrough(origin, last time.Time) int {
 
 // Fold merges one full segment (AccumulatePartial, a shard worker's)
 // into the master. Master and segment must share a calendar origin —
-// AccumulateStream and AccumulateB2 resolve Options.Start once before
-// cutting segments — so every derived series folds by plain sums and
+// AccumulateB2Blocks resolves Options.Start once before cutting
+// segments — so every derived series folds by plain sums and
 // sample concatenation; only the per-file journal is replayed,
 // translating IDs lazily in journal order (see idRemaps): a journal is
 // the segment's good references in record order, so the master meets new
@@ -398,7 +392,8 @@ func (a *Accumulator) FoldReplay(p *Partial) error {
 
 	a.foldSums(sub)
 
-	remap := a.remapIDs(p.paths)
+	view := p.pathView()
+	remap := slices.Repeat([]trace.FileID{trace.NoFileID}, len(view))
 	for k := range sub.journal {
 		e := &sub.journal[k]
 		opIdx, op := 0, trace.Read
@@ -408,7 +403,7 @@ func (a *Accumulator) FoldReplay(p *Partial) error {
 		t := time.Unix(0, e.start).UTC()
 		a.addDerived(t, opIdx, e.size)
 		a.addInterval(t)
-		a.addFileAccessID(remap[e.id], op, e.start, units.Bytes(e.size))
+		a.addFileAccessID(a.masterID(remap, view, e.id), op, e.start, units.Bytes(e.size))
 	}
 	return nil
 }
@@ -557,19 +552,4 @@ func (a *sums) foldSums(sub *sums) {
 		}
 		m.Merge(c)
 	}
-}
-
-// remapIDs interns a segment's private path table into the master in
-// table order, returning the segment→master FileID translation — the
-// eager remap FoldReplay uses for a decoded snapshot's table, which
-// holds exactly the paths its journal references. Table order is
-// first-seen order within the segment, so folding segments in time order
-// keeps the master's ID assignment identical to a single-process run
-// over the concatenated records.
-func (a *Accumulator) remapIDs(paths *trace.Interner) []trace.FileID {
-	remap := make([]trace.FileID, paths.Len())
-	for i := range remap {
-		remap[i] = a.internFile(paths.Path(trace.FileID(i)))
-	}
-	return remap
 }

@@ -7,9 +7,10 @@
 // (Figure 8), per-file interreference intervals (Figure 9), dynamic and
 // static size distributions (Figures 10-11), directory sizes (Figure 12),
 // and the file-store summary (Table 4). Everything is computed in one
-// pass over a trace — either record by record through Analysis.Add, or
-// shard by shard through AnalyzeStream, which fans time partitions of a
-// trace.Stream over a worker pool and merges byte-identical results.
+// pass over a trace — record by record through Analysis.Add (AnalyzeStream
+// is that loop over a trace.Stream), or block group by block group
+// through AnalyzeB2, which fans a b2 file's index over a worker pool and
+// merges byte-identical results.
 package core
 
 import (
@@ -58,13 +59,12 @@ type Options struct {
 
 // Analysis accumulates one streaming pass. Create with New, feed records
 // in time order with Add, then call Report. The incremental paths — the
-// stream and b2 shard mergers, the s1 snapshot codec, and the migd
-// daemon — use this same type under its Accumulator alias, cutting the
-// trace into Partial segments and folding them (see accum.go); to keep
-// all the paths byte-identical, every
-// accumulator below is either an exact integer sum, a sample list whose
-// queries are order-insensitive, or per-file state replayed in record
-// order at merge time.
+// b2 shard merger, the s1 snapshot codec, and the migd daemon — use this
+// same type under its Accumulator alias, cutting the trace into Partial
+// segments and folding them (see accum.go); to keep all the paths
+// byte-identical, every accumulator below is either an exact integer
+// sum, a sample list whose queries are order-insensitive, or per-file
+// state replayed in record order at merge time.
 //
 // The per-record hot path is flat: the op×class accumulators are fixed
 // arrays indexed by (op index, device class), and per-file state lives in

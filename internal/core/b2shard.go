@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -10,30 +9,33 @@ import (
 	"filemig/internal/trace"
 )
 
-// The index-seek analysis path for b2 traces. Where AnalyzeStream must
-// decode every record just to find its shard, a b2 file's trailing
-// index already says how many records each block holds and what time
-// range they cover — so shard cutting here is pure planning over index
-// metadata: blocks are grouped into contiguous shard-width runs, blocks
-// outside the analysis window are skipped without ever being read, and
-// only the workers decode, each block exactly once. The merge machinery
-// is shared with AnalyzeStream, and it is exact for ANY contiguous
-// partition of the record sequence, so cutting at block granularity
-// (rather than exact shard-boundary records) still renders
-// byte-identically to the slice and stream paths; TestB2Equivalence
-// pins that down, and the DecodeCount assertions prove the skipping.
+// The index-seek analysis path for b2 traces — the one sharded path: a
+// sequential source has a serial decoder, so AnalyzeStream is a plain
+// loop, but a b2 file's trailing index already says how many records
+// each block holds and what time range they cover. Shard cutting here is
+// pure planning over index metadata: blocks are grouped into contiguous
+// shard-width runs, each run is decoded and accumulated into a Partial
+// by a pool worker, each block exactly once, and the Partials are folded
+// in run order (Accumulator.Fold). The fold is constructed to be
+// byte-identical to New + AddAll + Report for ANY contiguous partition
+// of the record sequence:
+//
+//   - counts and byte totals are integer sums, which are associative;
+//   - distribution samples are concatenated in shard order, so every
+//     sample list ends up in exactly the record order a single pass
+//     would have produced it in;
+//   - Figure 7's boundary intervals (last record of shard k to first
+//     record of shard k+1) are inserted between the shard-internal
+//     interval lists during the fold;
+//   - per-file dedup state, which depends only on each file's own access
+//     history, is advanced by replaying every shard's reference journal
+//     through the same addFileAccessID a single pass uses.
+//
+// TestB2Equivalence pins that down.
 
 // B2Options configures AnalyzeB2.
 type B2Options struct {
 	StreamOptions
-
-	// From and To bound the analyzed records to [From, To); a zero time
-	// leaves that side unbounded. Blocks whose index time range lies
-	// entirely outside the window are never decoded. When From is set
-	// and Start is not, resolving the calendar origin needs the first
-	// in-window record, which costs one extra decode of the first
-	// overlapping block; set Start explicitly to avoid it.
-	From, To time.Time
 }
 
 // blockGroup is one shard's worth of whole blocks: a contiguous block
@@ -60,59 +62,25 @@ func AnalyzeB2(ctx context.Context, opts B2Options, f *trace.B2File) (*Report, e
 // returning the merged accumulator itself — state-identical to the
 // slice path over the same records, like AccumulateStream.
 func AccumulateB2(ctx context.Context, opts B2Options, f *trace.B2File) (*Analysis, error) {
-	if opts.ShardDuration <= 0 {
-		opts.ShardDuration = DefaultShardDuration
-	}
-
-	lo, hi := b2Window(opts, f)
-	if lo >= hi {
-		return New(opts.Options), nil
-	}
-	windowed := !opts.From.IsZero() || !opts.To.IsZero()
-
-	// Resolve the calendar origin exactly as AccumulateStream would. The
-	// index gives the first record's start directly (a block's base IS
-	// its first record's start); only a windowed run with no explicit
-	// Start must decode the first overlapping block to find the first
-	// record inside the window.
-	origin := opts.Start
-	if origin.IsZero() {
-		first := f.Meta(lo).Base
-		if windowed {
-			var err error
-			if first, err = b2FirstInWindow(opts, f, lo); err != nil {
-				return nil, err
-			}
-			if first.IsZero() {
-				// The first overlapping block straddled the window without
-				// any record inside it. Later blocks start at or after this
-				// block's end (>= From) and before To, so the next block's
-				// base — if any — is the first in-window record.
-				lo++
-				if lo >= hi {
-					return New(opts.Options), nil
-				}
-				first = f.Meta(lo).Base
-			}
-		}
-		origin = first.Truncate(24 * time.Hour)
-	}
-	opts.Start = origin
-	return accumulateB2Range(ctx, opts, f, lo, hi)
+	return AccumulateB2Blocks(ctx, opts, f, 0, f.NumBlocks())
 }
 
 // AccumulateB2Blocks analyses exactly blocks [lo, hi) of f — the
-// distributed shard path. Block ranges are an exact partition of the
-// record sequence (unlike time windows, which cannot split two records
-// sharing a timestamp across blocks), so analysing each range of a
-// contiguous partition with Options.Journal set and merging the
-// snapshots in range order reproduces the single-process analysis
-// byte-for-byte. The From/To window does not apply here and must be
-// zero.
+// distributed shard path, and AccumulateB2 over the whole file. Block
+// ranges are an exact partition of the record sequence (unlike time
+// windows, which cannot split two records sharing a timestamp across
+// blocks), so analysing each range of a contiguous partition with
+// Options.Journal set and merging the snapshots in range order
+// reproduces the single-process analysis byte-for-byte.
+//
+// The range's shard groups fan over the pool, each worker decoding its
+// groups' blocks with a private block decoder, and the pool's merger
+// folds the Partials in group order into a master anchored at the
+// calendar origin resolved here, once, so every group computes the same
+// day and hour indices. Decode and fold (a journal replay) overlap, and
+// a failed block fails the run and stops dispatch: at most Workers+1
+// groups past the last folded one are ever decoded.
 func AccumulateB2Blocks(ctx context.Context, opts B2Options, f *trace.B2File, lo, hi int) (*Analysis, error) {
-	if !opts.From.IsZero() || !opts.To.IsZero() {
-		return nil, errors.New("core: AccumulateB2Blocks takes a block range, not a From/To window")
-	}
 	if lo < 0 || hi > f.NumBlocks() || lo > hi {
 		return nil, fmt.Errorf("core: block range [%d, %d) outside [0, %d)", lo, hi, f.NumBlocks())
 	}
@@ -123,9 +91,23 @@ func AccumulateB2Blocks(ctx context.Context, opts B2Options, f *trace.B2File, lo
 		return New(opts.Options), nil
 	}
 	if opts.Start.IsZero() {
+		// A block's base IS its first record's start.
 		opts.Start = f.Meta(lo).Base.Truncate(24 * time.Hour)
 	}
-	return accumulateB2Range(ctx, opts, f, lo, hi)
+	groups := b2Groups(opts, f, lo, hi)
+	master := New(opts.Options)
+	master.start = opts.Start
+	err := pool.Run(ctx, opts.Workers, pool.Indices(len(groups)),
+		func() func(int) (*Partial, error) {
+			w := &b2Worker{opts: opts, f: f, d: f.NewBlockDecoder()}
+			return func(i int) (*Partial, error) { return w.accumulate(groups[i]) }
+		},
+		func(sh *Partial) error { master.Fold(sh); return nil })
+	if err != nil {
+		return nil, err
+	}
+	master.remaps = nil // fold-time state: the workers' tables die with the run
+	return master, nil
 }
 
 // B2TaskRanges cuts a b2 file's blocks into contiguous shard-width
@@ -151,63 +133,14 @@ func B2TaskRanges(f *trace.B2File, shard time.Duration) [][2]int {
 	return out
 }
 
-// accumulateB2Range fans the shard groups of blocks [lo, hi) (origin
-// already resolved into opts.Start) over the pool, each worker decoding
-// its groups' blocks with a private block decoder. A failed block fails
-// the run and stops dispatch: at most Workers+1 groups past the last
-// folded one are ever decoded.
-func accumulateB2Range(ctx context.Context, opts B2Options, f *trace.B2File, lo, hi int) (*Analysis, error) {
-	groups := b2Groups(opts, f, lo, hi)
-	return foldShards(ctx, opts.StreamOptions, pool.Indices(len(groups)),
-		func() func(int) (*Partial, error) {
-			w := &b2Worker{opts: opts, f: f, d: f.NewBlockDecoder()}
-			return func(i int) (*Partial, error) { return w.accumulate(groups[i]) }
-		})
-}
-
-// b2Window returns the range of blocks overlapping [From, To) from the
-// index alone.
-func b2Window(opts B2Options, f *trace.B2File) (lo, hi int) {
-	n := f.NumBlocks()
-	lo, hi = 0, n
-	if !opts.From.IsZero() {
-		for lo < n && f.Meta(lo).End.Before(opts.From) {
-			lo++
-		}
+// shardIndex places a record time in its time partition.
+func shardIndex(origin time.Time, d time.Duration, at time.Time) int64 {
+	off := at.Sub(origin)
+	idx := int64(off / d)
+	if off < 0 && off%d != 0 {
+		idx-- // floor division for blocks before the origin
 	}
-	if !opts.To.IsZero() {
-		for hi > lo && !f.Meta(hi-1).Base.Before(opts.To) {
-			hi--
-		}
-	}
-	return lo, hi
-}
-
-// inB2Window reports whether a record time falls inside [From, To).
-func inB2Window(opts *B2Options, at time.Time) bool {
-	if !opts.From.IsZero() && at.Before(opts.From) {
-		return false
-	}
-	if !opts.To.IsZero() && !at.Before(opts.To) {
-		return false
-	}
-	return true
-}
-
-// b2FirstInWindow decodes block lo and returns the start of its first
-// in-window record, or the zero time if the window skips the whole
-// block.
-func b2FirstInWindow(opts B2Options, f *trace.B2File, lo int) (time.Time, error) {
-	recs, err := f.NewBlockDecoder().Decode(lo)
-	if err != nil {
-		return time.Time{}, err
-	}
-	for i := range recs {
-		if inB2Window(&opts, recs[i].Start) {
-			return recs[i].Start, nil
-		}
-	}
-	return time.Time{}, nil
+	return idx
 }
 
 // b2Groups cuts blocks [lo, hi) into contiguous shard groups: a new
@@ -244,8 +177,7 @@ type b2Worker struct {
 }
 
 // accumulate decodes one group block by block through the scratch,
-// observing each block's in-window records into a Partial sized from the
-// index, and closes the Partial with the prefix of the worker's table it
+// observing each block's records into a Partial sized from the index, and closes the Partial with the prefix of the worker's table it
 // can reference — the view the fold reads while this worker moves on.
 func (w *b2Worker) accumulate(g blockGroup) (*Partial, error) {
 	p := newShard(w.opts.Options, w.d.Table(), int(g.count), hoursThrough(w.opts.Start, w.f.Meta(g.hi-1).End))
@@ -263,16 +195,12 @@ func (w *b2Worker) accumulate(g blockGroup) (*Partial, error) {
 	return p, nil
 }
 
-// observeBlock feeds one decoded block's in-window records to p under
-// the FileIDs the decoder issued.
+// observeBlock feeds one decoded block's records to p under the
+// FileIDs the decoder issued.
 //
 //filemig:hotpath
 func (w *b2Worker) observeBlock(p *Partial, recs []trace.Record, ids []trace.FileID) {
-	windowed := !w.opts.From.IsZero() || !w.opts.To.IsZero()
 	for k := range recs {
-		if windowed && !inB2Window(&w.opts, recs[k].Start) {
-			continue
-		}
 		p.Observe(&recs[k], ids[k])
 	}
 }

@@ -78,7 +78,7 @@ func TestB2Equivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: OpenStream: %v", f, err)
 		}
-		rep, err := AnalyzeStream(context.Background(), StreamOptions{Workers: 2, ShardDuration: 9 * 24 * time.Hour}, src)
+		rep, err := AnalyzeStream(context.Background(), StreamOptions{}, src)
 		if err != nil {
 			t.Fatalf("%v: AnalyzeStream: %v", f, err)
 		}
@@ -113,7 +113,7 @@ func TestB2Equivalence(t *testing.T) {
 
 	// The parallel block stream feeding the ordinary stream analysis.
 	f := openB2(t, enc)
-	rep, err := AnalyzeStream(context.Background(), StreamOptions{Workers: 4, ShardDuration: 13 * 24 * time.Hour}, f.Stream(3))
+	rep, err := AnalyzeStream(context.Background(), StreamOptions{}, f.Stream(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,105 +123,32 @@ func TestB2Equivalence(t *testing.T) {
 }
 
 // TestB2IndexSeekSkipsBlocks proves the shard cutter plans from the
-// index alone: opening decodes nothing, and a windowed analysis never
-// decodes a block outside the window — the decode counter is exactly
-// the overlapping block count when the origin is given, at most one
-// more when it must be derived.
+// index alone: opening and cutting task ranges decode nothing, and a
+// block-range analysis never decodes a block outside its range.
 func TestB2IndexSeekSkipsBlocks(t *testing.T) {
 	res := streamFixture(t)
 	enc := encodeB2Blocks(t, res.Records, 50)
-	// The window filter sees wire-quantized times, so the expectation is
-	// built from the records as decoded.
-	recs, err := trace.ReadAll(bytes.NewReader(enc))
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	from := recs[len(recs)/3].Start
-	to := recs[2*len(recs)/3].Start
-	var sub []trace.Record
-	for _, r := range recs {
-		if !r.Start.Before(from) && r.Start.Before(to) {
-			sub = append(sub, r)
-		}
-	}
-	if len(sub) < 500 {
-		t.Fatalf("window keeps only %d records", len(sub))
-	}
-	slice := New(Options{})
-	slice.AddAll(sub)
-	want := renderAll(slice.Report())
-	origin := sub[0].Start.Truncate(24 * time.Hour)
-
-	probe := openB2(t, enc)
-	if got := probe.DecodeCount(); got != 0 {
-		t.Fatalf("opening the file decoded %d blocks", got)
-	}
-	overlap := 0
-	for i := 0; i < probe.NumBlocks(); i++ {
-		m := probe.Meta(i)
-		if !m.End.Before(from) && m.Base.Before(to) {
-			overlap++
-		}
-	}
-	if skipped := probe.NumBlocks() - overlap; skipped < 10 {
-		t.Fatalf("fixture leaves only %d skippable blocks of %d", skipped, probe.NumBlocks())
-	}
-
-	for _, workers := range []int{1, 8} {
-		// Derived origin: one extra decode of the first overlapping block.
-		f := openB2(t, enc)
-		rep, err := AnalyzeB2(context.Background(), B2Options{
-			StreamOptions: StreamOptions{Workers: workers, ShardDuration: 5 * 24 * time.Hour},
-			From:          from, To: to,
-		}, f)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got := renderAll(rep); got != want {
-			t.Fatalf("workers=%d: windowed analysis diverged from the filtered slice:\n%s",
-				workers, firstDiff(want, got))
-		}
-		if got := f.DecodeCount(); got > int64(overlap)+1 {
-			t.Fatalf("workers=%d: decoded %d blocks for %d overlapping the window", workers, got, overlap)
-		}
-
-		// Explicit origin: exactly the overlapping blocks, nothing else.
-		f = openB2(t, enc)
-		rep, err = AnalyzeB2(context.Background(), B2Options{
-			StreamOptions: StreamOptions{
-				Options: Options{Start: origin},
-				Workers: workers, ShardDuration: 5 * 24 * time.Hour,
-			},
-			From: from, To: to,
-		}, f)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got := renderAll(rep); got != want {
-			t.Fatalf("workers=%d: explicit-origin windowed analysis diverged:\n%s",
-				workers, firstDiff(want, got))
-		}
-		if got := f.DecodeCount(); got != int64(overlap) {
-			t.Fatalf("workers=%d: decoded %d blocks, want exactly the %d overlapping the window",
-				workers, got, overlap)
-		}
-	}
-
-	// An empty window decodes nothing at all.
 	f := openB2(t, enc)
-	rep, err := AnalyzeB2(context.Background(), B2Options{
-		StreamOptions: StreamOptions{Workers: 4},
-		From:          recs[len(recs)-1].Start.Add(time.Hour),
-	}, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Table3.GrandTotal != 0 {
-		t.Fatalf("empty window produced %d records", rep.Table3.GrandTotal)
-	}
+	ranges := B2TaskRanges(f, 5*24*time.Hour)
 	if got := f.DecodeCount(); got != 0 {
-		t.Fatalf("empty window decoded %d blocks", got)
+		t.Fatalf("opening and planning decoded %d blocks", got)
+	}
+	if len(ranges) < 3 {
+		t.Fatalf("fixture cuts into only %d ranges", len(ranges))
+	}
+	r := ranges[len(ranges)/2]
+	for _, workers := range []int{1, 8} {
+		f := openB2(t, enc)
+		_, err := AccumulateB2Blocks(context.Background(), B2Options{
+			StreamOptions: StreamOptions{Workers: workers, ShardDuration: 24 * time.Hour},
+		}, f, r[0], r[1])
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got, want := f.DecodeCount(), int64(r[1]-r[0]); got != want {
+			t.Fatalf("workers=%d: decoded %d blocks, want exactly the %d in range", workers, got, want)
+		}
 	}
 }
 

@@ -49,8 +49,9 @@ func TestSegmentCodecMatchesPrivateTable(t *testing.T) {
 	restored := trace.NewInterner()
 	decoder := NewSegmentCodec(restored)
 
-	var segs, decoded []*Partial
+	var segs, decoded, full []*Partial
 	for i, sl := range slices {
+		full = append(full, AccumulatePartial(Options{}, sl))
 		want := saveSlice(t, Options{}, sl)
 		p := observeShared(Options{}, shared, sl)
 		var got bytes.Buffer
@@ -84,7 +85,7 @@ func TestSegmentCodecMatchesPrivateTable(t *testing.T) {
 	slice := New(Options{})
 	slice.AddAll(recs)
 	want := renderAll(slice.Report())
-	for name, ps := range map[string][]*Partial{"live": segs, "decoded": decoded} {
+	for name, ps := range map[string][]*Partial{"live": segs, "decoded": decoded, "full": full} {
 		// Reversed: FoldPartials owes nothing to the order it is handed.
 		rev := make([]*Partial, len(ps))
 		for i, p := range ps {
@@ -95,7 +96,7 @@ func TestSegmentCodecMatchesPrivateTable(t *testing.T) {
 			t.Fatalf("%s: FoldPartials: %v", name, err)
 		}
 		if got := renderAll(m.Report()); got != want {
-			t.Fatalf("%s: journal-only segments fold to a different report", name)
+			t.Fatalf("%s: segments fold to a different report", name)
 		}
 	}
 

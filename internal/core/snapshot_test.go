@@ -110,7 +110,7 @@ func TestSnapshotEquivalence(t *testing.T) {
 }
 
 // TestSnapshotStreamSaveIdentical proves the two producers agree: an
-// AccumulateStream master (sharded, parallel) with the journal on saves
+// AccumulateStream accumulator with the journal on saves
 // byte-identical snapshot bytes to a slice-path analysis of the same
 // records — so distributed workers can use whichever path fits their
 // memory budget.
@@ -119,9 +119,7 @@ func TestSnapshotStreamSaveIdentical(t *testing.T) {
 	want := saveSlice(t, Options{}, res.Records)
 
 	a, err := AccumulateStream(context.Background(), StreamOptions{
-		Options:       Options{Journal: true},
-		Workers:       4,
-		ShardDuration: 3 * time.Hour,
+		Options: Options{Journal: true},
 	}, trace.SliceStream(res.Records))
 	if err != nil {
 		t.Fatalf("AccumulateStream: %v", err)

@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -32,11 +34,12 @@ func streamFixture(t *testing.T) *workload.Result {
 	return res
 }
 
-// TestStreamEquivalence is the acceptance test for the sharded streaming
-// path: for a generated trace, AnalyzeStream must produce byte-identical
-// rendered tables and figures to the slice path, for every combination of
-// worker count and shard width — including shards far narrower than the
-// dedup window.
+// TestStreamEquivalence is the acceptance test for the streaming path:
+// for a generated trace, AnalyzeStream must produce byte-identical
+// rendered tables and figures to the slice path, whatever worker count
+// and shard width its options carry — StreamOptions documents both as
+// read by the b2 paths only, and callers (the benchmark harness) pass
+// them here.
 func TestStreamEquivalence(t *testing.T) {
 	res := streamFixture(t)
 	opts := Options{Start: res.Config.Start, Days: res.Config.Days, Tree: res.Tree}
@@ -53,7 +56,7 @@ func TestStreamEquivalence(t *testing.T) {
 		{1, 24 * time.Hour},
 		{4, DefaultShardDuration},
 		{4, 7 * 24 * time.Hour},
-		{4, 3 * time.Hour}, // narrower than the 8 h dedup window
+		{4, 3 * time.Hour},
 		{16, 13 * 24 * time.Hour},
 	} {
 		t.Run(fmt.Sprintf("workers=%d/shard=%v", tc.workers, tc.shard), func(t *testing.T) {
@@ -83,8 +86,7 @@ func TestStreamEquivalenceNoTreeNoStart(t *testing.T) {
 	slice.AddAll(res.Records)
 	want := renderAll(slice.Report())
 
-	rep, err := AnalyzeStream(context.Background(), StreamOptions{ShardDuration: 11 * 24 * time.Hour, Workers: 3},
-		trace.SliceStream(res.Records))
+	rep, err := AnalyzeStream(context.Background(), StreamOptions{}, trace.SliceStream(res.Records))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +117,7 @@ func TestStreamEquivalenceThroughCodec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := AnalyzeStream(context.Background(), StreamOptions{Workers: 4, ShardDuration: 9 * 24 * time.Hour}, src)
+		rep, err := AnalyzeStream(context.Background(), StreamOptions{}, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,14 +160,107 @@ func TestStreamEmptyAndErrors(t *testing.T) {
 		t.Fatalf("empty stream produced %d records", rep.Table3.GrandTotal)
 	}
 
+	// A record earlier than its predecessor, wherever it sits, is refused
+	// with both instants named.
 	res := streamFixture(t)
-	recs := append([]trace.Record(nil), res.Records[:100]...)
-	recs[50], recs[10] = recs[10], recs[50] // break the sort order
-	for _, workers := range []int{1, 4} {
-		if _, err := AnalyzeStream(context.Background(), StreamOptions{Workers: workers, ShardDuration: time.Hour},
-			trace.SliceStream(recs)); err == nil {
-			t.Fatalf("workers=%d: out-of-order stream accepted", workers)
+	const n = 100
+	for _, at := range []int{1, n / 2, n - 1} {
+		recs := append([]trace.Record(nil), res.Records[:n]...)
+		recs[at].Start = recs[at-1].Start.Add(-time.Second)
+		_, err := AnalyzeStream(context.Background(), StreamOptions{}, trace.SliceStream(recs))
+		want := fmt.Sprintf("core: stream out of order: %v after %v", recs[at].Start, recs[at-1].Start)
+		if err == nil || err.Error() != want {
+			t.Fatalf("out of order at record %d: err = %v, want %q", at, err, want)
 		}
+	}
+
+	// A source error comes back as it is, and nothing after it is read.
+	boom := errors.New("boom")
+	src := &hookStream{recs: res.Records[:n], before: func(i int) error {
+		if i >= n/2 {
+			return boom
+		}
+		return nil
+	}}
+	if _, err := AnalyzeStream(context.Background(), StreamOptions{}, src); err != boom {
+		t.Fatalf("source error: err = %v, want %v verbatim", err, boom)
+	}
+	if src.pulled != n/2+1 {
+		t.Fatalf("pulled %d times around an error after %d records, want %d", src.pulled, n/2, n/2+1)
+	}
+}
+
+// hookStream yields recs, counting Next calls; before runs ahead of
+// record i and may fail the call.
+type hookStream struct {
+	recs   []trace.Record
+	pulled int
+	before func(i int) error
+}
+
+func (s *hookStream) Next() (trace.Record, error) {
+	i := s.pulled
+	s.pulled++
+	if err := s.before(i); err != nil {
+		return trace.Record{}, err
+	}
+	if i >= len(s.recs) {
+		return trace.Record{}, io.EOF
+	}
+	return s.recs[i], nil
+}
+
+// TestAccumulateStreamCancel cancels the context from inside the stream
+// after record k: the loop stops with ctx's error within one check
+// interval, without draining the source.
+func TestAccumulateStreamCancel(t *testing.T) {
+	res := streamFixture(t)
+	const k = 1000
+	if len(res.Records) < k+2*ctxCheckEvery {
+		t.Fatalf("fixture has only %d records", len(res.Records))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := &hookStream{recs: res.Records, before: func(i int) error {
+		if i == k {
+			cancel() // records 0..k-1 are out
+		}
+		return nil
+	}}
+	_, err := AccumulateStream(ctx, StreamOptions{}, src)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if src.pulled <= k || src.pulled > k+ctxCheckEvery {
+		t.Fatalf("pulled %d records around a cancel after %d, want at most %d", src.pulled, k, k+ctxCheckEvery)
+	}
+}
+
+// TestAccumulateStreamAllocatesLikeSlice pins that the stream path holds
+// no record and no journal: over an in-memory trace it allocates what the
+// slice path allocates, not a copy of every shard and a journal entry per
+// record on top.
+func TestAccumulateStreamAllocatesLikeSlice(t *testing.T) {
+	res := streamFixture(t)
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	slice := allocated(func() {
+		a := New(Options{})
+		a.AddAll(res.Records)
+	})
+	stream := allocated(func() {
+		if _, err := AccumulateStream(context.Background(), StreamOptions{}, trace.SliceStream(res.Records)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if float64(stream) > 1.05*float64(slice) {
+		t.Fatalf("AccumulateStream allocated %d bytes, slice path %d: more than 1.05x", stream, slice)
 	}
 }
 
@@ -179,7 +274,6 @@ func TestStreamReportFieldsMatch(t *testing.T) {
 
 	rep, err := AnalyzeStream(context.Background(), StreamOptions{
 		Options: Options{Start: res.Config.Start},
-		Workers: 4,
 	}, trace.SliceStream(res.Records))
 	if err != nil {
 		t.Fatal(err)

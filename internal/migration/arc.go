@@ -56,8 +56,8 @@ type arcQueue struct {
 // ARC implements VictimPolicy — the dual-list choice is structural and
 // cannot be expressed as a frozen rank order — plus AccessObserver and
 // CapacityAware. Rank is advisory only (LRU order biased toward the
-// currently preferred list) for rank-only consumers like the staging
-// manager; the cache's victim path never uses it.
+// currently preferred list) for rank-only consumers; the cache's victim
+// path never uses it.
 type ARC struct {
 	capacity units.Bytes
 	target   units.Bytes // adaptive byte target for T1 ("p" in the paper)

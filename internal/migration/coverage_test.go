@@ -8,63 +8,6 @@ import (
 	"filemig/internal/units"
 )
 
-func TestStagingRewriteTransitions(t *testing.T) {
-	m, err := NewStagingManager(stagingCfg(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Write, let the copy clean it, then rewrite: the file must flip back
-	// to dirty, adjust occupancy, and be re-queued for copy.
-	m.Step(acc(0, 1, units.Bytes(10*units.MB), true))
-	m.Step(acc(5, 2, units.Bytes(1*units.MB), false)) // drains the copier
-	if m.resident[1].dirty {
-		t.Fatal("file 1 should be clean after drain")
-	}
-	m.Step(acc(6, 1, units.Bytes(30*units.MB), true)) // rewrite, larger
-	if !m.resident[1].dirty {
-		t.Error("rewrite must dirty the file again")
-	}
-	wantUsed := units.Bytes(31 * units.MB) // 30 MB rewritten + 1 MB recalled
-	if m.used != wantUsed {
-		t.Errorf("used = %v, want %v", m.used, wantUsed)
-	}
-	// The recopy happens: copied bytes grow beyond the first 10 MB.
-	m.Step(acc(60, 2, units.Bytes(1*units.MB), false))
-	if got := m.Result().CopiedBytes; got != units.Bytes(40*units.MB) {
-		t.Errorf("copied = %v, want 40 MB (10 original + 30 rewrite)", got)
-	}
-}
-
-func TestStagingRewriteWhileDirty(t *testing.T) {
-	// Rewrite before the first copy completes: the original copy request
-	// refers to a still-dirty file; no double-count, no stall.
-	m, err := NewStagingManager(stagingCfg(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Step(acc(0, 1, units.Bytes(10*units.MB), true))
-	m.Step(acc(0, 1, units.Bytes(12*units.MB), true))
-	if m.used != units.Bytes(12*units.MB) {
-		t.Errorf("used = %v, want 12 MB", m.used)
-	}
-	// Much later, both queued copies have drained; the file was copied
-	// once per queue entry at most, and is clean.
-	m.Step(acc(200, 2, units.Bytes(1*units.MB), false))
-	if m.resident[1].dirty {
-		t.Error("file should be clean")
-	}
-}
-
-func TestStagingStatsRatios(t *testing.T) {
-	s := StagingStats{Reads: 10, ReadMisses: 3}
-	if got := s.ReadMissRatio(); got != 0.3 {
-		t.Errorf("ReadMissRatio = %v", got)
-	}
-	if (StagingStats{}).ReadMissRatio() != 0 {
-		t.Error("empty ratio should be 0")
-	}
-}
-
 func TestCacheResultRatios(t *testing.T) {
 	r := CacheResult{
 		Reads: 10, ReadMisses: 2,
@@ -108,15 +51,6 @@ func TestSTPRankClampsNegativeAge(t *testing.T) {
 	s := SAAC{}
 	if r := s.Rank(f, t0); math.IsNaN(r) || r != 0 {
 		t.Errorf("SAAC rank with negative age = %v, want 0", r)
-	}
-}
-
-func TestCompareWriteBehindPropagatesError(t *testing.T) {
-	if _, _, err := CompareWriteBehind(nil, 0, 1, time.Second); err == nil {
-		t.Error("zero capacity should fail")
-	}
-	if _, _, err := CompareWriteBehind(nil, 1, 0, time.Second); err == nil {
-		t.Error("zero bandwidth should fail")
 	}
 }
 

@@ -23,11 +23,10 @@ import (
 // removals alike). Observers keep dense FileID-indexed tables, so the
 // hooks stay allocation-free in steady state.
 //
-// The hooks fire only from the Cache replay loop. Used outside it (for
-// example by the staging manager, which consults Rank alone), an
-// observer policy never sees accesses and degrades to whatever its Rank
-// reports for unseen files — deterministic, but not the policy's real
-// ordering.
+// The hooks fire only from the Cache replay loop. Used outside it (by a
+// caller that consults Rank alone), an observer policy never sees
+// accesses and degrades to whatever its Rank reports for unseen files —
+// deterministic, but not the policy's real ordering.
 type AccessObserver interface {
 	Policy
 	// FileAccessed records one access to f at time now. f reflects the

@@ -90,35 +90,3 @@ func Copy(dst Sink, src Stream) (int64, error) {
 		n++
 	}
 }
-
-// FilterStream returns a Stream yielding only the records of src that
-// satisfy every predicate — the streaming counterpart of Filter.
-func FilterStream(src Stream, preds ...Predicate) Stream {
-	return &filterStream{src: src, preds: preds}
-}
-
-type filterStream struct {
-	src   Stream
-	preds []Predicate
-}
-
-// Next advances the underlying stream until a record passes every
-// predicate.
-func (f *filterStream) Next() (Record, error) {
-	for {
-		r, err := f.src.Next()
-		if err != nil {
-			return Record{}, err
-		}
-		ok := true
-		for _, p := range f.preds {
-			if !p(&r) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return r, nil
-		}
-	}
-}

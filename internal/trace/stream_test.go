@@ -6,8 +6,6 @@ import (
 	"io"
 	"reflect"
 	"testing"
-
-	"filemig/internal/device"
 )
 
 func TestSliceStreamCollect(t *testing.T) {
@@ -75,21 +73,6 @@ func (s *errStream) Next() (Record, error) {
 		return s.recs[s.i-1], nil
 	}
 	return Record{}, s.err
-}
-
-func TestFilterStream(t *testing.T) {
-	recs := sampleRecords()
-	got, err := Collect(FilterStream(SliceStream(recs), OKOnly(), ByDevice(device.ClassSiloTape)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Filter(recs, OKOnly(), ByDevice(device.ClassSiloTape))
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("FilterStream disagrees with Filter: %d vs %d records", len(got), len(want))
-	}
-	if len(want) == 0 {
-		t.Fatal("test fixture filtered to nothing")
-	}
 }
 
 // TestReaderIsStream pins the codec readers to the Stream interface and
