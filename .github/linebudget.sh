@@ -1,18 +1,20 @@
 #!/bin/sh
 # Line budget: lines of code — no comment-only lines, no blanks, no
 # _test.go files — in the five packages ROADMAP item 4 holds to
-# "net-negative". Fails when their total exceeds BUDGET; a PR that
-# removes code lowers BUDGET to the total it lands at.
+# "net-negative", plus internal/experiment and the root facade package
+# (held since PR 24 shrank them). Fails when their total exceeds BUDGET;
+# a PR that removes code lowers BUDGET to the total it lands at.
 # Run from the repository root: .github/linebudget.sh
 set -e
 
-BUDGET=7273
+BUDGET=8306
 
 total=0
-for pkg in core trace migration dist serve; do
-    n=$(ls internal/$pkg/*.go | grep -v '_test\.go$' | xargs cat |
+for dir in internal/core internal/trace internal/migration internal/dist internal/serve \
+    internal/experiment .; do
+    n=$(ls $dir/*.go | grep -v '_test\.go$' | xargs cat |
         grep -v '^[[:space:]]*//' | grep -cv '^[[:space:]]*$')
-    echo "$pkg $n"
+    echo "$dir $n"
     total=$((total + n))
 done
 echo "total $total (budget $BUDGET)"

@@ -1,6 +1,7 @@
 package filemig
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -304,5 +305,37 @@ func TestWriteBehindReducesVisibleWriteLatency(t *testing.T) {
 	b, w := meanWrite(base), meanWrite(wb)
 	if w >= b*0.8 {
 		t.Errorf("write-behind mean write startup %.1fs vs baseline %.1fs — want a big cut", w, b)
+	}
+}
+
+// TestRunExperimentDefaultsToHostWorkers: a zero Workers means one per
+// CPU at the facade, as docs/experiments.md says and migexp does; the
+// manifest is the Workers: 1 manifest byte for byte, and the caller's
+// spec is left as it was handed in.
+func TestRunExperimentDefaultsToHostWorkers(t *testing.T) {
+	encode := func(workers int) []byte {
+		spec, err := LoadExperiment("testdata/quickgrid.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Workers = workers
+		m, err := RunExperiment(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec.Workers != workers {
+			t.Errorf("RunExperiment rewrote the caller's Workers %d to %d", workers, spec.Workers)
+		}
+		b, err := m.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if !bytes.Equal(encode(0), encode(1)) {
+		t.Error("zero-Workers manifest differs from the Workers: 1 manifest")
+	}
+	if _, err := RunExperiment(&ExperimentSpec{Name: "neg", Workers: -1}); err == nil {
+		t.Error("negative Workers accepted")
 	}
 }

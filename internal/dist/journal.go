@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -49,7 +50,7 @@ func openJournal(dir, kind, planHash string, numTasks int) (*journal, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := writeFileAtomic(path, b); err != nil {
+		if err := WriteFileAtomic(path, writeBytes(b)); err != nil {
 			return nil, fmt.Errorf("dist: journal: %w", err)
 		}
 	case err != nil:
@@ -73,7 +74,7 @@ func spoolName(id int) string { return fmt.Sprintf("r%08d.frame", id) }
 
 // put spools one completed result durably (temp + rename).
 func (j *journal) put(id int, payload []byte) error {
-	if err := writeFileAtomic(filepath.Join(j.dir, spoolName(id)), EncodeFrame(payload)); err != nil {
+	if err := WriteFileAtomic(filepath.Join(j.dir, spoolName(id)), writeBytes(EncodeFrame(payload))); err != nil {
 		return fmt.Errorf("dist: journal: %w", err)
 	}
 	return nil
@@ -93,26 +94,35 @@ func (j *journal) get(id int) (payload []byte, ok bool) {
 	return payload, true
 }
 
-// writeFileAtomic writes b to path via a temp file and rename, so a
-// kill mid-write never leaves a half-written file under the final name.
-func writeFileAtomic(path string, b []byte) error {
+// WriteFileAtomic writes a file through a uniquely named temporary
+// sibling and a rename: write fills the temporary, which replaces path
+// only once it is complete and closed, so a kill mid-write never leaves
+// a half-written file under the final name and two writers never share
+// a temporary. The temporary is removed on any failure. No fsync: the
+// rename is atomic against a process crash, not against power loss.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
 	}
-	name := tmp.Name()
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(name)
+	err = write(tmp)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name()) // best effort; err is the failure to report
+	}
+	return err
+}
+
+// writeBytes is the WriteFileAtomic callback for contents already in
+// memory.
+func writeBytes(b []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(b)
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return nil
 }

@@ -6,18 +6,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
-
-	"filemig/internal/migration"
 )
 
-// The cell-level API behind distributed runs: a plan's grid flattened
-// into an ordered task list (CellRefs), a runner that executes single
-// cells against cached sources (CellRunner), and an assembler that
-// folds a complete outcome set back into the exact manifest RunPlan
-// would have produced (AssembleManifest). Every piece shares code with
-// the local runner — loadSource, cellFrom, the policy entries — so a
-// grid computed cell-by-cell on many machines is byte-identical to one
-// computed in-process.
+// The cell-level API: a plan's grid flattened into an ordered task list
+// (CellRefs), a runner that executes single cells against cached
+// sources (CellRunner), and the assembler that folds a complete outcome
+// set into the manifest (AssembleManifest). RunPlan is built from the
+// same two pieces — Plan.runCells is the executor under both it and
+// RunCell, and AssembleManifest is the only manifest builder — so a grid
+// computed cell-by-cell on many machines is the in-process grid.
 
 // CellRef names one grid cell by its axis indices into the plan's
 // Sources, Policies and Capacities.
@@ -36,8 +33,8 @@ func (r CellRef) String() string {
 }
 
 // CellRefs flattens the grid into task order: source-major, then
-// policy, then capacity — the same nesting RunPlan executes, so
-// in-order results merge straight into a manifest.
+// policy, then capacity — the manifest's nesting, and the order RunPlan
+// executes.
 func (p *Plan) CellRefs() []CellRef {
 	out := make([]CellRef, 0, p.Cells())
 	for s := range p.Sources {
@@ -83,28 +80,18 @@ func (p *Plan) Hash() (string, error) {
 type SourceInfo struct {
 	// Name is the scenario name, or the trace file path.
 	Name string `json:"name"`
-	// TraceSHA256 hashes the source trace's canonical v1 encoding.
+	// TraceSHA256 hashes the source trace's canonical v1 encoding: two
+	// manifests disagreeing here compared different reference strings.
 	TraceSHA256 string `json:"traceSha256"`
 	// Records counts trace records, error requests included.
 	Records int `json:"records"`
 	// Accesses counts the replayed reference string (errors skipped).
 	Accesses int `json:"accesses"`
-	// ReferencedBytes sums the distinct referenced files' sizes.
+	// ReferencedBytes sums the distinct referenced files' sizes — the
+	// base the capacity fractions multiply.
 	ReferencedBytes int64 `json:"referencedBytes"`
 	// Days is the trace span used for per-day rates.
 	Days float64 `json:"days"`
-}
-
-// scenarioResult expands the identity block into a result header.
-func (si SourceInfo) scenarioResult() ScenarioResult {
-	return ScenarioResult{
-		Name:            si.Name,
-		TraceSHA256:     si.TraceSHA256,
-		Records:         si.Records,
-		Accesses:        si.Accesses,
-		ReferencedBytes: si.ReferencedBytes,
-		Days:            si.Days,
-	}
 }
 
 // CellOutcome is one executed cell: the ref it answers, the identity of
@@ -148,9 +135,9 @@ func (cr *CellRunner) source(idx int) (*loadedSource, error) {
 	return ls, nil
 }
 
-// RunCell executes one cell and returns its outcome. The replay itself
-// is single-threaded; determinism is total, so re-running a ref always
-// reproduces the same outcome.
+// RunCell executes one cell — Plan.runCells with one ref and one
+// worker — and returns its outcome. Determinism is total, so re-running
+// a ref always reproduces the same outcome.
 func (cr *CellRunner) RunCell(ctx context.Context, ref CellRef) (CellOutcome, error) {
 	if !cr.plan.validRef(ref) {
 		return CellOutcome{}, fmt.Errorf("experiment: %v outside the %d×%d×%d grid",
@@ -160,23 +147,18 @@ func (cr *CellRunner) RunCell(ctx context.Context, ref CellRef) (CellOutcome, er
 	if err != nil {
 		return CellOutcome{}, err
 	}
-	mks := []func() migration.Policy{cr.plan.entries[ref.Policy].build(ls.accs)}
-	sweeps, err := migration.MultiPolicySweepContext(ctx, ls.accs,
-		[]float64{cr.plan.Capacities[ref.Capacity]}, mks, 1)
+	out, err := cr.plan.runCells(ctx, ls, []CellRef{ref}, 1)
 	if err != nil {
 		return CellOutcome{}, err
 	}
-	return CellOutcome{
-		Ref:    ref,
-		Source: ls.info,
-		Cell:   cellFrom(sweeps[0].Points[0], ls.info.Days),
-	}, nil
+	return out[0], nil
 }
 
 // AssembleManifest folds a complete outcome set — one outcome per grid
-// cell, in any order — into the manifest RunPlan would have produced.
-// It verifies completeness, rejects duplicates, and requires every
-// outcome of one source to carry an identical SourceInfo.
+// cell, in any order — into the plan's manifest; it is the only place a
+// Manifest is built, for RunPlan and for a distributed run alike. It
+// verifies completeness, rejects duplicates, and requires every outcome
+// of one source to carry an identical SourceInfo.
 func AssembleManifest(plan *Plan, outcomes []CellOutcome) (*Manifest, error) {
 	want := plan.Cells()
 	byID := make([]*CellOutcome, want)
@@ -205,6 +187,8 @@ func AssembleManifest(plan *Plan, outcomes []CellOutcome) (*Manifest, error) {
 			Cells:      want,
 		},
 	}
+	// Workers tunes wall-clock only; zero it so the echoed spec (and the
+	// whole manifest) is byte-identical across worker counts.
 	m.Spec.Workers = 0
 	for s, name := range plan.Sources {
 		base := s * len(plan.Policies) * len(plan.Capacities)
@@ -212,7 +196,7 @@ func AssembleManifest(plan *Plan, outcomes []CellOutcome) (*Manifest, error) {
 		if info.Name != name {
 			return nil, fmt.Errorf("experiment: assemble: source %d is %q in outcomes, %q in plan", s, info.Name, name)
 		}
-		sr := info.scenarioResult()
+		sr := ScenarioResult{SourceInfo: info}
 		for pi, pname := range plan.Policies {
 			row := PolicyGrid{Policy: pname, Cells: make([]Cell, len(plan.Capacities))}
 			for ci := range plan.Capacities {

@@ -34,22 +34,11 @@ type GridSummary struct {
 	Cells      int `json:"cells"`
 }
 
-// ScenarioResult is one workload source's slice of the grid.
+// ScenarioResult is one workload source's slice of the grid: the
+// source's identity block (its fields sit inline in the JSON), then the
+// policy rows.
 type ScenarioResult struct {
-	// Name is the scenario name, or the trace file path.
-	Name string `json:"name"`
-	// TraceSHA256 hashes the source trace's canonical v1 encoding: two
-	// manifests disagreeing here compared different reference strings.
-	TraceSHA256 string `json:"traceSha256"`
-	// Records counts trace records, error requests included.
-	Records int `json:"records"`
-	// Accesses counts the replayed reference string (errors skipped).
-	Accesses int `json:"accesses"`
-	// ReferencedBytes sums the distinct referenced files' sizes — the
-	// base the capacity fractions multiply.
-	ReferencedBytes int64 `json:"referencedBytes"`
-	// Days is the trace span used for per-day rates.
-	Days float64 `json:"days"`
+	SourceInfo
 	// Policies holds one row of cells per policy, in plan order.
 	Policies []PolicyGrid `json:"policies"`
 }

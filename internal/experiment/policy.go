@@ -15,18 +15,19 @@ import (
 // stateful policies (random, opt) must never be shared between replays.
 
 // policyEntry is one resolved policy column of the grid: its canonical
-// display name and a factory that, given the source's access string,
-// yields a fresh policy instance per cell.
+// display name and a builder called once per cell with the source's
+// access string. The modern policies (ARC, LRU-K, GDSF, cost,
+// STP-adapt), random and OPT all carry per-replay state — histories,
+// ghost lists, clocks, cursors — so their builders return a fresh
+// instance every call.
 type policyEntry struct {
-	name  string
-	build func(accs []migration.Access) func() migration.Policy
+	name string
+	mk   func(accs []migration.Access) migration.Policy
 }
 
 // stateless wraps a value policy (no per-replay state) as a policyEntry.
 func stateless(p migration.Policy) policyEntry {
-	return policyEntry{name: p.Name(), build: func([]migration.Access) func() migration.Policy {
-		return func() migration.Policy { return p }
-	}}
+	return policyEntry{name: p.Name(), mk: func([]migration.Access) migration.Policy { return p }}
 }
 
 // stpEntry builds an STP column with a lossless display name:
@@ -77,23 +78,19 @@ func parsePolicy(spec string) (policyEntry, error) {
 		// name carries the seed (like STP carries its exponent) so two
 		// seeds can share a grid and rows say which seed ran.
 		return policyEntry{name: "random:" + strconv.FormatInt(seed, 10),
-			build: func([]migration.Access) func() migration.Policy {
-				return func() migration.Policy { return migration.NewRandom(seed) }
-			}}, nil
+			mk: func([]migration.Access) migration.Policy { return migration.NewRandom(seed) }}, nil
 	case "opt":
 		// The future index carries per-replay cursors, so each cell
 		// builds its own over the shared access string.
 		return noArg(spec, hasArg, policyEntry{name: "OPT",
-			build: func(accs []migration.Access) func() migration.Policy {
-				return func() migration.Policy {
-					return migration.NewOPT(migration.NewFutureIndex(accs))
-				}
+			mk: func(accs []migration.Access) migration.Policy {
+				return migration.NewOPT(migration.NewFutureIndex(accs))
 			}})
 	case "arc":
 		// ARC carries ghost lists and an adaptive target; NewCache hands
 		// it the cell's capacity, so each cell needs a fresh instance.
-		return noArg(spec, hasArg, statefulEntry("ARC",
-			func() migration.Policy { return migration.NewARC() }))
+		return noArg(spec, hasArg, policyEntry{name: "ARC",
+			mk: func([]migration.Access) migration.Policy { return migration.NewARC() }})
 	case "lruk":
 		k := 2
 		if hasArg {
@@ -103,11 +100,11 @@ func parsePolicy(spec string) (policyEntry, error) {
 					"experiment: bad LRU-K depth %q in %q (want integer >= 1)", arg, spec)
 			}
 		}
-		return statefulEntry("LRU-"+strconv.Itoa(k),
-			func() migration.Policy { return migration.NewLRUK(k) }), nil
+		return policyEntry{name: "LRU-" + strconv.Itoa(k),
+			mk: func([]migration.Access) migration.Policy { return migration.NewLRUK(k) }}, nil
 	case "gdsf":
-		return noArg(spec, hasArg, statefulEntry("GDSF",
-			func() migration.Policy { return migration.NewGDSF() }))
+		return noArg(spec, hasArg, policyEntry{name: "GDSF",
+			mk: func([]migration.Access) migration.Policy { return migration.NewGDSF() }})
 	case "cost":
 		rate := migration.DefaultTapeRateMBps
 		if hasArg {
@@ -119,25 +116,15 @@ func parsePolicy(spec string) (policyEntry, error) {
 		}
 		// The display name carries the rate (like random carries its
 		// seed), so two rates can share a grid.
-		return statefulEntry("cost:"+strconv.Itoa(rate),
-			func() migration.Policy { return migration.NewCostAware(rate) }), nil
+		return policyEntry{name: "cost:" + strconv.Itoa(rate),
+			mk: func([]migration.Access) migration.Policy { return migration.NewCostAware(rate) }}, nil
 	case "stp-adapt":
-		return noArg(spec, hasArg, statefulEntry("STP-adapt",
-			func() migration.Policy { return migration.NewAdaptiveSTP() }))
+		return noArg(spec, hasArg, policyEntry{name: "STP-adapt",
+			mk: func([]migration.Access) migration.Policy { return migration.NewAdaptiveSTP() }})
 	default:
 		return policyEntry{}, fmt.Errorf("experiment: unknown policy %q (known: %s)",
 			spec, strings.Join(PolicyNames(), ", "))
 	}
-}
-
-// statefulEntry wraps a fresh-instance factory as a policyEntry: the
-// modern policies (ARC, LRU-K, GDSF, cost, STP-adapt) all carry
-// per-replay state — histories, ghost lists, clocks — so instances must
-// never be shared between cells.
-func statefulEntry(name string, mk func() migration.Policy) policyEntry {
-	return policyEntry{name: name, build: func([]migration.Access) func() migration.Policy {
-		return mk
-	}}
 }
 
 // noArg rejects an argument on policies that take none.

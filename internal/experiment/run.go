@@ -10,15 +10,9 @@ import (
 
 	"filemig/internal/migration"
 	"filemig/internal/trace"
+	"filemig/internal/units"
 	"filemig/internal/workload"
 )
-
-// scenarioConfig resolves a scenario name through the workload library;
-// split out so validation can probe names without importing workload at
-// every call site.
-func scenarioConfig(name string, scale float64, seed int64) (workload.Config, error) {
-	return workload.ScenarioConfig(name, scale, seed)
-}
 
 // Run executes the spec's full grid and returns its manifest: each
 // source's trace is produced exactly once, hashed, and converted to the
@@ -35,60 +29,59 @@ func Run(ctx context.Context, spec *Spec) (*Manifest, error) {
 	return RunPlan(ctx, plan)
 }
 
-// RunPlan executes an already-built plan (see BuildPlan).
+// RunPlan executes an already-built plan (see BuildPlan): per source, in
+// plan order, it loads the source, runs that source's slice of CellRefs
+// through the cell executor at Spec.Workers and lets the source go; then
+// AssembleManifest folds the outcomes. A CellRunner feeds the same
+// executor one ref at a time and its outcomes fold through the same
+// assembler, so the in-process manifest and the distributed one are the
+// same bytes by construction.
 func RunPlan(ctx context.Context, plan *Plan) (*Manifest, error) {
-	m := &Manifest{
-		Spec: plan.Spec,
-		Grid: GridSummary{
-			Sources:    len(plan.Sources),
-			Policies:   len(plan.Policies),
-			Capacities: len(plan.Capacities),
-			Cells:      plan.Cells(),
-		},
-	}
-	// Workers tunes wall-clock only; zero it so the echoed spec (and the
-	// whole manifest) is byte-identical across worker counts.
-	m.Spec.Workers = 0
+	refs := plan.CellRefs()
+	perSource := len(plan.Policies) * len(plan.Capacities)
+	outcomes := make([]CellOutcome, 0, len(refs))
 	for idx := range plan.Sources {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		sr, err := runSource(ctx, plan, idx)
+		ls, err := loadSource(plan, idx)
 		if err != nil {
 			return nil, err
 		}
-		m.Scenarios = append(m.Scenarios, sr)
+		got, err := plan.runCells(ctx, ls, refs[idx*perSource:(idx+1)*perSource], plan.Spec.Workers)
+		if err != nil {
+			return nil, err
+		}
+		outcomes = append(outcomes, got...)
 	}
-	return m, nil
+	return AssembleManifest(plan, outcomes)
 }
 
-// runSource loads one plan source and replays its full policy ×
-// capacity slab on the worker pool.
-func runSource(ctx context.Context, plan *Plan, idx int) (ScenarioResult, error) {
-	ls, err := loadSource(plan, idx)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	mks := make([]func() migration.Policy, len(plan.entries))
-	for i, e := range plan.entries {
-		mks[i] = e.build(ls.accs)
-	}
-	sweeps, err := migration.MultiPolicySweepContext(ctx, ls.accs, plan.Capacities, mks, plan.Spec.Workers)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	sr := ls.info.scenarioResult()
-	for si, sw := range sweeps {
-		// Row names come from the resolved entries, not Policy.Name():
-		// the entry name carries spec-level detail (a random seed) the
-		// policy's own name does not.
-		row := PolicyGrid{Policy: plan.entries[si].name, Cells: make([]Cell, len(sw.Points))}
-		for i, pt := range sw.Points {
-			row.Cells[i] = cellFrom(pt, ls.info.Days)
+// runCells is the one cell executor: it replays refs — in-grid cells of
+// the loaded source ls — on at most workers goroutines and returns their
+// outcomes in ref order. Policies are built serially, one per cell in
+// ref order, before the fan-out (stateful policies must never be shared
+// between replays, and builders need not be goroutine-safe); capacities
+// come from the source's identity block, which already holds the
+// referenced-byte total.
+func (p *Plan) runCells(ctx context.Context, ls *loadedSource, refs []CellRef, workers int) ([]CellOutcome, error) {
+	cells := make([]migration.ReplayCell, len(refs))
+	for i, r := range refs {
+		cells[i] = migration.ReplayCell{
+			Policy:   p.entries[r.Policy].mk(ls.accs),
+			Capacity: migration.FractionCapacity(units.Bytes(ls.info.ReferencedBytes), p.Capacities[r.Capacity]),
 		}
-		sr.Policies = append(sr.Policies, row)
 	}
-	return sr, nil
+	results, err := migration.ReplayCells(ctx, ls.accs, cells, workers)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]CellOutcome, len(refs))
+	for i, r := range refs {
+		out[i] = CellOutcome{Ref: r, Source: ls.info,
+			Cell: cellFrom(p.Capacities[r.Capacity], results[i], ls.info.Days)}
+	}
+	return out, nil
 }
 
 // loadedSource is one plan source in replay-ready form: its identity
@@ -107,7 +100,7 @@ func loadSource(plan *Plan, idx int) (*loadedSource, error) {
 	}
 	name := plan.Sources[idx]
 	if idx < len(plan.Spec.Scenarios) {
-		cfg, err := scenarioConfig(name, plan.Spec.Scale, plan.Spec.Seed)
+		cfg, err := workload.ScenarioConfig(name, plan.Spec.Scale, plan.Spec.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -192,13 +185,11 @@ func drainSource(name string, s trace.Stream, days float64) (*loadedSource, erro
 	}, nil
 }
 
-// cellFrom converts one sweep point into its manifest cell — the single
-// place the cell arithmetic lives, so a cell computed remotely (see
-// CellRunner) is field-identical to one computed by RunPlan.
-func cellFrom(pt migration.SweepPoint, days float64) Cell {
-	r := pt.Result
+// cellFrom converts one replay result into its manifest cell — the
+// single place the cell arithmetic lives.
+func cellFrom(frac float64, r migration.CacheResult, days float64) Cell {
 	return Cell{
-		CapacityFraction:    pt.CapacityFraction,
+		CapacityFraction:    frac,
 		CapacityBytes:       int64(r.Capacity),
 		Reads:               r.Reads,
 		ReadHits:            r.ReadHits,

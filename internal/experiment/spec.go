@@ -18,6 +18,8 @@ import (
 	"math"
 	"os"
 	"strings"
+
+	"filemig/internal/workload"
 )
 
 // Default knobs applied by Normalize when a spec omits the field.
@@ -84,10 +86,10 @@ type Spec struct {
 	Capacities []float64 `json:"capacities,omitempty"`
 
 	// Workers bounds the replay worker pool. This package takes only
-	// explicit counts (<= 1 runs serially); the migexp CLI resolves 0
-	// to one worker per CPU at the boundary. An execution knob, not an
-	// experiment parameter: it never changes results, and Run
-	// normalizes it to zero in the manifest echo so manifests stay
+	// explicit counts (<= 1 runs serially); the migexp CLI and the
+	// filemig facade resolve 0 to one worker per CPU at the boundary. An
+	// execution knob, not an experiment parameter: it never changes
+	// results, and the manifest echoes it as zero so manifests stay
 	// byte-identical across worker counts.
 	Workers int `json:"workers,omitempty"`
 }
@@ -162,7 +164,7 @@ func (s *Spec) validate() ([]policyEntry, error) {
 	}
 	seen := map[string]bool{}
 	for _, name := range s.Scenarios {
-		if _, err := scenarioConfig(name, 0.01, 1); err != nil {
+		if _, err := workload.ScenarioConfig(name, 0.01, 1); err != nil {
 			return nil, err
 		}
 		if seen[name] {

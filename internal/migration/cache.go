@@ -655,10 +655,6 @@ func ComparePolicies(accs []Access, capacity units.Bytes, policies []Policy) ([]
 	return ComparePoliciesWorkers(accs, capacity, policies, 0)
 }
 
-func sortByMissRatio(out []CacheResult) {
-	sort.SliceStable(out, func(i, j int) bool { return out[i].MissRatio() < out[j].MissRatio() })
-}
-
 // DirPrefetcher prefetches the most recent other files of the directory
 // being read — the paper's observation that a researcher reading day 1 of
 // a model run will usually want day 2 (§5.2.1). Both indexes are flat

@@ -2,7 +2,7 @@ package migration
 
 import (
 	"context"
-	"fmt"
+	"sort"
 
 	"filemig/internal/pool"
 	"filemig/internal/units"
@@ -10,137 +10,90 @@ import (
 
 // The sweep runner: the paper's experiments replay the same reference
 // string many times — once per capacity, policy, or STP exponent — and
-// every replay is independent (a fresh Cache and a fresh Policy per job),
-// so the sweeps fan out over the bounded worker pool. Results are written
-// by job index, preserving input order regardless of completion order,
-// and each job's replay stays single-threaded and deterministic.
+// every replay is independent (a fresh Cache and a private Policy per
+// cell), so every sweep is a cell list handed to ReplayCells.
 
-// forEachJob runs fn(0..jobs-1) through pool.Run with nothing to
-// deliver — each fn writes its own result by index — so it inherits the
-// pool's contract: the lowest-indexed job's error at any worker count,
-// no dispatch after a failure or a cancelled ctx (jobs already
-// dispatched still run), workers <= 1 serial on the calling goroutine.
-// This package never reads the host CPU count, so callers wanting one
-// worker per CPU resolve the count explicitly (cmd/* use internal/host).
-func forEachJob(ctx context.Context, jobs, workers int, fn func(i int) error) error {
-	return pool.Run(ctx, workers, pool.Indices(jobs),
+// ReplayCell is one replay of a reference string: a policy instance no
+// other cell shares, and the cache size it runs at.
+type ReplayCell struct {
+	Policy   Policy
+	Capacity units.Bytes
+}
+
+// ReplayCells replays accs once per cell through pool.Run and returns
+// the results in cell order, whatever order the replays finish in; each
+// replay is single-threaded and deterministic. It inherits the pool's
+// contract: the lowest-indexed cell's error at any worker count, no
+// dispatch after a failure or a cancelled ctx (cells already dispatched
+// still run), workers <= 1 serial on the calling goroutine. This package
+// never reads the host CPU count, so callers wanting one worker per CPU
+// resolve the count explicitly (cmd/* use internal/host).
+func ReplayCells(ctx context.Context, accs []Access, cells []ReplayCell, workers int) ([]CacheResult, error) {
+	out := make([]CacheResult, len(cells))
+	err := pool.Run(ctx, workers, pool.Indices(len(cells)),
 		func() func(int) (struct{}, error) {
-			return func(i int) (struct{}, error) { return struct{}{}, fn(i) }
+			return func(i int) (struct{}, error) {
+				c, err := NewCache(CacheConfig{Capacity: cells[i].Capacity, Policy: cells[i].Policy})
+				if err != nil {
+					return struct{}{}, err
+				}
+				out[i] = c.Replay(accs)
+				return struct{}{}, nil
+			}
 		}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// FractionCapacity is the cache size a capacity fraction of total
+// referenced bytes stands for, clamped so a degenerate fraction still
+// yields a valid (one-byte) cache.
+func FractionCapacity(total units.Bytes, frac float64) units.Bytes {
+	if c := units.Bytes(float64(total) * frac); c > 0 {
+		return c
+	}
+	return 1
 }
 
 // CapacitySweepWorkers is CapacitySweep with an explicit worker count
-// (<= 1 runs serially).
+// (<= 1 runs serially). The builder runs serially, once per fraction in
+// input order, before the fan-out: builders may close over shared state
+// (a seed counter, say) and are not required to be goroutine-safe.
 func CapacitySweepWorkers(accs []Access, fractions []float64, mk func() Policy,
 	workers int) ([]SweepPoint, error) {
 	total := TotalReferencedBytes(accs)
-	// Build every job's policy serially before fanning out: builders may
-	// close over shared state (a seed counter, say) and are not required
-	// to be goroutine-safe.
-	policies := make([]Policy, len(fractions))
-	for i := range policies {
-		policies[i] = mk()
+	cells := make([]ReplayCell, len(fractions))
+	for i, frac := range fractions {
+		cells[i] = ReplayCell{Policy: mk(), Capacity: FractionCapacity(total, frac)}
 	}
-	out := make([]SweepPoint, len(fractions))
-	err := forEachJob(context.Background(), len(fractions), workers, func(i int) error {
-		frac := fractions[i]
-		cap := units.Bytes(float64(total) * frac)
-		if cap <= 0 {
-			cap = 1
-		}
-		c, err := NewCache(CacheConfig{Capacity: cap, Policy: policies[i]})
-		if err != nil {
-			return err
-		}
-		out[i] = SweepPoint{CapacityFraction: frac, Result: c.Replay(accs)}
-		return nil
-	})
+	res, err := ReplayCells(context.Background(), accs, cells, workers)
 	if err != nil {
 		return nil, err
+	}
+	out := make([]SweepPoint, len(res))
+	for i, r := range res {
+		out[i] = SweepPoint{CapacityFraction: fractions[i], Result: r}
 	}
 	return out, nil
 }
 
 // ComparePoliciesWorkers is ComparePolicies with an explicit worker
-// count. Each policy instance is used by exactly one job, so stateful
+// count. Each policy instance is used by exactly one cell, so stateful
 // policies (Random, OPT) are safe as long as they are not shared between
 // entries.
 func ComparePoliciesWorkers(accs []Access, capacity units.Bytes, policies []Policy,
 	workers int) ([]CacheResult, error) {
-	out := make([]CacheResult, len(policies))
-	err := forEachJob(context.Background(), len(policies), workers, func(i int) error {
-		c, err := NewCache(CacheConfig{Capacity: capacity, Policy: policies[i]})
-		if err != nil {
-			return err
-		}
-		out[i] = c.Replay(accs)
-		return nil
-	})
+	cells := make([]ReplayCell, len(policies))
+	for i, p := range policies {
+		cells[i] = ReplayCell{Policy: p, Capacity: capacity}
+	}
+	out, err := ReplayCells(context.Background(), accs, cells, workers)
 	if err != nil {
 		return nil, err
 	}
-	sortByMissRatio(out)
-	return out, nil
-}
-
-// PolicySweep is one policy's full capacity sweep within a
-// MultiPolicySweep.
-type PolicySweep struct {
-	Policy string
-	Points []SweepPoint
-}
-
-// MultiPolicySweep runs the full policies × fractions cross product
-// through one worker pool and returns one sweep per builder, in input
-// order — the capacity-planning experiment behind §2.3.
-func MultiPolicySweep(accs []Access, fractions []float64, mks []func() Policy,
-	workers int) ([]PolicySweep, error) {
-	return MultiPolicySweepContext(context.Background(), accs, fractions, mks, workers)
-}
-
-// MultiPolicySweepContext is MultiPolicySweep with cancellation: a
-// cancelled ctx stops dispatching cells (in-flight replays finish) and
-// the first failing cell cancels its siblings the same way. Results are
-// unchanged by ctx — cancellation only ever surfaces as an error.
-func MultiPolicySweepContext(ctx context.Context, accs []Access, fractions []float64,
-	mks []func() Policy, workers int) ([]PolicySweep, error) {
-	total := TotalReferencedBytes(accs)
-	out := make([]PolicySweep, len(mks))
-	// One serial builder call per cell — builders need not be
-	// goroutine-safe, every job needs a private policy instance, and a
-	// stateful builder (OPT's FutureIndex, a seeded Random) is not cheap.
-	policies := make([][]Policy, len(mks))
-	for i, mk := range mks {
-		p := mk()
-		if p == nil {
-			return nil, fmt.Errorf("migration: policy builder %d returned nil", i)
-		}
-		out[i] = PolicySweep{Policy: p.Name(), Points: make([]SweepPoint, len(fractions))}
-		policies[i] = make([]Policy, len(fractions))
-		for j := range fractions {
-			if j > 0 { // the build that named the row is cell 0's policy
-				p = mk()
-			}
-			policies[i][j] = p
-		}
-	}
-	err := forEachJob(ctx, len(mks)*len(fractions), workers, func(job int) error {
-		pi, fi := job/len(fractions), job%len(fractions)
-		frac := fractions[fi]
-		cap := units.Bytes(float64(total) * frac)
-		if cap <= 0 {
-			cap = 1
-		}
-		c, err := NewCache(CacheConfig{Capacity: cap, Policy: policies[pi][fi]})
-		if err != nil {
-			return err
-		}
-		out[pi].Points[fi] = SweepPoint{CapacityFraction: frac, Result: c.Replay(accs)}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].MissRatio() < out[j].MissRatio() })
 	return out, nil
 }
 
@@ -162,20 +115,17 @@ func STPExponentSweep(accs []Access, capacity units.Bytes, ks []float64) ([]Expo
 // count.
 func STPExponentSweepWorkers(accs []Access, capacity units.Bytes, ks []float64,
 	workers int) ([]ExponentPoint, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("migration: sweep capacity must be positive")
+	cells := make([]ReplayCell, len(ks))
+	for i, k := range ks {
+		cells[i] = ReplayCell{Policy: STP{K: k}, Capacity: capacity}
 	}
-	out := make([]ExponentPoint, len(ks))
-	err := forEachJob(context.Background(), len(ks), workers, func(i int) error {
-		c, err := NewCache(CacheConfig{Capacity: capacity, Policy: STP{K: ks[i]}})
-		if err != nil {
-			return err
-		}
-		out[i] = ExponentPoint{K: ks[i], Result: c.Replay(accs)}
-		return nil
-	})
+	res, err := ReplayCells(context.Background(), accs, cells, workers)
 	if err != nil {
 		return nil, err
+	}
+	out := make([]ExponentPoint, len(res))
+	for i, r := range res {
+		out[i] = ExponentPoint{K: ks[i], Result: r}
 	}
 	return out, nil
 }

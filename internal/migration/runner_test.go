@@ -1,6 +1,12 @@
 package migration
 
-import "testing"
+import (
+	"context"
+	"errors"
+	"strings"
+	"sync/atomic"
+	"testing"
+)
 
 func TestCapacitySweepParallelMatchesSerial(t *testing.T) {
 	accs := syntheticString(5000, 21)
@@ -50,52 +56,81 @@ func TestComparePoliciesParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestMultiPolicySweepMatchesPerPolicySweeps(t *testing.T) {
+// nameCounter is an LRU that counts Name calls: NewCache reads the name
+// of every policy it is handed, so the count is the number of cells
+// that reached a worker.
+type nameCounter struct {
+	LRU
+	n *atomic.Int32
+}
+
+func (p nameCounter) Name() string { p.n.Add(1); return p.LRU.Name() }
+
+// TestReplayCells pins the one replay primitive every sweep and the
+// experiment grid run through: results in cell order equal to a direct
+// NewCache + Replay of each cell at any worker count, the pool's
+// lowest-indexed error, and no dispatch under a cancelled context.
+func TestReplayCells(t *testing.T) {
 	accs := syntheticString(4000, 23)
-	fractions := []float64{0.01, 0.05, 0.2}
-	mks := []func() Policy{
-		func() Policy { return STP{K: 1.4} },
-		func() Policy { return LRU{} },
-		func() Policy { return LargestFirst{} },
-	}
-	multi, err := MultiPolicySweep(accs, fractions, mks, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(multi) != len(mks) {
-		t.Fatalf("sweeps = %d, want %d", len(multi), len(mks))
-	}
-	for i, mk := range mks {
-		if multi[i].Policy != mk().Name() {
-			t.Errorf("sweep %d policy = %q, want %q (input order)", i, multi[i].Policy, mk().Name())
+	total := TotalReferencedBytes(accs)
+	build := func() []ReplayCell {
+		var cells []ReplayCell
+		for _, frac := range []float64{0.01, 0.05, 0.2} {
+			cap := FractionCapacity(total, frac)
+			cells = append(cells,
+				ReplayCell{Policy: STP{K: 1.4}, Capacity: cap},
+				ReplayCell{Policy: NewRandom(3), Capacity: cap},
+				ReplayCell{Policy: NewOPT(NewFutureIndex(accs)), Capacity: cap},
+				ReplayCell{Policy: NewARC(), Capacity: cap})
 		}
-		solo, err := CapacitySweepWorkers(accs, fractions, mk, 1)
+		return cells
+	}
+	var want []CacheResult
+	for _, cell := range build() {
+		c, err := NewCache(CacheConfig{Capacity: cell.Capacity, Policy: cell.Policy})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j := range solo {
-			if multi[i].Points[j] != solo[j] {
-				t.Errorf("%s at %v: multi %+v != solo %+v",
-					multi[i].Policy, fractions[j], multi[i].Points[j], solo[j])
+		want = append(want, c.Replay(accs))
+	}
+	for _, workers := range []int{0, 1, 4} {
+		got, err := ReplayCells(context.Background(), accs, build(), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d results for %d cells", workers, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("workers=%d cell %d: %+v != direct replay %+v", workers, i, got[i], want[i])
 			}
 		}
-	}
-}
 
-// TestMultiPolicySweepBuildsOncePerCell pins the builder budget: one
-// call per (policy, fraction) cell, none extra to read the row's name.
-func TestMultiPolicySweepBuildsOncePerCell(t *testing.T) {
-	accs := syntheticString(300, 26)
-	fractions := []float64{0.01, 0.05, 0.2}
-	calls := 0
-	mk := func() Policy { calls++; return NewOPT(NewFutureIndex(accs)) }
-	sweeps, err := MultiPolicySweep(accs, fractions, []func() Policy{mk}, 0)
-	if err != nil {
-		t.Fatal(err)
+		bad := build()[:4]
+		bad[1].Policy = nil // "policy required" ...
+		bad[3].Capacity = 0 // ... outranks the later "capacity must be positive"
+		if _, err := ReplayCells(context.Background(), accs, bad, workers); err == nil ||
+			!strings.Contains(err.Error(), "policy required") {
+			t.Errorf("workers=%d: error %v, want the lowest-indexed cell's (nil policy)", workers, err)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		var dispatched atomic.Int32
+		cells := make([]ReplayCell, 8)
+		for i := range cells {
+			cells[i] = ReplayCell{Policy: nameCounter{n: &dispatched}, Capacity: total}
+		}
+		if _, err := ReplayCells(ctx, accs, cells, workers); !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: cancelled ctx returned %v", workers, err)
+		}
+		if n := dispatched.Load(); n != 0 {
+			t.Errorf("workers=%d: %d cells dispatched under a cancelled ctx", workers, n)
+		}
 	}
-	if calls != len(fractions) || sweeps[0].Policy != "OPT" {
-		t.Errorf("builder ran %d times for %d cells (row %q), want one per cell",
-			calls, len(fractions), sweeps[0].Policy)
+	if FractionCapacity(0, 0.5) != 1 || FractionCapacity(total, 0) != 1 || FractionCapacity(1000, 0.25) != 250 {
+		t.Error("FractionCapacity: want total×frac, clamped up to one byte")
 	}
 }
 
@@ -142,8 +177,7 @@ func TestSweepErrorPropagation(t *testing.T) {
 	if _, err := ComparePoliciesWorkers(accs, 1, []Policy{nil}, 0); err == nil {
 		t.Error("nil policy must error")
 	}
-	bad := []func() Policy{func() Policy { return nil }}
-	if _, err := MultiPolicySweep(accs, []float64{0.1}, bad, 0); err == nil {
+	if _, err := CapacitySweepWorkers(accs, []float64{0.1}, func() Policy { return nil }, 0); err == nil {
 		t.Error("nil policy builder must error")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"time"
@@ -80,54 +81,59 @@ func (s *Server) EncodeCheckpoint() ([]byte, error) {
 	for _, f := range frames {
 		size += len(f)
 	}
-	out := make([]byte, 0, size)
-	out = append(out, CheckpointHeader...)
-	for _, f := range frames {
-		out = append(out, f...)
+	out := bytes.NewBuffer(make([]byte, 0, size))
+	_ = writeFramesTo(out, frames) // a bytes.Buffer write cannot fail
+	return out.Bytes(), nil
+}
+
+// writeFramesTo writes a checkpoint: the header, then every frame.
+func writeFramesTo(w io.Writer, frames [][]byte) error {
+	if _, err := io.WriteString(w, CheckpointHeader); err != nil {
+		return err
 	}
-	return out, nil
+	for _, fr := range frames {
+		if _, err := w.Write(fr); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Checkpoint writes the daemon's state to Config.CheckpointPath,
 // atomically: the frames stream into a temporary sibling first, which is
 // renamed over the target, so a crash mid-write leaves the previous
-// checkpoint intact.
+// checkpoint intact. Checkpoints are serialised — cut, write, rename and
+// the pending-record count all happen under one mutex — so a call that
+// finds another in flight waits for it and then takes its own; ingest
+// is stalled only for the cut.
 func (s *Server) Checkpoint() error {
 	if s.cfg.CheckpointPath == "" {
 		return errors.New("serve: no checkpoint path configured")
 	}
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
+	return s.checkpointLocked()
+}
+
+// checkpointLocked is Checkpoint with ckptMu already held.
+func (s *Server) checkpointLocked() error {
 	frames, pending, err := s.encodeSegments()
 	if err != nil {
 		return err
 	}
-	tmp := s.cfg.CheckpointPath + ".tmp"
-	if err := writeFrames(tmp, frames); err != nil {
-		return fmt.Errorf("serve: checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, s.cfg.CheckpointPath); err != nil {
+	err = dist.WriteFileAtomic(s.cfg.CheckpointPath, func(f io.Writer) error {
+		w := bufio.NewWriterSize(f, 1<<16)
+		if err := writeFramesTo(w, frames); err != nil {
+			return err
+		}
+		return w.Flush()
+	})
+	if err != nil {
 		return fmt.Errorf("serve: checkpoint: %w", err)
 	}
 	s.checkpoints.Add(1)
 	s.sinceCkpt.Add(-pending)
 	return nil
-}
-
-// writeFrames writes a checkpoint file: the header, then every frame.
-func writeFrames(path string, frames [][]byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriterSize(f, 1<<16)
-	w.WriteString(CheckpointHeader)
-	for _, fr := range frames {
-		w.Write(fr) // the first error sticks and Flush returns it
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // CheckpointIfChanged is Checkpoint for the callers with nothing new to
@@ -145,7 +151,8 @@ func (s *Server) CheckpointIfChanged() (wrote bool, err error) {
 }
 
 // maybeCheckpoint runs the record-count checkpoint cadence after a
-// batch was applied.
+// batch was applied. It never waits: a tick that finds a checkpoint in
+// flight is skipped.
 func (s *Server) maybeCheckpoint() {
 	if s.cfg.CheckpointEvery <= 0 || s.cfg.CheckpointPath == "" {
 		return
@@ -153,7 +160,17 @@ func (s *Server) maybeCheckpoint() {
 	if s.sinceCkpt.Load() < s.cfg.CheckpointEvery {
 		return
 	}
-	if err := s.Checkpoint(); err != nil {
+	// Every ingest goroutine past the threshold lands here; the one that
+	// gets the mutex checkpoints, the rest skip — the checkpoint in
+	// flight (or the next batch's tick) covers their records.
+	if !s.ckptMu.TryLock() {
+		return
+	}
+	defer s.ckptMu.Unlock()
+	if s.sinceCkpt.Load() < s.cfg.CheckpointEvery {
+		return // a checkpoint finished between the check above and the lock
+	}
+	if err := s.checkpointLocked(); err != nil {
 		s.logf("migd: cadence checkpoint failed: %v", err)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -533,5 +534,107 @@ func TestMigdIngestSteadyStateAllocs(t *testing.T) {
 	}
 	if small > steadyStateIngestAllocs {
 		t.Errorf("a steady-state POST allocates %v times inside the handler, want <= %d", small, steadyStateIngestAllocs)
+	}
+}
+
+// TestMigdConcurrentCheckpoints: eight clients ingest past the record
+// cadence at once, so cadence checkpoints fire from many goroutines,
+// while a reader restores whatever file sits at CheckpointPath. Every
+// file observed must restore (no torn or interleaved write ever reaches
+// the final name), the pending-record count must never go negative (no
+// checkpoint settles records another already settled), no temporary may
+// be left behind, and the last checkpoint must carry the daemon's state.
+func TestMigdConcurrentCheckpoints(t *testing.T) {
+	res := daemonFixture(t)
+	dir := t.TempDir()
+	cfg := Config{CheckpointPath: filepath.Join(dir, "migd.ckpt"), CheckpointEvery: 50, Now: fixedClock(res)}
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := func(data []byte) (*Server, error) {
+		r, err := NewServer(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return r, r.RestoreCheckpoint(data)
+	}
+
+	stop, readerDone := make(chan struct{}), make(chan struct{})
+	observed := 0
+	go func() {
+		defer close(readerDone)
+		for last := false; !last; {
+			select {
+			case <-stop:
+				last = true // one more look, at the file the writers left
+			default:
+			}
+			if n := s.sinceCkpt.Load(); n < 0 {
+				t.Errorf("sinceCkpt read %d", n)
+				return
+			}
+			data, err := os.ReadFile(cfg.CheckpointPath)
+			if err != nil {
+				continue // not written yet
+			}
+			observed++
+			if _, err := restore(data); err != nil {
+				t.Errorf("checkpoint file %d (%d bytes) does not restore: %v", observed, len(data), err)
+				return
+			}
+		}
+	}()
+
+	const clients, batch = 8, 10
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c * batch; i+batch <= len(res.Records); i += clients * batch {
+				s.Ingest(res.Records[i : i+batch])
+				if n := s.sinceCkpt.Load(); n < 0 {
+					t.Errorf("sinceCkpt read %d after a batch", n)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(stop)
+	<-readerDone
+	if observed == 0 || s.StatsNow().Checkpoints < 2 {
+		t.Fatalf("reader saw %d files over %d checkpoints; the cadence never raced",
+			observed, s.StatsNow().Checkpoints)
+	}
+
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.sinceCkpt.Load(); n != 0 {
+		t.Errorf("sinceCkpt = %d after a quiescent checkpoint, want 0", n)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "migd.ckpt" {
+		t.Errorf("checkpoint directory holds %v, want only migd.ckpt", entries)
+	}
+	data, err := os.ReadFile(cfg.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := restore(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := restored.Report(); err != nil || got != want {
+		t.Errorf("restored report differs from the daemon's (err %v)", err)
 	}
 }

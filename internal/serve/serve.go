@@ -195,6 +195,11 @@ type Server struct {
 	paths   *trace.Interner
 	files   []fileRow
 
+	// ckptMu serialises checkpoints: the cut, the file write, the rename
+	// and the sinceCkpt settlement are one step. It is taken before mu,
+	// never while holding it.
+	ckptMu sync.Mutex
+
 	records     atomic.Int64
 	errRecords  atomic.Int64
 	segCount    atomic.Int64

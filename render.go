@@ -67,24 +67,6 @@ func RenderExponentSweep(points []migration.ExponentPoint) string {
 	return b.String()
 }
 
-// RenderMultiSweep prints one capacity sweep per policy.
-func RenderMultiSweep(sweeps []migration.PolicySweep, days float64) string {
-	var b strings.Builder
-	for _, s := range sweeps {
-		fmt.Fprintf(&b, "policy %s\n", s.Policy)
-		fmt.Fprintf(&b, "  %9s %9s %12s %16s\n", "capacity", "miss%", "byte miss%", "person-min/day")
-		for _, pt := range s.Points {
-			fmt.Fprintf(&b, "  %8.1f%% %8.2f%% %11.2f%% %16.1f\n",
-				100*pt.CapacityFraction,
-				100*pt.Result.MissRatio(),
-				100*pt.Result.ByteMissRatio(),
-				pt.Result.PersonMinutesPerDay(days, extraTapeLatency))
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
 // RenderSweep prints a capacity sweep.
 func RenderSweep(points []migration.SweepPoint) string {
 	var b strings.Builder

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"filemig/internal/experiment"
+	"filemig/internal/host"
 	"filemig/internal/workload"
 )
 
@@ -47,7 +48,8 @@ func LoadExperiment(path string) (*ExperimentSpec, error) {
 
 // RunExperiment executes a declarative experiment spec — every workload
 // scenario × policy × capacity cell, fanned over the bounded worker
-// pool — and returns its deterministic manifest.
+// pool (spec.Workers goroutines; 0 means one per CPU) — and
+// returns its deterministic manifest.
 func RunExperiment(spec *ExperimentSpec) (*ExperimentManifest, error) {
 	return RunExperimentContext(context.Background(), spec)
 }
@@ -56,6 +58,11 @@ func RunExperiment(spec *ExperimentSpec) (*ExperimentManifest, error) {
 // ctx aborts between grid cells and surfaces ctx's error; it never
 // changes the manifest.
 func RunExperimentContext(ctx context.Context, spec *ExperimentSpec) (*ExperimentManifest, error) {
+	if spec.Workers == 0 { // a negative count is left for validation to reject
+		resolved := *spec // the caller's spec is not ours to edit
+		resolved.Workers = host.DefaultWorkers()
+		spec = &resolved
+	}
 	return experiment.Run(ctx, spec)
 }
 
