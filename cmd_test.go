@@ -483,18 +483,27 @@ func TestMssanalyzeMergeHardening(t *testing.T) {
 		t.Errorf("matchless-glob merge error unhelpful: %s", msg)
 	}
 
-	// A corrupt snapshot fails the merge and the error names the file.
+	// A corrupt snapshot merged in trace order fails to decode — cut
+	// short by its last byte, which the decoder always rejects — and the
+	// error names the file.
 	corrupt := filepath.Join(dir, "bad.s1")
-	raw, err := os.ReadFile(snaps[0])
+	raw, err := os.ReadFile(snaps[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)/2] ^= 0x40
-	if err := os.WriteFile(corrupt, raw, 0o644); err != nil {
+	if err := os.WriteFile(corrupt, raw[:len(raw)-1], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if msg := mustFail("merge", snaps[1], corrupt); !strings.Contains(msg, "bad.s1") {
-		t.Errorf("corrupt-snapshot error does not name the file: %s", msg)
+	if msg := mustFail("merge", snaps[0], corrupt); !strings.Contains(msg, "bad.s1") ||
+		strings.Contains(msg, "trace order") {
+		t.Errorf("corrupt-snapshot error does not name the file, or is not a decode error: %s", msg)
+	}
+
+	// Snapshots handed over out of trace order fail the merge, and the
+	// error names the file that broke the order.
+	if msg := mustFail("merge", snaps[1], snaps[0]); !strings.Contains(msg, snaps[0]) ||
+		!strings.Contains(msg, "trace order") {
+		t.Errorf("swapped-order merge error does not name the file: %s", msg)
 	}
 }
 

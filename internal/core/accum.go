@@ -19,11 +19,11 @@ import (
 // index-seek path cuts the file into contiguous block groups,
 // accumulates each into a Partial, and Folds them into a master in time
 // order; the s1 snapshot codec serializes an Accumulator and decodes
-// back into a journal-only Partial that FoldReplay merges; and the migd
-// daemon (internal/serve) keeps one journal-only Partial per ingest
-// segment, all over one daemon-wide path table, and FoldPartials them on
-// demand. The three folds differ in how much they recompute and what
-// they assume about segment order:
+// back into a journal-only Partial that FoldPartials merges, one
+// snapshot per call; and the migd daemon (internal/serve) keeps one
+// journal-only Partial per ingest segment, all over one daemon-wide path
+// table, and FoldPartials them all at once on demand. The two folds
+// differ in how much they recompute and what they assume:
 //
 //   - Fold requires master and segment to share a calendar origin
 //     (AccumulateB2Blocks resolves Options.Start once for exactly this
@@ -33,30 +33,26 @@ import (
 //     needs a full Partial (a shard worker's), which carries those series.
 //     Its segments sit over their shard worker's path table, which the
 //     worker keeps extending while earlier segments fold.
-//   - FoldReplay makes no origin assumption: only the fields a journal
+//   - FoldPartials makes no origin assumption: only the fields a journal
 //     replay cannot recompute — the op×class accumulators and the
 //     startup-latency CDFs, which need the device class the journal does
 //     not carry — fold by addition, and everything else is recomputed by
-//     replaying the segment's journal through the exact per-record
-//     transitions the slice path runs. Snapshots produced by different
-//     processes merge through this path, one at a time, in trace order.
-//   - FoldPartials drops the remaining assumption — that segments
-//     arrive contiguous and in order. It takes every segment at once,
-//     k-way merges their journals back into global record time, and
-//     replays the merged stream into a fresh master: segments whose
-//     time ranges interleave arbitrarily (a live daemon's out-of-order
-//     batch arrivals) still fold to the exact slice-path state.
+//     k-way merging the segments' journals back into global record time
+//     and replaying them through the exact per-record transitions the
+//     slice path runs. Segments within one call may interleave
+//     arbitrarily (a live daemon's out-of-order batch arrivals); across
+//     calls they must come in trace order (snapshots produced by
+//     different processes).
 //
 // Every fold replays per-file state rather than merging it, because
 // §5.3 dedup survival does not compose from end states (see the package
 // comment in snapshot.go), and every fold preserves the master's
 // first-seen FileID assignment by interning segment paths in the order
-// the replayed records first touch them: Fold and FoldPartials do so
-// lazily, entry by entry, through one table-ID → master-ID remap per
-// path table (idRemaps), so the master hashes a path once per table that
-// knows it — and never a path no good reference names; FoldReplay,
-// whose segments each bring a foreign private table, does the same
-// through a remap that lives for the one call.
+// the replayed records first touch them, lazily, entry by entry, through
+// one table-ID → master-ID remap per path table (idRemaps) — so the
+// master hashes a path once per table that knows it, and never a path
+// no good reference names. Fold keeps its remaps on the master from one
+// call to the next; FoldPartials builds fresh ones for each call.
 
 // Accumulator is the unified online accumulator: Analysis under the name
 // the incremental paths use. The two names alias one type.
@@ -72,7 +68,7 @@ func NewAccumulator(opts Options) *Accumulator { return New(opts) }
 // over a path table — plus the segment's boundary instants for ordering
 // segments at fold time. That core is all a journal-only segment
 // (NewSegment, or one decoded from a snapshot) holds, and all
-// FoldReplay, FoldPartials and the s1 encoder read. A full Partial (a
+// FoldPartials and the s1 encoder read. A full Partial (a
 // shard worker's, AccumulatePartial) additionally accumulates the
 // derived series of a contiguous shard as it observes — the calendar,
 // periodicity, Figure 7 and Figure 10 state Fold merges by addition
@@ -190,7 +186,9 @@ func (p *Partial) Bounds() (first, last time.Time) { return p.first, p.last }
 // good-reference bounds come from the journal, and the all-record bounds
 // are first and last where the caller recorded them (the s1 format does
 // not carry the bounds of error records; the daemon's checkpoint frames
-// do), else the good-reference bounds.
+// do), else the good-reference bounds. A segment with neither — an s1
+// snapshot of error records only — takes its start instant as its first
+// bound, so it still anchors a fold's calendar as its records would.
 func (p *Partial) setBounds(first, last time.Time) {
 	p.first, p.last = first, last
 	if n := len(p.journal); n > 0 {
@@ -202,6 +200,9 @@ func (p *Partial) setBounds(first, last time.Time) {
 		if p.last.IsZero() {
 			p.last = p.lastOK
 		}
+	}
+	if p.first.IsZero() {
+		p.first = p.start
 	}
 }
 
@@ -357,103 +358,56 @@ func (a *Accumulator) masterID(remap []trace.FileID, view []string, id trace.Fil
 	return m
 }
 
-// FoldReplay merges one segment into the master without a shared
-// calendar origin: the op×class accumulators and startup-latency CDFs —
-// which need the device class the journal does not carry — fold by
-// addition, and every derived series (calendar, periodicity, Figure 7
-// intervals, Figure 10, per-file state) is recomputed by replaying the
-// journal through the per-record transitions the slice path runs. This
-// is the split the s1 snapshot merge uses. Segments must fold in time
-// order; an overlap with already-folded data is an error, as is a
-// dedup-window disagreement.
-func (a *Accumulator) FoldReplay(p *Partial) error {
-	sub := p.sums
-	if p.dedup != a.opts.DedupWindow {
-		return fmt.Errorf("segment dedup window %v disagrees with the master's %v",
-			p.dedup, a.opts.DedupWindow)
-	}
-	if len(sub.journal) > 0 {
-		t0 := time.Unix(0, sub.journal[0].start).UTC()
-		if !a.lastStart.IsZero() && t0.Before(a.lastStart) {
-			return fmt.Errorf("segment starts at %v, before already-merged data ending %v (segments must fold in trace order)",
-				t0, a.lastStart)
-		}
-	}
-	if a.start.IsZero() {
-		if !a.opts.Start.IsZero() {
-			a.start = a.opts.Start
-		} else {
-			a.start = sub.start
-		}
-	}
-	if len(sub.journal) > 0 && a.start.IsZero() {
-		return errors.New("journal entries present but no segment so far has a start time")
-	}
-
-	a.foldSums(sub)
-
-	view := p.pathView()
-	remap := slices.Repeat([]trace.FileID{trace.NoFileID}, len(view))
-	for k := range sub.journal {
-		e := &sub.journal[k]
-		opIdx, op := 0, trace.Read
-		if e.write {
-			opIdx, op = 1, trace.Write
-		}
-		t := time.Unix(0, e.start).UTC()
-		a.addDerived(t, opIdx, e.size)
-		a.addInterval(t)
-		a.addFileAccessID(a.masterID(remap, view, e.id), op, e.start, units.Bytes(e.size))
-	}
-	return nil
-}
-
-// FoldPartials merges any number of segments into a fresh master: the
-// position-independent state — record and error counts, the op×class
-// accumulators, the startup-latency CDFs — folds by addition in any
-// order, and the segments' journals are then merged into one global
-// time order and replayed through the per-record transitions the slice
-// path runs. Unlike Fold and FoldReplay, the segments' record-time
-// ranges may interleave arbitrarily — a live daemon's batches arrive
-// from concurrent clients in no particular order, and a late single
-// event may split an already-extended segment's range — provided the
-// records themselves are distinct instants; ties across segments replay
-// in the given segment order. Master file IDs are assigned in replay
+// FoldPartials merges any number of segments into the master without a
+// shared calendar origin: the position-independent state — record and
+// error counts, the op×class accumulators, the startup-latency CDFs,
+// which need the device class the journal does not carry — folds by
+// addition in any order, and the segments' journals are then merged
+// into one global time order and replayed through the per-record
+// transitions the slice path runs, recomputing every derived series
+// (calendar, periodicity, Figure 7 intervals, Figure 10, per-file
+// state). Unlike Fold, the segments' record-time ranges may interleave
+// arbitrarily — a live daemon's batches arrive from concurrent clients
+// in no particular order, and a late single event may split an
+// already-extended segment's range — provided the records themselves
+// are distinct instants; ties across segments replay in the given
+// segment order. The master may already hold data (the s1 merge folds
+// one snapshot per call, in trace order), but a segment whose first
+// reference precedes the master's last is an error, as is a
+// dedup-window disagreement. Master file IDs are assigned in replay
 // order, exactly as a single process reading the merged trace would:
-// each path table in play gets one flat table-ID → master-ID remap,
-// filled on a file's first appearance in the merged order — so the
-// segments of a daemon, which share one table, share one remap and a
-// file costs the master one string hash however many segments name it.
-// Only the sums, the journal and the path table of a segment are read,
-// so full and journal-only segments fold alike.
+// each path table in play gets one flat table-ID → master-ID remap for
+// the call, filled on a file's first appearance in the merged order —
+// so the segments of a daemon, which share one table, share one remap
+// and a file costs the master one string hash however many segments
+// name it. Only the sums, the journal and the path table of a segment
+// are read, so full and journal-only segments fold alike.
 func (a *Accumulator) FoldPartials(ps []*Partial) error {
-	if a.total != 0 {
-		return errors.New("core: FoldPartials merges into a fresh accumulator")
-	}
 	entries := 0
 	for i, p := range ps {
 		if p.dedup != a.opts.DedupWindow {
 			return fmt.Errorf("core: segment %d dedup window %v disagrees with the master's %v",
 				i, p.dedup, a.opts.DedupWindow)
 		}
+		if len(p.journal) > 0 && !a.lastStart.IsZero() && p.journal[0].start < a.lastStart.UnixNano() {
+			return fmt.Errorf("segment starts at %v, before already-merged data ending %v (segments must fold in trace order)",
+				time.Unix(0, p.journal[0].start).UTC(), a.lastStart)
+		}
 		entries += len(p.journal)
 	}
 
-	// Anchor the calendar origin the way the slice path does: from the
-	// explicit option, else from the earliest segment's own anchor —
+	// Anchor the calendar origin once, the way the slice path does: from
+	// the explicit option, else from the earliest segment's own anchor —
 	// which that segment resolved from its first record, errors
 	// included.
-	if !a.opts.Start.IsZero() {
+	if a.start.IsZero() {
 		a.start = a.opts.Start
-	} else {
+	}
+	if a.start.IsZero() {
 		var first time.Time
 		for _, p := range ps {
-			if p.first.IsZero() {
-				continue
-			}
-			if first.IsZero() || p.first.Before(first) {
-				first = p.first
-				a.start = p.start
+			if !p.first.IsZero() && (first.IsZero() || p.first.Before(first)) {
+				first, a.start = p.first, p.start
 			}
 		}
 	}

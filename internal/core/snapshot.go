@@ -37,9 +37,12 @@ import (
 // series, Figures 7 and 10) by replaying it through the exact code the
 // slice path runs. Second, what is not derivable from the journal — the
 // device-class split and the startup latencies — is serialized
-// directly, and doubles as an integrity check: the op×class reference
-// sums must equal the journal length, so a truncated or tampered
-// snapshot fails to load instead of skewing the merged report.
+// directly, and doubles as a structural cross-check: the op×class
+// reference sums must equal the journal length, so a truncated snapshot
+// fails to load. A standalone s1 file carries no checksum, so a flipped
+// bit that keeps the structure consistent loads and skews the merge;
+// CRC protection comes from the frames that carry s1 (migd checkpoints,
+// dist results).
 
 // snapHasStart marks a snapshot whose analysis has seen at least one
 // record and therefore carries its resolved calendar origin. The
@@ -302,9 +305,6 @@ func (sm *SnapshotMerger) Add(r io.Reader) error {
 	return nil
 }
 
-// Count reports how many snapshots have been merged so far.
-func (sm *SnapshotMerger) Count() int { return sm.n }
-
 // Analysis returns the merged analysis — state-identical to a single
 // process analysing the concatenated trace. It errors on an empty or
 // poisoned merger.
@@ -319,7 +319,7 @@ func (sm *SnapshotMerger) Analysis() (*Analysis, error) {
 }
 
 // mergeSnapshot decodes one snapshot from r into a journal-only Partial
-// over a table of its own and folds it into m through FoldReplay. The
+// over a table of its own and folds it into m through FoldPartials. The
 // master is untouched on any decode or validation error.
 func (m *Analysis) mergeSnapshot(r io.Reader, first bool) error {
 	p, err := NewSegmentCodec(trace.NewInterner()).decode(trace.NewWireReader(r), time.Time{}, time.Time{})
@@ -332,7 +332,7 @@ func (m *Analysis) mergeSnapshot(r io.Reader, first bool) error {
 		return fmt.Errorf("dedup window %v disagrees with first snapshot's %v",
 			p.dedup, m.opts.DedupWindow)
 	}
-	return m.FoldReplay(p)
+	return m.FoldPartials([]*Partial{p})
 }
 
 // decode decodes one s1 snapshot into a journal-only Partial over the

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"filemig/internal/device"
 	"filemig/internal/trace"
 )
 
@@ -106,6 +107,35 @@ func TestSnapshotEquivalence(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSnapshotMergeErrorOnlyLeader pins the calendar anchor of a merge
+// whose first snapshot holds one error record and nothing else: the s1
+// format keeps no error-record times and that snapshot has no journal,
+// so only its start instant can anchor the merged calendar — 50 hours
+// (three calendar days) before the next snapshot would — exactly as the
+// error record anchors a single-process run over the same records.
+func TestSnapshotMergeErrorOnlyLeader(t *testing.T) {
+	res := streamFixture(t)
+	rest := res.Records[:4000]
+	leader := trace.Record{Start: rest[0].Start.Add(-50 * time.Hour), Op: trace.Read,
+		Device: device.ClassDisk, Err: trace.ErrNoFile, MSSPath: "/mss/gone", LocalPath: "/tmp/gone", UserID: 1}
+	all := append([]trace.Record{leader}, rest...)
+	halves := splitN(rest, 2)
+	for _, start := range []time.Time{{}, res.Config.Start} {
+		t.Run(fmt.Sprintf("start=%v", !start.IsZero()), func(t *testing.T) {
+			opts := Options{Start: start}
+			slice := New(opts)
+			slice.AddAll(all)
+			want := renderAll(slice.Report())
+			m := mergeSnapshots(t, [][]byte{
+				saveSlice(t, opts, all[:1]), saveSlice(t, opts, halves[0]), saveSlice(t, opts, halves[1]),
+			})
+			if got := renderAll(m.Report()); got != want {
+				t.Fatalf("merge led by an error-only snapshot diverged from the slice path:\n%s", firstDiff(want, got))
+			}
+		})
 	}
 }
 

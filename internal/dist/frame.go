@@ -25,7 +25,8 @@ const frameMagic = "#dist-frame f1\n"
 // corrupt length field cannot drive a huge allocation.
 const maxFramePayload = 1 << 30
 
-// crcTable is the Castagnoli table shared with the b2 block codec.
+// crcTable is this package's CRC-32C (Castagnoli) table — the same
+// polynomial as the b2 trace codec's section checksum, built separately.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrFrame is wrapped by every frame decode failure.

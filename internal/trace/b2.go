@@ -287,7 +287,7 @@ func (w *B2Writer) emitFrame(tag byte, body []byte) {
 	w.wire.Uvarint(uint64(len(body)))
 	w.wire.Raw(body)
 	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(body, b2CRCTable))
+	binary.LittleEndian.PutUint32(crc[:], b2CRC(body))
 	w.wire.Raw(crc[:])
 	w.pos += int64(frameLen(len(body)))
 }

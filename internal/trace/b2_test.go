@@ -400,12 +400,13 @@ func reindexB2(t *testing.T, data []byte, mutate func([]b2IndexEntry) []b2IndexE
 	if err != nil {
 		t.Fatalf("fixture index frame: %v", err)
 	}
-	c := byteCursor{b: body}
-	epochSec, err := c.svarint("epoch")
+	var c WireReader
+	c.ResetBytes(body)
+	epochSec, err := c.Svarint("epoch")
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := c.uvarint("count", 1<<20)
+	n, err := c.Uvarint("count", 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,14 +414,14 @@ func reindexB2(t *testing.T, data []byte, mutate func([]b2IndexEntry) []b2IndexE
 	for i := range entries {
 		e := &entries[i]
 		for _, dst := range []*int64{&e.offset, &e.frameLen, &e.count, &e.base, &e.span} {
-			v, err := c.uvarint("field", 1<<62)
+			v, err := c.Uvarint("field", 1<<62)
 			if err != nil {
 				t.Fatal(err)
 			}
 			*dst = int64(v)
 		}
 		for col := range e.colSizes {
-			v, err := c.uvarint("col", 1<<62)
+			v, err := c.Uvarint("col", 1<<62)
 			if err != nil {
 				t.Fatal(err)
 			}

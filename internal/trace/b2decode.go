@@ -14,62 +14,27 @@ import (
 // reader in b2reader.go and the seekable parallel reader in b2file.go —
 // materialize one whole section body into memory (the frames are small
 // and CRC-framed, so there is nothing to gain from streaming inside
-// one), verify its checksum, and hand the bytes here. This file decodes
-// a block body into records and an index body into validated
-// b2IndexEntry rows, returning an error for every malformed input —
-// truncation, bit flips the CRC somehow missed, impossible counts,
-// out-of-order timestamps — and never panicking or silently skewing.
-
-// byteCursor decodes varint fields from a fully materialized section
-// body. Unlike WireReader there is no refilling: the body's end is the
-// hard end of every field, so truncation inside a field is always an
-// explicit error.
-type byteCursor struct {
-	b   []byte
-	pos int
-}
-
-// uvarint decodes one varint field, rejecting truncation, 64-bit
-// overflow, and values above max.
-func (c *byteCursor) uvarint(field string, max uint64) (uint64, error) {
-	v, k := binary.Uvarint(c.b[c.pos:])
-	if k <= 0 {
-		if k == 0 {
-			return 0, fmt.Errorf("%s: truncated varint", field)
-		}
-		return 0, fmt.Errorf("%s: varint overflows 64 bits", field)
-	}
-	c.pos += k
-	if v > max {
-		return 0, fmt.Errorf("%s %d out of range (max %d)", field, v, max)
-	}
-	return v, nil
-}
-
-// svarint decodes one zigzag-encoded signed varint field.
-func (c *byteCursor) svarint(field string) (int64, error) {
-	u, err := c.uvarint(field, math.MaxUint64)
-	if err != nil {
-		return 0, err
-	}
-	return int64(u>>1) ^ -int64(u&1), nil
-}
-
-// take returns the next n bytes as a view into the body.
-func (c *byteCursor) take(field string, n int) ([]byte, error) {
-	if n < 0 || n > len(c.b)-c.pos {
-		return nil, fmt.Errorf("%s: %d bytes wanted, %d left", field, n, len(c.b)-c.pos)
-	}
-	b := c.b[c.pos : c.pos+n]
-	c.pos += n
-	return b, nil
-}
-
-// rest reports the unconsumed byte count.
-func (c *byteCursor) rest() int { return len(c.b) - c.pos }
+// one), verify its checksum through checkB2CRC, and hand the bytes here.
+// Every field is read through a WireReader armed with ResetBytes over
+// the body (or, for the column runs, one reader per column), so the
+// body's end is the hard end of every field and truncation inside one is
+// an explicit error. This file decodes a block body into records and an
+// index body into validated b2IndexEntry rows, returning an error for
+// every malformed input — truncation, bit flips the CRC somehow missed,
+// impossible counts, out-of-order timestamps — and never panicking or
+// silently skewing.
 
 // b2CRC is the checksum over one section body; it trails every frame.
 func b2CRC(body []byte) uint32 { return crc32.Checksum(body, b2CRCTable) }
+
+// checkB2CRC verifies a section body against the four checksum bytes
+// that trail it in its frame — the one place either reader does.
+func checkB2CRC(body, sum []byte) error {
+	if got, want := b2CRC(body), binary.LittleEndian.Uint32(sum); got != want {
+		return fmt.Errorf("checksum mismatch: body sums to %08x, frame says %08x", got, want)
+	}
+	return nil
+}
 
 // b2Block is one decoded block body: its header fields, per-block path
 // dictionaries already canonicalised to strings, and the raw column
@@ -95,29 +60,30 @@ type internFunc func([]byte) string
 // are reused across calls; the column slices are views into body and
 // share its lifetime.
 func parseB2Block(body []byte, mss, local internFunc, blk *b2Block) error {
-	c := byteCursor{b: body}
-	count, err := c.uvarint("block record count", maxB2BlockRecords)
+	var r WireReader
+	r.ResetBytes(body)
+	count, err := r.Uvarint("block record count", maxB2BlockRecords)
 	if err != nil {
 		return err
 	}
 	if count == 0 {
 		return fmt.Errorf("block record count must be positive")
 	}
-	base, err := c.uvarint("block base time", maxWireSeconds)
+	base, err := r.Uvarint("block base time", maxWireSeconds)
 	if err != nil {
 		return err
 	}
-	span, err := c.uvarint("block time span", maxWireSeconds-base)
+	span, err := r.Uvarint("block time span", maxWireSeconds-base)
 	if err != nil {
 		return err
 	}
 	blk.count = int(count)
 	blk.base, blk.span = int64(base), int64(span)
 	blk.mssIDs = blk.mssIDs[:0]
-	if blk.mssDict, err = parseB2Dict(&c, "mss", count, mss, blk.mssDict[:0]); err != nil {
+	if blk.mssDict, err = parseB2Dict(&r, "mss", count, mss, blk.mssDict[:0]); err != nil {
 		return err
 	}
-	if blk.localDict, err = parseB2Dict(&c, "local", count, local, blk.localDict[:0]); err != nil {
+	if blk.localDict, err = parseB2Dict(&r, "local", count, local, blk.localDict[:0]); err != nil {
 		return err
 	}
 	// Every record carries two path references, so a non-empty block
@@ -127,16 +93,12 @@ func parseB2Block(body []byte, mss, local internFunc, blk *b2Block) error {
 		return fmt.Errorf("empty path dictionary in a block of %d records", blk.count)
 	}
 	for col := 0; col < b2NumCols; col++ {
-		n, err := c.uvarint("column length", uint64(c.rest()))
-		if err != nil {
-			return fmt.Errorf("column %d: %v", col, err)
-		}
-		if blk.cols[col], err = c.take("column bytes", int(n)); err != nil {
+		if blk.cols[col], err = r.Bytes("column bytes", "column length", uint64(r.remaining())); err != nil {
 			return fmt.Errorf("column %d: %v", col, err)
 		}
 	}
-	if c.rest() != 0 {
-		return fmt.Errorf("%d trailing bytes after the last column", c.rest())
+	if r.remaining() != 0 {
+		return fmt.Errorf("%d trailing bytes after the last column", r.remaining())
 	}
 	if len(blk.cols[b2ColFlags]) != blk.count {
 		return fmt.Errorf("flags column holds %d bytes for %d records",
@@ -149,17 +111,13 @@ func parseB2Block(body []byte, mss, local internFunc, blk *b2Block) error {
 // that many length-prefixed paths in first-appearance order. Every
 // entry backs at least one record, so the count is bounded by the
 // block's record count.
-func parseB2Dict(c *byteCursor, which string, maxEntries uint64, canon internFunc, dst []string) ([]string, error) {
-	n, err := c.uvarint("dictionary size", maxEntries)
+func parseB2Dict(r *WireReader, which string, maxEntries uint64, canon internFunc, dst []string) ([]string, error) {
+	n, err := r.Uvarint("dictionary size", maxEntries)
 	if err != nil {
 		return dst, fmt.Errorf("%s dictionary: %v", which, err)
 	}
 	for i := uint64(0); i < n; i++ {
-		l, err := c.uvarint("path length", maxBinaryPathLen)
-		if err != nil {
-			return dst, fmt.Errorf("%s dictionary entry %d: %v", which, i, err)
-		}
-		b, err := c.take("path", int(l))
+		b, err := r.Bytes("path", "path length", maxBinaryPathLen)
 		if err != nil {
 			return dst, fmt.Errorf("%s dictionary entry %d: %v", which, i, err)
 		}
@@ -187,13 +145,12 @@ func parseB2Dict(c *byteCursor, which string, maxEntries uint64, canon internFun
 //filemig:hotpath
 func decodeB2Columns(blk *b2Block, epoch time.Time, dst []Record, ids []FileID) error {
 	flags := blk.cols[b2ColFlags]
-	dt := byteCursor{b: blk.cols[b2ColDT]}
-	startup := byteCursor{b: blk.cols[b2ColStartup]}
-	transfer := byteCursor{b: blk.cols[b2ColTransfer]}
-	size := byteCursor{b: blk.cols[b2ColSize]}
-	uid := byteCursor{b: blk.cols[b2ColUID]}
-	mssRef := byteCursor{b: blk.cols[b2ColMSSRef]}
-	localRef := byteCursor{b: blk.cols[b2ColLocalRef]}
+	var col [b2NumCols]WireReader // the flags column is read as raw bytes
+	for c := b2ColDT; c < b2NumCols; c++ {
+		col[c].ResetBytes(blk.cols[c])
+	}
+	dt, startup, transfer, size := &col[b2ColDT], &col[b2ColStartup], &col[b2ColTransfer], &col[b2ColSize]
+	uid, mssRef, localRef := &col[b2ColUID], &col[b2ColMSSRef], &col[b2ColLocalRef]
 
 	sec := blk.base
 	prevUID := int64(0)
@@ -211,7 +168,7 @@ func decodeB2Columns(blk *b2Block, epoch time.Time, dst []Record, ids []FileID) 
 		r.Err = ErrCode(f >> binErrShift & 3)
 		r.Device = wireToDev[f>>binDevShift&3]
 
-		d, err := dt.uvarint("start delta", uint64(blk.span-(sec-blk.base)))
+		d, err := dt.Uvarint("start delta", uint64(blk.span-(sec-blk.base)))
 		if err != nil {
 			return fmt.Errorf("record %d: %v", i, err)
 		}
@@ -221,21 +178,21 @@ func decodeB2Columns(blk *b2Block, epoch time.Time, dst []Record, ids []FileID) 
 		sec += int64(d)
 		r.Start = epoch.Add(time.Duration(sec) * time.Second)
 
-		v, err := startup.uvarint("startup", maxWireSeconds)
+		v, err := startup.Uvarint("startup", maxWireSeconds)
 		if err != nil {
 			return fmt.Errorf("record %d: %v", i, err)
 		}
 		r.Startup = time.Duration(v) * time.Second
-		if v, err = transfer.uvarint("transfer", maxWireMillis); err != nil {
+		if v, err = transfer.Uvarint("transfer", maxWireMillis); err != nil {
 			return fmt.Errorf("record %d: %v", i, err)
 		}
 		r.Transfer = time.Duration(v) * time.Millisecond
-		if v, err = size.uvarint("size", math.MaxInt64); err != nil {
+		if v, err = size.Uvarint("size", math.MaxInt64); err != nil {
 			return fmt.Errorf("record %d: %v", i, err)
 		}
 		r.Size = units.Bytes(v)
 
-		du, err := uid.svarint("uid delta")
+		du, err := uid.Svarint("uid delta")
 		if err != nil {
 			return fmt.Errorf("record %d: %v", i, err)
 		}
@@ -246,14 +203,14 @@ func decodeB2Columns(blk *b2Block, epoch time.Time, dst []Record, ids []FileID) 
 		prevUID = u
 		r.UserID = uint32(u)
 
-		if v, err = mssRef.uvarint("mss path ref", uint64(len(blk.mssDict))-1); err != nil {
+		if v, err = mssRef.Uvarint("mss path ref", uint64(len(blk.mssDict))-1); err != nil {
 			return fmt.Errorf("record %d: %v", i, err)
 		}
 		r.MSSPath = blk.mssDict[v]
 		if ids != nil {
 			ids[i] = blk.mssIDs[v]
 		}
-		if v, err = localRef.uvarint("local path ref", uint64(len(blk.localDict))-1); err != nil {
+		if v, err = localRef.Uvarint("local path ref", uint64(len(blk.localDict))-1); err != nil {
 			return fmt.Errorf("record %d: %v", i, err)
 		}
 		r.LocalPath = blk.localDict[v]
@@ -261,9 +218,9 @@ func decodeB2Columns(blk *b2Block, epoch time.Time, dst []Record, ids []FileID) 
 	if sec != blk.base+blk.span {
 		return fmt.Errorf("start deltas end %d seconds short of the block span", blk.base+blk.span-sec)
 	}
-	for col, c := range [...]*byteCursor{&dt, &startup, &transfer, &size, &uid, &mssRef, &localRef} {
-		if c.rest() != 0 {
-			return fmt.Errorf("column %d: %d trailing bytes after the last record", col+1, c.rest())
+	for c := b2ColDT; c < b2NumCols; c++ {
+		if n := col[c].remaining(); n != 0 {
+			return fmt.Errorf("column %d: %d trailing bytes after the last record", c, n)
 		}
 	}
 	return nil
@@ -277,15 +234,21 @@ func decodeB2Columns(blk *b2Block, epoch time.Time, dst []Record, ids []FileID) 
 // CRC-protected index against the plain-ASCII header, catching header
 // corruption the frame checksums cannot see.
 func parseB2IndexBody(body []byte, wantEpochSec, headerLen, indexOff int64) ([]b2IndexEntry, error) {
-	c := byteCursor{b: body}
-	epochSec, err := c.svarint("index epoch")
+	var r WireReader
+	r.ResetBytes(body)
+	// uv reads a non-negative int64 field stored as a uvarint.
+	uv := func(field string, max int64) (int64, error) {
+		v, err := r.Uvarint(field, uint64(max))
+		return int64(v), err
+	}
+	epochSec, err := r.Svarint("index epoch")
 	if err != nil {
 		return nil, err
 	}
 	if epochSec != wantEpochSec {
 		return nil, fmt.Errorf("index epoch %d disagrees with header epoch %d", epochSec, wantEpochSec)
 	}
-	n, err := c.uvarint("index block count", uint64(len(body)))
+	n, err := r.Uvarint("index block count", uint64(len(body)))
 	if err != nil {
 		return nil, err
 	}
@@ -297,23 +260,23 @@ func parseB2IndexBody(body []byte, wantEpochSec, headerLen, indexOff int64) ([]b
 	nextBase := int64(0)
 	for i := range entries {
 		e := &entries[i]
-		if e.offset, err = c.svarintU("block offset", math.MaxInt64); err != nil {
+		if e.offset, err = uv("block offset", math.MaxInt64); err != nil {
 			return nil, fmt.Errorf("index entry %d: %v", i, err)
 		}
-		if e.frameLen, err = c.svarintU("block frame length", maxB2BlockBytes); err != nil {
+		if e.frameLen, err = uv("block frame length", maxB2BlockBytes); err != nil {
 			return nil, fmt.Errorf("index entry %d: %v", i, err)
 		}
-		if e.count, err = c.svarintU("block record count", maxB2BlockRecords); err != nil {
+		if e.count, err = uv("block record count", maxB2BlockRecords); err != nil {
 			return nil, fmt.Errorf("index entry %d: %v", i, err)
 		}
-		if e.base, err = c.svarintU("block base time", int64(maxWireSeconds)); err != nil {
+		if e.base, err = uv("block base time", int64(maxWireSeconds)); err != nil {
 			return nil, fmt.Errorf("index entry %d: %v", i, err)
 		}
-		if e.span, err = c.svarintU("block time span", int64(maxWireSeconds)-e.base); err != nil {
+		if e.span, err = uv("block time span", int64(maxWireSeconds)-e.base); err != nil {
 			return nil, fmt.Errorf("index entry %d: %v", i, err)
 		}
 		for col := range e.colSizes {
-			if e.colSizes[col], err = c.svarintU("column size", maxB2BlockBytes); err != nil {
+			if e.colSizes[col], err = uv("column size", maxB2BlockBytes); err != nil {
 				return nil, fmt.Errorf("index entry %d column %d: %v", i, col, err)
 			}
 		}
@@ -336,19 +299,10 @@ func parseB2IndexBody(body []byte, wantEpochSec, headerLen, indexOff int64) ([]b
 	if nextOff != indexOff {
 		return nil, fmt.Errorf("last block ends at %d but the index starts at %d", nextOff, indexOff)
 	}
-	if c.rest() != 0 {
-		return nil, fmt.Errorf("%d trailing bytes after the last index entry", c.rest())
+	if r.remaining() != 0 {
+		return nil, fmt.Errorf("%d trailing bytes after the last index entry", r.remaining())
 	}
 	return entries, nil
-}
-
-// svarintU reads a non-negative int64 field stored as a uvarint.
-func (c *byteCursor) svarintU(field string, max int64) (int64, error) {
-	v, err := c.uvarint(field, uint64(max))
-	if err != nil {
-		return 0, err
-	}
-	return int64(v), nil
 }
 
 // checkB2Block cross-checks a decoded block against its index row; the

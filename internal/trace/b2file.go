@@ -142,24 +142,21 @@ func openB2Frame(frame []byte, wantTag byte) ([]byte, error) {
 	if frame[0] != wantTag {
 		return nil, fmt.Errorf("section tag 0x%02x, want 0x%02x", frame[0], wantTag)
 	}
-	c := byteCursor{b: frame, pos: 1}
-	n, err := c.uvarint("section length", uint64(len(frame)))
+	var r WireReader
+	r.ResetBytes(frame[1:])
+	body, err := r.Bytes("section body", "section length", uint64(len(frame)))
 	if err != nil {
 		return nil, err
 	}
-	body, err := c.take("section body", int(n))
+	crc, err := r.Fixed("section checksum", 4)
 	if err != nil {
 		return nil, err
 	}
-	crc, err := c.take("section checksum", 4)
-	if err != nil {
+	if err := checkB2CRC(body, crc); err != nil {
 		return nil, err
 	}
-	if got, want := b2CRC(body), binary.LittleEndian.Uint32(crc); got != want {
-		return nil, fmt.Errorf("checksum mismatch: body sums to %08x, frame says %08x", got, want)
-	}
-	if c.rest() != 0 {
-		return nil, fmt.Errorf("%d trailing bytes after the frame", c.rest())
+	if r.remaining() != 0 {
+		return nil, fmt.Errorf("%d trailing bytes after the frame", r.remaining())
 	}
 	return body, nil
 }

@@ -158,8 +158,8 @@ func (r *B2Reader) readFrame(maxBody uint64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if got, want := b2CRC(r.body), binary.LittleEndian.Uint32(crc); got != want {
-		return nil, fmt.Errorf("checksum mismatch: body sums to %08x, frame says %08x", got, want)
+	if err := checkB2CRC(r.body, crc); err != nil {
+		return nil, err
 	}
 	return r.body, nil
 }

@@ -9,15 +9,18 @@ import (
 
 // The shared wire layer: a buffered varint reader and an append-style
 // varint writer used by every binary codec in the repository — the b1
-// trace format in this package and the s1 analysis-snapshot format in
-// internal/core. Both formats open with a one-line ASCII header and then
-// carry uvarint integers, length-prefixed byte strings, and (for s1)
-// raw little-endian float64 bits, so the buffering, refilling, varint
-// bounds checking, and mid-stream EOF conversion live here once. A
-// reader comes in two shapes behind one set of accessors: a 64 KiB
-// window refilled from an io.Reader (files, pipes), or a window that is
+// and b2 trace formats in this package and the s1 analysis-snapshot
+// format in internal/core. They carry uvarint integers, length-prefixed
+// byte strings, and (for s1) raw little-endian float64 bits, so the
+// buffering, refilling, varint bounds checking, and mid-stream EOF
+// conversion live here once. A reader comes in two shapes behind one
+// set of accessors: a 64 KiB window refilled from an io.Reader (files,
+// pipes, the b2 stream reader's section framing), or a window that is
 // the caller's byte slice itself (ResetBytes — a request body, a
-// checkpoint frame), which copies and refills nothing.
+// checkpoint frame, a b2 section body or one of its columns), which
+// copies and refills nothing and so ends every field at the slice's end.
+// The b2 writer assembles its sections with encoding/binary appends and
+// emits them through a WireWriter.
 
 // WireReader reads varint-framed binary streams. It owns its buffer:
 // integer fields decode inline from the buffered window, and byte fields
@@ -88,6 +91,11 @@ func (r *WireReader) fill() bool {
 func (r *WireReader) Offset() int64 {
 	return r.fetched - int64(r.end-r.pos)
 }
+
+// remaining reports the unread bytes in the window: for a ResetBytes
+// reader, everything left of the input — what a section decoder's
+// trailing-byte checks ask about.
+func (r *WireReader) remaining() int { return r.end - r.pos }
 
 // ReadByte returns the next stream byte; at the end of the stream it
 // returns the sticky source error (io.EOF for a clean end).
@@ -309,7 +317,7 @@ func (r *WireReader) ExpectEOF() error {
 }
 
 // WireWriter emits varint-framed binary output through a buffered
-// writer: the counterpart of WireReader, shared by the b1 and s1
+// writer: the counterpart of WireReader, shared by the b1, b2 and s1
 // encoders. Errors are sticky — the first write error is returned by
 // every later call and by Flush, so encoders can emit a whole section
 // and check once.
