@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"filemig/internal/device"
@@ -15,44 +14,33 @@ import (
 )
 
 // The one online accumulator behind every analysis path. The slice and
-// stream paths feed an Accumulator directly (New + Add); the b2
-// index-seek path cuts the file into contiguous block groups,
-// accumulates each into a Partial, and Folds them into a master in time
-// order; the s1 snapshot codec serializes an Accumulator and decodes
-// back into a journal-only Partial that FoldPartials merges, one
-// snapshot per call; and the migd daemon (internal/serve) keeps one
-// journal-only Partial per ingest segment, all over one daemon-wide path
-// table, and FoldPartials them all at once on demand. The two folds
-// differ in how much they recompute and what they assume:
+// stream paths feed an Accumulator directly (New + Add); every other
+// path cuts the trace into journal-only Partial segments and merges them
+// into a master through the one fold, FoldPartials: the b2 index-seek
+// path, one block group per call, in time order, each segment over its
+// shard worker's path table, which the worker keeps extending while
+// earlier segments fold; the s1 snapshot codec, one decoded snapshot per
+// call; and the migd daemon (internal/serve), every ingest segment over
+// its one daemon-wide path table at once, on demand.
 //
-//   - Fold requires master and segment to share a calendar origin
-//     (AccumulateB2Blocks resolves Options.Start once for exactly this
-//     reason). Every derived series then folds by integer sums and
-//     sample-list concatenation, and only the per-file journal is
-//     replayed — the fast in-process merge, and the one fold that
-//     needs a full Partial (a shard worker's), which carries those series.
-//     Its segments sit over their shard worker's path table, which the
-//     worker keeps extending while earlier segments fold.
-//   - FoldPartials makes no origin assumption: only the fields a journal
-//     replay cannot recompute — the op×class accumulators and the
-//     startup-latency CDFs, which need the device class the journal does
-//     not carry — fold by addition, and everything else is recomputed by
-//     k-way merging the segments' journals back into global record time
-//     and replaying them through the exact per-record transitions the
-//     slice path runs. Segments within one call may interleave
-//     arbitrarily (a live daemon's out-of-order batch arrivals); across
-//     calls they must come in trace order (snapshots produced by
-//     different processes).
+// The fold makes no origin assumption: only the fields a journal replay
+// cannot recompute — the op×class accumulators and the startup-latency
+// CDFs, which need the device class the journal does not carry — fold by
+// addition, and everything else is recomputed by k-way merging the
+// segments' journals back into global record time and replaying them
+// through the exact per-record transitions the slice path runs. Segments
+// within one call may interleave arbitrarily (a live daemon's
+// out-of-order batch arrivals); across calls they must come in trace
+// order (b2 block groups, snapshots produced by different processes).
 //
-// Every fold replays per-file state rather than merging it, because
-// §5.3 dedup survival does not compose from end states (see the package
-// comment in snapshot.go), and every fold preserves the master's
-// first-seen FileID assignment by interning segment paths in the order
-// the replayed records first touch them, lazily, entry by entry, through
-// one table-ID → master-ID remap per path table (idRemaps) — so the
-// master hashes a path once per table that knows it, and never a path
-// no good reference names. Fold keeps its remaps on the master from one
-// call to the next; FoldPartials builds fresh ones for each call.
+// The fold replays per-file state rather than merging it, because §5.3
+// dedup survival does not compose from end states (see the package
+// comment in snapshot.go), and preserves the master's first-seen FileID
+// assignment by interning segment paths in the order the replayed
+// records first touch them, lazily, entry by entry, through one
+// table-ID → master-ID remap per path table (idRemaps) — so within a
+// call the master hashes a path once per table that knows it, and never
+// a path no good reference names.
 
 // Accumulator is the unified online accumulator: Analysis under the name
 // the incremental paths use. The two names alias one type.
@@ -62,17 +50,12 @@ type Accumulator = Analysis
 // accumulator name.
 func NewAccumulator(opts Options) *Accumulator { return New(opts) }
 
-// Partial is one trace segment's partial accumulation. At its core it is
-// exactly what an s1 snapshot serializes — the sums (start instant,
-// counts, op×class cells, Figure 3 latency CDFs, the reference journal)
-// over a path table — plus the segment's boundary instants for ordering
-// segments at fold time. That core is all a journal-only segment
-// (NewSegment, or one decoded from a snapshot) holds, and all
-// FoldPartials and the s1 encoder read. A full Partial (a
-// shard worker's, AccumulatePartial) additionally accumulates the
-// derived series of a contiguous shard as it observes — the calendar,
-// periodicity, Figure 7 and Figure 10 state Fold merges by addition
-// instead of replaying.
+// Partial is one trace segment's partial accumulation: exactly what an
+// s1 snapshot serializes — the sums (start instant, counts, op×class
+// cells, Figure 3 latency CDFs, the reference journal) over a path
+// table — plus the segment's boundary instants for ordering segments at
+// fold time. It is journal-only: every derived series is a function of
+// the journal, which FoldPartials replays into the master.
 type Partial struct {
 	*sums
 
@@ -89,34 +72,10 @@ type Partial struct {
 	dedup  time.Duration
 	origin time.Time // Options.Start: the calendar origin, when pinned
 
-	// full holds the derived series (and is where sums lives); nil in a
-	// journal-only segment.
-	full *Accumulator
-
 	// first and last bound every observed record, errors included;
 	// firstOK and lastOK bound the good references only.
 	first, last     time.Time
 	firstOK, lastOK time.Time
-}
-
-// newShard opens an empty full segment accumulator — the kind Fold
-// needs — over the caller's path table (a shard worker's, which outlives
-// the segment), with the per-reference series sized for a segment of up
-// to records records reaching hours hours past the origin, so observing
-// never regrows them. The segment journals unconditionally and never
-// carries a namespace Tree, whatever opts says: a Partial's journal is
-// its serialized truth.
-func newShard(opts Options, paths *trace.Interner, records, hours int) *Partial {
-	opts.Journal = true
-	opts.Tree = nil
-	acc := New(opts)
-	acc.interner = paths
-	acc.journal = make([]journalEntry, 0, records)
-	acc.interCDF = stats.NewCDF(records)
-	acc.dynFiles = [2]*stats.CDF{stats.NewCDF(records), stats.NewCDF(records)}
-	acc.hourlyReqs = make([]float64, 0, hours)
-	acc.hourlyRead = make([]float64, 0, hours)
-	return &Partial{sums: &acc.sums, paths: paths, dedup: acc.opts.DedupWindow, origin: opts.Start, full: acc}
 }
 
 // NewSegment opens an empty journal-only segment over a shared path
@@ -144,10 +103,6 @@ func (p *Partial) Observe(r *trace.Record, id trace.FileID) {
 	p.last = r.Start
 	if !p.addSums(r, p.origin) {
 		return
-	}
-	if p.full != nil {
-		p.full.addDerived(r.Start, opIndex(r.Op), int64(r.Size))
-		p.full.addInterval(r.Start)
 	}
 	p.appendJournal(id, r.Op, r.Start.UnixNano(), r.Size)
 	if p.firstOK.IsZero() {
@@ -218,14 +173,11 @@ func (p *Partial) pathView() []string {
 }
 
 // AccumulatePartial runs one contiguous segment of records through a
-// fresh full Partial over a private path table.
+// fresh segment over a private path table, its journal sized for recs.
 func AccumulatePartial(opts Options, recs []trace.Record) *Partial {
 	paths := trace.NewInterner()
-	hours := 0
-	if len(recs) > 0 {
-		hours = hoursThrough(opts.Start, recs[len(recs)-1].Start)
-	}
-	p := newShard(opts, paths, len(recs), hours)
+	p := NewSegment(opts, paths)
+	p.journal = make([]journalEntry, 0, len(recs))
 	for i := range recs {
 		r := &recs[i]
 		var id trace.FileID
@@ -234,102 +186,16 @@ func AccumulatePartial(opts Options, recs []trace.Record) *Partial {
 		}
 		p.Observe(r, id)
 	}
-	p.view = paths.Paths()
 	return p
-}
-
-// hoursThrough sizes a segment's periodicity series: how many hourly
-// slots a segment whose last record starts at last fills, counted from
-// origin; zero when the origin is not pinned or last precedes it.
-func hoursThrough(origin, last time.Time) int {
-	if origin.IsZero() || last.Before(origin) {
-		return 0
-	}
-	return int(last.Sub(origin)/time.Hour) + 1
-}
-
-// Fold merges one full segment (AccumulatePartial, a shard worker's)
-// into the master. Master and segment must share a calendar origin —
-// AccumulateB2Blocks resolves Options.Start once before cutting
-// segments — so every derived series folds by plain sums and
-// sample concatenation; only the per-file journal is replayed,
-// translating IDs lazily in journal order (see idRemaps): a journal is
-// the segment's good references in record order, so the master meets new
-// files in exactly the order a single pass over the records would. The
-// master keeps its remaps from one Fold to the next; segments must fold
-// in time order.
-func (a *Accumulator) Fold(p *Partial) {
-	sub := p.full
-	a.foldSums(p.sums)
-	if sub.days > a.days {
-		a.days = sub.days
-	}
-	for oi := 0; oi < 2; oi++ {
-		a.dynFiles[oi].Merge(sub.dynFiles[oi])
-	}
-	for h := range a.hourBytes {
-		a.hourBytes[h][0] += sub.hourBytes[h][0]
-		a.hourBytes[h][1] += sub.hourBytes[h][1]
-		a.hourCount[h][0] += sub.hourCount[h][0]
-		a.hourCount[h][1] += sub.hourCount[h][1]
-	}
-	for d := range a.dayBytes {
-		a.dayBytes[d][0] += sub.dayBytes[d][0]
-		a.dayBytes[d][1] += sub.dayBytes[d][1]
-	}
-	weeks := make([]int, 0, len(sub.weekBytes))
-	for w := range sub.weekBytes {
-		weeks = append(weeks, w)
-	}
-	sort.Ints(weeks)
-	for _, w := range weeks {
-		b := sub.weekBytes[w]
-		wb := a.weekBytes[w]
-		wb[0] += b[0]
-		wb[1] += b[1]
-		a.weekBytes[w] = wb
-	}
-	for len(a.hourlyReqs) < len(sub.hourlyReqs) {
-		a.hourlyReqs = append(a.hourlyReqs, 0)
-		a.hourlyRead = append(a.hourlyRead, 0)
-	}
-	for i, v := range sub.hourlyReqs {
-		//lint:floatsum-ok index-aligned sums of integer-valued counts, merged in fixed segment order and exact below 2^53
-		a.hourlyReqs[i] += v
-		a.hourlyRead[i] += sub.hourlyRead[i] //lint:floatsum-ok same integer-valued hourly counter as the line above
-	}
-
-	// Figure 7: the boundary interval precedes the segment's internal
-	// intervals, matching global record order.
-	if !p.firstOK.IsZero() {
-		a.addInterval(p.firstOK)
-		a.interCDF.Merge(sub.interCDF)
-		a.lastStart = p.lastOK
-	}
-
-	if a.remaps == nil {
-		a.remaps = idRemaps{}
-	}
-	view := p.pathView()
-	remap := a.remaps.covering(p.paths, len(view))
-	for k := range p.journal {
-		e := &p.journal[k]
-		op, oi := trace.Read, 0
-		if e.write {
-			op, oi = trace.Write, 1
-		}
-		a.dynTotal[oi] += float64(e.size) //lint:floatsum-ok entry by entry in journal (= record) order, continuing the master's running sum exactly as addDerived would
-		a.addFileAccessID(a.masterID(remap, view, e.id), op, e.start, units.Bytes(e.size))
-	}
 }
 
 // idRemaps is the fold-side half of path interning: one flat table-ID →
 // master-ID translation per path table in play, NoFileID marking an ID
-// the master has not met. Fold and FoldPartials fill it lazily through
-// masterID as the replay first touches each file, so every shard of one
-// worker — or every segment of one daemon — shares a remap and a file
-// costs the master one string hash per table that knows it. The table
-// pointer is only ever a key here; paths are read through a view.
+// the master has not met. FoldPartials fills it lazily through masterID
+// as the replay first touches each file, so every segment of one daemon
+// in a call shares a remap and a file costs the master one string hash
+// per table that knows it. The table pointer is only ever a key here;
+// paths are read through a view.
 type idRemaps map[*trace.Interner][]trace.FileID
 
 // covering returns table's remap, extended to translate IDs below n.
@@ -366,22 +232,22 @@ func (a *Accumulator) masterID(remap []trace.FileID, view []string, id trace.Fil
 // into one global time order and replayed through the per-record
 // transitions the slice path runs, recomputing every derived series
 // (calendar, periodicity, Figure 7 intervals, Figure 10, per-file
-// state). Unlike Fold, the segments' record-time ranges may interleave
-// arbitrarily — a live daemon's batches arrive from concurrent clients
-// in no particular order, and a late single event may split an
+// state). The segments' record-time ranges may interleave arbitrarily —
+// a live daemon's batches arrive from concurrent clients in no
+// particular order, and a late single event may split an
 // already-extended segment's range — provided the records themselves
 // are distinct instants; ties across segments replay in the given
-// segment order. The master may already hold data (the s1 merge folds
-// one snapshot per call, in trace order), but a segment whose first
-// reference precedes the master's last is an error, as is a
-// dedup-window disagreement. Master file IDs are assigned in replay
+// segment order. The master may already hold data (the b2 index-seek
+// path folds one block group per call and the s1 merge one snapshot per
+// call, both in trace order), but a segment whose first reference
+// precedes the master's last is an error, as is a dedup-window
+// disagreement. Master file IDs are assigned in replay
 // order, exactly as a single process reading the merged trace would:
 // each path table in play gets one flat table-ID → master-ID remap for
 // the call, filled on a file's first appearance in the merged order —
 // so the segments of a daemon, which share one table, share one remap
 // and a file costs the master one string hash however many segments
-// name it. Only the sums, the journal and the path table of a segment
-// are read, so full and journal-only segments fold alike.
+// name it.
 func (a *Accumulator) FoldPartials(ps []*Partial) error {
 	entries := 0
 	for i, p := range ps {

@@ -105,10 +105,6 @@ type Analysis struct {
 	// samples plus dynTotal, the sizes' running sum in record order.
 	dynFiles [2]*stats.CDF
 	dynTotal [2]float64
-
-	// remaps is Fold's table-ID → master-ID translation, one per shard
-	// worker's path table; nil outside a fold (see idRemaps).
-	remaps idRemaps
 }
 
 // sums is the part of an accumulation that an s1 snapshot serializes
@@ -242,12 +238,10 @@ func (a *Analysis) Add(r *trace.Record) {
 }
 
 // addShared accumulates the whole-system statistics (Tables 3, Figures
-// 3-6 and 10, the periodicity series). These merge across shards with
-// plain sums and sample-list concatenation, unlike the inter-request
-// intervals (addInterval) and per-file state (addFileAccess), which need
-// cross-shard context at merge time. It reports whether the record is a
-// good reference; error references are excluded from all further
-// analysis, as in the paper (§5.1).
+// 3-6 and 10, the periodicity series): the sums a fold adds up, and the
+// derived series it recomputes by replaying the journal. It reports
+// whether the record is a good reference; error references are excluded
+// from all further analysis, as in the paper (§5.1).
 func (a *Analysis) addShared(r *trace.Record) bool {
 	if !a.addSums(r, a.opts.Start) {
 		return false
@@ -335,7 +329,7 @@ func (a *Analysis) addDerived(start time.Time, opIdx int, size int64) {
 
 	// Figure 10 (dynamic sizes): every access counts.
 	a.dynFiles[opIdx].Add(float64(size))
-	a.dynTotal[opIdx] += float64(size) //lint:floatsum-ok accumulated in record order on every path (Fold re-accumulates it from the journal, entry by entry), so all paths round alike
+	a.dynTotal[opIdx] += float64(size) //lint:floatsum-ok accumulated in record order on every path (FoldPartials replays the journal through here, entry by entry), so all paths round alike
 }
 
 // addInterval feeds Figure 7: the interval from the previous good

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"filemig/internal/pool"
+	"filemig/internal/stats"
 	"filemig/internal/trace"
 )
 
@@ -14,22 +15,21 @@ import (
 // loop, but a b2 file's trailing index already says how many records
 // each block holds and what time range they cover. Shard cutting here is
 // pure planning over index metadata: blocks are grouped into contiguous
-// shard-width runs, each run is decoded and accumulated into a Partial
-// by a pool worker, each block exactly once, and the Partials are folded
-// in run order (Accumulator.Fold). The fold is constructed to be
+// shard-width runs, each run is decoded into a journal-only Partial by a
+// pool worker, each block exactly once, and the Partials fold into the
+// master in run order, one FoldPartials call each. The result is
 // byte-identical to New + AddAll + Report for ANY contiguous partition
 // of the record sequence:
 //
-//   - counts and byte totals are integer sums, which are associative;
-//   - distribution samples are concatenated in shard order, so every
-//     sample list ends up in exactly the record order a single pass
-//     would have produced it in;
-//   - Figure 7's boundary intervals (last record of shard k to first
-//     record of shard k+1) are inserted between the shard-internal
-//     interval lists during the fold;
-//   - per-file dedup state, which depends only on each file's own access
-//     history, is advanced by replaying every shard's reference journal
-//     through the same addFileAccessID a single pass uses.
+//   - counts, byte totals and Figure 3's latency samples — the state
+//     the journal cannot carry — are integer sums and sample lists
+//     concatenated in shard order, so every list ends up in the record
+//     order a single pass produces;
+//   - everything else (calendar and periodicity series, Figure 7's
+//     intervals across shard boundaries included, Figure 10's sizes,
+//     per-file dedup state) is recomputed by replaying each shard's
+//     journal, in record order, through the transitions a single pass
+//     runs.
 //
 // TestB2Equivalence pins that down.
 
@@ -76,10 +76,10 @@ func AccumulateB2(ctx context.Context, opts B2Options, f *trace.B2File) (*Analys
 // The range's shard groups fan over the pool, each worker decoding its
 // groups' blocks with a private block decoder, and the pool's merger
 // folds the Partials in group order into a master anchored at the
-// calendar origin resolved here, once, so every group computes the same
-// day and hour indices. Decode and fold (a journal replay) overlap, and
-// a failed block fails the run and stops dispatch: at most Workers+1
-// groups past the last folded one are ever decoded.
+// calendar origin resolved here, once, which also cuts the groups.
+// Decode and fold (a journal replay) overlap, and a failed block fails
+// the run and stops dispatch: at most Workers+1 groups past the last
+// folded one are ever decoded.
 func AccumulateB2Blocks(ctx context.Context, opts B2Options, f *trace.B2File, lo, hi int) (*Analysis, error) {
 	if lo < 0 || hi > f.NumBlocks() || lo > hi {
 		return nil, fmt.Errorf("core: block range [%d, %d) outside [0, %d)", lo, hi, f.NumBlocks())
@@ -96,17 +96,27 @@ func AccumulateB2Blocks(ctx context.Context, opts B2Options, f *trace.B2File, lo
 	}
 	groups := b2Groups(opts, f, lo, hi)
 	master := New(opts.Options)
-	master.start = opts.Start
+	// The replay grows the per-reference series one entry at a time: size
+	// them once from the index, for every group's records reaching the
+	// range's last block.
+	records := 0
+	for _, g := range groups {
+		records += int(g.count)
+	}
+	hours := max(0, int(f.Meta(hi-1).End.Sub(opts.Start)/time.Hour)+1)
+	master.interCDF = stats.NewCDF(records)
+	master.dynFiles = [2]*stats.CDF{stats.NewCDF(records), stats.NewCDF(records)}
+	master.hourlyReqs = make([]float64, 0, hours)
+	master.hourlyRead = make([]float64, 0, hours)
 	err := pool.Run(ctx, opts.Workers, pool.Indices(len(groups)),
 		func() func(int) (*Partial, error) {
-			w := &b2Worker{opts: opts, f: f, d: f.NewBlockDecoder()}
+			w := &b2Worker{opts: opts.Options, f: f, d: f.NewBlockDecoder()}
 			return func(i int) (*Partial, error) { return w.accumulate(groups[i]) }
 		},
-		func(sh *Partial) error { master.Fold(sh); return nil })
+		func(sh *Partial) error { return master.FoldPartials([]*Partial{sh}) })
 	if err != nil {
 		return nil, err
 	}
-	master.remaps = nil // fold-time state: the workers' tables die with the run
 	return master, nil
 }
 
@@ -169,7 +179,7 @@ func b2Groups(opts B2Options, f *trace.B2File, lo, hi int) []blockGroup {
 // each block's dictionary into it and hands back FileIDs, so the worker
 // never hashes a path — and a block-sized decode scratch.
 type b2Worker struct {
-	opts B2Options
+	opts Options
 	f    *trace.B2File
 	d    *trace.B2BlockDecoder
 	recs []trace.Record
@@ -177,10 +187,13 @@ type b2Worker struct {
 }
 
 // accumulate decodes one group block by block through the scratch,
-// observing each block's records into a Partial sized from the index, and closes the Partial with the prefix of the worker's table it
-// can reference — the view the fold reads while this worker moves on.
+// observing each block's records into a journal-only segment whose
+// journal is sized from the index, and closes the segment with the
+// prefix of the worker's table it can reference — the view the fold
+// reads while this worker moves on.
 func (w *b2Worker) accumulate(g blockGroup) (*Partial, error) {
-	p := newShard(w.opts.Options, w.d.Table(), int(g.count), hoursThrough(w.opts.Start, w.f.Meta(g.hi-1).End))
+	p := NewSegment(w.opts, w.d.Table())
+	p.journal = make([]journalEntry, 0, g.count)
 	for i := g.lo; i < g.hi; i++ {
 		n := int(w.f.Meta(i).Count)
 		if cap(w.recs) < n {

@@ -57,12 +57,12 @@ func TestB2Equivalence(t *testing.T) {
 	// Each codec quantizes times onto its wire grid, so every comparison
 	// is against the slice path over the records as decoded from that
 	// same encoding.
-	sliceWant := func(enc []byte) string {
+	sliceWant := func(enc []byte, opts Options) string {
 		recs, err := trace.ReadAll(bytes.NewReader(enc))
 		if err != nil {
 			t.Fatal(err)
 		}
-		slice := New(Options{})
+		slice := New(opts)
 		slice.AddAll(recs)
 		return renderAll(slice.Report())
 	}
@@ -73,7 +73,7 @@ func TestB2Equivalence(t *testing.T) {
 		if err := trace.WriteAllFormat(&encf, res.Records, f); err != nil {
 			t.Fatal(err)
 		}
-		want := sliceWant(encf.Bytes())
+		want := sliceWant(encf.Bytes(), Options{})
 		src, err := trace.OpenStream(bytes.NewReader(encf.Bytes()))
 		if err != nil {
 			t.Fatalf("%v: OpenStream: %v", f, err)
@@ -87,27 +87,41 @@ func TestB2Equivalence(t *testing.T) {
 		}
 	}
 
-	// The index-seek path over a many-block encoding.
+	// The index-seek path over a many-block encoding, with the calendar
+	// origin taken from the first record, or pinned two days before its
+	// day, or three days after it — where the records before the origin
+	// take negative day and hour indices.
 	enc := encodeB2Blocks(t, res.Records, 64)
-	want := sliceWant(enc)
-	for _, workers := range []int{1, 2, 8} {
-		for _, shard := range []time.Duration{DefaultShardDuration, 24 * time.Hour, 3 * time.Hour} {
-			t.Run(fmt.Sprintf("indexseek/workers=%d/shard=%v", workers, shard), func(t *testing.T) {
-				f := openB2(t, enc)
-				rep, err := AnalyzeB2(context.Background(), B2Options{StreamOptions: StreamOptions{
-					Workers:       workers,
-					ShardDuration: shard,
-				}}, f)
-				if err != nil {
-					t.Fatalf("AnalyzeB2: %v", err)
-				}
-				if got := renderAll(rep); got != want {
-					t.Fatalf("index-seek analysis diverged from slice path:\n%s", firstDiff(want, got))
-				}
-				if got, blocks := f.DecodeCount(), int64(f.NumBlocks()); got != blocks {
-					t.Fatalf("decoded %d blocks, want each of %d exactly once", got, blocks)
-				}
-			})
+	want := sliceWant(enc, Options{})
+	day0 := res.Records[0].Start.Truncate(24 * time.Hour)
+	for _, origin := range []struct {
+		name  string
+		start time.Time
+	}{{"", time.Time{}}, {"start=-2d/", day0.AddDate(0, 0, -2)}, {"start=+3d/", day0.AddDate(0, 0, 3)}} {
+		want := want
+		if !origin.start.IsZero() {
+			want = sliceWant(enc, Options{Start: origin.start})
+		}
+		for _, workers := range []int{1, 2, 8} {
+			for _, shard := range []time.Duration{DefaultShardDuration, 24 * time.Hour, 3 * time.Hour} {
+				t.Run(fmt.Sprintf("indexseek/%sworkers=%d/shard=%v", origin.name, workers, shard), func(t *testing.T) {
+					f := openB2(t, enc)
+					rep, err := AnalyzeB2(context.Background(), B2Options{StreamOptions: StreamOptions{
+						Options:       Options{Start: origin.start},
+						Workers:       workers,
+						ShardDuration: shard,
+					}}, f)
+					if err != nil {
+						t.Fatalf("AnalyzeB2: %v", err)
+					}
+					if got := renderAll(rep); got != want {
+						t.Fatalf("index-seek analysis diverged from slice path:\n%s", firstDiff(want, got))
+					}
+					if got, blocks := f.DecodeCount(), int64(f.NumBlocks()); got != blocks {
+						t.Fatalf("decoded %d blocks, want each of %d exactly once", got, blocks)
+					}
+				})
+			}
 		}
 	}
 

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"runtime"
 	"slices"
 	"strings"
@@ -40,7 +39,7 @@ func sliceSnapshot(t *testing.T, recs []trace.Record) []byte {
 // rendering: an s1 snapshot carries the master's path table in FileID
 // order and the journal under those IDs, so byte-equal snapshots mean
 // the index-seek path — shard workers journaling under their decoders'
-// table IDs, Fold translating them lazily in journal order — numbered
+// table IDs, FoldPartials translating them lazily in journal order — numbered
 // every file exactly as one pass over the records does. Slice path vs
 // AccumulateB2 at every worker count and shard width, vs
 // AccumulateB2Blocks over block ranges, and vs the sequential streaming
@@ -193,7 +192,7 @@ func TestB2AnalyzeRejectsResealedBlock(t *testing.T) {
 	// reseal the frame's CRC-32C, so only the column decode can object.
 	lo, hi := b2BlockBody(t, enc, 5)
 	enc[hi-1] = 0x7f
-	binary.LittleEndian.PutUint32(enc[hi:], crc32.Checksum(enc[lo:hi], crc32.MakeTable(crc32.Castagnoli)))
+	binary.LittleEndian.PutUint32(enc[hi:], trace.Checksum(enc[lo:hi]))
 	var msgs []string
 	for _, workers := range []int{1, 2, 8} {
 		_, err := AnalyzeB2(context.Background(), B2Options{StreamOptions: StreamOptions{
@@ -210,10 +209,11 @@ func TestB2AnalyzeRejectsResealedBlock(t *testing.T) {
 
 // TestB2WorkerGroupAllocs is the allocation ceiling for the index-seek
 // worker path. A warm worker — table populated, block scratch grown —
-// accumulating one group allocates the Partial and its presized series
-// and nothing per record: no group-sized []trace.Record, no per-shard
-// interner, no series regrown from empty. The byte bound sits below
-// what a group-sized record slice alone would add.
+// accumulating one group allocates the journal-only segment and its
+// journal, presized from the index, and nothing per record: no
+// group-sized []trace.Record, no per-shard interner, no derived series,
+// no journal regrown from empty. The byte bound is one journal entry per
+// record plus a little for the segment itself.
 func TestB2WorkerGroupAllocs(t *testing.T) {
 	res := streamFixture(t)
 	// Few local paths, so the decoder's bounded local-path cache always
@@ -227,7 +227,7 @@ func TestB2WorkerGroupAllocs(t *testing.T) {
 	opts.ShardDuration = DefaultShardDuration
 	opts.Start = f.Meta(0).Base.Truncate(24 * time.Hour)
 	groups := b2Groups(opts, f, 0, f.NumBlocks())
-	w := &b2Worker{opts: opts, f: f, d: f.NewBlockDecoder()}
+	w := &b2Worker{opts: opts.Options, f: f, d: f.NewBlockDecoder()}
 	g := groups[0]
 	for _, gg := range groups { // warm, and pick the largest group
 		if _, err := w.accumulate(gg); err != nil {
@@ -251,11 +251,11 @@ func TestB2WorkerGroupAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytesPerRec := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs+1) / float64(g.count)
 	t.Logf("%d records: %.0f allocs per group, %.1f B per record", g.count, allocs, bytesPerRec)
-	if allocs > 32 {
-		t.Errorf("one group costs %.0f allocations, want <= 32 whatever its record count", allocs)
+	if allocs > 4 {
+		t.Errorf("one group costs %.0f allocations, want <= 4 whatever its record count", allocs)
 	}
-	if limit := float64(unsafe.Sizeof(trace.Record{})); bytesPerRec > limit {
-		t.Errorf("one group allocates %.1f B per record, want <= %.0f (a record slice alone would add that much)",
+	if limit := float64(unsafe.Sizeof(journalEntry{}) + 8); bytesPerRec > limit {
+		t.Errorf("one group allocates %.1f B per record, want <= %.0f (one journal entry and change)",
 			bytesPerRec, limit)
 	}
 }

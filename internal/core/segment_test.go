@@ -49,9 +49,9 @@ func TestSegmentCodecMatchesPrivateTable(t *testing.T) {
 	restored := trace.NewInterner()
 	decoder := NewSegmentCodec(restored)
 
-	var segs, decoded, full []*Partial
+	var segs, decoded, private []*Partial
 	for i, sl := range slices {
-		full = append(full, AccumulatePartial(Options{}, sl))
+		private = append(private, AccumulatePartial(Options{}, sl))
 		want := saveSlice(t, Options{}, sl)
 		p := observeShared(Options{}, shared, sl)
 		var got bytes.Buffer
@@ -85,7 +85,7 @@ func TestSegmentCodecMatchesPrivateTable(t *testing.T) {
 	slice := New(Options{})
 	slice.AddAll(recs)
 	want := renderAll(slice.Report())
-	for name, ps := range map[string][]*Partial{"live": segs, "decoded": decoded, "full": full} {
+	for name, ps := range map[string][]*Partial{"live": segs, "decoded": decoded, "private": private} {
 		// Reversed: FoldPartials owes nothing to the order it is handed.
 		rev := make([]*Partial, len(ps))
 		for i, p := range ps {

@@ -4,7 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+
+	"filemig/internal/trace"
 )
 
 // The wire framing for everything that crosses the coordinator/worker
@@ -25,10 +26,6 @@ const frameMagic = "#dist-frame f1\n"
 // corrupt length field cannot drive a huge allocation.
 const maxFramePayload = 1 << 30
 
-// crcTable is this package's CRC-32C (Castagnoli) table — the same
-// polynomial as the b2 trace codec's section checksum, built separately.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 // ErrFrame is wrapped by every frame decode failure.
 var ErrFrame = errors.New("dist: bad frame")
 
@@ -39,7 +36,7 @@ func EncodeFrame(payload []byte) []byte {
 	out = append(out, frameMagic...)
 	out = binary.BigEndian.AppendUint32(out, uint32(len(payload)))
 	out = append(out, payload...)
-	out = binary.BigEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
+	out = binary.BigEndian.AppendUint32(out, trace.Checksum(payload))
 	return out
 }
 
@@ -78,7 +75,7 @@ func NextFrame(b []byte) (payload, rest []byte, err error) {
 		return nil, nil, fmt.Errorf("%w: truncated (want %d payload+crc bytes, have %d)", ErrFrame, n+4, len(body))
 	}
 	payload = body[:n]
-	if got, want := crc32.Checksum(payload, crcTable), binary.BigEndian.Uint32(body[n:n+4]); got != want {
+	if got, want := trace.Checksum(payload), binary.BigEndian.Uint32(body[n:n+4]); got != want {
 		return nil, nil, fmt.Errorf("%w: payload crc 0x%08x != stored 0x%08x", ErrFrame, got, want)
 	}
 	return payload, body[n+4:], nil

@@ -3,7 +3,6 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"time"
 )
@@ -74,11 +73,6 @@ const (
 	maxB2BlockBytes   = 1 << 26 // bytes in one block body
 	maxB2IndexBytes   = 1 << 26 // bytes in the index body
 )
-
-// b2CRCTable is the CRC-32C (Castagnoli) table shared by both ends;
-// every section body is checksummed, so any single corrupted bit inside
-// a section is detected rather than decoded into skewed records.
-var b2CRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // b2IndexEntry is one block's row in the trailing index: where the
 // block's frame lives, how many records it holds, its time span in
@@ -287,7 +281,7 @@ func (w *B2Writer) emitFrame(tag byte, body []byte) {
 	w.wire.Uvarint(uint64(len(body)))
 	w.wire.Raw(body)
 	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], b2CRC(body))
+	binary.LittleEndian.PutUint32(crc[:], Checksum(body))
 	w.wire.Raw(crc[:])
 	w.pos += int64(frameLen(len(body)))
 }

@@ -141,7 +141,7 @@ func resealB2Block(t *testing.T, enc []byte, i int, mutate func(body []byte)) []
 		t.Fatal(err)
 	}
 	mutate(body)
-	binary.LittleEndian.PutUint32(frame[len(frame)-4:], b2CRC(body))
+	binary.LittleEndian.PutUint32(frame[len(frame)-4:], Checksum(body))
 	return out
 }
 
@@ -433,7 +433,7 @@ func reindexB2(t *testing.T, data []byte, mutate func([]b2IndexEntry) []b2IndexE
 	out = append(out, b2IndexTag)
 	out = binary.AppendUvarint(out, uint64(len(newBody)))
 	out = append(out, newBody...)
-	out = binary.LittleEndian.AppendUint32(out, b2CRC(newBody))
+	out = binary.LittleEndian.AppendUint32(out, Checksum(newBody))
 	var foot [b2FooterLen]byte
 	binary.LittleEndian.PutUint64(foot[:8], uint64(indexOff))
 	copy(foot[8:], b2Magic)

@@ -3,7 +3,6 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"time"
 
@@ -24,13 +23,11 @@ import (
 // impossible counts, out-of-order timestamps — and never panicking or
 // silently skewing.
 
-// b2CRC is the checksum over one section body; it trails every frame.
-func b2CRC(body []byte) uint32 { return crc32.Checksum(body, b2CRCTable) }
-
 // checkB2CRC verifies a section body against the four checksum bytes
-// that trail it in its frame — the one place either reader does.
+// (its little-endian Checksum) that trail it in its frame — the one
+// place either reader does.
 func checkB2CRC(body, sum []byte) error {
-	if got, want := b2CRC(body), binary.LittleEndian.Uint32(sum); got != want {
+	if got, want := Checksum(body), binary.LittleEndian.Uint32(sum); got != want {
 		return fmt.Errorf("checksum mismatch: body sums to %08x, frame says %08x", got, want)
 	}
 	return nil

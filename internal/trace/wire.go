@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 )
@@ -315,6 +316,15 @@ func (r *WireReader) ExpectEOF() error {
 	}
 	return nil
 }
+
+// castagnoli is the module's one CRC-32C (Castagnoli) table.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Checksum is the CRC-32C of b: the checksum trailing every b2 section
+// body (stored little-endian) and every dist frame payload (stored
+// big-endian), so any single corrupted bit inside either is detected
+// rather than decoded.
+func Checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
 // WireWriter emits varint-framed binary output through a buffered
 // writer: the counterpart of WireReader, shared by the b1, b2 and s1
