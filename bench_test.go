@@ -377,7 +377,7 @@ func BenchmarkGenerateStream(b *testing.B) {
 	b.Run("streamed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rep, err := RunStream(StreamConfig{Config: cfg})
+			rep, err := RunStream(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -24,7 +24,10 @@
 // (latency columns stay empty; pipe tracegen -sim into -i - for them). A
 // named b2 file under -stream is opened through its trailing block
 // index instead: shards are cut from index metadata (-shard-days) and
-// blocks decode in parallel on a bounded worker pool (-workers).
+// blocks decode in parallel on a bounded worker pool (-workers). Every
+// b2 input is read through that index: a named file in place, a b2 on a
+// pipe ('-i -') after reading all of it into memory, which -stream then
+// holds too.
 //
 // With -snapshot, the analysis state is written to the named s1 file
 // ('-' for stdout) instead of printing a report; trace slices may be
@@ -91,7 +94,7 @@ func main() {
 		scale       = flag.Float64("scale", 0.01, "scale when generating")
 		seed        = flag.Int64("seed", 1, "seed when generating")
 		all         = flag.Bool("all", false, "print every table and figure")
-		stream      = flag.Bool("stream", false, "streaming analysis: keep no record (bounded memory)")
+		stream      = flag.Bool("stream", false, "streaming analysis: keep no record (bounded memory; b2 on a pipe is read into memory first, so name the file)")
 		workers     = flag.Int("workers", 0, "worker pool size for a named b2 file under -stream, or -distributed (0 = one per CPU)")
 		shardDays   = flag.Int("shard-days", 0, "shard width in days for a named b2 file under -stream, or -distributed (0 = 28)")
 		format      = flag.String("format", "auto", "input format: auto, ascii, binary or b2")
@@ -149,9 +152,7 @@ func main() {
 	case *in == "" && *stream:
 		fmt.Fprintln(os.Stderr,
 			"mssanalyze: note: -stream generates without the MSS simulator; latency columns (Table 3, Figure 3) will be empty")
-		rep, err := filemig.RunStreamContext(ctx, filemig.StreamConfig{
-			Config: filemig.Config{Scale: *scale, Seed: *seed},
-		})
+		rep, err := filemig.RunStreamContext(ctx, filemig.Config{Scale: *scale, Seed: *seed})
 		if err != nil {
 			log.Fatal(err)
 		}

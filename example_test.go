@@ -134,9 +134,7 @@ func ExampleMergeSnapshots() {
 // generator straight into the analysis without ever materializing the
 // trace, and the report matches Run's (modulo the skipped simulation).
 func ExampleRunStream() {
-	rep, err := filemig.RunStream(filemig.StreamConfig{
-		Config: filemig.Config{Scale: 0.002, Seed: 1, Days: 30},
-	})
+	rep, err := filemig.RunStream(filemig.Config{Scale: 0.002, Seed: 1, Days: 30})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -133,28 +133,21 @@ func Run(cfg Config) (*Pipeline, error) {
 	return p, nil
 }
 
-// StreamConfig configures RunStream, the bounded-memory variant of Run.
-type StreamConfig struct {
-	// Config carries the workload knobs. SkipSimulation is implied: the
-	// streaming path never runs the MSS simulator, so latency fields stay
-	// zero (Table 3's latency rows and Figure 3 will be empty), exactly
-	// as with Run{SkipSimulation: true}.
-	Config
-}
-
 // RunStream executes generate → analyse as a streaming pipeline: records
 // flow one at a time from the workload generator into the analysis and
 // none is retained, so peak memory holds the per-file state rather than
-// the whole trace. The Report is byte-identical to the one Run produces
-// for the same workload with SkipSimulation set.
-func RunStream(cfg StreamConfig) (*core.Report, error) {
+// the whole trace. SkipSimulation is implied — the streaming path never
+// runs the MSS simulator, so latency fields stay zero (Table 3's latency
+// rows and Figure 3 will be empty) — and the Report is byte-identical to
+// the one Run produces for the same workload with SkipSimulation set.
+func RunStream(cfg Config) (*core.Report, error) {
 	return RunStreamContext(context.Background(), cfg)
 }
 
 // RunStreamContext is RunStream with cancellation: a cancelled ctx
 // aborts the analysis within a few thousand records and surfaces ctx's
 // error. Cancellation never changes results.
-func RunStreamContext(ctx context.Context, cfg StreamConfig) (*core.Report, error) {
+func RunStreamContext(ctx context.Context, cfg Config) (*core.Report, error) {
 	wcfg, err := cfg.workloadConfig()
 	if err != nil {
 		return nil, err

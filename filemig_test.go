@@ -91,7 +91,7 @@ func TestRunStreamMatchesSkipSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunStream(StreamConfig{Config: cfg})
+	rep, err := RunStream(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestAnalyzeTraceFileFormats(t *testing.T) {
 }
 
 func TestRunStreamValidatesScale(t *testing.T) {
-	if _, err := RunStream(StreamConfig{Config: Config{Scale: 0}}); err == nil {
+	if _, err := RunStream(Config{Scale: 0}); err == nil {
 		t.Fatal("zero scale accepted")
 	}
 }

@@ -30,17 +30,6 @@ func stateless(p migration.Policy) policyEntry {
 	return policyEntry{name: p.Name(), mk: func([]migration.Access) migration.Policy { return p }}
 }
 
-// stpEntry builds an STP column with a lossless display name:
-// STP.Name() truncates the exponent to two decimals, which would make
-// distinct exponents like 1.251 and 1.259 collide in dedup and carry
-// identical grid labels. For the usual exponents the rendering matches
-// STP.Name() exactly.
-func stpEntry(k float64) policyEntry {
-	e := stateless(migration.STP{K: k})
-	e.name = "STP^" + strconv.FormatFloat(k, 'g', -1, 64)
-	return e
-}
-
 // parsePolicy resolves one policy spec string.
 func parsePolicy(spec string) (policyEntry, error) {
 	name, arg, hasArg := strings.Cut(strings.TrimSpace(spec), ":")
@@ -54,7 +43,7 @@ func parsePolicy(spec string) (policyEntry, error) {
 				return policyEntry{}, fmt.Errorf("experiment: bad STP exponent %q in %q", arg, spec)
 			}
 		}
-		return stpEntry(k), nil
+		return stateless(migration.STP{K: k}), nil
 	case "lru":
 		return noArg(spec, hasArg, stateless(migration.LRU{}))
 	case "fifo":
@@ -161,7 +150,7 @@ func (s *Spec) policySet() ([]policyEntry, error) {
 		out = append(out, e)
 	}
 	for _, k := range s.STPExponents {
-		e := stpEntry(k)
+		e := stateless(migration.STP{K: k})
 		if seen[e.name] {
 			continue
 		}

@@ -33,6 +33,12 @@ func TestSTPNameFormatting(t *testing.T) {
 		2.0:  "STP^2",
 		0.5:  "STP^0.5",
 		1.25: "STP^1.25",
+		-1:   "STP^-1",
+		// Exponents a fixed two-decimal rendering mangled or truncated.
+		-1.4:  "STP^-1.4",
+		-0.5:  "STP^-0.5",
+		0.29:  "STP^0.29",
+		1.255: "STP^1.255",
 	}
 	for k, want := range cases {
 		if got := (STP{K: k}).Name(); got != want {

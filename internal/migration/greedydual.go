@@ -2,6 +2,7 @@ package migration
 
 import (
 	"math/bits"
+	"strconv"
 	"time"
 
 	"filemig/internal/units"
@@ -74,7 +75,7 @@ func NewCostAware(rateMBps int) *GreedyDual {
 	}
 	rate := uint64(rateMBps)
 	return &GreedyDual{
-		name:  "cost:" + itoa(rateMBps),
+		name:  "cost:" + strconv.Itoa(rateMBps),
 		scale: costScale,
 		missCost: func(size units.Bytes) uint64 {
 			return uint64(ExtraTapeLatency/time.Microsecond) + uint64(size)/rate

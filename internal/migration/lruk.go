@@ -1,6 +1,9 @@
 package migration
 
-import "time"
+import (
+	"strconv"
+	"time"
+)
 
 // LRUK is the LRU-K replacement policy (O'Neil, O'Neil & Weikum,
 // SIGMOD '93): evict the file whose K-th most recent reference is
@@ -32,7 +35,7 @@ func NewLRUK(k int) *LRUK {
 }
 
 // Name implements Policy.
-func (p *LRUK) Name() string { return "LRU-" + itoa(p.k) }
+func (p *LRUK) Name() string { return "LRU-" + strconv.Itoa(p.k) }
 
 // FileAccessed implements AccessObserver: record the reference time in
 // the file's ring.

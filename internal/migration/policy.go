@@ -9,6 +9,7 @@ package migration
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"filemig/internal/trace"
@@ -82,13 +83,9 @@ type STP struct {
 	K float64
 }
 
-// Name implements Policy.
-func (p STP) Name() string {
-	if p.K == 1.4 {
-		return "STP^1.4"
-	}
-	return "STP^" + trimFloat(p.K)
-}
+// Name implements Policy: the exponent in the shortest decimal that
+// parses back to it, so distinct exponents never share a name.
+func (p STP) Name() string { return "STP^" + strconv.FormatFloat(p.K, 'g', -1, 64) }
 
 // Rank implements Policy.
 func (p STP) Rank(f *CachedFile, now time.Time) float64 {
@@ -292,47 +289,4 @@ func (x *FutureIndex) NextAfter(file int, t time.Time) (time.Time, bool) {
 		return time.Time{}, false
 	}
 	return ts[i], true
-}
-
-func trimFloat(v float64) string {
-	s := math.Trunc(v*100) / 100
-	if s == math.Trunc(s) {
-		return itoa(int(s))
-	}
-	// Two decimals, trailing zero trimmed.
-	whole := int(s)
-	frac := int(math.Round((s - float64(whole)) * 100))
-	if frac%10 == 0 {
-		return itoa(whole) + "." + itoa(frac/10)
-	}
-	return itoa(whole) + "." + pad2(frac)
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	neg := i < 0
-	if neg {
-		i = -i
-	}
-	var b [20]byte
-	p := len(b)
-	for i > 0 {
-		p--
-		b[p] = byte('0' + i%10)
-		i /= 10
-	}
-	if neg {
-		p--
-		b[p] = '-'
-	}
-	return string(b[p:])
-}
-
-func pad2(i int) string {
-	if i < 10 {
-		return "0" + itoa(i)
-	}
-	return itoa(i)
 }

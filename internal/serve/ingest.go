@@ -88,8 +88,8 @@ func dropPath([]byte) string { return "" }
 // validated before it returns, so a caller applies either every record
 // or none. A b1 body, the batch forwarders' format, is decoded in place:
 // the wire reader's window is body itself and the pooled reader state
-// is reset, not rebuilt. ASCII v1 and columnar b2 bodies go through the
-// ordinary stream readers.
+// is reset, not rebuilt. ASCII v1 and columnar b2 bodies go through
+// NewFormatReader; a b2 body is read in place through its block index.
 func (sc *ingestScratch) decode(body []byte) error {
 	sc.recs, sc.ids = sc.recs[:0], sc.ids[:0]
 	if len(body) == 0 {
@@ -115,7 +115,9 @@ func (sc *ingestScratch) decode(body []byte) error {
 		sc.b1.ResetBytes(body, nil, nil)
 		st = &sc.b1
 	default:
-		st = trace.NewFormatReader(bytes.NewReader(body), f)
+		if st, err = trace.NewFormatReader(bytes.NewReader(body), f); err != nil {
+			return err
+		}
 	}
 	for {
 		r, err := st.Next()

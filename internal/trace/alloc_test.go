@@ -35,25 +35,18 @@ func allocTrace(t *testing.T, f Format, records, paths int) []byte {
 }
 
 // TestDecodeSteadyStateAllocs is the allocation-regression guard for the
-// interned decode fast path: with a pre-warmed shared interner, decoding
-// a whole trace costs a constant handful of allocations (reader, buffers)
-// — none per record.
+// decode fast paths: decoding a whole trace costs a constant handful of
+// allocations — none per record. v1 and b1 decode through a shared
+// interner that AllocsPerRun's warm-up run fills, within a fixed budget
+// (the reader, its buffers/scanner and scratch). A b2 stream owns its
+// block decoder's path table, so its row reads a trace 40 times as long
+// as the first and requires the same count, give or take the few
+// regrowths of the frame scratch that longer block runs may take.
 func TestDecodeSteadyStateAllocs(t *testing.T) {
 	const records = 2000
-	for _, f := range []Format{FormatASCII, FormatBinary, FormatB2} {
-		enc := allocTrace(t, f, records, 16)
-		in := NewInterner()
-		drain := func() {
-			var src Stream
-			switch f {
-			case FormatBinary:
-				src = NewBinaryReaderInterned(bytes.NewReader(enc), in)
-			case FormatB2:
-				src = NewB2ReaderInterned(bytes.NewReader(enc), in)
-			default:
-				src = NewReaderInterned(bytes.NewReader(enc), in)
-			}
-			n := 0
+	allocs := func(want int, open func() Stream) float64 {
+		return testing.AllocsPerRun(5, func() {
+			src, n := open(), 0
 			for {
 				_, err := src.Next()
 				if err == io.EOF {
@@ -64,25 +57,39 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 				}
 				n++
 			}
-			if n != records {
-				t.Fatalf("decoded %d records, want %d", n, records)
+			if n != want {
+				t.Fatalf("decoded %d records, want %d", n, want)
 			}
+		})
+	}
+	for _, f := range []Format{FormatASCII, FormatBinary} {
+		enc := allocTrace(t, f, records, 16)
+		in := NewInterner()
+		perRun := allocs(records, func() Stream {
+			if f == FormatBinary {
+				return NewBinaryReaderInterned(bytes.NewReader(enc), in)
+			}
+			return NewReaderInterned(bytes.NewReader(enc), in)
+		})
+		if perRun > 30 {
+			t.Errorf("%v: steady-state decode of %d records allocates %v per run, want <= 30",
+				f, records, perRun)
 		}
-		drain() // warm the interner
-		perRun := testing.AllocsPerRun(5, drain)
-		// Per run: the reader, its buffers/scanner and scratch — a
-		// constant independent of the record count. The b2 reader's
-		// constant is a little larger: it also owns a whole-block record
-		// buffer, the per-block dictionary slices, and its intern
-		// closures.
-		budget := 30.0
-		if f == FormatB2 {
-			budget = 45
-		}
-		if perRun > budget {
-			t.Errorf("%v: steady-state decode of %d records allocates %v per run, want <= %v",
-				f, records, perRun, budget)
-		}
+	}
+	var perRun [2]float64
+	for i, n := range []int{records, 40 * records} {
+		enc := allocTrace(t, FormatB2, n, 16)
+		perRun[i] = allocs(n, func() Stream {
+			s, err := OpenStream(bytes.NewReader(enc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		})
+	}
+	if perRun[1]-perRun[0] > 4 {
+		t.Errorf("b2: decoding %d records allocates %v per run, %d records %v: want no allocation per record",
+			records, perRun[0], 40*records, perRun[1])
 	}
 }
 

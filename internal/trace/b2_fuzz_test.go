@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -9,19 +11,47 @@ import (
 	"testing"
 )
 
+// collectB2 reads every record of a b2 input through NewFormatReader.
+func collectB2(r io.Reader) ([]Record, error) {
+	s, err := NewFormatReader(r, FormatB2)
+	if err != nil {
+		return nil, err
+	}
+	return Collect(s)
+}
+
 // fuzzB2RoundTrip is the property both the fuzzer and the seed guard
-// check: data either fails to decode, or decodes into records that
-// re-encode deterministically — encode(decode(data)) is a fixed point
-// of a further decode/encode cycle — and that the seekable parallel
-// reader agrees with the sequential one byte for byte, and a block
-// decoder's FileIDs with its records (requireDecoderContract).
+// check: the b2 reader's two branches — the pipe (onlyReader: read into
+// memory first) and in place (a *bytes.Reader) — reach the same verdict
+// on data, error text included; and accepted data decodes into records
+// that the parallel Stream(3) reproduces record for record, that a block
+// decoder's FileIDs name (requireDecoderContract), and that re-encode
+// deterministically — encode(decode(data)) is a fixed point of a
+// further decode/encode cycle.
 func fuzzB2RoundTrip(t *testing.T, data []byte) (accepted bool) {
-	r := NewB2Reader(bytes.NewReader(data))
-	recs, err := Collect(r)
+	recs, err := collectB2(onlyReader{bytes.NewReader(data)})
+	inPlace, inErr := collectB2(bytes.NewReader(data))
+	if fmt.Sprint(err) != fmt.Sprint(inErr) {
+		t.Fatalf("pipe and in-place reads disagree: %v vs %v", err, inErr)
+	}
 	if err != nil {
 		return false // rejected input is fine; panicking or hanging is not
 	}
-	epoch := r.Epoch()
+	requireSameRecords(t, inPlace, recs, "in place vs pipe")
+	epoch := Epoch
+	if len(data) > 0 {
+		f, err := OpenB2File(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			t.Fatalf("accepted input fails to open: %v", err)
+		}
+		par, err := Collect(f.Stream(3))
+		if err != nil {
+			t.Fatalf("accepted input fails parallel decode: %v", err)
+		}
+		requireSameRecords(t, par, recs, "parallel vs sequential")
+		requireDecoderContract(t, f, recs)
+		epoch = f.Epoch()
+	}
 	var enc1 bytes.Buffer
 	w := NewB2WriterEpoch(&enc1, epoch)
 	for i := range recs {
@@ -32,7 +62,7 @@ func fuzzB2RoundTrip(t *testing.T, data []byte) (accepted bool) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	recs2, err := Collect(NewB2Reader(bytes.NewReader(enc1.Bytes())))
+	recs2, err := collectB2(bytes.NewReader(enc1.Bytes()))
 	if err != nil {
 		t.Fatalf("re-encoded trace does not decode: %v", err)
 	}
@@ -49,25 +79,14 @@ func fuzzB2RoundTrip(t *testing.T, data []byte) (accepted bool) {
 	if !bytes.Equal(enc1.Bytes(), enc2.Bytes()) {
 		t.Fatal("encode → decode → encode is not byte-stable")
 	}
-	if len(data) > 0 {
-		f, err := OpenB2File(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			t.Fatalf("sequentially valid file fails to open seekably: %v", err)
-		}
-		par, err := Collect(f.Stream(3))
-		if err != nil {
-			t.Fatalf("sequentially valid file fails parallel decode: %v", err)
-		}
-		requireSameRecords(t, par, recs, "parallel vs sequential")
-		requireDecoderContract(t, f, recs)
-	}
 	return true
 }
 
 // FuzzB2RoundTrip is the robustness gate for the b2 decoder, mirroring
-// FuzzSnapshotRoundTrip: arbitrary input must either be rejected with
-// an error or decode into records that re-encode byte-stably and read
-// identically through both the sequential and the parallel reader.
+// FuzzSnapshotRoundTrip: arbitrary input must either be rejected, with
+// the same error from a pipe as in place, or decode into records that
+// re-encode byte-stably and read identically from a pipe, in place and
+// through the parallel Stream.
 func FuzzB2RoundTrip(f *testing.F) {
 	for _, seed := range b2FuzzSeeds() {
 		f.Add(seed)

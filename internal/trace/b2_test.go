@@ -195,36 +195,69 @@ func TestB2DecoderRejectedBlock(t *testing.T) {
 	}
 }
 
+// onlyReader hides every method of its reader but Read, as a pipe does,
+// so a b2 input behind it is read into memory before it opens.
+type onlyReader struct{ io.Reader }
+
+// readB2Both reads data through the b2 reader in place (a *bytes.Reader)
+// and as a pipe (onlyReader), requiring both to accept it and agree
+// record for record.
+func readB2Both(t *testing.T, data []byte) []Record {
+	t.Helper()
+	var out [2][]Record
+	for i, r := range []io.Reader{bytes.NewReader(data), onlyReader{bytes.NewReader(data)}} {
+		var err error
+		if out[i], err = collectB2(r); err != nil {
+			t.Fatalf("%T: %v", r, err)
+		}
+	}
+	requireSameRecords(t, out[1], out[0], "pipe vs in place")
+	return out[0]
+}
+
 func TestB2RoundTrip(t *testing.T) {
 	recs := sampleRecords()
-	enc := encodeB2(t, recs, DefaultB2BlockRecords)
-	got, err := Collect(NewB2Reader(bytes.NewReader(enc)))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	requireSameRecords(t, got, recs, "b2 round trip")
+	// The second epoch predates 1970: its header carries a negative
+	// Unix time, which the one header parser takes like any other.
+	for _, epoch := range []time.Time{recs[0].Start, time.Date(1965, 3, 1, 0, 0, 0, 0, time.UTC)} {
+		var buf bytes.Buffer
+		w := NewB2WriterEpoch(&buf, epoch)
+		for i := range recs {
+			if err := w.Write(&recs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		got := readB2Both(t, buf.Bytes())
+		requireSameRecords(t, got, recs, "b2 round trip from "+epoch.Format(time.DateOnly))
+		f, err := OpenB2File(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !f.Epoch().Equal(epoch) {
+			t.Fatalf("Epoch() = %v, want %v", f.Epoch(), epoch)
+		}
 
-	// b2 carries the same quantisation as b1: transcoding b2 → b1 must
-	// equal encoding the originals as b1 directly.
-	var viaB2, direct bytes.Buffer
-	if err := WriteAllFormat(&viaB2, got, FormatBinary); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteAllFormat(&direct, recs, FormatBinary); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(viaB2.Bytes(), direct.Bytes()) {
-		t.Fatal("b2-decoded records do not b1-encode identically to the originals")
+		// b2 carries the same quantisation as b1: transcoding b2 → b1
+		// must equal encoding the originals as b1 directly.
+		var viaB2, direct bytes.Buffer
+		if err := WriteAllFormat(&viaB2, got, FormatBinary); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteAllFormat(&direct, recs, FormatBinary); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(viaB2.Bytes(), direct.Bytes()) {
+			t.Fatal("b2-decoded records do not b1-encode identically to the originals")
+		}
 	}
 }
 
 func TestB2MultiBlock(t *testing.T) {
 	recs, enc := b2Fixture(t, 100, 7)
-	got, err := Collect(NewB2Reader(bytes.NewReader(enc)))
-	if err != nil {
-		t.Fatalf("sequential decode: %v", err)
-	}
-	requireSameRecords(t, got, recs, "sequential")
+	requireSameRecords(t, readB2Both(t, enc), recs, "sequential")
 
 	f, err := OpenB2File(bytes.NewReader(enc), int64(len(enc)))
 	if err != nil {
@@ -297,8 +330,8 @@ func TestB2EmptyTrace(t *testing.T) {
 	if len(enc) != 0 {
 		t.Fatalf("empty trace encodes to %d bytes, want 0", len(enc))
 	}
-	if _, err := NewB2Reader(bytes.NewReader(nil)).Next(); err != io.EOF {
-		t.Fatalf("empty stream: %v, want EOF", err)
+	if got := readB2Both(t, nil); len(got) != 0 {
+		t.Fatalf("empty stream decoded %d records", len(got))
 	}
 	if _, err := OpenB2File(bytes.NewReader(nil), 0); err == nil {
 		t.Fatal("OpenB2File on empty input must report ErrNotB2")
@@ -347,21 +380,25 @@ func TestB2WriterRejects(t *testing.T) {
 	}
 }
 
-// decodeB2All runs both decode paths over data and reports whether
-// either succeeded — the torture suites require both to error.
+// decodeB2All reads data through OpenStream both ways the b2 reader
+// opens an input — in place over a *bytes.Reader, and into memory first
+// behind onlyReader — and returns nil if either decoded it cleanly; the
+// torture suites require both to error. Its error is the in-place one.
 func decodeB2All(data []byte) error {
-	_, seqErr := Collect(NewB2Reader(bytes.NewReader(data)))
-	if seqErr == nil {
-		return nil
+	var first error
+	for _, r := range []io.Reader{bytes.NewReader(data), onlyReader{bytes.NewReader(data)}} {
+		s, err := OpenStream(r)
+		if err == nil {
+			_, err = Collect(s)
+		}
+		if err == nil {
+			return nil
+		}
+		if first == nil {
+			first = err
+		}
 	}
-	f, err := OpenB2File(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		return seqErr
-	}
-	if _, err := Collect(f.Stream(2)); err == nil {
-		return nil
-	}
-	return seqErr
+	return first
 }
 
 func TestB2TruncationTorture(t *testing.T) {
@@ -508,7 +545,7 @@ func TestB2MalformedInput(t *testing.T) {
 		"wrong format tag":  "#filemig-trace b9 epoch=0\n",
 	}
 	for name, in := range cases {
-		if _, err := Collect(NewB2Reader(bytes.NewReader([]byte(in)))); err == nil {
+		if err := decodeB2All([]byte(in)); err == nil {
 			t.Errorf("%s: decoded cleanly", name)
 		}
 	}
@@ -570,6 +607,19 @@ func TestB2OpenStreamSniff(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameRecords(t, got, recs, "sniffed")
+	// A seekable reader already past its first byte is not read in
+	// place: the trace starts at its offset, not at byte 0.
+	r := bytes.NewReader(append([]byte("junk"), enc...))
+	if _, err := r.Seek(4, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = OpenStream(r); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = Collect(s); err != nil {
+		t.Fatal(err)
+	}
+	requireSameRecords(t, got, recs, "sniffed after an offset")
 	if _, err := ParseFormat("b2"); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"time"
@@ -9,11 +8,10 @@ import (
 	"filemig/internal/units"
 )
 
-// The shared b2 decode layer: both b2 readers — the sequential stream
-// reader in b2reader.go and the seekable parallel reader in b2file.go —
-// materialize one whole section body into memory (the frames are small
+// The b2 decode layer under the one b2 reader, B2File (b2file.go): it
+// materializes one whole section frame into memory (the frames are small
 // and CRC-framed, so there is nothing to gain from streaming inside
-// one), verify its checksum through checkB2CRC, and hand the bytes here.
+// one), verifies its checksum in openB2Frame, and hands the body here.
 // Every field is read through a WireReader armed with ResetBytes over
 // the body (or, for the column runs, one reader per column), so the
 // body's end is the hard end of every field and truncation inside one is
@@ -22,16 +20,6 @@ import (
 // every malformed input — truncation, bit flips the CRC somehow missed,
 // impossible counts, out-of-order timestamps — and never panicking or
 // silently skewing.
-
-// checkB2CRC verifies a section body against the four checksum bytes
-// (its little-endian Checksum) that trail it in its frame — the one
-// place either reader does.
-func checkB2CRC(body, sum []byte) error {
-	if got, want := Checksum(body), binary.LittleEndian.Uint32(sum); got != want {
-		return fmt.Errorf("checksum mismatch: body sums to %08x, frame says %08x", got, want)
-	}
-	return nil
-}
 
 // b2Block is one decoded block body: its header fields, per-block path
 // dictionaries already canonicalised to strings, and the raw column
@@ -302,10 +290,8 @@ func parseB2IndexBody(body []byte, wantEpochSec, headerLen, indexOff int64) ([]b
 	return entries, nil
 }
 
-// checkB2Block cross-checks a decoded block against its index row; the
-// sequential reader uses it to prove the index describes the blocks it
-// actually read, and the seek reader to prove a block matches the row
-// that located it.
+// checkB2Block cross-checks a decoded block against the index row that
+// located it, so every block read proves the index describes it.
 func checkB2Block(i int, blk *b2Block, e *b2IndexEntry) error {
 	if int64(blk.count) != e.count || blk.base != e.base || blk.span != e.span {
 		return fmt.Errorf("block %d is %d records over [%d,%d] but the index says %d over [%d,%d]",

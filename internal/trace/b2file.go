@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -19,10 +20,11 @@ import (
 // index-aware shard cutter in internal/core groups whole blocks into
 // shards from it — and then decode only the blocks they need, in any
 // order, from any number of goroutines — the file itself holds no
-// decode state, so block decoders share nothing but the reader.
-// DecodeCount exposes how many block decodes actually happened, so
-// tests can prove planning decoded nothing and analysis decoded each
-// block exactly once.
+// decode state, so block decoders share nothing but the reader. It is
+// the one b2 reader: OpenStream reads a b2 input through it too, one
+// block after another. DecodeCount exposes how many block decodes
+// actually happened, so tests can prove planning decoded nothing and
+// analysis decoded each block exactly once.
 type B2File struct {
 	r       io.ReaderAt
 	epoch   time.Time
@@ -32,9 +34,10 @@ type B2File struct {
 	decodes atomic.Int64
 }
 
-// ErrNotB2 reports that the input does not begin with a b2 header; a
+// ErrNotB2 reports that the input does not begin with a b2 header. A
 // zero-byte input (the empty trace, legal in every format) also reports
-// it, so callers fall back to the sequential sniffing path.
+// it, so a caller that opens a named file here falls back to OpenStream,
+// which sniffs the format and takes the empty trace.
 var ErrNotB2 = errors.New("trace: not a b2 file")
 
 // BlockMeta describes one block from the index alone: how many records
@@ -72,24 +75,18 @@ func (f *B2File) readHeader(size int64) error {
 	if _, err := io.ReadFull(io.NewSectionReader(f.r, 0, int64(len(buf))), buf); err != nil {
 		return fmt.Errorf("%w (cannot read a header: %v)", ErrNotB2, err)
 	}
-	if len(buf) < len(b2HeaderPrefix) || string(buf[:len(b2HeaderPrefix)]) != b2HeaderPrefix {
+	if !bytes.HasPrefix(buf, []byte(b2HeaderPrefix)) {
 		return fmt.Errorf("%w (header is %q)", ErrNotB2, truncForErr(buf))
 	}
-	rest := buf[len(b2HeaderPrefix):]
-	var sec int64
-	i := 0
-	for ; i < len(rest) && rest[i] >= '0' && rest[i] <= '9'; i++ {
-		d := int64(rest[i] - '0')
-		if sec > (1<<62)/10 {
-			return fmt.Errorf("trace: b2: header epoch out of range")
-		}
-		sec = sec*10 + d
+	n := bytes.IndexByte(buf, '\n')
+	if n < 0 {
+		return fmt.Errorf("trace: b2: header line %q does not end within %d bytes", truncForErr(buf), len(buf))
 	}
-	if i == 0 || i >= len(rest) || rest[i] != '\n' {
-		return fmt.Errorf("trace: b2: malformed header line %q", truncForErr(buf))
+	epoch, err := parseHeaderEpoch(string(buf[:n]), b2HeaderPrefix, "b2 ")
+	if err != nil {
+		return err
 	}
-	f.epoch = time.Unix(sec, 0).UTC()
-	f.header = int64(len(b2HeaderPrefix) + i + 1)
+	f.epoch, f.header = epoch, int64(n+1)
 	return nil
 }
 
@@ -135,6 +132,8 @@ func (f *B2File) readIndex(size int64) error {
 
 // openB2Frame verifies one fully materialized section frame — tag,
 // length prefix, body, CRC, nothing more — and returns the body view.
+// It is the one place a b2 checksum is checked: the body's Checksum,
+// stored little-endian after it.
 func openB2Frame(frame []byte, wantTag byte) ([]byte, error) {
 	if len(frame) == 0 {
 		return nil, fmt.Errorf("empty frame")
@@ -152,8 +151,8 @@ func openB2Frame(frame []byte, wantTag byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkB2CRC(body, crc); err != nil {
-		return nil, err
+	if got, want := Checksum(body), binary.LittleEndian.Uint32(crc); got != want {
+		return nil, fmt.Errorf("checksum mismatch: body sums to %08x, frame says %08x", got, want)
 	}
 	if r.remaining() != 0 {
 		return nil, fmt.Errorf("%d trailing bytes after the frame", r.remaining())
@@ -280,6 +279,66 @@ func (d *B2BlockDecoder) DecodeInto(i int, dst []Record, ids []FileID) error {
 	}
 	d.f.decodes.Add(1)
 	return nil
+}
+
+// openB2Stream opens a b2 trace for one sequential read through its
+// block index. at of the given size is read in place; a nil at means
+// rest is read into memory first, since a b2 stream cannot be validated
+// before its trailing index arrives. Zero bytes are the empty trace; any
+// other input that does not open is an error here, before any record.
+func openB2Stream(at io.ReaderAt, size int64, rest io.Reader) (Stream, error) {
+	if at == nil {
+		data, err := io.ReadAll(rest)
+		if err != nil {
+			return nil, fmt.Errorf("trace: b2: reading input: %v", err)
+		}
+		at, size = bytes.NewReader(data), int64(len(data))
+	}
+	if size == 0 {
+		return emptyStream{}, nil
+	}
+	f, err := OpenB2File(at, size)
+	if err != nil {
+		return nil, err
+	}
+	return &b2Stream{d: f.NewBlockDecoder()}, nil
+}
+
+// b2Stream yields a B2File's records in file order, decoding one block
+// after another on the caller's goroutine into a reused buffer. It
+// starts no goroutine, so a consumer may stop at any point; the first
+// error (or io.EOF) sticks.
+type b2Stream struct {
+	d    *B2BlockDecoder
+	blk  int // the next block to decode
+	recs []Record
+	next int
+	err  error
+}
+
+// Next returns the next record.
+func (s *b2Stream) Next() (Record, error) {
+	for s.next == len(s.recs) {
+		if s.err != nil {
+			return Record{}, s.err
+		}
+		if s.blk == len(s.d.f.entries) {
+			s.err = io.EOF
+			continue
+		}
+		buf := s.recs
+		if n := int(s.d.f.entries[s.blk].count); cap(buf) < n {
+			buf = make([]Record, n)
+		} else {
+			buf = buf[:n]
+		}
+		if s.err = s.d.DecodeInto(s.blk, buf, nil); s.err == nil {
+			s.recs, s.next = buf, 0
+			s.blk++
+		}
+	}
+	s.next++
+	return s.recs[s.next-1], nil
 }
 
 // Stream returns a Stream over the whole file that decodes blocks with

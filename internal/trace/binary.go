@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strconv"
-	"strings"
 	"time"
 
 	"filemig/internal/device"
@@ -226,14 +224,9 @@ func (r *BinaryReader) Next() (Record, error) {
 		if err != nil {
 			return Record{}, fmt.Errorf("trace: binary header: %v", err)
 		}
-		if !strings.HasPrefix(line, binaryHeaderPrefix) {
-			return Record{}, fmt.Errorf("trace: missing binary header, got %q", line)
+		if r.prevStart, err = parseHeaderEpoch(line, binaryHeaderPrefix, "binary "); err != nil {
+			return Record{}, err
 		}
-		sec, err := strconv.ParseInt(strings.TrimPrefix(line, binaryHeaderPrefix), 10, 64)
-		if err != nil {
-			return Record{}, fmt.Errorf("trace: bad binary header epoch: %v", err)
-		}
-		r.prevStart = time.Unix(sec, 0).UTC()
 		r.started = true
 	}
 	off := r.wire.Offset()

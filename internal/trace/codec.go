@@ -31,6 +31,20 @@ import (
 
 const headerPrefix = "#filemig-trace v1 epoch="
 
+// parseHeaderEpoch parses the header line of any trace format (sans
+// newline): prefix, then the epoch in signed decimal Unix seconds. what
+// names the format in errors ("", "binary ", "b2 ").
+func parseHeaderEpoch(line, prefix, what string) (time.Time, error) {
+	if !strings.HasPrefix(line, prefix) {
+		return time.Time{}, fmt.Errorf("trace: missing %sheader, got %q", what, line)
+	}
+	sec, err := strconv.ParseInt(line[len(prefix):], 10, 64)
+	if err != nil {
+		return time.Time{}, fmt.Errorf("trace: bad %sheader epoch: %v", what, err)
+	}
+	return time.Unix(sec, 0).UTC(), nil
+}
+
 // Writer emits records in the compact format. Records must be written in
 // non-decreasing start-time order (the delta encoding demands it).
 type Writer struct {
@@ -215,16 +229,11 @@ func (r *Reader) Next() (Record, error) {
 			return Record{}, io.EOF
 		}
 		r.line++
-		header := r.s.Text()
-		if !strings.HasPrefix(header, headerPrefix) {
-			return Record{}, fmt.Errorf("trace: missing header, got %q", header)
-		}
-		sec, err := strconv.ParseInt(strings.TrimPrefix(header, headerPrefix), 10, 64)
+		epoch, err := parseHeaderEpoch(r.s.Text(), headerPrefix, "")
 		if err != nil {
-			return Record{}, fmt.Errorf("trace: bad header epoch: %v", err)
+			return Record{}, err
 		}
-		r.epoch = time.Unix(sec, 0).UTC()
-		r.prevStart = r.epoch
+		r.epoch, r.prevStart = epoch, epoch
 		r.started = true
 	}
 	if !r.s.Scan() {

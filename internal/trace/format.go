@@ -89,8 +89,13 @@ func (emptyStream) Next() (Record, error) { return Record{}, io.EOF }
 
 // OpenStream sniffs the header of an encoded trace and returns the
 // matching codec reader as a Stream. Zero-byte input yields an empty
-// stream; an unrecognised header is an error.
+// stream; an unrecognised header is an error. A b2 trace is opened
+// through its block index (OpenB2File) — in place when r is a seekable
+// io.ReaderAt at its start, such as a regular *os.File or a
+// *bytes.Reader, else after reading r into memory — so a malformed one
+// fails here rather than part way through.
 func OpenStream(r io.Reader) (Stream, error) {
+	at, size := readerAtStart(r) // before the sniff moves r's offset
 	br := bufio.NewReaderSize(r, 1<<16)
 	head, err := br.Peek(len(SnapshotHeader))
 	if err == io.EOF && len(head) == 0 {
@@ -107,9 +112,31 @@ func OpenStream(r io.Reader) (Stream, error) {
 	case FormatBinary:
 		return NewBinaryReader(br), nil
 	case FormatB2:
-		return NewB2Reader(br), nil
+		return openB2Stream(at, size, br)
 	}
 	return NewReader(br), nil
+}
+
+// readerAtStart returns r as an io.ReaderAt with its size when r can be
+// read in place: it seeks and sits at offset 0. It returns nil for
+// anything else — a pipe, a partly consumed file, a plain io.Reader —
+// and leaves r's offset where it found it.
+func readerAtStart(r io.Reader) (io.ReaderAt, int64) {
+	rs, ok := r.(interface {
+		io.ReaderAt
+		io.Seeker
+	})
+	if !ok {
+		return nil, 0
+	}
+	if off, err := rs.Seek(0, io.SeekCurrent); err != nil || off != 0 {
+		return nil, 0
+	}
+	size, err := rs.Seek(0, io.SeekEnd)
+	if _, rerr := rs.Seek(0, io.SeekStart); err != nil || rerr != nil {
+		return nil, 0
+	}
+	return rs, size
 }
 
 // SniffFormat classifies an encoded trace by the first bytes of its
@@ -139,15 +166,18 @@ func SniffFormat(head []byte) (Format, error) {
 }
 
 // NewFormatReader returns the codec reader for a known format as a
-// Stream, without sniffing the header.
-func NewFormatReader(r io.Reader, f Format) Stream {
+// Stream, without sniffing the header. A b2 input is opened as in
+// OpenStream, so its open failure is the error returned here; the other
+// codecs report malformed input from Next.
+func NewFormatReader(r io.Reader, f Format) (Stream, error) {
 	switch f {
 	case FormatBinary:
-		return NewBinaryReader(r)
+		return NewBinaryReader(r), nil
 	case FormatB2:
-		return NewB2Reader(r)
+		at, size := readerAtStart(r)
+		return openB2Stream(at, size, r)
 	}
-	return NewReader(r)
+	return NewReader(r), nil
 }
 
 // OpenStreamFlag resolves a -format flag value into a record Stream:
@@ -161,7 +191,7 @@ func OpenStreamFlag(r io.Reader, flag string) (Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewFormatReader(r, f), nil
+	return NewFormatReader(r, f)
 }
 
 // WriteAllFormat encodes every record to w in the given format and
