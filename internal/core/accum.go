@@ -38,9 +38,10 @@ import (
 // comment in snapshot.go), and preserves the master's first-seen FileID
 // assignment by interning segment paths in the order the replayed
 // records first touch them, lazily, entry by entry, through one
-// table-ID → master-ID remap per path table (idRemaps) — so within a
-// call the master hashes a path once per table that knows it, and never
-// a path no good reference names.
+// table-ID → master-ID remap per path table (idRemaps), with the hash
+// the segment's table already holds — so the master hashes no path
+// string, probes its table once per path per table that knows it within
+// a call, and never takes a path no good reference names.
 
 // Accumulator is the unified online accumulator: Analysis under the name
 // the incremental paths use. The two names alias one type.
@@ -62,13 +63,14 @@ type Partial struct {
 	// paths is the table the journal's FileIDs index: a shard worker's
 	// (every segment that worker accumulates sits over it), one daemon's
 	// (likewise), or private to the segment (AccumulatePartial, a decoded
-	// snapshot — dense in the segment's own first-seen order). view,
-	// when set, is the prefix of it the journal can reference, captured
-	// by the goroutine that owns the table when the segment was
-	// finished: what a fold on another goroutine reads paths through
-	// while the owner goes on interning.
+	// snapshot — dense in the segment's own first-seen order). view and
+	// hview, when set, are the prefixes of its paths and path hashes the
+	// journal can reference, captured by the goroutine that owns the
+	// table when the segment was finished: what a fold on another
+	// goroutine reads through while the owner goes on interning.
 	paths  *trace.Interner
 	view   []string
+	hview  []uint64
 	dedup  time.Duration
 	origin time.Time // Options.Start: the calendar origin, when pinned
 
@@ -161,15 +163,15 @@ func (p *Partial) setBounds(first, last time.Time) {
 	}
 }
 
-// pathView returns the FileID-indexed paths the journal's IDs resolve
-// through: the prefix captured when a shard worker finished the segment,
-// else the table as it stands (a daemon's segments — the caller holds
-// whatever lock guards that table).
-func (p *Partial) pathView() []string {
+// pathView returns the FileID-indexed paths and path hashes the
+// journal's IDs resolve through: the prefixes captured when a shard
+// worker finished the segment, else the table as it stands (a daemon's
+// segments — the caller holds whatever lock guards that table).
+func (p *Partial) pathView() ([]string, []uint64) {
 	if p.view != nil {
-		return p.view
+		return p.view, p.hview
 	}
-	return p.paths.Paths()
+	return p.paths.Paths(), p.paths.Hashes()
 }
 
 // AccumulatePartial runs one contiguous segment of records through a
@@ -193,9 +195,9 @@ func AccumulatePartial(opts Options, recs []trace.Record) *Partial {
 // master-ID translation per path table in play, NoFileID marking an ID
 // the master has not met. FoldPartials fills it lazily through masterID
 // as the replay first touches each file, so every segment of one daemon
-// in a call shares a remap and a file costs the master one string hash
-// per table that knows it. The table pointer is only ever a key here;
-// paths are read through a view.
+// in a call shares a remap and a file costs the master one probe, and no
+// string hash, per table that knows it. The table pointer is only ever a
+// key here; paths and hashes are read through views.
 type idRemaps map[*trace.Interner][]trace.FileID
 
 // covering returns table's remap, extended to translate IDs below n.
@@ -212,13 +214,14 @@ func (m idRemaps) covering(table *trace.Interner, n int) []trace.FileID {
 }
 
 // masterID translates one journal ID through remap, interning
-// view[id] into the master on the ID's first appearance.
+// view[id] into the master, under the hash hview[id] its table holds,
+// on the ID's first appearance.
 //
 //filemig:hotpath
-func (a *Accumulator) masterID(remap []trace.FileID, view []string, id trace.FileID) trace.FileID {
+func (a *Accumulator) masterID(remap []trace.FileID, view []string, hview []uint64, id trace.FileID) trace.FileID {
 	m := remap[id]
 	if m == trace.NoFileID {
-		m = a.internFile(view[id])
+		m = a.extendFiles(a.interner.InternHashed(view[id], hview[id]))
 		remap[id] = m
 	}
 	return m
@@ -246,8 +249,9 @@ func (a *Accumulator) masterID(remap []trace.FileID, view []string, id trace.Fil
 // each path table in play gets one flat table-ID → master-ID remap for
 // the call, filled on a file's first appearance in the merged order —
 // so the segments of a daemon, which share one table, share one remap
-// and a file costs the master one string hash however many segments
-// name it.
+// and a file costs the master one probe however many segments name it,
+// and no string hash at all: it interns under the hash the segment's
+// table holds.
 func (a *Accumulator) FoldPartials(ps []*Partial) error {
 	entries := 0
 	for i, p := range ps {
@@ -292,13 +296,14 @@ func (a *Accumulator) FoldPartials(ps []*Partial) error {
 	h := make(journalHeap, 0, len(ps))
 	remaps := make([][]trace.FileID, len(ps))
 	views := make([][]string, len(ps))
+	hviews := make([][]uint64, len(ps))
 	byTable := idRemaps{}
 	for si, p := range ps {
 		if len(p.journal) == 0 {
 			continue
 		}
 		h = append(h, journalCursor{si: si, start: p.journal[0].start})
-		views[si] = p.pathView()
+		views[si], hviews[si] = p.pathView()
 		remaps[si] = byTable.covering(p.paths, len(views[si]))
 	}
 	heap.Init(&h)
@@ -314,7 +319,7 @@ func (a *Accumulator) FoldPartials(ps []*Partial) error {
 		t := time.Unix(0, e.start).UTC()
 		a.addDerived(t, opIdx, e.size)
 		a.addInterval(t)
-		a.addFileAccessID(a.masterID(remaps[cur.si], views[cur.si], e.id), op, e.start, units.Bytes(e.size))
+		a.addFileAccessID(a.masterID(remaps[cur.si], views[cur.si], hviews[cur.si], e.id), op, e.start, units.Bytes(e.size))
 		if cur.k++; cur.k < len(p.journal) {
 			cur.start = p.journal[cur.k].start
 			heap.Fix(&h, 0)

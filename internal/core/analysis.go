@@ -345,16 +345,16 @@ func (a *Analysis) addInterval(start time.Time) {
 // interreference gaps) under the §5.3 dedup rule. Dedup depends only on
 // the file's own access history in time order, which is what lets the
 // shard merge replay each shard's accesses through this same method. The
-// file is resolved through the interner: a known path costs one map
+// file is resolved through the interner: a known path costs one table
 // probe, a new one extends the arena by a single inline slot.
 func (a *Analysis) addFileAccess(path string, op trace.Op, start time.Time, size units.Bytes) {
-	a.addFileAccessID(a.internFile(path), op, start.UnixNano(), size)
+	a.addFileAccessID(a.extendFiles(a.interner.Intern(path)), op, start.UnixNano(), size)
 }
 
-// internFile resolves a path to its dense FileID, extending the
-// per-file arena in step with the interner on first sight.
-func (a *Analysis) internFile(path string) trace.FileID {
-	id := a.interner.Intern(path)
+// extendFiles keeps the per-file arena in step with the interner: id is
+// a FileID the interner just resolved, one past the arena on first
+// sight.
+func (a *Analysis) extendFiles(id trace.FileID) trace.FileID {
 	if int(id) == len(a.files) {
 		a.files = append(a.files, fileState{})
 	}

@@ -189,8 +189,8 @@ type b2Worker struct {
 // accumulate decodes one group block by block through the scratch,
 // observing each block's records into a journal-only segment whose
 // journal is sized from the index, and closes the segment with the
-// prefix of the worker's table it can reference — the view the fold
-// reads while this worker moves on.
+// prefix of the worker's table it can reference — the path and hash
+// views the fold reads while this worker moves on.
 func (w *b2Worker) accumulate(g blockGroup) (*Partial, error) {
 	p := NewSegment(w.opts, w.d.Table())
 	p.journal = make([]journalEntry, 0, g.count)
@@ -204,7 +204,7 @@ func (w *b2Worker) accumulate(g blockGroup) (*Partial, error) {
 		}
 		w.observeBlock(p, w.recs[:n], w.ids[:n])
 	}
-	p.view = w.d.Table().Paths()
+	p.view, p.hview = w.d.Table().Paths(), w.d.Table().Hashes()
 	return p, nil
 }
 

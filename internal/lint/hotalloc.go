@@ -58,6 +58,7 @@ var requiredHotpath = map[string][]string{
 		"(*BinaryReader).decodeBody",
 		"(*Interner).Intern",
 		"(*Interner).InternBytes",
+		"(*Interner).InternHashed",
 		"(*Interner).Lookup",
 		"(*Interner).LookupBytes",
 		"(*WireReader).ReadByte",

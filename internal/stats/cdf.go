@@ -96,12 +96,14 @@ func (c *CDF) Merge(other *CDF) {
 
 // ensureSorted orders the samples by value. A run-free CDF (the hot
 // case) just sorts vals; otherwise the weighted runs and unit samples
-// are merged into the qruns/cum view queries binary-search over.
+// are merged into the qruns/cum view queries binary-search over. The
+// runs keep pdqsort: ties among them carry unequal multiplicities, so
+// their order feeds the cumulative table.
 func (c *CDF) ensureSorted() {
 	if c.sorted {
 		return
 	}
-	sort.Float64s(c.vals)
+	sortFloats(c.vals)
 	if len(c.runs) > 0 {
 		slices.SortFunc(c.runs, func(a, b run) int { return byValue(a.v, b.v) })
 		c.qruns = c.qruns[:0]
@@ -129,6 +131,74 @@ func (c *CDF) ensureSorted() {
 		}
 	}
 	c.sorted = true
+}
+
+// Radix sort parameters for unit samples: from radixMin samples up,
+// radixPasses passes of radixBits-bit digits cover a 64-bit key.
+const (
+	radixMin    = 4096
+	radixBits   = 11
+	radixPasses = (64 + radixBits - 1) / radixBits
+	radixMask   = 1<<radixBits - 1
+)
+
+// sortFloats sorts vals ascending, leaving exactly the bits
+// sort.Float64s would. From radixMin samples up it runs an LSD radix
+// sort over order-preserving keys (a negative float has all its bits
+// flipped, a positive one only its sign bit); a pass is skipped when
+// every key has the same digit there. Without NaN and −0, equal floats
+// have equal bits, so the ascending sequence is unique and both sorts
+// produce it; below radixMin, or when a sample is NaN or −0, it is
+// sort.Float64s itself.
+func sortFloats(vals []float64) {
+	if len(vals) < radixMin {
+		sort.Float64s(vals)
+		return
+	}
+	keys := make([]uint64, len(vals))
+	counts := new([radixPasses][1 << radixBits]int)
+	for i, v := range vals {
+		k := math.Float64bits(v)
+		if v != v || k == 1<<63 {
+			sort.Float64s(vals)
+			return
+		}
+		if k>>63 == 1 {
+			k = ^k
+		} else {
+			k |= 1 << 63
+		}
+		keys[i] = k
+		for p := range counts {
+			counts[p][k>>(p*radixBits)&radixMask]++
+		}
+	}
+	src, dst := keys, make([]uint64, len(keys))
+	for p := range counts {
+		c, shift := &counts[p], p*radixBits
+		if c[src[0]>>shift&radixMask] == len(src) {
+			continue
+		}
+		sum := 0
+		for d, n := range c {
+			c[d] = sum
+			sum += n
+		}
+		for _, k := range src {
+			d := k >> shift & radixMask
+			dst[c[d]] = k
+			c[d]++
+		}
+		src, dst = dst, src
+	}
+	for i, k := range src {
+		if k>>63 == 1 {
+			k &^= 1 << 63
+		} else {
+			k = ^k
+		}
+		vals[i] = math.Float64frombits(k)
+	}
 }
 
 // P returns the empirical P(X <= v), in [0, 1]. P of an empty CDF is 0.

@@ -77,6 +77,49 @@ func TestCDFRunSortMatchesReference(t *testing.T) {
 	}
 }
 
+// TestCDFSortMatchesFloat64s holds the unit-sample sort to
+// sort.Float64s bit for bit, on both sides of the radix cutoff: heavy
+// ties, ±Inf, subnormals, the extreme normals, sorted and reversed
+// input, and inputs holding a NaN or a −0, which take the fallback.
+func TestCDFSortMatchesFloat64s(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	extremes := []float64{math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1022, -0x1p-1022, 0}
+	inputs := []struct {
+		name string
+		gen  func(i int) float64
+	}{
+		{"ties", func(int) float64 { return float64(rng.Intn(7)) * 4096 }},
+		{"extremes", func(int) float64 { return extremes[rng.Intn(len(extremes))] }},
+		{"subnormals", func(int) float64 { return float64(rng.Intn(2000)-1000) * math.SmallestNonzeroFloat64 }},
+		{"random", func(int) float64 { return (rng.Float64() - 0.3) * math.Exp(rng.Float64()*60) }},
+		{"sorted", func(i int) float64 { return float64(i) - 1000.5 }},
+		{"reversed", func(i int) float64 { return 1000.5 - float64(i) }},
+	}
+	sizes := append([]int{4095, 4096, 4097, 100000}, sortSizes...)
+	for _, in := range inputs {
+		for _, n := range sizes {
+			for _, poison := range []float64{1, math.NaN(), math.Copysign(0, -1)} { // 1 plants nothing
+				var c CDF
+				for i := 0; i < n; i++ {
+					c.Add(in.gen(i))
+				}
+				if n > 0 && poison != 1 {
+					c.vals[rng.Intn(n)] = poison
+				}
+				ref := slices.Clone(c.vals)
+				sort.Float64s(ref)
+				c.ensureSorted()
+				for i := range ref {
+					if math.Float64bits(c.vals[i]) != math.Float64bits(ref[i]) {
+						t.Fatalf("%s n=%d poison=%v: [%d] = %v, sort.Float64s %v", in.name, n, poison, i, c.vals[i], ref[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestRankPeriodsSortMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, n := range sortSizes {

@@ -1,6 +1,9 @@
 package trace
 
-import "strings"
+import (
+	"hash/maphash"
+	"strings"
+)
 
 // Path interning: the shared hot-path layer that maps MSS path strings to
 // dense integer identifiers. Every per-record consumer of a trace — the
@@ -25,13 +28,34 @@ const NoFileID = ^FileID(0)
 // also first-appearance order over the record stream.
 type DirID uint32
 
+// pathSeed is the one seed every Interner in the process hashes paths
+// under, so a hash one table holds is valid in any other (InternHashed).
+// The hash decides slot positions only, and nothing ranges over slots,
+// so the random seed changes no ID or output; it keeps a table fed
+// crafted path sets (migd's) as resistant as the runtime map is.
+var pathSeed = maphash.MakeSeed()
+
+// minSlots is a new table's index size. Most tables are short-lived —
+// one per ingest body, decoded snapshot or coalescer — and hold few
+// paths, so they start no bigger than a small map.
+const minSlots = 16
+
 // Interner assigns dense FileIDs to MSS path strings and derives a DirID
-// for each file's directory. The zero value is not ready; use NewInterner.
-// An Interner is not safe for concurrent use.
+// for each file's directory. It is an open-addressing index over path
+// hashes kept per FileID: a probe compares the stored hash before the
+// string, and growing re-slots from the stored hashes, so a path string
+// is hashed once on its way in — and not at all when it arrives with
+// the hash another table holds for it (InternHashed, the fold's path
+// from a worker's table into the master's). The zero value is not
+// ready; use NewInterner. An Interner is not safe for concurrent use.
 type Interner struct {
-	ids   map[string]FileID
-	paths []string // FileID -> canonical path string
-	dirs  []DirID  // FileID -> directory ID
+	paths  []string // FileID -> canonical path string
+	hashes []uint64 // FileID -> the path's hash under pathSeed
+	dirs   []DirID  // FileID -> directory ID
+
+	// slots is the index: a power-of-two length, linear probing, FileID+1
+	// in an occupied slot and 0 in an empty one, at most half full.
+	slots []uint32
 
 	dirIDs   map[string]DirID // nil in a file-only table (newFileTable)
 	dirPaths []string         // DirID -> directory path
@@ -39,7 +63,7 @@ type Interner struct {
 
 // NewInterner returns an empty Interner.
 func NewInterner() *Interner {
-	return &Interner{ids: make(map[string]FileID), dirIDs: make(map[string]DirID)}
+	return &Interner{slots: make([]uint32, minSlots), dirIDs: make(map[string]DirID)}
 }
 
 // newFileTable returns an empty Interner that derives no directories:
@@ -47,7 +71,7 @@ func NewInterner() *Interner {
 // a master's (which derives them once), so Dir, DirPath and NumDirs have
 // nothing to answer there and must not be called.
 func newFileTable() *Interner {
-	return &Interner{ids: make(map[string]FileID)}
+	return &Interner{slots: make([]uint32, minSlots)}
 }
 
 // Intern returns the FileID for path, assigning the next dense ID (and
@@ -55,10 +79,7 @@ func newFileTable() *Interner {
 //
 //filemig:hotpath
 func (in *Interner) Intern(path string) FileID {
-	if id, ok := in.ids[path]; ok {
-		return id
-	}
-	return in.add(path)
+	return in.InternHashed(path, maphash.String(pathSeed, path))
 }
 
 // InternBytes is Intern for a byte-slice key. On a hit — the overwhelming
@@ -67,10 +88,36 @@ func (in *Interner) Intern(path string) FileID {
 //
 //filemig:hotpath
 func (in *Interner) InternBytes(path []byte) FileID {
-	if id, ok := in.ids[string(path)]; ok { // no-alloc map lookup
+	h := maphash.Bytes(pathSeed, path)
+	if id, _ := probe(in, path, h); id != NoFileID {
 		return id
 	}
-	return in.add(string(path)) //lint:hotalloc-ok first sighting only: the one canonical copy per distinct path
+	return in.InternHashed(string(path), h) //lint:hotalloc-ok first sighting only: the one canonical copy per distinct path
+}
+
+// InternHashed is Intern for a path whose hash is already known: h must
+// be the hash an Interner in this process holds for path (its Hashes()
+// entry), which is how a fold carries paths from a worker's table into
+// the master's without hashing a string.
+//
+//filemig:hotpath
+func (in *Interner) InternHashed(path string, h uint64) FileID {
+	id, slot := probe(in, path, h)
+	if id != NoFileID {
+		return id
+	}
+	id = FileID(len(in.paths))
+	in.paths = append(in.paths, path)
+	in.hashes = append(in.hashes, h)
+	if in.dirIDs != nil {
+		in.dirs = append(in.dirs, in.internDir(path))
+	}
+	if 2*len(in.paths) > len(in.slots) {
+		in.grow()
+	} else {
+		in.slots[slot] = uint32(id) + 1
+	}
+	return id
 }
 
 // Lookup returns the FileID already assigned to path without ever
@@ -79,8 +126,8 @@ func (in *Interner) InternBytes(path []byte) FileID {
 //
 //filemig:hotpath
 func (in *Interner) Lookup(path string) (FileID, bool) {
-	id, ok := in.ids[path]
-	return id, ok
+	id, _ := probe(in, path, maphash.String(pathSeed, path))
+	return id, id != NoFileID
 }
 
 // LookupBytes is Lookup for a byte-slice key (migd resolves a batch's
@@ -89,19 +136,39 @@ func (in *Interner) Lookup(path string) (FileID, bool) {
 //
 //filemig:hotpath
 func (in *Interner) LookupBytes(path []byte) (FileID, bool) {
-	id, ok := in.ids[string(path)] // no-alloc map lookup
-	return id, ok
+	id, _ := probe(in, path, maphash.Bytes(pathSeed, path))
+	return id, id != NoFileID
 }
 
-// add registers a new path under the next dense FileID.
-func (in *Interner) add(path string) FileID {
-	id := FileID(len(in.paths))
-	in.ids[path] = id
-	in.paths = append(in.paths, path)
-	if in.dirIDs != nil {
-		in.dirs = append(in.dirs, in.internDir(path))
+// probe walks the index from key's home slot: the FileID of key and its
+// slot, or NoFileID and the empty slot where key would go. A string key
+// and a byte key share the loop; string(key) in the comparison copies
+// nothing.
+func probe[K string | []byte](in *Interner, key K, h uint64) (FileID, int) {
+	mask := len(in.slots) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		s := in.slots[i]
+		if s == 0 {
+			return NoFileID, i
+		}
+		if id := FileID(s - 1); in.hashes[id] == h && in.paths[id] == string(key) {
+			return id, i
+		}
 	}
-	return id
+}
+
+// grow doubles the index and re-slots every FileID, in order, from its
+// stored hash.
+func (in *Interner) grow() {
+	in.slots = make([]uint32, 2*len(in.slots))
+	mask := len(in.slots) - 1
+	for id, h := range in.hashes {
+		i := int(h) & mask
+		for in.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		in.slots[i] = uint32(id) + 1
+	}
 }
 
 // internDir returns the DirID for path's directory, registering it on
@@ -135,6 +202,10 @@ func (in *Interner) Path(id FileID) string { return in.paths[id] }
 // or move to a new backing array), so a goroutine handed the view may
 // read it while the table's owner goes on interning.
 func (in *Interner) Paths() []string { return in.paths[:len(in.paths):len(in.paths)] }
+
+// Hashes returns the FileID-indexed path hashes as they stand — what
+// InternHashed takes — as a prefix view under the contract of Paths.
+func (in *Interner) Hashes() []uint64 { return in.hashes[:len(in.hashes):len(in.hashes)] }
 
 // Dir returns the directory ID derived for id's path.
 func (in *Interner) Dir(id FileID) DirID { return in.dirs[id] }

@@ -2,25 +2,88 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
 
+// TestInternerDenseIDs holds the table to a first-seen map[string]FileID
+// reference: on a hand-written input, and on ~5 000 generated paths with
+// repeats — crossing several index growths — among which some differ
+// only in their last byte and some are prefixes of others.
 func TestInternerDenseIDs(t *testing.T) {
-	in := NewInterner()
-	paths := []string{"/a/x", "/a/y", "/b/z", "/a/x", "/b/z", "/top"}
-	wantIDs := []FileID{0, 1, 2, 0, 2, 3}
-	for i, p := range paths {
-		if id := in.Intern(p); id != wantIDs[i] {
-			t.Fatalf("Intern(%q) = %d, want %d", p, id, wantIDs[i])
+	rng := rand.New(rand.NewSource(30))
+	var generated []string
+	for len(generated) < 5000 {
+		p := fmt.Sprintf("/model/run%d/day%d.nc", rng.Intn(50), rng.Intn(60))
+		switch rng.Intn(4) {
+		case 0: // a last-byte neighbour
+			p = p[:len(p)-1] + string(rune('a'+rng.Intn(3)))
+		case 1: // a prefix
+			p = p[:1+rng.Intn(len(p))]
 		}
+		generated = append(generated, p)
 	}
-	if in.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", in.Len())
-	}
-	for i, p := range paths {
-		if got := in.Path(wantIDs[i]); got != p {
-			t.Fatalf("Path(%d) = %q, want %q", wantIDs[i], got, p)
+	for _, paths := range [][]string{{"/a/x", "/a/y", "/b/z", "/a/x", "/b/z", "/top"}, generated} {
+		in, second := NewInterner(), NewInterner()
+		ref := map[string]FileID{}
+		type view struct {
+			paths, pathsAt   []string
+			hashes, hashesAt []uint64
+		}
+		var views []view
+		for i, p := range paths {
+			want, seen := ref[p]
+			for _, miss := range []string{p + "/", p + "\x00"} {
+				if _, known := ref[miss]; known {
+					continue
+				}
+				n := in.Len()
+				if id, ok := in.Lookup(miss); ok {
+					t.Fatalf("Lookup(%q) = %d on a miss", miss, id)
+				}
+				if id, ok := in.LookupBytes([]byte(miss)); ok || in.Len() != n {
+					t.Fatalf("LookupBytes(%q) = %d, %v; Len %d -> %d", miss, id, ok, n, in.Len())
+				}
+			}
+			if id, ok := in.Lookup(p); ok != seen || id != want && seen {
+				t.Fatalf("Lookup(%q) = %d, %v; reference %d, %v", p, id, ok, want, seen)
+			}
+			if id, ok := in.LookupBytes([]byte(p)); ok != seen || id != want && seen {
+				t.Fatalf("LookupBytes(%q) = %d, %v; reference %d, %v", p, id, ok, want, seen)
+			}
+			if !seen {
+				want = FileID(len(ref))
+				ref[p] = want
+			}
+			if id := in.Intern(p); id != want {
+				t.Fatalf("Intern(%q) = %d, want %d", p, id, want)
+			}
+			if id := second.InternHashed(p, in.Hashes()[want]); id != want {
+				t.Fatalf("InternHashed(%q) = %d, want %d", p, id, want)
+			}
+			if i%97 == 0 {
+				ps, hs := in.Paths(), in.Hashes()
+				views = append(views, view{ps, slices.Clone(ps), hs, slices.Clone(hs)})
+			}
+		}
+		if in.Len() != len(ref) || second.Len() != len(ref) {
+			t.Fatalf("Len = %d and %d, want %d", in.Len(), second.Len(), len(ref))
+		}
+		for id, p := range in.Paths() {
+			if ref[p] != FileID(id) {
+				t.Fatalf("Path(%d) = %q, reference ID %d", id, p, ref[p])
+			}
+			if got, ok := second.Lookup(p); !ok || got != FileID(id) {
+				t.Fatalf("second table Lookup(%q) = %d, %v; want %d", p, got, ok, id)
+			}
+		}
+		for _, v := range views {
+			if !slices.Equal(v.paths, v.pathsAt) || !slices.Equal(v.hashes, v.hashesAt) {
+				t.Fatalf("a %d-path view changed under later interning", len(v.pathsAt))
+			}
 		}
 	}
 }
@@ -64,19 +127,33 @@ func TestInternBytesMatchesIntern(t *testing.T) {
 	}
 }
 
-// TestInternBytesZeroAlloc pins the hot-path guarantee: interning an
-// already-seen path from a byte slice performs no allocation.
+// TestInternBytesZeroAlloc pins the hot-path guarantee: resolving an
+// already-seen path — interned from bytes, from a string with its hash,
+// or looked up either way — performs no allocation, whatever the path's
+// length.
 func TestInternBytesZeroAlloc(t *testing.T) {
 	in := NewInterner()
-	p := []byte("/climate/ccm2/run7/day3.nc")
+	s := "/climate/ccm2/run7/history/1992/day3.nc"
+	p := []byte(s)
 	in.InternBytes(p)
-	allocs := testing.AllocsPerRun(100, func() {
-		if in.InternBytes(p) != 0 {
-			t.Fatal("unexpected id")
+	h := in.Hashes()[0]
+	for _, c := range []struct {
+		name string
+		hit  func() FileID
+	}{
+		{"InternBytes", func() FileID { return in.InternBytes(p) }},
+		{"InternHashed", func() FileID { return in.InternHashed(s, h) }},
+		{"Lookup", func() FileID { id, _ := in.Lookup(s); return id }},
+		{"LookupBytes", func() FileID { id, _ := in.LookupBytes(p); return id }},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if c.hit() != 0 {
+				t.Fatalf("%s: unexpected id", c.name)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state %s allocates %v per run, want 0", c.name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state InternBytes allocates %v per run, want 0", allocs)
 	}
 }
 
