@@ -2,6 +2,7 @@ package migration
 
 import (
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -11,14 +12,21 @@ import (
 //	Rank(f, now) = Weight(f) × aging(now − f.LastRef)
 //
 // to within a few ulps, with Weight non-negative and fixed between
-// touches, aging non-negative and non-decreasing in the age, and every
-// rank either zero or a normal finite float64. STP (size × age^K), SAAC
-// (size/(1+refs) × idle) and AdaptiveSTP have this shape. Under it the
-// cache keeps residents in an aged index — weight classes, each in
-// LastRef order — and picks victims by calling the policy's own Rank at
-// the shrink's frozen clock, in the scan path's (rank desc, lowest file
-// ID) order, skipping only candidates a bound proves cannot win.
-// ScanOnly hides the capability, so it stays the reference.
+// touches, aging non-decreasing in the age, and every aging factor and
+// every rank either zero or a normal finite float64. STP (size ×
+// age^K), SAAC (size/(1+refs) × idle) and AdaptiveSTP have this shape.
+// Under it the cache keeps residents in an aged index — weight classes,
+// each in LastRef order — and picks victims by calling the policy's own
+// Rank at the shrink's frozen clock, in the scan path's (rank desc,
+// lowest file ID) order, skipping only candidates a bound proves cannot
+// win. ScanOnly hides the capability, so it stays the reference.
+//
+// Rank must also be pure within one shrink: nothing but a touch
+// (FileAccessed) may move a resident's rank, so a rank taken at a
+// shrink's frozen clock holds for every victim of that shrink, however
+// many residents it evicts (FileEvicted) first. The scan path ranks each
+// resident once per shrink and relies on the same; the aged index
+// memoises each rank for the shrink.
 type AgedPolicy interface {
 	Policy
 	// Weight returns the time-invariant factor of f's rank.
@@ -44,6 +52,21 @@ const (
 // agedClass is one weight class: an intrusive list of residents, oldest
 // LastRef at the head.
 type agedClass struct{ head, tail *residentFile }
+
+// agedOccupied is a bitmap of the non-empty weight classes, so a walk
+// jumps from one occupied class to the next instead of stepping through
+// the empty ones.
+type agedOccupied [(agedClasses + 63) / 64]uint64
+
+// below returns the heaviest occupied class at or below i, or -1.
+func (o *agedOccupied) below(i int) int {
+	for ; i >= 0; i = i&^63 - 1 {
+		if m := o[i>>6] & (uint64(2)<<(i&63) - 1); m != 0 {
+			return i&^63 + bits.Len64(m) - 1
+		}
+	}
+	return -1
+}
 
 // agedClassOf maps a weight onto its class index.
 func agedClassOf(w float64) int {
@@ -94,9 +117,7 @@ func (c *Cache) agedLink(f *residentFile) {
 	} else {
 		f.next.prev = f
 	}
-	if f.slot > c.top {
-		c.top = f.slot
-	}
+	c.inuse[f.slot>>6] |= 1 << (f.slot & 63)
 }
 
 // agedUnlink takes f out of its class list.
@@ -115,13 +136,57 @@ func (c *Cache) agedUnlink(f *residentFile) {
 		f.next.prev = f.prev
 	}
 	f.prev, f.next = nil, nil
+	if cl.head == nil {
+		c.inuse[f.slot>>6] &^= 1 << (f.slot & 63)
+	}
+}
+
+// agedShrink opens a shrink at clock now: it retires every rank memoised
+// by earlier shrinks and returns agingMax, the aging bound of pickAged's
+// rule (c): Rank over weight of the oldest resident among classes >= 1.
+// Each class list is in LastRef order, so that resident is one of the
+// class heads. With no such resident the bound is 0 and never consulted.
+func (c *Cache) agedShrink(now time.Time) float64 {
+	c.shrinks++
+	var oldest *residentFile
+	for i := c.inuse.below(agedTop); i > 0; i = c.inuse.below(i - 1) {
+		if h := c.classes[i].head; oldest == nil || h.LastRef.Before(oldest.LastRef) {
+			oldest = h
+		}
+	}
+	if oldest == nil {
+		return 0
+	}
+	return c.agedRank(oldest, now) / oldest.key
+}
+
+// agedRank is f's Rank at the shrink's frozen clock, computed at most
+// once per shrink.
+//
+//filemig:hotpath
+func (c *Cache) agedRank(f *residentFile, now time.Time) float64 {
+	if f.rankedAt != c.shrinks {
+		f.rank, f.rankedAt = c.aged.Rank(&f.CachedFile, now), c.shrinks
+	}
+	return f.rank
+}
+
+// olderOf returns the older of two rule (b) dominators, either of which
+// may be nil.
+func olderOf(far, near *residentFile) *residentFile {
+	if near != nil && (far == nil || near.LastRef.Before(far.LastRef)) {
+		return near
+	}
+	return far
 }
 
 // pickAged returns the resident the scan path would evict next at clock
 // now — highest Rank, ties to the lowest file ID, never the protected
-// file — or nil when nothing is evictable. It walks the classes
-// heaviest first, each oldest first, and leaves a class as soon as the
-// rest of it provably loses:
+// file — or nil when nothing is evictable. Ranks come from the shrink's
+// memo (agedRank), so a shrink ranks each resident at most once however
+// many victims it picks. It walks the occupied classes heaviest first,
+// each oldest first, and leaves a class as soon as the rest of it
+// provably loses:
 //
 //	(a) every later file h of the class is no older and lighter than
 //	    the class's upper bound, so rank(h) <= rank(f) × upper/weight(f)
@@ -131,21 +196,38 @@ func (c *Cache) agedUnlink(f *residentFile) {
 //	    classes heavier has a strictly smaller weight (by >= 8/7) and no
 //	    larger aging factor, so it strictly loses — provided that
 //	    candidate's rank is positive: a rank-0 candidate dominates
-//	    nothing, it only ties, and ties go by file ID.
+//	    nothing, it only ties, and ties go by file ID;
+//	(c) no positive-weight resident is older than the one agingMax was
+//	    taken from (agedShrink), so every file of class i >= 1 ranks at
+//	    most upper(i) × agingMax up to rounding; once that (with slack)
+//	    is below the best rank, class i and every lighter one lose, and
+//	    class 0 (all ranks 0) loses to any positive best rank. Evictions
+//	    only remove residents, so one bound serves the whole shrink.
+//
+// One agedSlack (1e-9, millions of ulps) covers each rounding step: in
+// (a) the ulps of rank(f) and rank(h) against the contract's product;
+// in (c) the ulps by which agingMax — a rank over a weight, one more
+// rounded division — may sit below the oldest file's true aging factor,
+// and the ulps by which rank(h) may sit above its own product, hence
+// slack squared.
 //
 //filemig:hotpath
-func (c *Cache) pickAged(now time.Time, protect int) *residentFile {
+func (c *Cache) pickAged(now time.Time, protect int, agingMax float64) *residentFile {
 	var best *residentFile
 	var bestRank float64
 	// Oldest positive-rank candidates ranked so far: far among classes
 	// >= i+2 (the rule (b) dominator), near in class i+1.
 	var far, near *residentFile
-	for c.top > 0 && c.classes[c.top].head == nil {
-		c.top--
-	}
-	for i := c.top; i >= 0; i-- {
-		var cur *residentFile
+	prev := agedClasses
+	for i := c.inuse.below(agedTop); i >= 0; i = c.inuse.below(i - 1) {
 		upper := agedClassUpper(i)
+		if (i > 0 && upper*agingMax*(agedSlack*agedSlack) < bestRank) || (i == 0 && bestRank > 0) {
+			break // rule (c)
+		}
+		if i < prev-1 { // class i+1 is empty: near is two classes up now
+			far, near = olderOf(far, near), nil
+		}
+		var cur *residentFile
 		for f := c.classes[i].head; f != nil; f = f.next {
 			if far != nil && !f.LastRef.Before(far.LastRef) {
 				break // rule (b)
@@ -153,7 +235,7 @@ func (c *Cache) pickAged(now time.Time, protect int) *residentFile {
 			if f.ID == protect {
 				continue
 			}
-			r := c.aged.Rank(&f.CachedFile, now)
+			r := c.agedRank(f, now)
 			if best == nil || r > bestRank || (r == bestRank && f.ID < best.ID) {
 				best, bestRank = f, r
 			}
@@ -164,10 +246,8 @@ func (c *Cache) pickAged(now time.Time, protect int) *residentFile {
 				break // rule (a)
 			}
 		}
-		if near != nil && (far == nil || near.LastRef.Before(far.LastRef)) {
-			far = near
-		}
-		near = cur
+		far, near = olderOf(far, near), cur
+		prev = i
 	}
 	return best
 }

@@ -109,13 +109,122 @@ func replayLockstep(t *testing.T, accs []Access, mk func() Policy, capacity unit
 	}
 }
 
+// agedEdge is an explicit access string aimed at one corner of
+// pickAged, with the capacity that puts it there.
+type agedEdge struct {
+	name     string
+	accs     []Access
+	capacity units.Bytes
+}
+
+// agedEdgeCases builds the explicit inputs of TestAgedIndexMatchesScan.
+func agedEdgeCases(t *testing.T) []agedEdge {
+	t0 := time.Date(1991, time.March, 1, 0, 0, 0, 0, time.UTC)
+	read := func(at time.Duration, id int, size units.Bytes) Access {
+		return Access{Time: t0.Add(at), FileID: id, Size: size, DirID: id % 5}
+	}
+	var out []agedEdge
+
+	// One insert evicts many residents in a single shrink: thirty files
+	// an hour apart fill the cache, then one file of 90 % of it arrives.
+	var accs []Access
+	var total units.Bytes
+	for id := 0; id < 30; id++ {
+		size := agedSizes[id%len(agedSizes)] + 1
+		accs = append(accs, read(time.Duration(id)*time.Hour, id, size))
+		total += size
+	}
+	accs = append(accs, read(31*time.Hour, 30, total*9/10), read(32*time.Hour, 3, agedSizes[3]+1))
+	out = append(out, agedEdge{"one shrink evicts many", accs, total})
+
+	// The protected file is the oldest resident: a write steps back in
+	// time to grow file 0; the touch refiles it at the head of its class,
+	// oldest of all, and the shrink that follows must skip it.
+	accs = nil
+	for id := 0; id < 6; id++ {
+		accs = append(accs, read(time.Duration(id+2)*time.Hour, id, 4096))
+	}
+	grow := read(time.Hour, 0, 3*4096)
+	grow.Write = true
+	accs = append(accs, grow, read(9*time.Hour, 6, 4096))
+	out = append(out, agedEdge{"protected file is the oldest", accs, 7 * 4096})
+
+	// A same-instant burst where every rank is 0 (STP^0 aside): every
+	// file is as old as the clock, so each victim is the lowest file ID,
+	// zero-size files included.
+	accs = nil
+	for id := 0; id < 24; id++ {
+		accs = append(accs, read(time.Hour, id, agedSizes[id%len(agedSizes)]))
+	}
+	out = append(out, agedEdge{"same-instant burst of rank-0 files", accs, 8 << 20})
+
+	// STP-adapt's exponent moves between two shrinks at one clock, and
+	// the move decides the second victim. File 1 is seen, then streams
+	// through; file 2 (1 byte) stays the oldest resident, so rule (c)
+	// stays loose; file 0 (empty) gives 63 accepted gaps of about 2 h.
+	// On day 20, reading file 1 again shrinks (evicting D under K = 1.4,
+	// after ranking A and B), then its 64th gap refits K to 3; file 6
+	// at the same clock shrinks again, and under K = 3 B (0.8 MiB, idle
+	// 1.12 days) out-ranks A (1 MiB, idle 1 day) — under 1.4 it did not.
+	const mib = 1 << 20
+	capacity := units.Bytes(3*mib + mib/2)
+	streams := read(time.Hour, 1, capacity+1)
+	streams.Write = true
+	accs = []Access{read(0, 1, mib), streams, read(2*time.Hour, 2, 1)}
+	at := 3 * time.Hour
+	for j := 0; j < 64; j++ {
+		accs = append(accs, read(at, 0, 0))
+		at += 2*time.Hour + time.Duration(j)*time.Second
+	}
+	day20 := 20 * 24 * time.Hour
+	accs = append(accs,
+		read(day20-26*time.Hour-52*time.Minute-48*time.Second, 3, 4*mib/5), // B
+		read(day20-26*time.Hour-24*time.Minute, 4, 6*mib/5),                // D
+		read(day20-24*time.Hour, 5, mib),                                   // A
+		read(day20, 1, mib), read(day20, 6, mib))
+	if !exponentMovesWithinClock(accs, capacity) {
+		t.Fatal("the STP-adapt edge case never refits between two shrinks at one clock")
+	}
+	out = append(out, agedEdge{"STP-adapt refit between shrinks at one clock", accs, capacity})
+	return out
+}
+
+// exponentMovesWithinClock reports whether the scan reference, replaying
+// accs under STP-adapt, evicts in two consecutive shrinks at one clock
+// under different exponents. Every access of the STP-adapt edge case is
+// a read, and a read miss shrinks before FileAccessed, so a shrink runs
+// under the exponent its access found.
+func exponentMovesWithinClock(accs []Access, capacity units.Bytes) bool {
+	p := NewAdaptiveSTP()
+	c, err := NewCache(CacheConfig{Capacity: capacity, Policy: ScanOnly{P: p}})
+	if err != nil {
+		return false
+	}
+	var lastAt time.Time
+	lastK := math.NaN()
+	for _, a := range accs {
+		k, evictions := p.Exponent(), c.Result().Evictions
+		c.Step(a)
+		if c.Result().Evictions == evictions {
+			continue
+		}
+		if a.Time.Equal(lastAt) && k != lastK {
+			return true
+		}
+		lastAt, lastK = a.Time, k
+	}
+	return false
+}
+
 // TestAgedIndexMatchesScan is the aged index's exactness proof: on
-// seeded adversarial strings, at generous to starved capacities, with
-// and without prefetch, every policy it serves replays step for step
-// like the full scan. It fails if rule (b) lets a rank-0 candidate
-// dominate (a same-instant burst then drops a lower-ID rank-0 tie), if
-// the lowest-ID tie-break goes, or if a list falls out of LastRef order
-// when time steps back.
+// seeded adversarial strings and the explicit edge cases, at generous to
+// starved capacities, with and without prefetch, every policy it serves
+// replays step for step like the full scan. It fails if rule (b) lets a
+// rank-0 candidate dominate (a same-instant burst then drops a lower-ID
+// rank-0 tie), if the lowest-ID tie-break goes, if a list falls out of
+// LastRef order when time steps back, if the rank memo outlives its
+// shrink, if rule (c)'s bound is kept across shrinks or taken from a
+// class's newest file, or if class 0 is cut while the best rank is 0.
 func TestAgedIndexMatchesScan(t *testing.T) {
 	seeds := 12
 	if testing.Short() {
@@ -136,6 +245,135 @@ func TestAgedIndexMatchesScan(t *testing.T) {
 				replayLockstep(t, accs, mk, total/div, seed%3 == 1)
 			}
 		}
+	}
+	for _, e := range agedEdgeCases(t) {
+		t.Run(e.name, func(t *testing.T) {
+			for _, mk := range agedPolicies() {
+				replayLockstep(t, e.accs, mk, e.capacity, false)
+				replayLockstep(t, e.accs, mk, e.capacity, true)
+			}
+		})
+	}
+}
+
+// ulpPolicy is an AgedPolicy at the edge of its contract: Rank is
+// Weight × (1 + idle days), pushed up by up[ID] ulps — "within a few
+// ulps" of the product, as the contract allows.
+type ulpPolicy struct {
+	weight []float64
+	up     []int
+}
+
+func (ulpPolicy) Name() string                   { return "ulp-edge" }
+func (p ulpPolicy) Weight(f *CachedFile) float64 { return p.weight[f.ID] }
+func (ulpPolicy) AgingMonotone() bool            { return true }
+func (p ulpPolicy) Rank(f *CachedFile, now time.Time) float64 {
+	r := p.weight[f.ID] * (1 + max(now.Sub(f.LastRef).Hours()/24, 0))
+	for range p.up[f.ID] {
+		r = math.Nextafter(r, math.Inf(1))
+	}
+	return r
+}
+
+// TestAgedSlackAtContractEdge puts pickAged's bounds within ulps of the
+// best rank, where only agedSlack keeps them sound. Class i is the
+// weights [1024, 1280): 1280 is its upper bound, and w⁻ = 1279.99… is
+// its heaviest weight. In each case file h of class i, pushed up 3 ulps
+// by its Rank, out-ranks file g of class i+1 by an ulp, so the scan
+// evicts h:
+//
+//   - rule (a): file f (weight 1024) leads class i with h behind it,
+//     and f's bound, 1024 × 1280/1024, is an ulp under g's rank; an old
+//     light file keeps rule (c)'s bound far away;
+//   - rule (c): h is alone in class i, every file is equally old, so
+//     agingMax is exactly 2 and class i's bound, 1280 × 2, is an ulp
+//     under g's rank.
+//
+// Without the slack of either rule the index evicts g instead.
+func TestAgedSlackAtContractEdge(t *testing.T) {
+	below := math.Nextafter(1280, 0)
+	above := math.Nextafter(1280, math.Inf(1))
+	t0 := time.Date(1991, time.March, 1, 0, 0, 0, 0, time.UTC)
+	day := t0.Add(24 * time.Hour)
+	for _, tc := range []struct {
+		name   string
+		weight []float64
+		up     []int
+		at     []time.Time // insertion time per file; the last file's insert shrinks
+	}{
+		{"rule (a)", // g, f, h, old light file, trigger
+			[]float64{1280, 1024, below, 1, 1}, []int{1, 0, 3, 0, 0},
+			[]time.Time{day, day, day, t0, day}},
+		{"rule (c)", // g, h, trigger
+			[]float64{above, below, 1}, []int{0, 3, 0},
+			[]time.Time{t0, t0, day}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var accs []Access
+			for id, at := range tc.at {
+				accs = append(accs, Access{Time: at, FileID: id, Size: 1})
+			}
+			mk := func() Policy { return ulpPolicy{tc.weight, tc.up} }
+			if c, err := NewCache(CacheConfig{Capacity: 1, Policy: mk()}); err != nil || c.aged == nil {
+				t.Fatalf("ulpPolicy is not on the aged index (err %v)", err)
+			}
+			replayLockstep(t, accs, mk, units.Bytes(len(accs)-1), false)
+		})
+	}
+}
+
+// countingSTP is STP^1.4 counting its Rank calls and the residents it
+// ranks twice within one shrink of the cache it serves. Its embedded
+// STP keeps Weight and AgingMonotone, so it rides the aged index.
+type countingSTP struct {
+	STP
+	c     *Cache
+	calls int
+	last  []uint64 // FileID -> shrink it was last ranked in
+	twice int
+}
+
+func (p *countingSTP) Rank(f *CachedFile, now time.Time) float64 {
+	p.calls++
+	p.last = growTo(p.last, f.ID)
+	if p.last[f.ID] == p.c.shrinks {
+		p.twice++
+	}
+	p.last[f.ID] = p.c.shrinks
+	return p.STP.Rank(f, now)
+}
+
+// TestAgedIndexRankCalls pins the aged index's work without timing it:
+// on a seeded adversarial string, no resident is ranked twice within a
+// shrink, and the Rank calls stay within the count the rank memo and
+// rule (c) brought it to (3 317 for 1 330 evictions). Before them the
+// same replay made 11 689 calls.
+func TestAgedIndexRankCalls(t *testing.T) {
+	data := make([]byte, 3*5000)
+	rand.New(rand.NewSource(1993)).Read(data)
+	accs := agedAccesses(data, 200)
+	capacity := TotalReferencedBytes(accs) / 7
+	p := &countingSTP{STP: STP{K: 1.4}}
+	c, err := NewCache(CacheConfig{Capacity: capacity, Policy: p})
+	if err != nil || c.aged == nil {
+		t.Fatalf("countingSTP is not on the aged index (err %v)", err)
+	}
+	p.c = c
+	got := c.Replay(accs)
+	ref, err := NewCache(CacheConfig{Capacity: capacity, Policy: ScanOnly{P: STP{K: 1.4}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := ref.Replay(accs); got != want {
+		t.Fatalf("counted replay diverged from the scan:\n  got:  %+v\n  want: %+v", got, want)
+	}
+	if p.twice != 0 {
+		t.Errorf("%d residents ranked twice within one shrink", p.twice)
+	}
+	const bound = 3317
+	t.Logf("%d Rank calls for %d evictions", p.calls, got.Evictions)
+	if p.calls > bound {
+		t.Errorf("%d Rank calls, want <= %d", p.calls, bound)
 	}
 }
 

@@ -144,6 +144,8 @@ type residentFile struct {
 	key        float64       // keyed: eviction priority; aged: weight
 	slot       int           // keyed: position in Cache.order, -1 off-heap; aged: weight class
 	prev, next *residentFile // aged only: neighbours in the class's LastRef-ordered list
+	rank       float64       // aged only: Rank memoised in shrink rankedAt
+	rankedAt   uint64        // aged only: the shrink rank was taken in; 0 = none
 }
 
 // evictHeap is the indexed priority heap over resident files: the top is
@@ -208,7 +210,8 @@ type Cache struct {
 	aged    AgedPolicy     // non-nil when the policy's ranks factor into weight × aging
 	order   evictHeap
 	classes []agedClass     // aged path only: residents by weight class
-	top     int             // aged path only: no class above this one is occupied
+	inuse   agedOccupied    // aged path only: the non-empty classes
+	shrinks uint64          // aged path only: shrinks opened, the rank memo's stamp
 	live    liveSet         // scan path only: resident IDs
 	free    []*residentFile // recycled slots
 	ranked  []rankedFile    // scratch: scan candidates with ranks
@@ -497,12 +500,16 @@ func (c *Cache) shrinkTo(target units.Bytes, now time.Time, protect int) {
 		return
 	}
 	if c.keyed != nil || c.aged != nil {
+		var agingMax float64
+		if c.aged != nil {
+			agingMax = c.agedShrink(now)
+		}
 		for c.used > target {
 			var victim *residentFile
 			if c.keyed != nil {
 				victim = c.pickHeap(protect)
 			} else {
-				victim = c.pickAged(now, protect)
+				victim = c.pickAged(now, protect, agingMax)
 			}
 			if victim == nil {
 				return // nothing evictable
