@@ -10,7 +10,12 @@ set -e
 # Raised from 7996 to 8041 by the aged index's rank memo, shrink-wide
 # aging bound and occupied-class bitmap in internal/migration (about
 # 70 % fewer Rank calls on the benchmark grid, the same victims).
-BUDGET=8041
+# Raised from 8041 to 8090 by the fold's integer calendar (calendarAt,
+# the cached current week, an int64 previous instant) and concurrent
+# report sorts in internal/core, and the path table's lockstep column
+# growth in internal/trace: what takes the journal replay and its
+# sorts off scan-large's critical path.
+BUDGET=8090
 
 total=0
 for dir in internal/core internal/trace internal/migration internal/dist internal/serve \

@@ -259,9 +259,9 @@ func (a *Accumulator) FoldPartials(ps []*Partial) error {
 			return fmt.Errorf("core: segment %d dedup window %v disagrees with the master's %v",
 				i, p.dedup, a.opts.DedupWindow)
 		}
-		if len(p.journal) > 0 && !a.lastStart.IsZero() && p.journal[0].start < a.lastStart.UnixNano() {
+		if len(p.journal) > 0 && a.hasLast && p.journal[0].start < a.lastStart {
 			return fmt.Errorf("segment starts at %v, before already-merged data ending %v (segments must fold in trace order)",
-				time.Unix(0, p.journal[0].start).UTC(), a.lastStart)
+				time.Unix(0, p.journal[0].start).UTC(), time.Unix(0, a.lastStart).UTC())
 		}
 		entries += len(p.journal)
 	}
@@ -316,9 +316,8 @@ func (a *Accumulator) FoldPartials(ps []*Partial) error {
 		if e.write {
 			op, opIdx = trace.Write, 1
 		}
-		t := time.Unix(0, e.start).UTC()
-		a.addDerived(t, opIdx, e.size)
-		a.addInterval(t)
+		a.addDerived(e.start, 0, opIdx, e.size)
+		a.addInterval(e.start)
 		a.addFileAccessID(a.masterID(remaps[cur.si], views[cur.si], hviews[cur.si], e.id), op, e.start, units.Bytes(e.size))
 		if cur.k++; cur.k < len(p.journal) {
 			cur.start = p.journal[cur.k].start

@@ -15,6 +15,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -81,12 +82,22 @@ type Analysis struct {
 	hourBytes  [24][2]int64 // [hour][op]
 	hourCount  [24][2]int64
 	dayBytes   [7][2]int64
-	weekBytes  map[int][2]int64 // week index -> [op] bytes
+	weekBytes  map[int][2]int64 // week index -> [op] bytes, bar weekCur
 	hourlyReqs []float64        // request count per absolute hour (periodicity)
 	hourlyRead []float64
 
-	// Figure 7: global inter-request intervals.
-	lastStart time.Time
+	// week is the week the last good reference fell in (once inWeek)
+	// and weekCur its [op] bytes, which flushWeek writes back to
+	// weekBytes: records arrive in time order, so the map is touched
+	// once per week rather than once per record.
+	week    int
+	weekCur [2]int64
+	inWeek  bool
+
+	// Figure 7: global inter-request intervals. lastStart is the
+	// previous good reference's UnixNano instant, once hasLast.
+	lastStart int64
+	hasLast   bool
 	interCDF  *stats.CDF
 
 	// Part two: per-file state in a FileID-indexed arena. The interner
@@ -206,6 +217,47 @@ func nanosSince(t, u int64) time.Duration {
 	return time.Duration(d)
 }
 
+// floorDiv is a/b rounded toward negative infinity, for b > 0.
+func floorDiv(a, b int64) int64 {
+	q := a / b
+	if a%b < 0 {
+		q--
+	}
+	return q
+}
+
+// calendar is one reference's place in the calendar series: its day,
+// week and absolute hour since the origin (each truncated toward zero,
+// as Duration division truncates), and its hour of day and weekday
+// (0 = Sunday) on the record's own wall clock.
+type calendar struct{ day, week, hourIdx, hour, weekday int }
+
+// calendarAt places the UnixNano instant start against the UnixNano
+// calendar origin in integer arithmetic alone, giving what time.Time's
+// Sub, Hour and Weekday give for a start whose zone is zone seconds
+// east of UTC — for instants in UnixNano's range, years 1678 to 2262,
+// which the journal already requires.
+func calendarAt(start, origin, zone int64) (c calendar) {
+	since := nanosSince(start, origin)
+	c.day, c.hourIdx = int(since/(24*time.Hour)), int(since/time.Hour)
+	c.week = c.day / 7
+	sec := floorDiv(start, int64(time.Second)) + zone
+	days := floorDiv(sec, 24*60*60)
+	c.hour = int(sec-days*24*60*60) / (60 * 60)
+	c.weekday = int(((days+4)%7 + 7) % 7) // 1970-01-01 was a Thursday
+	return c
+}
+
+// zoneOffset is t's zone offset in seconds east of UTC: what
+// calendarAt needs to place t on t's own wall clock.
+func zoneOffset(t time.Time) int64 {
+	if t.Location() == time.UTC {
+		return 0
+	}
+	_, off := t.Zone()
+	return int64(off)
+}
+
 // New builds an Analysis.
 func New(opts Options) *Analysis {
 	opts.DedupWindow = dedupWindow(opts.DedupWindow)
@@ -233,7 +285,7 @@ func (a *Analysis) Add(r *trace.Record) {
 	if !a.addShared(r) {
 		return
 	}
-	a.addInterval(r.Start)
+	a.addInterval(r.Start.UnixNano())
 	a.addFileAccess(r.MSSPath, r.Op, r.Start, r.Size)
 }
 
@@ -246,7 +298,7 @@ func (a *Analysis) addShared(r *trace.Record) bool {
 	if !a.addSums(r, a.opts.Start) {
 		return false
 	}
-	a.addDerived(r.Start, opIndex(r.Op), int64(r.Size))
+	a.addDerived(r.Start.UnixNano(), zoneOffset(r.Start), opIndex(r.Op), int64(r.Size))
 	return true
 }
 
@@ -295,27 +347,29 @@ func (s *sums) addSums(r *trace.Record, origin time.Time) bool {
 // addDerived accumulates the whole-system statistics a good reference
 // contributes beyond Table 3 and Figure 3: the calendar series (Figures
 // 4-6), the periodicity series, and the dynamic size distributions
-// (Figure 10). Everything here is a function of (start, op, size) alone,
-// which is why snapshot loading can recompute it by replaying the
-// journal through this same method; a.start must be resolved first.
-func (a *Analysis) addDerived(start time.Time, opIdx int, size int64) {
-	day := int(start.Sub(a.start) / (24 * time.Hour))
-	if day+1 > a.days {
-		a.days = day + 1
+// (Figure 10). Everything here is a function of (start, op, size) alone
+// — start a UnixNano instant, on a wall clock zone seconds east of UTC
+// (a journal replay's is UTC) — which is why snapshot loading can
+// recompute it by replaying the journal through this same method;
+// a.start must be resolved first.
+func (a *Analysis) addDerived(start, zone int64, opIdx int, size int64) {
+	c := calendarAt(start, a.start.UnixNano(), zone)
+	if c.day+1 > a.days {
+		a.days = c.day + 1
 	}
 
 	// Figures 4-6.
-	a.hourBytes[start.Hour()][opIdx] += size
-	a.hourCount[start.Hour()][opIdx]++
-	a.dayBytes[int(start.Weekday())][opIdx] += size
-	week := day / 7
-	wb := a.weekBytes[week]
-	wb[opIdx] += size
-	a.weekBytes[week] = wb
+	a.hourBytes[c.hour][opIdx] += size
+	a.hourCount[c.hour][opIdx]++
+	a.dayBytes[c.weekday][opIdx] += size
+	if !a.inWeek || c.week != a.week {
+		a.flushWeek()
+		a.week, a.weekCur, a.inWeek = c.week, a.weekBytes[c.week], true
+	}
+	a.weekCur[opIdx] += size
 
 	// Periodicity series.
-	hourIdx := int(start.Sub(a.start) / time.Hour)
-	if hourIdx >= 0 {
+	if hourIdx := c.hourIdx; hourIdx >= 0 {
 		for len(a.hourlyReqs) <= hourIdx {
 			a.hourlyReqs = append(a.hourlyReqs, 0)
 			a.hourlyRead = append(a.hourlyRead, 0)
@@ -332,13 +386,20 @@ func (a *Analysis) addDerived(start time.Time, opIdx int, size int64) {
 	a.dynTotal[opIdx] += float64(size) //lint:floatsum-ok accumulated in record order on every path (FoldPartials replays the journal through here, entry by entry), so all paths round alike
 }
 
-// addInterval feeds Figure 7: the interval from the previous good
-// reference anywhere in the trace to this one.
-func (a *Analysis) addInterval(start time.Time) {
-	if !a.lastStart.IsZero() {
-		a.interCDF.Add(start.Sub(a.lastStart).Seconds())
+// flushWeek writes the current week's bytes back to weekBytes.
+func (a *Analysis) flushWeek() {
+	if a.inWeek {
+		a.weekBytes[a.week] = a.weekCur
 	}
-	a.lastStart = start
+}
+
+// addInterval feeds Figure 7: the interval from the previous good
+// reference anywhere in the trace to this one, at UnixNano start.
+func (a *Analysis) addInterval(start int64) {
+	if a.hasLast {
+		a.interCDF.Add(nanosSince(start, a.lastStart).Seconds())
+	}
+	a.lastStart, a.hasLast = start, true
 }
 
 // addFileAccess advances one file's part-two state (reference counts,
@@ -353,9 +414,13 @@ func (a *Analysis) addFileAccess(path string, op trace.Op, start time.Time, size
 
 // extendFiles keeps the per-file arena in step with the interner: id is
 // a FileID the interner just resolved, one past the arena on first
-// sight.
+// sight. A full arena doubles, as the interner's index does, rather
+// than growing by append's quarter.
 func (a *Analysis) extendFiles(id trace.FileID) trace.FileID {
 	if int(id) == len(a.files) {
+		if len(a.files) == cap(a.files) {
+			a.files = slices.Grow(a.files, len(a.files)+1)
+		}
 		a.files = append(a.files, fileState{})
 	}
 	return id

@@ -252,6 +252,10 @@ func (a *Analysis) Report() *Report {
 		DataWritten:  stats.SelfWeighted(a.dynFiles[opIndex(trace.Write)], a.dynTotal[opIndex(trace.Write)]),
 	}
 	r.Figure11 = a.buildFigure11()
+	// The large distributions are independent: sort them side by side
+	// now rather than one by one at their first query.
+	stats.SortAll(a.interCDF, a.gapCDF, a.dynFiles[0], a.dynFiles[1],
+		r.Figure8.Reads, r.Figure8.Writes, r.Figure8.Total, r.Figure11.Files)
 	return r
 }
 
@@ -299,6 +303,7 @@ func (a *Analysis) buildFigure5() Figure5 {
 }
 
 func (a *Analysis) buildFigure6() Figure6 {
+	a.flushWeek()
 	weeks := make([]int, 0, len(a.weekBytes))
 	for w := range a.weekBytes {
 		weeks = append(weeks, w)

@@ -189,7 +189,7 @@ func (s *Server) RestoreCheckpoint(data []byte) error {
 		return errors.New("serve: not a migd checkpoint (bad header)")
 	}
 	rest := data[len(CheckpointHeader):]
-	paths := trace.NewInterner()
+	paths := trace.NewFileTable()
 	codec := core.NewSegmentCodec(paths)
 	var segs []*segment
 	for i := 0; len(rest) > 0; i++ {

@@ -121,9 +121,12 @@ type segment struct {
 // shard is one time stripe of segments. Its mutex serializes appends by
 // concurrent ingests that land in the same stripe. lastSeg is the
 // segment holding the stripe's latest record (maxLast): a run may only
-// extend that segment, never an earlier one — extending a segment that
-// another segment's records postdate would weave an overlap that the
-// fold would later reject.
+// extend that segment, from maxLast on, and otherwise opens a fresh one.
+// FoldPartials would accept an earlier segment extended past records of
+// later ones — it merges interleaved segments — but it replays records
+// at one instant across segments in segment order (first instant, then
+// creation order), so the run would replay ahead of equal-instant
+// records that later-ordered segments received before it.
 type shard struct {
 	mu      sync.Mutex
 	segs    []*segment
@@ -187,8 +190,9 @@ type Server struct {
 	shardsMu sync.Mutex
 	shards   map[int64]*shard
 
-	// tableMu guards the daemon-wide path table and the per-file rows
-	// its FileIDs index; it nests inside mu. Ingest extends both under
+	// tableMu guards the daemon-wide path table (file-only: nothing
+	// here reads a directory) and the per-file rows its FileIDs index;
+	// it nests inside mu. Ingest extends both under
 	// the write lock, once per validated batch; decode-time lookups and
 	// /v1/file take the read lock.
 	tableMu sync.RWMutex
@@ -223,7 +227,7 @@ func NewServer(cfg Config) (*Server, error) {
 		stpK:         cfg.STPK,
 		migrateAfter: cfg.MigrateAfter,
 		shards:       map[int64]*shard{},
-		paths:        trace.NewInterner(),
+		paths:        trace.NewFileTable(),
 	}
 	if s.shardDur <= 0 {
 		s.shardDur = DefaultShardDuration

@@ -10,6 +10,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // byValue is the three-way form of the less function `a < b` for
@@ -131,6 +132,26 @@ func (c *CDF) ensureSorted() {
 		}
 	}
 	c.sorted = true
+}
+
+// SortAll sorts the samples of every CDF given, one goroutine per CDF
+// that needs it, so independent distributions sort side by side rather
+// than one after another at their first query. Each ends exactly as its
+// own first query would leave it. The CDFs must be distinct; nil ones
+// are skipped.
+func SortAll(cs ...*CDF) {
+	var wg sync.WaitGroup
+	for _, c := range cs {
+		if c == nil || c.sorted {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.ensureSorted()
+		}()
+	}
+	wg.Wait()
 }
 
 // Radix sort parameters for unit samples: from radixMin samples up,

@@ -253,6 +253,55 @@ func TestCDFMerge(t *testing.T) {
 	}
 }
 
+// TestSortAll sorts CDFs of every shape side by side — radix-sized,
+// small, holding weighted runs, holding a NaN, already sorted, empty,
+// nil — and checks each ends exactly as its own serial sort leaves a
+// twin fed the same samples. Run under -race it also checks the sorts
+// share nothing.
+func TestSortAll(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	var got, want [7]CDF
+	add := func(i int, v float64) { got[i].Add(v); want[i].Add(v) }
+	for k := 0; k < 50000; k++ {
+		add(0, rng.ExpFloat64())
+		add(1, float64(rng.Intn(100)))
+	}
+	for k := 0; k < 100; k++ {
+		add(2, rng.NormFloat64())
+		add(3, rng.Float64())
+	}
+	got[3].AddN(0.5, 7)
+	want[3].AddN(0.5, 7)
+	for k := 0; k < 5000; k++ {
+		add(4, rng.Float64())
+	}
+	add(4, math.NaN())
+	add(5, 2)
+	add(5, 1)
+	got[5].Median()
+	for i := range want {
+		want[i].ensureSorted()
+	}
+	SortAll(&got[0], &got[1], &got[2], &got[3], &got[4], &got[5], &got[6], nil)
+	for i := range got {
+		g, w := &got[i], &want[i]
+		if !g.sorted || g.n != w.n || len(g.vals) != len(w.vals) || len(g.qruns) != len(w.qruns) {
+			t.Fatalf("CDF %d: sorted %v, n %d/%d, vals %d/%d, qruns %d/%d", i,
+				g.sorted, g.n, w.n, len(g.vals), len(w.vals), len(g.qruns), len(w.qruns))
+		}
+		for k := range g.vals {
+			if math.Float64bits(g.vals[k]) != math.Float64bits(w.vals[k]) {
+				t.Fatalf("CDF %d: sample %d = %v, want %v", i, k, g.vals[k], w.vals[k])
+			}
+		}
+		for k := range g.qruns {
+			if g.qruns[k] != w.qruns[k] || g.cum[k] != w.cum[k] {
+				t.Fatalf("CDF %d: run %d = %v/%d, want %v/%d", i, k, g.qruns[k], g.cum[k], w.qruns[k], w.cum[k])
+			}
+		}
+	}
+}
+
 func TestWeightedCDFMerge(t *testing.T) {
 	var whole, a, b WeightedCDF
 	for i := 0; i < 50; i++ {

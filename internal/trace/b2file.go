@@ -214,7 +214,7 @@ type B2BlockDecoder struct {
 // NewBlockDecoder returns a decoder for f's blocks over a fresh path
 // table.
 func (f *B2File) NewBlockDecoder() *B2BlockDecoder {
-	d := &B2BlockDecoder{f: f, table: newFileTable()}
+	d := &B2BlockDecoder{f: f, table: NewFileTable()}
 	d.mssCanon, d.localCanon = d.internMSS, d.local.canonical
 	return d
 }

@@ -57,7 +57,7 @@ type Interner struct {
 	// in an occupied slot and 0 in an empty one, at most half full.
 	slots []uint32
 
-	dirIDs   map[string]DirID // nil in a file-only table (newFileTable)
+	dirIDs   map[string]DirID // nil in a file-only table (NewFileTable)
 	dirPaths []string         // DirID -> directory path
 }
 
@@ -66,11 +66,12 @@ func NewInterner() *Interner {
 	return &Interner{slots: make([]uint32, minSlots), dirIDs: make(map[string]DirID)}
 }
 
-// newFileTable returns an empty Interner that derives no directories:
-// the b2 block decoders' kind, whose IDs are only ever translated into
-// a master's (which derives them once), so Dir, DirPath and NumDirs have
-// nothing to answer there and must not be called.
-func newFileTable() *Interner {
+// NewFileTable returns an empty Interner that derives no directories:
+// the kind whose IDs are only ever translated into a master's, which
+// derives them once — a b2 block decoder's, the migd daemon's and its
+// checkpoint restore's. Dir and DirPath have nothing to answer there
+// and must not be called; NumDirs is zero.
+func NewFileTable() *Interner {
 	return &Interner{slots: make([]uint32, minSlots)}
 }
 
@@ -107,15 +108,15 @@ func (in *Interner) InternHashed(path string, h uint64) FileID {
 		return id
 	}
 	id = FileID(len(in.paths))
+	if 2*(len(in.paths)+1) > len(in.slots) {
+		in.grow()
+		slot = in.emptySlot(h)
+	}
+	in.slots[slot] = uint32(id) + 1
 	in.paths = append(in.paths, path)
 	in.hashes = append(in.hashes, h)
 	if in.dirIDs != nil {
 		in.dirs = append(in.dirs, in.internDir(path))
-	}
-	if 2*len(in.paths) > len(in.slots) {
-		in.grow()
-	} else {
-		in.slots[slot] = uint32(id) + 1
 	}
 	return id
 }
@@ -158,17 +159,32 @@ func probe[K string | []byte](in *Interner, key K, h uint64) (FileID, int) {
 }
 
 // grow doubles the index and re-slots every FileID, in order, from its
-// stored hash.
+// stored hash. The per-FileID columns grow in the same step, to exactly
+// the most the doubled index holds, so they never grow through append's
+// smaller steps between doublings. Growing moves a column to a new
+// array, which leaves the prefix views Paths and Hashes handed out
+// intact.
 func (in *Interner) grow() {
 	in.slots = make([]uint32, 2*len(in.slots))
-	mask := len(in.slots) - 1
 	for id, h := range in.hashes {
-		i := int(h) & mask
-		for in.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		in.slots[i] = uint32(id) + 1
+		in.slots[in.emptySlot(h)] = uint32(id) + 1
 	}
+	n := len(in.slots) / 2
+	in.paths = append(make([]string, 0, n), in.paths...)
+	in.hashes = append(make([]uint64, 0, n), in.hashes...)
+	if in.dirIDs != nil {
+		in.dirs = append(make([]DirID, 0, n), in.dirs...)
+	}
+}
+
+// emptySlot returns the first empty slot on hash h's probe path.
+func (in *Interner) emptySlot(h uint64) int {
+	mask := len(in.slots) - 1
+	i := int(h) & mask
+	for in.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	return i
 }
 
 // internDir returns the DirID for path's directory, registering it on
