@@ -15,7 +15,13 @@ set -e
 # report sorts in internal/core, and the path table's lockstep column
 # growth in internal/trace: what takes the journal replay and its
 # sorts off scan-large's critical path.
-BUDGET=8090
+# Raised from 8090 to 8191 by the grid pipeline: internal/experiment's
+# source loader (each source loads on its own goroutine ahead of its
+# cells) and the executor that builds cells as the pool pulls them, and
+# internal/migration's per-worker cache reset, the pulling ReplayCells,
+# Replay's one-pass table sizing and the flat FutureIndex (grid wall
+# about a quarter lower, every manifest byte-identical).
+BUDGET=8191
 
 total=0
 for dir in internal/core internal/trace internal/migration internal/dist internal/serve \

@@ -143,11 +143,8 @@ func (cr *CellRunner) RunCell(ctx context.Context, ref CellRef) (CellOutcome, er
 		return CellOutcome{}, fmt.Errorf("experiment: %v outside the %d×%d×%d grid",
 			ref, len(cr.plan.Sources), len(cr.plan.Policies), len(cr.plan.Capacities))
 	}
-	ls, err := cr.source(ref.Source)
-	if err != nil {
-		return CellOutcome{}, err
-	}
-	out, err := cr.plan.runCells(ctx, ls, []CellRef{ref}, 1)
+	out, err := cr.plan.runCells(ctx, []CellRef{ref},
+		func(context.Context, int) (*loadedSource, error) { return cr.source(ref.Source) }, 1)
 	if err != nil {
 		return CellOutcome{}, err
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 	"time"
 
 	"filemig/internal/migration"
@@ -29,59 +30,114 @@ func Run(ctx context.Context, spec *Spec) (*Manifest, error) {
 	return RunPlan(ctx, plan)
 }
 
-// RunPlan executes an already-built plan (see BuildPlan): per source, in
-// plan order, it loads the source, runs that source's slice of CellRefs
-// through the cell executor at Spec.Workers and lets the source go; then
+// RunPlan executes an already-built plan (see BuildPlan) as one
+// pipeline: all of CellRefs goes through the cell executor at
+// Spec.Workers in a single pass, with no barrier between sources, while
+// sources load ahead of their cells (see sourceLoader); then
 // AssembleManifest folds the outcomes. A CellRunner feeds the same
 // executor one ref at a time and its outcomes fold through the same
 // assembler, so the in-process manifest and the distributed one are the
-// same bytes by construction.
+// same bytes by construction. On a failure or a cancelled ctx RunPlan
+// returns only after every load it started has finished.
 func RunPlan(ctx context.Context, plan *Plan) (*Manifest, error) {
-	refs := plan.CellRefs()
-	perSource := len(plan.Policies) * len(plan.Capacities)
-	outcomes := make([]CellOutcome, 0, len(refs))
-	for idx := range plan.Sources {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ls, err := loadSource(plan, idx)
-		if err != nil {
-			return nil, err
-		}
-		got, err := plan.runCells(ctx, ls, refs[idx*perSource:(idx+1)*perSource], plan.Spec.Workers)
-		if err != nil {
-			return nil, err
-		}
-		outcomes = append(outcomes, got...)
+	ld := &sourceLoader{plan: plan, loads: make([]*sourceLoad, len(plan.Sources))}
+	outcomes, err := plan.runCells(ctx, plan.CellRefs(), ld.source, plan.Spec.Workers)
+	ld.wg.Wait()
+	if err != nil {
+		return nil, err
 	}
 	return AssembleManifest(plan, outcomes)
 }
 
-// runCells is the one cell executor: it replays refs — in-grid cells of
-// the loaded source ls — on at most workers goroutines and returns their
-// outcomes in ref order. Policies are built serially, one per cell in
-// ref order, before the fan-out (stateful policies must never be shared
-// between replays, and builders need not be goroutine-safe); capacities
-// come from the source's identity block, which already holds the
-// referenced-byte total.
-func (p *Plan) runCells(ctx context.Context, ls *loadedSource, refs []CellRef, workers int) ([]CellOutcome, error) {
-	cells := make([]migration.ReplayCell, len(refs))
-	for i, r := range refs {
-		cells[i] = migration.ReplayCell{
-			Policy:   p.entries[r.Policy].mk(ls.accs),
-			Capacity: migration.FractionCapacity(units.Bytes(ls.info.ReferencedBytes), p.Capacities[r.Capacity]),
-		}
-	}
-	results, err := migration.ReplayCells(ctx, ls.accs, cells, workers)
+// runCells is the one cell executor: it replays refs — in-grid cells,
+// each source's contiguous — on at most workers goroutines and returns
+// their outcomes in ref order. It asks source for each source at that
+// source's first ref and lets it go after its last, so an access string
+// lives only while its cells are built or replaying; each outcome keeps
+// a copy of the SourceInfo. Policies are built on the calling goroutine,
+// one per cell in ref order, as the workers free up (stateful policies
+// must never be shared between replays, and builders need not be
+// goroutine-safe); capacities come from the source's identity block,
+// which already holds the referenced-byte total.
+func (p *Plan) runCells(ctx context.Context, refs []CellRef,
+	source func(ctx context.Context, idx int) (*loadedSource, error), workers int) ([]CellOutcome, error) {
+	out := make([]CellOutcome, len(refs))
+	var ls *loadedSource
+	err := migration.ReplayCells(ctx, workers, len(refs),
+		func(i int) (migration.ReplayCell, error) {
+			r := refs[i]
+			if i == 0 || r.Source != refs[i-1].Source {
+				ls = nil // let the previous source go before the next arrives
+				var err error
+				if ls, err = source(ctx, r.Source); err != nil {
+					return migration.ReplayCell{}, err
+				}
+			}
+			// Set before the cell reaches a worker, which fills in Cell.
+			out[i] = CellOutcome{Ref: r, Source: ls.info}
+			return migration.ReplayCell{
+				Accs:     ls.accs,
+				Policy:   p.entries[r.Policy].mk(ls.accs),
+				Capacity: migration.FractionCapacity(units.Bytes(ls.info.ReferencedBytes), p.Capacities[r.Capacity]),
+			}, nil
+		},
+		func(i int, res migration.CacheResult) {
+			out[i].Cell = cellFrom(p.Capacities[out[i].Ref.Capacity], res, out[i].Source.Days)
+		})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]CellOutcome, len(refs))
-	for i, r := range refs {
-		out[i] = CellOutcome{Ref: r, Source: ls.info,
-			Cell: cellFrom(p.Capacities[r.Capacity], results[i], ls.info.Days)}
-	}
 	return out, nil
+}
+
+// sourceLoader loads RunPlan's sources ahead of their cells, each on its
+// own goroutine: asked for source k, it starts sources k and k+1 (so
+// sources 0 and 1 at once) and waits for k. It lets go of each source as
+// it hands it over, so at most three access strings are live at once —
+// source k-1's, whose last cells are replaying, k's and k+1's — unless
+// one cell of source k-2 outlasts every cell of source k-1.
+type sourceLoader struct {
+	plan  *Plan
+	loads []*sourceLoad // by source index; nil until started
+	wg    sync.WaitGroup
+}
+
+// sourceLoad is one source's load: done closes once ls or err is set.
+type sourceLoad struct {
+	done chan struct{}
+	ls   *loadedSource
+	err  error
+}
+
+// start begins loading source idx unless it is out of range or started.
+func (l *sourceLoader) start(idx int) {
+	if idx >= len(l.loads) || l.loads[idx] != nil {
+		return
+	}
+	ld := &sourceLoad{done: make(chan struct{})}
+	l.loads[idx] = ld
+	l.wg.Add(1)
+	go func() {
+		defer l.wg.Done()
+		ld.ls, ld.err = loadSource(l.plan, idx)
+		close(ld.done)
+	}()
+}
+
+// source starts sources idx and idx+1 and waits for idx, or for ctx. It
+// is called from one goroutine, once per source.
+func (l *sourceLoader) source(ctx context.Context, idx int) (*loadedSource, error) {
+	l.start(idx)
+	l.start(idx + 1)
+	ld := l.loads[idx]
+	select {
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	case <-ld.done:
+	}
+	ls := ld.ls
+	ld.ls = nil
+	return ls, ld.err
 }
 
 // loadedSource is one plan source in replay-ready form: its identity

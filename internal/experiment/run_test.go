@@ -3,11 +3,14 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
+	"filemig/internal/migration"
 	"filemig/internal/trace"
 	"filemig/internal/workload"
 )
@@ -243,5 +246,81 @@ func TestRunRejectsMissingTrace(t *testing.T) {
 	spec := &Spec{Name: "gone", Trace: filepath.Join(t.TempDir(), "nope.txt")}
 	if _, err := Run(context.Background(), spec); err == nil {
 		t.Fatal("missing trace file accepted")
+	}
+}
+
+// loading reports whether any source load is still running.
+func loading() bool {
+	buf := make([]byte, 1<<20)
+	return strings.Contains(string(buf[:runtime.Stack(buf, true)]), "experiment.loadSource")
+}
+
+// threeSources is testSpec over three scenarios, so the pipeline has a
+// source loading ahead while another's cells run.
+func threeSources(workers int) *Spec {
+	spec := testSpec()
+	spec.Scenarios = append(spec.Scenarios, "archive-coldscan")
+	spec.Workers = workers
+	return spec
+}
+
+// TestRunRejectsMissingTraceLast: the trace file is the last source and
+// is gone by run time, so its load fails while earlier sources' cells
+// are replaying; RunPlan must surface that failure, and only after every
+// load has finished.
+func TestRunRejectsMissingTraceLast(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gone.txt")
+	for _, workers := range []int{1, 2, 4} {
+		if err := os.WriteFile(path, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		spec := threeSources(workers)
+		spec.Trace = path
+		plan, err := BuildPlan(spec) // validation sees the file ...
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(path); err != nil { // ... the run does not
+			t.Fatal(err)
+		}
+		if _, err := RunPlan(context.Background(), plan); err == nil || !strings.Contains(err.Error(), "gone.txt") {
+			t.Errorf("workers=%d: error %v, want the missing trace's", workers, err)
+		}
+		if loading() {
+			t.Errorf("workers=%d: a source load outlived RunPlan", workers)
+		}
+	}
+}
+
+// TestRunPlanCancelMidGrid cancels the run as the first cell of source
+// 1 is built, when source 2 has just started loading: RunPlan must
+// return ctx's error, and only after that load has finished.
+func TestRunPlanCancelMidGrid(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		plan, err := BuildPlan(threeSources(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		perSource := len(plan.Policies) * len(plan.Capacities)
+		built := 0
+		mk := plan.entries[0].mk
+		plan.entries[0].mk = func(accs []migration.Access) migration.Policy {
+			if built++; built == len(plan.Capacities)+1 { // source 1's first cell
+				cancel()
+			}
+			return mk(accs)
+		}
+		if perSource != 9 || plan.entries[0].name != "STP^1.4" {
+			t.Fatalf("unexpected grid: %d cells per source, first policy %s", perSource, plan.entries[0].name)
+		}
+		_, err = RunPlan(ctx, plan)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: RunPlan returned %v, want %v", workers, err, context.Canceled)
+		}
+		if loading() {
+			t.Errorf("workers=%d: a source load outlived RunPlan", workers)
+		}
 	}
 }

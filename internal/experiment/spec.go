@@ -174,7 +174,7 @@ func (s *Spec) validate() ([]policyEntry, error) {
 	}
 	if s.Trace != "" {
 		// Catch a typo'd path at validation time: at run time the file
-		// is loaded only after every scenario has already been swept.
+		// loads only once the scenarios before it are under way.
 		if _, err := os.Stat(s.Trace); err != nil {
 			return nil, fmt.Errorf("experiment: trace file: %w", err)
 		}

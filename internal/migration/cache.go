@@ -219,21 +219,50 @@ type Cache struct {
 
 // NewCache builds a cache simulator.
 func NewCache(cfg CacheConfig) (*Cache, error) {
+	c := &Cache{}
+	if err := c.reset(cfg); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// reset readies c for a fresh replay under cfg, as NewCache would build
+// it, but keeps every table it has grown: the resident table is cleared
+// (each resident goes back on the free list), and the heap, class table,
+// occupied bitmap, live set and scan scratch are emptied in place. A
+// worker replaying many cells reuses one cache through it.
+func (c *Cache) reset(cfg CacheConfig) error {
 	if cfg.Capacity <= 0 {
-		return nil, fmt.Errorf("migration: capacity must be positive")
+		return fmt.Errorf("migration: capacity must be positive")
 	}
 	if cfg.Policy == nil {
-		return nil, fmt.Errorf("migration: policy required")
+		return fmt.Errorf("migration: policy required")
 	}
-	c := &Cache{
-		cfg: cfg,
-		res: CacheResult{Policy: cfg.Policy.Name(), Capacity: cfg.Capacity},
+	for id, f := range c.resident {
+		if f != nil {
+			c.free = append(c.free, f)
+			c.resident[id] = nil
+		}
+	}
+	clear(c.order)
+	clear(c.classes)
+	*c = Cache{
+		cfg:      cfg,
+		resident: c.resident,
+		res:      CacheResult{Policy: cfg.Policy.Name(), Capacity: cfg.Capacity},
+		order:    c.order[:0],
+		classes:  c.classes,
+		live:     liveSet{sorted: c.live.sorted[:0], pending: c.live.pending[:0], scratch: c.live.scratch[:0]},
+		free:     c.free,
+		ranked:   c.ranked[:0],
 	}
 	if kp, ok := cfg.Policy.(KeyedPolicy); ok {
 		c.keyed = kp
 	} else if ap, ok := cfg.Policy.(AgedPolicy); ok && ap.AgingMonotone() {
 		c.aged = ap
-		c.classes = make([]agedClass, agedClasses)
+		if c.classes == nil {
+			c.classes = make([]agedClass, agedClasses)
+		}
 	}
 	// Observer, victim, and capacity capabilities survive a ScanOnly
 	// wrapper: ScanOnly exists to disable the keyed and aged paths, not to
@@ -248,7 +277,7 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	if ca, ok := core.(CapacityAware); ok {
 		ca.SetCapacity(cfg.Capacity)
 	}
-	return c, nil
+	return nil
 }
 
 // lookup returns the resident entry for a file ID, or nil.
@@ -327,8 +356,17 @@ func (l *liveSet) ids() []int {
 	return l.sorted
 }
 
-// Replay runs the whole access string and returns the result.
+// Replay runs the whole access string and returns the result. It sizes
+// the resident table for the string's highest FileID first, so no insert
+// grows it; negative IDs are left for Step to reject.
 func (c *Cache) Replay(accs []Access) CacheResult {
+	n := len(c.resident)
+	for i := range accs {
+		n = max(n, accs[i].FileID+1)
+	}
+	if n > len(c.resident) {
+		c.resident = append(c.resident, make([]*residentFile, n-len(c.resident))...)
+	}
 	for i := range accs {
 		c.Step(accs[i])
 	}
@@ -440,7 +478,9 @@ func (c *Cache) insert(a Access, now time.Time, prefetched bool) {
 		prefetched: prefetched,
 		slot:       -1,
 	}
-	c.resident = growTo(c.resident, a.FileID)
+	if a.FileID >= len(c.resident) {
+		c.resident = growTo(c.resident, a.FileID)
+	}
 	c.resident[a.FileID] = f
 	c.nres++
 	c.used += size

@@ -252,23 +252,42 @@ func (o *OPT) Key(f *CachedFile) float64 {
 }
 
 // FutureIndex answers "when is file f next referenced after t" from a
-// prepared, time-sorted access list. File IDs are dense, so both the
-// per-file reference lists and the replay cursors are flat slices — the
-// hottest OPT operations never touch a map.
+// prepared, time-sorted access list. File IDs are dense, so the index is
+// compressed rows: one flat array of every reference time, grouped by
+// file and in trace order within a file, with per-file row offsets and
+// replay cursors — the hottest OPT operations never touch a map, and a
+// build allocates three slices however many files there are.
 type FutureIndex struct {
-	times [][]time.Time // FileID -> reference times, in trace order
-	pos   []int         // FileID -> replay cursor
+	times []time.Time // reference times, file by file
+	off   []int       // FileID -> start of its row in times; off[id+1] ends it
+	pos   []int       // FileID -> replay cursor, an index into times
 }
 
 // NewFutureIndex builds the index from accesses, which must be
-// time-sorted.
+// time-sorted. Negative IDs, which no replay can reference, are skipped.
 func NewFutureIndex(accs []Access) *FutureIndex {
-	idx := &FutureIndex{}
-	for _, a := range accs {
-		idx.times = growTo(idx.times, a.FileID)
-		idx.pos = growTo(idx.pos, a.FileID)
-		idx.times[a.FileID] = append(idx.times[a.FileID], a.Time)
+	n := 0
+	for i := range accs {
+		n = max(n, accs[i].FileID+1)
 	}
+	idx := &FutureIndex{off: make([]int, n+1), pos: make([]int, n)}
+	for i := range accs {
+		if id := accs[i].FileID; id >= 0 {
+			idx.off[id+1]++
+		}
+	}
+	for id := range n {
+		idx.off[id+1] += idx.off[id]
+	}
+	idx.times = make([]time.Time, idx.off[n])
+	copy(idx.pos, idx.off) // pos is the fill cursor here, then reset for replay
+	for i := range accs {
+		if id := accs[i].FileID; id >= 0 {
+			idx.times[idx.pos[id]] = accs[i].Time
+			idx.pos[id]++
+		}
+	}
+	copy(idx.pos, idx.off)
 	return idx
 }
 
@@ -276,17 +295,16 @@ func NewFutureIndex(accs []Access) *FutureIndex {
 // query times must be non-decreasing per file (true during a forward
 // replay), letting the index advance a cursor instead of searching.
 func (x *FutureIndex) NextAfter(file int, t time.Time) (time.Time, bool) {
-	if file < 0 || file >= len(x.times) {
+	if file < 0 || file >= len(x.pos) {
 		return time.Time{}, false
 	}
-	ts := x.times[file]
-	i := x.pos[file]
-	for i < len(ts) && !ts[i].After(t) {
+	i, end := x.pos[file], x.off[file+1]
+	for i < end && !x.times[i].After(t) {
 		i++
 	}
 	x.pos[file] = i
-	if i >= len(ts) {
+	if i >= end {
 		return time.Time{}, false
 	}
-	return ts[i], true
+	return x.times[i], true
 }

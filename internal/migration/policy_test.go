@@ -1,6 +1,7 @@
 package migration
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -218,6 +219,52 @@ func TestFutureIndexCursorAdvances(t *testing.T) {
 	}
 	if _, ok := idx.NextAfter(99, t0); ok {
 		t.Error("unknown file has no future")
+	}
+}
+
+// TestFutureIndexMatchesModel checks the flat index against a naive
+// per-file list searched from the start on every query, over seeded
+// strings with repeated instants, files referenced once, IDs never
+// referenced, and queries outside the ID range, asked in forward-replay
+// order: at each access's instant, for the accessed file and a few
+// others.
+func TestFutureIndexMatchesModel(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var accs []Access
+		minute, once := 0, 1000
+		for range 300 + rng.Intn(300) {
+			minute += rng.Intn(3)  // 0: a repeated instant
+			id := 2 * rng.Intn(40) // odd IDs below 80 are never referenced
+			if rng.Intn(5) == 0 {
+				id = once // referenced exactly once
+				once++
+			}
+			accs = append(accs, Access{Time: t0.Add(time.Duration(minute) * time.Minute), FileID: id})
+		}
+		model := map[int][]time.Time{}
+		for _, a := range accs {
+			model[a.FileID] = append(model[a.FileID], a.Time)
+		}
+		naive := func(file int, at time.Time) (time.Time, bool) {
+			for _, ts := range model[file] {
+				if ts.After(at) {
+					return ts, true
+				}
+			}
+			return time.Time{}, false
+		}
+		idx := NewFutureIndex(accs)
+		for _, a := range accs {
+			for _, file := range []int{a.FileID, rng.Intn(90), 1000 + rng.Intn(once-1000), -1, once, once + 7} {
+				got, gotOK := idx.NextAfter(file, a.Time)
+				want, wantOK := naive(file, a.Time)
+				if gotOK != wantOK || !got.Equal(want) {
+					t.Fatalf("seed %d: NextAfter(%d, %v) = %v %v, want %v %v",
+						seed, file, a.Time, got, gotOK, want, wantOK)
+				}
+			}
+		}
 	}
 }
 

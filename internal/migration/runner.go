@@ -8,39 +8,67 @@ import (
 	"filemig/internal/units"
 )
 
-// The sweep runner: the paper's experiments replay the same reference
-// string many times — once per capacity, policy, or STP exponent — and
-// every replay is independent (a fresh Cache and a private Policy per
-// cell), so every sweep is a cell list handed to ReplayCells.
+// The sweep runner: the paper's experiments replay reference strings
+// many times — once per capacity, policy, or STP exponent — and every
+// replay is independent (a reset Cache and a private Policy per cell),
+// so every sweep is a stream of cells handed to ReplayCells.
 
-// ReplayCell is one replay of a reference string: a policy instance no
-// other cell shares, and the cache size it runs at.
+// ReplayCell is one replay of a reference string: the string itself, a
+// policy instance no other cell shares, and the cache size it runs at.
 type ReplayCell struct {
+	Accs     []Access
 	Policy   Policy
 	Capacity units.Bytes
 }
 
-// ReplayCells replays accs once per cell through pool.Run and returns
-// the results in cell order, whatever order the replays finish in; each
-// replay is single-threaded and deterministic. It inherits the pool's
-// contract: the lowest-indexed cell's error at any worker count, no
-// dispatch after a failure or a cancelled ctx (cells already dispatched
-// still run), workers <= 1 serial on the calling goroutine. This package
-// never reads the host CPU count, so callers wanting one worker per CPU
-// resolve the count explicitly (cmd/* use internal/host).
-func ReplayCells(ctx context.Context, accs []Access, cells []ReplayCell, workers int) ([]CacheResult, error) {
-	out := make([]CacheResult, len(cells))
-	err := pool.Run(ctx, workers, pool.Indices(len(cells)),
-		func() func(int) (struct{}, error) {
-			return func(i int) (struct{}, error) {
-				c, err := NewCache(CacheConfig{Capacity: cells[i].Capacity, Policy: cells[i].Policy})
-				if err != nil {
+// ReplayCells replays n cells through pool.Run and hands each result
+// to done with its cell index, on the goroutine that ran it; each replay
+// is single-threaded and deterministic. The cells are pulled from cell,
+// called with 0..n-1 in order on the calling goroutine as workers free
+// up, so a caller can build each cell — and load what it replays — just
+// in time. Every worker keeps one Cache and resets it between cells, so
+// its tables grow once per worker, not once per cell. It inherits the
+// pool's contract: the lowest-indexed failure (of cell or of a replay)
+// at any worker count, no pull after a failure or a cancelled ctx (cells
+// already pulled still run), workers <= 1 serial on the calling
+// goroutine. This package never reads the host CPU count, so callers
+// wanting one worker per CPU resolve the count explicitly (cmd/* use
+// internal/host).
+func ReplayCells(ctx context.Context, workers, n int, cell func(i int) (ReplayCell, error),
+	done func(i int, r CacheResult)) error {
+	type job struct {
+		i    int
+		cell ReplayCell
+	}
+	indices := pool.Indices(n)
+	return pool.Run(ctx, workers,
+		func() (job, error) {
+			i, err := indices()
+			if err != nil {
+				return job{}, err
+			}
+			c, err := cell(i)
+			return job{i, c}, err
+		},
+		func() func(job) (struct{}, error) {
+			c := &Cache{}
+			return func(j job) (struct{}, error) {
+				if err := c.reset(CacheConfig{Capacity: j.cell.Capacity, Policy: j.cell.Policy}); err != nil {
 					return struct{}{}, err
 				}
-				out[i] = c.Replay(accs)
+				done(j.i, c.Replay(j.cell.Accs))
 				return struct{}{}, nil
 			}
 		}, nil)
+}
+
+// replayList replays a fixed cell list through ReplayCells and returns
+// the results in list order.
+func replayList(ctx context.Context, cells []ReplayCell, workers int) ([]CacheResult, error) {
+	out := make([]CacheResult, len(cells))
+	err := ReplayCells(ctx, workers, len(cells),
+		func(i int) (ReplayCell, error) { return cells[i], nil },
+		func(i int, r CacheResult) { out[i] = r })
 	if err != nil {
 		return nil, err
 	}
@@ -66,9 +94,9 @@ func CapacitySweepWorkers(accs []Access, fractions []float64, mk func() Policy,
 	total := TotalReferencedBytes(accs)
 	cells := make([]ReplayCell, len(fractions))
 	for i, frac := range fractions {
-		cells[i] = ReplayCell{Policy: mk(), Capacity: FractionCapacity(total, frac)}
+		cells[i] = ReplayCell{Accs: accs, Policy: mk(), Capacity: FractionCapacity(total, frac)}
 	}
-	res, err := ReplayCells(context.Background(), accs, cells, workers)
+	res, err := replayList(context.Background(), cells, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -87,9 +115,9 @@ func ComparePoliciesWorkers(accs []Access, capacity units.Bytes, policies []Poli
 	workers int) ([]CacheResult, error) {
 	cells := make([]ReplayCell, len(policies))
 	for i, p := range policies {
-		cells[i] = ReplayCell{Policy: p, Capacity: capacity}
+		cells[i] = ReplayCell{Accs: accs, Policy: p, Capacity: capacity}
 	}
-	out, err := ReplayCells(context.Background(), accs, cells, workers)
+	out, err := replayList(context.Background(), cells, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -117,9 +145,9 @@ func STPExponentSweepWorkers(accs []Access, capacity units.Bytes, ks []float64,
 	workers int) ([]ExponentPoint, error) {
 	cells := make([]ReplayCell, len(ks))
 	for i, k := range ks {
-		cells[i] = ReplayCell{Policy: STP{K: k}, Capacity: capacity}
+		cells[i] = ReplayCell{Accs: accs, Policy: STP{K: k}, Capacity: capacity}
 	}
-	res, err := ReplayCells(context.Background(), accs, cells, workers)
+	res, err := replayList(context.Background(), cells, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -66,10 +66,26 @@ type nameCounter struct {
 
 func (p nameCounter) Name() string { p.n.Add(1); return p.LRU.Name() }
 
+// freshReplays replays each cell on its own NewCache: the reference a
+// pooled replay must match.
+func freshReplays(t *testing.T, cells []ReplayCell) []CacheResult {
+	t.Helper()
+	var want []CacheResult
+	for _, cell := range cells {
+		c, err := NewCache(CacheConfig{Capacity: cell.Capacity, Policy: cell.Policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, c.Replay(cell.Accs))
+	}
+	return want
+}
+
 // TestReplayCells pins the one replay primitive every sweep and the
-// experiment grid run through: results in cell order equal to a direct
+// experiment grid run through: results in pull order equal to a direct
 // NewCache + Replay of each cell at any worker count, the pool's
-// lowest-indexed error, and no dispatch under a cancelled context.
+// lowest-indexed error (of a cell or of the producer), and no dispatch
+// under a cancelled context.
 func TestReplayCells(t *testing.T) {
 	accs := syntheticString(4000, 23)
 	total := TotalReferencedBytes(accs)
@@ -78,28 +94,18 @@ func TestReplayCells(t *testing.T) {
 		for _, frac := range []float64{0.01, 0.05, 0.2} {
 			cap := FractionCapacity(total, frac)
 			cells = append(cells,
-				ReplayCell{Policy: STP{K: 1.4}, Capacity: cap},
-				ReplayCell{Policy: NewRandom(3), Capacity: cap},
-				ReplayCell{Policy: NewOPT(NewFutureIndex(accs)), Capacity: cap},
-				ReplayCell{Policy: NewARC(), Capacity: cap})
+				ReplayCell{Accs: accs, Policy: STP{K: 1.4}, Capacity: cap},
+				ReplayCell{Accs: accs, Policy: NewRandom(3), Capacity: cap},
+				ReplayCell{Accs: accs, Policy: NewOPT(NewFutureIndex(accs)), Capacity: cap},
+				ReplayCell{Accs: accs, Policy: NewARC(), Capacity: cap})
 		}
 		return cells
 	}
-	var want []CacheResult
-	for _, cell := range build() {
-		c, err := NewCache(CacheConfig{Capacity: cell.Capacity, Policy: cell.Policy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, c.Replay(accs))
-	}
+	want := freshReplays(t, build())
 	for _, workers := range []int{0, 1, 4} {
-		got, err := ReplayCells(context.Background(), accs, build(), workers)
+		got, err := replayList(context.Background(), build(), workers)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d results for %d cells", workers, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
@@ -110,9 +116,23 @@ func TestReplayCells(t *testing.T) {
 		bad := build()[:4]
 		bad[1].Policy = nil // "policy required" ...
 		bad[3].Capacity = 0 // ... outranks the later "capacity must be positive"
-		if _, err := ReplayCells(context.Background(), accs, bad, workers); err == nil ||
+		if _, err := replayList(context.Background(), bad, workers); err == nil ||
 			!strings.Contains(err.Error(), "policy required") {
 			t.Errorf("workers=%d: error %v, want the lowest-indexed cell's (nil policy)", workers, err)
+		}
+		errPull := errors.New("no cell 2")
+		var pulls, replayed atomic.Int32
+		err = ReplayCells(context.Background(), workers, 5,
+			func(i int) (ReplayCell, error) {
+				pulls.Add(1)
+				if i == 2 {
+					return ReplayCell{}, errPull
+				}
+				return ReplayCell{Accs: accs, Policy: LRU{}, Capacity: total}, nil
+			}, func(int, CacheResult) { replayed.Add(1) })
+		if !errors.Is(err, errPull) || pulls.Load() != 3 || replayed.Load() != 2 {
+			t.Errorf("workers=%d: error %v after %d pulls and %d replays, want the producer's after 3 and 2",
+				workers, err, pulls.Load(), replayed.Load())
 		}
 
 		ctx, cancel := context.WithCancel(context.Background())
@@ -120,9 +140,9 @@ func TestReplayCells(t *testing.T) {
 		var dispatched atomic.Int32
 		cells := make([]ReplayCell, 8)
 		for i := range cells {
-			cells[i] = ReplayCell{Policy: nameCounter{n: &dispatched}, Capacity: total}
+			cells[i] = ReplayCell{Accs: accs, Policy: nameCounter{n: &dispatched}, Capacity: total}
 		}
-		if _, err := ReplayCells(ctx, accs, cells, workers); !errors.Is(err, context.Canceled) {
+		if _, err := replayList(ctx, cells, workers); !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: cancelled ctx returned %v", workers, err)
 		}
 		if n := dispatched.Load(); n != 0 {
@@ -179,5 +199,52 @@ func TestSweepErrorPropagation(t *testing.T) {
 	}
 	if _, err := CapacitySweepWorkers(accs, []float64{0.1}, func() Policy { return nil }, 0); err == nil {
 		t.Error("nil policy builder must error")
+	}
+}
+
+// TestReplayCellsReuseMatchesFresh pins the per-worker cache reuse: a
+// cell list that interleaves every victim path — keyed (LRU, FIFO, OPT,
+// GDSF), aged (STP, SAAC, STP-adapt), victim (ARC), scan (Random,
+// ScanOnly{STP}) — over two access strings with different file counts,
+// so a worker's cache moves from a large table to a small one and back,
+// must give every cell the result a fresh NewCache gives it. Run under
+// -race it also checks that no reused state crosses workers.
+func TestReplayCellsReuseMatchesFresh(t *testing.T) {
+	large, small := syntheticString(2500, 41), allocAccesses()
+	build := func() []ReplayCell {
+		var cells []ReplayCell
+		for round, accs := range [][]Access{large, small, large} {
+			total := TotalReferencedBytes(accs)
+			for _, mk := range []func() Policy{
+				func() Policy { return LRU{} },
+				func() Policy { return STP{K: 1.4} },
+				func() Policy { return NewARC() },
+				func() Policy { return NewRandom(int64(round)) },
+				func() Policy { return FIFO{} },
+				func() Policy { return SAAC{} },
+				func() Policy { return ScanOnly{P: STP{K: 1.4}} },
+				func() Policy { return NewOPT(NewFutureIndex(accs)) },
+				func() Policy { return NewAdaptiveSTP() },
+				func() Policy { return NewGDSF() },
+			} {
+				for _, frac := range []float64{0.02, 0.1} {
+					cells = append(cells, ReplayCell{Accs: accs, Policy: mk(), Capacity: FractionCapacity(total, frac)})
+				}
+			}
+		}
+		return cells
+	}
+	want := freshReplays(t, build())
+	for _, workers := range []int{1, 2, 4} {
+		got, err := replayList(context.Background(), build(), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("workers=%d cell %d (%s): reused cache %+v != fresh cache %+v",
+					workers, i, want[i].Policy, got[i], want[i])
+			}
+		}
 	}
 }
