@@ -21,7 +21,13 @@ set -e
 # internal/migration's per-worker cache reset, the pulling ReplayCells,
 # Replay's one-pass table sizing and the flat FutureIndex (grid wall
 # about a quarter lower, every manifest byte-identical).
-BUDGET=8191
+# Raised from 8191 to 8224 by the replay kernel's integer instants and
+# typed eviction heap in internal/migration: the saturating since helper
+# every age goes through, STP-adapt's seen flag (0 is a real instant),
+# and evictHeap's own sift-up, sift-down, fix, push and remove in place
+# of container/heap's interface calls (grid wall about a fifth lower,
+# every manifest byte-identical).
+BUDGET=8224
 
 total=0
 for dir in internal/core internal/trace internal/migration internal/dist internal/serve \

@@ -3,7 +3,6 @@ package migration
 import (
 	"math"
 	"math/bits"
-	"time"
 )
 
 // AgedPolicy is an optional Policy capability for rank-crossing policies
@@ -103,7 +102,7 @@ func (c *Cache) agedLink(f *residentFile) {
 	f.slot = agedClassOf(f.key)
 	cl := &c.classes[f.slot]
 	at := cl.tail
-	for at != nil && at.LastRef.After(f.LastRef) {
+	for at != nil && at.LastRef > f.LastRef {
 		at = at.prev
 	}
 	f.prev = at
@@ -146,11 +145,11 @@ func (c *Cache) agedUnlink(f *residentFile) {
 // rule (c): Rank over weight of the oldest resident among classes >= 1.
 // Each class list is in LastRef order, so that resident is one of the
 // class heads. With no such resident the bound is 0 and never consulted.
-func (c *Cache) agedShrink(now time.Time) float64 {
+func (c *Cache) agedShrink(now int64) float64 {
 	c.shrinks++
 	var oldest *residentFile
 	for i := c.inuse.below(agedTop); i > 0; i = c.inuse.below(i - 1) {
-		if h := c.classes[i].head; oldest == nil || h.LastRef.Before(oldest.LastRef) {
+		if h := c.classes[i].head; oldest == nil || h.LastRef < oldest.LastRef {
 			oldest = h
 		}
 	}
@@ -164,7 +163,7 @@ func (c *Cache) agedShrink(now time.Time) float64 {
 // once per shrink.
 //
 //filemig:hotpath
-func (c *Cache) agedRank(f *residentFile, now time.Time) float64 {
+func (c *Cache) agedRank(f *residentFile, now int64) float64 {
 	if f.rankedAt != c.shrinks {
 		f.rank, f.rankedAt = c.aged.Rank(&f.CachedFile, now), c.shrinks
 	}
@@ -174,7 +173,7 @@ func (c *Cache) agedRank(f *residentFile, now time.Time) float64 {
 // olderOf returns the older of two rule (b) dominators, either of which
 // may be nil.
 func olderOf(far, near *residentFile) *residentFile {
-	if near != nil && (far == nil || near.LastRef.Before(far.LastRef)) {
+	if near != nil && (far == nil || near.LastRef < far.LastRef) {
 		return near
 	}
 	return far
@@ -212,7 +211,7 @@ func olderOf(far, near *residentFile) *residentFile {
 // slack squared.
 //
 //filemig:hotpath
-func (c *Cache) pickAged(now time.Time, protect int, agingMax float64) *residentFile {
+func (c *Cache) pickAged(now int64, protect int, agingMax float64) *residentFile {
 	var best *residentFile
 	var bestRank float64
 	// Oldest positive-rank candidates ranked so far: far among classes
@@ -229,7 +228,7 @@ func (c *Cache) pickAged(now time.Time, protect int, agingMax float64) *resident
 		}
 		var cur *residentFile
 		for f := c.classes[i].head; f != nil; f = f.next {
-			if far != nil && !f.LastRef.Before(far.LastRef) {
+			if far != nil && f.LastRef >= far.LastRef {
 				break // rule (b)
 			}
 			if f.ID == protect {

@@ -19,9 +19,11 @@ var agedSizes = []units.Bytes{0, 1, 1023, 1024, 1025, 1279, 1280, 4096, 4097,
 // eviction index, three bytes per access: file, size/write, time step.
 // Reads carry the file's last written size (the palette entry of its ID
 // until then), so a write moves a file across weight classes; time
-// steps are same-instant bursts, 1 ns, seconds to hours, 72 h jumps,
-// and the occasional step backwards.
-func agedAccesses(data []byte, files int) []Access {
+// steps are same-instant bursts, one tick, seconds to hours, 72 h jumps,
+// and the occasional step backwards. A tick of 1 ns probes the aged
+// index's rounding; the keyed heap, whose time keys are float64 seconds
+// (timeKey), takes whole-second ticks.
+func agedAccesses(data []byte, files int, tick time.Duration) []Access {
 	now := time.Date(1991, time.March, 1, 0, 0, 0, 0, time.UTC)
 	size := make([]units.Bytes, files)
 	for i := range size {
@@ -38,7 +40,7 @@ func agedAccesses(data []byte, files int) []Access {
 		switch data[2] & 7 {
 		case 0, 1: // same instant
 		case 2:
-			now = now.Add(time.Nanosecond)
+			now = now.Add(tick)
 		case 3:
 			now = now.Add(n * time.Second)
 		case 4:
@@ -234,7 +236,7 @@ func TestAgedIndexMatchesScan(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		data := make([]byte, 3*1500)
 		rng.Read(data)
-		accs := agedAccesses(data, []int{24, 64, 200}[seed%3])
+		accs := agedAccesses(data, []int{24, 64, 200}[seed%3], time.Nanosecond)
 		total := TotalReferencedBytes(accs)
 		for _, mk := range agedPolicies() {
 			c, err := NewCache(CacheConfig{Capacity: 1, Policy: mk()})
@@ -267,8 +269,8 @@ type ulpPolicy struct {
 func (ulpPolicy) Name() string                   { return "ulp-edge" }
 func (p ulpPolicy) Weight(f *CachedFile) float64 { return p.weight[f.ID] }
 func (ulpPolicy) AgingMonotone() bool            { return true }
-func (p ulpPolicy) Rank(f *CachedFile, now time.Time) float64 {
-	r := p.weight[f.ID] * (1 + max(now.Sub(f.LastRef).Hours()/24, 0))
+func (p ulpPolicy) Rank(f *CachedFile, now int64) float64 {
+	r := p.weight[f.ID] * (1 + max(since(now, f.LastRef).Hours()/24, 0))
 	for range p.up[f.ID] {
 		r = math.Nextafter(r, math.Inf(1))
 	}
@@ -333,7 +335,7 @@ type countingSTP struct {
 	twice int
 }
 
-func (p *countingSTP) Rank(f *CachedFile, now time.Time) float64 {
+func (p *countingSTP) Rank(f *CachedFile, now int64) float64 {
 	p.calls++
 	p.last = growTo(p.last, f.ID)
 	if p.last[f.ID] == p.c.shrinks {
@@ -351,7 +353,7 @@ func (p *countingSTP) Rank(f *CachedFile, now time.Time) float64 {
 func TestAgedIndexRankCalls(t *testing.T) {
 	data := make([]byte, 3*5000)
 	rand.New(rand.NewSource(1993)).Read(data)
-	accs := agedAccesses(data, 200)
+	accs := agedAccesses(data, 200, time.Nanosecond)
 	capacity := TotalReferencedBytes(accs) / 7
 	p := &countingSTP{STP: STP{K: 1.4}}
 	c, err := NewCache(CacheConfig{Capacity: capacity, Policy: p})
@@ -394,7 +396,7 @@ func FuzzAgedIndexMatchesScan(f *testing.F) {
 			data = data[:3+3*2000]
 		}
 		mks := agedPolicies()
-		accs := agedAccesses(data[3:], 64)
+		accs := agedAccesses(data[3:], 64, time.Nanosecond)
 		capacity := TotalReferencedBytes(accs)/[]units.Bytes{2, 7, 40}[data[1]%3] + 1
 		replayLockstep(t, accs, mks[int(data[0])%len(mks)], capacity, data[2]&1 == 1)
 	})
@@ -408,7 +410,7 @@ func FuzzAgedIndexMatchesScan(f *testing.F) {
 func TestAgedIndexOffWhenAgingNotMonotone(t *testing.T) {
 	data := make([]byte, 3*1500)
 	rand.New(rand.NewSource(5)).Read(data)
-	accs := agedAccesses(data, 64)
+	accs := agedAccesses(data, 64, time.Nanosecond)
 	capacity := TotalReferencedBytes(accs) / 7
 	for _, k := range []float64{-1, -0.5, math.NaN(), math.Inf(1), math.Inf(-1), stpAgedMaxK + 1} {
 		c, err := NewCache(CacheConfig{Capacity: capacity, Policy: STP{K: k}})

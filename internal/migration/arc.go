@@ -1,10 +1,6 @@
 package migration
 
-import (
-	"time"
-
-	"filemig/internal/units"
-)
+import "filemig/internal/units"
 
 // ARC list tags. The zero value (arcNone) means "in no list", so the
 // dense entry arena can grow with zero values.
@@ -134,7 +130,7 @@ func (p *ARC) unlink(id int) {
 // FileAccessed implements AccessObserver: the ARC case analysis.
 //
 //filemig:hotpath
-func (p *ARC) FileAccessed(f *CachedFile, _ time.Time) {
+func (p *ARC) FileAccessed(f *CachedFile, _ int64) {
 	id := f.ID
 	p.ent = growTo(p.ent, id)
 	switch p.ent[id].list {
@@ -251,7 +247,7 @@ const arcPreferred = 1e12
 // NextVictim currently prefers ranks uniformly higher. Outside the
 // cache's hook-driven replay (where FileAccessed never fires) every
 // file is unknown and the order degrades to plain LRU.
-func (p *ARC) Rank(f *CachedFile, _ time.Time) float64 {
+func (p *ARC) Rank(f *CachedFile, _ int64) float64 {
 	list := arcNone
 	if f.ID < len(p.ent) {
 		list = p.ent[f.ID].list

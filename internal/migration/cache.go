@@ -1,7 +1,6 @@
 package migration
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"time"
@@ -15,7 +14,8 @@ import (
 // dense non-negative identifiers AccessesFromRecords assigns — every
 // replay structure is a FileID-indexed slice, so a negative ID is a
 // programming error (the simulators reject it loudly rather than
-// corrupting an index).
+// corrupting an index). The cache replays Time as a UnixNano instant, so
+// it must lie within the years 1678–2262.
 type Access struct {
 	Time   time.Time
 	FileID int
@@ -150,34 +150,79 @@ type residentFile struct {
 
 // evictHeap is the indexed priority heap over resident files: the top is
 // the next eviction victim — highest key first, ties to the lowest file
-// ID, so victim selection never depends on map iteration order.
+// ID, so victim selection never depends on map iteration order. Each
+// resident's slot is its index. The sifts move a hole rather than swap,
+// making the comparisons container/heap makes.
 type evictHeap []*residentFile
 
-func (h evictHeap) Len() int { return len(h) }
-func (h evictHeap) Less(i, j int) bool {
-	if h[i].key != h[j].key {
-		return h[i].key > h[j].key
+// evictsBefore reports whether a leaves the heap before b.
+func evictsBefore(a, b *residentFile) bool {
+	if a.key != b.key {
+		return a.key > b.key
 	}
-	return h[i].ID < h[j].ID
+	return a.ID < b.ID
 }
-func (h evictHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].slot = i
-	h[j].slot = j
+
+// up moves h[i] toward the root past every parent it evicts before.
+func (h evictHeap) up(i int) {
+	f := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !evictsBefore(f, h[p]) {
+			break
+		}
+		h[i], h[p].slot = h[p], i
+		i = p
+	}
+	h[i], f.slot = f, i
 }
-func (h *evictHeap) Push(x any) {
-	f := x.(*residentFile)
-	f.slot = len(*h)
+
+// down moves h[i] toward the leaves past every child that evicts before
+// it, and reports whether it moved.
+func (h evictHeap) down(i int) bool {
+	f, i0 := h[i], i
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && evictsBefore(h[r], h[c]) {
+			c = r
+		}
+		if !evictsBefore(h[c], f) {
+			break
+		}
+		h[i], h[c].slot = h[c], i
+		i = c
+	}
+	h[i], f.slot = f, i
+	return i > i0
+}
+
+// fix restores the order after h[i]'s key changed.
+func (h evictHeap) fix(i int) {
+	if !h.down(i) {
+		h.up(i)
+	}
+}
+
+// push adds f.
+func (h *evictHeap) push(f *residentFile) {
 	*h = append(*h, f)
+	h.up(len(*h) - 1)
 }
-func (h *evictHeap) Pop() any {
-	old := *h
-	n := len(old)
-	f := old[n-1]
-	old[n-1] = nil
+
+// remove takes out the resident at index i.
+func (h *evictHeap) remove(i int) {
+	q := *h
+	n := len(q) - 1
+	f := q[i]
+	q[i], q[n] = q[n], nil
+	*h = q[:n]
+	if i < n {
+		h.fix(i)
+	}
 	f.slot = -1
-	*h = old[:n-1]
-	return f
 }
 
 // Cache is the migration simulator: a finite staging disk in front of the
@@ -373,13 +418,15 @@ func (c *Cache) Replay(accs []Access) CacheResult {
 	return c.Result()
 }
 
-// Step processes a single access.
+// Step processes a single access. Its time, converted once to a
+// UnixNano instant, is the clock every policy call of the step sees.
 //
 //filemig:hotpath
 func (c *Cache) Step(a Access) {
 	if a.FileID < 0 {
 		panic("migration: negative Access.FileID")
 	}
+	now := a.Time.UnixNano()
 	c.res.Accesses++
 	f := c.lookup(a.FileID)
 	hit := f != nil
@@ -397,11 +444,11 @@ func (c *Cache) Step(a Access) {
 			// evict if the growth overflows the cache.
 			c.used += a.Size - f.CachedFile.Size
 			f.Size = a.Size
-			c.touch(f, a.Time)
-			c.shrinkTo(c.cfg.Capacity, a.Time, a.FileID)
+			c.touch(f, now)
+			c.shrinkTo(c.cfg.Capacity, now, a.FileID)
 			return
 		}
-		c.insert(a, a.Time, false)
+		c.insert(a.FileID, a.Size, now, false)
 		return
 	}
 	c.res.Reads++
@@ -412,19 +459,19 @@ func (c *Cache) Step(a Access) {
 			c.res.PrefetchHits++
 			f.prefetched = false
 		}
-		c.touch(f, a.Time)
+		c.touch(f, now)
 		return
 	}
 	c.res.ReadMisses++
 	c.res.BytesMissed += a.Size
-	c.insert(a, a.Time, false)
+	c.insert(a.FileID, a.Size, now, false)
 	if c.cfg.Prefetch != nil {
 		for _, id := range c.cfg.Prefetch.Prefetch(a) {
 			if c.lookup(id) != nil || id == a.FileID {
 				continue
 			}
 			c.res.Prefetches++
-			c.insert(Access{Time: a.Time, FileID: id, Size: a.Size}, a.Time, true)
+			c.insert(id, a.Size, now, true)
 		}
 	}
 }
@@ -433,7 +480,7 @@ func (c *Cache) Step(a Access) {
 // its position in the eviction heap. Policies keyed on insertion time or
 // size (FIFO, largest/smallest-first) return an unchanged key on touch,
 // making hot-path hits O(1).
-func (c *Cache) touch(f *residentFile, now time.Time) {
+func (c *Cache) touch(f *residentFile, now int64) {
 	f.LastRef = now
 	f.Refs++
 	if c.obs != nil {
@@ -442,7 +489,7 @@ func (c *Cache) touch(f *residentFile, now time.Time) {
 	if c.keyed != nil {
 		if k := c.keyed.Key(&f.CachedFile); k != f.key {
 			f.key = k
-			heap.Fix(&c.order, f.slot)
+			c.order.fix(f.slot)
 		}
 	} else if c.aged != nil {
 		c.agedUnlink(f)
@@ -450,8 +497,7 @@ func (c *Cache) touch(f *residentFile, now time.Time) {
 	}
 }
 
-func (c *Cache) insert(a Access, now time.Time, prefetched bool) {
-	size := a.Size
+func (c *Cache) insert(id int, size units.Bytes, now int64, prefetched bool) {
 	if size > c.cfg.Capacity {
 		// A file bigger than the whole cache can never be resident; it
 		// streams through (counts as a miss each read). Only demand
@@ -462,7 +508,7 @@ func (c *Cache) insert(a Access, now time.Time, prefetched bool) {
 		}
 		return
 	}
-	c.shrinkTo(c.cfg.Capacity-size, now, a.FileID)
+	c.shrinkTo(c.cfg.Capacity-size, now, id)
 	var f *residentFile
 	if n := len(c.free); n > 0 {
 		f = c.free[n-1]
@@ -473,15 +519,15 @@ func (c *Cache) insert(a Access, now time.Time, prefetched bool) {
 	}
 	*f = residentFile{
 		CachedFile: CachedFile{
-			ID: a.FileID, Size: size, Inserted: now, LastRef: now, Refs: 1,
+			ID: id, Size: size, Inserted: now, LastRef: now, Refs: 1,
 		},
 		prefetched: prefetched,
 		slot:       -1,
 	}
-	if a.FileID >= len(c.resident) {
-		c.resident = growTo(c.resident, a.FileID)
+	if id >= len(c.resident) {
+		c.resident = growTo(c.resident, id)
 	}
-	c.resident[a.FileID] = f
+	c.resident[id] = f
 	c.nres++
 	c.used += size
 	if c.obs != nil {
@@ -489,11 +535,11 @@ func (c *Cache) insert(a Access, now time.Time, prefetched bool) {
 	}
 	if c.keyed != nil {
 		f.key = c.keyed.Key(&f.CachedFile)
-		heap.Push(&c.order, f)
+		c.order.push(f)
 	} else if c.aged != nil {
 		c.agedLink(f)
 	} else {
-		c.live.add(a.FileID)
+		c.live.add(id)
 	}
 }
 
@@ -508,7 +554,7 @@ func (c *Cache) remove(f *residentFile) {
 	c.nres--
 	if c.keyed != nil {
 		if f.slot >= 0 {
-			heap.Remove(&c.order, f.slot)
+			c.order.remove(f.slot)
 		}
 	} else if c.aged != nil {
 		c.agedUnlink(f)
@@ -520,7 +566,7 @@ func (c *Cache) remove(f *residentFile) {
 
 // shrinkTo evicts policy victims until used <= target. The protected file
 // (the one being accessed) is never evicted.
-func (c *Cache) shrinkTo(target units.Bytes, now time.Time, protect int) {
+func (c *Cache) shrinkTo(target units.Bytes, now int64, protect int) {
 	if c.used <= target {
 		return
 	}
@@ -578,7 +624,7 @@ func (c *Cache) pickHeap(protect int) *residentFile {
 	case 2:
 		return c.order[1]
 	}
-	if c.order.Less(2, 1) {
+	if evictsBefore(c.order[2], c.order[1]) {
 		return c.order[2]
 	}
 	return c.order[1]
@@ -628,7 +674,7 @@ func siftDown(h []rankedFile, i int) {
 // The live resident-ID list is walked in ascending file ID order, which
 // both keeps the victim sequence deterministic and hands stateful
 // policies (Random) their rank draws in a reproducible order.
-func (c *Cache) shrinkScan(target units.Bytes, now time.Time, protect int) {
+func (c *Cache) shrinkScan(target units.Bytes, now int64, protect int) {
 	cands := c.ranked[:0]
 	for _, id := range c.live.ids() {
 		if id != protect {

@@ -51,11 +51,11 @@ func TestSTPRankClampsNegativeAge(t *testing.T) {
 	// A file "referenced in the future" (clock skew) must not produce NaN.
 	p := STP{K: 1.4}
 	f := cf(1, units.Bytes(units.MB), -time.Hour, 1)
-	if r := p.Rank(f, t0); math.IsNaN(r) || r != 0 {
+	if r := p.Rank(f, n0); math.IsNaN(r) || r != 0 {
 		t.Errorf("rank with negative age = %v, want 0", r)
 	}
 	s := SAAC{}
-	if r := s.Rank(f, t0); math.IsNaN(r) || r != 0 {
+	if r := s.Rank(f, n0); math.IsNaN(r) || r != 0 {
 		t.Errorf("SAAC rank with negative age = %v, want 0", r)
 	}
 }

@@ -1,7 +1,10 @@
 package migration
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"filemig/internal/units"
 )
@@ -63,4 +66,54 @@ func TestHeapMatchesScanVictimSelection(t *testing.T) {
 			}
 		}
 	}
+}
+
+// keyedPolicies builds a fresh instance of every shipped policy the
+// keyed heap serves. OPT looks ahead in accs, which NewFutureIndex takes
+// time-sorted, so its entry asks for a sorted string.
+var keyedPolicies = []struct {
+	mk     func(accs []Access) Policy
+	sorted bool
+}{
+	{func([]Access) Policy { return LRU{} }, false},
+	{func([]Access) Policy { return FIFO{} }, false},
+	{func([]Access) Policy { return LargestFirst{} }, false},
+	{func([]Access) Policy { return SmallestFirst{} }, false},
+	{func(accs []Access) Policy { return NewOPT(NewFutureIndex(accs)) }, true},
+	{func([]Access) Policy { return NewLRUK(2) }, false},
+	{func([]Access) Policy { return NewGDSF() }, false},
+	{func([]Access) Policy { return NewCostAware(DefaultTapeRateMBps) }, false},
+}
+
+// FuzzKeyedHeapMatchesScan is FuzzAgedIndexMatchesScan for the keyed
+// heap: the fuzzer writes the access string (whole-second ticks, within
+// timeKey's precision), the first three bytes choose policy, capacity
+// and prefetch, and every step must leave the heap path where ScanOnly
+// leaves the full scan. The string keeps agedAccesses' same-instant
+// bursts; OPT's alone is stable-sorted by time, as its index requires.
+func FuzzKeyedHeapMatchesScan(f *testing.F) {
+	f.Add([]byte("\x00\x00\x00abcabdabeabf"))
+	f.Add([]byte{4, 1, 1, 0, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 0, 4, 0, 6, 5, 0, 0, 6, 0, 0, 7, 0, 15})
+	seed := make([]byte, 3+3*300)
+	rand.New(rand.NewSource(1993)).Read(seed)
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 6 {
+			return
+		}
+		if len(data) > 3+3*2000 {
+			data = data[:3+3*2000]
+		}
+		kp := keyedPolicies[int(data[0])%len(keyedPolicies)]
+		accs := agedAccesses(data[3:], 64, time.Second)
+		if kp.sorted {
+			slices.SortStableFunc(accs, func(a, b Access) int { return a.Time.Compare(b.Time) })
+		}
+		mk := func() Policy { return kp.mk(accs) }
+		if c, err := NewCache(CacheConfig{Capacity: 1, Policy: mk()}); err != nil || c.keyed == nil {
+			t.Fatalf("%s is not on the keyed heap (err %v)", mk().Name(), err)
+		}
+		capacity := TotalReferencedBytes(accs)/[]units.Bytes{2, 7, 40}[data[1]%3] + 1
+		replayLockstep(t, accs, mk, capacity, data[2]&1 == 1)
+	})
 }

@@ -107,7 +107,7 @@ func satAdd64(a, b uint64) uint64 {
 // against the current clock.
 //
 //filemig:hotpath
-func (p *GreedyDual) FileAccessed(f *CachedFile, _ time.Time) {
+func (p *GreedyDual) FileAccessed(f *CachedFile, _ int64) {
 	size := uint64(f.Size)
 	if size == 0 {
 		size = 1
@@ -139,4 +139,4 @@ func (p *GreedyDual) Key(f *CachedFile) float64 {
 // Rank implements Policy, identically to Key: priorities move only on
 // access. Outside the cache's hook-driven replay every file scores
 // zero and the order degrades to file-ID order.
-func (p *GreedyDual) Rank(f *CachedFile, _ time.Time) float64 { return p.Key(f) }
+func (p *GreedyDual) Rank(f *CachedFile, _ int64) float64 { return p.Key(f) }

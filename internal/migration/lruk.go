@@ -1,9 +1,6 @@
 package migration
 
-import (
-	"strconv"
-	"time"
-)
+import "strconv"
 
 // LRUK is the LRU-K replacement policy (O'Neil, O'Neil & Weikum,
 // SIGMOD '93): evict the file whose K-th most recent reference is
@@ -22,8 +19,8 @@ import (
 // LRUK{K: 1} reproduces plain LRU exactly.
 type LRUK struct {
 	k    int
-	hist []time.Time // fileID*k+i ring slots of recent reference times
-	n    []int32     // FileID -> references recorded
+	hist []int64 // fileID*k+i ring slots of recent UnixNano reference instants
+	n    []int32 // FileID -> references recorded
 }
 
 // NewLRUK builds an LRU-K policy; k must be at least 1.
@@ -41,7 +38,7 @@ func (p *LRUK) Name() string { return "LRU-" + strconv.Itoa(p.k) }
 // the file's ring.
 //
 //filemig:hotpath
-func (p *LRUK) FileAccessed(f *CachedFile, now time.Time) {
+func (p *LRUK) FileAccessed(f *CachedFile, now int64) {
 	id := f.ID
 	p.n = growTo(p.n, id)
 	p.hist = growTo(p.hist, (id+1)*p.k-1)
@@ -73,4 +70,4 @@ func (p *LRUK) Key(f *CachedFile) float64 {
 
 // Rank implements Policy, identically to Key: the order is
 // time-invariant.
-func (p *LRUK) Rank(f *CachedFile, _ time.Time) float64 { return p.Key(f) }
+func (p *LRUK) Rank(f *CachedFile, _ int64) float64 { return p.Key(f) }

@@ -1,10 +1,6 @@
 package migration
 
-import (
-	"time"
-
-	"filemig/internal/units"
-)
+import "filemig/internal/units"
 
 // This file defines the optional capabilities the post-1993 policies
 // (ARC, LRU-K, GDSF, cost-aware, adaptive STP) need on top of the
@@ -29,9 +25,9 @@ import (
 // deterministic, but not the policy's real ordering.
 type AccessObserver interface {
 	Policy
-	// FileAccessed records one access to f at time now. f reflects the
-	// access already (Refs counts it, LastRef equals now).
-	FileAccessed(f *CachedFile, now time.Time)
+	// FileAccessed records one access to f at the UnixNano instant now.
+	// f reflects the access already (Refs counts it, LastRef equals now).
+	FileAccessed(f *CachedFile, now int64)
 	// FileEvicted records that f left residency.
 	FileEvicted(f *CachedFile)
 }

@@ -117,7 +117,7 @@ func TestLRUKPrefersShortHistory(t *testing.T) {
 	full := cf(1, units.Bytes(units.MB), time.Hour, 2)
 	onceOld := cf(2, units.Bytes(units.MB), 3*time.Hour, 1)
 	onceNew := cf(3, units.Bytes(units.MB), time.Hour, 1)
-	p.FileAccessed(full, full.LastRef.Add(-time.Hour))
+	p.FileAccessed(full, full.LastRef-int64(time.Hour))
 	p.FileAccessed(full, full.LastRef)
 	p.FileAccessed(onceOld, onceOld.LastRef)
 	p.FileAccessed(onceNew, onceNew.LastRef)
@@ -227,7 +227,7 @@ func TestAdaptiveSTPConverges(t *testing.T) {
 // raises priority, size lowers it, and the cost-aware variant prices a
 // big file's transfer time above a small one's at equal frequency.
 func TestGreedyDualPriorities(t *testing.T) {
-	now := t0
+	now := n0
 	g := NewGDSF()
 	small := cf(1, units.Bytes(units.MB), time.Hour, 1)
 	large := cf(2, units.Bytes(100*units.MB), time.Hour, 1)

@@ -16,21 +16,40 @@ import (
 	"filemig/internal/units"
 )
 
-// CachedFile is a resident file as seen by a policy.
+// CachedFile is a resident file as seen by a policy. Its instants, like
+// every instant the replay hands a policy, are UnixNano: nanoseconds
+// since 1970-01-01T00:00:00Z, so an access string must lie within the
+// years 1678–2262.
 type CachedFile struct {
 	ID       int
 	Size     units.Bytes
-	Inserted time.Time
-	LastRef  time.Time
-	Refs     int // references since insertion
+	Inserted int64 // UnixNano of the insertion
+	LastRef  int64 // UnixNano of the latest reference
+	Refs     int   // references since insertion
 }
 
 // Policy ranks eviction candidates. The cache evicts the resident file
 // with the highest Rank until enough space is free; ties resolve to the
-// lowest file ID. Rank must not mutate the file.
+// lowest file ID. Rank must not mutate the file; now is a UnixNano
+// instant.
 type Policy interface {
 	Name() string
-	Rank(f *CachedFile, now time.Time) float64
+	Rank(f *CachedFile, now int64) float64
+}
+
+// since is t − u as time.Time's Sub computes it for the same UnixNano
+// instants: exact when the difference fits a Duration, saturated at its
+// ends otherwise. Every policy measures an age through it, so an
+// integer rank is bit-identical to its time.Time original.
+func since(t, u int64) time.Duration {
+	d := t - u
+	switch {
+	case t >= u && d < 0:
+		return math.MaxInt64
+	case t < u && d > 0:
+		return math.MinInt64
+	}
+	return time.Duration(d)
 }
 
 // KeyedPolicy is an optional Policy capability for policies whose victim
@@ -59,15 +78,18 @@ type ScanOnly struct{ P Policy }
 func (s ScanOnly) Name() string { return s.P.Name() }
 
 // Rank implements Policy.
-func (s ScanOnly) Rank(f *CachedFile, now time.Time) float64 { return s.P.Rank(f, now) }
+func (s ScanOnly) Rank(f *CachedFile, now int64) float64 { return s.P.Rank(f, now) }
 
-// timeKey maps a timestamp onto a float64 eviction key: seconds relative
-// to the trace epoch. Over the paper's ±2-year window keys are spaced
-// ≤8ns — the same precision class as the scan path's float64 rank
-// seconds (and far below optDead) — so heap and scan victim orders agree
-// for any realistic trace resolution.
-func timeKey(t time.Time) float64 {
-	return t.Sub(trace.Epoch).Seconds()
+// epochNanos is trace.Epoch as a UnixNano instant.
+var epochNanos = trace.Epoch.UnixNano()
+
+// timeKey maps a UnixNano instant onto a float64 eviction key: seconds
+// relative to the trace epoch. Over the paper's ±2-year window keys are
+// spaced ≤8ns — the same precision class as the scan path's float64
+// rank seconds (and far below optDead) — so heap and scan victim orders
+// agree for any realistic trace resolution.
+func timeKey(t int64) float64 {
+	return since(t, epochNanos).Seconds()
 }
 
 // STP is Smith's space-time product criterion: evict the file with the
@@ -88,8 +110,8 @@ type STP struct {
 func (p STP) Name() string { return "STP^" + strconv.FormatFloat(p.K, 'g', -1, 64) }
 
 // Rank implements Policy.
-func (p STP) Rank(f *CachedFile, now time.Time) float64 {
-	age := now.Sub(f.LastRef).Hours() / 24 // in days, as Smith measured
+func (p STP) Rank(f *CachedFile, now int64) float64 {
+	age := since(now, f.LastRef).Hours() / 24 // in days, as Smith measured
 	if age < 0 {
 		age = 0
 	}
@@ -117,8 +139,8 @@ type LRU struct{}
 func (LRU) Name() string { return "LRU" }
 
 // Rank implements Policy.
-func (LRU) Rank(f *CachedFile, now time.Time) float64 {
-	return now.Sub(f.LastRef).Seconds()
+func (LRU) Rank(f *CachedFile, now int64) float64 {
+	return since(now, f.LastRef).Seconds()
 }
 
 // Key implements KeyedPolicy: oldest last reference evicts first.
@@ -133,7 +155,7 @@ type LargestFirst struct{}
 func (LargestFirst) Name() string { return "largest-first" }
 
 // Rank implements Policy.
-func (LargestFirst) Rank(f *CachedFile, _ time.Time) float64 { return float64(f.Size) }
+func (LargestFirst) Rank(f *CachedFile, _ int64) float64 { return float64(f.Size) }
 
 // Key implements KeyedPolicy.
 func (LargestFirst) Key(f *CachedFile) float64 { return float64(f.Size) }
@@ -145,7 +167,7 @@ type SmallestFirst struct{}
 func (SmallestFirst) Name() string { return "smallest-first" }
 
 // Rank implements Policy.
-func (SmallestFirst) Rank(f *CachedFile, _ time.Time) float64 { return -float64(f.Size) }
+func (SmallestFirst) Rank(f *CachedFile, _ int64) float64 { return -float64(f.Size) }
 
 // Key implements KeyedPolicy.
 func (SmallestFirst) Key(f *CachedFile) float64 { return -float64(f.Size) }
@@ -157,8 +179,8 @@ type FIFO struct{}
 func (FIFO) Name() string { return "FIFO" }
 
 // Rank implements Policy.
-func (FIFO) Rank(f *CachedFile, now time.Time) float64 {
-	return now.Sub(f.Inserted).Seconds()
+func (FIFO) Rank(f *CachedFile, now int64) float64 {
+	return since(now, f.Inserted).Seconds()
 }
 
 // Key implements KeyedPolicy: earliest insertion evicts first.
@@ -180,7 +202,7 @@ func (*Random) Name() string { return "random" }
 // Rank implements Policy. Each call consumes the next rng draw; replays
 // stay deterministic because every scan ranks candidates in ascending
 // file ID order (the resident slices are walked in index order).
-func (r *Random) Rank(*CachedFile, time.Time) float64 { return r.rng.Float64() }
+func (r *Random) Rank(*CachedFile, int64) float64 { return r.rng.Float64() }
 
 // SAAC approximates Lawrie's "migrate files that became less active"
 // criterion: rank grows with idle time and shrinks with the reference
@@ -192,8 +214,8 @@ type SAAC struct{}
 func (SAAC) Name() string { return "SAAC" }
 
 // Rank implements Policy.
-func (SAAC) Rank(f *CachedFile, now time.Time) float64 {
-	idle := now.Sub(f.LastRef).Hours()
+func (SAAC) Rank(f *CachedFile, now int64) float64 {
+	idle := since(now, f.LastRef).Hours()
 	if idle < 0 {
 		idle = 0
 	}
@@ -221,13 +243,18 @@ func NewOPT(future *FutureIndex) *OPT { return &OPT{future: future} }
 // Name implements Policy.
 func (*OPT) Name() string { return "OPT" }
 
-// Rank implements Policy.
-func (o *OPT) Rank(f *CachedFile, now time.Time) float64 {
-	next, ok := o.future.NextAfter(f.ID, now)
+// Rank implements Policy: seconds from now to the file's first
+// reference after its last one — Key's instant, so the scan orders files
+// as the heap does. In a forward replay that reference is at or after
+// now, since a reference to a resident file touches it; one pending at
+// now, later in a same-instant burst, is due at once, where a reference
+// strictly after now would miss it and rank the file dead.
+func (o *OPT) Rank(f *CachedFile, now int64) float64 {
+	next, ok := o.future.NextAfter(f.ID, f.LastRef)
 	if !ok {
 		return optDead + float64(f.Size)
 	}
-	return next.Sub(now).Seconds()
+	return since(next, now).Seconds()
 }
 
 // optDead ranks files that are never referenced again: always safer to
@@ -258,9 +285,9 @@ func (o *OPT) Key(f *CachedFile) float64 {
 // replay cursors — the hottest OPT operations never touch a map, and a
 // build allocates three slices however many files there are.
 type FutureIndex struct {
-	times []time.Time // reference times, file by file
-	off   []int       // FileID -> start of its row in times; off[id+1] ends it
-	pos   []int       // FileID -> replay cursor, an index into times
+	times []int64 // UnixNano reference instants, file by file
+	off   []int   // FileID -> start of its row in times; off[id+1] ends it
+	pos   []int   // FileID -> replay cursor, an index into times
 }
 
 // NewFutureIndex builds the index from accesses, which must be
@@ -279,11 +306,11 @@ func NewFutureIndex(accs []Access) *FutureIndex {
 	for id := range n {
 		idx.off[id+1] += idx.off[id]
 	}
-	idx.times = make([]time.Time, idx.off[n])
+	idx.times = make([]int64, idx.off[n])
 	copy(idx.pos, idx.off) // pos is the fill cursor here, then reset for replay
 	for i := range accs {
 		if id := accs[i].FileID; id >= 0 {
-			idx.times[idx.pos[id]] = accs[i].Time
+			idx.times[idx.pos[id]] = accs[i].Time.UnixNano()
 			idx.pos[id]++
 		}
 	}
@@ -291,20 +318,21 @@ func NewFutureIndex(accs []Access) *FutureIndex {
 	return idx
 }
 
-// NextAfter reports the first reference to file strictly after t. The
-// query times must be non-decreasing per file (true during a forward
-// replay), letting the index advance a cursor instead of searching.
-func (x *FutureIndex) NextAfter(file int, t time.Time) (time.Time, bool) {
+// NextAfter reports the first reference to file strictly after the
+// UnixNano instant t. The query instants must be non-decreasing per file
+// (true during a forward replay), letting the index advance a cursor
+// instead of searching.
+func (x *FutureIndex) NextAfter(file int, t int64) (int64, bool) {
 	if file < 0 || file >= len(x.pos) {
-		return time.Time{}, false
+		return 0, false
 	}
 	i, end := x.pos[file], x.off[file+1]
-	for i < end && !x.times[i].After(t) {
+	for i < end && x.times[i] <= t {
 		i++
 	}
 	x.pos[file] = i
 	if i >= end {
-		return time.Time{}, false
+		return 0, false
 	}
 	return x.times[i], true
 }

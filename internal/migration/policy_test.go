@@ -11,10 +11,13 @@ import (
 
 var t0 = trace.Epoch
 
+// n0 is t0 as the UnixNano instant policies take.
+var n0 = t0.UnixNano()
+
 func cf(id int, size units.Bytes, lastRefAgo time.Duration, refs int) *CachedFile {
 	return &CachedFile{
 		ID: id, Size: size,
-		Inserted: t0.Add(-2 * lastRefAgo), LastRef: t0.Add(-lastRefAgo), Refs: refs,
+		Inserted: n0 - 2*int64(lastRefAgo), LastRef: n0 - int64(lastRefAgo), Refs: refs,
 	}
 }
 
@@ -23,10 +26,10 @@ func TestSTPPrefersOldAndLarge(t *testing.T) {
 	oldBig := cf(1, units.Bytes(100*units.MB), 10*24*time.Hour, 1)
 	oldSmall := cf(2, units.Bytes(units.MB), 10*24*time.Hour, 1)
 	newBig := cf(3, units.Bytes(100*units.MB), time.Hour, 1)
-	if p.Rank(oldBig, t0) <= p.Rank(oldSmall, t0) {
+	if p.Rank(oldBig, n0) <= p.Rank(oldSmall, n0) {
 		t.Error("same age: larger file should rank higher")
 	}
-	if p.Rank(oldBig, t0) <= p.Rank(newBig, t0) {
+	if p.Rank(oldBig, n0) <= p.Rank(newBig, n0) {
 		t.Error("same size: older file should rank higher")
 	}
 	if p.Name() != "STP^1.4" {
@@ -44,10 +47,10 @@ func TestSTPExponentTradesSizeForRecency(t *testing.T) {
 	small := cf(2, units.Bytes(100*units.KB), 60*24*time.Hour, 1)
 	lowK := STP{K: 0.1}
 	highK := STP{K: 5}
-	if lowK.Rank(large, t0) <= lowK.Rank(small, t0) {
+	if lowK.Rank(large, n0) <= lowK.Rank(small, n0) {
 		t.Error("K=0.1: size should dominate")
 	}
-	if highK.Rank(small, t0) <= highK.Rank(large, t0) {
+	if highK.Rank(small, n0) <= highK.Rank(large, n0) {
 		t.Error("K=5: age should dominate")
 	}
 }
@@ -73,12 +76,12 @@ func TestSTPRankPinnedValues(t *testing.T) {
 		{STP{K: 0}, threeDays, float64(size)},
 	}
 	for _, c := range cases {
-		if got := c.p.Rank(c.f, t0); got != c.want {
+		if got := c.p.Rank(c.f, n0); got != c.want {
 			t.Errorf("%s.Rank(age %v) = %g, want %g",
-				c.p.Name(), t0.Sub(c.f.LastRef), got, c.want)
+				c.p.Name(), since(n0, c.f.LastRef), got, c.want)
 		}
 	}
-	if got := (STP{K: 1.4}).Rank(cf(4, size, -time.Hour, 1), t0); got != 0 {
+	if got := (STP{K: 1.4}).Rank(cf(4, size, -time.Hour, 1), n0); got != 0 {
 		t.Errorf("future LastRef must clamp to age 0, got rank %g", got)
 	}
 }
@@ -118,7 +121,7 @@ func TestKeyOrderMatchesRankOrder(t *testing.T) {
 		NewOPT(NewFutureIndex(accs))} {
 		for i, a := range files {
 			for _, b := range files[i+1:] {
-				ra, rb := p.Rank(a, t0), p.Rank(b, t0)
+				ra, rb := p.Rank(a, n0), p.Rank(b, n0)
 				ka, kb := p.Key(a), p.Key(b)
 				if (ra > rb) != (ka > kb) || (ra < rb) != (ka < kb) {
 					t.Errorf("%s: rank order (%g vs %g) disagrees with key order (%g vs %g) for files %d/%d",
@@ -133,7 +136,7 @@ func TestLRURanks(t *testing.T) {
 	p := LRU{}
 	older := cf(1, 1, time.Hour, 1)
 	newer := cf(2, 1000, time.Minute, 1)
-	if p.Rank(older, t0) <= p.Rank(newer, t0) {
+	if p.Rank(older, n0) <= p.Rank(newer, n0) {
 		t.Error("LRU must prefer the older file regardless of size")
 	}
 }
@@ -141,19 +144,19 @@ func TestLRURanks(t *testing.T) {
 func TestSizePolicies(t *testing.T) {
 	big := cf(1, units.Bytes(100*units.MB), time.Minute, 1)
 	small := cf(2, units.Bytes(units.MB), 100*time.Hour, 1)
-	if (LargestFirst{}).Rank(big, t0) <= (LargestFirst{}).Rank(small, t0) {
+	if (LargestFirst{}).Rank(big, n0) <= (LargestFirst{}).Rank(small, n0) {
 		t.Error("largest-first must prefer big files")
 	}
-	if (SmallestFirst{}).Rank(small, t0) <= (SmallestFirst{}).Rank(big, t0) {
+	if (SmallestFirst{}).Rank(small, n0) <= (SmallestFirst{}).Rank(big, n0) {
 		t.Error("smallest-first must prefer small files")
 	}
 }
 
 func TestFIFORanks(t *testing.T) {
 	p := FIFO{}
-	early := &CachedFile{ID: 1, Inserted: t0.Add(-10 * time.Hour), LastRef: t0}
-	late := &CachedFile{ID: 2, Inserted: t0.Add(-time.Hour), LastRef: t0.Add(-20 * time.Hour)}
-	if p.Rank(early, t0) <= p.Rank(late, t0) {
+	early := &CachedFile{ID: 1, Inserted: n0 - int64(10*time.Hour), LastRef: n0}
+	late := &CachedFile{ID: 2, Inserted: n0 - int64(time.Hour), LastRef: n0 - int64(20*time.Hour)}
+	if p.Rank(early, n0) <= p.Rank(late, n0) {
 		t.Error("FIFO ranks by insertion, not reference")
 	}
 }
@@ -162,7 +165,7 @@ func TestSAACPrefersQuietOnceBusyFiles(t *testing.T) {
 	p := SAAC{}
 	busy := cf(1, units.Bytes(10*units.MB), 24*time.Hour, 50)
 	quiet := cf(2, units.Bytes(10*units.MB), 24*time.Hour, 1)
-	if p.Rank(quiet, t0) <= p.Rank(busy, t0) {
+	if p.Rank(quiet, n0) <= p.Rank(busy, n0) {
 		t.Error("SAAC should evict the file with fewer accumulated references")
 	}
 }
@@ -171,7 +174,7 @@ func TestRandomDeterministicPerSeed(t *testing.T) {
 	a, b := NewRandom(5), NewRandom(5)
 	f := cf(1, 1, time.Hour, 1)
 	for i := 0; i < 10; i++ {
-		if a.Rank(f, t0) != b.Rank(f, t0) {
+		if a.Rank(f, n0) != b.Rank(f, n0) {
 			t.Fatal("random policy must be deterministic per seed")
 		}
 	}
@@ -186,9 +189,9 @@ func TestOPTRanksByNextUse(t *testing.T) {
 	idx := NewFutureIndex(accs)
 	p := NewOPT(idx)
 	// After t0+2h: file 1 next used at +50h; file 2 never again.
-	now := t0.Add(2 * time.Hour)
-	f1 := cf(1, units.Bytes(units.MB), time.Hour, 1)
-	f2 := cf(2, units.Bytes(units.MB), time.Hour, 1)
+	now := n0 + int64(2*time.Hour)
+	f1 := cf(1, units.Bytes(units.MB), -time.Hour, 1)
+	f2 := cf(2, units.Bytes(units.MB), -2*time.Hour, 1)
 	if p.Rank(f2, now) <= p.Rank(f1, now) {
 		t.Error("never-used-again file must rank above one used soon")
 	}
@@ -199,6 +202,26 @@ func TestOPTRanksByNextUse(t *testing.T) {
 	}
 }
 
+// TestOPTRankCountsBurstReference pins OPT's Rank to its Key when a
+// reference is pending at the replay clock, later in a same-instant
+// burst: the file is due at once, so it ranks 0 and below a dead file,
+// as its key orders it. Measured from now, that reference was missed
+// and the bigger file ranked dead above the smaller one.
+func TestOPTRankCountsBurstReference(t *testing.T) {
+	at := t0.Add(time.Hour)
+	accs := []Access{{Time: t0, FileID: 1}, {Time: t0, FileID: 2}, {Time: at, FileID: 3}, {Time: at, FileID: 2}}
+	p := NewOPT(NewFutureIndex(accs))
+	dead := cf(1, units.Bytes(units.MB), 0, 1)
+	due := cf(2, units.Bytes(100*units.MB), 0, 1)
+	now := at.UnixNano()
+	if got := p.Rank(due, now); got != 0 {
+		t.Errorf("file due at the clock ranks %g, want 0", got)
+	}
+	if p.Rank(dead, now) <= p.Rank(due, now) || p.Key(dead) <= p.Key(due) {
+		t.Error("a dead file must rank and key above one due at the clock")
+	}
+}
+
 func TestFutureIndexCursorAdvances(t *testing.T) {
 	accs := []Access{
 		{Time: t0.Add(1 * time.Hour), FileID: 7},
@@ -206,18 +229,18 @@ func TestFutureIndexCursorAdvances(t *testing.T) {
 		{Time: t0.Add(9 * time.Hour), FileID: 7},
 	}
 	idx := NewFutureIndex(accs)
-	next, ok := idx.NextAfter(7, t0)
-	if !ok || !next.Equal(t0.Add(1*time.Hour)) {
+	next, ok := idx.NextAfter(7, n0)
+	if !ok || next != n0+int64(1*time.Hour) {
 		t.Fatalf("NextAfter(t0) = %v %v", next, ok)
 	}
-	next, ok = idx.NextAfter(7, t0.Add(5*time.Hour))
-	if !ok || !next.Equal(t0.Add(9*time.Hour)) {
+	next, ok = idx.NextAfter(7, n0+int64(5*time.Hour))
+	if !ok || next != n0+int64(9*time.Hour) {
 		t.Fatalf("NextAfter(+5h) = %v %v", next, ok)
 	}
-	if _, ok := idx.NextAfter(7, t0.Add(10*time.Hour)); ok {
+	if _, ok := idx.NextAfter(7, n0+int64(10*time.Hour)); ok {
 		t.Error("no reference after +9h")
 	}
-	if _, ok := idx.NextAfter(99, t0); ok {
+	if _, ok := idx.NextAfter(99, n0); ok {
 		t.Error("unknown file has no future")
 	}
 }
@@ -242,24 +265,24 @@ func TestFutureIndexMatchesModel(t *testing.T) {
 			}
 			accs = append(accs, Access{Time: t0.Add(time.Duration(minute) * time.Minute), FileID: id})
 		}
-		model := map[int][]time.Time{}
+		model := map[int][]int64{}
 		for _, a := range accs {
-			model[a.FileID] = append(model[a.FileID], a.Time)
+			model[a.FileID] = append(model[a.FileID], a.Time.UnixNano())
 		}
-		naive := func(file int, at time.Time) (time.Time, bool) {
+		naive := func(file int, at int64) (int64, bool) {
 			for _, ts := range model[file] {
-				if ts.After(at) {
+				if ts > at {
 					return ts, true
 				}
 			}
-			return time.Time{}, false
+			return 0, false
 		}
 		idx := NewFutureIndex(accs)
 		for _, a := range accs {
 			for _, file := range []int{a.FileID, rng.Intn(90), 1000 + rng.Intn(once-1000), -1, once, once + 7} {
-				got, gotOK := idx.NextAfter(file, a.Time)
-				want, wantOK := naive(file, a.Time)
-				if gotOK != wantOK || !got.Equal(want) {
+				got, gotOK := idx.NextAfter(file, a.Time.UnixNano())
+				want, wantOK := naive(file, a.Time.UnixNano())
+				if gotOK != wantOK || got != want {
 					t.Fatalf("seed %d: NextAfter(%d, %v) = %v %v, want %v %v",
 						seed, file, a.Time, got, gotOK, want, wantOK)
 				}

@@ -43,10 +43,18 @@ const (
 // cross-file state a refit could invalidate.
 type AdaptiveSTP struct {
 	k    float64
-	last []time.Time             // FileID -> previous reference time; zero = unseen
+	last []stpAdaptRef           // FileID -> previous reference
 	win  [stpAdaptWindow]float64 // ring of ln(gap/floor) for accepted gaps
 	seen int                     // accepted gaps ever
 	tick int                     // accepted gaps since the last refit
+}
+
+// stpAdaptRef is one file's previous reference. The flag, not a zero
+// instant, marks a file unseen: UnixNano 0 is 1970-01-01, a real
+// instant, and a trace may start at or before it.
+type stpAdaptRef struct {
+	at   int64 // UnixNano
+	seen bool
 }
 
 // NewAdaptiveSTP builds an adaptive-STP policy starting at the 1.4
@@ -65,15 +73,15 @@ func (p *AdaptiveSTP) Exponent() float64 { return p.k }
 // gap and periodically refit the exponent.
 //
 //filemig:hotpath
-func (p *AdaptiveSTP) FileAccessed(f *CachedFile, now time.Time) {
+func (p *AdaptiveSTP) FileAccessed(f *CachedFile, now int64) {
 	id := f.ID
 	p.last = growTo(p.last, id)
 	prev := p.last[id]
-	p.last[id] = now
-	if prev.IsZero() {
+	p.last[id] = stpAdaptRef{at: now, seen: true}
+	if !prev.seen {
 		return
 	}
-	gap := now.Sub(prev)
+	gap := since(now, prev.at)
 	if gap < stpAdaptFloor {
 		return
 	}
@@ -120,8 +128,8 @@ func (p *AdaptiveSTP) refit() {
 
 // Rank implements Policy: Smith's space-time product under the current
 // fitted exponent.
-func (p *AdaptiveSTP) Rank(f *CachedFile, now time.Time) float64 {
-	age := now.Sub(f.LastRef).Hours() / 24
+func (p *AdaptiveSTP) Rank(f *CachedFile, now int64) float64 {
+	age := since(now, f.LastRef).Hours() / 24
 	if age < 0 {
 		age = 0
 	}

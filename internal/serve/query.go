@@ -61,12 +61,13 @@ func (s *Server) FileStatusAt(path string, now time.Time) (FileStatus, bool) {
 		idle = 0
 	}
 	st.IdleSeconds = idle.Seconds()
+	// STP's rank reads only the age, so the file is ranked idle after a
+	// reference at instant 0: exact for any ?now=, where now.UnixNano()
+	// would wrap outside the years 1678–2262.
 	st.Rank = migration.STP{K: s.stpK}.Rank(&migration.CachedFile{
-		Size:     units.Bytes(st.Size),
-		Inserted: st.First,
-		LastRef:  st.Last,
-		Refs:     int(refs),
-	}, now)
+		Size: units.Bytes(st.Size),
+		Refs: int(refs),
+	}, int64(idle))
 
 	// The verdict: a file idle past the migration age goes to tape; a
 	// file inside the age but already past its mean interreference gap

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -224,6 +225,12 @@ func TestMigdSingleIngest(t *testing.T) {
 	}
 	if fs.Reads+fs.Writes == 0 || fs.Verdict == "" {
 		t.Fatalf("degenerate file status: %+v", fs)
+	}
+	// A query instant past 2262 has no UnixNano; the rank still takes
+	// the time.Time age, saturated at the longest Duration.
+	far := time.Date(3000, time.January, 1, 0, 0, 0, 0, time.UTC)
+	if fs, _ := s.FileStatusAt(path, far); fs.Rank != math.Pow(far.Sub(fs.Last).Hours()/24, s.stpK)*float64(fs.Size) {
+		t.Errorf("rank at %v = %g, want the saturated age's", far, fs.Rank)
 	}
 	body := getBody(t, hs.URL+"/v1/file"+path)
 	if !bytes.Contains(body, []byte(`"verdict"`)) {
