@@ -214,19 +214,19 @@ func analyzeInput(ctx context.Context, in, format string, stream bool, workers, 
 	if err != nil {
 		log.Fatal(err)
 	}
-	return a, keep.recs
+	return a, keep.recs.Records()
 }
 
 // keepStream passes src through, keeping every record it yields.
 type keepStream struct {
 	src  trace.Stream
-	recs []trace.Record
+	recs trace.Collector
 }
 
 func (k *keepStream) Next() (trace.Record, error) {
 	r, err := k.src.Next()
 	if err == nil {
-		k.recs = append(k.recs, r)
+		k.recs.Add(r)
 	}
 	return r, err
 }

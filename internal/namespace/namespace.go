@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 
 	"filemig/internal/stats"
 	"filemig/internal/units"
@@ -123,7 +124,7 @@ func (t *Tree) buildSkeleton(cfg Config, r *rand.Rand) {
 			ID:     i,
 			Parent: parent,
 			Depth:  t.dirs[parent].Depth + 1,
-			Path:   fmt.Sprintf("%s/d%d", t.dirs[parent].Path, i),
+			Path:   childPath(t.dirs[parent].Path, 'd', i),
 		}
 		children[parent]++
 	}
@@ -133,7 +134,7 @@ func (t *Tree) buildSkeleton(cfg Config, r *rand.Rand) {
 			ID:     i,
 			Parent: parent,
 			Depth:  t.dirs[parent].Depth + 1,
-			Path:   fmt.Sprintf("%s/d%d", t.dirs[parent].Path, i),
+			Path:   childPath(t.dirs[parent].Path, 'd', i),
 		}
 		children[parent]++
 	}
@@ -280,7 +281,15 @@ func (t *Tree) FileDir(i int) int { return t.fileDirs[i] }
 
 // FilePath builds the full MSS path of file i.
 func (t *Tree) FilePath(i int) string {
-	return fmt.Sprintf("%s/f%d", t.dirs[t.fileDirs[i]].Path, i)
+	return childPath(t.dirs[t.fileDirs[i]].Path, 'f', i)
+}
+
+// childPath returns parent/<kind><id>, the shape of every directory and
+// file path in the tree, without fmt's reflection.
+func childPath(parent string, kind byte, id int) string {
+	var buf [64]byte
+	b := append(append(buf[:0], parent...), '/', kind)
+	return string(strconv.AppendInt(b, int64(id), 10))
 }
 
 // AddBytes credits a file's size to its directory (called by the workload

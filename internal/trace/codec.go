@@ -203,10 +203,11 @@ type Reader struct {
 	local     pathCache
 }
 
-// NewReader returns a Reader over r with a private path interner. The
+// NewReader returns a Reader over r with a private path table, which
+// derives no directories: nothing reads them from a reader's table. The
 // header line is consumed lazily on the first Next.
 func NewReader(r io.Reader) *Reader {
-	return NewReaderInterned(r, NewInterner())
+	return NewReaderInterned(r, NewFileTable())
 }
 
 // NewReaderInterned returns a Reader that canonicalises MSS path fields

@@ -138,20 +138,37 @@ func (r *Record) Validate() error {
 
 // validPath reports whether a path can be carried by both wire formats:
 // non-empty and free of the whitespace bytes the ASCII codec uses as
-// field and record separators. A single byte scan, shared by both codec
-// write paths through Validate, replaces the strings.ContainsAny call
-// that used to build a byte-set per record.
+// field and record separators. Every writer's Validate calls it twice
+// per record, so it tests a word of eight bytes at a time; a shorter
+// path is padded with '/'.
 func validPath(s string) bool {
-	if len(s) == 0 {
-		return false
+	n := len(s)
+	if n < 8 {
+		w := uint64(0x2f2f2f2f2f2f2f2f)
+		for i := 0; i < n; i++ {
+			w = w<<8 | uint64(s[i])
+		}
+		return n > 0 && sepFree(w)
 	}
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case ' ', '\t', '\n':
+	for i := 0; i < n; i += 8 {
+		b := s[min(i, n-8):][:8] // the last word overlaps the one before it
+		if !sepFree(uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+			uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56) {
 			return false
 		}
 	}
 	return true
+}
+
+// sepFree reports whether no byte of w is ' ', '\t' or '\n'. A byte of w
+// equals c exactly when that byte of x = w^(c·0x01…01) is zero, and
+// (x-0x01…01)&^x&0x80…80 is non-zero exactly when some byte of x is
+// zero: a byte's high bit survives only for a zero byte, and a borrow
+// starts only at one, which already answers no.
+func sepFree(w uint64) bool {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	sp, tab, nl := w^(' '*ones), w^('\t'*ones), w^('\n'*ones)
+	return ((sp-ones)&^sp|(tab-ones)&^tab|(nl-ones)&^nl)&highs == 0
 }
 
 // Epoch is the reference time trace deltas are measured from when a writer

@@ -56,19 +56,56 @@ func (s *sliceStream) Next() (Record, error) {
 
 // Collect drains a Stream into a slice. It is the inverse of SliceStream
 // and the bridge back to the slice-based APIs (the MSS simulator, the
-// migration replays).
+// migration replays). On a stream error it returns the records read
+// before it with the error.
 func Collect(s Stream) ([]Record, error) {
-	var out []Record
+	var c Collector
 	for {
 		r, err := s.Next()
 		if err == io.EOF {
-			return out, nil
+			return c.Records(), nil
 		}
 		if err != nil {
-			return out, err
+			return c.Records(), err
 		}
-		out = append(out, r)
+		c.Add(r)
 	}
+}
+
+// collectChunk is the number of records one Collector chunk holds.
+const collectChunk = 1024
+
+// Collector gathers records of unknown count in fixed-size chunks and
+// copies them out once, at their exact length: a growing slice would
+// allocate, zero and copy its pointer-laden records about five times
+// over before the trace ends. The zero value is ready to use.
+type Collector struct {
+	full [][]Record
+	cur  []Record
+}
+
+// Add appends one record.
+func (c *Collector) Add(r Record) {
+	if len(c.cur) == cap(c.cur) {
+		if c.cur != nil {
+			c.full = append(c.full, c.cur)
+		}
+		c.cur = make([]Record, 0, collectChunk)
+	}
+	c.cur = append(c.cur, r)
+}
+
+// Records returns every record added so far, in order, as one slice of
+// exact length (nil when there are none).
+func (c *Collector) Records() []Record {
+	if c.cur == nil {
+		return nil
+	}
+	out := make([]Record, 0, len(c.full)*collectChunk+len(c.cur))
+	for _, chunk := range c.full {
+		out = append(out, chunk...)
+	}
+	return append(out, c.cur...)
 }
 
 // Copy pumps src into dst until io.EOF, returning the number of records

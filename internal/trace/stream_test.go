@@ -23,6 +23,46 @@ func TestSliceStreamCollect(t *testing.T) {
 	}
 }
 
+// TestCollectMatchesAppend checks Collect against a plain append at the
+// lengths around its chunk boundary.
+func TestCollectMatchesAppend(t *testing.T) {
+	sample := sampleRecords()
+	for _, n := range []int{0, 1, collectChunk - 1, collectChunk, collectChunk + 1, 3*collectChunk + 7} {
+		var want []Record
+		for i := 0; i < n; i++ {
+			r := sample[i%len(sample)]
+			r.UserID = uint32(i)
+			want = append(want, r)
+		}
+		got, err := Collect(SliceStream(want))
+		if err != nil {
+			t.Fatalf("n=%d: Collect: %v", n, err)
+		}
+		if !reflect.DeepEqual(got, want) || len(got) != cap(got) {
+			t.Fatalf("n=%d: Collect returned %d records (cap %d), differing from the %d appended", n, len(got), cap(got), len(want))
+		}
+	}
+}
+
+// TestCollectKeepsRecordsBeforeError checks that a stream failing past a
+// chunk boundary still yields every record read before the error.
+func TestCollectKeepsRecordsBeforeError(t *testing.T) {
+	boom := errors.New("boom")
+	var recs []Record
+	for i := 0; i < collectChunk+3; i++ {
+		r := sampleRecords()[0]
+		r.UserID = uint32(i)
+		recs = append(recs, r)
+	}
+	got, err := Collect(&errStream{recs: recs, err: boom})
+	if !errors.Is(err, boom) {
+		t.Fatalf("Collect err = %v, want boom", err)
+	}
+	if !reflect.DeepEqual(got, recs) {
+		t.Fatalf("Collect kept %d records before the error, want the %d read", len(got), len(recs))
+	}
+}
+
 func TestCopyStreamToSink(t *testing.T) {
 	recs := sampleRecords()
 	for _, f := range []Format{FormatASCII, FormatBinary} {

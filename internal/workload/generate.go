@@ -1,10 +1,10 @@
 package workload
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"filemig/internal/device"
@@ -286,8 +286,8 @@ func (g *generator) planErrors(rng *rand.Rand, ps *planStream) {
 		}
 		ps.plan = appendPlanned(ps.plan, entry, at)
 		ps.rows = append(ps.rows, planRow{
-			mss:   fmt.Sprintf("/mss/missing/f%d", rng.Intn(1<<30)),
-			local: fmt.Sprintf("/usr/tmp/u%d/missing", uid),
+			mss:   "/mss/missing/f" + strconv.Itoa(rng.Intn(1<<30)),
+			local: "/usr/tmp/u" + strconv.FormatUint(uint64(uid), 10) + "/missing",
 			uid:   uid,
 		})
 	}

@@ -1,10 +1,14 @@
 package workload
 
 import (
+	"cmp"
 	"container/heap"
 	"io"
+	"math"
+	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 	"testing"
 	"time"
 	"unsafe"
@@ -209,4 +213,97 @@ func TestPlannedEntryIs24Bytes(t *testing.T) {
 	if got := unsafe.Sizeof(planned{}); got != 24 {
 		t.Errorf("planned is %d bytes, want 24: the resident plan is sized by it", got)
 	}
+}
+
+// TestPlanSeqIsEmissionIndex pins the invariant sortPlan relies on: every
+// entry's seq is its index in the plan as built, so a stable sort on at
+// alone reproduces the (at, seq) order.
+func TestPlanSeqIsEmissionIndex(t *testing.T) {
+	for _, sc := range Scenarios() {
+		_, ps, _, err := planTrace(sc.Configure(0.003, 1))
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		if len(ps.plan) == 0 {
+			t.Fatalf("%s: empty plan", sc.Name)
+		}
+		for i, p := range ps.plan {
+			if p.seq != int32(i) {
+				t.Fatalf("%s: plan[%d].seq = %d", sc.Name, i, p.seq)
+			}
+		}
+	}
+}
+
+// TestSortPlanMatchesReferences checks the radix sort against a
+// comparison sort on (at, seq) and, record for record, against the k-way
+// merge, on random plans built the way planTrace builds them: file
+// accesses first, in any row order, error requests last, one row each.
+func TestSortPlanMatchesReferences(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	extremes := []int64{math.MinInt64, math.MinInt64 + 1, -1 << 40, -1, 0, 1, math.MaxInt64}
+	instant := map[string]func(i int) int64{
+		"duplicates": func(int) int64 { return trace.Epoch.UnixNano() + int64(rng.Intn(16))*int64(time.Second) },
+		"pre-1970":   func(int) int64 { return int64(rng.Intn(64)-48) * int64(365*24*time.Hour) },
+		"extremes":   func(int) int64 { return extremes[rng.Intn(len(extremes))] },
+		"any":        func(int) int64 { return int64(rng.Uint64()) },
+		"all-equal":  func(int) int64 { return -42 },
+		"ascending":  func(i int) int64 { return int64(i) << 9 },
+	}
+	names := make([]string, 0, len(instant))
+	for name := range instant {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		for _, n := range []int{0, 1, 2, 3, 255, 256, 1000, 5000} {
+			ps := randomPlan(rng, n, instant[name])
+			want := slices.Clone(ps.plan)
+			slices.SortFunc(want, func(a, b planned) int {
+				if c := cmp.Compare(a.at, b.at); c != 0 {
+					return c
+				}
+				return cmp.Compare(a.seq, b.seq)
+			})
+			ref := referenceMerge(ps)
+			ps.plan = sortPlan(ps.plan)
+			if !slices.Equal(ps.plan, want) {
+				t.Fatalf("%s/n=%d: radix sort differs from the (at, seq) sort", name, n)
+			}
+			for i := 0; ; i++ {
+				w, werr := ref.Next()
+				g, gerr := ps.Next()
+				if werr != gerr {
+					t.Fatalf("%s/n=%d: record %d: radix err %v, k-way merge err %v", name, n, i, gerr, werr)
+				}
+				if werr == io.EOF {
+					break
+				}
+				if g != w {
+					t.Fatalf("%s/n=%d: record %d differs:\n radix  %+v\n k-way %+v", name, n, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+// randomPlan builds an unsorted plan of n entries at the given instants,
+// each stamped with its emission index: about a sixth are error requests,
+// appended after every file access.
+func randomPlan(rng *rand.Rand, n int, at func(i int) int64) *planStream {
+	ps := &planStream{loc: time.UTC}
+	files := 1 + n/8
+	for f := 0; f < files; f++ {
+		ps.rows = append(ps.rows, planRow{size: units.Bytes(f), mss: "/mss/f" + strconv.Itoa(f), uid: uint32(f)})
+	}
+	nerr := n / 6
+	for i := 0; i < n; i++ {
+		e := planned{row: int32(rng.Intn(files)), op: uint8(rng.Intn(2)), dev: uint8(rng.Intn(4))}
+		if i >= n-nerr {
+			e = planned{row: int32(len(ps.rows)), err: uint8(trace.ErrNoFile)}
+			ps.rows = append(ps.rows, planRow{mss: "/mss/missing/f" + strconv.Itoa(i), uid: uint32(i)})
+		}
+		ps.plan = appendPlanned(ps.plan, e, time.Unix(0, at(i)))
+	}
+	return ps
 }

@@ -1,11 +1,10 @@
 package workload
 
 import (
-	"cmp"
 	"fmt"
 	"io"
 	"math/rand"
-	"slices"
+	"strconv"
 	"time"
 
 	"filemig/internal/device"
@@ -19,11 +18,12 @@ import (
 // happens up front (it must: the shared RNG streams are consumed in file
 // order to stay deterministic), but the plan is held as one flat slice
 // of 24-byte planned entries, a fifth of a materialized trace.Record,
-// sorted once on (time, emission sequence). Records themselves are
-// assembled lazily, one at a time, by walking the sorted plan, with
-// burst packing applied per hour bucket on the fly. Generate collects
-// GenerateStream, so the two are identical record for record;
-// TestGenerateStreamMatchesGenerate pins it.
+// radix-sorted once on time, stably, so emission order breaks ties
+// (sortPlan). Records themselves are assembled lazily, one at a time,
+// by walking the sorted plan, with burst packing applied per hour
+// bucket on the fly. Generate collects GenerateStream, so the two are
+// identical record for record; TestGenerateStreamMatchesGenerate pins
+// it.
 
 // StreamResult is a generated trace as a stream, plus the artefacts the
 // analyzers need.
@@ -40,14 +40,34 @@ type StreamResult struct {
 // deterministic for a given Config and yields exactly the records
 // Generate would return, in the same order.
 func GenerateStream(cfg Config) (*StreamResult, error) {
+	sr, ps, burstRng, err := planTrace(cfg)
+	if err != nil {
+		return nil, err
+	}
+	ps.plan = sortPlan(ps.plan)
+	sr.Stream = ps
+	if cfg.Bursts {
+		mean := cfg.BurstMean
+		if mean <= 0 {
+			mean = meanBurstLen
+		}
+		sr.Stream = &burstStream{src: ps, rng: burstRng, mean: mean}
+	}
+	return sr, nil
+}
+
+// planTrace validates cfg and plans the whole trace in emission order:
+// the namespace, the population and one flat, not yet sorted, plan. It
+// also returns the RNG burst packing draws from; sr.Stream is unset.
+func planTrace(cfg Config) (sr *StreamResult, ps *planStream, burstRng *rand.Rand, err error) {
 	if cfg.Scale <= 0 || cfg.Scale > 1 {
-		return nil, fmt.Errorf("workload: scale %v out of (0,1]", cfg.Scale)
+		return nil, nil, nil, fmt.Errorf("workload: scale %v out of (0,1]", cfg.Scale)
 	}
 	if cfg.Days < 7 {
-		return nil, fmt.Errorf("workload: need at least 7 days, got %d", cfg.Days)
+		return nil, nil, nil, fmt.Errorf("workload: need at least 7 days, got %d", cfg.Days)
 	}
 	if cfg.Files < 1 || cfg.Users < 1 {
-		return nil, fmt.Errorf("workload: files (%d) and users (%d) must be positive", cfg.Files, cfg.Users)
+		return nil, nil, nil, fmt.Errorf("workload: files (%d) and users (%d) must be positive", cfg.Files, cfg.Users)
 	}
 	if cfg.Start.IsZero() {
 		cfg.Start = trace.Epoch
@@ -57,7 +77,7 @@ func GenerateStream(cfg Config) (*StreamResult, error) {
 	popRng := rand.New(rand.NewSource(master.Int63()))
 	planRng := rand.New(rand.NewSource(master.Int63()))
 	errRng := rand.New(rand.NewSource(master.Int63()))
-	burstRng := rand.New(rand.NewSource(master.Int63()))
+	burstRng = rand.New(rand.NewSource(master.Int63()))
 
 	// Namespace scaled to keep the paper's ~6.3 files/directory.
 	nsCfg := namespace.DefaultConfig(1.0, treeRng.Int63())
@@ -68,7 +88,7 @@ func GenerateStream(cfg Config) (*StreamResult, error) {
 	}
 	tree, err := namespace.Generate(nsCfg)
 	if err != nil {
-		return nil, fmt.Errorf("workload: namespace: %v", err)
+		return nil, nil, nil, fmt.Errorf("workload: namespace: %v", err)
 	}
 
 	pop := NewPopulation(cfg.Files, cfg.Users, popRng)
@@ -78,12 +98,13 @@ func GenerateStream(cfg Config) (*StreamResult, error) {
 	}
 	rhythm := NewShapedRhythm(cfg.Start, cfg.Days, cfg.Holidays, cfg.ReadGrowth, cfg.DiurnalSharpness)
 
-	// Plan phase: file order, shared RNG, one flat plan. Each entry
-	// carries its eager emission sequence number, and error records were
-	// emitted after every file record, so one sort on (at, seq) — keys
-	// are unique — is exactly a stable time sort of the emission order.
+	// File order, shared RNG, one flat plan. Each entry carries its eager
+	// emission sequence number, which is its index in the plan as built
+	// (TestPlanSeqIsEmissionIndex), and error records were emitted after
+	// every file record, so a stable sort on at alone is exactly the order
+	// a sort on (at, seq) gives.
 	g := &generator{cfg: cfg, rhythm: rhythm, tree: tree, pop: pop}
-	ps := &planStream{loc: cfg.Start.Location()}
+	ps = &planStream{loc: cfg.Start.Location()}
 	for i := range pop.Files {
 		f := &pop.Files[i]
 		before := len(ps.plan)
@@ -91,31 +112,62 @@ func GenerateStream(cfg Config) (*StreamResult, error) {
 		if len(ps.plan) == before {
 			continue
 		}
+		var buf [48]byte
+		local := strconv.AppendUint(append(buf[:0], "/usr/tmp/u"...), uint64(f.Owner), 10)
+		local = strconv.AppendInt(append(local, "/f"...), int64(f.ID), 10)
 		ps.rows = append(ps.rows, planRow{
 			size:  f.Size,
 			mss:   tree.FilePath(f.ID),
-			local: fmt.Sprintf("/usr/tmp/u%d/f%d", f.Owner, f.ID),
+			local: string(local),
 			uid:   f.Owner,
 		})
 	}
 	g.planErrors(errRng, ps)
-	slices.SortFunc(ps.plan, func(a, b planned) int {
-		if c := cmp.Compare(a.at, b.at); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.seq, b.seq)
-	})
+	sr = &StreamResult{Config: cfg, Population: pop, Tree: tree, Rhythm: rhythm, Planned: len(ps.plan)}
+	return sr, ps, burstRng, nil
+}
 
-	var s trace.Stream = ps
-	if cfg.Bursts {
-		mean := cfg.BurstMean
-		if mean <= 0 {
-			mean = meanBurstLen
-		}
-		s = &burstStream{src: ps, rng: burstRng, mean: mean}
+// sortPlan sorts plan stably by at: an LSD radix sort, one byte of the
+// key per pass, that skips a pass whose byte every key shares (the top
+// bytes of a years-long trace, the low byte of whole-second instants).
+// Flipping the sign bit orders the keys as int64 — pre-1970 instants
+// included. It returns the sorted plan, which may be the scratch buffer
+// rather than the slice passed in.
+func sortPlan(plan []planned) []planned {
+	const flip = 1 << 63
+	if len(plan) < 2 {
+		return plan
 	}
-	return &StreamResult{Config: cfg, Stream: s, Population: pop, Tree: tree,
-		Rhythm: rhythm, Planned: len(ps.plan)}, nil
+	var counts [8][256]int
+	for i := range plan {
+		k := uint64(plan[i].at) ^ flip
+		for d := range counts {
+			counts[d][byte(k>>(8*d))]++
+		}
+	}
+	var tmp []planned
+	for d := range counts {
+		c := &counts[d]
+		shift := 8 * d
+		if c[byte((uint64(plan[0].at)^flip)>>shift)] == len(plan) {
+			continue
+		}
+		if tmp == nil {
+			tmp = make([]planned, len(plan))
+		}
+		pos := 0
+		for b, n := range c {
+			c[b] = pos
+			pos += n
+		}
+		for i := range plan {
+			b := byte((uint64(plan[i].at) ^ flip) >> shift)
+			tmp[c[b]] = plan[i]
+			c[b]++
+		}
+		plan, tmp = tmp, plan
+	}
+	return plan
 }
 
 // planned is one routed raw access before record assembly: when it
