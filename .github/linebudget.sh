@@ -32,7 +32,11 @@ set -e
 # mssanalyze's kept trace) and its word-at-a-time validPath: what takes
 # slice regrowth and the byte scan off the tracegen | mssanalyze
 # critical path (every output byte-identical).
-BUDGET=8259
+# Lowered from 8259 to 8253 by internal/dist's done handshake: parked
+# claims, one wake channel and a bye replace Linger, the idle poll, the
+# done channel, three options and four coordinator pass-throughs, net
+# of the two protocol-version checks.
+BUDGET=8253
 
 total=0
 for dir in internal/core internal/trace internal/migration internal/dist internal/serve \

@@ -973,7 +973,6 @@ func BenchmarkDistributedGrid(b *testing.B) {
 			}
 			g, err := dist.NewGridCoordinator(plan, dist.Options{
 				Lease: 30 * time.Second, Now: time.Now, Seed: int64(i),
-				Linger: 100 * time.Millisecond,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -989,9 +988,7 @@ func BenchmarkDistributedGrid(b *testing.B) {
 			workers := make(chan error, 2)
 			for w := 0; w < 2; w++ {
 				go func(seed int64) {
-					workers <- dist.RunWorker(ctx, base, dist.WorkerOptions{
-						Seed: seed, Poll: 5 * time.Millisecond,
-					})
+					workers <- dist.RunWorker(ctx, base, dist.WorkerOptions{Seed: seed})
 				}(int64(i*2 + w + 1))
 			}
 			if err := <-served; err != nil {

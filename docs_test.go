@@ -181,7 +181,7 @@ func TestDocsDistributedExample(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, err := dist.NewGridCoordinator(plan, dist.Options{
-		Lease: 30 * time.Second, Now: time.Now, Seed: 1, Linger: 200 * time.Millisecond,
+		Lease: 30 * time.Second, Now: time.Now, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestDocsDistributedExample(t *testing.T) {
 	workers := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func(seed int64) {
-			workers <- dist.RunWorker(ctx, base, dist.WorkerOptions{Seed: seed, Poll: 20 * time.Millisecond})
+			workers <- dist.RunWorker(ctx, base, dist.WorkerOptions{Seed: seed})
 		}(int64(i + 1))
 	}
 	if err := <-served; err != nil {

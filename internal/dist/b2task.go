@@ -6,7 +6,6 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"net"
 	"os"
 	"time"
 
@@ -59,9 +58,11 @@ type B2ShardConfig struct {
 	ShardDuration time.Duration
 }
 
-// B2ShardCoordinator distributes one b2 file's analysis over workers.
+// B2ShardCoordinator distributes one b2 file's analysis over workers;
+// its embedded Coordinator serves the shards (Serve) and counts those
+// restored from the journal (Resumed).
 type B2ShardCoordinator struct {
-	c      *Coordinator
+	*Coordinator
 	merger *core.SnapshotMerger
 }
 
@@ -90,7 +91,7 @@ func NewB2ShardCoordinator(cfg B2ShardConfig, opts Options) (*B2ShardCoordinator
 		}
 	}
 	b := &B2ShardCoordinator{merger: core.NewSnapshotMerger()}
-	b.c, err = NewCoordinator(Config{
+	b.Coordinator, err = NewCoordinator(Config{
 		Kind:     KindB2Shard,
 		PlanHash: fmt.Sprintf("%x", sha256.Sum256(blob)),
 		Plan:     blob,
@@ -103,15 +104,6 @@ func NewB2ShardCoordinator(cfg B2ShardConfig, opts Options) (*B2ShardCoordinator
 		return nil, err
 	}
 	return b, nil
-}
-
-// Resumed reports how many shards were restored from the journal.
-func (b *B2ShardCoordinator) Resumed() int { return b.c.Resumed() }
-
-// Serve runs the coordinator until the analysis completes, the run
-// fails, or ctx is cancelled (see Coordinator.Serve).
-func (b *B2ShardCoordinator) Serve(ctx context.Context, ln net.Listener) error {
-	return b.c.Serve(ctx, ln)
 }
 
 // Analysis returns the merged analysis — state-identical to one process

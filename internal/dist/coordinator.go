@@ -59,8 +59,10 @@ type Coordinator struct {
 	leaseSeq int64
 	rng      *rand.Rand
 	fatal    error
-	done     chan struct{} // closed on completion or fatal error
-	resumed  int           // tasks loaded done from the journal
+	wake     chan struct{}        // closed and replaced on every change a parked claim or Serve awaits
+	heard    map[string]time.Time // named worker -> last request; deleted on bye
+	left     bool                 // Serve has returned: claims no longer park
+	resumed  int                  // tasks loaded done from the journal
 }
 
 // NewCoordinator validates the config, opens (and replays) the journal
@@ -81,7 +83,8 @@ func NewCoordinator(cfg Config, opts Options) (*Coordinator, error) {
 		opts:  opts,
 		tasks: make([]taskState, len(cfg.Payloads)),
 		rng:   rand.New(rand.NewSource(opts.Seed)),
-		done:  make(chan struct{}),
+		wake:  make(chan struct{}),
+		heard: map[string]time.Time{},
 	}
 	if opts.JournalDir != "" {
 		jr, err := openJournal(opts.JournalDir, cfg.Kind, cfg.PlanHash, len(cfg.Payloads))
@@ -107,65 +110,106 @@ func NewCoordinator(cfg Config, opts Options) (*Coordinator, error) {
 // the journal — zero on a fresh run.
 func (c *Coordinator) Resumed() int { return c.resumed }
 
-// Serve runs the coordinator protocol on ln until every task has been
-// delivered, the run fails, or ctx is cancelled. On cancellation the
-// HTTP server drains gracefully and the journal (if any) is already
-// durable, so a new coordinator over the same journal directory
-// resumes without re-running completed tasks; the returned error is
-// ctx's.
+// Serve runs the coordinator protocol on ln until the run fails, ctx
+// is cancelled, or every task has been delivered and every worker that
+// named itself has said bye or fallen silent (see overLocked). On
+// cancellation the HTTP server drains gracefully and the journal (if
+// any) is already durable, so a new coordinator over the same journal
+// directory resumes without re-running completed tasks; the returned
+// error is ctx's.
 func (c *Coordinator) Serve(ctx context.Context, ln net.Listener) error {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET "+pathPlan, c.handlePlan)
 	mux.HandleFunc("POST "+pathClaim, c.handleClaim)
 	mux.HandleFunc("POST "+pathResult, c.handleResult)
 	mux.HandleFunc("POST "+pathFail, c.handleFail)
-	srv := &http.Server{Handler: mux}
+	mux.HandleFunc("POST "+pathBye, c.handleBye)
+	srv := &http.Server{Handler: c.track(mux)}
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	// Lease-expiry backstop: expiry is also checked on every request,
-	// but with zero traffic (every worker dead) the ticker still
-	// re-queues, so a later worker finds work immediately.
+	// The tick re-queues expired leases even with zero traffic (every
+	// worker dead), and its wake bounds every parked claim and every
+	// check for silent workers.
 	tick := time.NewTicker(expiryInterval(c.opts.Lease))
 	defer tick.Stop()
 
 	var runErr error
-loop:
-	for {
+	for over := false; !over; {
+		c.mu.Lock()
+		over, runErr = c.overLocked(c.opts.Now()), c.fatal
+		wake := c.wake
+		c.mu.Unlock()
+		if over {
+			break
+		}
 		select {
-		case <-c.done:
-			c.mu.Lock()
-			runErr = c.fatal
-			c.mu.Unlock()
-			if runErr == nil && c.opts.Linger > 0 {
-				// Stay up briefly answering "done" so idle workers exit
-				// cleanly instead of dialing a dead address.
-				t := time.NewTimer(c.opts.Linger)
-				select {
-				case <-t.C:
-				case <-ctx.Done():
-				}
-				t.Stop()
-			}
-			break loop
-		case <-ctx.Done():
-			runErr = ctx.Err()
-			break loop
-		case err := <-serveErr:
-			runErr = fmt.Errorf("dist: coordinator server: %w", err)
-			break loop
+		case <-wake:
 		case <-tick.C:
 			c.mu.Lock()
 			c.expireLocked(c.opts.Now())
+			c.wakeLocked()
 			c.mu.Unlock()
+		case <-ctx.Done():
+			runErr, over = ctx.Err(), true
+		case err := <-serveErr:
+			runErr, over = fmt.Errorf("dist: coordinator server: %w", err), true
 		}
 	}
 
+	c.mu.Lock()
+	c.left = true
+	c.wakeLocked()
+	c.mu.Unlock()
 	shutCtx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	srv.Shutdown(shutCtx)
 	return runErr
+}
+
+// overLocked reports whether Serve may return: the run has failed, or
+// every task is delivered and every named worker has said bye or been
+// silent longer than a lease and the longest worker retry delay.
+func (c *Coordinator) overLocked(now time.Time) bool {
+	if c.fatal != nil {
+		return true
+	}
+	if c.frontier < len(c.tasks) {
+		return false
+	}
+	//lint:sorted-ok an all-silent test answers the same in any order
+	for _, at := range c.heard {
+		if now.Sub(at) <= max(c.opts.Lease, maxRetryDelay) {
+			return false
+		}
+	}
+	return true
+}
+
+// wakeLocked wakes every parked claim and Serve's loop.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
+}
+
+// track wraps the protocol handlers: a request naming another protocol
+// version is refused with 409, which workers treat as fatal, and a
+// request naming its worker records that worker as alive.
+func (c *Coordinator) track(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if v := r.Header.Get(headerProtocol); v != "" && v != protocolVersion {
+			http.Error(w, fmt.Sprintf("dist: worker speaks protocol %s, coordinator %s; run matching builds",
+				v, protocolVersion), http.StatusConflict)
+			return
+		}
+		if name := r.Header.Get(headerWorker); name != "" {
+			c.mu.Lock()
+			c.heard[name] = c.opts.Now()
+			c.mu.Unlock()
+		}
+		next.ServeHTTP(w, r)
+	})
 }
 
 // expiryInterval picks the lease-expiry ticker period: a quarter lease,
@@ -183,7 +227,8 @@ func expiryInterval(lease time.Duration) time.Duration {
 
 // handlePlan serves the framed run description.
 func (c *Coordinator) handlePlan(w http.ResponseWriter, r *http.Request) {
-	info := planInfo{Kind: c.cfg.Kind, PlanHash: c.cfg.PlanHash, NumTasks: len(c.cfg.Payloads), Plan: c.cfg.Plan}
+	info := planInfo{Protocol: protocolVersion, Kind: c.cfg.Kind, PlanHash: c.cfg.PlanHash,
+		NumTasks: len(c.cfg.Payloads), Plan: c.cfg.Plan}
 	b, err := json.Marshal(info)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -193,13 +238,24 @@ func (c *Coordinator) handlePlan(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleClaim hands out the lowest eligible task in the merge window,
-// or tells the worker to wait, exit (done), or abort (fatal).
+// or tells the worker to exit (done) or abort (fatal). With nothing to
+// grant the claim parks until the next wake or the request's end, then
+// answers whatever a second look finds — possibly "claim again".
 func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
-	now := c.opts.Now()
 	c.mu.Lock()
+	now := c.opts.Now()
 	c.expireLocked(now)
-	msg := c.claimLocked(now)
+	msg, wake, park := c.claimLocked(now), c.wake, !c.left
 	c.mu.Unlock()
+	if park && !msg.Claimed && !msg.Done && msg.Fatal == "" {
+		select {
+		case <-wake:
+		case <-r.Context().Done():
+		}
+		c.mu.Lock()
+		msg = c.claimLocked(c.opts.Now())
+		c.mu.Unlock()
+	}
 	b, err := json.Marshal(msg)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -246,12 +302,8 @@ func (c *Coordinator) claimLocked(now time.Time) claimMsg {
 			}
 		}
 	}
-	return claimMsg{WaitMillis: waitHint}
+	return claimMsg{}
 }
-
-// waitHint is the poll-again delay (milliseconds) suggested to an idle
-// worker; workers jitter around it.
-const waitHint = 100
 
 // expireLocked re-queues tasks whose every lease has expired: the
 // worker holding the lease is presumed dead, the attempt is charged,
@@ -302,11 +354,7 @@ func (c *Coordinator) failLocked(err error) {
 		return
 	}
 	c.fatal = err
-	select {
-	case <-c.done:
-	default:
-		close(c.done)
-	}
+	c.wakeLocked()
 }
 
 // handleResult accepts one task's result: the first result for a task
@@ -362,9 +410,10 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // deliverLocked advances the frontier, handing buffered results to
-// Handle in task order. On completion it wakes Serve; on a Handle
-// error it fails the run.
+// Handle in task order, and wakes parked claims and Serve if it moved.
+// On a Handle error it fails the run.
 func (c *Coordinator) deliverLocked() error {
+	from := c.frontier
 	for c.frontier < len(c.tasks) && c.tasks[c.frontier].done {
 		t := &c.tasks[c.frontier]
 		if err := c.cfg.Handle(c.frontier, t.result); err != nil {
@@ -375,12 +424,8 @@ func (c *Coordinator) deliverLocked() error {
 		t.result = nil
 		c.frontier++
 	}
-	if c.frontier == len(c.tasks) && c.fatal == nil {
-		select {
-		case <-c.done:
-		default:
-			close(c.done)
-		}
+	if c.frontier > from {
+		c.wakeLocked()
 	}
 	return nil
 }
@@ -405,5 +450,14 @@ func (c *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
 		delete(t.leases, msg.Lease)
 		c.chargeAttemptLocked(msg.ID, now, msg.Error)
 	}
+	w.Write([]byte("ok"))
+}
+
+// handleBye forgets a worker that heard "done" and is leaving.
+func (c *Coordinator) handleBye(w http.ResponseWriter, r *http.Request) {
+	c.mu.Lock()
+	delete(c.heard, r.Header.Get(headerWorker))
+	c.wakeLocked()
+	c.mu.Unlock()
 	w.Write([]byte("ok"))
 }

@@ -2,8 +2,11 @@ package dist
 
 import (
 	"bytes"
+	"cmp"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -62,11 +65,27 @@ func testCoordinator(t *testing.T, n int, opts Options) (*Coordinator, *[]int) {
 	return c, &delivered
 }
 
-// claim performs one claim through the HTTP handler.
+// claim performs one claim through the HTTP handler. Its request
+// context is already cancelled, so a claim with nothing to grant
+// answers "claim again" at once instead of parking.
 func claim(t *testing.T, c *Coordinator) claimMsg {
 	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return decodeClaim(t, claimRec(c, ctx))
+}
+
+// claimRec performs one claim through the HTTP handler under ctx; safe
+// off the test goroutine.
+func claimRec(c *Coordinator, ctx context.Context) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
-	c.handleClaim(rec, httptest.NewRequest("POST", pathClaim, nil))
+	c.handleClaim(rec, httptest.NewRequest("POST", pathClaim, nil).WithContext(ctx))
+	return rec
+}
+
+// decodeClaim decodes one recorded claim response.
+func decodeClaim(t *testing.T, rec *httptest.ResponseRecorder) claimMsg {
+	t.Helper()
 	if rec.Code != http.StatusOK {
 		t.Fatalf("claim: HTTP %d: %s", rec.Code, rec.Body)
 	}
@@ -113,8 +132,8 @@ func TestClaimWindowBoundsBuffering(t *testing.T) {
 		t.Fatalf("first claims granted %+v, %+v; want tasks 0 and 1", first, second)
 	}
 	// Task 2 is outside the window until the frontier moves.
-	if msg := claim(t, c); msg.Claimed || msg.Done || msg.WaitMillis <= 0 {
-		t.Fatalf("claim past the window: %+v; want a wait hint", msg)
+	if msg := claim(t, c); msg.Claimed || msg.Done || msg.Fatal != "" {
+		t.Fatalf("claim past the window: %+v; want an empty answer", msg)
 	}
 	// Completing task 1 buffers it (frontier still at 0): window unchanged.
 	if code, _ := postResult(c, 1, []byte("r1")); code != http.StatusOK {
@@ -334,5 +353,294 @@ func TestCoordinatorRequiresClock(t *testing.T) {
 	}, Options{})
 	if err == nil || !strings.Contains(err.Error(), "Now") {
 		t.Fatalf("clock-free coordinator accepted: %v", err)
+	}
+}
+
+func TestParkedClaimGrantsWhenWindowOpens(t *testing.T) {
+	clk := newFakeClock()
+	// A claim reads the clock holding the coordinator lock, so a read
+	// seen here means that claim looks at the queue before any later
+	// result lands.
+	read := make(chan struct{}, 1)
+	now := func() time.Time {
+		select {
+		case read <- struct{}{}:
+		default:
+		}
+		return clk.Now()
+	}
+	c, _ := testCoordinator(t, 2, Options{Now: now, Window: 1, Lease: time.Minute})
+	if msg := claim(t, c); !msg.Claimed || msg.ID != 0 {
+		t.Fatalf("first claim: %+v; want task 0", msg)
+	}
+	<-read
+	// Task 1 is outside the window: the claim finds nothing, parks until
+	// a result moves the frontier, then answers with the task the move
+	// made claimable.
+	parked := make(chan *httptest.ResponseRecorder, 1)
+	go func() { parked <- claimRec(c, context.Background()) }()
+	<-read
+	if code, _ := postResult(c, 0, []byte("r0")); code != http.StatusOK {
+		t.Fatalf("result 0: HTTP %d", code)
+	}
+	if msg := decodeClaim(t, <-parked); !msg.Claimed || msg.ID != 1 {
+		t.Fatalf("parked claim answered %+v; want task 1", msg)
+	}
+}
+
+func TestParkedClaimEndsWithItsRequest(t *testing.T) {
+	clk := newFakeClock()
+	c, _ := testCoordinator(t, 1, Options{Now: clk.Now, Lease: time.Minute})
+	if msg := claim(t, c); !msg.Claimed {
+		t.Fatalf("first claim: %+v; want a grant", msg)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	parked := make(chan *httptest.ResponseRecorder, 1)
+	go func() { parked <- claimRec(c, ctx) }()
+	cancel()
+	if msg := decodeClaim(t, <-parked); msg.Claimed || msg.Done || msg.Fatal != "" {
+		t.Fatalf("claim whose request ended answered %+v; want an empty answer", msg)
+	}
+}
+
+// send performs one request with the given protocol version and worker
+// name headers (each left off when empty), returning status and body.
+func send(t *testing.T, base, method, path, version, name string, body []byte) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, base+path, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if version != "" {
+		req.Header.Set(headerProtocol, version)
+	}
+	if name != "" {
+		req.Header.Set(headerWorker, name)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, b
+}
+
+// finish has the named worker claim and complete c's single task.
+func finish(t *testing.T, base, name string) {
+	t.Helper()
+	code, body := send(t, base, "POST", pathClaim, protocolVersion, name, nil)
+	payload, err := DecodeFrame(body)
+	if code != http.StatusOK || err != nil {
+		t.Fatalf("claim: HTTP %d, %v", code, err)
+	}
+	var msg claimMsg
+	if err := json.Unmarshal(payload, &msg); err != nil || !msg.Claimed {
+		t.Fatalf("claim answered %+v (%v); want a grant", msg, err)
+	}
+	path := fmt.Sprintf("%s?id=%d", pathResult, msg.ID)
+	if code, _ := send(t, base, "POST", path, protocolVersion, name, EncodeFrame([]byte("r"))); code != http.StatusOK {
+		t.Fatalf("result: HTTP %d", code)
+	}
+}
+
+// stillServing fails the test if Serve has returned or would return
+// at the current fake time.
+func stillServing(t *testing.T, c *Coordinator, served <-chan error) {
+	t.Helper()
+	c.mu.Lock()
+	over := c.overLocked(c.opts.Now())
+	c.mu.Unlock()
+	select {
+	case err := <-served:
+		t.Fatalf("Serve returned early: %v", err)
+	default:
+	}
+	if over {
+		t.Fatal("Serve would return with a worker still present")
+	}
+}
+
+// returned waits for Serve's result, failing the test if it never
+// comes.
+func returned(t *testing.T, served <-chan error) error {
+	t.Helper()
+	select {
+	case err := <-served:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve did not return")
+		return nil
+	}
+}
+
+func TestServeReturnsWhenEveryWorkerSaysBye(t *testing.T) {
+	clk := newFakeClock()
+	c, _ := testCoordinator(t, 1, Options{Now: clk.Now, Lease: time.Minute})
+	base, served := serve(t, t.Context(), c)
+	finish(t, base, "a")
+	if code, _ := send(t, base, "GET", pathPlan, protocolVersion, "b", nil); code != http.StatusOK {
+		t.Fatalf("plan: HTTP %d", code)
+	}
+	// Every task is delivered, but both workers are still present.
+	send(t, base, "POST", pathBye, protocolVersion, "a", nil)
+	stillServing(t, c, served)
+	send(t, base, "POST", pathBye, protocolVersion, "b", nil)
+	if err := returned(t, served); err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+}
+
+func TestServeWaitsOutSilentWorker(t *testing.T) {
+	clk := newFakeClock()
+	c, _ := testCoordinator(t, 1, Options{Now: clk.Now, Lease: 100 * time.Millisecond})
+	base, served := serve(t, t.Context(), c)
+	finish(t, base, "a")
+	// The worker never says bye. Silence up to a lease and the longest
+	// retry delay could still be a worker backing off, so Serve waits...
+	clk.Advance(max(c.opts.Lease, maxRetryDelay))
+	stillServing(t, c, served)
+	// ...and past it presumes the worker gone.
+	clk.Advance(time.Millisecond)
+	if err := returned(t, served); err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+}
+
+func TestHeaderlessRequestsNeverHoldRunOpen(t *testing.T) {
+	clk := newFakeClock()
+	c, _ := testCoordinator(t, 1, Options{Now: clk.Now, Lease: time.Minute})
+	base, served := serve(t, t.Context(), c)
+	finish(t, base, "")
+	if err := returned(t, served); err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+}
+
+// dropDone fails the first claim exchange whose response says "done",
+// as a lost response would. One worker uses it, from one goroutine.
+type dropDone struct {
+	dropped int
+}
+
+func (d *dropDone) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || req.URL.Path != pathClaim {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	var msg claimMsg
+	if payload, err := DecodeFrame(body); err == nil && json.Unmarshal(payload, &msg) == nil && msg.Done {
+		if d.dropped++; d.dropped == 1 {
+			return nil, fmt.Errorf("done response dropped")
+		}
+	}
+	return resp, nil
+}
+
+func TestWorkerReclaimsAfterLostDone(t *testing.T) {
+	clk := newFakeClock()
+	c, delivered := testCoordinator(t, 1, Options{Now: clk.Now, Lease: time.Minute})
+	base, served := serve(t, t.Context(), c)
+	tr := &dropDone{}
+	echo := func(string, []byte) (ExecFunc, error) {
+		return func(_ context.Context, p []byte) ([]byte, error) { return p, nil }, nil
+	}
+	err := RunWorker(context.Background(), base, WorkerOptions{Client: &http.Client{Transport: tr}, Seed: 1, NewExec: echo})
+	if err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	if tr.dropped != 2 {
+		t.Fatalf("worker heard done %d times; want a dropped done and a re-claimed one", tr.dropped)
+	}
+	// The fake clock never moves, so only the worker's bye ends Serve.
+	if err := returned(t, served); err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	if got := fmt.Sprint(*delivered); got != "[0]" {
+		t.Fatalf("delivered %s, want [0]", got)
+	}
+}
+
+func TestProtocolVersionRefusedBothWays(t *testing.T) {
+	// A worker refuses a coordinator whose plan names no version (protocol
+	// 1) or another one, without retrying.
+	for _, version := range []string{"", "3"} {
+		var plans int
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			plans++
+			b, _ := json.Marshal(planInfo{Protocol: version, Kind: "unit/v1", NumTasks: 1})
+			w.Write(EncodeFrame(b))
+		}))
+		err := RunWorker(context.Background(), srv.URL, WorkerOptions{Seed: 1})
+		srv.Close()
+		want := fmt.Sprintf("coordinator speaks protocol %s, this worker %s", cmp.Or(version, "1"), protocolVersion)
+		if err == nil || !strings.Contains(err.Error(), want) || plans != 1 {
+			t.Errorf("worker against a protocol %q plan: %v after %d plan fetches; want %q at once", version, err, plans, want)
+		}
+	}
+
+	// A 409 from a coordinator speaking a newer version ends a worker at
+	// once too.
+	var plans int
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		plans++
+		http.Error(w, "dist: worker speaks protocol 2, coordinator 3", http.StatusConflict)
+	}))
+	err := RunWorker(context.Background(), srv.URL, WorkerOptions{Seed: 1})
+	srv.Close()
+	if err == nil || !strings.Contains(err.Error(), "coordinator 3") || plans != 1 {
+		t.Errorf("worker refused with 409: %v after %d plan fetches; want the refusal at once", err, plans)
+	}
+
+	// A coordinator answers a worker speaking another version with 409;
+	// a request without the header is served.
+	clk := newFakeClock()
+	c, _ := testCoordinator(t, 1, Options{Now: clk.Now})
+	base, _ := serve(t, t.Context(), c)
+	code, body := send(t, base, "GET", pathPlan, "1", "old", nil)
+	want := "dist: worker speaks protocol 1, coordinator " + protocolVersion
+	if code != http.StatusConflict || !strings.Contains(string(body), want) {
+		t.Errorf("protocol 1 request: HTTP %d %q; want 409 %q", code, body, want)
+	}
+	if code, _ := send(t, base, "GET", pathPlan, "", "", nil); code != http.StatusOK {
+		t.Errorf("header-less plan request: HTTP %d; want 200", code)
+	}
+}
+
+func TestJournalV1Resumes(t *testing.T) {
+	// A journal as the first journaled release wrote it: plan.json under
+	// journal version 1 plus one framed spool file per completed task.
+	dir := t.TempDir()
+	files := map[string][]byte{
+		journalPlanFile:   []byte(`{"version":"1","kind":"unit/v1","planHash":"unit-hash","numTasks":2}`),
+		"r00000000.frame": EncodeFrame([]byte("result-0")),
+		"r00000001.frame": EncodeFrame([]byte("result-1")),
+	}
+	for name, b := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk := newFakeClock()
+	c, delivered := testCoordinator(t, 2, Options{Now: clk.Now, JournalDir: dir})
+	if c.Resumed() != 2 {
+		t.Fatalf("resumed %d tasks, want 2", c.Resumed())
+	}
+	if got := fmt.Sprint(*delivered); got != "[0 1]" {
+		t.Fatalf("resume delivery %s, want [0 1]", got)
+	}
+	// Fully spooled, the run needs no worker: Serve returns at once.
+	_, served := serve(t, t.Context(), c)
+	if err := returned(t, served); err != nil {
+		t.Fatalf("Serve: %v", err)
 	}
 }

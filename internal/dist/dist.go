@@ -83,12 +83,6 @@ type Options struct {
 	// Seed seeds the jitter RNG (backoff spreading). Execution-side
 	// only — results never depend on it.
 	Seed int64
-
-	// Linger keeps the coordinator answering "done" to late workers for
-	// this long after the last result lands, so idle workers exit
-	// cleanly instead of dialing a dead address. Default 1 s; negative
-	// disables lingering.
-	Linger time.Duration
 }
 
 // withDefaults resolves zero fields to the documented defaults.
@@ -111,9 +105,6 @@ func (o Options) withDefaults() Options {
 	if o.Window <= 0 {
 		o.Window = 64
 	}
-	if o.Linger == 0 {
-		o.Linger = time.Second
-	}
 	return o
 }
 
@@ -121,6 +112,9 @@ func (o Options) withDefaults() Options {
 // /v1/plan so every worker can verify it executes the same plan the
 // coordinator is merging.
 type planInfo struct {
+	// Protocol is the coordinator's protocolVersion; a worker refuses a
+	// plan that lacks it or names another.
+	Protocol string `json:"protocol"`
 	// Kind selects the worker-side executor.
 	Kind string `json:"kind"`
 	// PlanHash identifies the plan; a journal written under one hash
@@ -132,15 +126,14 @@ type planInfo struct {
 	Plan []byte `json:"plan"`
 }
 
-// claimMsg is one /v1/claim response, framed. Exactly one of Done,
-// Fatal, WaitMillis, or Task is meaningful.
+// claimMsg is one /v1/claim response, framed: Done, Fatal, a task, or
+// none of them — "claim again".
 type claimMsg struct {
-	// Done reports the run is complete; the worker should exit.
+	// Done reports the run is complete; the worker should say bye and
+	// exit.
 	Done bool `json:"done,omitempty"`
 	// Fatal carries a run-level failure; the worker should exit with it.
 	Fatal string `json:"fatal,omitempty"`
-	// WaitMillis asks the worker to poll again after roughly this long.
-	WaitMillis int64 `json:"waitMillis,omitempty"`
 	// ID, Lease and Payload describe the claimed task.
 	ID      int    `json:"id"`
 	Lease   int64  `json:"lease"`
@@ -158,17 +151,31 @@ type failMsg struct {
 }
 
 // protocolVersion guards worker/coordinator pairing; bump on any wire
-// change.
-const protocolVersion = "1"
+// change. Workers send it as headerProtocol and check it in the plan.
+const protocolVersion = "2"
 
-// pathPlan, pathClaim, pathResult and pathFail are the protocol
-// endpoints.
+// headerProtocol carries the worker's protocolVersion; headerWorker its
+// name, by which the coordinator knows when every worker has left.
+const (
+	headerProtocol = "Dist-Protocol"
+	headerWorker   = "Dist-Worker"
+)
+
+// pathPlan, pathClaim, pathResult, pathFail and pathBye are the
+// protocol endpoints.
 const (
 	pathPlan   = "/v1/plan"
 	pathClaim  = "/v1/claim"
 	pathResult = "/v1/result"
 	pathFail   = "/v1/fail"
+	pathBye    = "/v1/bye"
 )
+
+// maxRetryDelay caps a worker's backoff between failed exchanges; a
+// coordinator waits at least this long for a silent worker before
+// presuming it gone, so a worker still backing off when the run
+// completes is waited for, not abandoned.
+const maxRetryDelay = 2 * time.Second
 
 // errFatal wraps a run-level failure so workers can distinguish "the
 // run is broken, exit" from transient transport trouble.

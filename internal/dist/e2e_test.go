@@ -63,16 +63,16 @@ func localManifestJSON(t *testing.T) []byte {
 	return b
 }
 
-// serveGrid starts a grid coordinator on a loopback listener and
-// returns its base URL plus the Serve result channel.
-func serveGrid(t *testing.T, ctx context.Context, g *GridCoordinator) (string, chan error) {
+// serve starts a coordinator on a loopback listener and returns its
+// base URL plus the Serve result channel.
+func serve(t *testing.T, ctx context.Context, c *Coordinator) (string, chan error) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	served := make(chan error, 1)
-	go func() { served <- g.Serve(ctx, ln) }()
+	go func() { served <- c.Serve(ctx, ln) }()
 	return "http://" + ln.Addr().String(), served
 }
 
@@ -129,12 +129,11 @@ func TestChaosGridReproducesGolden(t *testing.T) {
 		Window:         8,
 		Now:            time.Now,
 		Seed:           42,
-		Linger:         300 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, served := serveGrid(t, ctx, g)
+	base, served := serve(t, ctx, g.Coordinator)
 
 	transports := make([]*chaos.Transport, 3)
 	wait := startWorkers(ctx, base, len(transports), func(i int) WorkerOptions {
@@ -203,7 +202,6 @@ func TestCoordinatorCrashResume(t *testing.T) {
 		JournalDir:  journal,
 		Now:         time.Now,
 		Seed:        7,
-		Linger:      200 * time.Millisecond,
 	}
 
 	// Phase 1: run until at least two cells are spooled, then kill the
@@ -213,7 +211,7 @@ func TestCoordinatorCrashResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx1, cancel1 := context.WithCancel(context.Background())
-	base1, served1 := serveGrid(t, ctx1, g1)
+	base1, served1 := serve(t, ctx1, g1.Coordinator)
 	wait1 := startWorkers(ctx1, base1, 2, func(i int) WorkerOptions {
 		return WorkerOptions{Seed: int64(i + 1)}
 	})
@@ -250,7 +248,7 @@ func TestCoordinatorCrashResume(t *testing.T) {
 	t.Logf("resumed %d of 18 cells from the journal", g2.Resumed())
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
-	base2, served2 := serveGrid(t, ctx2, g2)
+	base2, served2 := serve(t, ctx2, g2.Coordinator)
 	wait2 := startWorkers(ctx2, base2, 2, func(i int) WorkerOptions {
 		return WorkerOptions{Seed: int64(i + 100)}
 	})
@@ -347,19 +345,14 @@ func TestB2ShardDistributedMatchesLocal(t *testing.T) {
 		Size:          int64(enc.Len()),
 		DedupWindow:   workload.DedupWindow,
 		ShardDuration: shard,
-	}, Options{Now: time.Now, Seed: 3, Linger: 200 * time.Millisecond})
+	}, Options{Now: time.Now, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	served := make(chan error, 1)
-	go func() { served <- b.Serve(ctx, ln) }()
-	wait := startWorkers(ctx, "http://"+ln.Addr().String(), 2, func(i int) WorkerOptions {
+	base, served := serve(t, ctx, b.Coordinator)
+	wait := startWorkers(ctx, base, 2, func(i int) WorkerOptions {
 		return WorkerOptions{Seed: int64(i + 1)}
 	})
 	if err := <-served; err != nil {
@@ -402,19 +395,13 @@ func TestWorkerFaultPathsEndToEnd(t *testing.T) {
 		BackoffBase: 10 * time.Millisecond,
 		BackoffCap:  50 * time.Millisecond,
 		Now:         time.Now,
-		Linger:      100 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	served := make(chan error, 1)
-	go func() { served <- c.Serve(ctx, ln) }()
+	base, served := serve(t, ctx, c)
 
 	var failed, stalled atomic.Bool
 	exec := func(kind string, plan []byte) (ExecFunc, error) {
@@ -434,8 +421,8 @@ func TestWorkerFaultPathsEndToEnd(t *testing.T) {
 			return append([]byte("done:"), payload...), nil
 		}, nil
 	}
-	wait := startWorkers(ctx, "http://"+ln.Addr().String(), 1, func(i int) WorkerOptions {
-		return WorkerOptions{Seed: 9, NewExec: exec, Poll: 30 * time.Millisecond}
+	wait := startWorkers(ctx, base, 1, func(i int) WorkerOptions {
+		return WorkerOptions{Seed: 9, NewExec: exec}
 	})
 	if err := <-served; err != nil {
 		t.Fatalf("coordinator: %v", err)

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 
 	"filemig/internal/experiment"
 )
@@ -17,9 +16,11 @@ import (
 // delivered outcomes back into the manifest RunPlan would have
 // produced, byte for byte.
 
-// GridCoordinator distributes one experiment plan's grid over workers.
+// GridCoordinator distributes one experiment plan's grid over workers;
+// its embedded Coordinator serves the cells (Serve) and counts those
+// restored from the journal (Resumed).
 type GridCoordinator struct {
-	c        *Coordinator
+	*Coordinator
 	plan     *experiment.Plan
 	outcomes []experiment.CellOutcome
 }
@@ -44,7 +45,7 @@ func NewGridCoordinator(plan *experiment.Plan, opts Options) (*GridCoordinator, 
 		}
 	}
 	g := &GridCoordinator{plan: plan, outcomes: make([]experiment.CellOutcome, 0, len(refs))}
-	g.c, err = NewCoordinator(Config{
+	g.Coordinator, err = NewCoordinator(Config{
 		Kind:     KindGrid,
 		PlanHash: hash,
 		Plan:     blob,
@@ -69,15 +70,6 @@ func (g *GridCoordinator) handle(id int, result []byte) error {
 	}
 	g.outcomes = append(g.outcomes, out)
 	return nil
-}
-
-// Resumed reports how many cells were restored from the journal.
-func (g *GridCoordinator) Resumed() int { return g.c.Resumed() }
-
-// Serve runs the coordinator until the grid completes, the run fails,
-// or ctx is cancelled (see Coordinator.Serve).
-func (g *GridCoordinator) Serve(ctx context.Context, ln net.Listener) error {
-	return g.c.Serve(ctx, ln)
 }
 
 // Manifest assembles the completed grid. Call only after Serve returns

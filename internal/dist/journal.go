@@ -21,6 +21,10 @@ import (
 // journalPlanFile records the run identity a journal belongs to.
 const journalPlanFile = "plan.json"
 
+// journalVersion versions the journal layout (plan.json plus framed
+// spool files) apart from the wire protocol.
+const journalVersion = "1"
+
 // journalMeta is the contents of plan.json.
 type journalMeta struct {
 	Version  string `json:"version"`
@@ -41,7 +45,7 @@ func openJournal(dir, kind, planHash string, numTasks int) (*journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("dist: journal: %w", err)
 	}
-	meta := journalMeta{Version: protocolVersion, Kind: kind, PlanHash: planHash, NumTasks: numTasks}
+	meta := journalMeta{Version: journalVersion, Kind: kind, PlanHash: planHash, NumTasks: numTasks}
 	path := filepath.Join(dir, journalPlanFile)
 	raw, err := os.ReadFile(path)
 	switch {

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -26,141 +27,113 @@ type WorkerOptions struct {
 	// faults in tests. Nil means a fresh client with sane timeouts.
 	Client *http.Client
 
-	// Poll is the idle re-claim delay base (jittered). Zero means the
-	// coordinator's wait hint.
-	Poll time.Duration
-
-	// Seed seeds the worker's jitter RNG.
+	// Seed seeds the worker's jitter RNG and the name it gives the
+	// coordinator.
 	Seed int64
-
-	// MaxNetFailures bounds consecutive failed exchanges (transport
-	// errors, bad frames, 5xx) before the worker gives up on the
-	// coordinator. Default 40 — with capped backoff that is roughly a
-	// minute of a coordinator being unreachable, long enough to ride
-	// out a coordinator restart. Any successful exchange resets the
-	// count.
-	MaxNetFailures int
 
 	// NewExec resolves the executor for the plan served by the
 	// coordinator. Nil means DefaultExec.
 	NewExec func(kind string, plan []byte) (ExecFunc, error)
 }
 
-// withDefaults resolves zero fields.
-func (o WorkerOptions) withDefaults() WorkerOptions {
-	if o.Client == nil {
-		o.Client = &http.Client{Timeout: 2 * time.Minute}
-	}
-	if o.MaxNetFailures <= 0 {
-		o.MaxNetFailures = 40
-	}
-	if o.NewExec == nil {
-		o.NewExec = DefaultExec
-	}
-	return o
-}
+// maxNetFailures bounds consecutive failed exchanges (transport errors,
+// bad frames, 5xx) before a worker gives up on the coordinator: with
+// backoff capped at maxRetryDelay that is roughly a minute of a
+// coordinator being unreachable, long enough to ride out a coordinator
+// restart. Any successful exchange resets the count.
+const maxNetFailures = 40
 
 // RunWorker joins the coordinator at baseURL, executes tasks until the
-// coordinator reports the run complete, and returns nil. It survives
-// transient transport faults (drops, delays, truncations, duplicate
-// deliveries, coordinator restarts) by retrying with jittered backoff;
-// it returns an error if the run fails, the coordinator stays
-// unreachable past MaxNetFailures consecutive attempts, or ctx is
-// cancelled.
+// coordinator reports the run complete, says bye, and returns nil. It
+// survives transient transport faults (drops, delays, truncations,
+// duplicate deliveries, coordinator restarts) by retrying with jittered
+// backoff; it returns an error if the run fails, the coordinator speaks
+// another protocol version or stays unreachable past maxNetFailures
+// consecutive attempts, or ctx is cancelled.
 func RunWorker(ctx context.Context, baseURL string, opts WorkerOptions) error {
-	opts = opts.withDefaults()
+	if opts.Client == nil {
+		opts.Client = &http.Client{Timeout: 2 * time.Minute}
+	}
+	if opts.NewExec == nil {
+		opts.NewExec = DefaultExec
+	}
+	rng := rand.New(rand.NewSource(opts.Seed))
 	w := &worker{
 		base:   strings.TrimRight(baseURL, "/"),
-		opts:   opts,
-		rng:    rand.New(rand.NewSource(opts.Seed)),
+		name:   strconv.FormatUint(rng.Uint64(), 36),
+		rng:    rng,
 		client: opts.Client,
 	}
-	return w.run(ctx)
+	var info planInfo
+	if err := w.call(ctx, http.MethodGet, pathPlan, &info); err != nil {
+		return err
+	}
+	if info.Protocol != protocolVersion {
+		return fmt.Errorf("dist: coordinator speaks protocol %s, this worker %s; run matching builds",
+			cmp.Or(info.Protocol, "1"), protocolVersion)
+	}
+	exec, err := opts.NewExec(info.Kind, info.Plan)
+	if err != nil {
+		return err
+	}
+	for {
+		var msg claimMsg
+		if err := w.call(ctx, http.MethodPost, pathClaim, &msg); err != nil {
+			return err
+		}
+		switch {
+		case msg.Done:
+			// Best effort: a lost bye only keeps the coordinator up until
+			// this worker counts as silent.
+			for range 3 {
+				if _, err := w.exchangeRaw(ctx, http.MethodPost, pathBye, nil); err == nil {
+					break
+				}
+			}
+			return nil
+		case msg.Fatal != "":
+			return errFatal{msg: msg.Fatal}
+		case msg.Claimed:
+			w.execute(ctx, exec, msg)
+		}
+	}
 }
 
 // worker is one claim loop's state.
 type worker struct {
 	base     string
-	opts     WorkerOptions
+	name     string // sent as headerWorker on every request
 	rng      *rand.Rand
 	client   *http.Client
 	netFails int
-	exec     ExecFunc
 }
 
-// run drives the claim loop.
-func (w *worker) run(ctx context.Context) error {
-	if err := w.fetchPlan(ctx); err != nil {
-		return err
-	}
+// call performs one framed exchange and decodes its JSON payload into
+// out, retrying failed exchanges (an undecodable payload included)
+// until one succeeds, the coordinator reports a fatal error, the
+// coordinator stays unreachable, or ctx ends.
+func (w *worker) call(ctx context.Context, method, path string, out any) error {
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		msg, err := w.claim(ctx)
-		if err != nil {
-			var fatal errFatal
-			if errors.As(err, &fatal) {
-				return err
+		raw, err := w.exchangeRaw(ctx, method, path, nil)
+		if err == nil {
+			var payload []byte
+			if payload, err = DecodeFrame(raw); err == nil {
+				if err = json.Unmarshal(payload, out); err != nil {
+					err = fmt.Errorf("dist: bad %s response: %w", path, err)
+				}
 			}
-			if err := w.netFailure(ctx, err); err != nil {
-				return err
-			}
-			continue
 		}
-		w.netFails = 0
-		switch {
-		case msg.Done:
+		if err == nil {
+			w.netFails = 0
 			return nil
-		case msg.Fatal != "":
-			return errFatal{msg: msg.Fatal}
-		case !msg.Claimed:
-			w.idle(ctx, msg.WaitMillis)
-		default:
-			w.execute(ctx, msg)
 		}
-	}
-}
-
-// fetchPlan retrieves the run description (with retries) and builds the
-// executor.
-func (w *worker) fetchPlan(ctx context.Context) error {
-	for {
-		if err := ctx.Err(); err != nil {
+		if err := w.netFailure(ctx, err); err != nil {
 			return err
 		}
-		payload, err := w.exchange(ctx, http.MethodGet, pathPlan, nil)
-		if err != nil {
-			if err := w.netFailure(ctx, err); err != nil {
-				return err
-			}
-			continue
-		}
-		w.netFails = 0
-		var info planInfo
-		if err := json.Unmarshal(payload, &info); err != nil {
-			return fmt.Errorf("dist: bad plan description: %w", err)
-		}
-		exec, err := w.opts.NewExec(info.Kind, info.Plan)
-		if err != nil {
-			return err
-		}
-		w.exec = exec
-		return nil
 	}
-}
-
-// claim asks for one task.
-func (w *worker) claim(ctx context.Context) (claimMsg, error) {
-	payload, err := w.exchange(ctx, http.MethodPost, pathClaim, nil)
-	if err != nil {
-		return claimMsg{}, err
-	}
-	var msg claimMsg
-	if err := json.Unmarshal(payload, &msg); err != nil {
-		return claimMsg{}, fmt.Errorf("dist: bad claim response: %w", err)
-	}
-	return msg, nil
 }
 
 // execute runs one claimed task and reports the outcome. Execution
@@ -168,12 +141,12 @@ func (w *worker) claim(ctx context.Context) (claimMsg, error) {
 // retry) but do not stop the worker: the coordinator owns retry
 // policy. Upload failures are retried here a few times; past that the
 // lease expiry path takes over.
-func (w *worker) execute(ctx context.Context, msg claimMsg) {
-	result, err := w.exec(ctx, msg.Payload)
+func (w *worker) execute(ctx context.Context, exec ExecFunc, msg claimMsg) {
+	result, err := exec(ctx, msg.Payload)
 	if err != nil {
 		body, merr := json.Marshal(failMsg{ID: msg.ID, Lease: msg.Lease, Error: err.Error()})
 		if merr == nil {
-			w.exchange(ctx, http.MethodPost, pathFail, body) // best effort
+			w.exchangeRaw(ctx, http.MethodPost, pathFail, body) // best effort
 		}
 		return
 	}
@@ -190,26 +163,18 @@ func (w *worker) execute(ctx context.Context, msg claimMsg) {
 	}
 }
 
-// idle sleeps out a no-work-yet poll with jitter.
-func (w *worker) idle(ctx context.Context, hintMillis int64) {
-	d := w.opts.Poll
-	if d <= 0 {
-		d = time.Duration(hintMillis) * time.Millisecond
-	}
-	if d <= 0 {
-		d = waitHint * time.Millisecond
-	}
-	w.sleep(ctx, d/2+time.Duration(w.rng.Int63n(int64(d))))
-}
-
 // netFailure charges one failed exchange, sleeping with backoff; it
-// returns an error once MaxNetFailures consecutive exchanges failed.
+// returns cause at once if the coordinator reported it fatal, and an
+// error once maxNetFailures consecutive exchanges failed.
 func (w *worker) netFailure(ctx context.Context, cause error) error {
+	if errors.As(cause, new(errFatal)) {
+		return cause
+	}
 	w.netFails++
-	if w.netFails >= w.opts.MaxNetFailures {
+	if w.netFails >= maxNetFailures {
 		return fmt.Errorf("dist: coordinator unreachable after %d consecutive attempts: %w", w.netFails, cause)
 	}
-	w.sleep(ctx, backoff(w.rng, 20*time.Millisecond, 2*time.Second, w.netFails))
+	w.sleep(ctx, backoff(w.rng, 20*time.Millisecond, maxRetryDelay, w.netFails))
 	return nil
 }
 
@@ -223,23 +188,6 @@ func (w *worker) sleep(ctx context.Context, d time.Duration) {
 	}
 }
 
-// exchange performs one framed exchange: the response body must decode
-// as a frame, whose payload is returned.
-func (w *worker) exchange(ctx context.Context, method, path string, body []byte) ([]byte, error) {
-	raw, err := w.exchangeRaw(ctx, method, path, body)
-	if err != nil {
-		return nil, err
-	}
-	if method == http.MethodPost && path == pathFail {
-		return raw, nil // fail acks are unframed
-	}
-	payload, err := DecodeFrame(raw)
-	if err != nil {
-		return nil, err
-	}
-	return payload, nil
-}
-
 // exchangeRaw performs one HTTP exchange, returning the body on 2xx
 // and an error otherwise. A 409 Conflict carries a run-fatal message.
 func (w *worker) exchangeRaw(ctx context.Context, method, path string, body []byte) ([]byte, error) {
@@ -251,7 +199,8 @@ func (w *worker) exchangeRaw(ctx context.Context, method, path string, body []by
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Dist-Protocol", protocolVersion)
+	req.Header.Set(headerProtocol, protocolVersion)
+	req.Header.Set(headerWorker, w.name)
 	resp, err := w.client.Do(req)
 	if err != nil {
 		return nil, err

@@ -25,8 +25,8 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 func Now() time.Time { return time.Now() }
 
 // Seed derives a process-unique RNG seed for execution-side jitter
-// (retry backoff, worker poll spreading). Jitter shapes wall-clock
-// behavior only, never results, so a wall-clock-derived seed is safe —
+// (retry backoff, a worker's name). Jitter shapes wall-clock behavior
+// only, never results, so a wall-clock-derived seed is safe —
 // and it keeps a restarted coordinator from replaying the exact retry
 // schedule that just lost a race.
 func Seed() int64 { return time.Now().UnixNano() }
