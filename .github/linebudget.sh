@@ -36,7 +36,14 @@ set -e
 # claims, one wake channel and a bye replace Linger, the idle poll, the
 # done channel, three options and four coordinator pass-throughs, net
 # of the two protocol-version checks.
-BUDGET=8253
+# Raised from 8253 to 8292 by the report's sized fold: internal/core's
+# reserve (the fold sizes its master's CDFs, per-file arena, path index
+# and hourly series once from the segments it folds, the b2 path from
+# its index) and Partial.Grow, internal/trace's Interner.Grow, and
+# internal/serve's doubling file rows and per-run journal reserve (the
+# report allocates 63 MB instead of 184 MB on migd-live's input, every
+# output byte-identical).
+BUDGET=8292
 
 total=0
 for dir in internal/core internal/trace internal/migration internal/dist internal/serve \

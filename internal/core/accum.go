@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -112,6 +113,10 @@ func (p *Partial) Observe(r *trace.Record, id trace.FileID) {
 	}
 	p.lastOK = r.Start
 }
+
+// Grow reserves room in the segment's journal for n more records, so a
+// run of them observes without the journal growing entry by entry.
+func (p *Partial) Grow(n int) { p.journal = slices.Grow(p.journal, n) }
 
 // Records reports how many records the segment has observed, errors
 // included.
@@ -227,6 +232,37 @@ func (a *Accumulator) masterID(remap []trace.FileID, view []string, hview []uint
 	return m
 }
 
+// reserve makes room in the master for a replay of refs good references
+// — ops[i] of them in op i — over at most files files it has not met,
+// reaching hours hours into the calendar: the per-reference CDFs, the
+// per-file arena and path index, and the periodicity series each grow
+// once, to what the replay will hold, rather than by append's steps.
+// The arena and index at least double when they grow, as they do
+// unreserved, so many small folds into one master still grow them
+// geometrically.
+func (a *Analysis) reserve(refs int, ops [2]int, files, hours int) {
+	a.interCDF.Grow(refs)
+	a.gapCDF.Grow(max(0, refs-files)) // a file's first reference closes no gap
+	for oi, n := range ops {
+		a.dynFiles[oi].Grow(n)
+	}
+	if need := len(a.files) + files; need > cap(a.files) {
+		a.files = append(make([]fileState, 0, max(need, 2*cap(a.files))), a.files...)
+	}
+	a.interner.Grow(files)
+	if hours > cap(a.hourlyReqs) {
+		a.hourlyReqs = slices.Grow(a.hourlyReqs, hours-len(a.hourlyReqs))
+		a.hourlyRead = slices.Grow(a.hourlyRead, hours-len(a.hourlyRead))
+	}
+}
+
+// hoursThrough is how long the periodicity series runs when its last
+// reference starts at UnixNano instant last: last's absolute hour since
+// origin, plus one.
+func hoursThrough(last int64, origin time.Time) int {
+	return max(0, int(nanosSince(last, origin.UnixNano())/time.Hour)+1)
+}
+
 // FoldPartials merges any number of segments into the master without a
 // shared calendar origin: the position-independent state — record and
 // error counts, the op×class accumulators, the startup-latency CDFs,
@@ -285,8 +321,10 @@ func (a *Accumulator) FoldPartials(ps []*Partial) error {
 		return errors.New("core: journal entries present but no segment has a start time")
 	}
 
+	var ops [2]int
 	for _, p := range ps {
-		a.foldSums(p.sums)
+		n := a.foldSums(p.sums)
+		ops[0], ops[1] = ops[0]+n[0], ops[1]+n[1]
 	}
 
 	// Merge-replay the journals. The heap orders by (start, segment
@@ -298,13 +336,22 @@ func (a *Accumulator) FoldPartials(ps []*Partial) error {
 	views := make([][]string, len(ps))
 	hviews := make([][]uint64, len(ps))
 	byTable := idRemaps{}
+	// The tables' lengths bound the files the replay can meet: exactly,
+	// for a daemon's one table, which holds only paths its journals name.
+	files, last := 0, int64(math.MinInt64)
 	for si, p := range ps {
 		if len(p.journal) == 0 {
 			continue
 		}
 		h = append(h, journalCursor{si: si, start: p.journal[0].start})
+		last = max(last, p.journal[len(p.journal)-1].start)
 		views[si], hviews[si] = p.pathView()
+		known := len(byTable[p.paths])
 		remaps[si] = byTable.covering(p.paths, len(views[si]))
+		files += len(remaps[si]) - known
+	}
+	if entries > 0 {
+		a.reserve(entries, ops, min(files, entries), hoursThrough(last, a.start))
 	}
 	heap.Init(&h)
 	for len(h) > 0 {
@@ -353,13 +400,15 @@ func (h *journalHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *
 // foldSums folds a segment's position-independent state into the
 // master — record and error counts, the op×class accumulators, and the
 // Figure 3 startup-latency CDFs — the part every fold shares because it
-// adds up the same whatever order or origin the segments have.
-func (a *sums) foldSums(sub *sums) {
+// adds up the same whatever order or origin the segments have. It
+// returns the segment's good references by op.
+func (a *sums) foldSums(sub *sums) (ops [2]int) {
 	a.total += sub.total
 	a.errors += sub.errors
 	for oi := 0; oi < 2; oi++ {
 		for ci := 0; ci < device.NClasses; ci++ {
 			a.refs[oi][ci] += sub.refs[oi][ci]
+			ops[oi] += int(sub.refs[oi][ci])
 			a.bytes[oi][ci] += sub.bytes[oi][ci]
 			a.latency[oi][ci].n += sub.latency[oi][ci].n
 			a.latency[oi][ci].micros += sub.latency[oi][ci].micros
@@ -376,4 +425,5 @@ func (a *sums) foldSums(sub *sums) {
 		}
 		m.Merge(c)
 	}
+	return ops
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"filemig/internal/pool"
-	"filemig/internal/stats"
 	"filemig/internal/trace"
 )
 
@@ -96,18 +95,16 @@ func AccumulateB2Blocks(ctx context.Context, opts B2Options, f *trace.B2File, lo
 	}
 	groups := b2Groups(opts, f, lo, hi)
 	master := New(opts.Options)
-	// The replay grows the per-reference series one entry at a time: size
-	// them once from the index, for every group's records reaching the
-	// range's last block.
+	// Reserve the replay's state once, from the index, for every group's
+	// records reaching the range's last block: each fold's own reserve
+	// then finds the room there. The index does not split the records by
+	// op or name their files, so each op gets them all and the files
+	// grow fold by fold.
 	records := 0
 	for _, g := range groups {
 		records += int(g.count)
 	}
-	hours := max(0, int(f.Meta(hi-1).End.Sub(opts.Start)/time.Hour)+1)
-	master.interCDF = stats.NewCDF(records)
-	master.dynFiles = [2]*stats.CDF{stats.NewCDF(records), stats.NewCDF(records)}
-	master.hourlyReqs = make([]float64, 0, hours)
-	master.hourlyRead = make([]float64, 0, hours)
+	master.reserve(records, [2]int{records, records}, 0, hoursThrough(f.Meta(hi-1).End.UnixNano(), opts.Start))
 	err := pool.Run(ctx, opts.Workers, pool.Indices(len(groups)),
 		func() func(int) (*Partial, error) {
 			w := &b2Worker{opts: opts.Options, f: f, d: f.NewBlockDecoder()}

@@ -322,7 +322,8 @@ func (a *Analysis) buildFigure6() Figure6 {
 }
 
 func (a *Analysis) buildFileFigures() (Figure8, *stats.CDF) {
-	f8 := Figure8{Reads: &stats.CDF{}, Writes: &stats.CDF{}, Total: &stats.CDF{}}
+	files := len(a.files)
+	f8 := Figure8{Reads: stats.NewCDF(files), Writes: stats.NewCDF(files), Total: stats.NewCDF(files)}
 	var zeroRead, oneRead, zeroWrite, oneWrite, once, twice, w1r0, over10 int64
 	for i := range a.files {
 		f := &a.files[i]

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -90,5 +91,55 @@ func TestMigdCheckpointGolden(t *testing.T) {
 	}
 	if got := sha([]byte(report)); got != goldenReportSHA {
 		t.Errorf("/v1/report sha256 = %s, want %s", got, goldenReportSHA)
+	}
+}
+
+// TestMigdReportAllocs pins what a report allocates per journal entry.
+// The fold reserves its master's state from the segments it folds and
+// the report sizes what it keeps, so nearly every byte either call
+// allocates is one the report holds: a per-reference or per-file slice
+// left to grow by append regrows several times over and shows up here
+// as bytes past the bound, before any benchmark sees it. Measured on
+// the goldenOrder arrivals at 72 B an entry for Accumulate and 54 B for
+// the core Report (208 B and 114 B before the fold was sized and the
+// radix sort kept one buffer); at this size the radix sorts' digit
+// counts are most of the Report's share.
+func TestMigdReportAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations skew TotalAlloc")
+	}
+	res := daemonFixture(t)
+	s, err := NewServer(Config{
+		Opts:          core.Options{Start: res.Config.Start, Days: res.Config.Days},
+		ShardDuration: 5 * 24 * time.Hour,
+		Now:           fixedClock(res),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range goldenOrder(res.Records) {
+		s.Ingest(b)
+	}
+	st := s.StatsNow()
+	entries := float64(st.Records - st.Errors)
+	perEntry := func(fn func()) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / entries
+	}
+	var m *core.Accumulator
+	fold := perEntry(func() { m, err = s.Accumulate() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := perEntry(func() { m.Report() })
+	t.Logf("%.0f journal entries: Accumulate allocates %.1f B an entry, Report %.1f B", entries, fold, report)
+	if fold > 85 {
+		t.Errorf("Accumulate allocates %.1f B a journal entry, want <= 85", fold)
+	}
+	if report > 65 {
+		t.Errorf("Report allocates %.1f B a journal entry, want <= 65", report)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -235,6 +236,11 @@ func (s *Server) internBatch(recs []trace.Record, ids []trace.FileID) {
 		if ids[i] == trace.NoFileID {
 			ids[i] = s.paths.Intern(r.MSSPath)
 			if int(ids[i]) == len(s.files) {
+				// Full rows double, in step with the table's index, rather
+				// than growing by append's quarter.
+				if len(s.files) == cap(s.files) {
+					s.files = slices.Grow(s.files, len(s.files)+1)
+				}
 				s.files = append(s.files, fileRow{})
 			}
 		}
@@ -258,6 +264,7 @@ func (s *Server) applyRun(k int64, recs []trace.Record, ids []trace.FileID) {
 		sh.segs = append(sh.segs, sg)
 		s.segCount.Add(1)
 	}
+	sg.p.Grow(len(recs))
 	for i := range recs {
 		if !recs[i].OK() {
 			s.errRecords.Add(1)

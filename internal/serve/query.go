@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -119,7 +120,7 @@ func (s *Server) handleReport(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_, _ = w.Write([]byte(text))
+	_, _ = io.WriteString(w, text)
 }
 
 // Stats is the /v1/stats answer: the daemon's live counters.

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // byValue is the three-way form of the less function `a < b` for
@@ -56,6 +57,10 @@ type run struct {
 // NewCDF returns a CDF pre-sized for n samples.
 func NewCDF(n int) *CDF { return &CDF{vals: make([]float64, 0, n)} }
 
+// Grow reserves room for n more unit samples, as slices.Grow does, so
+// the next n Adds append without reallocating.
+func (c *CDF) Grow(n int) { c.vals = slices.Grow(c.vals, n) }
+
 // Add records one sample.
 func (c *CDF) Add(v float64) {
 	c.vals = append(c.vals, v)
@@ -95,16 +100,21 @@ func (c *CDF) Merge(other *CDF) {
 	c.sorted = false
 }
 
-// ensureSorted orders the samples by value. A run-free CDF (the hot
-// case) just sorts vals; otherwise the weighted runs and unit samples
-// are merged into the qruns/cum view queries binary-search over. The
-// runs keep pdqsort: ties among them carry unequal multiplicities, so
-// their order feeds the cumulative table.
-func (c *CDF) ensureSorted() {
+// ensureSorted orders the samples by value, radix-sorting in a scratch
+// of its own.
+func (c *CDF) ensureSorted() { c.sortWith(nil) }
+
+// sortWith is ensureSorted radix-sorting in scratch (nil: a fresh one,
+// made only if the radix sort runs). A run-free CDF (the hot case) just
+// sorts vals; otherwise the weighted runs and unit samples are merged
+// into the qruns/cum view queries binary-search over. The runs keep
+// pdqsort: ties among them carry unequal multiplicities, so their order
+// feeds the cumulative table. It returns the scratch for the next sort.
+func (c *CDF) sortWith(scratch *radixScratch) *radixScratch {
 	if c.sorted {
-		return
+		return scratch
 	}
-	sortFloats(c.vals)
+	scratch = sortFloats(c.vals, scratch)
 	if len(c.runs) > 0 {
 		slices.SortFunc(c.runs, func(a, b run) int { return byValue(a.v, b.v) })
 		c.qruns = c.qruns[:0]
@@ -132,23 +142,39 @@ func (c *CDF) ensureSorted() {
 		}
 	}
 	c.sorted = true
+	return scratch
 }
 
-// SortAll sorts the samples of every CDF given, one goroutine per CDF
-// that needs it, so independent distributions sort side by side rather
-// than one after another at their first query. Each ends exactly as its
-// own first query would leave it. The CDFs must be distinct; nil ones
-// are skipped.
+// sortLanes is how many sorts SortAll runs at once: each holds a
+// scratch as large as the largest CDF it sorts, so more lanes cost
+// memory the report keeps until it is done.
+const sortLanes = 2
+
+// SortAll sorts the samples of every CDF given, largest first, on
+// sortLanes goroutines, so independent distributions sort side by side
+// rather than one after another at their first query. Each lane keeps
+// one radix scratch and hands it from each sort it finishes to the next
+// it starts; largest first, a lane's first sort sizes it for the rest.
+// Each CDF ends exactly as its own first query would leave it. The CDFs
+// must be distinct; nil ones are skipped.
 func SortAll(cs ...*CDF) {
-	var wg sync.WaitGroup
+	var todo []*CDF
 	for _, c := range cs {
-		if c == nil || c.sorted {
-			continue
+		if c != nil && !c.sorted {
+			todo = append(todo, c)
 		}
+	}
+	slices.SortStableFunc(todo, func(a, b *CDF) int { return len(b.vals) - len(a.vals) })
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(sortLanes, len(todo)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.ensureSorted()
+			var scratch *radixScratch
+			for i := next.Add(1) - 1; i < int64(len(todo)); i = next.Add(1) - 1 {
+				scratch = todo[i].sortWith(scratch)
+			}
 		}()
 	}
 	wg.Wait()
@@ -163,41 +189,60 @@ const (
 	radixMask   = 1<<radixBits - 1
 )
 
+// radixScratch is what a radix sort works in besides the values
+// themselves: the one buffer they move through, and the digit counts of
+// every pass.
+type radixScratch struct {
+	buf    []float64
+	counts [radixPasses][1 << radixBits]int
+}
+
+// radixKey maps a float's bits to an order-preserving unsigned key: a
+// negative float has all its bits flipped, a positive one only its sign
+// bit.
+func radixKey(v float64) uint64 {
+	k := math.Float64bits(v)
+	return k ^ (uint64(int64(k)>>63) | 1<<63)
+}
+
 // sortFloats sorts vals ascending, leaving exactly the bits
 // sort.Float64s would. From radixMin samples up it runs an LSD radix
-// sort over order-preserving keys (a negative float has all its bits
-// flipped, a positive one only its sign bit); a pass is skipped when
-// every key has the same digit there. Without NaN and −0, equal floats
-// have equal bits, so the ascending sequence is unique and both sorts
-// produce it; below radixMin, or when a sample is NaN or −0, it is
-// sort.Float64s itself.
-func sortFloats(vals []float64) {
+// sort that moves the values themselves between vals and one scratch
+// buffer, each pass taking its digit from the value's order-preserving
+// key (radixKey); a pass is skipped when every key has the same digit
+// there. Without NaN and −0, equal floats have equal bits, so the
+// ascending sequence is unique and both sorts produce it; below
+// radixMin, or when a sample is NaN or −0, it is sort.Float64s itself.
+// The radix sort works in scratch — made when nil, its buffer grown
+// when shorter than vals — which sortFloats returns for the next sort.
+func sortFloats(vals []float64, scratch *radixScratch) *radixScratch {
 	if len(vals) < radixMin {
 		sort.Float64s(vals)
-		return
+		return scratch
 	}
-	keys := make([]uint64, len(vals))
-	counts := new([radixPasses][1 << radixBits]int)
-	for i, v := range vals {
-		k := math.Float64bits(v)
-		if v != v || k == 1<<63 {
+	if scratch == nil {
+		scratch = new(radixScratch)
+	} else {
+		scratch.counts = [radixPasses][1 << radixBits]int{}
+	}
+	counts := &scratch.counts
+	for _, v := range vals {
+		if v != v || math.Float64bits(v) == 1<<63 {
 			sort.Float64s(vals)
-			return
+			return scratch
 		}
-		if k>>63 == 1 {
-			k = ^k
-		} else {
-			k |= 1 << 63
-		}
-		keys[i] = k
+		k := radixKey(v)
 		for p := range counts {
 			counts[p][k>>(p*radixBits)&radixMask]++
 		}
 	}
-	src, dst := keys, make([]uint64, len(keys))
+	if cap(scratch.buf) < len(vals) {
+		scratch.buf = make([]float64, len(vals))
+	}
+	src, dst := vals, scratch.buf[:len(vals)]
 	for p := range counts {
 		c, shift := &counts[p], p*radixBits
-		if c[src[0]>>shift&radixMask] == len(src) {
+		if c[radixKey(src[0])>>shift&radixMask] == len(src) {
 			continue
 		}
 		sum := 0
@@ -205,21 +250,17 @@ func sortFloats(vals []float64) {
 			c[d] = sum
 			sum += n
 		}
-		for _, k := range src {
-			d := k >> shift & radixMask
-			dst[c[d]] = k
+		for _, v := range src {
+			d := radixKey(v) >> shift & radixMask
+			dst[c[d]] = v
 			c[d]++
 		}
 		src, dst = dst, src
 	}
-	for i, k := range src {
-		if k>>63 == 1 {
-			k &^= 1 << 63
-		} else {
-			k = ^k
-		}
-		vals[i] = math.Float64frombits(k)
+	if &src[0] != &vals[0] {
+		copy(vals, src)
 	}
+	return scratch
 }
 
 // P returns the empirical P(X <= v), in [0, 1]. P of an empty CDF is 0.

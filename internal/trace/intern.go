@@ -2,6 +2,7 @@ package trace
 
 import (
 	"hash/maphash"
+	"math/bits"
 	"strings"
 )
 
@@ -109,7 +110,7 @@ func (in *Interner) InternHashed(path string, h uint64) FileID {
 	}
 	id = FileID(len(in.paths))
 	if 2*(len(in.paths)+1) > len(in.slots) {
-		in.grow()
+		in.grow(2 * len(in.slots))
 		slot = in.emptySlot(h)
 	}
 	in.slots[slot] = uint32(id) + 1
@@ -158,14 +159,24 @@ func probe[K string | []byte](in *Interner, key K, h uint64) (FileID, int) {
 	}
 }
 
-// grow doubles the index and re-slots every FileID, in order, from its
-// stored hash. The per-FileID columns grow in the same step, to exactly
-// the most the doubled index holds, so they never grow through append's
-// smaller steps between doublings. Growing moves a column to a new
-// array, which leaves the prefix views Paths and Hashes handed out
-// intact.
-func (in *Interner) grow() {
-	in.slots = make([]uint32, 2*len(in.slots))
+// Grow makes room for n more paths, as slices.Grow does for a slice: the
+// next n new paths intern without the table growing. A table short of
+// room re-slots once, into the smallest doubling of its index that
+// holds them.
+func (in *Interner) Grow(n int) {
+	if need := 2 * (len(in.paths) + n); need > len(in.slots) {
+		in.grow(1 << bits.Len(uint(need-1)))
+	}
+}
+
+// grow replaces the index with one of size slots, a larger power of
+// two, and re-slots every FileID, in order, from its stored hash. The
+// per-FileID columns grow in the same step, to exactly the most the new
+// index holds, so they never grow through append's smaller steps
+// between doublings. Growing moves a column to a new array, which
+// leaves the prefix views Paths and Hashes handed out intact.
+func (in *Interner) grow(size int) {
+	in.slots = make([]uint32, size)
 	for id, h := range in.hashes {
 		in.slots[in.emptySlot(h)] = uint32(id) + 1
 	}

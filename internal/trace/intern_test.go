@@ -11,8 +11,9 @@ import (
 
 // TestInternerDenseIDs holds the table to a first-seen map[string]FileID
 // reference: on a hand-written input, and on ~5 000 generated paths with
-// repeats — crossing several index growths — among which some differ
-// only in their last byte and some are prefixes of others.
+// repeats — crossing several index growths, some of them Grow's — among
+// which some differ only in their last byte and some are prefixes of
+// others.
 func TestInternerDenseIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	var generated []string
@@ -28,6 +29,8 @@ func TestInternerDenseIDs(t *testing.T) {
 	}
 	for _, paths := range [][]string{{"/a/x", "/a/y", "/b/z", "/a/x", "/b/z", "/top"}, generated} {
 		in, second := NewInterner(), NewInterner()
+		second.Grow(len(paths)) // reserved once, so it never grows while interning
+		slots := len(second.slots)
 		ref := map[string]FileID{}
 		type view struct {
 			paths, pathsAt   []string
@@ -65,12 +68,16 @@ func TestInternerDenseIDs(t *testing.T) {
 				t.Fatalf("InternHashed(%q) = %d, want %d", p, id, want)
 			}
 			if i%97 == 0 {
+				in.Grow(i / 2) // re-slots a table already holding paths, as a fold's reserve does
 				ps, hs := in.Paths(), in.Hashes()
 				views = append(views, view{ps, slices.Clone(ps), hs, slices.Clone(hs)})
 			}
 		}
 		if in.Len() != len(ref) || second.Len() != len(ref) {
 			t.Fatalf("Len = %d and %d, want %d", in.Len(), second.Len(), len(ref))
+		}
+		if len(second.slots) != slots {
+			t.Fatalf("a table grown for %d paths re-slotted from %d to %d slots while interning them", len(paths), slots, len(second.slots))
 		}
 		for id, p := range in.Paths() {
 			if ref[p] != FileID(id) {
