@@ -43,7 +43,11 @@ set -e
 # internal/serve's doubling file rows and per-run journal reserve (the
 # report allocates 63 MB instead of 184 MB on migd-live's input, every
 # output byte-identical).
-BUDGET=8292
+# Lowered from 8292 to 8150 by migsim's move onto the experiment
+# engine: its three grids are spec presets, so internal/migration's six
+# sweep wrappers, BestExponent and their point types, and the root
+# package's two policy lists and three sweep renderers are deleted.
+BUDGET=8150
 
 total=0
 for dir in internal/core internal/trace internal/migration internal/dist internal/serve \

@@ -599,21 +599,61 @@ func BenchmarkCoalescingWindowSweep(b *testing.B) {
 	}
 }
 
+// paperPolicies is the §2.3/§6 comparison set migsim runs by default:
+// the paper's online policies and the offline OPT bound over accs.
+func paperPolicies(accs []migration.Access) []migration.Policy {
+	return []migration.Policy{migration.STP{K: 1.4}, migration.STP{K: 1.0}, migration.LRU{},
+		migration.SAAC{}, migration.FIFO{}, migration.LargestFirst{}, migration.SmallestFirst{},
+		migration.NewRandom(1), migration.NewOPT(migration.NewFutureIndex(accs))}
+}
+
+// modernPolicies is the post-1993 frontier, fresh instances each call.
+func modernPolicies([]migration.Access) []migration.Policy {
+	return []migration.Policy{migration.NewARC(), migration.NewLRUK(2), migration.NewGDSF(),
+		migration.NewCostAware(migration.DefaultTapeRateMBps), migration.NewAdaptiveSTP()}
+}
+
+// replayAll replays cells through migration.ReplayCells at the given
+// worker count (0 = serial) and returns the results in cell order.
+func replayAll(cells []migration.ReplayCell, workers int) ([]migration.CacheResult, error) {
+	out := make([]migration.CacheResult, len(cells))
+	err := migration.ReplayCells(context.Background(), workers, len(cells),
+		func(i int) (migration.ReplayCell, error) { return cells[i], nil },
+		func(i int, r migration.CacheResult) { out[i] = r })
+	return out, err
+}
+
+// policyCells is one cell per policy at one capacity.
+func policyCells(accs []migration.Access, capacity units.Bytes, policies []migration.Policy) []migration.ReplayCell {
+	cells := make([]migration.ReplayCell, len(policies))
+	for i, p := range policies {
+		cells[i] = migration.ReplayCell{Accs: accs, Policy: p, Capacity: capacity}
+	}
+	return cells
+}
+
+// stpCapacityCells is one STP^1.4 cell per capacity fraction.
+func stpCapacityCells(accs []migration.Access, fractions []float64) []migration.ReplayCell {
+	total := migration.TotalReferencedBytes(accs)
+	cells := make([]migration.ReplayCell, len(fractions))
+	for i, frac := range fractions {
+		cells[i] = migration.ReplayCell{Accs: accs, Policy: migration.STP{K: 1.4},
+			Capacity: migration.FractionCapacity(total, frac)}
+	}
+	return cells
+}
+
 func BenchmarkPolicyComparison(b *testing.B) {
 	_, accs := fixture(b)
 	capacity := migration.TotalReferencedBytes(accs) / 50
 	b.ReportAllocs()
 	var stpMiss float64
 	for i := 0; i < b.N; i++ {
-		results, err := migration.ComparePolicies(accs, capacity, StandardPolicies(accs))
+		results, err := replayAll(policyCells(accs, capacity, paperPolicies(accs)), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, r := range results {
-			if r.Policy == "STP^1.4" {
-				stpMiss = r.MissRatio()
-			}
-		}
+		stpMiss = results[0].MissRatio() // STP^1.4
 	}
 	b.ReportMetric(100*stpMiss, "stpMiss%")
 }
@@ -630,14 +670,14 @@ func BenchmarkPolicyComparisonModern(b *testing.B) {
 		name  string
 		build func([]migration.Access) []migration.Policy
 	}{
-		{"classic", StandardPolicies},
-		{"modern", ModernPolicies},
+		{"classic", paperPolicies},
+		{"modern", modernPolicies},
 	}
 	for _, set := range sets {
 		b.Run(set.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := migration.ComparePolicies(accs, capacity, set.build(accs)); err != nil {
+				if _, err := replayAll(policyCells(accs, capacity, set.build(accs)), 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -652,11 +692,11 @@ func BenchmarkPolicyComparisonSerialScan(b *testing.B) {
 	_, accs := fixture(b)
 	capacity := migration.TotalReferencedBytes(accs) / 50
 	for i := 0; i < b.N; i++ {
-		policies := StandardPolicies(accs)
+		policies := paperPolicies(accs)
 		for j, p := range policies {
 			policies[j] = migration.ScanOnly{P: p}
 		}
-		if _, err := migration.ComparePoliciesWorkers(accs, capacity, policies, 1); err != nil {
+		if _, err := replayAll(policyCells(accs, capacity, policies), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -667,12 +707,11 @@ func BenchmarkCapacitySweep(b *testing.B) {
 	fractions := []float64{0.005, 0.015, 0.05}
 	var missAt15 float64
 	for i := 0; i < b.N; i++ {
-		pts, err := migration.CapacitySweep(accs, fractions,
-			func() migration.Policy { return migration.STP{K: 1.4} })
+		res, err := replayAll(stpCapacityCells(accs, fractions), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		missAt15 = pts[1].Result.MissRatio()
+		missAt15 = res[1].MissRatio()
 	}
 	b.ReportMetric(100*missAt15, "missAt1.5%Cache%") // Smith: ~1% at NCAR rates
 }
@@ -683,8 +722,7 @@ func BenchmarkCapacitySweepSerial(b *testing.B) {
 	_, accs := fixture(b)
 	fractions := []float64{0.005, 0.015, 0.05}
 	for i := 0; i < b.N; i++ {
-		if _, err := migration.CapacitySweepWorkers(accs, fractions,
-			func() migration.Policy { return migration.STP{K: 1.4} }, 1); err != nil {
+		if _, err := replayAll(stpCapacityCells(accs, fractions), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -726,15 +764,23 @@ func BenchmarkSTPExponentSweep(b *testing.B) {
 	_, accs := fixture(b)
 	capacity := migration.TotalReferencedBytes(accs) / 50
 	ks := []float64{0, 0.5, 1.0, 1.4, 2.0}
+	policies := make([]migration.Policy, len(ks))
+	for i, k := range ks {
+		policies[i] = migration.STP{K: k}
+	}
 	var best float64
 	for i := 0; i < b.N; i++ {
-		pts, err := migration.STPExponentSweep(accs, capacity, ks)
+		res, err := replayAll(policyCells(accs, capacity, policies), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if bp, ok := migration.BestExponent(pts); ok {
-			best = bp.K
+		bi := 0
+		for j, r := range res {
+			if r.MissRatio() < res[bi].MissRatio() {
+				bi = j
+			}
 		}
+		best = ks[bi]
 	}
 	b.ReportMetric(best, "bestExponent") // Smith: 1.4 region
 }

@@ -1,7 +1,8 @@
 // Command migsim evaluates file migration policies against a trace: the
 // policy comparison of §2.3/§6 (STP, LRU, size, FIFO, SAAC, random, OPT),
 // capacity sweeps, the STP exponent sweep, and the eight-hour coalescing
-// analysis.
+// analysis. The three grids are experiment spec presets run by the
+// migexp engine (internal/experiment); migsim keeps their tables.
 //
 // Usage:
 //
@@ -13,19 +14,29 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"sort"
 	"time"
 
-	"filemig"
+	"filemig/internal/experiment"
 	"filemig/internal/host"
 	"filemig/internal/migration"
 	"filemig/internal/trace"
 	"filemig/internal/units"
 	"filemig/internal/workload"
 )
+
+// paperPolicies is the §2.3/§6 comparison set: the paper's online
+// policies plus the offline OPT bound, in spec grammar.
+var paperPolicies = []string{"stp:1.4", "stp:1", "lru", "saac", "fifo",
+	"largest-first", "smallest-first", "random", "opt"}
+
+// stpExponents is Smith's ablation axis, which singled out K = 1.4.
+var stpExponents = []float64{0, 0.5, 1, 1.4, 2, 4}
 
 func main() {
 	log.SetFlags(0)
@@ -41,19 +52,11 @@ func main() {
 		workers  = flag.Int("workers", 0, "sweep worker pool size (0 = one per CPU, 1 = serial)")
 	)
 	flag.Parse()
-	// The sweep runner takes only explicit worker counts; the per-CPU
-	// default is resolved here at the boundary.
-	if *workers <= 0 {
-		*workers = host.DefaultWorkers()
-	}
 
-	recs, days := load(*in, *scale, *seed)
-	accs := migration.AccessesFromRecords(recs)
-	total := migration.TotalReferencedBytes(accs)
-	fmt.Printf("%d accesses to %s of distinct data\n\n", len(accs), total)
-
-	switch {
-	case *coalesce:
+	if *coalesce {
+		recs := load(*in, *scale, *seed)
+		accs := migration.AccessesFromRecords(recs)
+		header(len(accs), migration.TotalReferencedBytes(accs))
 		windows := []time.Duration{time.Hour, 4 * time.Hour, 8 * time.Hour,
 			16 * time.Hour, 24 * time.Hour}
 		fmt.Printf("%-10s %12s %12s %10s\n", "window", "requests", "savable", "fraction")
@@ -61,42 +64,104 @@ func main() {
 			fmt.Printf("%-10s %12d %12d %9.1f%%\n",
 				r.Window, r.Requests, r.Savable, 100*r.SavableFraction())
 		}
-	case *sweep:
-		pts, err := migration.CapacitySweepWorkers(accs,
-			[]float64{0.005, 0.01, 0.015, 0.02, 0.05, 0.10},
-			func() migration.Policy { return migration.STP{K: 1.4} }, *workers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(filemig.RenderSweep(pts))
-	case *stpSweep:
-		capacity := units.Bytes(float64(total) * *capFrac)
-		fmt.Printf("STP exponent sweep at %.1f%% cache (%s)\n", 100**capFrac, capacity)
-		pts, err := migration.STPExponentSweepWorkers(accs, capacity,
-			[]float64{0, 0.5, 1.0, 1.4, 2.0, 4.0}, *workers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(filemig.RenderExponentSweep(pts))
+		return
+	}
+
+	// The engine takes only explicit worker counts; the per-CPU default
+	// is resolved here at the boundary.
+	spec := experiment.Spec{Name: "migsim", Workers: *workers}
+	if spec.Workers <= 0 {
+		spec.Workers = host.DefaultWorkers()
+	}
+	switch *in {
+	case "":
+		spec.Scenarios = []string{workload.ScenarioPaper1993}
+		spec.Scale, spec.Seed = *scale, *seed
+	case "-":
+		spec.Trace = "/dev/stdin"
 	default:
-		capacity := units.Bytes(float64(total) * *capFrac)
-		fmt.Printf("policy comparison at %.1f%% cache (%s)\n", 100**capFrac, capacity)
-		results, err := migration.ComparePoliciesWorkers(accs, capacity,
-			filemig.StandardPolicies(accs), *workers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(filemig.RenderPolicyComparison(results, days))
+		spec.Trace = *in
+	}
+	var render func(sr *experiment.ScenarioResult)
+	switch {
+	case *sweep:
+		spec.Policies = []string{"stp:1.4"}
+		render = renderSweep
+	case *stpSweep:
+		spec.STPExponents = stpExponents
+		spec.Capacities = []float64{*capFrac}
+		render = renderExponentSweep
+	default:
+		spec.Policies = paperPolicies
+		spec.Capacities = []float64{*capFrac}
+		render = renderComparison
+	}
+	m, err := experiment.Run(context.Background(), &spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sr := &m.Scenarios[0]
+	header(sr.Accesses, units.Bytes(sr.ReferencedBytes))
+	render(sr)
+}
+
+// header prints the reference string's size, above every mode's table.
+func header(accesses int, total units.Bytes) {
+	fmt.Printf("%d accesses to %s of distinct data\n\n", accesses, total)
+}
+
+// renderComparison prints the §6 policy table, best read miss ratio
+// first (ties keep the preset's order).
+func renderComparison(sr *experiment.ScenarioResult) {
+	rows := sr.Policies
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i].Cells[0].MissRatio < rows[j].Cells[0].MissRatio })
+	c := rows[0].Cells[0]
+	fmt.Printf("policy comparison at %.1f%% cache (%s)\n", 100*c.CapacityFraction, units.Bytes(c.CapacityBytes))
+	fmt.Printf("%-16s %10s %12s %12s %14s\n",
+		"policy", "miss%", "byte miss%", "evictions", "person-min/day")
+	for _, row := range rows {
+		c := row.Cells[0]
+		fmt.Printf("%-16s %9.2f%% %11.2f%% %12d %14.1f\n",
+			row.Policy, 100*c.MissRatio, 100*c.ByteMissRatio, c.Evictions, c.PersonMinutesPerDay)
 	}
 }
 
-func load(in string, scale float64, seed int64) ([]trace.Record, float64) {
+// renderExponentSweep prints the STP exponent ablation, one row per
+// stpExponents entry, and the first exponent with the lowest miss ratio.
+func renderExponentSweep(sr *experiment.ScenarioResult) {
+	c := sr.Policies[0].Cells[0]
+	fmt.Printf("STP exponent sweep at %.1f%% cache (%s)\n", 100*c.CapacityFraction, units.Bytes(c.CapacityBytes))
+	fmt.Printf("%-10s %10s %12s %12s\n", "exponent", "miss%", "byte miss%", "evictions")
+	best := 0
+	for i, row := range sr.Policies {
+		c := row.Cells[0]
+		fmt.Printf("STP^%-6.2g %9.2f%% %11.2f%% %12d\n",
+			stpExponents[i], 100*c.MissRatio, 100*c.ByteMissRatio, c.Evictions)
+		if c.MissRatio < sr.Policies[best].Cells[0].MissRatio {
+			best = i
+		}
+	}
+	fmt.Printf("best exponent: %g (%.2f%% miss)\n", stpExponents[best], 100*sr.Policies[best].Cells[0].MissRatio)
+}
+
+// renderSweep prints the STP^1.4 capacity sweep.
+func renderSweep(sr *experiment.ScenarioResult) {
+	fmt.Printf("%-12s %10s %12s\n", "capacity", "miss%", "byte miss%")
+	for _, c := range sr.Policies[0].Cells {
+		fmt.Printf("%10.2f%% %9.2f%% %11.2f%%\n",
+			100*c.CapacityFraction, 100*c.MissRatio, 100*c.ByteMissRatio)
+	}
+}
+
+// load reads the coalescing analysis's records: generated when in is
+// empty, else from a trace file or ("-") stdin.
+func load(in string, scale float64, seed int64) []trace.Record {
 	if in == "" {
 		res, err := workload.Generate(workload.DefaultConfig(scale, seed))
 		if err != nil {
 			log.Fatal(err)
 		}
-		return res.Records, float64(res.Config.Days)
+		return res.Records
 	}
 	f := os.Stdin
 	if in != "-" {
@@ -111,9 +176,5 @@ func load(in string, scale float64, seed int64) ([]trace.Record, float64) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	days := 1.0
-	if len(recs) > 1 {
-		days = recs[len(recs)-1].Start.Sub(recs[0].Start).Hours() / 24
-	}
-	return recs, days
+	return recs
 }

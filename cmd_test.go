@@ -9,13 +9,17 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"filemig/internal/experiment"
 	"filemig/internal/trace"
 )
 
@@ -133,6 +137,101 @@ func TestCmdPipelines(t *testing.T) {
 	if slice != streamed {
 		t.Errorf("-stream output differs from slice path:\n--- slice ---\n%s\n--- stream ---\n%s",
 			slice, streamed)
+	}
+}
+
+// TestMigsimPresets pins migsim's three grid modes to the experiment
+// engine they run on. Over one trace file, the default comparison
+// prints exactly the manifest cells of the equivalent migexp spec, best
+// read miss ratio first; -sweep prints the STP^1.4 row over the spec's
+// default capacities; -stp-sweep prints one row per exponent and names
+// the first lowest as the best.
+func TestMigsimPresets(t *testing.T) {
+	bin := buildTools(t)
+	run := func(name string, args ...string) string {
+		t.Helper()
+		out, err := exec.Command(filepath.Join(bin, name), args...).Output()
+		if err != nil {
+			t.Fatalf("%s %v: %v", name, args, err)
+		}
+		return string(out)
+	}
+	dir := t.TempDir()
+	tr := filepath.Join(dir, "trace.v1")
+	run("tracegen", "-scale", "0.002", "-seed", "7", "-days", "120", "-o", tr)
+	// manifest runs migexp on a spec over tr and returns its rows.
+	manifest := func(fields string) []experiment.PolicyGrid {
+		t.Helper()
+		spec := filepath.Join(dir, "spec.json")
+		if err := os.WriteFile(spec, []byte(`{"name": "migsim", "trace": `+strconv.Quote(tr)+`, `+fields+`}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var m ExperimentManifest
+		if err := json.Unmarshal([]byte(run("migexp", "run", spec, "-json")), &m); err != nil {
+			t.Fatal(err)
+		}
+		return m.Scenarios[0].Policies
+	}
+	// rows returns the table lines after the header line starting head.
+	rows := func(out, head string) []string {
+		_, table, ok := strings.Cut(out, "\n"+head)
+		if !ok {
+			t.Fatalf("no %q table in:\n%s", head, out)
+		}
+		lines := strings.Split(strings.TrimRight(table, "\n"), "\n")
+		return lines[1:]
+	}
+
+	cells := map[string]experiment.Cell{}
+	for _, row := range manifest(`"policies": ["stp:1.4", "stp:1", "lru", "saac", "fifo", "largest-first", ` +
+		`"smallest-first", "random", "opt"], "capacities": [0.05]`) {
+		cells[row.Policy] = row.Cells[0]
+	}
+	got := rows(run("migsim", "-i", tr, "-capacity", "0.05"), "policy   ")
+	if len(got) != len(cells) {
+		t.Fatalf("migsim compares %d policies, the spec %d", len(got), len(cells))
+	}
+	prev := 0.0
+	for _, line := range got {
+		name := strings.Fields(line)[0]
+		c, ok := cells[name]
+		if want := fmt.Sprintf("%-16s %9.2f%% %11.2f%% %12d %14.1f", name, 100*c.MissRatio,
+			100*c.ByteMissRatio, c.Evictions, c.PersonMinutesPerDay); !ok || line != want {
+			t.Errorf("migsim row %q, manifest cell %q", line, want)
+		}
+		if c.MissRatio < prev {
+			t.Errorf("%s (%.4f) ranked below a worse policy (%.4f)", name, c.MissRatio, prev)
+		}
+		prev = c.MissRatio
+	}
+
+	sweep := manifest(`"policies": ["stp:1.4"]`)[0].Cells
+	got = rows(run("migsim", "-i", tr, "-sweep"), "capacity   ")
+	if len(got) != len(sweep) || len(sweep) != 6 {
+		t.Fatalf("migsim -sweep prints %d capacities, the spec's defaults are %d", len(got), len(sweep))
+	}
+	for i, c := range sweep {
+		if want := fmt.Sprintf("%10.2f%% %9.2f%% %11.2f%%", 100*c.CapacityFraction, 100*c.MissRatio,
+			100*c.ByteMissRatio); got[i] != want {
+			t.Errorf("migsim -sweep row %q, manifest cell %q", got[i], want)
+		}
+	}
+
+	out := run("migsim", "-i", tr, "-stp-sweep")
+	got = rows(out, "exponent   ")
+	best, bestMiss := "", 101.0
+	for _, line := range got[:len(got)-1] {
+		f := strings.Fields(line)
+		miss, err := strconv.ParseFloat(strings.TrimSuffix(f[1], "%"), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if miss < bestMiss {
+			best, bestMiss = strings.TrimPrefix(f[0], "STP^"), miss
+		}
+	}
+	if want := fmt.Sprintf("best exponent: %s (%.2f%% miss)", best, bestMiss); len(got) != 7 || got[6] != want {
+		t.Errorf("migsim -stp-sweep: want 6 exponents and %q:\n%s", want, out)
 	}
 }
 

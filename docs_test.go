@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -238,12 +239,20 @@ func TestDocsPoliciesExample(t *testing.T) {
 		t.Fatalf("worked example trace does not parse: %v", err)
 	}
 	accs := migration.AccessesFromRecords(recs)
-	policies := append(filemig.ModernPolicies(accs),
-		migration.STP{K: 1.4}, migration.LRU{})
-	results, err := migration.ComparePolicies(accs, units.Bytes(50_000_000), policies)
+	policies := []migration.Policy{migration.NewARC(), migration.NewLRUK(2), migration.NewGDSF(),
+		migration.NewCostAware(migration.DefaultTapeRateMBps), migration.NewAdaptiveSTP(),
+		migration.STP{K: 1.4}, migration.LRU{}}
+	results := make([]migration.CacheResult, len(policies))
+	err = migration.ReplayCells(context.Background(), 1, len(policies),
+		func(i int) (migration.ReplayCell, error) {
+			return migration.ReplayCell{Accs: accs, Policy: policies[i], Capacity: units.Bytes(50_000_000)}, nil
+		},
+		func(i int, r migration.CacheResult) { results[i] = r })
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Best read miss ratio first, ties in list order, as migsim ranks.
+	sort.SliceStable(results, func(i, j int) bool { return results[i].MissRatio() < results[j].MissRatio() })
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-10s %6s %6s %8s %11s\n", "policy", "reads", "hits", "misses", "evictions")
 	for _, r := range results {

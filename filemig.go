@@ -267,38 +267,6 @@ func (p *Pipeline) Coalesce() migration.CoalesceResult {
 	return migration.NewCoalescer(p.pathInterner()).Run(p.Records, workload.DedupWindow)
 }
 
-// StandardPolicies returns the paper-relevant online policy set plus the
-// offline OPT bound built for the given access string.
-func StandardPolicies(accs []migration.Access) []migration.Policy {
-	return []migration.Policy{
-		migration.STP{K: 1.4},
-		migration.STP{K: 1.0},
-		migration.LRU{},
-		migration.SAAC{},
-		migration.FIFO{},
-		migration.LargestFirst{},
-		migration.SmallestFirst{},
-		migration.NewRandom(1),
-		migration.NewOPT(migration.NewFutureIndex(accs)),
-	}
-}
-
-// ModernPolicies returns fresh instances of the post-1993 policy
-// frontier — ARC, LRU-2, GDSF, the §2.3-priced cost-aware policy, and
-// adaptive STP. All five carry per-replay state (histories, ghost
-// lists, priority clocks), so every replay needs its own set; the accs
-// parameter mirrors StandardPolicies for symmetry and future policies
-// that precompute over the access string. See docs/policies.md.
-func ModernPolicies(accs []migration.Access) []migration.Policy {
-	return []migration.Policy{
-		migration.NewARC(),
-		migration.NewLRUK(2),
-		migration.NewGDSF(),
-		migration.NewCostAware(migration.DefaultTapeRateMBps),
-		migration.NewAdaptiveSTP(),
-	}
-}
-
 // Experiment identifies one reproducible table or figure.
 type Experiment struct {
 	ID     string // "table3", "figure7", ...

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"filemig/internal/core"
-	"filemig/internal/migration"
 	"filemig/internal/trace"
 )
 
@@ -221,64 +220,66 @@ func TestCoalesceNearOneThird(t *testing.T) {
 	}
 }
 
-func TestStandardPoliciesAndComparison(t *testing.T) {
-	p := pipeline(t)
-	accs := p.Accesses()
-	if len(accs) == 0 {
-		t.Fatal("no accesses")
-	}
-	capacity := migration.TotalReferencedBytes(accs) / 50 // 2% staging disk
-	results, err := migration.ComparePolicies(accs, capacity, StandardPolicies(accs))
+// paperGrid runs the paper-1993 workload at the pipeline fixture's
+// scale and seed over the given policies and capacities.
+func paperGrid(t *testing.T, policies []string, capacities []float64) *ExperimentManifest {
+	t.Helper()
+	m, err := RunExperiment(&ExperimentSpec{Name: "paper-grid", Scenarios: []string{"paper-1993"},
+		Scale: 0.01, Seed: 5, Policies: policies, Capacities: capacities})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 9 {
-		t.Fatalf("results = %d", len(results))
+	return m
+}
+
+// TestStandardPoliciesAndComparison runs migsim's default preset — the
+// paper's nine policies at a 2% staging disk — and checks the §2.3
+// ranking: OPT leads, STP^1.4 beats largest-first and random.
+func TestStandardPoliciesAndComparison(t *testing.T) {
+	sr := paperGrid(t, []string{"stp:1.4", "stp:1", "lru", "saac", "fifo",
+		"largest-first", "smallest-first", "random", "opt"}, []float64{0.02}).Scenarios[0]
+	if len(sr.Policies) != 9 {
+		t.Fatalf("policy rows = %d", len(sr.Policies))
 	}
-	byName := map[string]migration.CacheResult{}
-	for _, r := range results {
-		byName[r.Policy] = r
+	miss := map[string]float64{}
+	best := sr.Policies[0]
+	for _, row := range sr.Policies {
+		c := row.Cells[0]
+		miss[row.Policy] = c.MissRatio
+		if c.MissRatio < best.Cells[0].MissRatio {
+			best = row
+		}
+		if c.Reads == 0 || c.PersonMinutesPerDay <= 0 {
+			t.Errorf("%s: %d reads, %.2f person-min/day", row.Policy, c.Reads, c.PersonMinutesPerDay)
+		}
 	}
 	// OPT must be the best or tied-best.
-	if results[0].Policy != "OPT" &&
-		byName["OPT"].MissRatio() > results[0].MissRatio()+0.01 {
-		t.Errorf("OPT (%.3f) should lead; got %s (%.3f)",
-			byName["OPT"].MissRatio(), results[0].Policy, results[0].MissRatio())
+	if best.Policy != "OPT" && miss["OPT"] > best.Cells[0].MissRatio+0.01 {
+		t.Errorf("OPT (%.3f) should lead; got %s (%.3f)", miss["OPT"], best.Policy, best.Cells[0].MissRatio)
 	}
 	// STP^1.4 should beat largest-first and random, per Smith/Lawrie.
-	stp := byName["STP^1.4"].MissRatio()
-	if stp > byName["largest-first"].MissRatio() {
-		t.Errorf("STP^1.4 (%.3f) should beat largest-first (%.3f)",
-			stp, byName["largest-first"].MissRatio())
+	stp := miss["STP^1.4"]
+	if stp > miss["largest-first"] {
+		t.Errorf("STP^1.4 (%.3f) should beat largest-first (%.3f)", stp, miss["largest-first"])
 	}
-	if stp > byName["random"].MissRatio()+0.01 {
-		t.Errorf("STP^1.4 (%.3f) should beat random (%.3f)",
-			stp, byName["random"].MissRatio())
-	}
-	out := RenderPolicyComparison(results, 731)
-	if !strings.Contains(out, "OPT") || !strings.Contains(out, "person-min/day") {
-		t.Errorf("render missing columns:\n%s", out)
+	if stp > miss["random:1"]+0.01 {
+		t.Errorf("STP^1.4 (%.3f) should beat random (%.3f)", stp, miss["random:1"])
 	}
 }
 
+// TestCapacitySweepRender runs an STP^1.4 capacity sweep and checks
+// Smith's regime and the rendered read-miss table.
 func TestCapacitySweepRender(t *testing.T) {
-	p := pipeline(t)
-	accs := p.Accesses()
-	pts, err := migration.CapacitySweep(accs, []float64{0.005, 0.015, 0.05},
-		func() migration.Policy { return migration.STP{K: 1.4} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := RenderSweep(pts)
-	if !strings.Contains(out, "capacity") {
+	m := paperGrid(t, []string{"stp:1.4"}, []float64{0.005, 0.015, 0.05})
+	out := RenderExperiment(m)
+	if !strings.Contains(out, "read miss%") || !strings.Contains(out, "1.5%") {
 		t.Errorf("sweep render wrong:\n%s", out)
 	}
 	// Smith's observation rebuilt: a cache of ~1.5% of the store yields a
 	// low miss ratio (he reported ~1%; our workload is burstier, so allow
 	// more headroom).
-	if pts[1].Result.MissRatio() > 0.5 {
-		t.Errorf("1.5%% cache miss ratio = %.3f — far off Smith's regime",
-			pts[1].Result.MissRatio())
+	if miss := m.Scenarios[0].Policies[0].Cells[1].MissRatio; miss > 0.5 {
+		t.Errorf("1.5%% cache miss ratio = %.3f — far off Smith's regime", miss)
 	}
 }
 

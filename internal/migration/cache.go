@@ -709,20 +709,6 @@ func (c *Cache) Used() units.Bytes { return c.used }
 // Resident reports the number of resident files.
 func (c *Cache) Resident() int { return c.nres }
 
-// SweepPoint is one (capacity, result) pair of a capacity sweep.
-type SweepPoint struct {
-	CapacityFraction float64
-	Result           CacheResult
-}
-
-// CapacitySweep replays the access string at several cache sizes
-// expressed as fractions of the total referenced data, for one policy
-// builder (a fresh Policy per run — Random and OPT carry state). The
-// replays run serially; use CapacitySweepWorkers to fan out.
-func CapacitySweep(accs []Access, fractions []float64, mk func() Policy) ([]SweepPoint, error) {
-	return CapacitySweepWorkers(accs, fractions, mk, 0)
-}
-
 // TotalReferencedBytes sums the distinct files' sizes (last size seen per
 // file), i.e. the tertiary-store footprint of the access string. File IDs
 // are dense, so the last-size table is a flat slice; unreferenced IDs
@@ -738,14 +724,6 @@ func TotalReferencedBytes(accs []Access) units.Bytes {
 		t += s
 	}
 	return t
-}
-
-// ComparePolicies replays the same access string under each policy at the
-// given capacity and returns results sorted by read miss ratio (best
-// first). The replays run serially (use ComparePoliciesWorkers to fan
-// out); each Policy instance must be private to its entry.
-func ComparePolicies(accs []Access, capacity units.Bytes, policies []Policy) ([]CacheResult, error) {
-	return ComparePoliciesWorkers(accs, capacity, policies, 0)
 }
 
 // DirPrefetcher prefetches the most recent other files of the directory

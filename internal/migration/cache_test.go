@@ -1,6 +1,7 @@
 package migration
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -235,40 +236,26 @@ func TestSTPCompetitiveWithLRU(t *testing.T) {
 	}
 }
 
-func TestComparePoliciesSortsByMissRatio(t *testing.T) {
-	accs := syntheticString(4000, 4)
-	capacity := TotalReferencedBytes(accs) / 20
-	res, err := ComparePolicies(accs, capacity, []Policy{
-		LRU{}, FIFO{}, LargestFirst{}, SmallestFirst{}, STP{K: 1.4}, SAAC{}, NewRandom(1),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 7 {
-		t.Fatalf("results = %d", len(res))
-	}
-	for i := 1; i < len(res); i++ {
-		if res[i].MissRatio() < res[i-1].MissRatio() {
-			t.Fatal("results not sorted by miss ratio")
-		}
-	}
-}
-
 func TestCapacitySweepMonotone(t *testing.T) {
 	accs := syntheticString(6000, 5)
-	pts, err := CapacitySweep(accs, []float64{0.005, 0.02, 0.10, 0.5}, func() Policy { return STP{K: 1.4} })
+	total := TotalReferencedBytes(accs)
+	var cells []ReplayCell
+	for _, frac := range []float64{0.005, 0.02, 0.10, 0.5} {
+		cells = append(cells, ReplayCell{Accs: accs, Policy: STP{K: 1.4}, Capacity: FractionCapacity(total, frac)})
+	}
+	pts, err := replayAll(context.Background(), cells, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(pts); i++ {
 		// More cache must not hurt much (tiny non-monotonicities possible
 		// with size-aware policies; allow 2% slack).
-		if pts[i].Result.MissRatio() > pts[i-1].Result.MissRatio()+0.02 {
+		if pts[i].MissRatio() > pts[i-1].MissRatio()+0.02 {
 			t.Errorf("miss ratio rose with capacity: %v -> %v",
-				pts[i-1].Result.MissRatio(), pts[i].Result.MissRatio())
+				pts[i-1].MissRatio(), pts[i].MissRatio())
 		}
 	}
-	if pts[3].Result.MissRatio() >= pts[0].Result.MissRatio() {
+	if pts[3].MissRatio() >= pts[0].MissRatio() {
 		t.Error("50% cache should beat 0.5% cache decisively")
 	}
 }

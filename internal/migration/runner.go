@@ -2,7 +2,6 @@ package migration
 
 import (
 	"context"
-	"sort"
 
 	"filemig/internal/pool"
 	"filemig/internal/units"
@@ -11,7 +10,8 @@ import (
 // The sweep runner: the paper's experiments replay reference strings
 // many times — once per capacity, policy, or STP exponent — and every
 // replay is independent (a reset Cache and a private Policy per cell),
-// so every sweep is a stream of cells handed to ReplayCells.
+// so every grid — the experiment engine's, under migexp and migsim — is
+// a stream of cells handed to ReplayCells.
 
 // ReplayCell is one replay of a reference string: the string itself, a
 // policy instance no other cell shares, and the cache size it runs at.
@@ -62,19 +62,6 @@ func ReplayCells(ctx context.Context, workers, n int, cell func(i int) (ReplayCe
 		}, nil)
 }
 
-// replayList replays a fixed cell list through ReplayCells and returns
-// the results in list order.
-func replayList(ctx context.Context, cells []ReplayCell, workers int) ([]CacheResult, error) {
-	out := make([]CacheResult, len(cells))
-	err := ReplayCells(ctx, workers, len(cells),
-		func(i int) (ReplayCell, error) { return cells[i], nil },
-		func(i int, r CacheResult) { out[i] = r })
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // FractionCapacity is the cache size a capacity fraction of total
 // referenced bytes stands for, clamped so a degenerate fraction still
 // yields a valid (one-byte) cache.
@@ -83,92 +70,4 @@ func FractionCapacity(total units.Bytes, frac float64) units.Bytes {
 		return c
 	}
 	return 1
-}
-
-// CapacitySweepWorkers is CapacitySweep with an explicit worker count
-// (<= 1 runs serially). The builder runs serially, once per fraction in
-// input order, before the fan-out: builders may close over shared state
-// (a seed counter, say) and are not required to be goroutine-safe.
-func CapacitySweepWorkers(accs []Access, fractions []float64, mk func() Policy,
-	workers int) ([]SweepPoint, error) {
-	total := TotalReferencedBytes(accs)
-	cells := make([]ReplayCell, len(fractions))
-	for i, frac := range fractions {
-		cells[i] = ReplayCell{Accs: accs, Policy: mk(), Capacity: FractionCapacity(total, frac)}
-	}
-	res, err := replayList(context.Background(), cells, workers)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SweepPoint, len(res))
-	for i, r := range res {
-		out[i] = SweepPoint{CapacityFraction: fractions[i], Result: r}
-	}
-	return out, nil
-}
-
-// ComparePoliciesWorkers is ComparePolicies with an explicit worker
-// count. Each policy instance is used by exactly one cell, so stateful
-// policies (Random, OPT) are safe as long as they are not shared between
-// entries.
-func ComparePoliciesWorkers(accs []Access, capacity units.Bytes, policies []Policy,
-	workers int) ([]CacheResult, error) {
-	cells := make([]ReplayCell, len(policies))
-	for i, p := range policies {
-		cells[i] = ReplayCell{Accs: accs, Policy: p, Capacity: capacity}
-	}
-	out, err := replayList(context.Background(), cells, workers)
-	if err != nil {
-		return nil, err
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].MissRatio() < out[j].MissRatio() })
-	return out, nil
-}
-
-// ExponentPoint is one STP exponent's outcome in an exponent sweep.
-type ExponentPoint struct {
-	K      float64
-	Result CacheResult
-}
-
-// STPExponentSweep replays the access string under STP^k for each
-// exponent at the given capacity — Smith's ablation that singled out
-// K=1.4. The replays run serially; use STPExponentSweepWorkers to fan
-// out.
-func STPExponentSweep(accs []Access, capacity units.Bytes, ks []float64) ([]ExponentPoint, error) {
-	return STPExponentSweepWorkers(accs, capacity, ks, 0)
-}
-
-// STPExponentSweepWorkers is STPExponentSweep with an explicit worker
-// count.
-func STPExponentSweepWorkers(accs []Access, capacity units.Bytes, ks []float64,
-	workers int) ([]ExponentPoint, error) {
-	cells := make([]ReplayCell, len(ks))
-	for i, k := range ks {
-		cells[i] = ReplayCell{Accs: accs, Policy: STP{K: k}, Capacity: capacity}
-	}
-	res, err := replayList(context.Background(), cells, workers)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ExponentPoint, len(res))
-	for i, r := range res {
-		out[i] = ExponentPoint{K: ks[i], Result: r}
-	}
-	return out, nil
-}
-
-// BestExponent returns the exponent with the lowest read miss ratio
-// (first such on ties, in input order).
-func BestExponent(pts []ExponentPoint) (ExponentPoint, bool) {
-	if len(pts) == 0 {
-		return ExponentPoint{}, false
-	}
-	best := pts[0]
-	for _, p := range pts[1:] {
-		if p.Result.MissRatio() < best.Result.MissRatio() {
-			best = p
-		}
-	}
-	return best, true
 }

@@ -8,52 +8,68 @@ import (
 	"testing"
 )
 
-func TestCapacitySweepParallelMatchesSerial(t *testing.T) {
-	accs := syntheticString(5000, 21)
-	fractions := []float64{0.004, 0.02, 0.08, 0.3}
-	mk := func() Policy { return STP{K: 1.4} }
-	serial, err := CapacitySweepWorkers(accs, fractions, mk, 1)
+// replayAll replays a fixed cell list through ReplayCells and returns
+// the results in list order.
+func replayAll(ctx context.Context, cells []ReplayCell, workers int) ([]CacheResult, error) {
+	out := make([]CacheResult, len(cells))
+	err := ReplayCells(ctx, workers, len(cells),
+		func(i int) (ReplayCell, error) { return cells[i], nil },
+		func(i int, r CacheResult) { out[i] = r })
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	parallel, err := CapacitySweepWorkers(accs, fractions, mk, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("lengths differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Errorf("fraction %v: serial %+v != parallel %+v",
-				fractions[i], serial[i], parallel[i])
+	return out, nil
+}
+
+// sameAtWorkers replays the cells build returns at every worker count
+// and fails unless each run equals the first, cell for cell.
+func sameAtWorkers(t *testing.T, build func() []ReplayCell, workers ...int) {
+	t.Helper()
+	var first []CacheResult
+	for _, w := range workers {
+		got, err := replayAll(context.Background(), build(), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = got
+			continue
+		}
+		for i := range first {
+			if got[i] != first[i] {
+				t.Errorf("cell %d: workers=%d %+v != workers=%d %+v", i, w, got[i], workers[0], first[i])
+			}
 		}
 	}
 }
 
+// TestCapacitySweepParallelMatchesSerial: one policy over several
+// capacities, the shape of migsim -sweep.
+func TestCapacitySweepParallelMatchesSerial(t *testing.T) {
+	accs := syntheticString(5000, 21)
+	total := TotalReferencedBytes(accs)
+	sameAtWorkers(t, func() []ReplayCell {
+		var cells []ReplayCell
+		for _, frac := range []float64{0.004, 0.02, 0.08, 0.3} {
+			cells = append(cells, ReplayCell{Accs: accs, Policy: STP{K: 1.4}, Capacity: FractionCapacity(total, frac)})
+		}
+		return cells
+	}, 1, 4)
+}
+
+// TestComparePoliciesParallelMatchesSerial: many policies, stateful
+// ones included, at one capacity, the shape of migsim's comparison.
 func TestComparePoliciesParallelMatchesSerial(t *testing.T) {
 	accs := syntheticString(5000, 22)
 	capacity := TotalReferencedBytes(accs) / 30
-	mks := func() []Policy {
-		return []Policy{STP{K: 1.4}, LRU{}, FIFO{}, SAAC{}, LargestFirst{},
-			SmallestFirst{}, NewRandom(3), NewOPT(NewFutureIndex(accs))}
-	}
-	serial, err := ComparePoliciesWorkers(accs, capacity, mks(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := ComparePoliciesWorkers(accs, capacity, mks(), 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("lengths differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Errorf("rank %d: serial %+v != parallel %+v", i, serial[i], parallel[i])
+	sameAtWorkers(t, func() []ReplayCell {
+		var cells []ReplayCell
+		for _, p := range []Policy{STP{K: 1.4}, LRU{}, FIFO{}, SAAC{}, LargestFirst{},
+			SmallestFirst{}, NewRandom(3), NewOPT(NewFutureIndex(accs))} {
+			cells = append(cells, ReplayCell{Accs: accs, Policy: p, Capacity: capacity})
 		}
-	}
+		return cells
+	}, 1, 6)
 }
 
 // nameCounter is an LRU that counts Name calls: NewCache reads the name
@@ -103,7 +119,7 @@ func TestReplayCells(t *testing.T) {
 	}
 	want := freshReplays(t, build())
 	for _, workers := range []int{0, 1, 4} {
-		got, err := replayList(context.Background(), build(), workers)
+		got, err := replayAll(context.Background(), build(), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +132,7 @@ func TestReplayCells(t *testing.T) {
 		bad := build()[:4]
 		bad[1].Policy = nil // "policy required" ...
 		bad[3].Capacity = 0 // ... outranks the later "capacity must be positive"
-		if _, err := replayList(context.Background(), bad, workers); err == nil ||
+		if _, err := replayAll(context.Background(), bad, workers); err == nil ||
 			!strings.Contains(err.Error(), "policy required") {
 			t.Errorf("workers=%d: error %v, want the lowest-indexed cell's (nil policy)", workers, err)
 		}
@@ -142,7 +158,7 @@ func TestReplayCells(t *testing.T) {
 		for i := range cells {
 			cells[i] = ReplayCell{Accs: accs, Policy: nameCounter{n: &dispatched}, Capacity: total}
 		}
-		if _, err := replayList(ctx, cells, workers); !errors.Is(err, context.Canceled) {
+		if _, err := replayAll(ctx, cells, workers); !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: cancelled ctx returned %v", workers, err)
 		}
 		if n := dispatched.Load(); n != 0 {
@@ -154,51 +170,52 @@ func TestReplayCells(t *testing.T) {
 	}
 }
 
+// TestSTPExponentSweep: Smith's exponent ablation as cells — STP^k per
+// exponent at one capacity — replays each exponent as a direct replay
+// does, in input order, and K = 0 ranks by size alone, so it evicts as
+// largest-first does.
 func TestSTPExponentSweep(t *testing.T) {
 	accs := syntheticString(4000, 24)
 	capacity := TotalReferencedBytes(accs) / 30
 	ks := []float64{0, 1.0, 1.4, 3.0}
-	pts, err := STPExponentSweep(accs, capacity, ks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != len(ks) {
-		t.Fatalf("points = %d, want %d", len(pts), len(ks))
-	}
-	for i, k := range ks {
-		if pts[i].K != k {
-			t.Errorf("point %d has K=%v, want %v (input order)", i, pts[i].K, k)
+	build := func() []ReplayCell {
+		cells := []ReplayCell{{Accs: accs, Policy: LargestFirst{}, Capacity: capacity}}
+		for _, k := range ks {
+			cells = append(cells, ReplayCell{Accs: accs, Policy: STP{K: k}, Capacity: capacity})
 		}
-		c, _ := NewCache(CacheConfig{Capacity: capacity, Policy: STP{K: k}})
-		if want := c.Replay(accs); pts[i].Result != want {
-			t.Errorf("K=%v: sweep %+v != direct replay %+v", k, pts[i].Result, want)
+		return cells
+	}
+	want := freshReplays(t, build())
+	for _, workers := range []int{0, 4} {
+		got, err := replayAll(context.Background(), build(), workers)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	best, ok := BestExponent(pts)
-	if !ok {
-		t.Fatal("BestExponent found nothing")
-	}
-	for _, p := range pts {
-		if p.Result.MissRatio() < best.Result.MissRatio() {
-			t.Errorf("best exponent %v (%v) beaten by %v (%v)",
-				best.K, best.Result.MissRatio(), p.K, p.Result.MissRatio())
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("workers=%d cell %d: %+v != direct replay %+v", workers, i, got[i], want[i])
+			}
 		}
 	}
-	if _, ok := BestExponent(nil); ok {
-		t.Error("empty sweep must report no best exponent")
+	lf, stp0 := want[0], want[1]
+	if stp0.ReadMisses != lf.ReadMisses || stp0.Evictions != lf.Evictions {
+		t.Errorf("STP^0 %+v does not evict as largest-first %+v", stp0, lf)
 	}
 }
 
 func TestSweepErrorPropagation(t *testing.T) {
 	accs := syntheticString(200, 25)
-	if _, err := STPExponentSweepWorkers(accs, 0, []float64{1}, 0); err == nil {
-		t.Error("non-positive capacity must error")
-	}
-	if _, err := ComparePoliciesWorkers(accs, 1, []Policy{nil}, 0); err == nil {
-		t.Error("nil policy must error")
-	}
-	if _, err := CapacitySweepWorkers(accs, []float64{0.1}, func() Policy { return nil }, 0); err == nil {
-		t.Error("nil policy builder must error")
+	for _, tc := range []struct {
+		name string
+		cell ReplayCell
+	}{
+		{"non-positive capacity", ReplayCell{Accs: accs, Policy: STP{K: 1}, Capacity: 0}},
+		{"nil policy", ReplayCell{Accs: accs, Policy: nil, Capacity: 1}},
+	} {
+		cells := []ReplayCell{{Accs: accs, Policy: LRU{}, Capacity: 1000}, tc.cell}
+		if _, err := replayAll(context.Background(), cells, 0); err == nil {
+			t.Errorf("%s must error", tc.name)
+		}
 	}
 }
 
@@ -236,7 +253,7 @@ func TestReplayCellsReuseMatchesFresh(t *testing.T) {
 	}
 	want := freshReplays(t, build())
 	for _, workers := range []int{1, 2, 4} {
-		got, err := replayList(context.Background(), build(), workers)
+		got, err := replayAll(context.Background(), build(), workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -114,5 +116,51 @@ func TestB2BlockDecodeSteadyStateAllocs(t *testing.T) {
 	decode() // warm the interner and the decoder's frame scratch
 	if perRun := testing.AllocsPerRun(10, decode); perRun > 0 {
 		t.Errorf("steady-state block decode allocates %v per run, want 0", perRun)
+	}
+}
+
+// TestPrivateReaderBytesPerRecord bounds what a reader's private path
+// table costs when every record names a new file in a new directory:
+// the table derives no directories, since nothing reads them, so
+// decoding pays for the path strings and their index, not a directory
+// string and map entry per record on top.
+func TestPrivateReaderBytesPerRecord(t *testing.T) {
+	const records = 20000
+	recs := make([]Record, records)
+	for i := range recs {
+		recs[i] = Record{
+			Start: Epoch.Add(time.Duration(i) * time.Second), Op: Read,
+			Device: device.ClassSiloTape, Size: units.Bytes(1e6 + i),
+			MSSPath:   fmt.Sprintf("/mss/project%06d/run/output.dat", i),
+			LocalPath: "/tmp/job", UserID: 100,
+		}
+	}
+	for _, tc := range []struct {
+		f    Format
+		open func(io.Reader) Stream
+	}{
+		{FormatASCII, func(r io.Reader) Stream { return NewReader(r) }},
+		{FormatBinary, func(r io.Reader) Stream { return NewBinaryReader(r) }},
+	} {
+		var buf bytes.Buffer
+		if err := WriteAllFormat(&buf, recs, tc.f); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		s := tc.open(bytes.NewReader(buf.Bytes()))
+		for {
+			if _, err := s.Next(); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perRec := float64(after.TotalAlloc-before.TotalAlloc) / records
+		if perRec > 200 {
+			t.Errorf("%v: private-table decode allocates %.1f B/record, want <= 200", tc.f, perRec)
+		}
 	}
 }

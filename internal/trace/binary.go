@@ -166,9 +166,10 @@ type BinaryReader struct {
 }
 
 // NewBinaryReader returns a BinaryReader over r with a private path
-// interner. The header line is consumed lazily on the first Next.
+// table, which derives no directories: nothing reads them from a
+// reader's table. The header line is consumed lazily on the first Next.
 func NewBinaryReader(r io.Reader) *BinaryReader {
-	return NewBinaryReaderInterned(r, NewInterner())
+	return NewBinaryReaderInterned(r, NewFileTable())
 }
 
 // NewBinaryReaderInterned returns a BinaryReader that canonicalises MSS
