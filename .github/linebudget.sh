@@ -47,7 +47,16 @@ set -e
 # engine: its three grids are spec presets, so internal/migration's six
 # sweep wrappers, BestExponent and their point types, and the root
 # package's two policy lists and three sweep renderers are deleted.
-BUDGET=8150
+# Raised from 8150 to 8345 by migd's frame cache: internal/serve's
+# checkpoint streams changed segments' frames into the file under the
+# cut, copies every untouched segment's frame from the last checkpoint
+# file (kept open, each frame CRC-checked, a damaged one re-encoded) and
+# places segments only after the rename; it restores from the file frame
+# by frame, answers /v1/checkpoint with encoded/copied/bytes and gains
+# Close; internal/dist gains AppendFrame and ReadFrame. No frame stays on
+# the heap: migd-live's peak RSS fell from 142-148 MB to 118-123 MB, and
+# every checkpoint byte is unchanged.
+BUDGET=8345
 
 total=0
 for dir in internal/core internal/trace internal/migration internal/dist internal/serve \

@@ -1168,8 +1168,8 @@ func BenchmarkMigdIngest(b *testing.B) {
 			}
 		}
 	})
-	// A restart: the checkpoint as the daemon hands it over (every
-	// frame cached after the first encoding), decoded into a fresh one.
+	// A restart: the checkpoint as EncodeCheckpoint serializes it, every
+	// segment encoded, decoded frame by frame into a fresh daemon.
 	b.Run("restore", func(b *testing.B) {
 		s := newServer()
 		for _, f := range frames {
@@ -1190,5 +1190,44 @@ func BenchmarkMigdIngest(b *testing.B) {
 			}
 			b.SetBytes(int64(len(ckpt)))
 		}
+	})
+	// A steady checkpoint: the records held as about 3 930 segments, as
+	// many as migd-live's out-of-order batches leave, and one batch
+	// extending one of them between checkpoints. The checkpoint encodes
+	// that segment and copies every other frame from the previous file.
+	b.Run("checkpoint-steady", func(b *testing.B) {
+		const segments = 3930
+		s, err := serve.NewServer(serve.Config{
+			Opts:           core.Options{DedupWindow: workload.DedupWindow},
+			CheckpointPath: filepath.Join(b.TempDir(), "migd.ckpt"),
+			Now:            now,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		per := (len(recs) + segments - 1) / segments
+		for i := len(recs); i > 0; i -= per { // newest first: every batch opens a segment
+			s.Ingest(recs[max(0, i-per):i])
+		}
+		if err := s.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+		tail := append([]trace.Record(nil), recs[len(recs)-per:]...)
+		for i := range tail {
+			tail[i].Start = recs[len(recs)-1].Start // extends the newest segment
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			s.Ingest(tail)
+			b.StartTimer()
+			if err := s.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(s.StatsNow().Segments), "segments")
 	})
 }

@@ -86,17 +86,15 @@ func run(listen, checkpoint string, ckptEvery int64, ckptInterval, dedup, shardD
 	if err != nil {
 		return err
 	}
+	defer s.Close()
 	if checkpoint != "" {
-		data, err := os.ReadFile(checkpoint)
+		err := s.RestoreCheckpointFile(checkpoint)
 		switch {
 		case errors.Is(err, fs.ErrNotExist):
 			// First start: nothing to resume.
 		case err != nil:
 			return err
 		default:
-			if err := s.RestoreCheckpoint(data); err != nil {
-				return err
-			}
 			st := s.StatsNow()
 			log.Printf("restored %d records in %d segments from %s", st.Records, st.Segments, checkpoint)
 		}

@@ -189,8 +189,16 @@ func NewSegmentCodec(paths *trace.Interner) *SegmentCodec {
 // place files table ID id as the snapshot in flight's next local ID,
 // reporting false when the snapshot already holds it.
 func (c *SegmentCodec) place(id trace.FileID) bool {
-	for len(c.local) <= int(id) {
-		c.local = append(c.local, trace.NoFileID)
+	if int(id) >= len(c.local) {
+		// Sized to the table, or doubled while a decode still grows it:
+		// growing by append as IDs arrive copies a large table over many
+		// times.
+		grown := make([]trace.FileID, max(c.paths.Len(), 2*len(c.local), int(id)+1))
+		copy(grown, c.local)
+		for i := len(c.local); i < len(grown); i++ {
+			grown[i] = trace.NoFileID
+		}
+		c.local = grown
 	}
 	if c.local[id] != trace.NoFileID {
 		return false

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"slices"
 
 	"filemig/internal/trace"
 )
@@ -22,6 +24,10 @@ import (
 // frame from ever parsing as one of the repository's ASCII headers.
 const frameMagic = "#dist-frame f1\n"
 
+// frameHeadLen is the length of a frame's magic and length field: the
+// bytes that say how long the whole frame is.
+const frameHeadLen = len(frameMagic) + 4
+
 // maxFramePayload bounds the declared payload length (1 GiB) so a
 // corrupt length field cannot drive a huge allocation.
 const maxFramePayload = 1 << 30
@@ -32,12 +38,16 @@ var ErrFrame = errors.New("dist: bad frame")
 // EncodeFrame wraps payload in the dist wire frame: magic, big-endian
 // u32 length, payload, big-endian CRC-32C of the payload.
 func EncodeFrame(payload []byte) []byte {
-	out := make([]byte, 0, len(frameMagic)+8+len(payload))
-	out = append(out, frameMagic...)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(payload)))
-	out = append(out, payload...)
-	out = binary.BigEndian.AppendUint32(out, trace.Checksum(payload))
-	return out
+	return AppendFrame(make([]byte, 0, frameHeadLen+len(payload)+4), payload)
+}
+
+// AppendFrame appends payload, wrapped in the wire frame, to dst and
+// returns the extended slice.
+func AppendFrame(dst, payload []byte) []byte {
+	dst = append(dst, frameMagic...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = append(dst, payload...)
+	return binary.BigEndian.AppendUint32(dst, trace.Checksum(payload))
 }
 
 // DecodeFrame unwraps one frame, verifying magic, length, and
@@ -79,4 +89,27 @@ func NextFrame(b []byte) (payload, rest []byte, err error) {
 		return nil, nil, fmt.Errorf("%w: payload crc 0x%08x != stored 0x%08x", ErrFrame, got, want)
 	}
 	return payload, body[n+4:], nil
+}
+
+// ReadFrame reads the next frame from r into buf, grown as needed, and
+// verifies it as NextFrame does. It reads no more than limit bytes, so
+// a damaged length field costs at most limit, and the frame is
+// reported truncated. It returns the frame — in buf's storage, for the
+// caller to pass back in as the next buf — and its payload, which
+// aliases it.
+func ReadFrame(r io.Reader, limit int64, buf []byte) (frame, payload []byte, err error) {
+	n := min(int64(frameHeadLen), limit)
+	buf = slices.Grow(buf[:0], int(n))[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return buf, nil, err
+	}
+	if n == int64(frameHeadLen) && string(buf[:len(frameMagic)]) == frameMagic {
+		whole := min(n+int64(binary.BigEndian.Uint32(buf[len(frameMagic):]))+4, limit)
+		buf = slices.Grow(buf, int(whole-n))[:whole]
+		if _, err := io.ReadFull(r, buf[n:]); err != nil {
+			return buf, nil, err
+		}
+	}
+	payload, _, err = NextFrame(buf)
+	return buf, payload, err
 }

@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
+	"slices"
 	"time"
 
 	"filemig/internal/core"
@@ -23,117 +25,276 @@ import (
 // does not carry error-record bounds, so the checkpoint does) followed
 // by the segment's s1 snapshot. The CRC on every frame means a torn or
 // bit-flipped checkpoint fails loudly at restore instead of resuming
-// from silently wrong state; segments untouched since the previous
-// checkpoint reuse their cached frame bytes and are never re-serialized.
+// from silently wrong state.
+//
+// The daemon keeps no frame in memory. The last checkpoint file it
+// wrote or restored stays open as its frame cache, and each segment
+// untouched since then remembers where its frame sits there: the next
+// checkpoint copies those bytes, CRC-checked, instead of re-serializing
+// the segment.
 
 // CheckpointHeader opens every migd checkpoint file.
 const CheckpointHeader = "#migd-checkpoint c1\n"
 
-// encodeSegments brings every segment's cached checkpoint frame up to
-// date — only segments touched since their last encoding are
-// serialized, all through one codec (one WireWriter, one payload
-// buffer) — and returns the frames in trace order with the count of
-// records ingested since the last checkpoint, as of this cut. A cached
-// frame is immutable once built, so the result stays valid after the
-// lock is released.
-func (s *Server) encodeSegments() (frames [][]byte, pending int64, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	segs := s.orderedSegments()
-	frames = make([][]byte, len(segs))
-	codec := core.NewSegmentCodec(s.paths)
-	var payload bytes.Buffer
-	for i, sg := range segs {
-		if sg.dirty || sg.enc == nil {
-			if sg.enc, err = encodeSegment(codec, &payload, sg.p); err != nil {
-				return nil, 0, fmt.Errorf("serve: checkpoint segment %d: %w", i, err)
-			}
-			sg.dirty = false
-		}
-		frames[i] = sg.enc
-	}
-	return frames, s.sinceCkpt.Load(), nil
+// frameLoc is where a segment's checkpoint frame sits in a checkpoint
+// file: its offset and length. The zero value locates nothing.
+type frameLoc struct{ off, n int64 }
+
+// checkpointFile is a checkpoint being written and, once renamed into
+// place, the frame cache it is read back from — an *os.File.
+type checkpointFile interface {
+	io.ReaderAt
+	io.WriterAt
+	io.Closer
+	Name() string
 }
 
-// encodeSegment builds one segment's checkpoint frame — its two bounds,
-// then its s1 snapshot — using payload as scratch.
-func encodeSegment(codec *core.SegmentCodec, payload *bytes.Buffer, p *core.Partial) ([]byte, error) {
+// cutFrame is one segment's place in a checkpoint being written.
+type cutFrame struct {
+	sg      *segment
+	records int64    // the segment's record count at the cut
+	from    frameLoc // its frame in the frame cache, to copy; zero when the cut encoded it
+	to      frameLoc // its frame in the new file
+}
+
+// checkpointCost is what one checkpoint wrote: the segments it
+// serialized, the frames it copied from the frame cache, and the file's
+// size.
+type checkpointCost struct {
+	encoded, copied, bytes int64
+}
+
+// errStaleFrame reports a cached frame that failed its CRC on the way
+// to a new checkpoint; its segment has lost its cached location.
+var errStaleFrame = errors.New("a cached checkpoint frame failed its check")
+
+// frameEncoder serializes segments into checkpoint frames through one
+// codec and two reused buffers, so at most one segment's frame is held
+// at a time.
+type frameEncoder struct {
+	codec   *core.SegmentCodec
+	payload bytes.Buffer
+	frame   []byte
+}
+
+// encode returns p's checkpoint frame — its two bounds, then its s1
+// snapshot — valid until the next call.
+func (e *frameEncoder) encode(p *core.Partial) ([]byte, error) {
 	first, last := p.Bounds()
 	var bounds [2 * binary.MaxVarintLen64]byte
 	n := binary.PutVarint(bounds[:], first.UnixNano())
 	n += binary.PutVarint(bounds[n:], last.UnixNano())
-	payload.Reset()
-	payload.Write(bounds[:n])
-	if err := codec.Write(payload, p); err != nil {
+	e.payload.Reset()
+	e.payload.Write(bounds[:n])
+	if err := e.codec.Write(&e.payload, p); err != nil {
 		return nil, err
 	}
-	return dist.EncodeFrame(payload.Bytes()), nil
+	e.frame = dist.AppendFrame(e.frame[:0], e.payload.Bytes())
+	return e.frame, nil
+}
+
+// cut writes a checkpoint's header and frames to w, walking the
+// segments in trace order under mu. When reserve is set, a segment
+// whose current frame is in the frame cache only has its frame's range
+// reserved through it, to be copied in once mu is released; every
+// other segment is encoded straight into w. It returns where each
+// frame lands and the count of records ingested since the last
+// checkpoint, as of this cut. The segments are left as they were.
+func (s *Server) cut(w io.Writer, reserve func(n int64) error) (frames []cutFrame, pending int64, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, err := io.WriteString(w, CheckpointHeader); err != nil {
+		return nil, 0, err
+	}
+	off := int64(len(CheckpointHeader))
+	enc := frameEncoder{codec: core.NewSegmentCodec(s.paths)}
+	segs := s.orderedSegments()
+	frames = make([]cutFrame, len(segs))
+	for i, sg := range segs {
+		f := cutFrame{sg: sg, records: sg.p.Records()}
+		if reserve != nil && sg.frame.n > 0 {
+			f.from = sg.frame
+			err = reserve(f.from.n)
+			f.to = frameLoc{off, f.from.n}
+		} else {
+			var frame []byte
+			if frame, err = enc.encode(sg.p); err == nil {
+				_, err = w.Write(frame)
+			}
+			f.to = frameLoc{off, int64(len(frame))}
+		}
+		if err != nil {
+			return nil, 0, fmt.Errorf("segment %d: %w", i, err)
+		}
+		off += f.to.n
+		frames[i] = f
+	}
+	return frames, s.sinceCkpt.Load(), nil
 }
 
 // EncodeCheckpoint serializes the daemon's full segment state in the
-// checkpoint format.
+// checkpoint format, encoding every segment.
 func (s *Server) EncodeCheckpoint() ([]byte, error) {
-	frames, _, err := s.encodeSegments()
-	if err != nil {
-		return nil, err
+	var out bytes.Buffer
+	if _, _, err := s.cut(&out, nil); err != nil {
+		return nil, fmt.Errorf("serve: checkpoint %w", err)
 	}
-	size := len(CheckpointHeader)
-	for _, f := range frames {
-		size += len(f)
-	}
-	out := bytes.NewBuffer(make([]byte, 0, size))
-	_ = writeFramesTo(out, frames) // a bytes.Buffer write cannot fail
 	return out.Bytes(), nil
 }
 
-// writeFramesTo writes a checkpoint: the header, then every frame.
-func writeFramesTo(w io.Writer, frames [][]byte) error {
-	if _, err := io.WriteString(w, CheckpointHeader); err != nil {
-		return err
-	}
-	for _, fr := range frames {
-		if _, err := w.Write(fr); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Checkpoint writes the daemon's state to Config.CheckpointPath,
-// atomically: the frames stream into a temporary sibling first, which is
+// atomically: the frames go into a temporary sibling first, which is
 // renamed over the target, so a crash mid-write leaves the previous
-// checkpoint intact. Checkpoints are serialised — cut, write, rename and
+// checkpoint intact. Checkpoints are serialised — cut, copy, rename and
 // the pending-record count all happen under one mutex — so a call that
 // finds another in flight waits for it and then takes its own; ingest
 // is stalled only for the cut.
 func (s *Server) Checkpoint() error {
+	_, err := s.checkpoint()
+	return err
+}
+
+// checkpoint is Checkpoint, reporting what the checkpoint cost.
+func (s *Server) checkpoint() (checkpointCost, error) {
 	if s.cfg.CheckpointPath == "" {
-		return errors.New("serve: no checkpoint path configured")
+		return checkpointCost{}, errors.New("serve: no checkpoint path configured")
 	}
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
 	return s.checkpointLocked()
 }
 
-// checkpointLocked is Checkpoint with ckptMu already held.
-func (s *Server) checkpointLocked() error {
-	frames, pending, err := s.encodeSegments()
-	if err != nil {
-		return err
+// checkpointLocked is checkpoint with ckptMu already held. A cached
+// frame that fails its CRC on the way over costs its segment the cached
+// location and the checkpoint one more pass, which encodes it.
+func (s *Server) checkpointLocked() (checkpointCost, error) {
+	for {
+		cost, err := s.writeCheckpoint()
+		if errors.Is(err, errStaleFrame) {
+			s.logf("serve: checkpoint: %v; writing it again", err)
+			continue
+		}
+		if err != nil {
+			return cost, fmt.Errorf("serve: checkpoint: %w", err)
+		}
+		return cost, nil
 	}
-	err = dist.WriteFileAtomic(s.cfg.CheckpointPath, func(f io.Writer) error {
-		w := bufio.NewWriterSize(f, 1<<16)
-		if err := writeFramesTo(w, frames); err != nil {
+}
+
+// writeCheckpoint makes one attempt at a checkpoint: the cut encodes
+// into a fresh temporary and reserves the cached frames' ranges, the
+// cached frames are copied in once mu is released, and the temporary is
+// renamed into place and kept open as the new frame cache. Only then do
+// the segments learn where their frames now sit — all but those that
+// ingested since the cut — so a failed attempt leaves the previous file
+// and every location in it usable.
+func (s *Server) writeCheckpoint() (cost checkpointCost, err error) {
+	tmp, err := s.createTemp(filepath.Dir(s.cfg.CheckpointPath))
+	if err != nil {
+		return cost, err
+	}
+	defer func() {
+		if err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name()) // best effort; err is the failure to report
+		}
+	}()
+	out := io.NewOffsetWriter(tmp, 0)
+	w := bufio.NewWriterSize(out, 1<<16)
+	var reserve func(int64) error
+	if s.cache != nil {
+		reserve = func(n int64) error {
+			if err := w.Flush(); err != nil {
+				return err
+			}
+			_, err := out.Seek(n, io.SeekCurrent)
 			return err
 		}
-		return w.Flush()
-	})
-	if err != nil {
-		return fmt.Errorf("serve: checkpoint: %w", err)
 	}
+	frames, pending, err := s.cut(w, reserve)
+	if err == nil {
+		err = w.Flush()
+	}
+	if err == nil {
+		err = s.copyFrames(tmp, frames)
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), s.cfg.CheckpointPath)
+	}
+	if err != nil {
+		return cost, err
+	}
+
+	cost.bytes = int64(len(CheckpointHeader))
+	s.mu.Lock()
+	for _, f := range frames {
+		if f.sg.p.Records() == f.records {
+			f.sg.frame = f.to
+		}
+		if f.from.n > 0 {
+			cost.copied++
+		} else {
+			cost.encoded++
+		}
+		cost.bytes += f.to.n
+	}
+	s.mu.Unlock()
+	if s.cache != nil {
+		s.cache.Close()
+	}
+	s.cache = tmp
 	s.checkpoints.Add(1)
 	s.sinceCkpt.Add(-pending)
-	return nil
+	return cost, nil
+}
+
+// copyFrames copies every reserved frame from the frame cache into its
+// range of dst, one frame in memory at a time, checking each frame's
+// CRC on the way; frames that land back to back share one buffered
+// write. A frame that fails is never written: its segment loses its
+// cached location — the next cut encodes it — and once the rest are
+// checked copyFrames reports errStaleFrame.
+func (s *Server) copyFrames(dst io.WriterAt, frames []cutFrame) error {
+	out := bufio.NewWriterSize(nil, 1<<16)
+	outAt := int64(-1) // where the buffered writes stand in dst
+	var frame []byte
+	var stale []*segment
+	for _, f := range frames {
+		if f.from.n == 0 {
+			continue
+		}
+		frame = slices.Grow(frame[:0], int(f.from.n))[:f.from.n]
+		_, err := s.cache.ReadAt(frame, f.from.off)
+		if err == nil {
+			_, err = dist.DecodeFrame(frame)
+		}
+		if err != nil {
+			stale = append(stale, f.sg)
+			continue
+		}
+		if len(stale) > 0 {
+			continue
+		}
+		if f.to.off != outAt {
+			if err := out.Flush(); err != nil {
+				return err
+			}
+			out.Reset(io.NewOffsetWriter(dst, f.to.off))
+		}
+		if _, err := out.Write(frame); err != nil {
+			return err
+		}
+		outAt = f.to.off + f.to.n
+	}
+	if len(stale) == 0 {
+		return out.Flush()
+	}
+	s.mu.Lock()
+	for _, sg := range stale {
+		sg.frame = frameLoc{}
+	}
+	s.mu.Unlock()
+	return fmt.Errorf("%w (%d of them)", errStaleFrame, len(stale))
 }
 
 // CheckpointIfChanged is Checkpoint for the callers with nothing new to
@@ -170,30 +331,60 @@ func (s *Server) maybeCheckpoint() {
 	if s.sinceCkpt.Load() < s.cfg.CheckpointEvery {
 		return // a checkpoint finished between the check above and the lock
 	}
-	if err := s.checkpointLocked(); err != nil {
+	if _, err := s.checkpointLocked(); err != nil {
 		s.logf("migd: cadence checkpoint failed: %v", err)
 	}
 }
 
-// RestoreCheckpoint loads a checkpoint produced by EncodeCheckpoint
-// into an empty server. Each frame's s1 snapshot decodes straight into
-// a journal-only segment — validated exactly as loading a snapshot
-// validates it, nothing replayed — over a fresh path table, and one pass
-// over the journals rebuilds the live per-file rows; only when every
-// frame has decoded is any of it installed, so a damaged checkpoint
-// leaves the server as it was. The restored daemon's report is
-// byte-identical to the pre-restart daemon's, and ingest continues from
-// where the checkpoint was cut.
+// RestoreCheckpoint loads a checkpoint held in memory into an empty
+// server; see RestoreCheckpointFile.
 func (s *Server) RestoreCheckpoint(data []byte) error {
-	if len(data) < len(CheckpointHeader) || string(data[:len(CheckpointHeader)]) != CheckpointHeader {
+	return s.restore(bytes.NewReader(data), int64(len(data)), nil)
+}
+
+// RestoreCheckpointFile loads the checkpoint file at path into an empty
+// server, reading it one frame at a time, and keeps the file open as
+// the frame cache: until a segment ingests, the next checkpoint copies
+// its frame from there. Close releases the file.
+//
+// Each frame's s1 snapshot decodes straight into a journal-only
+// segment — validated exactly as loading a snapshot validates it,
+// nothing replayed — over a fresh path table, and one pass over the
+// journals rebuilds the live per-file rows; only when every frame has
+// decoded is any of it installed, so a damaged checkpoint leaves the
+// server as it was. The restored daemon's report is byte-identical to
+// the pre-restart daemon's, and ingest continues from where the
+// checkpoint was cut.
+func (s *Server) RestoreCheckpointFile(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	fi, err := f.Stat()
+	if err == nil {
+		err = s.restore(f, fi.Size(), f)
+	}
+	if err != nil {
+		f.Close()
+	}
+	return err
+}
+
+// restore loads the checkpoint in the first size bytes of src; when
+// cache is set, src is that file, and it becomes the frame cache.
+func (s *Server) restore(src io.ReaderAt, size int64, cache checkpointFile) error {
+	head := make([]byte, len(CheckpointHeader))
+	if _, err := src.ReadAt(head, 0); err != nil || string(head) != CheckpointHeader {
 		return errors.New("serve: not a migd checkpoint (bad header)")
 	}
-	rest := data[len(CheckpointHeader):]
 	paths := trace.NewFileTable()
 	codec := core.NewSegmentCodec(paths)
 	var segs []*segment
-	for i := 0; len(rest) > 0; i++ {
-		payload, r, err := dist.NextFrame(rest)
+	var buf []byte
+	off := int64(len(head))
+	in := bufio.NewReaderSize(io.NewSectionReader(src, off, size-off), 1<<16)
+	for i := 0; off < size; i++ {
+		frame, payload, err := dist.ReadFrame(in, size-off, buf)
 		if err != nil {
 			return fmt.Errorf("serve: restore segment %d: %w", i, err)
 		}
@@ -201,10 +392,13 @@ func (s *Server) RestoreCheckpoint(data []byte) error {
 		if err != nil {
 			return fmt.Errorf("serve: restore segment %d: %w", i, err)
 		}
-		// Cache the frame exactly as read: an untouched restored segment
-		// re-checkpoints byte-identically without re-serializing.
-		segs = append(segs, &segment{p: p, enc: append([]byte(nil), rest[:len(rest)-len(r)]...)})
-		rest = r
+		sg := &segment{p: p}
+		if cache != nil {
+			sg.frame = frameLoc{off, int64(len(frame))}
+		}
+		segs = append(segs, sg)
+		off += int64(len(frame))
+		buf = frame
 	}
 	files := make([]fileRow, paths.Len())
 	for _, sg := range segs {
@@ -213,6 +407,8 @@ func (s *Server) RestoreCheckpoint(data []byte) error {
 		})
 	}
 
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tableMu.Lock()
@@ -231,7 +427,26 @@ func (s *Server) RestoreCheckpoint(data []byte) error {
 		s.records.Add(sg.p.Records())
 		s.errRecords.Add(sg.p.Errors())
 	}
+	if cache != nil {
+		if s.cache != nil {
+			s.cache.Close()
+		}
+		s.cache = cache
+	}
 	return nil
+}
+
+// Close releases the frame cache. A checkpoint after Close encodes
+// every segment.
+func (s *Server) Close() error {
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
+	if s.cache == nil {
+		return nil
+	}
+	err := s.cache.Close()
+	s.cache = nil
+	return err
 }
 
 // decodeSegment rebuilds one segment from a checkpoint frame payload.
@@ -256,14 +471,18 @@ func decodeSegment(codec *core.SegmentCodec, payload []byte) (*core.Partial, err
 }
 
 // handleCheckpoint serves POST /v1/checkpoint: an explicit checkpoint,
-// regardless of the cadence.
+// regardless of the cadence, answered with what it cost.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, req *http.Request) {
-	if err := s.Checkpoint(); err != nil {
+	cost, err := s.checkpoint()
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	writeJSON(w, map[string]int64{
 		"segments":    s.segCount.Load(),
 		"checkpoints": s.checkpoints.Load(),
+		"encoded":     cost.encoded,
+		"copied":      cost.copied,
+		"bytes":       cost.bytes,
 	})
 }

@@ -271,8 +271,7 @@ func (s *Server) applyRun(k int64, recs []trace.Record, ids []trace.FileID) {
 		}
 		sg.p.Observe(&recs[i], ids[i])
 	}
-	sg.dirty = true
-	sg.enc = nil
+	sg.frame = frameLoc{}
 	sh.noteBounds(sg)
 }
 

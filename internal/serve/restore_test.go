@@ -62,19 +62,17 @@ func replayingRestore(data []byte) ([]byte, error) {
 	return out, nil
 }
 
-// reencode serializes every segment afresh, in restore order, ignoring
-// the cached frames a restore keeps.
+// reencode serializes every segment afresh, in restore order.
 func reencode(t testing.TB, s *Server) []byte {
 	t.Helper()
 	s.mu.Lock()
 	segs := s.orderedSegments()
 	s.mu.Unlock()
 	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
-	codec := core.NewSegmentCodec(s.paths)
-	var payload bytes.Buffer
+	enc := frameEncoder{codec: core.NewSegmentCodec(s.paths)}
 	out := []byte(CheckpointHeader)
 	for _, sg := range segs {
-		frame, err := encodeSegment(codec, &payload, sg.p)
+		frame, err := enc.encode(sg.p)
 		if err != nil {
 			t.Fatalf("re-encoding segment %d: %v", sg.seq, err)
 		}

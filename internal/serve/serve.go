@@ -22,9 +22,11 @@
 //     the STP rank of internal/migration;
 //   - POST /v1/checkpoint (and the record-count cadence in
 //     Config.CheckpointEvery) serializes each segment with the s1
-//     snapshot codec inside a dist frame, and a restarted daemon decodes
-//     the frames straight back into segments — nothing is replayed — so
-//     it resumes exactly.
+//     snapshot codec inside a dist frame, streamed to the file; the last
+//     checkpoint file stays open as the frame cache, from which a
+//     segment untouched since is copied instead of re-serialized. A
+//     restarted daemon reads the frames one at a time straight back into
+//     segments — nothing is replayed — so it resumes exactly.
 //
 // Daemon-wide FileIDs are process-local: they are never serialized or
 // rendered (a checkpoint frame carries its segment's own first-seen
@@ -42,6 +44,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -107,15 +110,13 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// segment is one live journal-only Partial plus its checkpoint cache:
-// enc holds the segment's encoded checkpoint frame from the last
-// checkpoint, valid while dirty is false, so an idle segment is never
-// re-serialized.
+// segment is one live journal-only Partial plus where its current
+// checkpoint frame sits in the frame cache — zero once it ingests — so
+// an idle segment is never re-serialized.
 type segment struct {
 	p     *core.Partial
 	seq   int64 // creation order, tie-break for equal first instants
-	dirty bool
-	enc   []byte
+	frame frameLoc
 }
 
 // shard is one time stripe of segments. Its mutex serializes appends by
@@ -201,8 +202,12 @@ type Server struct {
 
 	// ckptMu serialises checkpoints: the cut, the file write, the rename
 	// and the sinceCkpt settlement are one step. It is taken before mu,
-	// never while holding it.
-	ckptMu sync.Mutex
+	// never while holding it, and guards the frame cache: the last
+	// checkpoint file written or restored, held open. createTemp makes
+	// each checkpoint's temporary file.
+	ckptMu     sync.Mutex
+	cache      checkpointFile
+	createTemp func(dir string) (checkpointFile, error)
 
 	records     atomic.Int64
 	errRecords  atomic.Int64
@@ -228,6 +233,10 @@ func NewServer(cfg Config) (*Server, error) {
 		migrateAfter: cfg.MigrateAfter,
 		shards:       map[int64]*shard{},
 		paths:        trace.NewFileTable(),
+		createTemp: func(dir string) (checkpointFile, error) {
+			// Mode 0600: os.CreateTemp makes the file owner-only.
+			return os.CreateTemp(dir, ".tmp-*")
+		},
 	}
 	if s.shardDur <= 0 {
 		s.shardDur = DefaultShardDuration

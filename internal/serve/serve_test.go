@@ -37,6 +37,13 @@ func daemonFixture(t testing.TB) *workload.Result {
 	t.Helper()
 	cfg := workload.DefaultConfig(0.004, 77)
 	cfg.Days = 120
+	return canonicalWorkload(t, cfg)
+}
+
+// canonicalWorkload generates cfg's trace and round-trips it through
+// the b1 codec, as daemonFixture does.
+func canonicalWorkload(t testing.TB, cfg workload.Config) *workload.Result {
+	t.Helper()
 	res, err := workload.Generate(cfg)
 	if err != nil {
 		t.Fatalf("workload.Generate: %v", err)
