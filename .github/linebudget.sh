@@ -56,7 +56,15 @@ set -e
 # Close; internal/dist gains AppendFrame and ReadFrame. No frame stays on
 # the heap: migd-live's peak RSS fell from 142-148 MB to 118-123 MB, and
 # every checkpoint byte is unchanged.
-BUDGET=8345
+# Raised from 8345 to 8386 by the aged index's one walk per shrink in
+# internal/migration: a cut-ordered victim set (cutSet) shared with the
+# scan path, a lazily drawn aging table with its bucket mapping, the
+# remembered oldest resident, STP-adapt's refit count and the Aging
+# curve of STP, SAAC and STP-adapt — net of the deleted per-victim pick
+# loop and its dominance rule, the per-shrink class-head walk, the rank
+# memo, and shrinkScan's heapify and siftDown. STP^1.4 replays about
+# 3.7x faster per access at scale 0.3, every victim unchanged.
+BUDGET=8386
 
 total=0
 for dir in internal/core internal/trace internal/migration internal/dist internal/serve \

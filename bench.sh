@@ -16,7 +16,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-BENCHES='BenchmarkMigdIngest|BenchmarkStreamAnalyze|BenchmarkB2Decode|BenchmarkPolicyComparison$|BenchmarkPolicyComparisonModern/|BenchmarkEvictionAged|BenchmarkCoalescingSavings|BenchmarkSnapshotRoundTrip|BenchmarkDistributedGrid|BenchmarkPeriodicityDetection|BenchmarkTraceGeneration|BenchmarkGenerateStream|BenchmarkMSSReplay|BenchmarkTable2TraceCodec'
+BENCHES='BenchmarkMigdIngest|BenchmarkStreamAnalyze|BenchmarkB2Decode|BenchmarkPolicyComparison$|BenchmarkPolicyComparisonModern/|BenchmarkEvictionAged|BenchmarkReplayScaling|BenchmarkCoalescingSavings|BenchmarkSnapshotRoundTrip|BenchmarkDistributedGrid|BenchmarkPeriodicityDetection|BenchmarkTraceGeneration|BenchmarkGenerateStream|BenchmarkMSSReplay|BenchmarkTable2TraceCodec'
 OUT=${1:-${BENCH_OUT:-BENCH.json}}
 export GOMAXPROCS=${GOMAXPROCS:-4}
 

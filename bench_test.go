@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -758,6 +759,53 @@ func benchVictimPaths(b *testing.B, fast string, p migration.Policy) {
 // the forced full scan — identical victims, far fewer Rank calls.
 func BenchmarkEvictionAged(b *testing.B) {
 	benchVictimPaths(b, "index", migration.STP{K: 1.4})
+}
+
+// replayScaling caches BenchmarkReplayScaling's access strings by
+// scale: each is generated once however often the benchmark reruns.
+var replayScaling struct {
+	sync.Mutex
+	accs map[float64][]migration.Access
+}
+
+// BenchmarkReplayScaling replays STP^1.4 at 1 % capacity over the
+// paper-1993 scenario (seed 1993) at scales 0.01 and 0.1, a fresh cache
+// per iteration, and reports ns/access: a victim path whose work grows
+// with the resident count shows here as a ratio between the two rows.
+func BenchmarkReplayScaling(b *testing.B) {
+	for _, scale := range []float64{0.01, 0.1} {
+		b.Run(strconv.FormatFloat(scale, 'g', -1, 64), func(b *testing.B) {
+			replayScaling.Lock()
+			accs, ok := replayScaling.accs[scale]
+			if !ok {
+				cfg, err := ScenarioConfig("paper-1993", scale, 1993)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := workload.Generate(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				accs = migration.AccessesFromRecords(res.Records)
+				if replayScaling.accs == nil {
+					replayScaling.accs = map[float64][]migration.Access{}
+				}
+				replayScaling.accs[scale] = accs
+			}
+			replayScaling.Unlock()
+			capacity := migration.FractionCapacity(migration.TotalReferencedBytes(accs), 0.01)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c, err := migration.NewCache(migration.CacheConfig{Capacity: capacity, Policy: migration.STP{K: 1.4}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				c.Replay(accs)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(accs)), "ns/access")
+		})
+	}
 }
 
 func BenchmarkSTPExponentSweep(b *testing.B) {

@@ -74,11 +74,12 @@ func agedPolicies() []func() Policy {
 	return mks
 }
 
-// replayLockstep replays accs through the policy's own victim path and
-// through ScanOnly — the reference: every resident ranked on every
-// shrink — and demands identical counters, occupancy and resident set
-// after every single step, so a wrong victim is caught where it
-// happens, not thousands of accesses later.
+// replayLockstep replays accs through the policy's own victim path,
+// through ScanOnly and through victimModel — the reference written from
+// the definition: every resident ranked, stable-sorted, the covering
+// prefix evicted — and demands the model's counters, occupancy and
+// resident set from both caches after every single step, so a wrong
+// victim is caught where it happens, not thousands of accesses later.
 func replayLockstep(t *testing.T, accs []Access, mk func() Policy, capacity units.Bytes, prefetch bool) {
 	t.Helper()
 	cfgs := [2]CacheConfig{
@@ -95,24 +96,21 @@ func replayLockstep(t *testing.T, accs []Access, mk func() Policy, capacity unit
 			t.Fatal(err)
 		}
 	}
+	m := newVictimModel(mk(), capacity, cfgs[0].Prefetch)
 	for n, a := range accs {
-		c[0].Step(a)
-		c[1].Step(a)
-		same := c[0].Result() == c[1].Result() && c[0].Used() == c[1].Used() &&
-			c[0].Resident() == c[1].Resident()
-		for id := 0; same && id < len(c[1].resident); id++ {
-			same = (c[0].lookup(id) != nil) == (c[1].lookup(id) != nil)
-		}
-		if !same {
-			t.Fatalf("%s capacity %d prefetch %v: diverged from the scan path at access %d %+v:\n  got:  %+v used %d\n  want: %+v used %d",
-				cfgs[0].Policy.Name(), capacity, prefetch, n, a,
-				c[0].Result(), c[0].Used(), c[1].Result(), c[1].Used())
+		m.step(a)
+		for i, path := range []string{"own path", "ScanOnly"} {
+			if c[i].Step(a); !matchesModel(c[i], m) {
+				t.Fatalf("%s capacity %d prefetch %v: %s diverged from the model at access %d %+v:\n  got:  %+v used %d\n  want: %+v used %d",
+					cfgs[0].Policy.Name(), capacity, prefetch, path, n, a,
+					c[i].Result(), c[i].Used(), m.res, m.used)
+			}
 		}
 	}
 }
 
 // agedEdge is an explicit access string aimed at one corner of
-// pickAged, with the capacity that puts it there.
+// shrinkAged, with the capacity that puts it there.
 type agedEdge struct {
 	name     string
 	accs     []Access
@@ -141,7 +139,9 @@ func agedEdgeCases(t *testing.T) []agedEdge {
 
 	// The protected file is the oldest resident: a write steps back in
 	// time to grow file 0; the touch refiles it at the head of its class,
-	// oldest of all, and the shrink that follows must skip it.
+	// oldest of all, and the shrink that follows must skip it. The
+	// growth is one file's size, so a single victim covers the deficit
+	// exactly, and the cut must fall on it.
 	accs = nil
 	for id := 0; id < 6; id++ {
 		accs = append(accs, read(time.Duration(id+2)*time.Hour, id, 4096))
@@ -221,12 +221,12 @@ func exponentMovesWithinClock(accs []Access, capacity units.Bytes) bool {
 // TestAgedIndexMatchesScan is the aged index's exactness proof: on
 // seeded adversarial strings and the explicit edge cases, at generous to
 // starved capacities, with and without prefetch, every policy it serves
-// replays step for step like the full scan. It fails if rule (b) lets a
-// rank-0 candidate dominate (a same-instant burst then drops a lower-ID
-// rank-0 tie), if the lowest-ID tie-break goes, if a list falls out of
-// LastRef order when time steps back, if the rank memo outlives its
-// shrink, if rule (c)'s bound is kept across shrinks or taken from a
-// class's newest file, or if class 0 is cut while the best rank is 0.
+// replays step for step like the model and the full scan. It fails if
+// the cut is taken past the first covering candidate (an exact cover
+// then evicts one file too many), if the lowest-ID tie-break goes, if a
+// list falls out of LastRef order when time steps back, if the oldest
+// resident is remembered past its eviction or touch, if the aging table
+// outlives an STP-adapt refit, or if class 0 is cut while the cut is 0.
 func TestAgedIndexMatchesScan(t *testing.T) {
 	seeds := 12
 	if testing.Short() {
@@ -269,29 +269,31 @@ type ulpPolicy struct {
 func (ulpPolicy) Name() string                   { return "ulp-edge" }
 func (p ulpPolicy) Weight(f *CachedFile) float64 { return p.weight[f.ID] }
 func (ulpPolicy) AgingMonotone() bool            { return true }
+func (ulpPolicy) Aging(age int64) float64        { return 1 + max(time.Duration(age).Hours()/24, 0) }
 func (p ulpPolicy) Rank(f *CachedFile, now int64) float64 {
-	r := p.weight[f.ID] * (1 + max(since(now, f.LastRef).Hours()/24, 0))
+	r := p.weight[f.ID] * ulpPolicy{}.Aging(int64(since(now, f.LastRef)))
 	for range p.up[f.ID] {
 		r = math.Nextafter(r, math.Inf(1))
 	}
 	return r
 }
 
-// TestAgedSlackAtContractEdge puts pickAged's bounds within ulps of the
-// best rank, where only agedSlack keeps them sound. Class i is the
-// weights [1024, 1280): 1280 is its upper bound, and w⁻ = 1279.99… is
-// its heaviest weight. In each case file h of class i, pushed up 3 ulps
-// by its Rank, out-ranks file g of class i+1 by an ulp, so the scan
-// evicts h:
+// TestAgedSlackAtContractEdge puts shrinkAged's bounds within ulps of
+// the cut, where only agedSlack keeps them sound. Every age is 0, whose
+// aging-table bucket is exact, so every bound is a weight × 1. Class i
+// is the weights [1024, 1280): 1280 is its upper bound, and
+// w⁻ = 1279.99… is its heaviest weight. In each case file h of class i,
+// pushed up 3 ulps by its Rank, out-ranks file g of class i+1 by an ulp,
+// so the scan evicts h — one victim, so g's rank is the cut when h
+// comes up:
 //
-//   - rule (a): file f (weight 1024) leads class i with h behind it,
-//     and f's bound, 1024 × 1280/1024, is an ulp under g's rank; an old
-//     light file keeps rule (c)'s bound far away;
-//   - rule (c): h is alone in class i, every file is equally old, so
-//     agingMax is exactly 2 and class i's bound, 1280 × 2, is an ulp
-//     under g's rank.
+//   - rules (a) and (b): file f (weight 1024) leads class i with h
+//     behind it; class i's bound, 1280, is an ulp under g's rank, and so
+//     is h's own, w⁻; an old light file keeps rule (c)'s bound far away;
+//   - rule (c): h is alone in class i and every file is as old as the
+//     clock, so class i's bound, 1280 × 1, is an ulp under g's rank.
 //
-// Without the slack of either rule the index evicts g instead.
+// Without the slack on the table's bound the index evicts g instead.
 func TestAgedSlackAtContractEdge(t *testing.T) {
 	below := math.Nextafter(1280, 0)
 	above := math.Nextafter(1280, math.Inf(1))
@@ -303,12 +305,12 @@ func TestAgedSlackAtContractEdge(t *testing.T) {
 		up     []int
 		at     []time.Time // insertion time per file; the last file's insert shrinks
 	}{
-		{"rule (a)", // g, f, h, old light file, trigger
+		{"rule (a)", // and rule (b); g, f, h, old light file, trigger
 			[]float64{1280, 1024, below, 1, 1}, []int{1, 0, 3, 0, 0},
 			[]time.Time{day, day, day, t0, day}},
 		{"rule (c)", // g, h, trigger
 			[]float64{above, below, 1}, []int{0, 3, 0},
-			[]time.Time{t0, t0, day}},
+			[]time.Time{day, day, day}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var accs []Access
@@ -325,31 +327,32 @@ func TestAgedSlackAtContractEdge(t *testing.T) {
 }
 
 // countingSTP is STP^1.4 counting its Rank calls and the residents it
-// ranks twice within one shrink of the cache it serves. Its embedded
-// STP keeps Weight and AgingMonotone, so it rides the aged index.
+// ranks twice within one step. Its embedded STP keeps Weight, Aging and
+// AgingMonotone, so it rides the aged index.
 type countingSTP struct {
 	STP
-	c     *Cache
+	step  int
 	calls int
-	last  []uint64 // FileID -> shrink it was last ranked in
+	last  []int // FileID -> 1 + the step it was last ranked in
 	twice int
 }
 
 func (p *countingSTP) Rank(f *CachedFile, now int64) float64 {
 	p.calls++
 	p.last = growTo(p.last, f.ID)
-	if p.last[f.ID] == p.c.shrinks {
+	if p.last[f.ID] == p.step+1 {
 		p.twice++
 	}
-	p.last[f.ID] = p.c.shrinks
+	p.last[f.ID] = p.step + 1
 	return p.STP.Rank(f, now)
 }
 
 // TestAgedIndexRankCalls pins the aged index's work without timing it:
-// on a seeded adversarial string, no resident is ranked twice within a
-// shrink, and the Rank calls stay within the count the rank memo and
-// rule (c) brought it to (3 317 for 1 330 evictions). Before them the
-// same replay made 11 689 calls.
+// on a seeded adversarial string (no prefetch, so one shrink per step at
+// most), no resident is ranked twice within a shrink, and the Rank calls
+// stay within the count one walk per shrink under the aging table's
+// bound brought it to (1 685 for 1 330 evictions). A walk per victim
+// with a rank memo made 3 317; before the memo, 11 689.
 func TestAgedIndexRankCalls(t *testing.T) {
 	data := make([]byte, 3*5000)
 	rand.New(rand.NewSource(1993)).Read(data)
@@ -360,8 +363,11 @@ func TestAgedIndexRankCalls(t *testing.T) {
 	if err != nil || c.aged == nil {
 		t.Fatalf("countingSTP is not on the aged index (err %v)", err)
 	}
-	p.c = c
-	got := c.Replay(accs)
+	for i, a := range accs {
+		p.step = i
+		c.Step(a)
+	}
+	got := c.Result()
 	ref, err := NewCache(CacheConfig{Capacity: capacity, Policy: ScanOnly{P: STP{K: 1.4}}})
 	if err != nil {
 		t.Fatal(err)
@@ -372,7 +378,7 @@ func TestAgedIndexRankCalls(t *testing.T) {
 	if p.twice != 0 {
 		t.Errorf("%d residents ranked twice within one shrink", p.twice)
 	}
-	const bound = 3317
+	const bound = 1685
 	t.Logf("%d Rank calls for %d evictions", p.calls, got.Evictions)
 	if p.calls > bound {
 		t.Errorf("%d Rank calls, want <= %d", p.calls, bound)

@@ -1,7 +1,10 @@
 package migration
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -144,8 +147,6 @@ type residentFile struct {
 	key        float64       // keyed: eviction priority; aged: weight
 	slot       int           // keyed: position in Cache.order, -1 off-heap; aged: weight class
 	prev, next *residentFile // aged only: neighbours in the class's LastRef-ordered list
-	rank       float64       // aged only: Rank memoised in shrink rankedAt
-	rankedAt   uint64        // aged only: the shrink rank was taken in; 0 = none
 }
 
 // evictHeap is the indexed priority heap over resident files: the top is
@@ -236,10 +237,11 @@ func (h *evictHeap) remove(i int) {
 // structural dual-list choice), O(log R) when it implements KeyedPolicy
 // (its order is maintained in an indexed heap, updated on insert and
 // touch), the aged index when it implements AgedPolicy (STP, SAAC,
-// adaptive STP: the policy's own Rank at the shrink's frozen clock, in
-// (rank, lowest file ID) order, over only the residents a bound cannot
-// exclude — see pickAged), and otherwise a deterministic scan of every
-// resident in ascending file ID order (Random, third-party policies).
+// adaptive STP: one walk per shrink ranks only the residents a bound
+// cannot put below the cut — see shrinkAged), and otherwise a
+// deterministic scan that ranks every resident in ascending file ID
+// order (Random, third-party policies). Both rank-driven paths collect
+// a shrink's whole victim set in a cutSet before evicting it.
 // Policies implementing AccessObserver are fed every insert, touch, and
 // removal, in replay order.
 type Cache struct {
@@ -254,12 +256,17 @@ type Cache struct {
 	victim  VictimPolicy   // non-nil when the policy picks victims itself
 	aged    AgedPolicy     // non-nil when the policy's ranks factor into weight × aging
 	order   evictHeap
-	classes []agedClass     // aged path only: residents by weight class
-	inuse   agedOccupied    // aged path only: the non-empty classes
-	shrinks uint64          // aged path only: shrinks opened, the rank memo's stamp
-	live    liveSet         // scan path only: resident IDs
-	free    []*residentFile // recycled slots
-	ranked  []rankedFile    // scratch: scan candidates with ranks
+	classes []agedClass  // aged path only: residents by weight class
+	inuse   agedOccupied // aged path only: the non-empty classes
+	aging   []float64    // aged path only: the aging table, -1 where undrawn
+	drawn   uint64       // aged path only: the curve's refit count the table was drawn under
+	// oldest is the aged path's oldest resident among classes >= 1 (nil
+	// when there is none), unless oldestLost says it left.
+	oldest     *residentFile
+	oldestLost bool
+	live       liveSet         // scan path only: resident IDs
+	free       []*residentFile // recycled slots
+	ranked     []rankedFile    // scratch: a shrink's cutSet
 }
 
 // NewCache builds a cache simulator.
@@ -274,8 +281,8 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 // reset readies c for a fresh replay under cfg, as NewCache would build
 // it, but keeps every table it has grown: the resident table is cleared
 // (each resident goes back on the free list), and the heap, class table,
-// occupied bitmap, live set and scan scratch are emptied in place. A
-// worker replaying many cells reuses one cache through it.
+// aging table, occupied bitmap, live set and cutSet scratch are emptied
+// in place. A worker replaying many cells reuses one cache through it.
 func (c *Cache) reset(cfg CacheConfig) error {
 	if cfg.Capacity <= 0 {
 		return fmt.Errorf("migration: capacity must be positive")
@@ -297,6 +304,7 @@ func (c *Cache) reset(cfg CacheConfig) error {
 		res:      CacheResult{Policy: cfg.Policy.Name(), Capacity: cfg.Capacity},
 		order:    c.order[:0],
 		classes:  c.classes,
+		aging:    c.aging,
 		live:     liveSet{sorted: c.live.sorted[:0], pending: c.live.pending[:0], scratch: c.live.scratch[:0]},
 		free:     c.free,
 		ranked:   c.ranked[:0],
@@ -306,8 +314,10 @@ func (c *Cache) reset(cfg CacheConfig) error {
 	} else if ap, ok := cfg.Policy.(AgedPolicy); ok && ap.AgingMonotone() {
 		c.aged = ap
 		if c.classes == nil {
-			c.classes = make([]agedClass, agedClasses)
+			t := new(agedTables)
+			c.classes, c.aging, c.ranked = t.classes[:], t.aging[:], t.set[:0]
 		}
+		c.redrawAging()
 	}
 	// Observer, victim, and capacity capabilities survive a ScanOnly
 	// wrapper: ScanOnly exists to disable the keyed and aged paths, not to
@@ -570,7 +580,8 @@ func (c *Cache) shrinkTo(target units.Bytes, now int64, protect int) {
 	if c.used <= target {
 		return
 	}
-	if c.victim != nil {
+	switch {
+	case c.victim != nil:
 		for c.used > target {
 			id, ok := c.victim.NextVictim(protect)
 			if !ok {
@@ -580,32 +591,27 @@ func (c *Cache) shrinkTo(target units.Bytes, now int64, protect int) {
 			if f == nil {
 				panic("migration: victim policy chose a non-resident file")
 			}
-			c.remove(f)
-			c.res.Evictions++
+			c.evict(f)
 		}
-		return
-	}
-	if c.keyed != nil || c.aged != nil {
-		var agingMax float64
-		if c.aged != nil {
-			agingMax = c.agedShrink(now)
-		}
+	case c.keyed != nil:
 		for c.used > target {
-			var victim *residentFile
-			if c.keyed != nil {
-				victim = c.pickHeap(protect)
-			} else {
-				victim = c.pickAged(now, protect, agingMax)
-			}
+			victim := c.pickHeap(protect)
 			if victim == nil {
 				return // nothing evictable
 			}
-			c.remove(victim)
-			c.res.Evictions++
+			c.evict(victim)
 		}
-		return
+	case c.aged != nil:
+		c.shrinkAged(c.used-target, now, protect)
+	default:
+		c.shrinkScan(c.used-target, now, protect)
 	}
-	c.shrinkScan(target, now, protect)
+}
+
+// evict removes a policy victim and counts the eviction.
+func (c *Cache) evict(f *residentFile) {
+	c.remove(f)
+	c.res.Evictions++
 }
 
 // pickHeap returns the heap top, or — when the top is the protected file
@@ -630,74 +636,107 @@ func (c *Cache) pickHeap(protect int) *residentFile {
 	return c.order[1]
 }
 
-// rankedFile is a scan candidate paired with its rank at shrink time.
+// rankedFile is a victim candidate paired with its rank at shrink time.
 type rankedFile struct {
 	f    *residentFile
 	rank float64
 }
 
-// rankedBefore reports whether a evicts before b: higher rank first,
-// equal ranks to the lowest file ID — never map iteration order.
-func rankedBefore(a, b rankedFile) bool {
-	if a.rank != b.rank {
-		return a.rank > b.rank
+// evictOrder is negative when a evicts before b: higher rank first,
+// equal ranks to the lowest file ID — never map iteration order. Ranks
+// compare as cmp.Compare orders them, a NaN below every number, so even
+// a policy that ranks NaN gets one total order.
+func evictOrder(a, b rankedFile) int {
+	if c := cmp.Compare(b.rank, a.rank); c != 0 {
+		return c
 	}
-	return a.f.ID < b.f.ID
+	return cmp.Compare(a.f.ID, b.f.ID)
 }
 
-func siftDown(h []rankedFile, i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		best := l
-		if r := l + 1; r < len(h) && rankedBefore(h[r], h[l]) {
-			best = r
-		}
-		if !rankedBefore(h[best], h[i]) {
-			return
-		}
-		h[i], h[best] = h[best], h[i]
-		i = best
+// cutSet is a shrink's victim set under construction: candidates in
+// eviction order (evictOrder), cut at the first one whose bytes, with
+// every better candidate's, cover the deficit. A candidate after the cut
+// can never be a victim — the residents before it already free enough —
+// so the set drops it, and a shrink evicts the set in order once every
+// resident that could beat the cut has been offered: exactly the prefix
+// a full scan of the ranked residents evicts.
+type cutSet struct {
+	files   []rankedFile
+	bytes   units.Bytes // the files' sizes summed
+	deficit units.Bytes // used − target, > 0
+}
+
+// cut is the rank a resident must reach to join the set: the last file's
+// once the set covers the deficit, −Inf before.
+func (s *cutSet) cut() float64 {
+	if s.bytes < s.deficit {
+		return math.Inf(-1)
 	}
+	return s.files[len(s.files)-1].rank
+}
+
+// offer adds f, ranked r. Until the set covers the deficit it only
+// collects; the offer that covers it sorts the set, and every later one
+// joins in order only if it falls before the cut. Either way it then
+// drops every file the ones before it cover the deficit without.
+//
+//filemig:hotpath
+func (s *cutSet) offer(f *residentFile, r float64) {
+	x := rankedFile{f, r}
+	switch {
+	case s.bytes < s.deficit:
+		s.files = append(s.files, x)
+		if s.bytes += f.Size; s.bytes < s.deficit {
+			return
+		}
+		slices.SortFunc(s.files, evictOrder)
+	case evictOrder(x, s.files[len(s.files)-1]) > 0:
+		return
+	default:
+		i, _ := slices.BinarySearchFunc(s.files, x, evictOrder)
+		s.files = slices.Insert(s.files, i, x)
+		s.bytes += f.Size
+	}
+	n := len(s.files)
+	for ; s.bytes-s.files[n-1].f.Size >= s.deficit; n-- {
+		s.bytes -= s.files[n-1].f.Size
+		s.files[n-1] = rankedFile{}
+	}
+	s.files = s.files[:n]
+}
+
+// evictSet evicts s's files in order — sorting them first if they never
+// covered the deficit — and keeps its storage as scratch for the next
+// shrink.
+func (c *Cache) evictSet(s cutSet) {
+	if s.bytes < s.deficit {
+		slices.SortFunc(s.files, evictOrder)
+	}
+	for i := range s.files {
+		c.evict(s.files[i].f)
+		s.files[i] = rankedFile{}
+	}
+	c.ranked = s.files[:0]
 }
 
 // shrinkScan is the eviction path for policies with no victim-path
 // capability (Random, third-party policies, anything under ScanOnly) —
 // and the reference the aged index must reproduce victim for victim.
 // The clock is fixed for the whole shrink and untouched files' ranks
-// cannot move, so every candidate is ranked exactly once; the
-// candidates are then max-heapified on (rank, lowest file ID) and popped
-// until enough space is free. One Rank pass amortises over every victim
-// of the shrink, instead of the historical full re-scan per eviction.
-// The live resident-ID list is walked in ascending file ID order, which
-// both keeps the victim sequence deterministic and hands stateful
-// policies (Random) their rank draws in a reproducible order.
-func (c *Cache) shrinkScan(target units.Bytes, now int64, protect int) {
-	cands := c.ranked[:0]
+// cannot move, so every candidate is ranked exactly once and offered to
+// one cutSet, which keeps only the candidates up to the cut. The live
+// resident-ID list is walked in ascending file ID order, which both
+// keeps the victim sequence deterministic and hands stateful policies
+// (Random) their rank draws in a reproducible order.
+func (c *Cache) shrinkScan(deficit units.Bytes, now int64, protect int) {
+	s := cutSet{files: c.ranked[:0], deficit: deficit}
 	for _, id := range c.live.ids() {
 		if id != protect {
 			f := c.resident[id]
-			cands = append(cands, rankedFile{f, c.cfg.Policy.Rank(&f.CachedFile, now)})
+			s.offer(f, c.cfg.Policy.Rank(&f.CachedFile, now))
 		}
 	}
-	for i := len(cands)/2 - 1; i >= 0; i-- {
-		siftDown(cands, i)
-	}
-	for c.used > target && len(cands) > 0 {
-		c.remove(cands[0].f)
-		c.res.Evictions++
-		n := len(cands) - 1
-		cands[0] = cands[n]
-		cands[n] = rankedFile{} // release the evicted file
-		cands = cands[:n]
-		siftDown(cands, 0)
-	}
-	for i := range cands {
-		cands[i] = rankedFile{}
-	}
-	c.ranked = cands[:0]
+	c.evictSet(s)
 }
 
 // Result returns the statistics so far.

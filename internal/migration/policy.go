@@ -111,11 +111,7 @@ func (p STP) Name() string { return "STP^" + strconv.FormatFloat(p.K, 'g', -1, 6
 
 // Rank implements Policy.
 func (p STP) Rank(f *CachedFile, now int64) float64 {
-	age := since(now, f.LastRef).Hours() / 24 // in days, as Smith measured
-	if age < 0 {
-		age = 0
-	}
-	return math.Pow(age, p.K) * float64(f.Size)
+	return stpAging(int64(since(now, f.LastRef)), p.K) * float64(f.Size)
 }
 
 // stpAgedMaxK is the largest exponent the aged index takes: the shortest
@@ -125,6 +121,9 @@ const stpAgedMaxK = 16
 
 // Weight implements AgedPolicy: the size factor of the product.
 func (p STP) Weight(f *CachedFile) float64 { return float64(f.Size) }
+
+// Aging implements AgedPolicy: age^K, the age in days.
+func (p STP) Aging(age int64) float64 { return stpAging(age, p.K) }
 
 // AgingMonotone implements AgedPolicy: age^K is non-decreasing for
 // 0 <= K <= stpAgedMaxK. A negative K ranks young files highest, and a
@@ -225,6 +224,10 @@ func (SAAC) Rank(f *CachedFile, now int64) float64 {
 // Weight implements AgedPolicy: size over the reference count, which a
 // touch changes — the cache refiles the file on every touch.
 func (SAAC) Weight(f *CachedFile) float64 { return float64(f.Size) / float64(1+f.Refs) }
+
+// Aging implements AgedPolicy: the idle time in hours, a negative one
+// as 0.
+func (SAAC) Aging(age int64) float64 { return max(time.Duration(age).Hours(), 0) }
 
 // AgingMonotone implements AgedPolicy: the aging curve is the idle time.
 func (SAAC) AgingMonotone() bool { return true }

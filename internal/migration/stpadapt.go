@@ -47,6 +47,7 @@ type AdaptiveSTP struct {
 	win  [stpAdaptWindow]float64 // ring of ln(gap/floor) for accepted gaps
 	seen int                     // accepted gaps ever
 	tick int                     // accepted gaps since the last refit
+	fits uint64                  // refits that set k
 }
 
 // stpAdaptRef is one file's previous reference. The flag, not a zero
@@ -124,20 +125,23 @@ func (p *AdaptiveSTP) refit() {
 		k = stpAdaptMaxK
 	}
 	p.k = k
+	p.fits++
 }
+
+// refits tells the aged index that the aging curve moved (agingRefitter).
+func (p *AdaptiveSTP) refits() uint64 { return p.fits }
 
 // Rank implements Policy: Smith's space-time product under the current
 // fitted exponent.
 func (p *AdaptiveSTP) Rank(f *CachedFile, now int64) float64 {
-	age := since(now, f.LastRef).Hours() / 24
-	if age < 0 {
-		age = 0
-	}
-	return math.Pow(age, p.k) * float64(f.Size)
+	return stpAging(int64(since(now, f.LastRef)), p.k) * float64(f.Size)
 }
 
 // Weight implements AgedPolicy: the size factor of the product.
 func (*AdaptiveSTP) Weight(f *CachedFile) float64 { return float64(f.Size) }
+
+// Aging implements AgedPolicy: age^K under the current fitted exponent.
+func (p *AdaptiveSTP) Aging(age int64) float64 { return stpAging(age, p.k) }
 
 // AgingMonotone implements AgedPolicy: the fitted exponent is clamped to
 // [0.5, 3], and it only moves in FileAccessed — never inside a shrink —
