@@ -76,9 +76,9 @@ func TestGridBuildsOnePolicyPerCell(t *testing.T) {
 		i, mk := i, plan.entries[i].mk
 		// Builders run serially on the calling goroutine, so a plain
 		// counter is enough (and -race checks that they do).
-		plan.entries[i].mk = func(accs []migration.Access) migration.Policy {
+		plan.entries[i].mk = func(ls *loadedSource) migration.Policy {
 			calls[i]++
-			return mk(accs)
+			return mk(ls)
 		}
 	}
 	if _, err := RunPlan(context.Background(), plan); err != nil {

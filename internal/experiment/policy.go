@@ -15,19 +15,21 @@ import (
 // stateful policies (random, opt) must never be shared between replays.
 
 // policyEntry is one resolved policy column of the grid: its canonical
-// display name and a builder called once per cell with the source's
-// access string. The modern policies (ARC, LRU-K, GDSF, cost,
-// STP-adapt), random and OPT all carry per-replay state — histories,
-// ghost lists, clocks, cursors — so their builders return a fresh
-// instance every call.
+// display name and a builder called once per cell with the loaded
+// source. The modern policies (ARC, LRU-K, GDSF, cost, STP-adapt),
+// random and OPT all carry per-replay state — histories, ghost lists,
+// clocks, cursors — so their builders return a fresh instance every
+// call. future marks a builder that reads the source's FutureRows, which
+// a source then builds once, as it loads, for all of its cells.
 type policyEntry struct {
-	name string
-	mk   func(accs []migration.Access) migration.Policy
+	name   string
+	mk     func(src *loadedSource) migration.Policy
+	future bool
 }
 
 // stateless wraps a value policy (no per-replay state) as a policyEntry.
 func stateless(p migration.Policy) policyEntry {
-	return policyEntry{name: p.Name(), mk: func([]migration.Access) migration.Policy { return p }}
+	return policyEntry{name: p.Name(), mk: func(*loadedSource) migration.Policy { return p }}
 }
 
 // parsePolicy resolves one policy spec string.
@@ -67,19 +69,19 @@ func parsePolicy(spec string) (policyEntry, error) {
 		// name carries the seed (like STP carries its exponent) so two
 		// seeds can share a grid and rows say which seed ran.
 		return policyEntry{name: "random:" + strconv.FormatInt(seed, 10),
-			mk: func([]migration.Access) migration.Policy { return migration.NewRandom(seed) }}, nil
+			mk: func(*loadedSource) migration.Policy { return migration.NewRandom(seed) }}, nil
 	case "opt":
-		// The future index carries per-replay cursors, so each cell
-		// builds its own over the shared access string.
-		return noArg(spec, hasArg, policyEntry{name: "OPT",
-			mk: func(accs []migration.Access) migration.Policy {
-				return migration.NewOPT(migration.NewFutureIndex(accs))
+		// The future index's rows are the source's, built once; its
+		// cursors are per replay, so each cell gets its own view.
+		return noArg(spec, hasArg, policyEntry{name: "OPT", future: true,
+			mk: func(src *loadedSource) migration.Policy {
+				return migration.NewOPT(src.future.Index())
 			}})
 	case "arc":
 		// ARC carries ghost lists and an adaptive target; NewCache hands
 		// it the cell's capacity, so each cell needs a fresh instance.
 		return noArg(spec, hasArg, policyEntry{name: "ARC",
-			mk: func([]migration.Access) migration.Policy { return migration.NewARC() }})
+			mk: func(*loadedSource) migration.Policy { return migration.NewARC() }})
 	case "lruk":
 		k := 2
 		if hasArg {
@@ -90,10 +92,10 @@ func parsePolicy(spec string) (policyEntry, error) {
 			}
 		}
 		return policyEntry{name: "LRU-" + strconv.Itoa(k),
-			mk: func([]migration.Access) migration.Policy { return migration.NewLRUK(k) }}, nil
+			mk: func(*loadedSource) migration.Policy { return migration.NewLRUK(k) }}, nil
 	case "gdsf":
 		return noArg(spec, hasArg, policyEntry{name: "GDSF",
-			mk: func([]migration.Access) migration.Policy { return migration.NewGDSF() }})
+			mk: func(*loadedSource) migration.Policy { return migration.NewGDSF() }})
 	case "cost":
 		rate := migration.DefaultTapeRateMBps
 		if hasArg {
@@ -106,10 +108,10 @@ func parsePolicy(spec string) (policyEntry, error) {
 		// The display name carries the rate (like random carries its
 		// seed), so two rates can share a grid.
 		return policyEntry{name: "cost:" + strconv.Itoa(rate),
-			mk: func([]migration.Access) migration.Policy { return migration.NewCostAware(rate) }}, nil
+			mk: func(*loadedSource) migration.Policy { return migration.NewCostAware(rate) }}, nil
 	case "stp-adapt":
 		return noArg(spec, hasArg, policyEntry{name: "STP-adapt",
-			mk: func([]migration.Access) migration.Policy { return migration.NewAdaptiveSTP() }})
+			mk: func(*loadedSource) migration.Policy { return migration.NewAdaptiveSTP() }})
 	default:
 		return policyEntry{}, fmt.Errorf("experiment: unknown policy %q (known: %s)",
 			spec, strings.Join(PolicyNames(), ", "))

@@ -77,7 +77,7 @@ func (p *Plan) runCells(ctx context.Context, refs []CellRef,
 			out[i] = CellOutcome{Ref: r, Source: ls.info}
 			return migration.ReplayCell{
 				Accs:     ls.accs,
-				Policy:   p.entries[r.Policy].mk(ls.accs),
+				Policy:   p.entries[r.Policy].mk(ls),
 				Capacity: migration.FractionCapacity(units.Bytes(ls.info.ReferencedBytes), p.Capacities[r.Capacity]),
 			}, nil
 		},
@@ -141,16 +141,38 @@ func (l *sourceLoader) source(ctx context.Context, idx int) (*loadedSource, erro
 }
 
 // loadedSource is one plan source in replay-ready form: its identity
-// block and the shared access string every cell replays.
+// block, the shared access string every cell replays and, when a policy
+// column reads it, the string's future-reference rows, which every OPT
+// cell of the source views through its own cursors.
 type loadedSource struct {
-	info SourceInfo
-	accs []migration.Access
+	info   SourceInfo
+	accs   []migration.Access
+	future *migration.FutureRows
 }
 
 // loadSource produces plan source idx: scenario sources are generated
 // at the spec's scale, seed and length; the trailing trace source (if
 // the spec names one) is streamed from disk.
 func loadSource(plan *Plan, idx int) (*loadedSource, error) {
+	ls, err := drainPlanSource(plan, idx)
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range plan.entries {
+		if e.future {
+			ls.future = migration.NewFutureRows(ls.accs)
+			break
+		}
+	}
+	return ls, nil
+}
+
+// drainPlanSource opens plan source idx as a record stream and drains
+// it (drainSource). A generated source knows its size up front — the
+// records its plan yields and the files its population holds — and
+// reserves the access string and path table from them; a trace file
+// leaves both to grow.
+func drainPlanSource(plan *Plan, idx int) (*loadedSource, error) {
 	if idx < 0 || idx >= len(plan.Sources) {
 		return nil, fmt.Errorf("experiment: source index %d out of range [0, %d)", idx, len(plan.Sources))
 	}
@@ -167,7 +189,7 @@ func loadSource(plan *Plan, idx int) (*loadedSource, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiment: scenario %s: %w", name, err)
 		}
-		return drainSource(name, gs.Stream, float64(cfg.Days))
+		return drainSource(name, gs.Stream, float64(cfg.Days), sourceSize{gs.Planned, len(gs.Population.Files)})
 	}
 	f, err := os.Open(name)
 	if err != nil {
@@ -178,18 +200,26 @@ func loadSource(plan *Plan, idx int) (*loadedSource, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiment: read %s: %w", name, err)
 	}
-	return drainSource(name, s, 0)
+	return drainSource(name, s, 0, sourceSize{})
+}
+
+// sourceSize is what a source knows of its size before it is drained,
+// zero where it knows nothing: records bounds the accesses (error
+// records yield none) and files the distinct paths.
+type sourceSize struct {
+	records, files int
 }
 
 // drainSource drains one source's record stream — hashing the canonical
 // encoding and building the shared access string on the fly, without
-// holding the records. days <= 0 means "measure the span from the
-// records".
-func drainSource(name string, s trace.Stream, days float64) (*loadedSource, error) {
+// holding the records. The string and the path table start at size's
+// bounds. days <= 0 means "measure the span from the records".
+func drainSource(name string, s trace.Stream, days float64, size sourceSize) (*loadedSource, error) {
 	h := sha256.New()
 	var tw *trace.Writer
 	in := trace.NewInterner()
-	var accs []migration.Access
+	in.Grow(size.files)
+	accs := make([]migration.Access, 0, size.records)
 	records := 0
 	var first, last time.Time
 	for {

@@ -305,11 +305,11 @@ func TestRunPlanCancelMidGrid(t *testing.T) {
 		perSource := len(plan.Policies) * len(plan.Capacities)
 		built := 0
 		mk := plan.entries[0].mk
-		plan.entries[0].mk = func(accs []migration.Access) migration.Policy {
+		plan.entries[0].mk = func(ls *loadedSource) migration.Policy {
 			if built++; built == len(plan.Capacities)+1 { // source 1's first cell
 				cancel()
 			}
-			return mk(accs)
+			return mk(ls)
 		}
 		if perSource != 9 || plan.entries[0].name != "STP^1.4" {
 			t.Fatalf("unexpected grid: %d cells per source, first policy %s", perSource, plan.entries[0].name)

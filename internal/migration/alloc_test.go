@@ -49,3 +49,46 @@ func TestCacheReplaySteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayReservesPolicyTables pins the ID-bound handoff: Replay tells
+// every policy with FileID-indexed tables (ARC, LRU-K, GDSF, cost,
+// STP-adapt) the string's ID bound before the first access — through
+// ScanOnly too — so a fresh policy makes each table once, at its final
+// length. A table left to grow as the replay meets new IDs would
+// reallocate about nine times on the way to this string's 257 files.
+func TestReplayReservesPolicyTables(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates on its own")
+	}
+	accs := allocAccesses()
+	capacity := TotalReferencedBytes(accs) / 10
+	for _, mk := range []func() Policy{
+		func() Policy { return NewARC() },
+		func() Policy { return NewLRUK(3) },
+		func() Policy { return NewGDSF() },
+		func() Policy { return NewCostAware(DefaultTapeRateMBps) },
+		func() Policy { return NewAdaptiveSTP() },
+	} {
+		for _, scan := range []bool{false, true} {
+			build := mk
+			if scan {
+				build = func() Policy { return ScanOnly{P: mk()} }
+			}
+			c := &Cache{}
+			replay := func() {
+				if err := c.reset(CacheConfig{Capacity: capacity, Policy: build()}); err != nil {
+					t.Fatal(err)
+				}
+				c.Replay(accs)
+			}
+			replay() // warm the cache's own tables
+			// What building the policy and naming it (reset does) costs
+			// on its own, so the difference is the tables: LRU-K has two.
+			own := testing.AllocsPerRun(5, func() { _ = build().Name() })
+			if tables := testing.AllocsPerRun(5, replay) - own; tables > 2 {
+				t.Errorf("%s (scan path %v): a fresh policy's replay makes %v allocations beyond the policy's own, want <= 2",
+					build().Name(), scan, tables)
+			}
+		}
+	}
+}

@@ -78,6 +78,9 @@ func (*ARC) Name() string { return "ARC" }
 // SetCapacity implements CapacityAware.
 func (p *ARC) SetCapacity(capacity units.Bytes) { p.capacity = capacity }
 
+// reserveIDs implements idReserver.
+func (p *ARC) reserveIDs(n int) { p.ent = growTo(p.ent, n-1) }
+
 // queue maps a list tag to its queue.
 func (p *ARC) queue(list int8) *arcQueue {
 	switch list {

@@ -344,12 +344,12 @@ func (c *Cache) lookup(id int) *residentFile {
 }
 
 // growTo extends a FileID-indexed slice with zero values until index id
-// is addressable — the shared growth idiom for every dense-ID table in
-// this package.
+// is addressable, in one append — the shared growth idiom for every
+// dense-ID table in this package. Given an ID bound n, growTo(s, n-1)
+// makes the table at its final length in one allocation.
 func growTo[T any](s []T, id int) []T {
-	for id >= len(s) {
-		var zero T
-		s = append(s, zero)
+	if id >= len(s) {
+		s = append(s, make([]T, id+1-len(s))...)
 	}
 	return s
 }
@@ -412,20 +412,29 @@ func (l *liveSet) ids() []int {
 }
 
 // Replay runs the whole access string and returns the result. It sizes
-// the resident table for the string's highest FileID first, so no insert
-// grows it; negative IDs are left for Step to reject.
+// the resident table — and, through idReserver, the policy's FileID
+// tables — for the string's highest FileID first, so no insert grows
+// them; negative IDs are left for Step to reject.
 func (c *Cache) Replay(accs []Access) CacheResult {
-	n := len(c.resident)
-	for i := range accs {
-		n = max(n, accs[i].FileID+1)
-	}
-	if n > len(c.resident) {
-		c.resident = append(c.resident, make([]*residentFile, n-len(c.resident))...)
+	n := idBound(accs)
+	c.resident = growTo(c.resident, n-1)
+	if r, ok := policyCore(c.cfg.Policy).(idReserver); ok {
+		r.reserveIDs(n)
 	}
 	for i := range accs {
 		c.Step(accs[i])
 	}
 	return c.Result()
+}
+
+// idBound is one past the string's highest FileID: the length of every
+// FileID-indexed table over it.
+func idBound(accs []Access) int {
+	n := 0
+	for i := range accs {
+		n = max(n, accs[i].FileID+1)
+	}
+	return n
 }
 
 // Step processes a single access. Its time, converted once to a
@@ -693,8 +702,17 @@ func (s *cutSet) offer(f *residentFile, r float64) {
 	case evictOrder(x, s.files[len(s.files)-1]) > 0:
 		return
 	default:
-		i, _ := slices.BinarySearchFunc(s.files, x, evictOrder)
-		s.files = slices.Insert(s.files, i, x)
+		lo, hi := 0, len(s.files)-1 // x belongs before files[hi]
+		for lo < hi {
+			if m := int(uint(lo+hi) >> 1); evictOrder(x, s.files[m]) < 0 {
+				hi = m
+			} else {
+				lo = m + 1
+			}
+		}
+		s.files = append(s.files, rankedFile{})
+		copy(s.files[lo+1:], s.files[lo:])
+		s.files[lo] = x
 		s.bytes += f.Size
 	}
 	n := len(s.files)
@@ -753,9 +771,8 @@ func (c *Cache) Resident() int { return c.nres }
 // are dense, so the last-size table is a flat slice; unreferenced IDs
 // stay zero and contribute nothing to the sum.
 func TotalReferencedBytes(accs []Access) units.Bytes {
-	var sizes []units.Bytes
+	sizes := make([]units.Bytes, idBound(accs))
 	for _, a := range accs {
-		sizes = growTo(sizes, a.FileID)
 		sizes[a.FileID] = a.Size
 	}
 	var t units.Bytes
@@ -780,12 +797,15 @@ func NewDirPrefetcher(accs []Access, count int) *DirPrefetcher {
 	if count < 1 {
 		count = 1
 	}
-	p := &DirPrefetcher{Count: count}
+	files, dirs := 0, 0
+	for i := range accs {
+		files, dirs = max(files, accs[i].FileID+1), max(dirs, accs[i].DirID+1)
+	}
+	p := &DirPrefetcher{Count: count, byDir: make([][]int, dirs), pos: make([]int, files)}
+	for i := range p.pos {
+		p.pos[i] = -1 // unseen
+	}
 	for _, a := range accs {
-		for a.FileID >= len(p.pos) {
-			p.pos = append(p.pos, -1) // not growTo: unseen is -1, not 0
-		}
-		p.byDir = growTo(p.byDir, a.DirID)
 		if p.pos[a.FileID] < 0 {
 			p.pos[a.FileID] = len(p.byDir[a.DirID])
 			p.byDir[a.DirID] = append(p.byDir[a.DirID], a.FileID)

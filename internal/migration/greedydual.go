@@ -103,6 +103,9 @@ func satAdd64(a, b uint64) uint64 {
 	return ^uint64(0)
 }
 
+// reserveIDs implements idReserver.
+func (p *GreedyDual) reserveIDs(n int) { p.h = growTo(p.h, n-1) }
+
 // FileAccessed implements AccessObserver: recompute the file's priority
 // against the current clock.
 //

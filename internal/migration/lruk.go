@@ -34,6 +34,12 @@ func NewLRUK(k int) *LRUK {
 // Name implements Policy.
 func (p *LRUK) Name() string { return "LRU-" + strconv.Itoa(p.k) }
 
+// reserveIDs implements idReserver.
+func (p *LRUK) reserveIDs(n int) {
+	p.n = growTo(p.n, n-1)
+	p.hist = growTo(p.hist, n*p.k-1)
+}
+
 // FileAccessed implements AccessObserver: record the reference time in
 // the file's ring.
 //

@@ -53,6 +53,20 @@ type CapacityAware interface {
 	SetCapacity(capacity units.Bytes)
 }
 
+// idReserver is an optional capability of the policies that keep
+// FileID-indexed tables (ARC, LRU-K, the greedy-dual pair, adaptive
+// STP). Cache.Replay, which knows the string's ID bound before the first
+// access, hands it over once through policyCore — so ScanOnly keeps it —
+// and each table is made at its final length instead of growing as the
+// replay meets new IDs. The hooks still grow a table an ID outruns (a
+// caller stepping the cache by hand), so the bound is a hint, never a
+// limit.
+type idReserver interface {
+	// reserveIDs makes every FileID-indexed table addressable for IDs
+	// below n.
+	reserveIDs(n int)
+}
+
 // policyCore unwraps ScanOnly for capability discovery: ScanOnly hides
 // only the KeyedPolicy and AgedPolicy victim paths; observer, victim,
 // and capacity capabilities must keep working underneath it or stateful

@@ -281,45 +281,65 @@ func (o *OPT) Key(f *CachedFile) float64 {
 	return timeKey(next)
 }
 
-// FutureIndex answers "when is file f next referenced after t" from a
-// prepared, time-sorted access list. File IDs are dense, so the index is
-// compressed rows: one flat array of every reference time, grouped by
-// file and in trace order within a file, with per-file row offsets and
-// replay cursors — the hottest OPT operations never touch a map, and a
-// build allocates three slices however many files there are.
-type FutureIndex struct {
+// FutureRows is the immutable half of a future index: every reference
+// time of a prepared, time-sorted access list, as compressed rows — one
+// flat array of instants, grouped by file and in trace order within a
+// file, with per-file row offsets. File IDs are dense, so the hottest
+// OPT operations never touch a map, and a build allocates two slices
+// however many files there are. Nothing ever writes the rows after the
+// build, so any number of replays — concurrent ones too — may share
+// them, each through its own Index.
+type FutureRows struct {
 	times []int64 // UnixNano reference instants, file by file
 	off   []int   // FileID -> start of its row in times; off[id+1] ends it
-	pos   []int   // FileID -> replay cursor, an index into times
 }
 
-// NewFutureIndex builds the index from accesses, which must be
+// NewFutureRows builds the rows from accesses, which must be
 // time-sorted. Negative IDs, which no replay can reference, are skipped.
-func NewFutureIndex(accs []Access) *FutureIndex {
-	n := 0
-	for i := range accs {
-		n = max(n, accs[i].FileID+1)
-	}
-	idx := &FutureIndex{off: make([]int, n+1), pos: make([]int, n)}
+func NewFutureRows(accs []Access) *FutureRows {
+	n := idBound(accs)
+	r := &FutureRows{off: make([]int, n+1)}
 	for i := range accs {
 		if id := accs[i].FileID; id >= 0 {
-			idx.off[id+1]++
+			r.off[id+1]++
 		}
 	}
 	for id := range n {
-		idx.off[id+1] += idx.off[id]
+		r.off[id+1] += r.off[id]
 	}
-	idx.times = make([]int64, idx.off[n])
-	copy(idx.pos, idx.off) // pos is the fill cursor here, then reset for replay
+	r.times = make([]int64, r.off[n])
+	fill := make([]int, n)
+	copy(fill, r.off)
 	for i := range accs {
 		if id := accs[i].FileID; id >= 0 {
-			idx.times[idx.pos[id]] = accs[i].Time.UnixNano()
-			idx.pos[id]++
+			r.times[fill[id]] = accs[i].Time.UnixNano()
+			fill[id]++
 		}
 	}
-	copy(idx.pos, idx.off)
-	return idx
+	return r
 }
+
+// Index returns a fresh replay view of the rows: its own cursors, every
+// one at the start of its file's row.
+func (r *FutureRows) Index() *FutureIndex {
+	pos := make([]int, len(r.off)-1)
+	copy(pos, r.off)
+	return &FutureIndex{times: r.times, off: r.off, pos: pos}
+}
+
+// FutureIndex answers "when is file f next referenced after t" for one
+// forward replay: shared FutureRows plus a per-file replay cursor into
+// them.
+type FutureIndex struct {
+	times []int64 // the rows' instants, shared
+	off   []int   // the rows' offsets, shared
+	pos   []int   // FileID -> replay cursor, an index into times
+}
+
+// NewFutureIndex builds rows from accesses, which must be time-sorted,
+// and returns a replay view of them; replays of one string can share
+// one NewFutureRows instead.
+func NewFutureIndex(accs []Access) *FutureIndex { return NewFutureRows(accs).Index() }
 
 // NextAfter reports the first reference to file strictly after the
 // UnixNano instant t. The query instants must be non-decreasing per file

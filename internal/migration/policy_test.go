@@ -245,6 +245,36 @@ func TestFutureIndexCursorAdvances(t *testing.T) {
 	}
 }
 
+// TestFutureRowsShareAcrossReplays: views of one FutureRows keep their
+// own cursors, so a view that has replayed the whole string leaves the
+// rows — and a view taken after it — answering from the start, exactly
+// as an index built afresh does.
+func TestFutureRowsShareAcrossReplays(t *testing.T) {
+	var accs []Access
+	for i := range 60 {
+		accs = append(accs, Access{Time: t0.Add(time.Duration(i/2) * time.Hour), FileID: i * 7 % 11})
+	}
+	rows := NewFutureRows(accs)
+	done := rows.Index()
+	for _, a := range accs {
+		done.NextAfter(a.FileID, a.Time.UnixNano())
+	}
+	if _, ok := done.NextAfter(accs[0].FileID, accs[len(accs)-1].Time.UnixNano()); ok {
+		t.Fatal("a view replayed to the end still sees a future reference")
+	}
+	view, fresh := rows.Index(), NewFutureIndex(accs)
+	for _, a := range accs {
+		for _, file := range []int{a.FileID, (a.FileID + 3) % 11} {
+			got, gotOK := view.NextAfter(file, a.Time.UnixNano())
+			want, wantOK := fresh.NextAfter(file, a.Time.UnixNano())
+			if got != want || gotOK != wantOK {
+				t.Fatalf("shared view: NextAfter(%d, %v) = %v %v, fresh index %v %v",
+					file, a.Time, got, gotOK, want, wantOK)
+			}
+		}
+	}
+}
+
 // TestFutureIndexMatchesModel checks the flat index against a naive
 // per-file list searched from the start on every query, over seeded
 // strings with repeated instants, files referenced once, IDs never

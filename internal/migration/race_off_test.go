@@ -1,0 +1,6 @@
+//go:build !race
+
+package migration
+
+// raceEnabled reports that the race detector is on (see race_on_test.go).
+const raceEnabled = false

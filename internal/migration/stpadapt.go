@@ -70,6 +70,9 @@ func (*AdaptiveSTP) Name() string { return "STP-adapt" }
 // Exponent reports the current fitted exponent, for tests and reports.
 func (p *AdaptiveSTP) Exponent() float64 { return p.k }
 
+// reserveIDs implements idReserver.
+func (p *AdaptiveSTP) reserveIDs(n int) { p.last = growTo(p.last, n-1) }
+
 // FileAccessed implements AccessObserver: harvest the inter-reference
 // gap and periodically refit the exponent.
 //

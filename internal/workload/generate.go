@@ -70,10 +70,11 @@ func maxInt(a, b int) int {
 }
 
 type generator struct {
-	cfg    Config
-	rhythm *Rhythm
-	tree   *namespace.Tree
-	pop    *Population
+	cfg     Config
+	rhythm  *Rhythm
+	tree    *namespace.Tree
+	pop     *Population
+	scratch planScratch
 }
 
 // planFile appends one file's planned accesses to the flat plan: its
@@ -86,7 +87,7 @@ type generator struct {
 // lets GenerateStream hold the plan instead of the trace.
 func (g *generator) planFile(f *File, rng *rand.Rand, plan []planned, row int32) []planned {
 	birth := g.sampleBirth(f, rng)
-	refs := buildPlan(f, birth, g.cfg.end(), rng)
+	refs := g.scratch.buildPlan(f, birth, g.cfg.end(), rng)
 	if len(refs) == 0 {
 		return plan
 	}
@@ -271,6 +272,7 @@ func (g *generator) planErrors(rng *rand.Rand, ps *planStream) {
 		return
 	}
 	n := int(float64(len(ps.plan)) * g.cfg.ErrorFraction / (1 - g.cfg.ErrorFraction))
+	ps.plan, ps.rows = reserve(ps.plan, n), reserve(ps.rows, n)
 	for i := 0; i < n; i++ {
 		day := g.sampleReadDay(rng)
 		hour := g.rhythm.SampleReadHour(rng)
@@ -291,6 +293,15 @@ func (g *generator) planErrors(rng *rand.Rand, ps *planStream) {
 			uid:   uid,
 		})
 	}
+}
+
+// reserve returns s with room for n more elements: s itself when it has
+// the room, else a copy in an array of exactly len(s)+n.
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, len(s)+n), s...)
 }
 
 // Burst-packing parameters (Figure 7): sessions of about a dozen

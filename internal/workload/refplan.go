@@ -86,12 +86,21 @@ type planOp struct {
 	op trace.Op
 }
 
+// planScratch is the generator's reusable storage for one file's plan:
+// buildPlan fills it, and the plan it returns is read before the next
+// build overwrites it, so a whole trace plans in two slices that grow to
+// the longest file's plan and no further.
+type planScratch struct {
+	ops  []trace.Op
+	plan []planOp
+}
+
 // buildPlan produces the file's logical access sequence within the trace
-// window. Files created during the trace open with their first write;
-// pre-existing files start with a read. Accesses whose interreference gaps
-// run past the end of the trace are dropped — exactly the truncation a
-// real fixed-window trace imposes.
-func buildPlan(f *File, birth time.Time, end time.Time, rng *rand.Rand) []planOp {
+// window, in s's storage. Files created during the trace open with their
+// first write; pre-existing files start with a read. Accesses whose
+// interreference gaps run past the end of the trace are dropped —
+// exactly the truncation a real fixed-window trace imposes.
+func (s *planScratch) buildPlan(f *File, birth time.Time, end time.Time, rng *rand.Rand) []planOp {
 	nr, nw := f.Class.reads(), f.Class.writes()
 	if nr < 0 {
 		nr = multiReadCount(rng)
@@ -105,12 +114,12 @@ func buildPlan(f *File, birth time.Time, end time.Time, rng *rand.Rand) []planOp
 	}
 	// Op sequence: a created file's first access is its creating write;
 	// the remaining reads and rewrites interleave uniformly.
-	ops := make([]trace.Op, 0, total)
-	first := trace.Read
+	ops := s.ops[:0]
 	if nw > 0 {
-		first = trace.Write
+		ops = append(ops, trace.Write)
 		nw--
 	} else {
+		ops = append(ops, trace.Read)
 		nr--
 	}
 	for i := 0; i < nr; i++ {
@@ -119,10 +128,11 @@ func buildPlan(f *File, birth time.Time, end time.Time, rng *rand.Rand) []planOp
 	for i := 0; i < nw; i++ {
 		ops = append(ops, trace.Write)
 	}
-	rng.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
-	ops = append([]trace.Op{first}, ops...)
+	rest := ops[1:]
+	rng.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
+	s.ops = ops
 
-	plan := make([]planOp, 0, total)
+	plan := s.plan[:0]
 	t := birth
 	for i, op := range ops {
 		if !t.Before(end) {
@@ -135,6 +145,7 @@ func buildPlan(f *File, birth time.Time, end time.Time, rng *rand.Rand) []planOp
 			t = t.Add(interRefGap(rng))
 		}
 	}
+	s.plan = plan
 	return plan
 }
 

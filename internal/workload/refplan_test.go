@@ -79,10 +79,11 @@ func TestInterRefGapDistribution(t *testing.T) {
 
 func TestBuildPlanFirstOpIsWriteForCreatedFiles(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	var s planScratch
 	end := trace.Epoch.Add(731 * 24 * time.Hour)
 	for _, class := range []RefClass{W1R0, W1R1, W1Rn, WnR0, WnR1, WnRn} {
 		f := &File{Class: class}
-		plan := buildPlan(f, trace.Epoch.Add(time.Hour), end, rng)
+		plan := s.buildPlan(f, trace.Epoch.Add(time.Hour), end, rng)
 		if len(plan) == 0 {
 			t.Fatalf("class %v produced empty plan", class)
 		}
@@ -92,7 +93,7 @@ func TestBuildPlanFirstOpIsWriteForCreatedFiles(t *testing.T) {
 	}
 	for _, class := range []RefClass{W0R1, W0Rn} {
 		f := &File{Class: class, PreExists: true}
-		plan := buildPlan(f, trace.Epoch.Add(time.Hour), end, rng)
+		plan := s.buildPlan(f, trace.Epoch.Add(time.Hour), end, rng)
 		if len(plan) == 0 {
 			t.Fatalf("class %v produced empty plan", class)
 		}
@@ -104,9 +105,10 @@ func TestBuildPlanFirstOpIsWriteForCreatedFiles(t *testing.T) {
 
 func TestBuildPlanCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
+	var s planScratch
 	end := trace.Epoch.Add(100 * 365 * 24 * time.Hour) // effectively no truncation
 	f := &File{Class: W1R1}
-	plan := buildPlan(f, trace.Epoch, end, rng)
+	plan := s.buildPlan(f, trace.Epoch, end, rng)
 	if len(plan) != 2 {
 		t.Fatalf("W1R1 plan length = %d, want 2", len(plan))
 	}
@@ -125,10 +127,11 @@ func TestBuildPlanCounts(t *testing.T) {
 
 func TestBuildPlanTimesAscendAndRespectWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	var s planScratch
 	end := trace.Epoch.Add(731 * 24 * time.Hour)
 	for i := 0; i < 500; i++ {
 		f := &File{Class: WnRn}
-		plan := buildPlan(f, trace.Epoch.Add(time.Duration(i)*24*time.Hour), end, rng)
+		plan := s.buildPlan(f, trace.Epoch.Add(time.Duration(i)*24*time.Hour), end, rng)
 		for j := range plan {
 			if plan[j].at.After(end) || plan[j].at.Equal(end) {
 				t.Fatalf("plan op %d at %v beyond trace end", j, plan[j].at)
@@ -145,15 +148,16 @@ func TestBuildPlanTimesAscendAndRespectWindow(t *testing.T) {
 
 func TestBuildPlanTruncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
+	var s planScratch
 	// Birth one hour before end: multi-access plans must truncate to few.
 	end := trace.Epoch.Add(24 * time.Hour)
 	f := &File{Class: WnRn}
-	plan := buildPlan(f, end.Add(-time.Hour), end, rng)
+	plan := s.buildPlan(f, end.Add(-time.Hour), end, rng)
 	if len(plan) != 1 {
 		t.Errorf("plan near trace end has %d ops, want 1 (rest truncated)", len(plan))
 	}
 	// Birth after end: nothing.
-	plan = buildPlan(f, end.Add(time.Hour), end, rng)
+	plan = s.buildPlan(f, end.Add(time.Hour), end, rng)
 	if len(plan) != 0 {
 		t.Errorf("plan born after end has %d ops, want 0", len(plan))
 	}

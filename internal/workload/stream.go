@@ -104,8 +104,16 @@ func planTrace(cfg Config) (sr *StreamResult, ps *planStream, burstRng *rand.Ran
 	// every file record, so a stable sort on at alone is exactly the order
 	// a sort on (at, seq) gives.
 	g := &generator{cfg: cfg, rhythm: rhythm, tree: tree, pop: pop}
-	ps = &planStream{loc: cfg.Start.Location()}
+	ps = &planStream{loc: cfg.Start.Location(), rows: make([]planRow, 0, len(pop.Files))}
+	sample := len(pop.Files) / 8
 	for i := range pop.Files {
+		if i == sample && i > 0 {
+			// Size the plan once, from the first eighth of the files, with
+			// a quarter to spare for the rest's spread and the error
+			// records: left to append, a plan this long is allocated
+			// about four times over, in append's quarter-size steps.
+			ps.plan = reserve(ps.plan, len(ps.plan)*(len(pop.Files)-i)/i*5/4)
+		}
 		f := &pop.Files[i]
 		before := len(ps.plan)
 		ps.plan = g.planFile(f, planRng, ps.plan, int32(len(ps.rows)))
