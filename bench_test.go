@@ -582,7 +582,7 @@ func BenchmarkCoalescingSavings(b *testing.B) {
 	p, _ := fixture(b)
 	b.ReportAllocs()
 	var frac float64
-	c := migration.NewCoalescer(nil)
+	c := migration.NewCoalescer()
 	for i := 0; i < b.N; i++ {
 		frac = c.Run(p.Records, DedupWindow).SavableFraction()
 	}

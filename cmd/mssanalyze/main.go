@@ -6,7 +6,6 @@
 // Usage:
 //
 //	mssanalyze -i trace.txt -all
-//	mssanalyze -i trace.b1 -stream                # keep no record
 //	mssanalyze -i trace.b2 -stream -workers 8     # index-seek, parallel decode
 //	mssanalyze -scale 0.02 -id table3 -id figure7
 //	tracegen -scale 0.01 -sim | mssanalyze -all
@@ -17,17 +16,16 @@
 // in-process. The input codec (ASCII v1, binary b1, or columnar b2) is
 // auto-detected; -format forces one. A sequential input is analysed
 // record by record as it is read, so over a pipe the analysis overlaps
-// the producer and only the render trails EOF. With -stream the records
-// are not kept, producing byte-identical output in per-file-state
-// memory — the coalesce experiment is skipped there, as it needs the raw
-// request list, and in generate mode the MSS simulation is skipped too
-// (latency columns stay empty; pipe tracegen -sim into -i - for them). A
-// named b2 file under -stream is opened through its trailing block
-// index instead: shards are cut from index metadata (-shard-days) and
-// blocks decode in parallel on a bounded worker pool (-workers). Every
-// b2 input is read through that index: a named file in place, a b2 on a
-// pipe ('-i -') after reading all of it into memory, which -stream then
-// holds too.
+// the producer and only the render trails EOF. No path keeps a record:
+// every experiment, §6 coalescing included, renders from the analysis's
+// per-file state. -stream selects the other paths, with byte-identical
+// output: a named b2 file under -stream is opened through its trailing
+// block index, shards are cut from index metadata (-shard-days) and
+// blocks decode in parallel on a bounded worker pool (-workers); in
+// generate mode -stream skips the MSS simulation (latency columns stay
+// empty; pipe tracegen -sim into -i - for them). Every b2 input is read
+// through its index: a named file in place, a b2 on a pipe ('-i -')
+// after reading all of it into memory.
 //
 // With -snapshot, the analysis state is written to the named s1 file
 // ('-' for stdout) instead of printing a report; trace slices may be
@@ -94,7 +92,7 @@ func main() {
 		scale       = flag.Float64("scale", 0.01, "scale when generating")
 		seed        = flag.Int64("seed", 1, "seed when generating")
 		all         = flag.Bool("all", false, "print every table and figure")
-		stream      = flag.Bool("stream", false, "streaming analysis: keep no record (bounded memory; b2 on a pipe is read into memory first, so name the file)")
+		stream      = flag.Bool("stream", false, "index-seek analysis of a named b2 file (parallel with -workers); in generate mode, skip the MSS simulation. Same report either way")
 		workers     = flag.Int("workers", 0, "worker pool size for a named b2 file under -stream, or -distributed (0 = one per CPU)")
 		shardDays   = flag.Int("shard-days", 0, "shard width in days for a named b2 file under -stream, or -distributed (0 = 28)")
 		format      = flag.String("format", "auto", "input format: auto, ascii, binary or b2")
@@ -132,7 +130,7 @@ func main() {
 			emitSnapshot(a, *snapshot)
 			return
 		}
-		renderExperiments(&filemig.Pipeline{Report: a.Report()}, ids, *all, true)
+		renderExperiments(&filemig.Pipeline{Report: a.Report()}, ids, *all)
 		return
 	}
 	if *snapshot != "" {
@@ -142,7 +140,7 @@ func main() {
 		if *all || len(ids) > 0 {
 			log.Fatal("-snapshot replaces the report; drop -all/-id")
 		}
-		a, _ := analyzeInput(ctx, *in, *format, *stream, *workers, *shardDays, true)
+		a := analyzeInput(ctx, *in, *format, *stream, *workers, *shardDays, true)
 		emitSnapshot(a, *snapshot)
 		return
 	}
@@ -164,20 +162,20 @@ func main() {
 			log.Fatal(err)
 		}
 	default:
-		a, recs := analyzeInput(ctx, *in, *format, *stream, *workers, *shardDays, false)
-		p = &filemig.Pipeline{Records: recs, Report: a.Report()}
+		a := analyzeInput(ctx, *in, *format, *stream, *workers, *shardDays, false)
+		p = &filemig.Pipeline{Report: a.Report()}
 	}
 
-	renderExperiments(p, ids, *all, *stream)
+	renderExperiments(p, ids, *all)
 }
 
 // analyzeInput is the one place that picks an analysis path for a trace
 // input: under -stream a named b2 file goes through its block index
 // (core.AccumulateB2); everything else is core.AccumulateStream's loop
-// over a sequential read, which without -stream also keeps each record
-// it analyses. The analysis is byte-identical on both. journal keeps the
-// reference journal a snapshot needs. Every error is fatal.
-func analyzeInput(ctx context.Context, in, format string, stream bool, workers, shardDays int, journal bool) (*core.Analysis, []trace.Record) {
+// over a sequential read. The analysis is byte-identical on both, and
+// neither keeps a record. journal keeps the reference journal a
+// snapshot needs. Every error is fatal.
+func analyzeInput(ctx context.Context, in, format string, stream bool, workers, shardDays int, journal bool) *core.Analysis {
 	opts := core.StreamOptions{
 		Options:       core.Options{DedupWindow: workload.DedupWindow, Journal: journal},
 		Workers:       workers,
@@ -190,7 +188,7 @@ func analyzeInput(ctx context.Context, in, format string, stream bool, workers, 
 			if err != nil {
 				log.Fatal(err)
 			}
-			return a, nil
+			return a
 		}
 	}
 	f := os.Stdin
@@ -206,40 +204,17 @@ func analyzeInput(ctx context.Context, in, format string, stream bool, workers, 
 	if err != nil {
 		log.Fatal(err)
 	}
-	keep := &keepStream{src: src}
-	if !stream {
-		src = keep
-	}
 	a, err := core.AccumulateStream(ctx, opts, src)
 	if err != nil {
 		log.Fatal(err)
 	}
-	return a, keep.recs.Records()
-}
-
-// keepStream passes src through, keeping every record it yields.
-type keepStream struct {
-	src  trace.Stream
-	recs trace.Collector
-}
-
-func (k *keepStream) Next() (trace.Record, error) {
-	r, err := k.src.Next()
-	if err == nil {
-		k.recs.Add(r)
-	}
-	return r, err
+	return a
 }
 
 // renderExperiments prints the selected (or all) experiments from a
-// finished pipeline. Without the raw request list — the streamed and
-// merged paths — the coalesce experiment is skipped with a note.
-func renderExperiments(p *filemig.Pipeline, ids idList, all, noRecords bool) {
+// finished pipeline.
+func renderExperiments(p *filemig.Pipeline, ids idList, all bool) {
 	render := func(e filemig.Experiment) {
-		if noRecords && e.ID == "coalesce" {
-			fmt.Printf("== %s ==\n(skipped: coalescing needs the raw request list; rerun without -stream on the full trace)\n\n", e.Title)
-			return
-		}
 		fmt.Printf("== %s ==\n%s\n", e.Title, e.Render(p))
 	}
 	if all || len(ids) == 0 {
@@ -430,7 +405,7 @@ func runMerge(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	renderExperiments(&filemig.Pipeline{Report: a.Report()}, ids, *all, true)
+	renderExperiments(&filemig.Pipeline{Report: a.Report()}, ids, *all)
 }
 
 // expandSnapshotArgs turns merge's arguments into a snapshot file list:

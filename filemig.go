@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 	"time"
 
 	"filemig/internal/core"
@@ -68,24 +67,6 @@ type Pipeline struct {
 	Records  []trace.Record // with simulated latencies unless SkipSimulation
 	Report   *core.Report
 	Sim      *mss.Simulator // nil when SkipSimulation
-
-	// interner is the pipeline's shared MSS-path table: every per-path
-	// consumer hanging off this Pipeline (Accesses, Coalesce) interns
-	// through it instead of rebuilding a private string map. internMu
-	// serialises those consumers — the Interner itself is not safe for
-	// concurrent use, and both methods were previously independent
-	// read-only passes over Records.
-	internMu sync.Mutex
-	interner *trace.Interner
-}
-
-// pathInterner lazily builds the shared path table; callers must hold
-// internMu for the whole time they use it.
-func (p *Pipeline) pathInterner() *trace.Interner {
-	if p.interner == nil {
-		p.interner = trace.NewInterner()
-	}
-	return p.interner
 }
 
 // workloadConfig maps the facade Config onto the generator's, applying
@@ -239,8 +220,8 @@ func SaveSnapshot(dst io.Writer, src io.Reader) error {
 // disjoint contiguous trace slice — and merges them into a finished
 // Pipeline carrying the combined Report: the reduce step pairing
 // SaveSnapshot. Merging a single snapshot simply loads it. The
-// resulting Pipeline has no Records, so record-level experiments
-// (coalesce) are unavailable, exactly as with RunStream.
+// resulting Pipeline has no Records, but every experiment renders from
+// its Report, coalesce included.
 func MergeSnapshots(snaps ...io.Reader) (*Pipeline, error) {
 	a, err := core.MergeSnapshots(snaps...)
 	if err != nil {
@@ -250,21 +231,18 @@ func MergeSnapshots(snaps ...io.Reader) (*Pipeline, error) {
 }
 
 // Accesses converts the pipeline's records into the migration
-// simulator's access string, through the pipeline's shared interner.
-// Safe for concurrent use with Coalesce.
+// simulator's access string.
 func (p *Pipeline) Accesses() []migration.Access {
-	p.internMu.Lock()
-	defer p.internMu.Unlock()
-	return migration.AccessesFromRecordsInterned(p.pathInterner(), p.Records)
+	return migration.AccessesFromRecords(p.Records)
 }
 
-// Coalesce runs the §6 request-coalescing analysis at the paper's
-// eight-hour window, through the pipeline's shared interner. Safe for
-// concurrent use with Accesses.
+// Coalesce is the §6 request-coalescing result at the analysis's dedup
+// window (the paper's eight hours), as the analysis counted it: it reads
+// the Report, not the Records, so a streamed or merged pipeline has it
+// too.
 func (p *Pipeline) Coalesce() migration.CoalesceResult {
-	p.internMu.Lock()
-	defer p.internMu.Unlock()
-	return migration.NewCoalescer(p.pathInterner()).Run(p.Records, workload.DedupWindow)
+	c := p.Report.Coalesce
+	return migration.CoalesceResult{Window: c.Window, Requests: c.Requests, Savable: c.Savable, BytesSaved: c.BytesSaved}
 }
 
 // Experiment identifies one reproducible table or figure.

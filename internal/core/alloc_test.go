@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 )
 
 // TestAnalyzeSteadyStateAllocs is the allocation-regression guard for the
@@ -28,5 +29,15 @@ func TestAnalyzeSteadyStateAllocs(t *testing.T) {
 	if perRecord > 0.02 {
 		t.Fatalf("steady-state Add allocates %.4f per record (%.0f per %d-record run), want <= 0.02",
 			perRecord, perRun, len(recs))
+	}
+}
+
+// TestFileStateSize pins the per-file arena slot at the 56 bytes
+// fileState's doc comment promises: the arena holds one slot per file
+// every path has met, so each added word costs every analysis — the
+// daemon and the index-seek scan included — 8 bytes per file.
+func TestFileStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(fileState{}); got != 56 {
+		t.Fatalf("unsafe.Sizeof(fileState{}) = %d, want 56", got)
 	}
 }

@@ -6,7 +6,8 @@
 // individual files — reference counts under the eight-hour dedup rule
 // (Figure 8), per-file interreference intervals (Figure 9), dynamic and
 // static size distributions (Figures 10-11), directory sizes (Figure 12),
-// and the file-store summary (Table 4). Everything is computed in one
+// and the file-store summary (Table 4) — and §6's count of requests a
+// Cray-side request cache would coalesce. Everything is computed in one
 // pass over a trace — record by record through Analysis.Add (AnalyzeStream
 // is that loop over a trace.Stream), or block group by block group
 // through AnalyzeB2, which fans a b2 file's index over a worker pool and
@@ -36,7 +37,8 @@ type Options struct {
 	Days  int
 
 	// DedupWindow is §5.3's rule: at most one read and one write per file
-	// per window. Zero means the paper's eight hours.
+	// per window. It is also §6's coalescing window (Report.Coalesce).
+	// Zero means the paper's eight hours.
 	DedupWindow time.Duration
 
 	// Tree, when set, supplies the full MSS namespace for Table 4's
@@ -109,6 +111,9 @@ type Analysis struct {
 	// Figure 9: interreference gaps, appended in record order as each
 	// surviving access closes one — per-file gap lists are never stored.
 	gapCDF *stats.CDF
+
+	// §6 coalescing, counted by the per-file transition.
+	coalesce Coalesce
 
 	// Figure 10: dynamic size distributions, [op index]. Each access
 	// size is held once, in dynFiles; the byte-weighted curves weigh a
@@ -192,16 +197,16 @@ func (l *latencyAgg) meanSeconds() float64 {
 // fileState is one file's part-two accumulator, held inline in the
 // FileID-indexed arena — 56 bytes, no pointers (the instants are
 // UnixNano, as in the journal), so growing or scanning the arena costs
-// the collector nothing.
+// the collector nothing. A file's first good reference always survives
+// dedup, so reads and writes double as the "ever read/written" flags.
 type fileState struct {
 	size      units.Bytes
-	reads     int64
+	reads     int64 // references surviving dedup, per op
 	writes    int64
-	lastRead  int64 // meaningful once everRead
-	lastWrite int64 // meaningful once everWrite
-	lastDedup int64 // last access surviving dedup, either op; meaningful once either flag is set
-	everRead  bool
-	everWrite bool
+	lastRead  int64 // meaningful once reads > 0
+	lastWrite int64 // meaningful once writes > 0
+	lastDedup int64 // last access surviving dedup, either op; meaningful once reads+writes > 0
+	lastReq   int64 // last good reference, either op, deduplicated or not (§6 coalescing); likewise
 }
 
 // nanosSince is time.Time.Sub over UnixNano instants: t-u, saturating
@@ -263,6 +268,7 @@ func New(opts Options) *Analysis {
 	opts.DedupWindow = dedupWindow(opts.DedupWindow)
 	return &Analysis{
 		opts:      opts,
+		coalesce:  Coalesce{Window: opts.DedupWindow},
 		weekBytes: map[int][2]int64{},
 		interCDF:  &stats.CDF{},
 		interner:  trace.NewInterner(),
@@ -426,10 +432,12 @@ func (a *Analysis) extendFiles(id trace.FileID) trace.FileID {
 	return id
 }
 
-// addFileAccessID is addFileAccess below the interner: the dedup state
-// transition for an already-resolved FileID at a UnixNano instant.
-// Snapshot merging replays decoded journals through it directly, and —
-// when the journal is enabled — it is also the single capture point
+// addFileAccessID is addFileAccess below the interner: the per-file
+// transition for an already-resolved FileID at a UnixNano instant —
+// §6's coalescing count, then §5.3's dedup. Both depend only on the
+// file's own references in time order, so every fold replays its
+// journals through it directly and counts what the slice path counts;
+// when the journal is enabled it is also the single capture point
 // feeding that journal.
 //
 //filemig:hotpath
@@ -439,20 +447,28 @@ func (a *Analysis) addFileAccessID(id trace.FileID, op trace.Op, start int64, si
 	}
 	f := &a.files[id]
 	f.size = size
-	seen := f.everRead || f.everWrite
+	seen := f.reads+f.writes > 0
+
+	// §6: a reference at most the window after the file's previous one,
+	// of either op, is one a Cray-side request cache would absorb.
+	a.coalesce.Requests++
+	if seen && nanosSince(start, f.lastReq) <= a.opts.DedupWindow {
+		a.coalesce.Savable++
+		a.coalesce.BytesSaved += int64(size)
+	}
+	f.lastReq = start
+
 	survives := false
 	if op == trace.Read {
-		if !f.everRead || nanosSince(start, f.lastRead) >= a.opts.DedupWindow {
+		if f.reads == 0 || nanosSince(start, f.lastRead) >= a.opts.DedupWindow {
 			f.reads++
 			f.lastRead = start
-			f.everRead = true
 			survives = true
 		}
 	} else {
-		if !f.everWrite || nanosSince(start, f.lastWrite) >= a.opts.DedupWindow {
+		if f.writes == 0 || nanosSince(start, f.lastWrite) >= a.opts.DedupWindow {
 			f.writes++
 			f.lastWrite = start
-			f.everWrite = true
 			survives = true
 		}
 	}

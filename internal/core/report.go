@@ -29,6 +29,20 @@ type Report struct {
 	HourlyRequests []float64 // request counts per absolute hour (periodicity)
 	HourlyReads    []float64
 	Days           int
+
+	Coalesce Coalesce // §6 request coalescing
+}
+
+// Coalesce is §6's request-coalescing count: of the good requests, how
+// many came at most Window after the previous good request for the same
+// file, of either op, and the bytes those moved — what a Cray-side
+// request cache holding each file for Window would have absorbed. The
+// window is the analysis's dedup window.
+type Coalesce struct {
+	Window     time.Duration
+	Requests   int64
+	Savable    int64
+	BytesSaved int64
 }
 
 // Cell is one Table 3 cell: references, bytes, and latency for an
@@ -238,6 +252,7 @@ func (a *Analysis) Report() *Report {
 		HourlyRequests: a.hourlyReqs,
 		HourlyReads:    a.hourlyRead,
 		Days:           a.days,
+		Coalesce:       a.coalesce,
 	}
 	r.Table3 = a.buildTable3()
 	r.Table4, r.Figure12 = a.buildFileStore()

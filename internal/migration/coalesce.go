@@ -12,6 +12,13 @@ import (
 // Cray must make a separate request to the MSS for each script; it has no
 // way of keeping track of multiple references to the same file. Better
 // integration of the MSS with the Cray would fix this problem."
+//
+// The report's §6 line does not come from here: core counts it at the
+// analysis's dedup window inside its per-file transition, on every
+// analysis path, with no record kept (core.Report.Coalesce). This
+// record-level scan is the window sweep of migsim -coalesce, which
+// needs the records anyway, and the reference core's count is tested
+// against.
 
 // CoalesceResult reports how much of the request stream a Cray-side
 // request cache with the given window would absorb.
@@ -40,13 +47,9 @@ type Coalescer struct {
 	last []time.Time // FileID -> last request time; zero = unseen this run
 }
 
-// NewCoalescer builds a Coalescer around the given interner (which may
-// be shared with other per-path consumers); nil means a private one.
-func NewCoalescer(in *trace.Interner) *Coalescer {
-	if in == nil {
-		in = trace.NewInterner()
-	}
-	return &Coalescer{in: in}
+// NewCoalescer builds a Coalescer with an empty path table.
+func NewCoalescer() *Coalescer {
+	return &Coalescer{in: trace.NewInterner()}
 }
 
 // Run scans a time-sorted trace and counts requests arriving within
@@ -77,13 +80,13 @@ func (c *Coalescer) Run(recs []trace.Record, window time.Duration) CoalesceResul
 
 // Coalesce runs the scan with a one-shot Coalescer.
 func Coalesce(recs []trace.Record, window time.Duration) CoalesceResult {
-	return NewCoalescer(nil).Run(recs, window)
+	return NewCoalescer().Run(recs, window)
 }
 
 // CoalesceSweep evaluates several windows on one pass each through a
 // shared Coalescer, so the window-size ablation interns every path once.
 func CoalesceSweep(recs []trace.Record, windows []time.Duration) []CoalesceResult {
-	c := NewCoalescer(nil)
+	c := NewCoalescer()
 	out := make([]CoalesceResult, 0, len(windows))
 	for _, w := range windows {
 		out = append(out, c.Run(recs, w))

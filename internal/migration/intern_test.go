@@ -143,7 +143,7 @@ func TestCoalescerEquivalence(t *testing.T) {
 		}
 	}
 	// Re-running on a shared Coalescer must fully reset between runs.
-	c := NewCoalescer(nil)
+	c := NewCoalescer()
 	for _, w := range []time.Duration{48 * time.Hour, time.Hour, 48 * time.Hour} {
 		if got, want := c.Run(recs, w), refCoalesce(recs, w); got != want {
 			t.Errorf("Coalescer.Run(%v) = %+v, want %+v", w, got, want)
@@ -155,7 +155,7 @@ func TestCoalescerEquivalence(t *testing.T) {
 // warmed Coalescer re-running over the same trace allocates nothing.
 func TestCoalescerSteadyStateAllocs(t *testing.T) {
 	recs := internRecords()
-	c := NewCoalescer(nil)
+	c := NewCoalescer()
 	c.Run(recs, 8*time.Hour)
 	allocs := testing.AllocsPerRun(20, func() {
 		c.Run(recs, 8*time.Hour)

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
+	"strings"
 
 	"filemig/internal/stats"
 	"filemig/internal/units"
@@ -35,7 +36,14 @@ type Tree struct {
 	dirs []Directory
 	// fileDirs[i] is the directory of file i, filled by PlaceFiles.
 	fileDirs []int
+	// filePaths holds every file's path back to back, file i's ending
+	// at fileEnds[i] (see nameFiles).
+	filePaths string
+	fileEnds  []int
 }
+
+// rootPath is the path of directory 0.
+const rootPath = "/mss"
 
 // Config controls generation. The zero value is not valid; use
 // DefaultConfig and override.
@@ -98,9 +106,11 @@ func Generate(cfg Config) (*Tree, error) {
 	r := rand.New(rand.NewSource(cfg.Seed))
 	t := &Tree{dirs: make([]Directory, cfg.Dirs)}
 	t.buildSkeleton(cfg, r)
+	t.nameDirs()
 	if err := t.placeFiles(cfg, r); err != nil {
 		return nil, err
 	}
+	t.nameFiles()
 	return t, nil
 }
 
@@ -110,7 +120,7 @@ func Generate(cfg Config) (*Tree, error) {
 // MaxDepth. At least one chain reaches exactly MaxDepth so Table 4's
 // maximum-depth row is reproduced whenever enough directories exist.
 func (t *Tree) buildSkeleton(cfg Config, r *rand.Rand) {
-	t.dirs[0] = Directory{ID: 0, Parent: -1, Depth: 0, Path: "/mss"}
+	t.dirs[0] = Directory{ID: 0, Parent: -1, Depth: 0}
 	// children[i] counts existing children to drive preferential attachment.
 	children := make([]int, cfg.Dirs)
 	// Force one maximal-depth chain first.
@@ -120,24 +130,84 @@ func (t *Tree) buildSkeleton(cfg Config, r *rand.Rand) {
 	}
 	for i := 1; i <= chain; i++ {
 		parent := i - 1
-		t.dirs[i] = Directory{
-			ID:     i,
-			Parent: parent,
-			Depth:  t.dirs[parent].Depth + 1,
-			Path:   childPath(t.dirs[parent].Path, 'd', i),
-		}
+		t.dirs[i] = Directory{ID: i, Parent: parent, Depth: t.dirs[parent].Depth + 1}
 		children[parent]++
 	}
 	for i := chain + 1; i < cfg.Dirs; i++ {
 		parent := t.pickParent(i, children, cfg.MaxDepth, r)
-		t.dirs[i] = Directory{
-			ID:     i,
-			Parent: parent,
-			Depth:  t.dirs[parent].Depth + 1,
-			Path:   childPath(t.dirs[parent].Path, 'd', i),
-		}
+		t.dirs[i] = Directory{ID: i, Parent: parent, Depth: t.dirs[parent].Depth + 1}
 		children[parent]++
 	}
+}
+
+// The tree's paths live in two arenas, one string for the directories
+// and one for the files, each path a slice of its arena: every path's
+// length is summed before any is written, so each arena is allocated
+// once and a tree's paths cost a handful of allocations rather than one
+// each. ends[i] is where path i ends, and path i starts where path i-1
+// ends.
+
+// start is where path i of an arena with the given ends begins.
+func start(ends []int, i int) int {
+	if i == 0 {
+		return 0
+	}
+	return ends[i-1]
+}
+
+// childLen is the length of parent/<kind><id> for a parent of length n.
+func childLen(n, id int) int {
+	var buf [20]byte
+	return n + 2 + len(strconv.AppendInt(buf[:0], int64(id), 10))
+}
+
+// writeChild appends parent/<kind><id>, the shape of every directory
+// and file path in the tree.
+func writeChild(b *strings.Builder, parent string, kind byte, id int) {
+	var buf [20]byte
+	b.WriteString(parent)
+	b.WriteByte('/')
+	b.WriteByte(kind)
+	b.Write(strconv.AppendInt(buf[:0], int64(id), 10))
+}
+
+// nameDirs gives every directory its path: rootPath for the root, else
+// parent/d<id>. A parent's ID is below its children's, so one pass in
+// ID order writes every parent before its children read it back.
+func (t *Tree) nameDirs() {
+	ends := make([]int, len(t.dirs))
+	ends[0] = len(rootPath)
+	for i := 1; i < len(t.dirs); i++ {
+		p := t.dirs[i].Parent
+		ends[i] = ends[i-1] + childLen(ends[p]-start(ends, p), i)
+	}
+	var b strings.Builder
+	b.Grow(ends[len(ends)-1])
+	b.WriteString(rootPath)
+	for i := 1; i < len(t.dirs); i++ {
+		p := t.dirs[i].Parent
+		writeChild(&b, b.String()[start(ends, p):ends[p]], 'd', i)
+	}
+	arena := b.String()
+	for i := range t.dirs {
+		t.dirs[i].Path = arena[start(ends, i):ends[i]]
+	}
+}
+
+// nameFiles lays out every placed file's path, dir/f<id>, for FilePath.
+func (t *Tree) nameFiles() {
+	t.fileEnds = make([]int, len(t.fileDirs))
+	end := 0
+	for i, d := range t.fileDirs {
+		end += childLen(len(t.dirs[d].Path), i)
+		t.fileEnds[i] = end
+	}
+	var b strings.Builder
+	b.Grow(end)
+	for i, d := range t.fileDirs {
+		writeChild(&b, t.dirs[d].Path, 'f', i)
+	}
+	t.filePaths = b.String()
 }
 
 // pickParent samples an existing directory with probability proportional
@@ -279,17 +349,10 @@ func (t *Tree) Dir(id int) Directory { return t.dirs[id] }
 // FileDir reports the directory ID of file i.
 func (t *Tree) FileDir(i int) int { return t.fileDirs[i] }
 
-// FilePath builds the full MSS path of file i.
+// FilePath returns the full MSS path of file i, a slice of the tree's
+// one file-path string.
 func (t *Tree) FilePath(i int) string {
-	return childPath(t.dirs[t.fileDirs[i]].Path, 'f', i)
-}
-
-// childPath returns parent/<kind><id>, the shape of every directory and
-// file path in the tree, without fmt's reflection.
-func childPath(parent string, kind byte, id int) string {
-	var buf [64]byte
-	b := append(append(buf[:0], parent...), '/', kind)
-	return string(strconv.AppendInt(b, int64(id), 10))
+	return t.filePaths[start(t.fileEnds, i):t.fileEnds[i]]
 }
 
 // AddBytes credits a file's size to its directory (called by the workload

@@ -1,6 +1,7 @@
 package namespace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -146,6 +147,36 @@ func TestFilePlacementAndPaths(t *testing.T) {
 		if strings.ContainsAny(p, " \t") {
 			t.Errorf("path %q contains whitespace", p)
 		}
+	}
+}
+
+// TestPathsMatchFmtForm holds every directory and file path, each a
+// slice of its tree's arena, to the parent/<kind><id> form spelled with
+// fmt, and the generator to a few allocations for all of them: with one
+// string per path, Generate made one allocation per directory and
+// FilePath one per call.
+func TestPathsMatchFmtForm(t *testing.T) {
+	tree := genSmall(t)
+	if got := tree.Dir(0).Path; got != "/mss" {
+		t.Fatalf("root path %q, want /mss", got)
+	}
+	for i := 1; i < tree.NumDirs(); i++ {
+		d := tree.Dir(i)
+		if want := fmt.Sprintf("%s/d%d", tree.Dir(d.Parent).Path, i); d.Path != want {
+			t.Fatalf("dir %d path %q, want %q", i, d.Path, want)
+		}
+	}
+	for i := 0; i < tree.NumFiles(); i++ {
+		if got, want := tree.FilePath(i), fmt.Sprintf("%s/f%d", tree.Dir(tree.FileDir(i)).Path, i); got != want {
+			t.Fatalf("file %d path %q, want %q", i, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { tree.FilePath(tree.NumFiles() - 1) }); n != 0 {
+		t.Errorf("FilePath allocates %v times a call, want 0", n)
+	}
+	cfg := DefaultConfig(0.02, 42)
+	if n := testing.AllocsPerRun(3, func() { Generate(cfg) }); n > 20 {
+		t.Errorf("Generate makes %v allocations for %d directories and %d files, want <= 20", n, cfg.Dirs, cfg.Files)
 	}
 }
 

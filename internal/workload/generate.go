@@ -4,6 +4,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"time"
 
@@ -312,7 +313,11 @@ const (
 	smallGapFloor = 0.5
 )
 
-func packHour(recs []trace.Record, hour time.Time, rng *rand.Rand, meanBurst, gapMean, gapFloor float64) {
+// packHour packs one hour's records into sessions of about meanBurst
+// requests, rewriting their starts in order within the hour. offsets is
+// scratch for the packed second offsets; packHour returns it, grown to
+// the hour's length, for the next hour to reuse.
+func packHour(recs []trace.Record, offsets []float64, hour time.Time, rng *rand.Rand, meanBurst, gapMean, gapFloor float64) []float64 {
 	n := len(recs)
 	// Expected seconds consumed by small gaps; the rest spreads across
 	// burst boundaries.
@@ -321,7 +326,7 @@ func packHour(recs []trace.Record, hour time.Time, rng *rand.Rand, meanBurst, ga
 	if largeMean < 5 {
 		largeMean = 5
 	}
-	offsets := make([]float64, n)
+	offsets = slices.Grow(offsets[:0], n)[:n]
 	t := rng.Float64() * largeMean / 2
 	remaining := 0 // remaining requests in current burst
 	for k := 0; k < n; k++ {
@@ -346,4 +351,5 @@ func packHour(recs []trace.Record, hour time.Time, rng *rand.Rand, meanBurst, ga
 	for k := range recs {
 		recs[k].Start = hour.Add(time.Duration(offsets[k] * float64(time.Second)))
 	}
+	return offsets
 }

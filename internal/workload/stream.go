@@ -238,6 +238,7 @@ type burstStream struct {
 	rng     *rand.Rand
 	mean    float64 // mean session length (Config.BurstMean)
 	buf     []trace.Record
+	offsets []float64 // packHour's scratch, reused hour to hour
 	i       int
 	pending trace.Record
 	hasPend bool
@@ -294,7 +295,7 @@ func (b *burstStream) fill() error {
 		break
 	}
 	if len(b.buf) > 1 {
-		packHour(b.buf, hour, b.rng, b.mean, smallGapMean, smallGapFloor)
+		b.offsets = packHour(b.buf, b.offsets, hour, b.rng, b.mean, smallGapMean, smallGapFloor)
 	}
 	return nil
 }
