@@ -252,11 +252,12 @@ func BenchmarkB2Decode(b *testing.B) {
 }
 
 // BenchmarkStreamAnalyzeB2 is BenchmarkStreamAnalyze's trace re-encoded
-// as b2: the same analysis fed by the sequential b2 stream reader, and
-// by the index-seek path — shard cutting from the block index,
-// parallel block decode, no record-level streaming at all. The
-// indexseek variant is the headline: it must beat the stream variant
-// on ns/op.
+// as b2, analysed on the index-seek path both ways in — shard cutting
+// from the block index, block decode on a pool, no record-level
+// streaming at all. The stream variant hands AnalyzeStream the seekable
+// b2 stream OpenStream returns, which it takes through the index on one
+// worker (its options set no Workers); the indexseek variant calls
+// AnalyzeB2 with four. The gap between them is the worker pool's.
 func BenchmarkStreamAnalyzeB2(b *testing.B) {
 	p, _ := fixture(b)
 	var buf bytes.Buffer

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	mssanalyze -i trace.txt -all
-//	mssanalyze -i trace.b2 -stream -workers 8     # index-seek, parallel decode
+//	mssanalyze -i trace.b2 -workers 8             # index-seek, parallel decode
 //	mssanalyze -scale 0.02 -id table3 -id figure7
 //	tracegen -scale 0.01 -sim | mssanalyze -all
 //	mssanalyze -i slice0.b1 -snapshot s0.s1       # map: analyse one slice
@@ -14,18 +14,19 @@
 //
 // With -scale and no -i, a synthetic trace is generated and simulated
 // in-process. The input codec (ASCII v1, binary b1, or columnar b2) is
-// auto-detected; -format forces one. A sequential input is analysed
-// record by record as it is read, so over a pipe the analysis overlaps
-// the producer and only the render trails EOF. No path keeps a record:
-// every experiment, §6 coalescing included, renders from the analysis's
-// per-file state. -stream selects the other paths, with byte-identical
-// output: a named b2 file under -stream is opened through its trailing
-// block index, shards are cut from index metadata (-shard-days) and
-// blocks decode in parallel on a bounded worker pool (-workers); in
-// generate mode -stream skips the MSS simulation (latency columns stay
-// empty; pipe tracegen -sim into -i - for them). Every b2 input is read
-// through its index: a named file in place, a b2 on a pipe ('-i -')
-// after reading all of it into memory.
+// auto-detected; -format forces one, and the input picks the
+// mechanism, with byte-identical output. A b2 input is analysed through
+// its trailing block index — a named file in place, a b2 on a pipe
+// ('-i -') after reading all of it into memory: shards are cut from
+// index metadata (-shard-days) and blocks decode in parallel on a
+// bounded worker pool (-workers). A v1 or b1 input is analysed record by
+// record as it is read, so over a pipe the analysis overlaps the
+// producer and only the render trails EOF. No path keeps a record: every
+// experiment, §6 coalescing included, renders from the analysis's
+// per-file state. -stream means one thing: never run the MSS simulator.
+// In generate mode it skips the simulation (latency columns stay empty;
+// pipe tracegen -sim into -i - for them); a trace input is never
+// simulated, so with -i it changes nothing.
 //
 // With -snapshot, the analysis state is written to the named s1 file
 // ('-' for stdout) instead of printing a report; trace slices may be
@@ -92,9 +93,9 @@ func main() {
 		scale       = flag.Float64("scale", 0.01, "scale when generating")
 		seed        = flag.Int64("seed", 1, "seed when generating")
 		all         = flag.Bool("all", false, "print every table and figure")
-		stream      = flag.Bool("stream", false, "index-seek analysis of a named b2 file (parallel with -workers); in generate mode, skip the MSS simulation. Same report either way")
-		workers     = flag.Int("workers", 0, "worker pool size for a named b2 file under -stream, or -distributed (0 = one per CPU)")
-		shardDays   = flag.Int("shard-days", 0, "shard width in days for a named b2 file under -stream, or -distributed (0 = 28)")
+		stream      = flag.Bool("stream", false, "never run the MSS simulator: in generate mode, skip it (latency columns stay empty); a trace input (-i) is never simulated, so there it changes nothing")
+		workers     = flag.Int("workers", 0, "worker pool size for a b2 trace input's block index (0 = one per CPU); needs -i")
+		shardDays   = flag.Int("shard-days", 0, "shard width in days for a b2 trace input's block index, local or -distributed (0 = 28); needs -i")
 		format      = flag.String("format", "auto", "input format: auto, ascii, binary or b2")
 		snapshot    = flag.String("snapshot", "", "write an s1 analysis snapshot here ('-' for stdout) instead of reporting")
 		distributed = flag.Bool("distributed", false, "serve a b2 input's shards to mssanalyze worker processes")
@@ -104,15 +105,15 @@ func main() {
 	)
 	flag.Var(&ids, "id", "experiment to print (table3, figure7, ...); repeatable")
 	flag.Parse()
-	if !*stream && !*distributed && (*workers != 0 || *shardDays != 0) {
-		log.Fatal("-workers and -shard-days only apply with -stream or -distributed")
+	if *in == "" && (*workers != 0 || *shardDays != 0) {
+		log.Fatal("-workers and -shard-days only apply when reading a trace with -i")
 	}
 	if !*distributed && (*listen != "127.0.0.1:0" || *journal != "" || *lease != 0) {
 		log.Fatal("-listen, -journal and -lease only apply with -distributed")
 	}
 	// The deterministic analysis packages take only explicit worker
 	// counts; the per-CPU default is resolved here at the boundary.
-	if *stream && *workers <= 0 {
+	if *in != "" && *workers <= 0 {
 		*workers = host.DefaultWorkers()
 	}
 	if *in == "" && *format != "auto" {
@@ -140,7 +141,7 @@ func main() {
 		if *all || len(ids) > 0 {
 			log.Fatal("-snapshot replaces the report; drop -all/-id")
 		}
-		a := analyzeInput(ctx, *in, *format, *stream, *workers, *shardDays, true)
+		a := analyzeInput(ctx, *in, *format, *workers, *shardDays, true)
 		emitSnapshot(a, *snapshot)
 		return
 	}
@@ -162,35 +163,18 @@ func main() {
 			log.Fatal(err)
 		}
 	default:
-		a := analyzeInput(ctx, *in, *format, *stream, *workers, *shardDays, false)
+		a := analyzeInput(ctx, *in, *format, *workers, *shardDays, false)
 		p = &filemig.Pipeline{Report: a.Report()}
 	}
 
 	renderExperiments(p, ids, *all)
 }
 
-// analyzeInput is the one place that picks an analysis path for a trace
-// input: under -stream a named b2 file goes through its block index
-// (core.AccumulateB2); everything else is core.AccumulateStream's loop
-// over a sequential read. The analysis is byte-identical on both, and
-// neither keeps a record. journal keeps the reference journal a
-// snapshot needs. Every error is fatal.
-func analyzeInput(ctx context.Context, in, format string, stream bool, workers, shardDays int, journal bool) *core.Analysis {
-	opts := core.StreamOptions{
-		Options:       core.Options{DedupWindow: workload.DedupWindow, Journal: journal},
-		Workers:       workers,
-		ShardDuration: time.Duration(shardDays) * 24 * time.Hour,
-	}
-	if stream {
-		if bf, bfile := openB2Indexed(in, format); bf != nil {
-			defer bfile.Close()
-			a, err := core.AccumulateB2(ctx, core.B2Options{StreamOptions: opts}, bf)
-			if err != nil {
-				log.Fatal(err)
-			}
-			return a
-		}
-	}
+// analyzeInput analyses a trace input with core.AccumulateStream, which
+// takes a b2 input through its block index and reads any other record
+// by record; neither keeps a record. journal keeps the reference journal
+// a snapshot needs. Every error is fatal.
+func analyzeInput(ctx context.Context, in, format string, workers, shardDays int, journal bool) *core.Analysis {
 	f := os.Stdin
 	if in != "-" {
 		var err error
@@ -204,7 +188,11 @@ func analyzeInput(ctx context.Context, in, format string, stream bool, workers, 
 	if err != nil {
 		log.Fatal(err)
 	}
-	a, err := core.AccumulateStream(ctx, opts, src)
+	a, err := core.AccumulateStream(ctx, core.StreamOptions{
+		Options:       core.Options{DedupWindow: workload.DedupWindow, Journal: journal},
+		Workers:       workers,
+		ShardDuration: time.Duration(shardDays) * 24 * time.Hour,
+	}, src)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -230,44 +218,6 @@ func renderExperiments(p *filemig.Pipeline, ids idList, all bool) {
 		}
 		render(e)
 	}
-}
-
-// openB2Indexed opens a named trace input through its b2 block index
-// when the format flag allows it. It returns nils — fall back to the
-// sequential stream path — for stdin, for a format forced to another
-// codec, and for auto-format inputs without a b2 header; a forced-b2
-// input that fails to open, or a b2-headed file whose index is broken,
-// is fatal rather than silently re-read sequentially.
-func openB2Indexed(in, format string) (*trace.B2File, *os.File) {
-	if in == "-" {
-		return nil, nil
-	}
-	if format != "auto" {
-		wf, err := trace.ParseFormat(format)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if wf != trace.FormatB2 {
-			return nil, nil
-		}
-	}
-	f, err := os.Open(in)
-	if err != nil {
-		log.Fatal(err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		log.Fatal(err)
-	}
-	bf, err := trace.OpenB2File(f, st.Size())
-	if err != nil {
-		f.Close()
-		if format == "auto" && errors.Is(err, trace.ErrNotB2) {
-			return nil, nil
-		}
-		log.Fatal(err)
-	}
-	return bf, f
 }
 
 // emitSnapshot serializes an analysis as an s1 snapshot to the named
@@ -298,14 +248,22 @@ func runDistributed(ctx context.Context, in, format, listen, journal string, lea
 	if in == "" || in == "-" {
 		log.Fatal("-distributed needs a named trace file (-i); workers open the same path")
 	}
-	bf, bfile := openB2Indexed(in, format)
-	if bf == nil {
-		log.Fatalf("%s is not a b2 trace; -distributed shards along the b2 block index", in)
-	}
-	defer bfile.Close()
-	st, err := bfile.Stat()
+	f, err := os.Open(in)
 	if err != nil {
 		log.Fatal(err)
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		log.Fatal(err)
+	}
+	src, err := trace.OpenStreamFlag(f, format)
+	if err != nil {
+		log.Fatal(err)
+	}
+	bf := trace.TakeB2File(src)
+	if bf == nil {
+		log.Fatalf("%s is not a b2 trace; -distributed shards along the b2 block index", in)
 	}
 	b, err := dist.NewB2ShardCoordinator(dist.B2ShardConfig{
 		Path:          in,

@@ -129,14 +129,15 @@ func TestCmdPipelines(t *testing.T) {
 		t.Errorf("msssim -format binary failed:\n%s", out)
 	}
 
-	// mssanalyze -stream must match the slice path byte for byte on the
-	// shared experiments.
+	// The same workload as b2 on a pipe takes the block index at any
+	// worker count and must match the b1 record loop byte for byte.
+	traceB2 := run("tracegen", nil, "-scale", "0.001", "-seed", "3", "-days", "60", "-format", "b2")
 	slice := string(run("mssanalyze", traceBin, "-i", "-", "-id", "table3", "-id", "figure8"))
-	streamed := string(run("mssanalyze", traceBin, "-i", "-", "-stream", "-workers", "3",
+	indexed := string(run("mssanalyze", traceB2, "-i", "-", "-workers", "3",
 		"-shard-days", "7", "-id", "table3", "-id", "figure8"))
-	if slice != streamed {
-		t.Errorf("-stream output differs from slice path:\n--- slice ---\n%s\n--- stream ---\n%s",
-			slice, streamed)
+	if slice != indexed {
+		t.Errorf("b2 index path differs from the b1 record loop:\n--- b1 ---\n%s\n--- b2 ---\n%s",
+			slice, indexed)
 	}
 }
 
@@ -237,11 +238,13 @@ func TestMigsimPresets(t *testing.T) {
 
 // TestMssanalyzeB2Golden is the CLI acceptance gate for the b2 block
 // format: the committed testdata/mini.b2 fixture (tracegen -scale
-// 0.002 -seed 3 -days 120 -format b2) must analyse through the
-// index-seek -stream path to exactly the committed golden report, and
-// the slice path, the forced -format b2 path, and the piped-stdin
-// sequential path must all render the same bytes. Regenerate with
-// UPDATE_B2_GOLDEN=1.
+// 0.002 -seed 3 -days 120 -format b2) must analyse through its block
+// index — the path mssanalyze takes for any b2 input — to exactly the
+// committed golden report. The same file at other worker counts and
+// shard widths, with -stream (which changes nothing for a trace input),
+// with -format b2 forced, and on a pipe must render the same bytes, and
+// so must the sequential path over a b1 re-encoding of its records.
+// Regenerate with UPDATE_B2_GOLDEN=1.
 func TestMssanalyzeB2Golden(t *testing.T) {
 	bin := buildTools(t)
 	run := func(name string, stdin []byte, args ...string) []byte {
@@ -267,44 +270,68 @@ func TestMssanalyzeB2Golden(t *testing.T) {
 	if !bytes.HasPrefix(raw, []byte("#filemig-trace b2")) {
 		t.Fatalf("fixture missing b2 header: %.40q", raw)
 	}
+	recs, err := trace.ReadAll(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b1 bytes.Buffer
+	if err := trace.WriteAllFormat(&b1, recs, trace.FormatBinary); err != nil {
+		t.Fatal(err)
+	}
+	b1Path := filepath.Join(t.TempDir(), "mini.b1")
+	if err := os.WriteFile(b1Path, b1.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	ids := []string{"-id", "table3", "-id", "table4", "-id", "figure8"}
-	streamed := run("mssanalyze", nil,
-		append([]string{"-i", fixture, "-stream", "-workers", "4", "-shard-days", "7"}, ids...)...)
+	indexed := run("mssanalyze", nil, append([]string{"-i", fixture}, ids...)...)
 
 	goldenPath := filepath.Join("testdata", "b2_golden.txt")
 	if os.Getenv("UPDATE_B2_GOLDEN") != "" {
-		if err := os.WriteFile(goldenPath, streamed, 0o644); err != nil {
+		if err := os.WriteFile(goldenPath, indexed, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s (%d bytes)", goldenPath, len(streamed))
+		t.Logf("rewrote %s (%d bytes)", goldenPath, len(indexed))
 	} else {
 		golden, err := os.ReadFile(goldenPath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(streamed, golden) {
-			t.Errorf("b2 stream report does not match testdata/b2_golden.txt:\n--- got ---\n%s\n--- golden ---\n%s",
-				streamed, golden)
+		if !bytes.Equal(indexed, golden) {
+			t.Errorf("b2 report does not match testdata/b2_golden.txt:\n--- got ---\n%s\n--- golden ---\n%s",
+				indexed, golden)
 		}
 	}
 
-	// Every other route to the same records renders identically: the
-	// slice path, the forced format on the index-seek path, and the
-	// sequential reader over a pipe (stdin is not seekable).
+	// Every other route to the same records renders identically.
 	for _, tc := range []struct {
 		name  string
 		stdin []byte
 		args  []string
 	}{
-		{"slice", nil, []string{"-i", fixture}},
-		{"forced-b2", nil, []string{"-i", fixture, "-format", "b2", "-stream", "-workers", "2"}},
-		{"stdin-stream", raw, []string{"-i", "-", "-stream", "-workers", "2"}},
+		{"stream", nil, []string{"-i", fixture, "-stream"}},
+		{"workers-2", nil, []string{"-i", fixture, "-workers", "2"}},
+		{"workers-4-shard-7", nil, []string{"-i", fixture, "-stream", "-workers", "4", "-shard-days", "7"}},
+		{"forced-b2", nil, []string{"-i", fixture, "-format", "b2", "-workers", "2"}},
+		{"stdin-workers-1", raw, []string{"-i", "-", "-workers", "1"}},
+		{"stdin-workers-2", raw, []string{"-i", "-", "-workers", "2"}},
+		{"b1-sequential", nil, []string{"-i", b1Path}},
 	} {
 		got := run("mssanalyze", tc.stdin, append(tc.args, ids...)...)
-		if !bytes.Equal(got, streamed) {
-			t.Errorf("%s path differs from the index-seek stream path:\n--- got ---\n%s\n--- stream ---\n%s",
-				tc.name, got, streamed)
+		if !bytes.Equal(got, indexed) {
+			t.Errorf("%s differs from the index path:\n--- got ---\n%s\n--- index ---\n%s",
+				tc.name, got, indexed)
+		}
+	}
+
+	// -workers and -shard-days read a trace input; generate mode has none.
+	for _, flag := range []string{"-workers", "-shard-days"} {
+		cmd := exec.Command(filepath.Join(bin, "mssanalyze"), flag, "2", "-scale", "0.001")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		var exit *exec.ExitError
+		if err := cmd.Run(); !errors.As(err, &exit) || !strings.Contains(stderr.String(), "only apply when reading a trace with -i") {
+			t.Errorf("%s in generate mode: err = %v, stderr %q; want a fatal pointing at -i", flag, err, stderr.String())
 		}
 	}
 
@@ -323,7 +350,8 @@ func TestMssanalyzeB2Golden(t *testing.T) {
 // TestMssanalyzeSnapshotMerge is the acceptance gate for the
 // distributed-analysis surface: the paper workload encoded as two trace
 // slice files, each analysed to an s1 snapshot by `mssanalyze
-// -snapshot` (one slice via the slice path, one via -stream), then
+// -snapshot` (a b1 slice record by record, a b2 slice through its block
+// index), then
 // combined by `mssanalyze merge` — whose report must be byte-identical
 // to analysing the unsplit trace, and must match the committed golden
 // report testdata/snapshot_golden.txt.
@@ -351,7 +379,7 @@ func TestMssanalyzeSnapshotMerge(t *testing.T) {
 	dir := t.TempDir()
 	cut := len(p.Records)*2/3 + 1
 	whole := filepath.Join(dir, "whole.b1")
-	slices := []string{filepath.Join(dir, "s0.b1"), filepath.Join(dir, "s1.b1")}
+	slices := []string{filepath.Join(dir, "s0.b1"), filepath.Join(dir, "s1.b2")}
 	for path, recs := range map[string][]trace.Record{
 		whole: p.Records, slices[0]: p.Records[:cut], slices[1]: p.Records[cut:],
 	} {
@@ -359,7 +387,11 @@ func TestMssanalyzeSnapshotMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := trace.WriteAllFormat(f, recs, trace.FormatBinary); err != nil {
+		format := trace.FormatBinary
+		if filepath.Ext(path) == ".b2" {
+			format = trace.FormatB2
+		}
+		if err := trace.WriteAllFormat(f, recs, format); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
@@ -370,8 +402,7 @@ func TestMssanalyzeSnapshotMerge(t *testing.T) {
 	// Map: one snapshot per slice, exercising both producer paths.
 	snaps := []string{filepath.Join(dir, "s0.s1"), filepath.Join(dir, "s1.s1")}
 	run("mssanalyze", "-i", slices[0], "-snapshot", snaps[0])
-	run("mssanalyze", "-i", slices[1], "-stream", "-workers", "3", "-shard-days", "7",
-		"-snapshot", snaps[1])
+	run("mssanalyze", "-i", slices[1], "-workers", "3", "-shard-days", "7", "-snapshot", snaps[1])
 
 	// Reduce: the merged report matches the unsplit analysis byte for
 	// byte, and the committed golden file.

@@ -139,7 +139,8 @@ func timeBatches(recs []trace.Record, width time.Duration) [][]trace.Record {
 
 // coalesceB2 encodes recs as a b2 trace of perBlock-record blocks and
 // returns the records as the codec decodes them (whole seconds) and
-// AccumulateB2's Report.Coalesce at each worker count and shard width.
+// the index path's Report.Coalesce at each worker count and shard width:
+// AccumulateStream over the b2 stream OpenStream returns.
 func coalesceB2(t *testing.T, recs []trace.Record, perBlock int) ([]trace.Record, map[string]core.Coalesce) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -160,14 +161,14 @@ func coalesceB2(t *testing.T, recs []trace.Record, perBlock int) ([]trace.Record
 	got := map[string]core.Coalesce{}
 	for _, workers := range []int{1, 4} {
 		for _, days := range []int{1, 28} {
-			f, err := trace.OpenB2File(bytes.NewReader(enc), int64(len(enc)))
+			src, err := trace.OpenStream(bytes.NewReader(enc))
 			if err != nil {
-				t.Fatalf("OpenB2File: %v", err)
+				t.Fatalf("OpenStream: %v", err)
 			}
-			a, err := core.AccumulateB2(context.Background(), core.B2Options{StreamOptions: core.StreamOptions{
-				Options: coalesceOpts, Workers: workers, ShardDuration: time.Duration(days) * 24 * time.Hour}}, f)
+			a, err := core.AccumulateStream(context.Background(), core.StreamOptions{
+				Options: coalesceOpts, Workers: workers, ShardDuration: time.Duration(days) * 24 * time.Hour}, src)
 			if err != nil {
-				t.Fatalf("AccumulateB2 w%d %dd: %v", workers, days, err)
+				t.Fatalf("b2 index path w%d %dd: %v", workers, days, err)
 			}
 			got[fmt.Sprintf("b2-w%d-%dd", workers, days)] = a.Report().Coalesce
 		}

@@ -25,7 +25,6 @@ package filemig
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -142,15 +141,14 @@ func RunStreamContext(ctx context.Context, cfg Config) (*core.Report, error) {
 	}, sr.Stream)
 }
 
-// AnalyzeTraceFile analyses one encoded trace file on the fastest path
-// its format allows. A b2 file is opened through its trailing block
-// index and analysed with core.AnalyzeB2: shard cutting is pure index
-// arithmetic and blocks decode on the worker pool, each exactly once.
-// Any other format is read sequentially and analysed record by record
-// (core.AnalyzeStream), where workers and shard are not used. The report
-// is byte-identical either way, and to analysing the same records in one
-// slice. workers <= 0 means one per CPU and shard <= 0 the default
-// four-week width.
+// AnalyzeTraceFile analyses one encoded trace file. Its format picks
+// the mechanism (core.AccumulateStream): a b2 file is analysed through
+// its trailing block index, shards cut by index arithmetic and blocks
+// decoded on the worker pool, each exactly once; any other format is
+// read sequentially and analysed record by record, where workers and
+// shard are not used. The report is byte-identical either way, and to
+// analysing the same records in one slice. workers <= 0 means one per
+// CPU and shard <= 0 the default four-week width.
 func AnalyzeTraceFile(path string, workers int, shard time.Duration) (*core.Report, error) {
 	return AnalyzeTraceFileContext(context.Background(), path, workers, shard)
 }
@@ -167,29 +165,15 @@ func AnalyzeTraceFileContext(ctx context.Context, path string, workers int, shar
 		return nil, err
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	opts := core.StreamOptions{
-		Options:       core.Options{DedupWindow: workload.DedupWindow},
-		ShardDuration: shard,
-		Workers:       workers,
-	}
-	bf, err := trace.OpenB2File(f, st.Size())
-	if err == nil {
-		return core.AnalyzeB2(ctx, core.B2Options{StreamOptions: opts}, bf)
-	}
-	if !errors.Is(err, trace.ErrNotB2) {
-		return nil, err
-	}
-	// Not a b2 file; OpenB2File read via ReadAt, so the offset is still
-	// zero and the sniffing sequential path starts clean.
 	s, err := trace.OpenStream(f)
 	if err != nil {
 		return nil, err
 	}
-	return core.AnalyzeStream(ctx, opts, s)
+	return core.AnalyzeStream(ctx, core.StreamOptions{
+		Options:       core.Options{DedupWindow: workload.DedupWindow},
+		ShardDuration: shard,
+		Workers:       workers,
+	}, s)
 }
 
 // SaveSnapshot analyses one encoded trace (ASCII v1, binary b1, or
@@ -199,9 +183,10 @@ func AnalyzeTraceFileContext(ctx context.Context, path string, workers int, shar
 // made anywhere, by any worker, merge through MergeSnapshots into a
 // report byte-identical to analysing the concatenated trace in one
 // process; slices need not align with the eight-hour dedup window and
-// workers need not agree on a calendar origin. The analysis runs on the
-// streaming path, so memory stays proportional to the per-file state
-// plus the journal, not the trace. See docs/snapshots.md for the format.
+// workers need not agree on a calendar origin. The analysis is
+// core.AccumulateStream's, so a b2 input is read through its block
+// index, and memory stays proportional to the per-file state plus the
+// journal, not the trace. See docs/snapshots.md for the format.
 func SaveSnapshot(dst io.Writer, src io.Reader) error {
 	s, err := trace.OpenStream(src)
 	if err != nil {

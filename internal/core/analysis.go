@@ -9,9 +9,9 @@
 // and the file-store summary (Table 4) — and §6's count of requests a
 // Cray-side request cache would coalesce. Everything is computed in one
 // pass over a trace — record by record through Analysis.Add (AnalyzeStream
-// is that loop over a trace.Stream), or block group by block group
-// through AnalyzeB2, which fans a b2 file's index over a worker pool and
-// merges byte-identical results.
+// is that loop over a trace.Stream), or, for a b2 stream, block group by
+// block group through AccumulateB2Blocks, which fans the file's index
+// over a worker pool and merges byte-identical results.
 package core
 
 import (

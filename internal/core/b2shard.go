@@ -9,10 +9,11 @@ import (
 	"filemig/internal/trace"
 )
 
-// The index-seek analysis path for b2 traces — the one sharded path: a
-// sequential source has a serial decoder, so AnalyzeStream is a plain
-// loop, but a b2 file's trailing index already says how many records
-// each block holds and what time range they cover. Shard cutting here is
+// The index-seek analysis path for b2 traces — the one sharded path,
+// which AccumulateStream takes for every b2 stream: a sequential source
+// has a serial decoder, so its analysis is a plain loop, but a b2
+// file's trailing index already says how many records each block holds
+// and what time range they cover. Shard cutting here is
 // pure planning over index metadata: blocks are grouped into contiguous
 // shard-width runs, each run is decoded into a journal-only Partial by a
 // pool worker, each block exactly once, and the Partials fold into the
@@ -44,33 +45,28 @@ type blockGroup struct {
 	count  int64
 }
 
-// AnalyzeB2 computes the paper's full Report from an opened b2 trace
-// by fanning block groups over a bounded worker pool, decoding blocks
-// in parallel. The result is byte-identical to AnalyzeStream over the
-// same records at any worker count. Cancelling ctx aborts between
-// block groups with ctx's error; it never changes results.
+// AnalyzeB2 computes the paper's full Report from an opened b2 trace:
+// AccumulateB2Blocks over every block, then the Report. The result is
+// byte-identical to AnalyzeStream over the same records at any worker
+// count. Cancelling ctx aborts between block groups with ctx's error; it
+// never changes results.
 func AnalyzeB2(ctx context.Context, opts B2Options, f *trace.B2File) (*Report, error) {
-	a, err := AccumulateB2(ctx, opts, f)
+	a, err := AccumulateB2Blocks(ctx, opts.StreamOptions, f, 0, f.NumBlocks())
 	if err != nil {
 		return nil, err
 	}
 	return a.Report(), nil
 }
 
-// AccumulateB2 is AnalyzeB2 stopped one step short of the Report,
-// returning the merged accumulator itself — state-identical to the
-// slice path over the same records, like AccumulateStream.
-func AccumulateB2(ctx context.Context, opts B2Options, f *trace.B2File) (*Analysis, error) {
-	return AccumulateB2Blocks(ctx, opts, f, 0, f.NumBlocks())
-}
-
 // AccumulateB2Blocks analyses exactly blocks [lo, hi) of f — the
-// distributed shard path, and AccumulateB2 over the whole file. Block
-// ranges are an exact partition of the record sequence (unlike time
-// windows, which cannot split two records sharing a timestamp across
-// blocks), so analysing each range of a contiguous partition with
-// Options.Journal set and merging the snapshots in range order
-// reproduces the single-process analysis byte-for-byte.
+// distributed shard path, and AccumulateStream's over the whole file —
+// returning the merged accumulator, state-identical to the slice path
+// over the same records. Block ranges are an exact partition of the
+// record sequence (unlike time windows, which cannot split two records
+// sharing a timestamp across blocks), so analysing each range of a
+// contiguous partition with Options.Journal set and merging the
+// snapshots in range order reproduces the single-process analysis
+// byte-for-byte.
 //
 // The range's shard groups fan over the pool, each worker decoding its
 // groups' blocks with a private block decoder, and the pool's merger
@@ -79,7 +75,7 @@ func AccumulateB2(ctx context.Context, opts B2Options, f *trace.B2File) (*Analys
 // Decode and fold (a journal replay) overlap, and a failed block fails
 // the run and stops dispatch: at most Workers+1 groups past the last
 // folded one are ever decoded.
-func AccumulateB2Blocks(ctx context.Context, opts B2Options, f *trace.B2File, lo, hi int) (*Analysis, error) {
+func AccumulateB2Blocks(ctx context.Context, opts StreamOptions, f *trace.B2File, lo, hi int) (*Analysis, error) {
 	if lo < 0 || hi > f.NumBlocks() || lo > hi {
 		return nil, fmt.Errorf("core: block range [%d, %d) outside [0, %d)", lo, hi, f.NumBlocks())
 	}
@@ -119,8 +115,8 @@ func AccumulateB2Blocks(ctx context.Context, opts B2Options, f *trace.B2File, lo
 
 // B2TaskRanges cuts a b2 file's blocks into contiguous shard-width
 // ranges [lo, hi) for distribution — the same calendar-aligned grouping
-// AccumulateB2 fans over its local pool, computed from index metadata
-// alone. Concatenated, the ranges cover every block exactly once.
+// AccumulateB2Blocks fans over its local pool, computed from index
+// metadata alone. Concatenated, the ranges cover every block exactly once.
 func B2TaskRanges(f *trace.B2File, shard time.Duration) [][2]int {
 	if shard <= 0 {
 		shard = DefaultShardDuration
@@ -129,8 +125,7 @@ func B2TaskRanges(f *trace.B2File, shard time.Duration) [][2]int {
 	if n == 0 {
 		return nil
 	}
-	var opts B2Options
-	opts.ShardDuration = shard
+	opts := StreamOptions{ShardDuration: shard}
 	opts.Start = f.Meta(0).Base.Truncate(24 * time.Hour)
 	groups := b2Groups(opts, f, 0, n)
 	out := make([][2]int, len(groups))
@@ -153,7 +148,7 @@ func shardIndex(origin time.Time, d time.Duration, at time.Time) int64 {
 // b2Groups cuts blocks [lo, hi) into contiguous shard groups: a new
 // group starts whenever a block's base time crosses into a new shard.
 // Pure index arithmetic — nothing is decoded.
-func b2Groups(opts B2Options, f *trace.B2File, lo, hi int) []blockGroup {
+func b2Groups(opts StreamOptions, f *trace.B2File, lo, hi int) []blockGroup {
 	var groups []blockGroup
 	curShard := int64(0)
 	for i := lo; i < hi; i++ {

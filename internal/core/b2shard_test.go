@@ -45,6 +45,18 @@ func openB2(t *testing.T, enc []byte) *trace.B2File {
 	return f
 }
 
+// openB2Stream opens an encoded b2 trace the way every reader does
+// (trace.OpenStream): the stream AccumulateStream analyses through its
+// block index.
+func openB2Stream(t *testing.T, enc []byte) trace.Stream {
+	t.Helper()
+	src, err := trace.OpenStream(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatalf("OpenStream: %v", err)
+	}
+	return src
+}
+
 // TestB2Equivalence is the acceptance test for the b2 analysis paths:
 // every format (ascii, b1, b2), through both the slice and the stream
 // analysis, and the b2 index-seek path at every worker count and shard
@@ -136,6 +148,37 @@ func TestB2Equivalence(t *testing.T) {
 	}
 }
 
+// TestAccumulateStreamB2AfterARecord pins what AccumulateStream does
+// with a b2 stream that has already yielded a record: the index path is
+// not taken — nothing restarts from block 0 — and the rest is read
+// record by record, so the analysis is the slice path's over exactly the
+// remaining records, whatever the worker count and shard width.
+func TestAccumulateStreamB2AfterARecord(t *testing.T) {
+	res := streamFixture(t)
+	enc := encodeB2Blocks(t, res.Records, 64)
+	recs, err := trace.ReadAll(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	slice := New(Options{})
+	slice.AddAll(recs[1:])
+	want := renderAll(slice.Report())
+	for _, workers := range []int{1, 4} {
+		src := openB2Stream(t, enc)
+		if _, err := src.Next(); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := AnalyzeStream(context.Background(), StreamOptions{Workers: workers, ShardDuration: 24 * time.Hour}, src)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got := renderAll(rep); got != want {
+			t.Fatalf("workers=%d: analysis after one record differs from the slice path over the rest:\n%s",
+				workers, firstDiff(want, got))
+		}
+	}
+}
+
 // TestB2IndexSeekSkipsBlocks proves the shard cutter plans from the
 // index alone: opening and cutting task ranges decode nothing, and a
 // block-range analysis never decodes a block outside its range.
@@ -154,9 +197,8 @@ func TestB2IndexSeekSkipsBlocks(t *testing.T) {
 	r := ranges[len(ranges)/2]
 	for _, workers := range []int{1, 8} {
 		f := openB2(t, enc)
-		_, err := AccumulateB2Blocks(context.Background(), B2Options{
-			StreamOptions: StreamOptions{Workers: workers, ShardDuration: 24 * time.Hour},
-		}, f, r[0], r[1])
+		_, err := AccumulateB2Blocks(context.Background(),
+			StreamOptions{Workers: workers, ShardDuration: 24 * time.Hour}, f, r[0], r[1])
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

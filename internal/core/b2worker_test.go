@@ -41,9 +41,10 @@ func sliceSnapshot(t *testing.T, recs []trace.Record) []byte {
 // the index-seek path — shard workers journaling under their decoders'
 // table IDs, FoldPartials translating them lazily in journal order — numbered
 // every file exactly as one pass over the records does. Slice path vs
-// AccumulateB2 at every worker count and shard width, vs
-// AccumulateB2Blocks over block ranges, and vs the sequential streaming
-// path (the distributed-run contract). Under -race
+// AccumulateStream over the b2 stream (the index path) at every worker
+// count and shard width, vs AccumulateB2Blocks over block ranges, and vs
+// the sequential streaming path over the decoded records (the
+// distributed-run contract). Under -race
 // the 3- and 8-worker runs over two dozen groups also exercise the
 // prefix-view hand-off while workers are still appending.
 func TestB2SnapshotEquivalence(t *testing.T) {
@@ -73,7 +74,7 @@ func TestB2SnapshotEquivalence(t *testing.T) {
 			if groups := len(B2TaskRanges(f, shard)); shard == 7*day && groups < 8 {
 				t.Fatalf("fixture cuts into only %d groups at %v", groups, shard)
 			}
-			a, err := AccumulateB2(context.Background(), B2Options{StreamOptions: so}, f)
+			a, err := AccumulateStream(context.Background(), so, openB2Stream(t, enc))
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -92,8 +93,8 @@ func TestB2SnapshotEquivalence(t *testing.T) {
 	}
 	for _, r := range [][2]int{{0, n / 3}, {n / 3, n}, {n / 2, n/2 + 1}} {
 		for _, workers := range []int{1, 3} {
-			a, err := AccumulateB2Blocks(context.Background(), B2Options{StreamOptions: StreamOptions{
-				Options: opts, Workers: workers, ShardDuration: 7 * day}}, f, r[0], r[1])
+			a, err := AccumulateB2Blocks(context.Background(), StreamOptions{
+				Options: opts, Workers: workers, ShardDuration: 7 * day}, f, r[0], r[1])
 			if err != nil {
 				t.Fatalf("blocks %v: %v", r, err)
 			}
@@ -158,9 +159,9 @@ func TestB2ErrorOnlyPathsStayOutOfMaster(t *testing.T) {
 	slice.AddAll(recs)
 	want := snapshotBytes(t, slice)
 	for _, workers := range []int{1, 3} {
-		a, err := AccumulateB2(context.Background(), B2Options{StreamOptions: StreamOptions{
+		a, err := AccumulateStream(context.Background(), StreamOptions{
 			Options: Options{DedupWindow: workload.DedupWindow, Journal: true},
-			Workers: workers, ShardDuration: 7 * 24 * time.Hour}}, openB2(t, enc))
+			Workers: workers, ShardDuration: 7 * 24 * time.Hour}, openB2Stream(t, enc))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,8 +224,7 @@ func TestB2WorkerGroupAllocs(t *testing.T) {
 		recs[i].LocalPath = fmt.Sprintf("/tmp/job%d", recs[i].UserID%8)
 	}
 	f := openB2(t, encodeB2Blocks(t, recs, 64))
-	var opts B2Options
-	opts.ShardDuration = DefaultShardDuration
+	opts := StreamOptions{ShardDuration: DefaultShardDuration}
 	opts.Start = f.Meta(0).Base.Truncate(24 * time.Hour)
 	groups := b2Groups(opts, f, 0, f.NumBlocks())
 	w := &b2Worker{opts: opts.Options, f: f, d: f.NewBlockDecoder()}

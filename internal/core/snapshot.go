@@ -16,7 +16,7 @@ import (
 // of processes can produce over slices of a trace and a reducer can
 // merge into a result byte-identical to one process analysing the whole
 // trace — the map-reduce shape of the sharded in-process path
-// (AnalyzeB2) carried across process and machine boundaries. The
+// (AccumulateB2Blocks) carried across process and machine boundaries. The
 // full wire layout is specified in docs/snapshots.md; briefly, after a
 // one-line ASCII header ("#filemig-trace b1"'s sibling,
 // "#filemig-snapshot s1") a snapshot carries

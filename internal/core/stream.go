@@ -15,11 +15,11 @@ import (
 // trace still fans out over two dozen workers.
 const DefaultShardDuration = 28 * 24 * time.Hour
 
-// StreamOptions configures AnalyzeStream and, embedded in B2Options,
-// the b2 index-seek path. AnalyzeStream reads only Options: a sequential
-// source has a serial decoder, so its analysis is one loop on the calling
-// goroutine. ShardDuration and Workers are read only by the b2 paths
-// (AccumulateB2, AccumulateB2Blocks), whose workers decode.
+// StreamOptions configures AnalyzeStream and AccumulateStream. Options
+// configures the analysis itself. ShardDuration and Workers are read only
+// when the source is a b2 trace, whose block index AccumulateStream
+// plans from (AccumulateB2Blocks): a sequential source has a serial
+// decoder, so its analysis is one loop on the calling goroutine.
 type StreamOptions struct {
 	Options
 
@@ -39,13 +39,12 @@ type StreamOptions struct {
 // at its context.
 const ctxCheckEvery = 4096
 
-// AnalyzeStream computes the paper's full Report from a record stream,
-// one record at a time: no record is retained, so peak memory is the
-// per-file state, not the trace. The result is what New + AddAll +
-// Report over the same records produces. Records must arrive in
-// non-decreasing start order (the codec readers guarantee this).
-// Cancelling ctx aborts within ctxCheckEvery records with ctx's error;
-// it never changes results.
+// AnalyzeStream computes the paper's full Report from a record stream.
+// No record is retained, so peak memory is the per-file state, not the
+// trace. The result is what New + AddAll + Report over the same records
+// produces. Records must arrive in non-decreasing start order (the codec
+// readers guarantee this). Cancelling ctx aborts with ctx's error; it
+// never changes results.
 func AnalyzeStream(ctx context.Context, opts StreamOptions, src trace.Stream) (*Report, error) {
 	a, err := AccumulateStream(ctx, opts, src)
 	if err != nil {
@@ -58,7 +57,17 @@ func AnalyzeStream(ctx context.Context, opts StreamOptions, src trace.Stream) (*
 // Report: it returns the accumulator itself. That is the handle snapshot
 // producers need — run with Options.Journal set and hand the result to
 // WriteSnapshot.
+//
+// It is the one analysis entry, and the source picks the mechanism. A
+// b2 stream that trace.TakeB2File can take, one no record has been read
+// from, is analysed through its block index by AccumulateB2Blocks over
+// every block, on Workers workers in ShardDuration groups, and aborts
+// between block groups. Any other stream runs Next → order check → Add
+// on the calling goroutine and looks at ctx every ctxCheckEvery records.
 func AccumulateStream(ctx context.Context, opts StreamOptions, src trace.Stream) (*Analysis, error) {
+	if f := trace.TakeB2File(src); f != nil {
+		return AccumulateB2Blocks(ctx, opts, f, 0, f.NumBlocks())
+	}
 	a := New(opts.Options)
 	var prev time.Time
 	for n := 1; ; n++ {

@@ -148,11 +148,11 @@ func newB2Exec(blob []byte) (ExecFunc, error) {
 			return nil, fmt.Errorf("dist: %s indexes %d blocks/%d records here, %d/%d at the coordinator",
 				p.Path, bf.NumBlocks(), bf.NumRecords(), p.Blocks, p.Records)
 		}
-		var opts core.B2Options
-		opts.Options = core.Options{DedupWindow: p.DedupWindow, Journal: true}
-		opts.ShardDuration = p.Shard
-		opts.Workers = 1
-		a, err := core.AccumulateB2Blocks(ctx, opts, bf, t.Lo, t.Hi)
+		a, err := core.AccumulateB2Blocks(ctx, core.StreamOptions{
+			Options:       core.Options{DedupWindow: p.DedupWindow, Journal: true},
+			ShardDuration: p.Shard,
+			Workers:       1,
+		}, bf, t.Lo, t.Hi)
 		if err != nil {
 			return nil, err
 		}

@@ -326,11 +326,11 @@ func TestB2ShardDistributedMatchesLocal(t *testing.T) {
 	}
 
 	shard := 10 * 24 * time.Hour
-	localA, err := core.AccumulateB2(context.Background(), core.B2Options{StreamOptions: core.StreamOptions{
+	localA, err := core.AccumulateB2Blocks(context.Background(), core.StreamOptions{
 		Options:       core.Options{DedupWindow: workload.DedupWindow, Journal: true},
 		Workers:       2,
 		ShardDuration: shard,
-	}}, bf)
+	}, bf, 0, bf.NumBlocks())
 	if err != nil {
 		t.Fatal(err)
 	}

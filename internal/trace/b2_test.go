@@ -334,7 +334,7 @@ func TestB2EmptyTrace(t *testing.T) {
 		t.Fatalf("empty stream decoded %d records", len(got))
 	}
 	if _, err := OpenB2File(bytes.NewReader(nil), 0); err == nil {
-		t.Fatal("OpenB2File on empty input must report ErrNotB2")
+		t.Fatal("OpenB2File on empty input must report it is not a b2 file")
 	}
 }
 
@@ -625,5 +625,58 @@ func TestB2OpenStreamSniff(t *testing.T) {
 	}
 	if FormatB2.String() != "b2" {
 		t.Fatalf("FormatB2.String() = %q", FormatB2.String())
+	}
+}
+
+// TestTakeB2File pins when a b2 stream hands over its file: from every
+// opener, in place or over a pipe, while no record has been read, and
+// never twice. A taken stream is at its end; a stream a record was read
+// from keeps its place, and any other stream has no file to give.
+func TestTakeB2File(t *testing.T) {
+	recs, enc := b2Fixture(t, 12, 4)
+	open := map[string]func() (Stream, error){
+		"OpenStream":      func() (Stream, error) { return OpenStream(bytes.NewReader(enc)) },
+		"OpenStream pipe": func() (Stream, error) { return OpenStream(onlyReader{bytes.NewReader(enc)}) },
+		"OpenStreamFlag":  func() (Stream, error) { return OpenStreamFlag(bytes.NewReader(enc), "b2") },
+		"NewFormatReader": func() (Stream, error) { return NewFormatReader(onlyReader{bytes.NewReader(enc)}, FormatB2) },
+	}
+	for name, openFn := range open {
+		s, err := openFn()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		f := TakeB2File(s)
+		if f == nil || f.NumRecords() != int64(len(recs)) || f.DecodeCount() != 0 {
+			t.Fatalf("%s: TakeB2File = %v, want the undecoded file of %d records", name, f, len(recs))
+		}
+		if TakeB2File(s) != nil {
+			t.Fatalf("%s: the file was handed over twice", name)
+		}
+		if _, err := s.Next(); err != io.EOF {
+			t.Fatalf("%s: Next after the take = %v, want io.EOF", name, err)
+		}
+	}
+
+	s, err := OpenStream(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if TakeB2File(s) != nil {
+		t.Fatal("TakeB2File handed over a stream a record was read from")
+	}
+	rest, err := Collect(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameRecords(t, append([]Record{first}, rest...), recs, "read on after a refused take")
+
+	for _, s := range []Stream{SliceStream(recs), emptyStream{}} {
+		if TakeB2File(s) != nil {
+			t.Fatalf("%T handed over a b2 file", s)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -34,12 +33,6 @@ type B2File struct {
 	decodes atomic.Int64
 }
 
-// ErrNotB2 reports that the input does not begin with a b2 header. A
-// zero-byte input (the empty trace, legal in every format) also reports
-// it, so a caller that opens a named file here falls back to OpenStream,
-// which sniffs the format and takes the empty trace.
-var ErrNotB2 = errors.New("trace: not a b2 file")
-
 // BlockMeta describes one block from the index alone: how many records
 // it holds and the start times of its first and last records.
 type BlockMeta struct {
@@ -49,9 +42,11 @@ type BlockMeta struct {
 }
 
 // OpenB2File reads and validates the header, footer, and block index of
-// a b2 file of the given size. It decodes no blocks. Inputs that do not
-// start with a b2 header return an error wrapping ErrNotB2; inputs that
-// do but are malformed past the header return a corruption error.
+// a b2 file of the given size. It decodes no blocks. An input that does
+// not start with a b2 header, a zero-byte one included, is "not a b2
+// file"; one that does but is malformed past the header is a corruption
+// error. OpenStream is the opener for an input of any format: it sniffs
+// the header, takes the empty trace, and reads a b2 through here.
 func OpenB2File(r io.ReaderAt, size int64) (*B2File, error) {
 	f := &B2File{r: r}
 	if err := f.readHeader(size); err != nil {
@@ -73,10 +68,10 @@ func (f *B2File) readHeader(size int64) error {
 		buf = buf[:size]
 	}
 	if _, err := io.ReadFull(io.NewSectionReader(f.r, 0, int64(len(buf))), buf); err != nil {
-		return fmt.Errorf("%w (cannot read a header: %v)", ErrNotB2, err)
+		return fmt.Errorf("trace: not a b2 file (cannot read a header: %v)", err)
 	}
 	if !bytes.HasPrefix(buf, []byte(b2HeaderPrefix)) {
-		return fmt.Errorf("%w (header is %q)", ErrNotB2, truncForErr(buf))
+		return fmt.Errorf("trace: not a b2 file (header is %q)", truncForErr(buf))
 	}
 	n := bytes.IndexByte(buf, '\n')
 	if n < 0 {
@@ -302,6 +297,21 @@ func openB2Stream(at io.ReaderAt, size int64, rest io.Reader) (Stream, error) {
 		return nil, err
 	}
 	return &b2Stream{d: f.NewBlockDecoder()}, nil
+}
+
+// TakeB2File hands over the b2 file under a stream that OpenStream,
+// OpenStreamFlag or NewFormatReader opened, while no record has been
+// read from it, so the caller can plan from the block index instead of
+// reading block after block; the stream is then at its end. It returns
+// nil, and leaves s alone, for any other stream, or once s has yielded a
+// record or an error.
+func TakeB2File(s Stream) *B2File {
+	bs, ok := s.(*b2Stream)
+	if !ok || bs.blk != 0 || bs.err != nil {
+		return nil
+	}
+	bs.err = io.EOF
+	return bs.d.f
 }
 
 // b2Stream yields a B2File's records in file order, decoding one block

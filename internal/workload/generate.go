@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"filemig/internal/device"
@@ -274,6 +275,9 @@ func (g *generator) planErrors(rng *rand.Rand, ps *planStream) {
 	}
 	n := int(float64(len(ps.plan)) * g.cfg.ErrorFraction / (1 - g.cfg.ErrorFraction))
 	ps.plan, ps.rows = reserve(ps.plan, n), reserve(ps.rows, n)
+	var paths strings.Builder // the rows' paths, as in planTrace
+	paths.Grow(n * (len("/mss/missing/f/usr/tmp/u/missing") + digits(1<<30) + digits(g.cfg.Users)))
+	var buf [48]byte
 	for i := 0; i < n; i++ {
 		day := g.sampleReadDay(rng)
 		hour := g.rhythm.SampleReadHour(rng)
@@ -288,12 +292,30 @@ func (g *generator) planErrors(rng *rand.Rand, ps *planStream) {
 			err: uint8(trace.ErrNoFile),
 		}
 		ps.plan = appendPlanned(ps.plan, entry, at)
+		mss := arenaPath(&paths, strconv.AppendInt(append(buf[:0], "/mss/missing/f"...), int64(rng.Intn(1<<30)), 10))
+		local := strconv.AppendUint(append(buf[:0], "/usr/tmp/u"...), uint64(uid), 10)
 		ps.rows = append(ps.rows, planRow{
-			mss:   "/mss/missing/f" + strconv.Itoa(rng.Intn(1<<30)),
-			local: "/usr/tmp/u" + strconv.FormatUint(uint64(uid), 10) + "/missing",
+			mss:   mss,
+			local: arenaPath(&paths, append(local, "/missing"...)),
 			uid:   uid,
 		})
 	}
+}
+
+// arenaPath appends p to arena and returns it as a slice of the arena's
+// string. A strings.Builder only appends, so a slice taken before it
+// grows stays valid, and a plan's paths cost a few allocations rather
+// than one each.
+func arenaPath(arena *strings.Builder, p []byte) string {
+	n := arena.Len()
+	arena.Write(p)
+	return arena.String()[n:]
+}
+
+// digits is the decimal length of n >= 0.
+func digits(n int) int {
+	var buf [20]byte
+	return len(strconv.AppendInt(buf[:0], int64(n), 10))
 }
 
 // reserve returns s with room for n more elements: s itself when it has

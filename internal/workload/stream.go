@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"strconv"
+	"strings"
 	"time"
 
 	"filemig/internal/device"
@@ -105,6 +106,10 @@ func planTrace(cfg Config) (sr *StreamResult, ps *planStream, burstRng *rand.Ran
 	// a sort on (at, seq) gives.
 	g := &generator{cfg: cfg, rhythm: rhythm, tree: tree, pop: pop}
 	ps = &planStream{loc: cfg.Start.Location(), rows: make([]planRow, 0, len(pop.Files))}
+	// Every local path is a slice of one arena, sized for the longest
+	// path a file can have.
+	var paths strings.Builder
+	paths.Grow(len(pop.Files) * (len("/usr/tmp/u/f") + digits(cfg.Users) + digits(len(pop.Files))))
 	sample := len(pop.Files) / 8
 	for i := range pop.Files {
 		if i == sample && i > 0 {
@@ -126,7 +131,7 @@ func planTrace(cfg Config) (sr *StreamResult, ps *planStream, burstRng *rand.Ran
 		ps.rows = append(ps.rows, planRow{
 			size:  f.Size,
 			mss:   tree.FilePath(f.ID),
-			local: string(local),
+			local: arenaPath(&paths, local),
 			uid:   f.Owner,
 		})
 	}
