@@ -92,7 +92,7 @@ func BenchmarkTable2TraceCodec(b *testing.B) {
 	}
 	recs := p.Records[:n]
 	var buf bytes.Buffer
-	if err := trace.WriteAll(&buf, recs); err != nil {
+	if err := trace.WriteAllFormat(&buf, recs, trace.FormatASCII); err != nil {
 		b.Fatal(err)
 	}
 	encoded := buf.Bytes()
@@ -112,7 +112,7 @@ func BenchmarkTable2TraceCodec(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(encoded)))
 		for i := 0; i < b.N; i++ {
-			if err := trace.WriteAll(io.Discard, recs); err != nil {
+			if err := trace.WriteAllFormat(io.Discard, recs, trace.FormatASCII); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -60,7 +60,7 @@ func coalesceTrace() []trace.Record {
 // refCoalesce is the record-level reference every path is held to:
 // migration.Coalesce over the records, in Report.Coalesce's shape.
 func refCoalesce(recs []trace.Record) core.Coalesce {
-	r := migration.Coalesce(recs, DedupWindow)
+	r := migration.NewCoalescer().Run(recs, DedupWindow)
 	return core.Coalesce{Window: r.Window, Requests: r.Requests, Savable: r.Savable, BytesSaved: r.BytesSaved}
 }
 

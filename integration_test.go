@@ -23,7 +23,7 @@ func TestPipelinePersistsThroughCodec(t *testing.T) {
 	p := pipeline(t)
 
 	var buf bytes.Buffer
-	if err := trace.WriteAll(&buf, p.Records); err != nil {
+	if err := trace.WriteAllFormat(&buf, p.Records, trace.FormatASCII); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 	decoded, err := trace.ReadAll(&buf)
@@ -107,7 +107,7 @@ func TestCoalesceMonotonicWindows(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		return migration.Coalesce(recs, a).Savable <= migration.Coalesce(recs, b).Savable
+		return migration.NewCoalescer().Run(recs, a).Savable <= migration.NewCoalescer().Run(recs, b).Savable
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)

@@ -15,7 +15,7 @@ import (
 )
 
 // The one online accumulator behind every analysis path. The slice and
-// stream paths feed an Accumulator directly (New + Add); every other
+// stream paths feed an Analysis directly (New + Add); every other
 // path cuts the trace into journal-only Partial segments and merges them
 // into a master through the one fold, FoldPartials: the b2 index-seek
 // path, one block group per call, in time order, each segment over its
@@ -44,13 +44,9 @@ import (
 // string, probes its table once per path per table that knows it within
 // a call, and never takes a path no good reference names.
 
-// Accumulator is the unified online accumulator: Analysis under the name
-// the incremental paths use. The two names alias one type.
-type Accumulator = Analysis
-
-// NewAccumulator builds an empty online accumulator — New under its
-// accumulator name.
-func NewAccumulator(opts Options) *Accumulator { return New(opts) }
+// NewAccumulator is New under the name the benchmark module's fold probe
+// calls.
+func NewAccumulator(opts Options) *Analysis { return New(opts) }
 
 // Partial is one trace segment's partial accumulation: exactly what an
 // s1 snapshot serializes — the sums (start instant, counts, op×class
@@ -223,7 +219,7 @@ func (m idRemaps) covering(table *trace.Interner, n int) []trace.FileID {
 // on the ID's first appearance.
 //
 //filemig:hotpath
-func (a *Accumulator) masterID(remap []trace.FileID, view []string, hview []uint64, id trace.FileID) trace.FileID {
+func (a *Analysis) masterID(remap []trace.FileID, view []string, hview []uint64, id trace.FileID) trace.FileID {
 	m := remap[id]
 	if m == trace.NoFileID {
 		m = a.extendFiles(a.interner.InternHashed(view[id], hview[id]))
@@ -288,7 +284,7 @@ func hoursThrough(last int64, origin time.Time) int {
 // and a file costs the master one probe however many segments name it,
 // and no string hash at all: it interns under the hash the segment's
 // table holds.
-func (a *Accumulator) FoldPartials(ps []*Partial) error {
+func (a *Analysis) FoldPartials(ps []*Partial) error {
 	entries := 0
 	for i, p := range ps {
 		if p.dedup != a.opts.DedupWindow {

@@ -63,7 +63,7 @@ type Options struct {
 // Analysis accumulates one streaming pass. Create with New, feed records
 // in time order with Add, then call Report. The incremental paths — the
 // b2 shard merger, the s1 snapshot codec, and the migd daemon — use this
-// same type under its Accumulator alias, cutting the trace into Partial
+// same type, cutting the trace into Partial
 // segments and folding them (see accum.go); to keep all the paths
 // byte-identical, every accumulator below is either an exact integer
 // sum, a sample list whose queries are order-insensitive, or per-file

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -34,15 +36,35 @@ func encodeB2Blocks(t *testing.T, recs []trace.Record, perBlock int) []byte {
 	return buf.Bytes()
 }
 
-// openB2 opens an encoded b2 trace seekably, with a fresh decode
-// counter.
+// openB2 opens an encoded b2 trace seekably.
 func openB2(t *testing.T, enc []byte) *trace.B2File {
+	f, _ := openB2Counted(t, enc)
+	return f
+}
+
+// countingReaderAt counts ReadAt calls: after the open, each one reads
+// one block's frame.
+type countingReaderAt struct {
+	r     io.ReaderAt
+	calls atomic.Int64
+}
+
+func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	c.calls.Add(1)
+	return c.r.ReadAt(p, off)
+}
+
+// openB2Counted opens an encoded b2 trace seekably and returns with it
+// a count of the blocks read since the open.
+func openB2Counted(t *testing.T, enc []byte) (*trace.B2File, func() int64) {
 	t.Helper()
-	f, err := trace.OpenB2File(bytes.NewReader(enc), int64(len(enc)))
+	c := &countingReaderAt{r: bytes.NewReader(enc)}
+	f, err := trace.OpenB2File(c, int64(len(enc)))
 	if err != nil {
 		t.Fatalf("OpenB2File: %v", err)
 	}
-	return f
+	opened := c.calls.Load()
+	return f, func() int64 { return c.calls.Load() - opened }
 }
 
 // openB2Stream opens an encoded b2 trace the way every reader does
@@ -117,7 +139,7 @@ func TestB2Equivalence(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			for _, shard := range []time.Duration{DefaultShardDuration, 24 * time.Hour, 3 * time.Hour} {
 				t.Run(fmt.Sprintf("indexseek/%sworkers=%d/shard=%v", origin.name, workers, shard), func(t *testing.T) {
-					f := openB2(t, enc)
+					f, reads := openB2Counted(t, enc)
 					rep, err := AnalyzeB2(context.Background(), B2Options{StreamOptions: StreamOptions{
 						Options:       Options{Start: origin.start},
 						Workers:       workers,
@@ -129,7 +151,7 @@ func TestB2Equivalence(t *testing.T) {
 					if got := renderAll(rep); got != want {
 						t.Fatalf("index-seek analysis diverged from slice path:\n%s", firstDiff(want, got))
 					}
-					if got, blocks := f.DecodeCount(), int64(f.NumBlocks()); got != blocks {
+					if got, blocks := reads(), int64(f.NumBlocks()); got != blocks {
 						t.Fatalf("decoded %d blocks, want each of %d exactly once", got, blocks)
 					}
 				})
@@ -186,9 +208,9 @@ func TestB2IndexSeekSkipsBlocks(t *testing.T) {
 	res := streamFixture(t)
 	enc := encodeB2Blocks(t, res.Records, 50)
 
-	f := openB2(t, enc)
+	f, reads := openB2Counted(t, enc)
 	ranges := B2TaskRanges(f, 5*24*time.Hour)
-	if got := f.DecodeCount(); got != 0 {
+	if got := reads(); got != 0 {
 		t.Fatalf("opening and planning decoded %d blocks", got)
 	}
 	if len(ranges) < 3 {
@@ -196,13 +218,13 @@ func TestB2IndexSeekSkipsBlocks(t *testing.T) {
 	}
 	r := ranges[len(ranges)/2]
 	for _, workers := range []int{1, 8} {
-		f := openB2(t, enc)
+		f, reads := openB2Counted(t, enc)
 		_, err := AccumulateB2Blocks(context.Background(),
 			StreamOptions{Workers: workers, ShardDuration: 24 * time.Hour}, f, r[0], r[1])
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if got, want := f.DecodeCount(), int64(r[1]-r[0]); got != want {
+		if got, want := reads(), int64(r[1]-r[0]); got != want {
 			t.Fatalf("workers=%d: decoded %d blocks, want exactly the %d in range", workers, got, want)
 		}
 	}
@@ -262,7 +284,7 @@ func TestB2AnalyzeStopsDecodingAfterFailedGroup(t *testing.T) {
 	// A later corrupt block must neither win nor be reached.
 	mut[b2BlockBodyOffset(t, enc, groups[len(groups)-1][0])] ^= 0x40
 
-	f := openB2(t, mut)
+	f, reads := openB2Counted(t, mut)
 	_, err := AnalyzeB2(context.Background(),
 		B2Options{StreamOptions: StreamOptions{Workers: workers, ShardDuration: shard}}, f)
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("block %d ", bad)) {
@@ -271,7 +293,7 @@ func TestB2AnalyzeStopsDecodingAfterFailedGroup(t *testing.T) {
 	// The failing group is never folded, so the window admits at most
 	// groups failing..failing+workers after the ones before it.
 	limit := int64(groups[failing+workers][1])
-	if got := f.DecodeCount(); got > limit {
+	if got := reads(); got > limit {
 		t.Errorf("decoded %d blocks after group %d failed, want <= %d", got, failing, limit)
 	}
 	if limit*4 > int64(f.NumBlocks()) {

@@ -184,7 +184,7 @@ func TestNegativeWeekAddMatchesFold(t *testing.T) {
 		t.Fatal("fixture has no negative week")
 	}
 
-	whole := NewAccumulator(opts)
+	whole := New(opts)
 	if err := whole.FoldPartials([]*Partial{AccumulatePartial(opts, recs)}); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestNegativeWeekAddMatchesFold(t *testing.T) {
 		r := &recs[i]
 		segs[rng.Intn(2)].Observe(r, paths.Intern(r.MSSPath))
 	}
-	inter := NewAccumulator(opts)
+	inter := New(opts)
 	if err := inter.FoldPartials(segs); err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func TestSegmentCodecMatchesPrivateTable(t *testing.T) {
 		for i, p := range ps {
 			rev[len(ps)-1-i] = p
 		}
-		m := NewAccumulator(Options{})
+		m := New(Options{})
 		if err := m.FoldPartials(rev); err != nil {
 			t.Fatalf("%s: FoldPartials: %v", name, err)
 		}
@@ -136,8 +136,8 @@ func TestSegmentDecodeRejects(t *testing.T) {
 		t.Fatal("seed snapshot does not hold /mss/u2/b")
 	}
 	for name, err := range map[string]error{
-		"Decode":       decode(dup),
-		"ReadSnapshot": func() error { _, err := ReadSnapshot(bytes.NewReader(dup)); return err }(),
+		"Decode":         decode(dup),
+		"MergeSnapshots": func() error { _, err := MergeSnapshots(bytes.NewReader(dup)); return err }(),
 	} {
 		if err == nil || !strings.Contains(err.Error(), "repeats") {
 			t.Errorf("%s of a path table with a repeated path: err = %v", name, err)

@@ -251,15 +251,6 @@ func (c *SegmentCodec) Decode(snapshot []byte, first, last time.Time) (*Partial,
 	return c.decode(&c.wr, first, last)
 }
 
-// ReadSnapshot loads one s1 snapshot into a fresh Analysis, replaying
-// its journal so the result is state-identical to the analysis that was
-// saved — Report renders the same bytes, further records can be fed
-// with Add, and the journal stays enabled so the analysis can be
-// re-snapshotted.
-func ReadSnapshot(r io.Reader) (*Analysis, error) {
-	return MergeSnapshots(r)
-}
-
 // MergeSnapshots loads any number of s1 snapshots — in trace time
 // order, each covering a disjoint contiguous slice — and merges them
 // into one Analysis whose rendered Report is byte-identical to a single

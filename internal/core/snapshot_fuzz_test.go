@@ -48,7 +48,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add([]byte("#filemig-trace b1 epoch=654739200\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		a, err := ReadSnapshot(bytes.NewReader(data))
+		a, err := MergeSnapshots(bytes.NewReader(data))
 		if err != nil {
 			return // rejected input is fine; panicking or hanging is not
 		}
@@ -56,7 +56,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if err := a.WriteSnapshot(&enc1); err != nil {
 			t.Fatalf("loaded snapshot cannot re-save: %v", err)
 		}
-		b, err := ReadSnapshot(bytes.NewReader(enc1.Bytes()))
+		b, err := MergeSnapshots(bytes.NewReader(enc1.Bytes()))
 		if err != nil {
 			t.Fatalf("re-saved snapshot cannot re-load: %v", err)
 		}
@@ -85,7 +85,7 @@ func TestFuzzSeedsValid(t *testing.T) {
 	if err := a.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	m, err := MergeSnapshots(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,9 +171,9 @@ func TestSnapshotRoundTripStable(t *testing.T) {
 	res := streamFixture(t)
 	enc := saveSlice(t, Options{}, res.Records)
 
-	a, err := ReadSnapshot(bytes.NewReader(enc))
+	a, err := MergeSnapshots(bytes.NewReader(enc))
 	if err != nil {
-		t.Fatalf("ReadSnapshot: %v", err)
+		t.Fatalf("MergeSnapshots: %v", err)
 	}
 	var buf bytes.Buffer
 	if err := a.WriteSnapshot(&buf); err != nil {
@@ -208,7 +208,7 @@ func TestSnapshotResume(t *testing.T) {
 	want := renderAll(slice.Report())
 
 	halves := splitN(res.Records, 2)
-	a, err := ReadSnapshot(bytes.NewReader(saveSlice(t, Options{}, halves[0])))
+	a, err := MergeSnapshots(bytes.NewReader(saveSlice(t, Options{}, halves[0])))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestSnapshotEmpty(t *testing.T) {
 	if err := a.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	m, err := MergeSnapshots(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestSnapshotDecodeErrors(t *testing.T) {
 		if err := trace.WriteAllFormat(&tr, res.Records[:50], trace.FormatBinary); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadSnapshot(bytes.NewReader(tr.Bytes())); err == nil ||
+		if _, err := MergeSnapshots(bytes.NewReader(tr.Bytes())); err == nil ||
 			!strings.Contains(err.Error(), "snapshot header") {
 			t.Fatalf("trace input: err = %v", err)
 		}
@@ -296,7 +296,7 @@ func TestSnapshotDecodeErrors(t *testing.T) {
 	})
 	t.Run("trailing garbage", func(t *testing.T) {
 		bad := append(append([]byte{}, first...), 0x7)
-		if _, err := ReadSnapshot(bytes.NewReader(bad)); err == nil ||
+		if _, err := MergeSnapshots(bytes.NewReader(bad)); err == nil ||
 			!strings.Contains(err.Error(), "trailing") {
 			t.Fatalf("trailing byte: err = %v", err)
 		}
@@ -304,7 +304,7 @@ func TestSnapshotDecodeErrors(t *testing.T) {
 	t.Run("every truncation errors", func(t *testing.T) {
 		small := saveSlice(t, Options{}, res.Records[:40])
 		for cut := 0; cut < len(small); cut++ {
-			if _, err := ReadSnapshot(bytes.NewReader(small[:cut])); err == nil {
+			if _, err := MergeSnapshots(bytes.NewReader(small[:cut])); err == nil {
 				t.Fatalf("truncation at %d of %d bytes loaded cleanly", cut, len(small))
 			}
 		}
@@ -316,7 +316,7 @@ func TestSnapshotDecodeErrors(t *testing.T) {
 		for i := len(trace.SnapshotHeader) + 1; i < len(small); i++ {
 			bad := append([]byte{}, small...)
 			bad[i] ^= 0x40
-			a, err := ReadSnapshot(bytes.NewReader(bad))
+			a, err := MergeSnapshots(bytes.NewReader(bad))
 			if err != nil {
 				continue
 			}
@@ -344,7 +344,7 @@ func TestSnapshotSums(t *testing.T) {
 	slice.AddAll(res.Records)
 	want := slice.Report()
 
-	m, err := ReadSnapshot(bytes.NewReader(saveSlice(t, Options{}, res.Records)))
+	m, err := MergeSnapshots(bytes.NewReader(saveSlice(t, Options{}, res.Records)))
 	if err != nil {
 		t.Fatal(err)
 	}

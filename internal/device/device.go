@@ -208,9 +208,6 @@ type AccessCost struct {
 	Transfer time.Duration
 }
 
-// FirstByte is the latency from service start until the first byte moves.
-func (a AccessCost) FirstByte() time.Duration { return a.Mount + a.Seek }
-
 // Total is the full service time.
 func (a AccessCost) Total() time.Duration { return a.Mount + a.Seek + a.Transfer }
 
@@ -246,23 +243,6 @@ func (p *Profile) Access(offsetFrac float64, size units.Bytes, mounted bool, r *
 // median 1, used to spread mount times around their published medians.
 func lognormFactor(sigma float64, r *rand.Rand) float64 {
 	return math.Exp(sigma * r.NormFloat64())
-}
-
-// TransferTime reports how long size bytes take at the observed rate.
-func (p *Profile) TransferTime(size units.Bytes) time.Duration {
-	rate := p.ObservedRate
-	if rate <= 0 {
-		rate = p.PeakRate
-	}
-	return time.Duration(float64(size) / rate * float64(time.Second))
-}
-
-// TimePerByte is Table 1's figure of merit for small accesses: the time to
-// retrieve the first byte plus transfer one byte, in seconds. A database
-// doing many small I/Os minimises this; a supercomputer center reading
-// 80 MB files minimises TimeToLastByte instead (§2.2).
-func (p *Profile) TimePerByte() float64 {
-	return (p.MountMedian + p.RandomAccess).Seconds()
 }
 
 // TimeToLastByte reports the expected seconds to fetch an entire file of

@@ -95,8 +95,8 @@ func TestAccessDecomposition(t *testing.T) {
 	if c.Transfer != 40*time.Second {
 		t.Errorf("transfer = %v, want 40s at 2 MB/s", c.Transfer)
 	}
-	if c.FirstByte() != 58*time.Second {
-		t.Errorf("first byte = %v", c.FirstByte())
+	if c.Mount+c.Seek != 58*time.Second {
+		t.Errorf("first byte = %v", c.Mount+c.Seek)
 	}
 	if c.Total() != 98*time.Second {
 		t.Errorf("total = %v", c.Total())
@@ -158,20 +158,8 @@ func TestAccessMountVariability(t *testing.T) {
 
 func TestDiskIsFastToFirstByte(t *testing.T) {
 	d := IBM3380.Access(0.5, units.Bytes(units.MB), false, nil)
-	if d.FirstByte() > time.Second {
-		t.Errorf("disk first byte = %v, want well under a second (§5.1)", d.FirstByte())
-	}
-}
-
-func TestTransferTime(t *testing.T) {
-	got := SiloTape3480.TransferTime(units.Bytes(20 * units.MB))
-	if got != 10*time.Second {
-		t.Errorf("20 MB at 2 MB/s = %v, want 10s", got)
-	}
-	// Profile with only PeakRate set falls back to it.
-	p := Profile{PeakRate: 1e6}
-	if p.TransferTime(units.Bytes(units.MB)) != time.Second {
-		t.Error("TransferTime should fall back to PeakRate")
+	if d.Mount+d.Seek > time.Second {
+		t.Errorf("disk first byte = %v, want well under a second (§5.1)", d.Mount+d.Seek)
 	}
 }
 

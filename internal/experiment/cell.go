@@ -121,13 +121,13 @@ func NewCellRunner(plan *Plan) *CellRunner {
 }
 
 // source returns the cached loaded source, loading it on first use.
-func (cr *CellRunner) source(idx int) (*loadedSource, error) {
+func (cr *CellRunner) source(ctx context.Context, idx int) (*loadedSource, error) {
 	cr.mu.Lock()
 	defer cr.mu.Unlock()
 	if ls, ok := cr.srcs[idx]; ok {
 		return ls, nil
 	}
-	ls, err := loadSource(cr.plan, idx)
+	ls, err := loadSource(ctx, cr.plan, idx)
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +144,7 @@ func (cr *CellRunner) RunCell(ctx context.Context, ref CellRef) (CellOutcome, er
 			ref, len(cr.plan.Sources), len(cr.plan.Policies), len(cr.plan.Capacities))
 	}
 	out, err := cr.plan.runCells(ctx, []CellRef{ref},
-		func(context.Context, int) (*loadedSource, error) { return cr.source(ref.Source) }, 1)
+		func(ctx context.Context, _ int) (*loadedSource, error) { return cr.source(ctx, ref.Source) }, 1)
 	if err != nil {
 		return CellOutcome{}, err
 	}

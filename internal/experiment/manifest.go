@@ -90,22 +90,3 @@ func (m *Manifest) EncodeJSON() ([]byte, error) {
 	}
 	return append(b, '\n'), nil
 }
-
-// DecodeManifest parses a manifest previously written by EncodeJSON.
-func DecodeManifest(b []byte) (*Manifest, error) {
-	var m Manifest
-	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
-// Scenario returns the named source's result block.
-func (m *Manifest) Scenario(name string) (ScenarioResult, bool) {
-	for _, s := range m.Scenarios {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return ScenarioResult{}, false
-}

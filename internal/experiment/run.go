@@ -38,9 +38,10 @@ func Run(ctx context.Context, spec *Spec) (*Manifest, error) {
 // executor one ref at a time and its outcomes fold through the same
 // assembler, so the in-process manifest and the distributed one are the
 // same bytes by construction. On a failure or a cancelled ctx RunPlan
-// returns only after every load it started has finished.
+// returns only after every load it started has finished; a load stops
+// within a few thousand records of ctx's cancellation.
 func RunPlan(ctx context.Context, plan *Plan) (*Manifest, error) {
-	ld := &sourceLoader{plan: plan, loads: make([]*sourceLoad, len(plan.Sources))}
+	ld := &sourceLoader{ctx: ctx, plan: plan, loads: make([]*sourceLoad, len(plan.Sources))}
 	outcomes, err := plan.runCells(ctx, plan.CellRefs(), ld.source, plan.Spec.Workers)
 	ld.wg.Wait()
 	if err != nil {
@@ -97,6 +98,7 @@ func (p *Plan) runCells(ctx context.Context, refs []CellRef,
 // source k-1's, whose last cells are replaying, k's and k+1's — unless
 // one cell of source k-2 outlasts every cell of source k-1.
 type sourceLoader struct {
+	ctx   context.Context // RunPlan's: cancelling it stops every load
 	plan  *Plan
 	loads []*sourceLoad // by source index; nil until started
 	wg    sync.WaitGroup
@@ -119,7 +121,7 @@ func (l *sourceLoader) start(idx int) {
 	l.wg.Add(1)
 	go func() {
 		defer l.wg.Done()
-		ld.ls, ld.err = loadSource(l.plan, idx)
+		ld.ls, ld.err = loadSource(l.ctx, l.plan, idx)
 		close(ld.done)
 	}()
 }
@@ -153,8 +155,8 @@ type loadedSource struct {
 // loadSource produces plan source idx: scenario sources are generated
 // at the spec's scale, seed and length; the trailing trace source (if
 // the spec names one) is streamed from disk.
-func loadSource(plan *Plan, idx int) (*loadedSource, error) {
-	ls, err := drainPlanSource(plan, idx)
+func loadSource(ctx context.Context, plan *Plan, idx int) (*loadedSource, error) {
+	ls, err := drainPlanSource(ctx, plan, idx)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +174,7 @@ func loadSource(plan *Plan, idx int) (*loadedSource, error) {
 // records its plan yields and the files its population holds — and
 // reserves the access string and path table from them; a trace file
 // leaves both to grow.
-func drainPlanSource(plan *Plan, idx int) (*loadedSource, error) {
+func drainPlanSource(ctx context.Context, plan *Plan, idx int) (*loadedSource, error) {
 	if idx < 0 || idx >= len(plan.Sources) {
 		return nil, fmt.Errorf("experiment: source index %d out of range [0, %d)", idx, len(plan.Sources))
 	}
@@ -189,7 +191,7 @@ func drainPlanSource(plan *Plan, idx int) (*loadedSource, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiment: scenario %s: %w", name, err)
 		}
-		return drainSource(name, gs.Stream, float64(cfg.Days), sourceSize{gs.Planned, len(gs.Population.Files)})
+		return drainSource(ctx, name, gs.Stream, float64(cfg.Days), sourceSize{gs.Planned, len(gs.Population.Files)})
 	}
 	f, err := os.Open(name)
 	if err != nil {
@@ -200,8 +202,12 @@ func drainPlanSource(plan *Plan, idx int) (*loadedSource, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiment: read %s: %w", name, err)
 	}
-	return drainSource(name, s, 0, sourceSize{})
+	return drainSource(ctx, name, s, 0, sourceSize{})
 }
+
+// drainCheckEvery is how many records drainSource reads between checks
+// of its ctx.
+const drainCheckEvery = 4096
 
 // sourceSize is what a source knows of its size before it is drained,
 // zero where it knows nothing: records bounds the accesses (error
@@ -213,8 +219,10 @@ type sourceSize struct {
 // drainSource drains one source's record stream — hashing the canonical
 // encoding and building the shared access string on the fly, without
 // holding the records. The string and the path table start at size's
-// bounds. days <= 0 means "measure the span from the records".
-func drainSource(name string, s trace.Stream, days float64, size sourceSize) (*loadedSource, error) {
+// bounds. days <= 0 means "measure the span from the records". It
+// checks ctx every drainCheckEvery records and returns ctx's error once
+// it is cancelled.
+func drainSource(ctx context.Context, name string, s trace.Stream, days float64, size sourceSize) (*loadedSource, error) {
 	h := sha256.New()
 	var tw *trace.Writer
 	in := trace.NewInterner()
@@ -223,6 +231,11 @@ func drainSource(name string, s trace.Stream, days float64, size sourceSize) (*l
 	records := 0
 	var first, last time.Time
 	for {
+		if records%drainCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
 		rec, err := s.Next()
 		if err == io.EOF {
 			break
@@ -232,7 +245,7 @@ func drainSource(name string, s trace.Stream, days float64, size sourceSize) (*l
 		}
 		if tw == nil {
 			// The canonical encoding anchors its wire epoch at the first
-			// record (trace.WriteAll does the same), so streamed hashes
+			// record (trace.WriteAllFormat does the same), so streamed hashes
 			// equal materialized ones.
 			tw = trace.NewWriterEpoch(h, rec.Start)
 			first = rec.Start

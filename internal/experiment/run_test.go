@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -155,8 +156,8 @@ func TestManifestShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeManifest(b)
-	if err != nil {
+	var back Manifest
+	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
 	b2, err := back.EncodeJSON()
@@ -198,7 +199,7 @@ func TestTraceFileSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.WriteAll(f, res.Records); err != nil {
+	if err := trace.WriteAllFormat(f, res.Records, trace.FormatASCII); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -323,4 +324,42 @@ func TestRunPlanCancelMidGrid(t *testing.T) {
 			t.Errorf("workers=%d: a source load outlived RunPlan", workers)
 		}
 	}
+	// A cancel during a load stops it within drainCheckEvery records,
+	// not at the end of its source.
+	cfg, err := workload.ScenarioConfig("paper-1993", 0.01, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs, err := workload.GenerateStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gs.Planned < 4*drainCheckEvery {
+		t.Fatalf("source plans only %d records", gs.Planned)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cs := &cancelAfter{s: gs.Stream, n: 100, cancel: cancel}
+	if _, err := drainSource(ctx, "paper-1993", cs, 0, sourceSize{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("drainSource cancelled mid-load returned %v, want %v", err, context.Canceled)
+	}
+	if cs.read > cs.n+drainCheckEvery {
+		t.Errorf("drainSource read %d of %d records after a cancel at record %d", cs.read, gs.Planned, cs.n)
+	}
+}
+
+// cancelAfter is a stream that cancels its load's ctx once it has
+// yielded n records, counting every record read.
+type cancelAfter struct {
+	s      trace.Stream
+	n      int
+	read   int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) Next() (trace.Record, error) {
+	if c.read++; c.read == c.n {
+		c.cancel()
+	}
+	return c.s.Next()
 }

@@ -125,7 +125,7 @@ func ParseFile(path string) (*Spec, error) {
 }
 
 // Normalize returns a copy with every omitted optional field replaced by
-// its documented default. Validate (and therefore Run) operates on the
+// its documented default. Validation (and therefore Run) operates on the
 // normalized form.
 func (s Spec) Normalize() Spec {
 	if len(s.Scenarios) == 0 && s.Trace == "" {
@@ -146,15 +146,9 @@ func (s Spec) Normalize() Spec {
 	return s
 }
 
-// Validate checks a normalized spec against the rules documented in
-// docs/experiments.md and reports the first violation.
-func (s *Spec) Validate() error {
-	_, err := s.validate()
-	return err
-}
-
-// validate is Validate returning the resolved policy set, so BuildPlan
-// can validate and resolve in one pass.
+// validate checks a normalized spec against the rules documented in
+// docs/experiments.md, reports the first violation, and returns the
+// resolved policy set, so BuildPlan can validate and resolve in one pass.
 func (s *Spec) validate() ([]policyEntry, error) {
 	if strings.TrimSpace(s.Name) == "" {
 		return nil, fmt.Errorf("experiment: spec needs a name")

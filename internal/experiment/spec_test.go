@@ -54,7 +54,7 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 
 func TestNormalizeDefaults(t *testing.T) {
 	n := (Spec{Name: "d"}).Normalize()
-	if err := n.Validate(); err != nil {
+	if _, err := n.validate(); err != nil {
 		t.Fatalf("defaults do not validate: %v", err)
 	}
 	if len(n.Scenarios) != 1 || n.Scenarios[0] != "paper-1993" {
@@ -95,12 +95,12 @@ func TestValidateRejections(t *testing.T) {
 	for _, c := range cases {
 		s := base()
 		c.mutate(&s)
-		if err := s.Validate(); err == nil {
+		if _, err := s.validate(); err == nil {
 			t.Errorf("%s: validated", c.label)
 		}
 	}
 	s := base()
-	if err := s.Validate(); err != nil {
+	if _, err := s.validate(); err != nil {
 		t.Errorf("base spec rejected: %v", err)
 	}
 }

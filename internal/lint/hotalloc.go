@@ -73,7 +73,7 @@ var requiredHotpath = map[string][]string{
 		"(*sums).appendJournal",
 		"(*Partial).Observe",
 		"(*b2Worker).observeBlock",
-		"(*Accumulator).masterID",
+		"(*Analysis).masterID",
 	},
 	ModulePath + "/internal/serve": {
 		"(*ingestScratch).lookup",

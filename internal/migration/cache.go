@@ -760,12 +760,6 @@ func (c *Cache) shrinkScan(deficit units.Bytes, now int64, protect int) {
 // Result returns the statistics so far.
 func (c *Cache) Result() CacheResult { return c.res }
 
-// Used reports current occupancy.
-func (c *Cache) Used() units.Bytes { return c.used }
-
-// Resident reports the number of resident files.
-func (c *Cache) Resident() int { return c.nres }
-
 // TotalReferencedBytes sums the distinct files' sizes (last size seen per
 // file), i.e. the tertiary-store footprint of the access string. File IDs
 // are dense, so the last-size table is a flat slice; unreferenced IDs

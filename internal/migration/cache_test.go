@@ -365,7 +365,7 @@ func TestCoalesceMatchesSection6(t *testing.T) {
 		{Start: t0.Add(7 * time.Hour), Op: trace.Read, Device: device.ClassDisk, Size: 10, MSSPath: "/mss/a", LocalPath: "/l", UserID: 1},
 		{Start: t0.Add(8 * 24 * time.Hour), Op: trace.Read, Device: device.ClassDisk, Size: 10, MSSPath: "/mss/a", LocalPath: "/l", UserID: 1},
 	}
-	res := Coalesce(recs, 8*time.Hour)
+	res := NewCoalescer().Run(recs, 8*time.Hour)
 	if res.Requests != 4 || res.Savable != 2 {
 		t.Errorf("requests/savable = %d/%d, want 4/2", res.Requests, res.Savable)
 	}
@@ -398,11 +398,11 @@ func TestCoalesceSweepMonotone(t *testing.T) {
 }
 
 func TestCoalesceEmptyAndErrors(t *testing.T) {
-	if got := Coalesce(nil, time.Hour).SavableFraction(); got != 0 {
+	if got := NewCoalescer().Run(nil, time.Hour).SavableFraction(); got != 0 {
 		t.Errorf("empty trace fraction = %v", got)
 	}
 	recs := []trace.Record{{Start: t0, Err: trace.ErrNoFile, MSSPath: "/x"}}
-	if got := Coalesce(recs, time.Hour); got.Requests != 0 {
+	if got := NewCoalescer().Run(recs, time.Hour); got.Requests != 0 {
 		t.Error("error records must not count")
 	}
 }

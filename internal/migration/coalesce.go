@@ -78,11 +78,6 @@ func (c *Coalescer) Run(recs []trace.Record, window time.Duration) CoalesceResul
 	return res
 }
 
-// Coalesce runs the scan with a one-shot Coalescer.
-func Coalesce(recs []trace.Record, window time.Duration) CoalesceResult {
-	return NewCoalescer().Run(recs, window)
-}
-
 // CoalesceSweep evaluates several windows on one pass each through a
 // shared Coalescer, so the window-size ablation interns every path once.
 func CoalesceSweep(recs []trace.Record, windows []time.Duration) []CoalesceResult {

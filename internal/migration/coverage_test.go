@@ -59,13 +59,3 @@ func TestSTPRankClampsNegativeAge(t *testing.T) {
 		t.Errorf("SAAC rank with negative age = %v, want 0", r)
 	}
 }
-
-func TestPlacementDiskReadFractionEmpty(t *testing.T) {
-	if (PlacementResult{}).DiskReadFraction() != 0 {
-		t.Error("empty fraction should be 0")
-	}
-	r := PlacementResult{Reads: 4, DiskReads: 1}
-	if r.DiskReadFraction() != 0.25 {
-		t.Error("fraction wrong")
-	}
-}

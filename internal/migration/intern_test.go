@@ -135,8 +135,8 @@ func TestCoalescerEquivalence(t *testing.T) {
 	sweep := CoalesceSweep(recs, windows)
 	for i, w := range windows {
 		want := refCoalesce(recs, w)
-		if got := Coalesce(recs, w); got != want {
-			t.Errorf("Coalesce(%v) = %+v, want %+v", w, got, want)
+		if got := NewCoalescer().Run(recs, w); got != want {
+			t.Errorf("NewCoalescer().Run(%v) = %+v, want %+v", w, got, want)
 		}
 		if sweep[i] != want {
 			t.Errorf("CoalesceSweep[%v] = %+v, want %+v", w, sweep[i], want)

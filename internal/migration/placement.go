@@ -22,14 +22,6 @@ type PlacementResult struct {
 	MeanFirstByte time.Duration
 }
 
-// DiskReadFraction reports the share of reads absorbed by disk.
-func (r PlacementResult) DiskReadFraction() float64 {
-	if r.Reads == 0 {
-		return 0
-	}
-	return float64(r.DiskReads) / float64(r.Reads)
-}
-
 // PlacementSweep replays the access string once per threshold: files at
 // or under the threshold compete for the staging disk (capacity bytes,
 // STP^1.4 eviction); larger files always read from tape. diskLat and

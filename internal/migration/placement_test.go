@@ -50,8 +50,8 @@ func TestPlacementSweepShape(t *testing.T) {
 		if r.DiskReads+r.TapeReads != r.Reads {
 			t.Fatalf("reads don't add up: %+v", r)
 		}
-		if f := r.DiskReadFraction(); f < 0 || f > 1 {
-			t.Fatalf("fraction %v out of range", f)
+		if r.DiskReads < 0 || r.DiskReads > r.Reads {
+			t.Fatalf("disk reads %d of %d out of range", r.DiskReads, r.Reads)
 		}
 		if r.MeanFirstByte < 30*time.Second || r.MeanFirstByte > 104*time.Second {
 			t.Fatalf("mean first byte %v outside the disk..tape band", r.MeanFirstByte)

@@ -67,9 +67,6 @@ func NewAdaptiveSTP() *AdaptiveSTP {
 // Name implements Policy.
 func (*AdaptiveSTP) Name() string { return "STP-adapt" }
 
-// Exponent reports the current fitted exponent, for tests and reports.
-func (p *AdaptiveSTP) Exponent() float64 { return p.k }
-
 // reserveIDs implements idReserver.
 func (p *AdaptiveSTP) reserveIDs(n int) { p.last = growTo(p.last, n-1) }
 

@@ -340,15 +340,6 @@ func (t *Tree) placeFiles(cfg Config, r *rand.Rand) error {
 // NumDirs reports the number of directories.
 func (t *Tree) NumDirs() int { return len(t.dirs) }
 
-// NumFiles reports the number of placed files.
-func (t *Tree) NumFiles() int { return len(t.fileDirs) }
-
-// Dir returns directory metadata by ID.
-func (t *Tree) Dir(id int) Directory { return t.dirs[id] }
-
-// FileDir reports the directory ID of file i.
-func (t *Tree) FileDir(i int) int { return t.fileDirs[i] }
-
 // FilePath returns the full MSS path of file i, a slice of the tree's
 // one file-path string.
 func (t *Tree) FilePath(i int) string {
@@ -383,15 +374,6 @@ func (t *Tree) LargestDir() Directory {
 	return best
 }
 
-// TotalBytes sums all directory byte counts.
-func (t *Tree) TotalBytes() units.Bytes {
-	var s units.Bytes
-	for i := range t.dirs {
-		s += t.dirs[i].Bytes
-	}
-	return s
-}
-
 // SizeDistribution returns the three Figure 12 series as weighted CDFs
 // over directory size (file count): fraction of directories, fraction of
 // files, and fraction of data in directories of at most x files.
@@ -404,48 +386,4 @@ func (t *Tree) SizeDistribution() (dirs, files, data *stats.WeightedCDF) {
 		data.Add(n, float64(t.dirs[i].Bytes))
 	}
 	return dirs, files, data
-}
-
-// Metadata sizing constants for the §5.4 observation that the NCAR system
-// needed gigabytes of disk for metadata (inodes and directories) and that
-// over 40% of it described files never referenced again.
-const (
-	inodeBytes    = 512 // bitfile server per-file metadata record
-	dirEntryBytes = 64  // name + id in the parent directory
-	dirBytes      = 1024
-)
-
-// MetadataBytes estimates the metadata footprint of the namespace.
-func (t *Tree) MetadataBytes() units.Bytes {
-	files := int64(t.NumFiles())
-	dirs := int64(t.NumDirs())
-	return units.Bytes(files*(inodeBytes+dirEntryBytes) + dirs*dirBytes)
-}
-
-// Table4 summarises the namespace the way the paper's Table 4 does.
-type Table4 struct {
-	NumFiles     int
-	AvgFileSize  units.Bytes
-	NumDirs      int
-	LargestDir   int
-	MaxDepth     int
-	TotalData    units.Bytes
-	MetadataSize units.Bytes
-}
-
-// Summary computes the Table 4 row values.
-func (t *Tree) Summary() Table4 {
-	var avg units.Bytes
-	if n := t.NumFiles(); n > 0 {
-		avg = t.TotalBytes() / units.Bytes(n)
-	}
-	return Table4{
-		NumFiles:     t.NumFiles(),
-		AvgFileSize:  avg,
-		NumDirs:      t.NumDirs(),
-		LargestDir:   t.LargestDir().FileCount,
-		MaxDepth:     t.MaxDepth(),
-		TotalData:    t.TotalBytes(),
-		MetadataSize: t.MetadataBytes(),
-	}
 }

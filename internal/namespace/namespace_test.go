@@ -185,21 +185,15 @@ func TestAddBytesAndSummary(t *testing.T) {
 	for i := 0; i < tree.NumFiles(); i++ {
 		tree.AddBytes(i, units.Bytes(25*units.MB))
 	}
-	s := tree.Summary()
-	if s.NumFiles != tree.NumFiles() || s.NumDirs != tree.NumDirs() {
-		t.Errorf("summary counts wrong: %+v", s)
+	var total units.Bytes
+	for i := 0; i < tree.NumDirs(); i++ {
+		total += tree.Dir(i).Bytes
 	}
-	if s.AvgFileSize != units.Bytes(25*units.MB) {
-		t.Errorf("avg size = %v, want 25 MB", s.AvgFileSize)
+	if total != units.Bytes(25*units.MB)*units.Bytes(tree.NumFiles()) {
+		t.Errorf("total = %v", total)
 	}
-	if s.TotalData != units.Bytes(25*units.MB)*units.Bytes(tree.NumFiles()) {
-		t.Errorf("total = %v", s.TotalData)
-	}
-	if s.MaxDepth != 12 {
-		t.Errorf("depth = %d", s.MaxDepth)
-	}
-	if s.MetadataSize <= 0 {
-		t.Error("metadata size should be positive")
+	if d := tree.MaxDepth(); d != 12 {
+		t.Errorf("depth = %d", d)
 	}
 }
 

@@ -129,7 +129,7 @@ func TestMigdReportAllocs(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return float64(after.TotalAlloc-before.TotalAlloc) / entries
 	}
-	var m *core.Accumulator
+	var m *core.Analysis
 	fold := perEntry(func() { m, err = s.Accumulate() })
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,7 @@ import (
 
 // replayingRestore is the restore the daemon shipped with, kept as the
 // reference the decoding restore is held to: every frame's snapshot is
-// loaded by core.ReadSnapshot — which replays the journal, record by
+// loaded by core.MergeSnapshots — which replays the journal, record by
 // record, into a full analysis and so rejects whatever the replay
 // rejects — and the replayed analysis, re-serialized, stands for the
 // segment. It returns the checkpoint those analyses write: restoring
@@ -49,7 +49,7 @@ func replayingRestore(data []byte) ([]byte, error) {
 		if m <= 0 {
 			return nil, fmt.Errorf("segment %d: bad last-bound varint", i)
 		}
-		acc, err := core.ReadSnapshot(bytes.NewReader(payload[n+m:]))
+		acc, err := core.MergeSnapshots(bytes.NewReader(payload[n+m:]))
 		if err != nil {
 			return nil, fmt.Errorf("segment %d: %w", i, err)
 		}

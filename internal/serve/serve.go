@@ -14,7 +14,7 @@
 //     straight out of the pooled request buffer, validate it fully, and
 //     only then intern its new paths and observe it into segment state;
 //   - GET /v1/report merges every segment's journal back into global
-//     time order inside a fresh accumulator (Accumulator.FoldPartials)
+//     time order inside a fresh accumulator (Analysis.FoldPartials)
 //     and renders the full op×class report — byte-identical to the
 //     offline slice path over the same records;
 //   - GET /v1/file/{path} answers migrate/keep/prefetch for one file
@@ -315,17 +315,17 @@ func (s *Server) orderedSegments() []*segment {
 // Accumulate folds every segment, in trace order, into a fresh master
 // accumulator — the exact state the offline slice path would hold after
 // analyzing the concatenated records.
-func (s *Server) Accumulate() (*core.Accumulator, error) {
+func (s *Server) Accumulate() (*core.Analysis, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.accumulateLocked()
 }
 
 // accumulateLocked is Accumulate with mu already held exclusively.
-func (s *Server) accumulateLocked() (*core.Accumulator, error) {
+func (s *Server) accumulateLocked() (*core.Analysis, error) {
 	opts := s.cfg.Opts
 	opts.Journal = false
-	m := core.NewAccumulator(opts)
+	m := core.New(opts)
 	segs := s.orderedSegments()
 	ps := make([]*core.Partial, len(segs))
 	for i, sg := range segs {

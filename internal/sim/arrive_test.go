@@ -14,7 +14,7 @@ import (
 func feedUpFront(e *Engine, at []time.Duration, arrive func(i int, now time.Duration)) {
 	for i := range at {
 		i := i
-		e.At(at[i], func(now time.Duration) { arrive(i, now) })
+		e.Schedule(at[i], Event(func(now time.Duration) { arrive(i, now) }))
 	}
 	e.Run()
 }
@@ -88,21 +88,21 @@ func mergeScenario(seed int64, feed func(*Engine, []time.Duration, func(int, tim
 		r1, r2 := res[rng.Intn(3)], res[rng.Intn(3)]
 		hold, delay := time.Duration(rng.Intn(4)), time.Duration(rng.Intn(3))
 		if rng.Intn(4) == 0 {
-			e.After(delay, (&stagedJob{id: i, e: e, r: r1, hold: hold, log: log}).Fire)
+			e.Schedule(e.Now()+delay, Event((&stagedJob{id: i, e: e, r: r1, hold: hold, log: log}).Fire))
 			return
 		}
 		r1.Use(hold, func(now, wait time.Duration) {
 			log(firing{i, "first done", now, wait})
-			e.After(delay, func(now time.Duration) {
+			e.Schedule(e.Now()+delay, Event(func(now time.Duration) {
 				log(firing{i, "timer", now, 0})
-				r2.Acquire(func(now, wait time.Duration) {
+				r2.Request(Grant(func(now, wait time.Duration) {
 					log(firing{i, "second granted", now, wait})
-					e.At(now+time.Duration(rng.Intn(3)), func(now time.Duration) {
+					e.Schedule(now+time.Duration(rng.Intn(3)), Event(func(now time.Duration) {
 						r2.Release()
 						log(firing{i, "done", now, 0})
-					})
-				})
-			})
+					}))
+				}))
+			}))
 		})
 	}
 	feed(e, at, arrive)
@@ -144,12 +144,12 @@ func TestArriveOrdersAgainstPendingEvents(t *testing.T) {
 	e := New()
 	var order []string
 	note := func(s string) Event { return func(time.Duration) { order = append(order, s) } }
-	e.At(1*time.Second, note("pending@1"))
-	e.At(2*time.Second, note("pending@2"))
-	e.At(3*time.Second, note("pending@3"))
+	e.Schedule(1*time.Second, note("pending@1"))
+	e.Schedule(2*time.Second, note("pending@2"))
+	e.Schedule(3*time.Second, note("pending@3"))
 	e.Arrive(2*time.Second, note("arrival@2"))
-	if e.Now() != 2*time.Second || e.Pending() != 2 || e.Steps() != 2 {
-		t.Fatalf("after Arrive: now %v, pending %d, steps %d", e.Now(), e.Pending(), e.Steps())
+	if e.Now() != 2*time.Second || len(e.events) != 2 || e.Steps() != 2 {
+		t.Fatalf("after Arrive: now %v, pending %d, steps %d", e.Now(), len(e.events), e.Steps())
 	}
 	e.Arrive(2*time.Second, note("second arrival@2"))
 	e.Run()
@@ -176,14 +176,14 @@ func TestArriveIntoThePastPanics(t *testing.T) {
 func TestResourceQueueKeepsFIFOAcrossWrapAndGrowth(t *testing.T) {
 	e := New()
 	r := NewResource(e, "one", 1)
-	r.Acquire(func(time.Duration, time.Duration) {})
+	r.Request(Grant(func(time.Duration, time.Duration) {}))
 	var granted []int
 	next := 0
 	enqueue := func(n int) {
 		for ; n > 0; n-- {
 			id := next
 			next++
-			r.Acquire(func(time.Duration, time.Duration) { granted = append(granted, id) })
+			r.Request(Grant(func(time.Duration, time.Duration) { granted = append(granted, id) }))
 		}
 	}
 	release := func(n int) {
@@ -196,8 +196,8 @@ func TestResourceQueueKeepsFIFOAcrossWrapAndGrowth(t *testing.T) {
 	enqueue(3) // wraps the four-slot ring
 	release(1)
 	enqueue(9) // grows it with the head mid-ring
-	if r.QueueLength() != 12 {
-		t.Fatalf("QueueLength = %d, want 12", r.QueueLength())
+	if r.waiting.n != 12 {
+		t.Fatalf("QueueLength = %d, want 12", r.waiting.n)
 	}
 	release(12)
 	if len(granted) != next {

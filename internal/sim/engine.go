@@ -27,13 +27,6 @@ type Handler interface {
 	Fire(now time.Duration)
 }
 
-// Event is a callback scheduled to run at a virtual time: the func form
-// of Handler.
-type Event func(now time.Duration)
-
-// Fire calls the callback.
-func (fn Event) Fire(now time.Duration) { fn(now) }
-
 // event is one heap entry, ordered by (at, seq); seq is unique, so the
 // order is total and the heap's shape cannot influence it.
 type event struct {
@@ -48,11 +41,10 @@ func (a *event) before(b *event) bool {
 
 // Engine owns the virtual clock and the pending-event heap.
 type Engine struct {
-	now     time.Duration
-	events  []event // binary min-heap
-	seq     uint64
-	stopped bool
-	steps   uint64
+	now    time.Duration
+	events []event // binary min-heap
+	seq    uint64
+	steps  uint64
 }
 
 // New returns an engine with the clock at zero.
@@ -91,17 +83,6 @@ func (e *Engine) mustNotPrecedeClock(at time.Duration) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past (%v < %v)", at, e.now))
 	}
-}
-
-// At schedules fn to run at absolute virtual time at.
-func (e *Engine) At(at time.Duration, fn Event) { e.Schedule(at, fn) }
-
-// After schedules fn to run delay after the current time.
-func (e *Engine) After(delay time.Duration, fn Event) {
-	if delay < 0 {
-		panic("sim: negative delay")
-	}
-	e.Schedule(e.now+delay, fn)
 }
 
 // step pops the earliest pending event, advances the clock to it and
@@ -158,28 +139,9 @@ func (e *Engine) Arrive(at time.Duration, h Handler) {
 	h.Fire(at)
 }
 
-// Stop aborts the run loop after the current event returns.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run dispatches events until the queue empties or Stop is called.
+// Run dispatches events until the queue empties.
 func (e *Engine) Run() {
-	e.stopped = false
-	for len(e.events) > 0 && !e.stopped {
+	for len(e.events) > 0 {
 		e.step()
 	}
 }
-
-// RunUntil dispatches events with time <= deadline, advancing the clock to
-// the deadline even if the queue drains early.
-func (e *Engine) RunUntil(deadline time.Duration) {
-	e.stopped = false
-	for len(e.events) > 0 && !e.stopped && e.events[0].at <= deadline {
-		e.step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-}
-
-// Pending reports the number of events still queued.
-func (e *Engine) Pending() int { return len(e.events) }

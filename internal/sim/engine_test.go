@@ -11,9 +11,9 @@ import (
 func TestEngineOrdersEvents(t *testing.T) {
 	e := New()
 	var order []int
-	e.At(3*time.Second, func(time.Duration) { order = append(order, 3) })
-	e.At(1*time.Second, func(time.Duration) { order = append(order, 1) })
-	e.At(2*time.Second, func(time.Duration) { order = append(order, 2) })
+	e.Schedule(3*time.Second, Event(func(time.Duration) { order = append(order, 3) }))
+	e.Schedule(1*time.Second, Event(func(time.Duration) { order = append(order, 1) }))
+	e.Schedule(2*time.Second, Event(func(time.Duration) { order = append(order, 2) }))
 	e.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
@@ -31,7 +31,7 @@ func TestEngineFIFOAtEqualTimes(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(time.Second, func(time.Duration) { order = append(order, i) })
+		e.Schedule(time.Second, Event(func(time.Duration) { order = append(order, i) }))
 	}
 	e.Run()
 	for i, v := range order {
@@ -44,12 +44,12 @@ func TestEngineFIFOAtEqualTimes(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	e := New()
 	var hits []time.Duration
-	e.At(time.Second, func(now time.Duration) {
+	e.Schedule(time.Second, Event(func(now time.Duration) {
 		hits = append(hits, now)
-		e.After(2*time.Second, func(now time.Duration) {
+		e.Schedule(e.Now()+2*time.Second, Event(func(now time.Duration) {
 			hits = append(hits, now)
-		})
-	})
+		}))
+	}))
 	e.Run()
 	if len(hits) != 2 || hits[0] != time.Second || hits[1] != 3*time.Second {
 		t.Fatalf("hits = %v", hits)
@@ -58,67 +58,15 @@ func TestEngineNestedScheduling(t *testing.T) {
 
 func TestEnginePastSchedulingPanics(t *testing.T) {
 	e := New()
-	e.At(5*time.Second, func(now time.Duration) {
+	e.Schedule(5*time.Second, Event(func(now time.Duration) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling into the past should panic")
 			}
 		}()
-		e.At(time.Second, func(time.Duration) {})
-	})
+		e.Schedule(time.Second, Event(func(time.Duration) {}))
+	}))
 	e.Run()
-}
-
-func TestEngineNegativeDelayPanics(t *testing.T) {
-	e := New()
-	defer func() {
-		if recover() == nil {
-			t.Error("negative delay should panic")
-		}
-	}()
-	e.After(-time.Second, func(time.Duration) {})
-}
-
-func TestEngineStop(t *testing.T) {
-	e := New()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.At(time.Duration(i)*time.Second, func(time.Duration) {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Errorf("count = %d, want 3", count)
-	}
-	if e.Pending() != 7 {
-		t.Errorf("Pending = %d, want 7", e.Pending())
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := New()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.At(time.Duration(i)*time.Second, func(time.Duration) { count++ })
-	}
-	e.RunUntil(5 * time.Second)
-	if count != 5 {
-		t.Errorf("count = %d, want 5", count)
-	}
-	if e.Now() != 5*time.Second {
-		t.Errorf("Now = %v, want 5s", e.Now())
-	}
-	e.RunUntil(20 * time.Second)
-	if count != 10 {
-		t.Errorf("count = %d, want 10", count)
-	}
-	if e.Now() != 20*time.Second {
-		t.Errorf("clock should advance to deadline; Now = %v", e.Now())
-	}
 }
 
 func TestEngineEventTimesNondecreasing(t *testing.T) {
@@ -126,9 +74,9 @@ func TestEngineEventTimesNondecreasing(t *testing.T) {
 		e := New()
 		var fired []time.Duration
 		for _, d := range delaysMs {
-			e.At(time.Duration(d)*time.Millisecond, func(now time.Duration) {
+			e.Schedule(time.Duration(d)*time.Millisecond, Event(func(now time.Duration) {
 				fired = append(fired, now)
-			})
+			}))
 		}
 		e.Run()
 		if len(fired) != len(delaysMs) {
@@ -152,19 +100,19 @@ func TestEngineRandomisedStress(t *testing.T) {
 			if depth < 3 {
 				n := r.Intn(3)
 				for i := 0; i < n; i++ {
-					e.After(time.Duration(r.Intn(1000))*time.Millisecond, schedule(depth+1))
+					e.Schedule(e.Now()+time.Duration(r.Intn(1000))*time.Millisecond, Event(schedule(depth+1)))
 				}
 			}
 		}
 	}
 	for i := 0; i < 100; i++ {
-		e.At(time.Duration(r.Intn(10000))*time.Millisecond, schedule(0))
+		e.Schedule(time.Duration(r.Intn(10000))*time.Millisecond, Event(schedule(0)))
 	}
 	e.Run()
 	if fired < 100 {
 		t.Errorf("fired = %d, want >= 100", fired)
 	}
-	if e.Pending() != 0 {
-		t.Errorf("Pending = %d after Run", e.Pending())
+	if len(e.events) != 0 {
+		t.Errorf("Pending = %d after Run", len(e.events))
 	}
 }

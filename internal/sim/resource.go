@@ -32,12 +32,6 @@ type Waiter interface {
 	Granted(now time.Duration, wait time.Duration)
 }
 
-// Grant is the func form of Waiter.
-type Grant func(now time.Duration, wait time.Duration)
-
-// Granted calls the callback.
-func (g Grant) Granted(now time.Duration, wait time.Duration) { g(now, wait) }
-
 type acquisition struct {
 	arrived time.Duration
 	w       Waiter
@@ -82,9 +76,6 @@ func NewResource(engine *Engine, name string, servers int) *Resource {
 // Name reports the resource's name.
 func (r *Resource) Name() string { return r.name }
 
-// Servers reports the configured parallelism.
-func (r *Resource) Servers() int { return r.servers }
-
 func (r *Resource) accumulate(now time.Duration) {
 	r.busyTime += time.Duration(int64(now-r.lastChange) * int64(r.busy) / int64(r.servers))
 	r.lastChange = now
@@ -108,9 +99,6 @@ func (r *Resource) Request(w Waiter) {
 	}
 }
 
-// Acquire is Request with a callback for a waiter.
-func (r *Resource) Acquire(grant Grant) { r.Request(grant) }
-
 // Release frees one server, handing it to the longest-waiting requester if
 // any. Calling Release with no server held panics.
 func (r *Resource) Release() {
@@ -132,29 +120,6 @@ func (r *Resource) Release() {
 	// The server transfers directly to the next requester; busy unchanged.
 	next.w.Granted(now, wait)
 }
-
-// Use is the common acquire→hold→release pattern: wait for a server, hold
-// it for hold, then release and invoke done (if non-nil) with the service
-// completion time and the queueing delay experienced.
-func (r *Resource) Use(hold time.Duration, done Grant) {
-	if hold < 0 {
-		panic("sim: negative hold time")
-	}
-	r.Acquire(func(now time.Duration, wait time.Duration) {
-		r.engine.At(now+hold, func(end time.Duration) {
-			r.Release()
-			if done != nil {
-				done(end, wait)
-			}
-		})
-	})
-}
-
-// QueueLength reports the number of waiting (not in-service) requests.
-func (r *Resource) QueueLength() int { return r.waiting.n }
-
-// Busy reports the number of servers currently in service.
-func (r *Resource) Busy() int { return r.busy }
 
 // Stats is a snapshot of a resource's lifetime statistics.
 type Stats struct {

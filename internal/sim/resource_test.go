@@ -10,18 +10,18 @@ func TestResourceImmediateGrant(t *testing.T) {
 	e := New()
 	r := NewResource(e, "disk", 2)
 	granted := 0
-	r.Acquire(func(now, wait time.Duration) {
+	r.Request(Grant(func(now, wait time.Duration) {
 		granted++
 		if wait != 0 {
 			t.Errorf("wait = %v, want 0", wait)
 		}
-	})
-	r.Acquire(func(now, wait time.Duration) { granted++ })
+	}))
+	r.Request(Grant(func(now, wait time.Duration) { granted++ }))
 	if granted != 2 {
 		t.Fatalf("granted = %d, want 2 (both servers free)", granted)
 	}
-	if r.Busy() != 2 {
-		t.Errorf("Busy = %d, want 2", r.Busy())
+	if r.busy != 2 {
+		t.Errorf("Busy = %d, want 2", r.busy)
 	}
 }
 
@@ -73,11 +73,11 @@ func TestResourceFIFOOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		e.At(time.Duration(i)*time.Second, func(time.Duration) {
+		e.Schedule(time.Duration(i)*time.Second, Event(func(time.Duration) {
 			r.Use(100*time.Second, func(now, wait time.Duration) {
 				order = append(order, i)
 			})
-		})
+		}))
 	}
 	e.Run()
 	for i, v := range order {
@@ -96,17 +96,6 @@ func TestResourceReleasePanicsWhenIdle(t *testing.T) {
 		}
 	}()
 	r.Release()
-}
-
-func TestResourceNegativeHoldPanics(t *testing.T) {
-	e := New()
-	r := NewResource(e, "x", 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("negative hold should panic")
-		}
-	}()
-	r.Use(-time.Second, nil)
 }
 
 func TestNewResourcePanicsOnZeroServers(t *testing.T) {
@@ -144,8 +133,8 @@ func TestResourceStats(t *testing.T) {
 	if st.Name != "drive" || r.Name() != "drive" {
 		t.Errorf("Name = %q", st.Name)
 	}
-	if r.Servers() != 1 {
-		t.Errorf("Servers = %d", r.Servers())
+	if r.servers != 1 {
+		t.Errorf("Servers = %d", r.servers)
 	}
 }
 
@@ -153,8 +142,8 @@ func TestResourceUtilizationPartial(t *testing.T) {
 	e := New()
 	r := NewResource(e, "drive", 1)
 	r.Use(10*time.Second, nil)
+	e.Schedule(20*time.Second, Event(func(time.Duration) {})) // idle for the second half
 	e.Run()
-	e.RunUntil(20 * time.Second) // idle for the second half
 	st := r.Stats()
 	if st.Utilization < 0.45 || st.Utilization > 0.55 {
 		t.Errorf("Utilization = %v, want ~0.5", st.Utilization)
@@ -172,16 +161,16 @@ func TestResourceConservation(t *testing.T) {
 	for i := 0; i < n; i++ {
 		at := time.Duration(rng.Intn(100000)) * time.Millisecond
 		hold := time.Duration(rng.Intn(5000)) * time.Millisecond
-		e.At(at, func(time.Duration) {
+		e.Schedule(at, Event(func(time.Duration) {
 			r.Use(hold, func(now, wait time.Duration) { granted++ })
-		})
+		}))
 	}
 	e.Run()
 	if granted != n {
 		t.Errorf("granted = %d, want %d", granted, n)
 	}
-	if r.Busy() != 0 || r.QueueLength() != 0 {
-		t.Errorf("resource not drained: busy=%d queue=%d", r.Busy(), r.QueueLength())
+	if r.busy != 0 || r.waiting.n != 0 {
+		t.Errorf("resource not drained: busy=%d queue=%d", r.busy, r.waiting.n)
 	}
 	if got := r.Stats().Arrivals; got != n {
 		t.Errorf("Arrivals = %d, want %d", got, n)

@@ -6,7 +6,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -31,13 +30,13 @@ func byValue(a, b float64) int {
 // CDF accumulates sample values and answers empirical-distribution queries.
 // It is the workhorse behind every cumulative-percentage figure in the
 // paper (Figures 3 and 7–12). Unit samples (Add) are stored as bare
-// float64s — the per-record hot-path representation — while AddN stores
-// one (value, multiplicity) run however large the multiplicity, so
-// byte-scale weights cost one run, not one appended copy per byte. The
-// zero value is ready to use.
+// float64s — the per-record hot-path representation — while a weighted
+// sample is one (value, multiplicity) run however large the
+// multiplicity, so byte-scale weights cost one run, not one appended
+// copy per byte. The zero value is ready to use.
 type CDF struct {
 	vals   []float64 // unit samples, insertion order
-	runs   []run     // weighted samples (AddN), insertion order
+	runs   []run     // weighted samples, insertion order
 	n      int64     // total multiplicity across vals and runs
 	sorted bool
 
@@ -65,22 +64,6 @@ func (c *CDF) Grow(n int) { c.vals = slices.Grow(c.vals, n) }
 func (c *CDF) Add(v float64) {
 	c.vals = append(c.vals, v)
 	c.n++
-	c.sorted = false
-}
-
-// AddN records the sample v with multiplicity n (used for byte-weighted
-// distributions where a request of s bytes contributes weight s). It
-// stores at most one run regardless of n; n <= 0 records nothing.
-func (c *CDF) AddN(v float64, n int) {
-	switch {
-	case n <= 0:
-		return
-	case n == 1:
-		c.Add(v)
-		return
-	}
-	c.runs = append(c.runs, run{v, int64(n)})
-	c.n += int64(n)
 	c.sorted = false
 }
 
@@ -332,50 +315,6 @@ func (c *CDF) Mean() float64 {
 	return s / float64(c.n)
 }
 
-// Min returns the smallest sample, or NaN when empty.
-func (c *CDF) Min() float64 {
-	if c.n == 0 {
-		return math.NaN()
-	}
-	c.ensureSorted()
-	if len(c.runs) == 0 {
-		return c.vals[0]
-	}
-	return c.qruns[0].v
-}
-
-// Max returns the largest sample, or NaN when empty.
-func (c *CDF) Max() float64 {
-	if c.n == 0 {
-		return math.NaN()
-	}
-	c.ensureSorted()
-	if len(c.runs) == 0 {
-		return c.vals[len(c.vals)-1]
-	}
-	return c.qruns[len(c.qruns)-1].v
-}
-
-// Points samples the CDF at the given x values, returning cumulative
-// fractions; this is how figure series are rendered for printing.
-func (c *CDF) Points(xs []float64) []Point {
-	pts := make([]Point, len(xs))
-	for i, x := range xs {
-		pts[i] = Point{X: x, Y: c.P(x)}
-	}
-	return pts
-}
-
-// Point is a single (x, cumulative fraction) sample of a distribution.
-type Point struct {
-	X, Y float64
-}
-
-// String renders the point as "x=VAL p=FRAC%".
-func (p Point) String() string {
-	return fmt.Sprintf("x=%g p=%.1f%%", p.X, 100*p.Y)
-}
-
 // WeightedCDF is a CDF over (value, weight) pairs — e.g. "fraction of all
 // bytes in files of size <= s" (the data curves of Figures 10–12). Each
 // Add stores one pair whatever the weight, and queries binary-search a
@@ -400,9 +339,9 @@ type weighted struct{ v, w float64 }
 // is the prefix sum of c's own sorted samples whatever order a sort
 // leaves ties in. total is the samples' sum accumulated in insertion
 // order (what such a WeightedCDF's TotalWeight would be). The curve reads
-// c in place: c must hold no AddN runs or negative samples, and takes no
+// c in place: c must hold no weighted runs or negative samples, and takes no
 // further samples while the curve is in use; the curve itself is
-// read-only — Add and Merge are for curves built from pairs.
+// read-only — Add is for curves built from pairs.
 func SelfWeighted(c *CDF, total float64) *WeightedCDF {
 	if len(c.runs) > 0 {
 		panic("stats: SelfWeighted over a CDF holding weighted runs")
@@ -435,24 +374,6 @@ func (c *WeightedCDF) value(i int) float64 {
 	}
 	return c.pairs[i].v
 }
-
-// Merge appends every (value, weight) pair of other to c in insertion
-// order. The total is re-accumulated pair by pair, so a sequence of
-// shard-local Adds followed by in-order Merges produces bit-identical
-// state to one sequential Add stream.
-func (c *WeightedCDF) Merge(other *WeightedCDF) {
-	if other == nil || len(other.pairs) == 0 {
-		return
-	}
-	c.pairs = append(c.pairs, other.pairs...)
-	for _, p := range other.pairs {
-		c.total += p.w //lint:floatsum-ok re-accumulated pair by pair in insertion order, bit-identical to one sequential Add stream
-	}
-	c.sorted = false
-}
-
-// TotalWeight reports the sum of all weights.
-func (c *WeightedCDF) TotalWeight() float64 { return c.total }
 
 // ensureSorted orders the samples by value and rebuilds the cumulative
 // weight table. The table is accumulated left to right, so every query
@@ -497,46 +418,4 @@ func (c *WeightedCDF) P(v float64) float64 {
 		return 0
 	}
 	return c.cum[i-1] / c.total
-}
-
-// Quantile returns the smallest value v such that P(v) >= q.
-func (c *WeightedCDF) Quantile(q float64) float64 {
-	n := c.N()
-	if n == 0 {
-		return math.NaN()
-	}
-	c.ensureSorted()
-	target := q * c.total
-	i := sort.Search(n, func(i int) bool { return c.cum[i] >= target })
-	if i >= n {
-		return c.value(n - 1)
-	}
-	return c.value(i)
-}
-
-// Points samples the weighted CDF at the given x values.
-func (c *WeightedCDF) Points(xs []float64) []Point {
-	pts := make([]Point, len(xs))
-	c.ensureSorted()
-	for j, x := range xs {
-		pts[j] = Point{X: x, Y: c.P(x)}
-	}
-	return pts
-}
-
-// LogSpace returns n points logarithmically spaced in [lo, hi] inclusive;
-// used for the x axes of the paper's log-scale figures.
-func LogSpace(lo, hi float64, n int) []float64 {
-	if lo <= 0 || hi <= lo || n < 2 {
-		panic("stats: LogSpace requires 0 < lo < hi and n >= 2")
-	}
-	xs := make([]float64, n)
-	ratio := math.Pow(hi/lo, 1/float64(n-1))
-	x := lo
-	for i := range xs {
-		xs[i] = x
-		x *= ratio
-	}
-	xs[n-1] = hi
-	return xs
 }

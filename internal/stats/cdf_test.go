@@ -16,9 +16,6 @@ func TestCDFEmpty(t *testing.T) {
 	if !math.IsNaN(c.Quantile(0.5)) || !math.IsNaN(c.Mean()) {
 		t.Error("quantile/mean on empty CDF should be NaN")
 	}
-	if !math.IsNaN(c.Min()) || !math.IsNaN(c.Max()) {
-		t.Error("min/max on empty CDF should be NaN")
-	}
 }
 
 func TestCDFBasics(t *testing.T) {
@@ -52,9 +49,6 @@ func TestCDFBasics(t *testing.T) {
 	}
 	if got := c.Mean(); got != 5.5 {
 		t.Errorf("Mean = %v, want 5.5", got)
-	}
-	if c.Min() != 1 || c.Max() != 10 {
-		t.Errorf("Min/Max = %v/%v, want 1/10", c.Min(), c.Max())
 	}
 }
 
@@ -155,34 +149,6 @@ func TestWeightedCDFNegativeWeightPanics(t *testing.T) {
 	w.Add(1, -1)
 }
 
-func TestWeightedCDFPoints(t *testing.T) {
-	var w WeightedCDF
-	for i := 1; i <= 10; i++ {
-		w.Add(float64(i), 1)
-	}
-	pts := w.Points([]float64{5, 2, 10})
-	if pts[0].Y != 0.5 || pts[1].Y != 0.2 || pts[2].Y != 1.0 {
-		t.Errorf("Points = %v", pts)
-	}
-	if pts[0].X != 5 || pts[1].X != 2 || pts[2].X != 10 {
-		t.Errorf("Points preserved order wrong: %v", pts)
-	}
-}
-
-func TestCDFPoints(t *testing.T) {
-	var c CDF
-	for i := 1; i <= 4; i++ {
-		c.Add(float64(i))
-	}
-	pts := c.Points([]float64{0, 2, 4})
-	want := []float64{0, 0.5, 1}
-	for i, p := range pts {
-		if p.Y != want[i] {
-			t.Errorf("point %d: got %v want %v", i, p.Y, want[i])
-		}
-	}
-}
-
 func TestLogSpace(t *testing.T) {
 	xs := LogSpace(0.1, 100, 4)
 	if len(xs) != 4 {
@@ -216,13 +182,6 @@ func TestLogSpacePanics(t *testing.T) {
 			}()
 			LogSpace(c.lo, c.hi, c.n)
 		}()
-	}
-}
-
-func TestPointString(t *testing.T) {
-	p := Point{X: 10, Y: 0.5}
-	if got := p.String(); got != "x=10 p=50.0%" {
-		t.Errorf("String = %q", got)
 	}
 }
 
@@ -302,31 +261,6 @@ func TestSortAll(t *testing.T) {
 	}
 }
 
-func TestWeightedCDFMerge(t *testing.T) {
-	var whole, a, b WeightedCDF
-	for i := 0; i < 50; i++ {
-		v, w := float64(i%7), float64(1+i%3)
-		whole.Add(v, w)
-		if i < 20 {
-			a.Add(v, w)
-		} else {
-			b.Add(v, w)
-		}
-	}
-	a.Merge(&b)
-	a.Merge(&WeightedCDF{})
-	a.Merge(nil)
-	if a.N() != whole.N() || a.TotalWeight() != whole.TotalWeight() {
-		t.Fatalf("merged N/total = %d/%v, want %d/%v",
-			a.N(), a.TotalWeight(), whole.N(), whole.TotalWeight())
-	}
-	for _, x := range []float64{0, 1, 3, 6} {
-		if got, want := a.P(x), whole.P(x); got != want {
-			t.Fatalf("P(%v) = %v after merge, want %v", x, got, want)
-		}
-	}
-}
-
 // TestAddNQuantileRegression pins the weighted-run storage: AddN must
 // answer every distribution query exactly as the same samples fed one
 // Add at a time — the behaviour before AddN became O(1) — including at
@@ -358,7 +292,7 @@ func TestAddNQuantileRegression(t *testing.T) {
 			t.Fatalf("P(%v) = %v, want %v", x, got, want)
 		}
 	}
-	for _, f := range []func(*CDF) float64{(*CDF).Min, (*CDF).Max, (*CDF).Median, (*CDF).Mean} {
+	for _, f := range []func(*CDF) float64{(*CDF).Median, (*CDF).Mean} {
 		if got, want := f(&weighted), f(&expanded); got != want {
 			t.Fatalf("summary stat = %v, want %v", got, want)
 		}

@@ -19,8 +19,8 @@ import (
 //	cdf := nVals uvarint (float64 × nVals)
 //	       nRuns uvarint (float64 uvarint) × nRuns
 //
-// Run multiplicities must be at least 2 (AddN stores smaller
-// multiplicities as unit samples), and the total sample count must fit
+// Run multiplicities must be at least 2 (smaller multiplicities are
+// unit samples), and the total sample count must fit
 // int64; UnmarshalBinary rejects anything else, so corrupt input
 // surfaces as an error, never a panic or a silently absurd CDF.
 //

@@ -12,25 +12,6 @@ type Sampler interface {
 	Sample(r *rand.Rand) float64
 }
 
-// Constant always returns V. Useful as a mixture component (e.g. the 8 MB
-// climate-model write bump visible in Figure 10).
-type Constant struct{ V float64 }
-
-// Sample implements Sampler.
-func (c Constant) Sample(*rand.Rand) float64 { return c.V }
-
-// Uniform draws uniformly from [Lo, Hi).
-type Uniform struct{ Lo, Hi float64 }
-
-// Sample implements Sampler.
-func (u Uniform) Sample(r *rand.Rand) float64 { return u.Lo + r.Float64()*(u.Hi-u.Lo) }
-
-// Exponential draws from an exponential distribution with the given Mean.
-type Exponential struct{ Mean float64 }
-
-// Sample implements Sampler.
-func (e Exponential) Sample(r *rand.Rand) float64 { return r.ExpFloat64() * e.Mean }
-
 // Lognormal draws from a lognormal distribution parameterised by the median
 // (exp mu) and sigma (shape). Most of the paper's size and interval
 // distributions are heavy-tailed and well modelled by lognormals.
@@ -42,11 +23,6 @@ type Lognormal struct {
 // Sample implements Sampler.
 func (l Lognormal) Sample(r *rand.Rand) float64 {
 	return l.Median * math.Exp(l.Sigma*r.NormFloat64())
-}
-
-// Mean reports the analytic mean exp(mu + sigma^2/2).
-func (l Lognormal) Mean() float64 {
-	return l.Median * math.Exp(l.Sigma*l.Sigma/2)
 }
 
 // Pareto draws from a Pareto distribution with scale Xm and shape Alpha.

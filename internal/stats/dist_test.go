@@ -16,34 +16,6 @@ func TestConstant(t *testing.T) {
 	}
 }
 
-func TestUniformRange(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	u := Uniform{Lo: 5, Hi: 10}
-	var m Moments
-	for i := 0; i < 10000; i++ {
-		v := u.Sample(r)
-		if v < 5 || v >= 10 {
-			t.Fatalf("uniform sample %v out of [5,10)", v)
-		}
-		m.Add(v)
-	}
-	if math.Abs(m.Mean()-7.5) > 0.1 {
-		t.Errorf("uniform mean = %v, want ~7.5", m.Mean())
-	}
-}
-
-func TestExponentialMean(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	e := Exponential{Mean: 18}
-	var m Moments
-	for i := 0; i < 50000; i++ {
-		m.Add(e.Sample(r))
-	}
-	if math.Abs(m.Mean()-18)/18 > 0.05 {
-		t.Errorf("exponential mean = %v, want ~18", m.Mean())
-	}
-}
-
 func TestLognormalMedianAndMean(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	ln := Lognormal{Median: 3, Sigma: 2.0}
@@ -212,7 +184,7 @@ func TestSamplersAreDeterministic(t *testing.T) {
 		r := rand.New(rand.NewSource(123))
 		m := NewMixture(
 			MixtureComponent{Weight: 1, Sampler: Lognormal{Median: 3, Sigma: 1}},
-			MixtureComponent{Weight: 1, Sampler: Exponential{Mean: 5}},
+			MixtureComponent{Weight: 1, Sampler: Pareto{Xm: 1, Alpha: 2}},
 		)
 		out := make([]float64, 50)
 		for i := range out {

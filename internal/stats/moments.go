@@ -2,41 +2,19 @@ package stats
 
 import "math"
 
-// Moments accumulates count, mean and variance online using Welford's
-// algorithm, plus min/max. It is used for the Table 3 summary rows, which
-// need means over millions of records without retaining them.
-// The zero value is ready to use.
+// Moments accumulates a running mean online (Welford's update), for the
+// summary rows that need means over millions of records without
+// retaining them. The zero value is ready to use.
 type Moments struct {
-	n        int64
-	mean, m2 float64
-	min, max float64
-	sum      float64
+	n    int64
+	mean float64
 }
 
 // Add records one sample.
 func (m *Moments) Add(v float64) {
 	m.n++
-	m.sum += v
-	if m.n == 1 {
-		m.min, m.max = v, v
-	} else {
-		if v < m.min {
-			m.min = v
-		}
-		if v > m.max {
-			m.max = v
-		}
-	}
-	d := v - m.mean
-	m.mean += d / float64(m.n)
-	m.m2 += d * (v - m.mean)
+	m.mean += (v - m.mean) / float64(m.n)
 }
-
-// N reports the number of samples.
-func (m *Moments) N() int64 { return m.n }
-
-// Sum reports the running sum of samples.
-func (m *Moments) Sum() float64 { return m.sum }
 
 // Mean reports the sample mean, or NaN when empty.
 func (m *Moments) Mean() float64 {
@@ -44,55 +22,4 @@ func (m *Moments) Mean() float64 {
 		return math.NaN()
 	}
 	return m.mean
-}
-
-// Variance reports the unbiased sample variance, or NaN for n < 2.
-func (m *Moments) Variance() float64 {
-	if m.n < 2 {
-		return math.NaN()
-	}
-	return m.m2 / float64(m.n-1)
-}
-
-// StdDev reports the sample standard deviation.
-func (m *Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
-
-// Min reports the smallest sample, or NaN when empty.
-func (m *Moments) Min() float64 {
-	if m.n == 0 {
-		return math.NaN()
-	}
-	return m.min
-}
-
-// Max reports the largest sample, or NaN when empty.
-func (m *Moments) Max() float64 {
-	if m.n == 0 {
-		return math.NaN()
-	}
-	return m.max
-}
-
-// Merge folds other into m, as if all of other's samples had been Added.
-func (m *Moments) Merge(other *Moments) {
-	if other.n == 0 {
-		return
-	}
-	if m.n == 0 {
-		*m = *other
-		return
-	}
-	n := m.n + other.n
-	d := other.mean - m.mean
-	mean := m.mean + d*float64(other.n)/float64(n)
-	m.m2 = m.m2 + other.m2 + d*d*float64(m.n)*float64(other.n)/float64(n)
-	m.mean = mean
-	m.sum += other.sum //lint:floatsum-ok pairwise fold applied in fixed shard order; reported moments round to far fewer digits than the fold can perturb
-	m.n = n
-	if other.min < m.min {
-		m.min = other.min
-	}
-	if other.max > m.max {
-		m.max = other.max
-	}
 }

@@ -244,16 +244,3 @@ func rankPeriods(pts []PeriodogramPoint, cutoff float64, max int, tol float64) [
 	}
 	return out
 }
-
-// AutocorrelationPeaks finds local maxima of the autocorrelation function
-// above threshold, skipping lag 0; returns lags in ascending order. A
-// daily-periodic hourly series peaks at 24, 48, ...; weekly at 168.
-func AutocorrelationPeaks(ac []float64, threshold float64) []int {
-	var peaks []int
-	for lag := 2; lag < len(ac)-1; lag++ {
-		if ac[lag] >= threshold && ac[lag] > ac[lag-1] && ac[lag] >= ac[lag+1] {
-			peaks = append(peaks, lag)
-		}
-	}
-	return peaks
-}

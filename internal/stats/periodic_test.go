@@ -264,21 +264,6 @@ func TestPeriodogramPureSine(t *testing.T) {
 	}
 }
 
-func TestAutocorrelationPeaks(t *testing.T) {
-	s := synthDiurnal(8, 0.2, 4)
-	ac := Autocorrelation(s, 24*7+12)
-	peaks := AutocorrelationPeaks(ac, 0.3)
-	has24 := false
-	for _, p := range peaks {
-		if p >= 22 && p <= 26 {
-			has24 = true
-		}
-	}
-	if !has24 {
-		t.Errorf("peaks = %v, want one near 24", peaks)
-	}
-}
-
 func TestDominantPeriodsDeduplicates(t *testing.T) {
 	s := synthDiurnal(6, 0.2, 5)
 	periods := DominantPeriods(s, 2, 0.2)

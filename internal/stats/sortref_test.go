@@ -172,9 +172,6 @@ func requireSameCurve(t *testing.T, label string, samples []float64) {
 	for q := 0.0; q <= 1; q += 1.0 / 512 {
 		same("Quantile", got.Quantile(q), ref.Quantile(q))
 	}
-	for i, p := range got.Points(xs[:min(len(xs), 8)]) {
-		same("Points", p.Y, ref.P(xs[i]))
-	}
 }
 
 // TestSelfWeightedMatchesReference covers the empty curve, heavy ties,

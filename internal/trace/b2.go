@@ -117,10 +117,6 @@ type B2Writer struct {
 	index []b2IndexEntry
 }
 
-// NewB2Writer returns a B2Writer using the package Epoch and the default
-// block size.
-func NewB2Writer(w io.Writer) *B2Writer { return NewB2WriterEpoch(w, Epoch) }
-
 // NewB2WriterEpoch returns a B2Writer with an explicit epoch; records
 // must not start before it.
 func NewB2WriterEpoch(w io.Writer, epoch time.Time) *B2Writer {

@@ -341,7 +341,7 @@ func TestB2EmptyTrace(t *testing.T) {
 func TestB2WriterRejects(t *testing.T) {
 	recs := sampleRecords()
 	var buf bytes.Buffer
-	w := NewB2Writer(&buf)
+	w := NewB2WriterEpoch(&buf, Epoch)
 	if err := w.Write(&recs[1]); err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestB2WriterRejects(t *testing.T) {
 	}
 	bad = recs[0]
 	bad.Start = Epoch.Add(-time.Hour)
-	if err := NewB2Writer(&bytes.Buffer{}).Write(&bad); err == nil {
+	if err := NewB2WriterEpoch(&bytes.Buffer{}, Epoch).Write(&bad); err == nil {
 		t.Error("pre-epoch record must be rejected")
 	}
 	if err := w.Flush(); err != nil {

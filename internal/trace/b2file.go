@@ -21,9 +21,9 @@ import (
 // order, from any number of goroutines — the file itself holds no
 // decode state, so block decoders share nothing but the reader. It is
 // the one b2 reader: OpenStream reads a b2 input through it too, one
-// block after another. DecodeCount exposes how many block decodes
-// actually happened, so tests can prove planning decoded nothing and
-// analysis decoded each block exactly once.
+// block after another. It counts the block decodes that actually
+// happened, so tests can prove planning decoded nothing and analysis
+// decoded each block exactly once.
 type B2File struct {
 	r       io.ReaderAt
 	epoch   time.Time
@@ -155,9 +155,6 @@ func openB2Frame(frame []byte, wantTag byte) ([]byte, error) {
 	return body, nil
 }
 
-// Epoch returns the header epoch.
-func (f *B2File) Epoch() time.Time { return f.epoch }
-
 // NumBlocks reports how many blocks the index describes.
 func (f *B2File) NumBlocks() int { return len(f.entries) }
 
@@ -174,10 +171,6 @@ func (f *B2File) Meta(i int) BlockMeta {
 		End:   f.epoch.Add(time.Duration(e.base+e.span) * time.Second),
 	}
 }
-
-// DecodeCount reports how many block decodes have happened over the
-// file's lifetime — the observable the shard-skipping tests assert on.
-func (f *B2File) DecodeCount() int64 { return f.decodes.Load() }
 
 // B2BlockDecoder decodes individual blocks of one B2File. It owns the
 // frame and dictionary scratch a decode needs and its own path table:

@@ -71,9 +71,6 @@ type BinaryWriter struct {
 	count     int64
 }
 
-// NewBinaryWriter returns a BinaryWriter using the package Epoch.
-func NewBinaryWriter(w io.Writer) *BinaryWriter { return NewBinaryWriterEpoch(w, Epoch) }
-
 // NewBinaryWriterEpoch returns a BinaryWriter with an explicit epoch;
 // records must not start before it.
 func NewBinaryWriterEpoch(w io.Writer, epoch time.Time) *BinaryWriter {

@@ -57,9 +57,6 @@ type Writer struct {
 	count     int64
 }
 
-// NewWriter returns a Writer using the package Epoch.
-func NewWriter(w io.Writer) *Writer { return NewWriterEpoch(w, Epoch) }
-
 // NewWriterEpoch returns a Writer with an explicit epoch; records must not
 // start before it.
 func NewWriterEpoch(w io.Writer, epoch time.Time) *Writer {
@@ -361,9 +358,4 @@ func ReadAll(r io.Reader) ([]Record, error) {
 		return nil, err
 	}
 	return Collect(s)
-}
-
-// WriteAll encodes every record to w in the ASCII v1 format and flushes.
-func WriteAll(w io.Writer, recs []Record) error {
-	return WriteAllFormat(w, recs, FormatASCII)
 }

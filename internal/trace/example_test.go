@@ -32,11 +32,11 @@ func exampleRecords() []trace.Record {
 	}
 }
 
-// ExampleNewWriter encodes a trace in the paper's compact ASCII format:
+// ExampleNewWriterEpoch encodes a trace in the paper's compact ASCII format:
 // delta-encoded start times, packed flags, and a "=" same-user marker.
-func ExampleNewWriter() {
+func ExampleNewWriterEpoch() {
 	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
+	w := trace.NewWriterEpoch(&buf, trace.Epoch)
 	for _, r := range exampleRecords() {
 		if err := w.Write(&r); err != nil {
 			log.Fatal(err)
@@ -96,7 +96,7 @@ func ExampleCopy() {
 		log.Fatal(err)
 	}
 	var bin bytes.Buffer
-	dst := trace.NewFormatWriter(&bin, trace.FormatBinary)
+	dst := trace.NewFormatWriterEpoch(&bin, trace.FormatBinary, trace.Epoch)
 	n, err := trace.Copy(dst, src)
 	if err != nil {
 		log.Fatal(err)

@@ -51,12 +51,6 @@ func ParseFormat(s string) (Format, error) {
 	return 0, fmt.Errorf("trace: unknown format %q (want ascii, binary, or b2)", s)
 }
 
-// NewFormatWriter returns the codec writer for the given format, using
-// the package Epoch.
-func NewFormatWriter(w io.Writer, f Format) FlushSink {
-	return NewFormatWriterEpoch(w, f, Epoch)
-}
-
 // NewFormatWriterEpoch returns the codec writer for the given format with
 // an explicit epoch.
 func NewFormatWriterEpoch(w io.Writer, f Format, epoch time.Time) FlushSink {
@@ -149,7 +143,7 @@ func SniffFormat(head []byte) (Format, error) {
 	}
 	const common = "#filemig-trace "
 	if len(head) >= len(SnapshotHeader) && string(head[:len(SnapshotHeader)]) == SnapshotHeader {
-		return 0, fmt.Errorf("trace: input is an s1 analysis snapshot, not a trace; load it with mssanalyze merge (or core.ReadSnapshot)")
+		return 0, fmt.Errorf("trace: input is an s1 analysis snapshot, not a trace; load it with mssanalyze merge (or core.MergeSnapshots)")
 	}
 	if len(head) < sniffLen || string(head[:len(common)]) != common {
 		return 0, fmt.Errorf("trace: unrecognised header %q", head)
@@ -195,7 +189,7 @@ func OpenStreamFlag(r io.Reader, flag string) (Stream, error) {
 }
 
 // WriteAllFormat encodes every record to w in the given format and
-// flushes. Like WriteAll, the epoch is the first record's start time.
+// flushes. The epoch is the first record's start time.
 func WriteAllFormat(w io.Writer, recs []Record, f Format) error {
 	epoch := Epoch
 	if len(recs) > 0 {

@@ -70,8 +70,8 @@ func NewInterner() *Interner {
 // NewFileTable returns an empty Interner that derives no directories:
 // the kind whose IDs are only ever translated into a master's, which
 // derives them once — a b2 block decoder's, the migd daemon's and its
-// checkpoint restore's. Dir and DirPath have nothing to answer there
-// and must not be called; NumDirs is zero.
+// checkpoint restore's. Dir has nothing to answer there and must not be
+// called; NumDirs is zero.
 func NewFileTable() *Interner {
 	return &Interner{slots: make([]uint32, minSlots)}
 }
@@ -236,9 +236,6 @@ func (in *Interner) Hashes() []uint64 { return in.hashes[:len(in.hashes):len(in.
 
 // Dir returns the directory ID derived for id's path.
 func (in *Interner) Dir(id FileID) DirID { return in.dirs[id] }
-
-// DirPath returns the directory path string for a DirID.
-func (in *Interner) DirPath(id DirID) string { return in.dirPaths[id] }
 
 // Len reports the number of distinct paths interned.
 func (in *Interner) Len() int { return len(in.paths) }

@@ -22,7 +22,7 @@ import (
 func offsetFixture(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewBinaryWriter(&buf)
+	w := NewBinaryWriterEpoch(&buf, Epoch)
 	base := Epoch.Add(time.Hour)
 	for i := 0; i < 20; i++ {
 		r := Record{
@@ -110,7 +110,7 @@ func TestBinaryReaderBitFlipOffset(t *testing.T) {
 // error to carry the block's byte offset from the index.
 func TestB2DecodeOffset(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewB2Writer(&buf)
+	w := NewB2WriterEpoch(&buf, Epoch)
 	base := Epoch.Add(time.Hour)
 	for i := 0; i < 50; i++ {
 		r := Record{

@@ -103,7 +103,7 @@ func TestRawLogCompression(t *testing.T) {
 	if err := WriteRawLog(&raw, recs); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteAll(&compact, recs); err != nil {
+	if err := WriteAllFormat(&compact, recs, FormatASCII); err != nil {
 		t.Fatal(err)
 	}
 	ratio := float64(raw.Len()) / float64(compact.Len())

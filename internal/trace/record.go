@@ -109,9 +109,6 @@ func (r *Record) Destination() string {
 // analysis only admits OK records.
 func (r *Record) OK() bool { return r.Err == ErrNone }
 
-// End reports when the transfer finished.
-func (r *Record) End() time.Time { return r.Start.Add(r.Startup + r.Transfer) }
-
 // Validate checks the invariants the codec relies on.
 func (r *Record) Validate() error {
 	switch {

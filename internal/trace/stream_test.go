@@ -92,7 +92,7 @@ func TestCopyPropagatesStreamError(t *testing.T) {
 	boom := errors.New("boom")
 	src := &errStream{recs: sampleRecords()[:2], err: boom}
 	var buf bytes.Buffer
-	n, err := Copy(NewWriter(&buf), src)
+	n, err := Copy(NewWriterEpoch(&buf, Epoch), src)
 	if !errors.Is(err, boom) {
 		t.Fatalf("Copy err = %v, want boom", err)
 	}

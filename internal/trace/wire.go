@@ -201,15 +201,6 @@ func (r *WireReader) Svarint(field string) (int64, error) {
 	return int64(u>>1) ^ -int64(u&1), nil
 }
 
-// Float64 reads eight raw little-endian bytes as a float64.
-func (r *WireReader) Float64(field string) (float64, error) {
-	b, err := r.Fixed(field, 8)
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
-}
-
 // Fixed reads exactly n bytes, returning a view the caller must copy or
 // consume before the next read. n must be at most the window size.
 func (r *WireReader) Fixed(field string, n int) ([]byte, error) {
@@ -281,31 +272,6 @@ func (r *WireReader) Bytes(field, lenField string, max uint64) ([]byte, error) {
 	return buf, nil
 }
 
-// AppendN reads exactly n bytes from the stream, appending them to dst
-// and returning the extended slice. Unlike Bytes it has no size ceiling
-// beyond what the caller imposes on n, and the destination grows only as
-// data actually arrives, so a corrupt length field cannot provoke a huge
-// up-front allocation. A mid-field end of input is io.ErrUnexpectedEOF.
-func (r *WireReader) AppendN(field string, dst []byte, n int) ([]byte, error) {
-	for n > 0 {
-		if r.pos >= r.end && !r.fill() {
-			err := r.srcErr
-			if err == nil || err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return dst, fmt.Errorf("%s: %w", field, err)
-		}
-		take := r.end - r.pos
-		if take > n {
-			take = n
-		}
-		dst = append(dst, r.buf[r.pos:r.pos+take]...)
-		r.pos += take
-		n -= take
-	}
-	return dst, nil
-}
-
 // ExpectEOF verifies the stream has ended cleanly; trailing bytes after
 // the last field of a format are reported as corruption.
 func (r *WireReader) ExpectEOF() error {
@@ -332,10 +298,9 @@ func Checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 // every later call and by Flush, so encoders can emit a whole section
 // and check once.
 type WireWriter struct {
-	w       io.Writer
-	buf     []byte
-	err     error
-	written int64
+	w   io.Writer
+	buf []byte
+	err error
 }
 
 // NewWireWriter returns a WireWriter over w with a 64 KiB buffer.
@@ -347,7 +312,7 @@ func NewWireWriter(w io.Writer) *WireWriter {
 // unflushed bytes and the sticky error but keeping the buffer — one
 // writer serves any number of outputs written one after another.
 func (w *WireWriter) Reset(dst io.Writer) {
-	w.w, w.buf, w.err, w.written = dst, w.buf[:0], nil, 0
+	w.w, w.buf, w.err = dst, w.buf[:0], nil
 }
 
 // flushIfFull drains the buffer to the underlying writer when it is
@@ -362,7 +327,6 @@ func (w *WireWriter) flushIfFull() {
 func (w *WireWriter) flush() {
 	if w.err == nil && len(w.buf) > 0 {
 		_, w.err = w.w.Write(w.buf)
-		w.written += int64(len(w.buf))
 	}
 	w.buf = w.buf[:0]
 }
@@ -382,12 +346,6 @@ func (w *WireWriter) Uvarint(v uint64) {
 // Svarint appends one zigzag-encoded signed varint.
 func (w *WireWriter) Svarint(v int64) {
 	w.Uvarint(uint64(v<<1) ^ uint64(v>>63))
-}
-
-// Float64 appends eight raw little-endian bytes of the float64.
-func (w *WireWriter) Float64(v float64) {
-	w.flushIfFull()
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
 }
 
 // Bytes appends one length-prefixed byte field.
@@ -435,7 +393,3 @@ func (w *WireWriter) Flush() error {
 // is buffered, an underlying failure may only surface after the next
 // drain; Flush gives the definitive answer.
 func (w *WireWriter) Err() error { return w.err }
-
-// Written reports the bytes successfully handed to the underlying
-// writer so far (buffered bytes are not counted until Flush).
-func (w *WireWriter) Written() int64 { return w.written }

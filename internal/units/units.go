@@ -1,5 +1,5 @@
-// Package units provides byte-size and time constants and formatting
-// helpers shared by the trace, device, and analysis packages.
+// Package units provides byte-size constants and formatting helpers
+// shared by the trace, device, and analysis packages.
 //
 // The paper reports sizes in decimal megabytes ("an average file of 80 MB")
 // and gigabytes; to stay comparable with the published numbers this package
@@ -9,8 +9,6 @@ package units
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 )
 
@@ -23,13 +21,6 @@ const (
 	TB         = 1000 * GB
 )
 
-// Common time spans used by the rhythm model and analyzers.
-const (
-	Hour = time.Hour
-	Day  = 24 * time.Hour
-	Week = 7 * Day
-)
-
 // Bytes is a byte count with convenient formatting.
 type Bytes int64
 
@@ -38,9 +29,6 @@ func (b Bytes) MB() float64 { return float64(b) / float64(MB) }
 
 // GB reports b in decimal gigabytes.
 func (b Bytes) GB() float64 { return float64(b) / float64(GB) }
-
-// TB reports b in decimal terabytes.
-func (b Bytes) TB() float64 { return float64(b) / float64(TB) }
 
 // String formats b with a unit suffix chosen so the mantissa is < 1000,
 // e.g. "25.0 MB", "23.0 TB".
@@ -64,40 +52,6 @@ func (b Bytes) String() string {
 		return fmt.Sprintf("%s%d B", neg, int64(v))
 	}
 }
-
-// ParseBytes parses strings such as "30MB", "1.2 GB", "200 mb", or a bare
-// integer byte count. It accepts the SI suffixes B, KB, MB, GB, TB
-// (case-insensitive, optional space).
-func ParseBytes(s string) (Bytes, error) {
-	t := strings.TrimSpace(s)
-	if t == "" {
-		return 0, fmt.Errorf("units: empty byte quantity")
-	}
-	upper := strings.ToUpper(t)
-	mult := Byte
-	switch {
-	case strings.HasSuffix(upper, "TB"):
-		mult, upper = TB, upper[:len(upper)-2]
-	case strings.HasSuffix(upper, "GB"):
-		mult, upper = GB, upper[:len(upper)-2]
-	case strings.HasSuffix(upper, "MB"):
-		mult, upper = MB, upper[:len(upper)-2]
-	case strings.HasSuffix(upper, "KB"):
-		mult, upper = KB, upper[:len(upper)-2]
-	case strings.HasSuffix(upper, "B"):
-		upper = upper[:len(upper)-1]
-	}
-	upper = strings.TrimSpace(upper)
-	v, err := strconv.ParseFloat(upper, 64)
-	if err != nil {
-		return 0, fmt.Errorf("units: bad byte quantity %q: %v", s, err)
-	}
-	return Bytes(v * float64(mult)), nil
-}
-
-// Seconds converts a duration to float seconds; used throughout the
-// analyzers, which report latencies the way the paper does.
-func Seconds(d time.Duration) float64 { return d.Seconds() }
 
 // DurationSeconds builds a duration from float seconds.
 func DurationSeconds(s float64) time.Duration {

@@ -34,8 +34,6 @@ const (
 	PaperFiles = 905000
 	// PaperUsers is the user population (§5.1: ~4,000 users).
 	PaperUsers = 4000
-	// PaperRequests is the approximate good-reference total (Table 3).
-	PaperRequests = 3500000
 	// ErrorFraction is the share of requests that failed (§5.1: 4.76%).
 	ErrorFraction = 0.0476
 	// MSSFileCap is the 200 MB per-file limit (files cannot span tapes).

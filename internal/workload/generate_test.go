@@ -363,7 +363,7 @@ func TestRoundTripThroughCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf writerBuffer
-	if err := trace.WriteAll(&buf, res.Records); err != nil {
+	if err := trace.WriteAllFormat(&buf, res.Records, trace.FormatASCII); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 	got, err := trace.ReadAll(&buf)

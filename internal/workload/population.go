@@ -184,20 +184,3 @@ func (p *Population) ScaleSizes(scale float64) {
 		p.Files[i].Size = units.Bytes(s)
 	}
 }
-
-// TotalBytes sums the population's sizes.
-func (p *Population) TotalBytes() units.Bytes {
-	var t units.Bytes
-	for i := range p.Files {
-		t += p.Files[i].Size
-	}
-	return t
-}
-
-// MeanSize reports the average file size.
-func (p *Population) MeanSize() units.Bytes {
-	if len(p.Files) == 0 {
-		return 0
-	}
-	return p.TotalBytes() / units.Bytes(len(p.Files))
-}

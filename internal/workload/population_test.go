@@ -115,11 +115,11 @@ func TestSizeDistributionMatchesFigure11(t *testing.T) {
 		t.Errorf("data fraction in <3 MB files = %.3f, want ~0.02", dataUnder3)
 	}
 	// 200 MB cap is absolute (files cannot span tapes).
-	if files.Max() > MSSFileCap {
-		t.Errorf("max size %v exceeds the 200 MB cap", units.Bytes(files.Max()))
+	if files.Quantile(1) > MSSFileCap {
+		t.Errorf("max size %v exceeds the 200 MB cap", units.Bytes(files.Quantile(1)))
 	}
-	if files.Min() <= 0 {
-		t.Errorf("min size %v not positive", files.Min())
+	if files.Quantile(0) <= 0 {
+		t.Errorf("min size %v not positive", files.Quantile(0))
 	}
 }
 

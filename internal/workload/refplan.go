@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math/rand"
-	"sort"
 	"time"
 
 	"filemig/internal/stats"
@@ -147,23 +146,4 @@ func (s *planScratch) buildPlan(f *File, birth time.Time, end time.Time, rng *ra
 	}
 	s.plan = plan
 	return plan
-}
-
-// dedupPlanInvariant verifies the §5.3 dedup property a plan must satisfy:
-// no two same-op accesses within the eight-hour window. Used by tests.
-func dedupPlanInvariant(plan []planOp) bool {
-	byOp := map[trace.Op][]time.Time{}
-	for _, p := range plan {
-		byOp[p.op] = append(byOp[p.op], p.at)
-	}
-	//lint:sorted-ok order-independent predicate: the result is the AND over all ops, no output or state escapes
-	for _, ts := range byOp {
-		sort.Slice(ts, func(i, j int) bool { return ts[i].Before(ts[j]) })
-		for i := 1; i < len(ts); i++ {
-			if ts[i].Sub(ts[i-1]) < DedupWindow {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -40,10 +40,6 @@ var writeHourWeights = [24]float64{
 // weekdays (weekend maintenance and drained batch queues, §5.2).
 var readDayWeights = [7]float64{0.45, 0.95, 1.25, 1.30, 1.30, 1.20, 0.55}
 
-// writeDayWeights: "write requests ... experience little variation over
-// the course of the week, as the Cray CPU runs batch jobs all weekend."
-var writeDayWeights = [7]float64{0.97, 0.96, 1.00, 1.02, 1.02, 1.01, 1.00}
-
 // Rhythm answers intensity queries for a configured trace. The calendar
 // is tabulated once at construction — the generator asks for a day's read
 // weight and the trace-wide maximum once per planned read.
@@ -74,14 +70,9 @@ func newHourProfile(weights [24]float64) hourProfile {
 	return p
 }
 
-// NewRhythm builds the rhythm model for a trace starting at start and
-// lasting days days, with the paper's calibrated hour-of-day shape.
-func NewRhythm(start time.Time, days int, holidays bool, readGrowth float64) *Rhythm {
-	return NewShapedRhythm(start, days, holidays, readGrowth, 1)
-}
-
-// NewShapedRhythm is NewRhythm with a diurnal sharpness exponent applied
-// to the read hour-of-day profile: each hourly weight is raised to
+// NewShapedRhythm builds the rhythm model for a trace starting at start
+// and lasting days days, with a diurnal sharpness exponent applied to the
+// read hour-of-day profile: each hourly weight is raised to
 // sharpness before sampling (Config.DiurnalSharpness). Sharpness <= 0 or
 // exactly 1 keeps the calibrated Figure 4 shape bit-for-bit.
 func NewShapedRhythm(start time.Time, days int, holidays bool, readGrowth, sharpness float64) *Rhythm {
@@ -175,19 +166,6 @@ func (r *Rhythm) readDayWeight(day int) float64 {
 	return w
 }
 
-// WriteDayWeight reports the relative write intensity of trace day d.
-// No growth, no holidays — the batch queue never empties.
-func (r *Rhythm) WriteDayWeight(day int) float64 {
-	w := writeDayWeights[r.weekday(day)]
-	// Figure 6: "write requests increased at the end of the year" — a
-	// mild end-of-December bump while scientists queue up long runs.
-	d := r.start.AddDate(0, 0, day)
-	if r.holidays && d.Month() == time.December && d.Day() >= 20 {
-		w *= 1.10
-	}
-	return w
-}
-
 // HolidayFactor reports the read-suppression multiplier of trace day d
 // (1 on ordinary days).
 func (r *Rhythm) HolidayFactor(day int) float64 {
@@ -220,16 +198,4 @@ func (p *hourProfile) sample(rng *rand.Rand) int {
 		}
 	}
 	return 23
-}
-
-// Days reports the trace length in days.
-func (r *Rhythm) Days() int { return r.days }
-
-// Start reports the trace start.
-func (r *Rhythm) Start() time.Time { return r.start }
-
-// IsHoliday reports whether reads are suppressed on trace day d.
-func (r *Rhythm) IsHoliday(day int) bool {
-	_, ok := r.holiday[day]
-	return ok
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func testRhythm() *Rhythm {
-	return NewRhythm(trace.Epoch, PaperSpanDays, true, 2.0)
+	return NewShapedRhythm(trace.Epoch, PaperSpanDays, true, 2.0, 1)
 }
 
 func TestReadHourProfileShape(t *testing.T) {
@@ -55,12 +55,6 @@ func TestDayWeights(t *testing.T) {
 				readDayWeights[1], d, readDayWeights[d])
 		}
 	}
-	// Writes barely vary.
-	for d := 1; d < 7; d++ {
-		if writeDayWeights[d]/writeDayWeights[0] > 1.1 || writeDayWeights[0]/writeDayWeights[d] > 1.1 {
-			t.Error("write day weights should be nearly constant")
-		}
-	}
 }
 
 func TestHolidayCalendar(t *testing.T) {
@@ -88,7 +82,7 @@ func TestHolidayCalendar(t *testing.T) {
 		t.Error("mid-July should not be a holiday")
 	}
 	// Holidays off.
-	r2 := NewRhythm(trace.Epoch, PaperSpanDays, false, 2.0)
+	r2 := NewShapedRhythm(trace.Epoch, PaperSpanDays, false, 2.0, 1)
 	if r2.IsHoliday(tg1990) {
 		t.Error("holidays disabled but still marked")
 	}
@@ -102,31 +96,27 @@ func TestHolidaySuppressesReadsNotWrites(t *testing.T) {
 		t.Errorf("Christmas read weight %v vs normal %v — want a deep dip",
 			r.ReadDayWeight(xmas), r.ReadDayWeight(normal))
 	}
-	if r.WriteDayWeight(xmas) < r.WriteDayWeight(normal) {
-		t.Errorf("Christmas write weight %v vs normal %v — writes must not dip (they rise)",
-			r.WriteDayWeight(xmas), r.WriteDayWeight(normal))
-	}
 }
 
 func TestGrowthAveragesToOne(t *testing.T) {
 	r := testRhythm()
 	sum := 0.0
-	for d := 0; d < r.Days(); d++ {
+	for d := 0; d < r.days; d++ {
 		sum += r.growth(d)
 	}
-	mean := sum / float64(r.Days())
+	mean := sum / float64(r.days)
 	if mean < 0.98 || mean > 1.02 {
 		t.Errorf("growth mean = %v, want ~1", mean)
 	}
 	// End-to-start ratio equals the configured growth.
-	ratio := r.growth(r.Days()-1) / r.growth(0)
+	ratio := r.growth(r.days-1) / r.growth(0)
 	if ratio < 1.95 || ratio > 2.05 {
 		t.Errorf("growth ratio = %v, want ~2", ratio)
 	}
 }
 
 func TestGrowthDisabled(t *testing.T) {
-	r := NewRhythm(trace.Epoch, 100, false, 0) // non-positive => flat
+	r := NewShapedRhythm(trace.Epoch, 100, false, 0, 1) // non-positive => flat
 	if r.growth(0) != 1 || r.growth(99) != 1 {
 		t.Error("growth should be flat when disabled")
 	}
@@ -160,7 +150,7 @@ func TestSampleHoursFollowProfile(t *testing.T) {
 func TestMaxReadDayWeightBounds(t *testing.T) {
 	r := testRhythm()
 	max := r.MaxReadDayWeight()
-	for d := 0; d < r.Days(); d++ {
+	for d := 0; d < r.days; d++ {
 		if r.ReadDayWeight(d) > max {
 			t.Fatalf("day %d weight %v exceeds reported max %v", d, r.ReadDayWeight(d), max)
 		}
@@ -198,7 +188,7 @@ func TestReadDayTableMatchesCalendar(t *testing.T) {
 	for _, start := range starts {
 		for _, holidays := range []bool{true, false} {
 			for _, days := range []int{7, 90, 731, 1500} {
-				r := NewRhythm(start, days, holidays, 2.0)
+				r := NewShapedRhythm(start, days, holidays, 2.0, 1)
 				max := 0.0
 				for d := 0; d < days; d++ {
 					if got, want := r.weekday(d), start.AddDate(0, 0, d).Weekday(); got != want {

@@ -49,7 +49,7 @@ func TestScenarioGoldenHashes(t *testing.T) {
 		}
 		res := scenarioTrace(t, s)
 		var buf bytes.Buffer
-		if err := trace.WriteAll(&buf, res.Records); err != nil {
+		if err := trace.WriteAllFormat(&buf, res.Records, trace.FormatASCII); err != nil {
 			t.Fatal(err)
 		}
 		got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))

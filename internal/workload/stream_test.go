@@ -170,7 +170,7 @@ func TestGenerateGoldenHashes(t *testing.T) {
 			continue
 		}
 		var buf writerBuffer
-		if err := trace.WriteAll(&buf, res.Records); err != nil {
+		if err := trace.WriteAllFormat(&buf, res.Records, trace.FormatASCII); err != nil {
 			t.Fatal(err)
 		}
 		if got := fmt.Sprintf("%x", sha256.Sum256(buf.data)); got != g.sha {
