@@ -1242,8 +1242,9 @@ func BenchmarkMigdIngest(b *testing.B) {
 	})
 	// A steady checkpoint: the records held as about 3 930 segments, as
 	// many as migd-live's out-of-order batches leave, and one batch
-	// extending one of them between checkpoints. The checkpoint encodes
-	// that segment and copies every other frame from the previous file.
+	// extending one of them between checkpoints. The checkpoint writes
+	// that segment's stripe entry and the generation record, fsynced,
+	// and leaves every other entry alone.
 	b.Run("checkpoint-steady", func(b *testing.B) {
 		const segments = 3930
 		s, err := serve.NewServer(serve.Config{
@@ -1254,7 +1255,6 @@ func BenchmarkMigdIngest(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer s.Close()
 		per := (len(recs) + segments - 1) / segments
 		for i := len(recs); i > 0; i -= per { // newest first: every batch opens a segment
 			s.Ingest(recs[max(0, i-per):i])

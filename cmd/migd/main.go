@@ -9,13 +9,18 @@
 //	     [-checkpoint-interval d] [-dedup d] [-shard d]
 //	     [-stp-k k] [-migrate-after d]
 //
-// With -checkpoint, migd restores from the file at startup when it
-// exists, checkpoints every -checkpoint-every ingested records and
-// every -checkpoint-interval of wall time, and writes a final
-// checkpoint after draining in-flight requests on SIGINT/SIGTERM. The
-// interval and final checkpoints are skipped (and say so) when nothing
-// was ingested since the last one or the restore and the file is still
-// in place.
+// -checkpoint names a directory. At startup migd restores from it; a
+// missing directory, or one without a generation record, is a first
+// start, and anything else it cannot restore (a file in its place, an
+// unknown record version, a damaged stripe entry) stops the start with
+// an error naming the file. It checkpoints there every
+// -checkpoint-every ingested records and every -checkpoint-interval of
+// wall time, and writes a final checkpoint after draining in-flight
+// requests on SIGINT/SIGTERM; each checkpoint writes only the time
+// stripes that ingested since the last one (docs/migd.md). The interval
+// and final checkpoints are skipped (and say so) when nothing was
+// ingested since the last one or the restore and the generation record
+// is still in place.
 package main
 
 import (
@@ -51,7 +56,7 @@ func main() {
 	log.SetPrefix("migd: ")
 	var (
 		listen       = flag.String("listen", "127.0.0.1:8477", "address to serve HTTP on")
-		checkpoint   = flag.String("checkpoint", "", "checkpoint file: restored at startup, written on cadence and shutdown")
+		checkpoint   = flag.String("checkpoint", "", "checkpoint directory: restored at startup, written on cadence and shutdown")
 		ckptEvery    = flag.Int64("checkpoint-every", 0, "checkpoint after this many ingested records (0 disables)")
 		ckptInterval = flag.Duration("checkpoint-interval", 0, "checkpoint on this wall-time interval (0 disables)")
 		dedup        = flag.Duration("dedup", 0, "per-file dedup window (0 means the paper's eight hours)")
@@ -86,9 +91,8 @@ func run(listen, checkpoint string, ckptEvery int64, ckptInterval, dedup, shardD
 	if err != nil {
 		return err
 	}
-	defer s.Close()
 	if checkpoint != "" {
-		err := s.RestoreCheckpointFile(checkpoint)
+		err := s.RestoreCheckpointDir(checkpoint)
 		switch {
 		case errors.Is(err, fs.ErrNotExist):
 			// First start: nothing to resume.

@@ -1,13 +1,15 @@
-// Package chaos is a fault-injecting http.RoundTripper for exercising
-// the dist layer's recovery machinery. Wrapped around a worker's HTTP
-// client it drops requests before they are sent, drops responses after
-// the server has processed them (the nastier half: the work happened,
-// the worker doesn't know), delays exchanges, duplicates deliveries,
-// and truncates or corrupts response bodies — every failure mode the
-// coordinator/worker protocol claims to survive. Faults fire from a
-// seeded RNG, so a failing chaos test replays exactly; injection shapes
-// wall-clock behavior and transport traffic only, never the bytes of a
-// completed run's results.
+// Package chaos injects faults for exercising the recovery machinery of
+// the dist layer and of everything that writes through its durable
+// path: Transport, a fault-injecting http.RoundTripper, and Disk, a
+// fault-injecting file system (disk.go). Wrapped around a worker's HTTP
+// client, Transport drops requests before they are sent, drops
+// responses after the server has processed them (the nastier half: the
+// work happened, the worker doesn't know), delays exchanges, duplicates
+// deliveries, and truncates or corrupts response bodies — every failure
+// mode the coordinator/worker protocol claims to survive. Its faults
+// fire from a seeded RNG, so a failing chaos test replays exactly;
+// injection shapes wall-clock behavior and transport traffic only,
+// never the bytes of a completed run's results.
 package chaos
 
 import (

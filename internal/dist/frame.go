@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"slices"
 
 	"filemig/internal/trace"
 )
@@ -66,8 +64,8 @@ func DecodeFrame(b []byte) ([]byte, error) {
 
 // NextFrame unwraps the first frame in b, verifying magic, length, and
 // checksum, and returns the bytes after it — the stream-element sibling
-// of DecodeFrame, for concatenated-frame files such as the migd
-// checkpoint. Both returned slices alias b.
+// of DecodeFrame, for concatenated frames such as a migd checkpoint
+// stripe entry. Both returned slices alias b.
 func NextFrame(b []byte) (payload, rest []byte, err error) {
 	if len(b) < len(frameMagic)+8 {
 		return nil, nil, fmt.Errorf("%w: %d bytes is shorter than any frame", ErrFrame, len(b))
@@ -89,27 +87,4 @@ func NextFrame(b []byte) (payload, rest []byte, err error) {
 		return nil, nil, fmt.Errorf("%w: payload crc 0x%08x != stored 0x%08x", ErrFrame, got, want)
 	}
 	return payload, body[n+4:], nil
-}
-
-// ReadFrame reads the next frame from r into buf, grown as needed, and
-// verifies it as NextFrame does. It reads no more than limit bytes, so
-// a damaged length field costs at most limit, and the frame is
-// reported truncated. It returns the frame — in buf's storage, for the
-// caller to pass back in as the next buf — and its payload, which
-// aliases it.
-func ReadFrame(r io.Reader, limit int64, buf []byte) (frame, payload []byte, err error) {
-	n := min(int64(frameHeadLen), limit)
-	buf = slices.Grow(buf[:0], int(n))[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return buf, nil, err
-	}
-	if n == int64(frameHeadLen) && string(buf[:len(frameMagic)]) == frameMagic {
-		whole := min(n+int64(binary.BigEndian.Uint32(buf[len(frameMagic):]))+4, limit)
-		buf = slices.Grow(buf, int(whole-n))[:whole]
-		if _, err := io.ReadFull(r, buf[n:]); err != nil {
-			return buf, nil, err
-		}
-	}
-	payload, _, err = NextFrame(buf)
-	return buf, payload, err
 }

@@ -2,9 +2,7 @@ package dist
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"strings"
 	"testing"
 )
 
@@ -42,41 +40,6 @@ func TestFrameRejectsDamage(t *testing.T) {
 	}
 	if _, err := DecodeFrame(append(bytes.Clone(enc), 0)); err == nil {
 		t.Error("trailing byte decoded cleanly")
-	}
-}
-
-// TestReadFrame walks concatenated frames the way a checkpoint file
-// holds them, and holds a frame whose length field outruns its source
-// to the limit: it is read that far and no further, and reported
-// truncated.
-func TestReadFrame(t *testing.T) {
-	payloads := [][]byte{[]byte("one"), nil, bytes.Repeat([]byte{7}, 300)}
-	var src []byte
-	for _, p := range payloads {
-		src = AppendFrame(src, p)
-	}
-	r := bytes.NewReader(src)
-	var buf []byte
-	for i, want := range payloads {
-		frame, got, err := ReadFrame(r, int64(r.Len()), buf)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("frame %d: payload %q, err %v; want %q", i, got, err, want)
-		}
-		buf = frame
-	}
-	if r.Len() != 0 {
-		t.Fatalf("%d bytes left after the frames", r.Len())
-	}
-
-	huge := EncodeFrame([]byte("short"))
-	binary.BigEndian.PutUint32(huge[len(frameMagic):], maxFramePayload)
-	frame, _, err := ReadFrame(bytes.NewReader(huge), int64(len(huge)), nil)
-	if !errors.Is(err, ErrFrame) || !strings.Contains(err.Error(), "truncated") || len(frame) != len(huge) {
-		t.Errorf("a length field past the source: read %d of %d bytes, err %v", len(frame), len(huge), err)
-	}
-	frame, _, err = ReadFrame(bytes.NewReader(src), 10, nil)
-	if !errors.Is(err, ErrFrame) || len(frame) != 10 {
-		t.Errorf("limit 10: read %d bytes, err %v", len(frame), err)
 	}
 }
 

@@ -11,12 +11,16 @@ import (
 
 // The coordinator's resumable journal: a directory holding one
 // plan-identity file plus one framed spool file per completed task.
-// Every result is spooled (write-to-temp, rename) before the task is
+// Every result is spooled through WriteFrameFile before the task is
 // marked done, so at any kill point the directory is a consistent
 // prefix of the truth: a restarted coordinator re-loads exactly the
 // completed set and finishes the remainder without re-running done
 // tasks. A torn or tampered spool file fails its frame check and is
 // treated as not-done — re-executed, never merged corrupt.
+//
+// WriteFileAtomic and ReadFrameFile are the module's one durable write
+// path and its verified read: migd's checkpoint directory
+// (internal/serve) is written and read through them too.
 
 // journalPlanFile records the run identity a journal belongs to.
 const journalPlanFile = "plan.json"
@@ -76,9 +80,9 @@ func openJournal(dir, kind, planHash string, numTasks int) (*journal, error) {
 // directory listings in task order.
 func spoolName(id int) string { return fmt.Sprintf("r%08d.frame", id) }
 
-// put spools one completed result durably (temp + rename).
+// put spools one completed result durably.
 func (j *journal) put(id int, payload []byte) error {
-	if err := WriteFileAtomic(filepath.Join(j.dir, spoolName(id)), writeBytes(EncodeFrame(payload))); err != nil {
+	if err := WriteFrameFile(filepath.Join(j.dir, spoolName(id)), payload); err != nil {
 		return fmt.Errorf("dist: journal: %w", err)
 	}
 	return nil
@@ -87,39 +91,61 @@ func (j *journal) put(id int, payload []byte) error {
 // get loads one spooled result, reporting ok=false when the task has
 // no valid spool entry (missing or failing its frame check).
 func (j *journal) get(id int) (payload []byte, ok bool) {
-	b, err := os.ReadFile(filepath.Join(j.dir, spoolName(id)))
-	if err != nil {
-		return nil, false
-	}
-	payload, err = DecodeFrame(b)
-	if err != nil {
-		return nil, false
-	}
-	return payload, true
+	payload, err := ReadFrameFile(filepath.Join(j.dir, spoolName(id)))
+	return payload, err == nil
 }
 
-// WriteFileAtomic writes a file through a uniquely named temporary
-// sibling and a rename: write fills the temporary, which replaces path
-// only once it is complete and closed, so a kill mid-write never leaves
-// a half-written file under the final name and two writers never share
-// a temporary. The temporary is removed on any failure. No fsync: the
-// rename is atomic against a process crash, not against power loss.
+// WriteFrameFile writes payload, wrapped in one wire frame, to path
+// through WriteFileAtomic.
+func WriteFrameFile(path string, payload []byte) error {
+	return WriteFileAtomic(path, writeBytes(EncodeFrame(payload)))
+}
+
+// ReadFrameFile reads the file at path and returns the payload of the
+// one wire frame it must hold, verified as DecodeFrame verifies it.
+// Every error names the file; a missing file's wraps fs.ErrNotExist.
+func ReadFrameFile(path string) ([]byte, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	payload, err := DecodeFrame(b)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return payload, nil
+}
+
+// WriteFileAtomic writes a file durably through a uniquely named
+// temporary sibling: write fills the temporary, which is fsynced,
+// closed and renamed over path, and then the directory is fsynced. A
+// kill at any step leaves either the previous file or the complete new
+// one under path, never a mix, and once WriteFileAtomic returns nil
+// the new one survives a power loss as far as the file system keeps
+// its fsync promises. Two writers never share a temporary; the
+// temporary is removed on a failure before the rename. Every step goes
+// through Disk.
 func WriteFileAtomic(path string, write func(io.Writer) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	dir := filepath.Dir(path)
+	tmp, err := Disk.CreateTemp(dir)
 	if err != nil {
 		return err
 	}
 	err = write(tmp)
+	if err == nil {
+		err = tmp.Sync()
+	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp.Name(), path)
+		err = Disk.Rename(tmp.Name(), path)
 	}
 	if err != nil {
 		os.Remove(tmp.Name()) // best effort; err is the failure to report
+		return err
 	}
-	return err
+	return Disk.SyncDir(dir)
 }
 
 // writeBytes is the WriteFileAtomic callback for contents already in
@@ -129,4 +155,48 @@ func writeBytes(b []byte) func(io.Writer) error {
 		_, err := w.Write(b)
 		return err
 	}
+}
+
+// Disk is the file system under the durable write path: the operating
+// system's, unless a test has put a fault-injecting one (dist/chaos's
+// Disk) in its place.
+var Disk FS = osFS{}
+
+// FS is what the durable write path asks of a file system: a fresh
+// temporary in a directory, a rename, a directory fsync and a removal.
+type FS interface {
+	CreateTemp(dir string) (TempFile, error)
+	Rename(from, to string) error
+	SyncDir(dir string) error
+	Remove(path string) error
+}
+
+// TempFile is a temporary being written: an *os.File, or a test's
+// wrapper around one. It is an alias of an unnamed interface so that a
+// fault-injecting FS can implement FS without importing this package.
+type TempFile = interface {
+	io.Writer
+	Sync() error
+	Close() error
+	Name() string
+}
+
+// osFS is the operating system's file system.
+type osFS struct{}
+
+// CreateTemp makes an owner-only (mode 0600) temporary in dir.
+func (osFS) CreateTemp(dir string) (TempFile, error) { return os.CreateTemp(dir, ".tmp-*") }
+
+func (osFS) Rename(from, to string) error { return os.Rename(from, to) }
+
+func (osFS) Remove(path string) error { return os.Remove(path) }
+
+// SyncDir fsyncs dir, making the renames and removals in it durable.
+func (osFS) SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err == nil {
+		err = d.Sync()
+		d.Close() // read-only: nothing for Close to report
+	}
+	return err
 }

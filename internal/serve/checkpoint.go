@@ -4,13 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
-	"slices"
+	"strings"
 	"time"
 
 	"filemig/internal/core"
@@ -19,54 +20,71 @@ import (
 	"filemig/internal/units"
 )
 
-// The migd checkpoint is a header line followed by one dist wire frame
-// per segment, in trace order. Each frame's payload is the segment's
-// record-time bounds (two signed varints of UnixNano — the s1 snapshot
-// does not carry error-record bounds, so the checkpoint does) followed
-// by the segment's s1 snapshot. The CRC on every frame means a torn or
-// bit-flipped checkpoint fails loudly at restore instead of resuming
-// from silently wrong state.
+// migd checkpoints each segment as one dist wire frame. The frame's
+// payload is the segment's record-time bounds (two signed varints of
+// UnixNano — the s1 snapshot does not carry error-record bounds, so the
+// checkpoint does) followed by the segment's s1 snapshot. The CRC on
+// every frame means a torn or bit-flipped checkpoint fails loudly at
+// restore instead of resuming from silently wrong state.
 //
-// The daemon keeps no frame in memory. The last checkpoint file it
-// wrote or restored stays open as its frame cache, and each segment
-// untouched since then remembers where its frame sits there: the next
-// checkpoint copies those bytes, CRC-checked, instead of re-serializing
-// the segment.
+// In memory (EncodeCheckpoint, RestoreCheckpoint) a checkpoint is the c1
+// form: CheckpointHeader, then every segment's frame in trace order. On
+// disk it is a directory: one entry file per time stripe (shard),
+// holding that stripe's frames in trace order, and a generation record
+// naming the live entries in stripe order — so the entries the record
+// lists, read in order after the header, are the c1 bytes. A checkpoint
+// writes an entry only for a stripe that ingested since its entry was
+// written, each under a name the record in place does not use, through
+// dist.WriteFileAtomic (temporary, fsync, rename, directory fsync);
+// then the record the same way; then it prunes the entries the record
+// does not name. Until the record's rename the previous record still
+// names a complete set of entries, so a crash at any step leaves the
+// previous checkpoint or the new one, never a mix.
 
-// CheckpointHeader opens every migd checkpoint file.
+// CheckpointHeader opens every in-memory (c1) migd checkpoint.
 const CheckpointHeader = "#migd-checkpoint c1\n"
 
-// frameLoc is where a segment's checkpoint frame sits in a checkpoint
-// file: its offset and length. The zero value locates nothing.
-type frameLoc struct{ off, n int64 }
+// generationFile is the generation record's name in the checkpoint
+// directory; generationVersion versions its layout.
+const (
+	generationFile    = "generation"
+	generationVersion = "g1"
+)
 
-// checkpointFile is a checkpoint being written and, once renamed into
-// place, the frame cache it is read back from — an *os.File.
-type checkpointFile interface {
-	io.ReaderAt
-	io.WriterAt
-	io.Closer
-	Name() string
+// entrySuffix ends every stripe entry's file name.
+const entrySuffix = ".frames"
+
+// generation is the generation record: this JSON inside one dist
+// frame.
+type generation struct {
+	Version string  `json:"version"`
+	Gen     int64   `json:"generation"`
+	Entries []entry `json:"entries"` // in stripe order
 }
 
-// cutFrame is one segment's place in a checkpoint being written.
-type cutFrame struct {
-	sg      *segment
-	records int64    // the segment's record count at the cut
-	from    frameLoc // its frame in the frame cache, to copy; zero when the cut encoded it
-	to      frameLoc // its frame in the new file
+// entry is one stripe's entry file in a generation record.
+type entry struct {
+	Stripe int64  `json:"stripe"`
+	File   string `json:"file"`
 }
 
-// checkpointCost is what one checkpoint wrote: the segments it
-// serialized, the frames it copied from the frame cache, and the file's
-// size.
+// entryName names stripe k's entry as checkpoint generation gen writes
+// it.
+func entryName(k, gen int64) string { return fmt.Sprintf("s%d-g%d%s", k, gen, entrySuffix) }
+
+// checkpointCost is what one checkpoint wrote: the stripe entries, the
+// segments serialized into them, and their bytes.
 type checkpointCost struct {
-	encoded, copied, bytes int64
+	stripes, encoded, bytes int64
 }
 
-// errStaleFrame reports a cached frame that failed its CRC on the way
-// to a new checkpoint; its segment has lost its cached location.
-var errStaleFrame = errors.New("a cached checkpoint frame failed its check")
+// written is a stripe entry a checkpoint wrote: the stripe, its file,
+// and the stripe's record count at the cut.
+type written struct {
+	sh      *shard
+	file    string
+	records int64
+}
 
 // frameEncoder serializes segments into checkpoint frames through one
 // codec and two reused buffers, so at most one segment's frame is held
@@ -93,62 +111,41 @@ func (e *frameEncoder) encode(p *core.Partial) ([]byte, error) {
 	return e.frame, nil
 }
 
-// cut writes a checkpoint's header and frames to w, walking the
-// segments in trace order under mu. When reserve is set, a segment
-// whose current frame is in the frame cache only has its frame's range
-// reserved through it, to be copied in once mu is released; every
-// other segment is encoded straight into w. It returns where each
-// frame lands and the count of records ingested since the last
-// checkpoint, as of this cut. The segments are left as they were.
-func (s *Server) cut(w io.Writer, reserve func(n int64) error) (frames []cutFrame, pending int64, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := io.WriteString(w, CheckpointHeader); err != nil {
-		return nil, 0, err
-	}
-	off := int64(len(CheckpointHeader))
-	enc := frameEncoder{codec: core.NewSegmentCodec(s.paths)}
-	segs := s.orderedSegments()
-	frames = make([]cutFrame, len(segs))
+// writeAll writes the frames of segs to w, one at a time, and returns
+// their length.
+func (e *frameEncoder) writeAll(w io.Writer, segs []*segment) (n int64, err error) {
 	for i, sg := range segs {
-		f := cutFrame{sg: sg, records: sg.p.Records()}
-		if reserve != nil && sg.frame.n > 0 {
-			f.from = sg.frame
-			err = reserve(f.from.n)
-			f.to = frameLoc{off, f.from.n}
-		} else {
-			var frame []byte
-			if frame, err = enc.encode(sg.p); err == nil {
-				_, err = w.Write(frame)
-			}
-			f.to = frameLoc{off, int64(len(frame))}
+		frame, err := e.encode(sg.p)
+		if err == nil {
+			_, err = w.Write(frame)
 		}
 		if err != nil {
-			return nil, 0, fmt.Errorf("segment %d: %w", i, err)
+			return n, fmt.Errorf("segment %d: %w", i, err)
 		}
-		off += f.to.n
-		frames[i] = f
+		n += int64(len(frame))
 	}
-	return frames, s.sinceCkpt.Load(), nil
+	return n, nil
 }
 
-// EncodeCheckpoint serializes the daemon's full segment state in the
-// checkpoint format, encoding every segment.
+// EncodeCheckpoint serializes the daemon's full segment state in the c1
+// checkpoint form, encoding every segment.
 func (s *Server) EncodeCheckpoint() ([]byte, error) {
-	var out bytes.Buffer
-	if _, _, err := s.cut(&out, nil); err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := bytes.NewBufferString(CheckpointHeader)
+	enc := frameEncoder{codec: core.NewSegmentCodec(s.paths)}
+	if _, err := enc.writeAll(out, s.orderedSegments()); err != nil {
 		return nil, fmt.Errorf("serve: checkpoint %w", err)
 	}
 	return out.Bytes(), nil
 }
 
-// Checkpoint writes the daemon's state to Config.CheckpointPath,
-// atomically: the frames go into a temporary sibling first, which is
-// renamed over the target, so a crash mid-write leaves the previous
-// checkpoint intact. Checkpoints are serialised — cut, copy, rename and
-// the pending-record count all happen under one mutex — so a call that
-// finds another in flight waits for it and then takes its own; ingest
-// is stalled only for the cut.
+// Checkpoint writes the daemon's state to the directory
+// Config.CheckpointPath, creating it if need be: the entries of the
+// stripes that ingested since the last checkpoint, then the generation
+// record, then the prune. Checkpoints are serialised — a call that
+// finds another in flight waits for it and then takes its own — and
+// ingest is stalled only while the stripe entries are written.
 func (s *Server) Checkpoint() error {
 	_, err := s.checkpoint()
 	return err
@@ -164,147 +161,136 @@ func (s *Server) checkpoint() (checkpointCost, error) {
 	return s.checkpointLocked()
 }
 
-// checkpointLocked is checkpoint with ckptMu already held. A cached
-// frame that fails its CRC on the way over costs its segment the cached
-// location and the checkpoint one more pass, which encodes it.
+// checkpointLocked is checkpoint with ckptMu already held. A stripe
+// learns its new entry only once the record naming it is in place, so a
+// failed checkpoint leaves every stripe it did not commit to be written
+// again by the next.
 func (s *Server) checkpointLocked() (checkpointCost, error) {
-	for {
-		cost, err := s.writeCheckpoint()
-		if errors.Is(err, errStaleFrame) {
-			s.logf("serve: checkpoint: %v; writing it again", err)
-			continue
-		}
-		if err != nil {
-			return cost, fmt.Errorf("serve: checkpoint: %w", err)
-		}
-		return cost, nil
+	dir := s.cfg.CheckpointPath
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return checkpointCost{}, fmt.Errorf("serve: checkpoint: %w", err)
 	}
-}
-
-// writeCheckpoint makes one attempt at a checkpoint: the cut encodes
-// into a fresh temporary and reserves the cached frames' ranges, the
-// cached frames are copied in once mu is released, and the temporary is
-// renamed into place and kept open as the new frame cache. Only then do
-// the segments learn where their frames now sit — all but those that
-// ingested since the cut — so a failed attempt leaves the previous file
-// and every location in it usable.
-func (s *Server) writeCheckpoint() (cost checkpointCost, err error) {
-	tmp, err := s.createTemp(filepath.Dir(s.cfg.CheckpointPath))
-	if err != nil {
-		return cost, err
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name()) // best effort; err is the failure to report
-		}
-	}()
-	out := io.NewOffsetWriter(tmp, 0)
-	w := bufio.NewWriterSize(out, 1<<16)
-	var reserve func(int64) error
-	if s.cache != nil {
-		reserve = func(n int64) error {
-			if err := w.Flush(); err != nil {
-				return err
-			}
-			_, err := out.Seek(n, io.SeekCurrent)
-			return err
-		}
-	}
-	frames, pending, err := s.cut(w, reserve)
+	// The generation is one past the record in place, so no entry that
+	// record names is ever overwritten. Without a readable record, the
+	// entries it named may be gone with it (the directory emptied under
+	// the daemon): every stripe is written.
+	disk, err := readGeneration(dir)
+	rec, wrote, pending, cost, err := s.writeStripes(dir, disk.Gen+1, err != nil)
 	if err == nil {
-		err = w.Flush()
-	}
-	if err == nil {
-		err = s.copyFrames(tmp, frames)
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), s.cfg.CheckpointPath)
+		err = writeGeneration(dir, rec)
 	}
 	if err != nil {
-		return cost, err
+		return cost, fmt.Errorf("serve: checkpoint: %w", err)
 	}
-
-	cost.bytes = int64(len(CheckpointHeader))
-	s.mu.Lock()
-	for _, f := range frames {
-		if f.sg.p.Records() == f.records {
-			f.sg.frame = f.to
-		}
-		if f.from.n > 0 {
-			cost.copied++
-		} else {
-			cost.encoded++
-		}
-		cost.bytes += f.to.n
+	for _, w := range wrote {
+		w.sh.entry, w.sh.saved = w.file, w.records
 	}
-	s.mu.Unlock()
-	if s.cache != nil {
-		s.cache.Close()
-	}
-	s.cache = tmp
+	s.prune(dir, rec)
 	s.checkpoints.Add(1)
 	s.sinceCkpt.Add(-pending)
 	return cost, nil
 }
 
-// copyFrames copies every reserved frame from the frame cache into its
-// range of dst, one frame in memory at a time, checking each frame's
-// CRC on the way; frames that land back to back share one buffered
-// write. A frame that fails is never written: its segment loses its
-// cached location — the next cut encodes it — and once the rest are
-// checked copyFrames reports errStaleFrame.
-func (s *Server) copyFrames(dst io.WriterAt, frames []cutFrame) error {
-	out := bufio.NewWriterSize(nil, 1<<16)
-	outAt := int64(-1) // where the buffered writes stand in dst
-	var frame []byte
-	var stale []*segment
-	for _, f := range frames {
-		if f.from.n == 0 {
-			continue
-		}
-		frame = slices.Grow(frame[:0], int(f.from.n))[:f.from.n]
-		_, err := s.cache.ReadAt(frame, f.from.off)
-		if err == nil {
-			_, err = dist.DecodeFrame(frame)
-		}
-		if err != nil {
-			stale = append(stale, f.sg)
-			continue
-		}
-		if len(stale) > 0 {
-			continue
-		}
-		if f.to.off != outAt {
-			if err := out.Flush(); err != nil {
-				return err
-			}
-			out.Reset(io.NewOffsetWriter(dst, f.to.off))
-		}
-		if _, err := out.Write(frame); err != nil {
-			return err
-		}
-		outAt = f.to.off + f.to.n
-	}
-	if len(stale) == 0 {
-		return out.Flush()
-	}
+// writeStripes writes, under mu, the entry of every stripe that
+// ingested since its entry was written — of every stripe, when all is
+// set — streaming one segment's frame at a time. It returns generation
+// gen's record naming each stripe's entry, the entries written, and the
+// count of records ingested since the last checkpoint, as of this cut.
+func (s *Server) writeStripes(dir string, gen int64, all bool) (rec generation, wrote []written, pending int64, cost checkpointCost, err error) {
 	s.mu.Lock()
-	for _, sg := range stale {
-		sg.frame = frameLoc{}
+	defer s.mu.Unlock()
+	rec = generation{Version: generationVersion, Gen: gen}
+	enc := frameEncoder{codec: core.NewSegmentCodec(s.paths)}
+	out := bufio.NewWriterSize(nil, 1<<16)
+	for _, k := range s.stripeKeys() {
+		sh := s.shards[k]
+		e := entry{Stripe: k, File: sh.entry}
+		if all || e.File == "" || sh.records != sh.saved {
+			e.File = entryName(k, gen)
+			err = dist.WriteFileAtomic(filepath.Join(dir, e.File), func(w io.Writer) error {
+				out.Reset(w)
+				segs := sh.sortSegments()
+				n, err := enc.writeAll(out, segs)
+				cost.encoded += int64(len(segs))
+				cost.bytes += n
+				if err != nil {
+					return err
+				}
+				return out.Flush()
+			})
+			if err != nil {
+				return rec, nil, 0, cost, fmt.Errorf("stripe %d: %w", k, err)
+			}
+			wrote = append(wrote, written{sh, e.File, sh.records})
+			cost.stripes++
+		}
+		rec.Entries = append(rec.Entries, e)
 	}
-	s.mu.Unlock()
-	return fmt.Errorf("%w (%d of them)", errStaleFrame, len(stale))
+	return rec, wrote, s.sinceCkpt.Load(), cost, nil
+}
+
+// readGeneration reads and checks the generation record in dir. Every
+// error names the file; a missing record's wraps fs.ErrNotExist.
+func readGeneration(dir string) (rec generation, err error) {
+	path := filepath.Join(dir, generationFile)
+	raw, err := dist.ReadFrameFile(path)
+	if err != nil {
+		return rec, err
+	}
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		return rec, fmt.Errorf("%s: %w", path, err)
+	}
+	if rec.Version != generationVersion {
+		return rec, fmt.Errorf("%s: unknown generation version %q (want %q)", path, rec.Version, generationVersion)
+	}
+	for i, e := range rec.Entries {
+		if filepath.Base(e.File) != e.File || i > 0 && e.Stripe <= rec.Entries[i-1].Stripe {
+			return rec, fmt.Errorf("%s: entry %d (%q, stripe %d) is not a file of the directory in stripe order", path, i, e.File, e.Stripe)
+		}
+	}
+	return rec, nil
+}
+
+// writeGeneration writes rec as the directory's generation record.
+func writeGeneration(dir string, rec generation) error {
+	b, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	return dist.WriteFrameFile(filepath.Join(dir, generationFile), b)
+}
+
+// prune removes the entry files rec does not name: those it replaced,
+// and those a failed or interrupted checkpoint left. A failure is
+// logged, not returned — the record is already in place, and the next
+// checkpoint prunes again.
+func (s *Server) prune(dir string, rec generation) {
+	live := make(map[string]bool, len(rec.Entries))
+	for _, e := range rec.Entries {
+		live[e.File] = true
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		s.logf("serve: checkpoint prune: %v", err)
+		return
+	}
+	for _, de := range ents {
+		if name := de.Name(); strings.HasSuffix(name, entrySuffix) && !live[name] {
+			if err := dist.Disk.Remove(filepath.Join(dir, name)); err != nil {
+				s.logf("serve: checkpoint prune: %v", err)
+			}
+		}
+	}
 }
 
 // CheckpointIfChanged is Checkpoint for the callers with nothing new to
 // say — a wall-clock tick, a shutdown: it skips the write, reporting
 // false, when no record has been ingested since the last successful
-// checkpoint (or the restore) and the checkpoint file is still in
+// checkpoint (or the restore) and the generation record is still in
 // place.
 func (s *Server) CheckpointIfChanged() (wrote bool, err error) {
 	if s.sinceCkpt.Load() == 0 {
-		if _, err := os.Stat(s.cfg.CheckpointPath); err == nil {
+		if _, err := os.Stat(filepath.Join(s.cfg.CheckpointPath, generationFile)); err == nil {
 			return false, nil
 		}
 	}
@@ -336,72 +322,105 @@ func (s *Server) maybeCheckpoint() {
 	}
 }
 
-// RestoreCheckpoint loads a checkpoint held in memory into an empty
-// server; see RestoreCheckpointFile.
-func (s *Server) RestoreCheckpoint(data []byte) error {
-	return s.restore(bytes.NewReader(data), int64(len(data)), nil)
+// restorer decodes checkpoint frames into segments over a fresh path
+// table.
+type restorer struct {
+	paths *trace.Interner
+	codec *core.SegmentCodec
+	segs  []*segment
 }
 
-// RestoreCheckpointFile loads the checkpoint file at path into an empty
-// server, reading it one frame at a time, and keeps the file open as
-// the frame cache: until a segment ingests, the next checkpoint copies
-// its frame from there. Close releases the file.
+func newRestorer() *restorer {
+	paths := trace.NewFileTable()
+	return &restorer{paths: paths, codec: core.NewSegmentCodec(paths)}
+}
+
+// frames decodes every frame in data into a segment.
+func (r *restorer) frames(data []byte) error {
+	for i := 0; len(data) > 0; i++ {
+		payload, rest, err := dist.NextFrame(data)
+		if err != nil {
+			return fmt.Errorf("segment %d: %w", i, err)
+		}
+		p, err := decodeSegment(r.codec, payload)
+		if err != nil {
+			return fmt.Errorf("segment %d: %w", i, err)
+		}
+		r.segs = append(r.segs, &segment{p: p})
+		data = rest
+	}
+	return nil
+}
+
+// RestoreCheckpoint loads a c1 checkpoint held in memory into an empty
+// server; see RestoreCheckpointDir. Every restored stripe is written at
+// the next checkpoint.
+func (s *Server) RestoreCheckpoint(data []byte) error {
+	if !bytes.HasPrefix(data, []byte(CheckpointHeader)) {
+		return errors.New("serve: not a migd checkpoint (bad header)")
+	}
+	r := newRestorer()
+	if err := r.frames(data[len(CheckpointHeader):]); err != nil {
+		return fmt.Errorf("serve: restore %w", err)
+	}
+	return s.install(r, nil)
+}
+
+// RestoreCheckpointDir loads the checkpoint directory at dir into an
+// empty server: the generation record, then each entry it names, read
+// whole and decoded frame by frame. A missing directory, or one without
+// a record, is an error wrapping fs.ErrNotExist — a first start.
+// Anything else that fails — a file at dir, an unknown record version,
+// a damaged entry — is an error naming the file, and installs nothing.
 //
 // Each frame's s1 snapshot decodes straight into a journal-only
 // segment — validated exactly as loading a snapshot validates it,
 // nothing replayed — over a fresh path table, and one pass over the
-// journals rebuilds the live per-file rows; only when every frame has
-// decoded is any of it installed, so a damaged checkpoint leaves the
-// server as it was. The restored daemon's report is byte-identical to
-// the pre-restart daemon's, and ingest continues from where the
-// checkpoint was cut.
-func (s *Server) RestoreCheckpointFile(path string) error {
-	f, err := os.Open(path)
+// journals rebuilds the live per-file rows. The restored daemon's
+// report is byte-identical to the pre-restart daemon's, ingest
+// continues from where the checkpoint was cut, and, unless the daemon
+// restarted at another stripe width, each stripe keeps its entry: the
+// next checkpoint writes only the stripes that ingest since.
+func (s *Server) RestoreCheckpointDir(dir string) error {
+	if fi, err := os.Stat(dir); err == nil && !fi.IsDir() {
+		return fmt.Errorf("serve: restore %s: not a checkpoint directory (a c1 checkpoint file?)", dir)
+	}
+	rec, err := readGeneration(dir)
 	if err != nil {
-		return err
+		return fmt.Errorf("serve: restore: %w", err)
 	}
-	fi, err := f.Stat()
-	if err == nil {
-		err = s.restore(f, fi.Size(), f)
+	r := newRestorer()
+	keep := true
+	for _, e := range rec.Entries {
+		path := filepath.Join(dir, e.File)
+		from := len(r.segs)
+		data, err := os.ReadFile(path)
+		if err == nil {
+			err = r.frames(data)
+		}
+		if err != nil {
+			return fmt.Errorf("serve: restore %s: %w", path, err)
+		}
+		for _, sg := range r.segs[from:] {
+			first, _ := sg.p.Bounds()
+			keep = keep && s.shardKey(first) == e.Stripe
+		}
 	}
-	if err != nil {
-		f.Close()
+	// The entries stay the stripes' only while every segment falls in
+	// its entry's stripe: not when the daemon restarted at another
+	// stripe width.
+	if !keep {
+		rec.Entries = nil
 	}
-	return err
+	return s.install(r, rec.Entries)
 }
 
-// restore loads the checkpoint in the first size bytes of src; when
-// cache is set, src is that file, and it becomes the frame cache.
-func (s *Server) restore(src io.ReaderAt, size int64, cache checkpointFile) error {
-	head := make([]byte, len(CheckpointHeader))
-	if _, err := src.ReadAt(head, 0); err != nil || string(head) != CheckpointHeader {
-		return errors.New("serve: not a migd checkpoint (bad header)")
-	}
-	paths := trace.NewFileTable()
-	codec := core.NewSegmentCodec(paths)
-	var segs []*segment
-	var buf []byte
-	off := int64(len(head))
-	in := bufio.NewReaderSize(io.NewSectionReader(src, off, size-off), 1<<16)
-	for i := 0; off < size; i++ {
-		frame, payload, err := dist.ReadFrame(in, size-off, buf)
-		if err != nil {
-			return fmt.Errorf("serve: restore segment %d: %w", i, err)
-		}
-		p, err := decodeSegment(codec, payload)
-		if err != nil {
-			return fmt.Errorf("serve: restore segment %d: %w", i, err)
-		}
-		sg := &segment{p: p}
-		if cache != nil {
-			sg.frame = frameLoc{off, int64(len(frame))}
-		}
-		segs = append(segs, sg)
-		off += int64(len(frame))
-		buf = frame
-	}
-	files := make([]fileRow, paths.Len())
-	for _, sg := range segs {
+// install rebuilds the per-file rows from r's segments and, unless the
+// server already holds state, installs them; each of entries becomes
+// its stripe's current entry.
+func (s *Server) install(r *restorer, entries []entry) error {
+	files := make([]fileRow, r.paths.Len())
+	for _, sg := range r.segs {
 		sg.p.VisitRefs(func(id trace.FileID, op trace.Op, start time.Time, size units.Bytes) {
 			files[id].observe(op, start.UnixNano(), size)
 		})
@@ -416,37 +435,24 @@ func (s *Server) restore(src io.ReaderAt, size int64, cache checkpointFile) erro
 	if s.records.Load() != 0 || s.paths.Len() != 0 {
 		return errors.New("serve: restore into a non-empty server")
 	}
-	s.paths, s.files = paths, files
-	for _, sg := range segs {
+	s.paths, s.files = r.paths, files
+	for _, sg := range r.segs {
 		sg.seq = s.segSeq.Add(1)
 		first, _ := sg.p.Bounds()
 		sh := s.getShard(s.shardKey(first))
 		sh.segs = append(sh.segs, sg)
 		sh.noteBounds(sg)
+		sh.records += sg.p.Records()
 		s.segCount.Add(1)
 		s.records.Add(sg.p.Records())
 		s.errRecords.Add(sg.p.Errors())
 	}
-	if cache != nil {
-		if s.cache != nil {
-			s.cache.Close()
+	for _, e := range entries {
+		if sh := s.shards[e.Stripe]; sh != nil {
+			sh.entry, sh.saved = e.File, sh.records
 		}
-		s.cache = cache
 	}
 	return nil
-}
-
-// Close releases the frame cache. A checkpoint after Close encodes
-// every segment.
-func (s *Server) Close() error {
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
-	if s.cache == nil {
-		return nil
-	}
-	err := s.cache.Close()
-	s.cache = nil
-	return err
 }
 
 // decodeSegment rebuilds one segment from a checkpoint frame payload.
@@ -481,8 +487,8 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, map[string]int64{
 		"segments":    s.segCount.Load(),
 		"checkpoints": s.checkpoints.Load(),
+		"stripes":     cost.stripes,
 		"encoded":     cost.encoded,
-		"copied":      cost.copied,
 		"bytes":       cost.bytes,
 	})
 }

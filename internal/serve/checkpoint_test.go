@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,18 +12,19 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"filemig/internal/core"
+	"filemig/internal/dist"
+	"filemig/internal/dist/chaos"
 	"filemig/internal/trace"
 	"filemig/internal/workload"
 )
 
 // ckptDaemon ingests every goldenOrder batch of the daemon fixture but
-// the last into a daemon that checkpoints to a file of its own, and
-// returns it with the batch it held back.
+// the last into a daemon that checkpoints to a directory of its own,
+// and returns it with the batch it held back, which lands in one stripe.
 func ckptDaemon(t *testing.T) (*Server, []trace.Record) {
 	t.Helper()
 	res := daemonFixture(t)
@@ -35,7 +37,6 @@ func ckptDaemon(t *testing.T) (*Server, []trace.Record) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
 	batches := goldenOrder(res.Records)
 	for _, b := range batches[:len(batches)-1] {
 		s.Ingest(b)
@@ -43,43 +44,63 @@ func ckptDaemon(t *testing.T) (*Server, []trace.Record) {
 	return s, batches[len(batches)-1]
 }
 
-// cachedFrames returns every segment's frame location, in trace order.
-func cachedFrames(s *Server) []frameLoc {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var locs []frameLoc
-	for _, sg := range s.orderedSegments() {
-		locs = append(locs, sg.frame)
-	}
-	return locs
-}
-
-// uncached counts the locations that name no frame.
-func uncached(locs []frameLoc) (n int64) {
-	for _, l := range locs {
-		if l.n == 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// sameAsEncoded fails the test unless the checkpoint file holds exactly
-// what EncodeCheckpoint serializes from the daemon's state afresh.
-func sameAsEncoded(t *testing.T, s *Server) []byte {
+// dirCheckpoint returns the c1 bytes a checkpoint directory holds:
+// the header, then the entries its generation record lists, in order.
+func dirCheckpoint(t testing.TB, dir string) []byte {
 	t.Helper()
-	data, err := os.ReadFile(s.cfg.CheckpointPath)
+	rec, err := readGeneration(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := []byte(CheckpointHeader)
+	for _, e := range rec.Entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b...)
+	}
+	return out
+}
+
+// sameAsEncoded fails the test unless the checkpoint directory holds
+// exactly what EncodeCheckpoint serializes from the daemon's state
+// afresh, and nothing but the record and the entries it names.
+func sameAsEncoded(t *testing.T, s *Server) {
+	t.Helper()
 	want, err := s.EncodeCheckpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(data, want) {
-		t.Fatalf("checkpoint file (%d bytes) differs from a full EncodeCheckpoint (%d bytes)", len(data), len(want))
+	if got := dirCheckpoint(t, s.cfg.CheckpointPath); !bytes.Equal(got, want) {
+		t.Fatalf("checkpoint directory (%d bytes) differs from a full EncodeCheckpoint (%d bytes)", len(got), len(want))
 	}
-	return data
+	rec, _ := readGeneration(s.cfg.CheckpointPath)
+	if names, n := dirNames(t, s.cfg.CheckpointPath), len(rec.Entries)+1; len(names) != n {
+		t.Fatalf("checkpoint directory holds %q, want the record and its %d entries", names, n-1)
+	}
+}
+
+// dirNames lists a directory.
+func dirNames(t testing.TB, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// useDisk puts d under the durable write path for the rest of the test.
+func useDisk(t *testing.T, d dist.FS) {
+	t.Helper()
+	prev := dist.Disk
+	dist.Disk = d
+	t.Cleanup(func() { dist.Disk = prev })
 }
 
 // heapInUse is the Go heap after a forced collection; the second one
@@ -94,8 +115,8 @@ func heapInUse() int64 {
 
 // TestCheckpointHoldsNoFrames is the daemon's heap guard: a checkpoint
 // leaves nothing on the heap — no frame of it stays in memory — and a
-// daemon restored from the file holds its state and no more, as near as
-// 5 % of the checkpoint's size.
+// daemon restored from the directory holds its state and no more, as
+// near as 5 % of the checkpoint's size.
 func TestCheckpointHoldsNoFrames(t *testing.T) {
 	res := canonicalWorkload(t, workload.DefaultConfig(0.02, 1993))
 	cfg := Config{
@@ -109,7 +130,6 @@ func TestCheckpointHoldsNoFrames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
 		for _, b := range goldenOrder(res.Records) {
 			s.Ingest(b)
 		}
@@ -119,8 +139,8 @@ func TestCheckpointHoldsNoFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 		afterCkpt := heapInUse()
-		t.Logf("%d segments, checkpoint %d bytes; heap %d → %d across the checkpoint",
-			cost.encoded, cost.bytes, state, afterCkpt)
+		t.Logf("%d segments in %d stripes, checkpoint %d bytes; heap %d → %d across the checkpoint",
+			cost.encoded, cost.stripes, cost.bytes, state, afterCkpt)
 		if grew := afterCkpt - state; grew >= cost.bytes/20 {
 			t.Errorf("a checkpoint left %d bytes on the heap, want < %d (5%% of its %d bytes)", grew, cost.bytes/20, cost.bytes)
 		}
@@ -131,286 +151,365 @@ func TestCheckpointHoldsNoFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	if err := r.RestoreCheckpointFile(cfg.CheckpointPath); err != nil {
+	if err := r.RestoreCheckpointDir(cfg.CheckpointPath); err != nil {
 		t.Fatal(err)
 	}
 	restored := heapInUse()
 	t.Logf("heap %d with the restored daemon in place of the writer", restored)
 	if grew := restored - state; grew >= cost.bytes/20 {
-		t.Errorf("the restored daemon holds %d bytes more than the one that wrote the file, want < %d", grew, cost.bytes/20)
+		t.Errorf("the restored daemon holds %d bytes more than the one that wrote the directory, want < %d", grew, cost.bytes/20)
 	}
 	if got := r.StatsNow(); got.Records != want.Records || got.Segments != want.Segments {
 		t.Fatalf("restored %+v, want %+v", got, want)
 	}
 }
 
-// TestCheckpointEncodesOnlyDirty: after one more batch, a checkpoint
-// serializes only the segments that batch touched, copies the rest
-// from the previous file, answers POST /v1/checkpoint with that cost,
-// and writes the bytes a full encoding writes.
+// snapshotDir reads every file of dir.
+func snapshotDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for _, name := range dirNames(t, dir) {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = string(b)
+	}
+	return out
+}
+
+// TestCheckpointEncodesOnlyDirty: after one batch that lands in one
+// stripe, a checkpoint encodes that stripe's segments alone and writes
+// its entry and the generation record — the only two renames — prunes
+// the entry it replaced, leaves every other entry file as it was,
+// answers POST /v1/checkpoint with that cost, and the directory still
+// holds the bytes a full encoding writes.
 func TestCheckpointEncodesOnlyDirty(t *testing.T) {
 	s, last := ckptDaemon(t)
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if n := uncached(cachedFrames(s)); n != 0 {
-		t.Fatalf("%d segments left uncached by a checkpoint", n)
+	dir := s.cfg.CheckpointPath
+	before := snapshotDir(t, dir)
+	k := s.shardKey(last[0].Start)
+	for _, r := range last {
+		if s.shardKey(r.Start) != k {
+			t.Fatal("fixture: the held-back batch spans two stripes")
+		}
 	}
 	s.Ingest(last)
-	locs := cachedFrames(s)
-	dirty := uncached(locs)
-	if dirty == 0 || dirty == int64(len(locs)) {
-		t.Fatalf("fixture: the held-back batch touched %d of %d segments", dirty, len(locs))
-	}
 
+	disk := &chaos.Disk{}
+	useDisk(t, disk)
 	w := httptest.NewRecorder()
 	s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/checkpoint", nil))
 	var got map[string]int64
 	if err := json.Unmarshal(w.Body.Bytes(), &got); w.Code != http.StatusOK || err != nil {
 		t.Fatalf("POST /v1/checkpoint: %d %s (%v)", w.Code, w.Body, err)
 	}
-	data := sameAsEncoded(t, s)
+	var renamed []string
+	for _, step := range disk.Steps {
+		if name, ok := strings.CutPrefix(step, "rename "); ok {
+			renamed = append(renamed, name)
+		}
+	}
+	entry := entryName(k, 2)
+	if !slices.Equal(renamed, []string{entry, generationFile}) {
+		t.Fatalf("the checkpoint renamed %q into place, want %q and the record", renamed, entry)
+	}
+	after := snapshotDir(t, dir)
+	for name, was := range before {
+		now, ok := after[name]
+		switch {
+		case name == generationFile:
+		case name == entryName(k, 1):
+			if ok {
+				t.Errorf("the replaced entry %s was not pruned", name)
+			}
+		case !ok || now != was:
+			t.Errorf("entry %s changed though its stripe ingested nothing", name)
+		}
+	}
+	s.mu.Lock()
+	segs := int64(len(s.shards[k].segs))
+	s.mu.Unlock()
 	want := map[string]int64{
-		"segments":    int64(len(locs)),
+		"segments":    s.StatsNow().Segments,
 		"checkpoints": 2,
-		"encoded":     dirty,
-		"copied":      int64(len(locs)) - dirty,
-		"bytes":       int64(len(data)),
+		"stripes":     1,
+		"encoded":     segs,
+		"bytes":       int64(len(after[entry])),
 	}
 	for k, v := range want {
 		if got[k] != v {
 			t.Errorf("POST /v1/checkpoint: %s = %d, want %d (%s)", k, got[k], v, w.Body)
 		}
 	}
+	sameAsEncoded(t, s)
 }
 
 // TestRestoredCheckpointCopiesEverything: a daemon restored from a
-// checkpoint file holds every frame's place in it, so its first
-// checkpoint encodes nothing and writes the file it restored.
+// checkpoint directory takes every stripe's entry over with the
+// stripe, so its first checkpoint writes no entry — the generation
+// record alone — and the directory holds the same bytes. Restored at
+// another stripe width, it writes every stripe afresh.
 func TestRestoredCheckpointCopiesEverything(t *testing.T) {
 	s, _ := ckptDaemon(t)
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	orig, err := os.ReadFile(s.cfg.CheckpointPath)
+	orig := dirCheckpoint(t, s.cfg.CheckpointPath)
+	r, err := NewServer(s.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := s.cfg
-	cfg.CheckpointPath = filepath.Join(t.TempDir(), "again.ckpt")
-	r, err := NewServer(cfg)
-	if err != nil {
+	if err := r.RestoreCheckpointDir(s.cfg.CheckpointPath); err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	if err := r.RestoreCheckpointFile(s.cfg.CheckpointPath); err != nil {
-		t.Fatal(err)
-	}
+	disk := &chaos.Disk{}
+	useDisk(t, disk)
 	cost, err := r.checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if segs := r.StatsNow().Segments; cost.encoded != 0 || cost.copied != segs {
-		t.Errorf("restored daemon's first checkpoint encoded %d and copied %d of %d segments, want 0 and all",
-			cost.encoded, cost.copied, segs)
+	if cost.stripes != 0 || cost.encoded != 0 {
+		t.Errorf("restored daemon's first checkpoint wrote %d stripes (%d segments), want none", cost.stripes, cost.encoded)
 	}
-	if data := sameAsEncoded(t, r); !bytes.Equal(data, orig) {
-		t.Error("restored daemon's first checkpoint differs from the file it restored")
+	if steps := disk.Steps; len(steps) != 4 || steps[2] != "rename "+generationFile {
+		t.Errorf("restored daemon's first checkpoint took steps %q, want the record's four", steps)
 	}
+	sameAsEncoded(t, r)
+	if !bytes.Equal(dirCheckpoint(t, s.cfg.CheckpointPath), orig) {
+		t.Error("restored daemon's first checkpoint changed the checkpoint")
+	}
+
+	cfg := s.cfg
+	cfg.ShardDuration = 7 * 24 * time.Hour
+	wide, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wide.RestoreCheckpointDir(cfg.CheckpointPath); err != nil {
+		t.Fatal(err)
+	}
+	if cost, err = wide.checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if n := wide.StatsNow().Shards; cost.stripes != n {
+		t.Errorf("restored at another stripe width, the first checkpoint wrote %d of %d stripes, want all", cost.stripes, n)
+	}
+	sameAsEncoded(t, wide)
 }
 
-// faultFile is a checkpoint file that fails every write once failAfter
-// bytes have been written (never, when it is negative), and runs hook
-// before each read — once it is the frame cache, that is during a
-// checkpoint's copy, after the cut released mu.
-type faultFile struct {
-	*os.File
-	failAfter int64
-	written   int64
-	hook      func()
-}
-
-var errInjected = errors.New("injected write fault")
-
-func (f *faultFile) WriteAt(b []byte, off int64) (int, error) {
-	if f.failAfter >= 0 && f.written+int64(len(b)) > f.failAfter {
-		n, _ := f.File.WriteAt(b[:f.failAfter-f.written], off)
-		f.written += int64(n)
-		return n, errInjected
-	}
-	n, err := f.File.WriteAt(b, off)
-	f.written += int64(n)
-	return n, err
-}
-
-func (f *faultFile) ReadAt(b []byte, off int64) (int, error) {
-	if f.hook != nil {
-		f.hook()
-	}
-	return f.File.ReadAt(b, off)
-}
-
-// withTemp makes the daemon's checkpoint temporaries faultFiles built
-// by mk from the real file.
-func withTemp(s *Server, mk func(*os.File) *faultFile) {
-	s.createTemp = func(dir string) (checkpointFile, error) {
-		f, err := os.CreateTemp(dir, ".tmp-*")
-		if err != nil {
-			return nil, err
-		}
-		return mk(f), nil
-	}
-}
-
-// TestCheckpointFaultWrite: a checkpoint whose file write fails after k
-// bytes — in the cut's encoding or in the copy — leaves the previous
-// file, the frame cache and every cached location as they were, and no
-// temporary behind; the next checkpoint still copies every clean frame
-// and writes the bytes a full encoding writes.
+// TestCheckpointFaultWrite is the checkpoint write's cut-point matrix,
+// through the one seam under the durable write path (dist.Disk). From a
+// checkpointed daemon, two batches land in two stripes; the next
+// checkpoint is faulted at each of its steps in turn — each stripe
+// entry's write, fsync, rename and directory fsync, the same four of
+// the generation record, and the prune's removals — by a short write,
+// by ENOSPC, and by a stop right after the step. After each, a fresh
+// daemon restored from the directory (from its crash image, for a
+// stop) renders either the old report or the new one, and the daemon
+// that took the fault checkpoints cleanly on the next try.
 func TestCheckpointFaultWrite(t *testing.T) {
-	s, last := ckptDaemon(t)
+	base, last := ckptDaemon(t)
+	if err := base.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	oldDir := base.cfg.CheckpointPath
+	first := goldenOrder(daemonFixture(t).Records)[0][:1]
+	restore := func(dir string) (*Server, error) {
+		cfg := base.cfg
+		cfg.CheckpointPath = dir
+		s, err := NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, s.RestoreCheckpointDir(dir)
+	}
+	report := func(s *Server) string {
+		r, err := s.Report()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	// advance restores a copy of the old checkpoint and ingests the two
+	// batches: the daemon whose checkpoint the matrix faults.
+	advance := func() *Server {
+		dir := t.TempDir()
+		if err := os.CopyFS(dir, os.DirFS(oldDir)); err != nil {
+			t.Fatal(err)
+		}
+		s, err := restore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Ingest(last)
+		s.Ingest(first)
+		return s
+	}
+	oldReport := report(base)
+	clean := &chaos.Disk{}
+	useDisk(t, clean)
+	s := advance()
+	newReport := report(s)
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	prev, err := os.ReadFile(s.cfg.CheckpointPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Ingest(last)
-	locs := cachedFrames(s)
-	size := int64(len(prev))
-	for _, k := range []int64{0, int64(len(CheckpointHeader)) + 7, size / 3, size - 1} {
-		withTemp(s, func(f *os.File) *faultFile { return &faultFile{File: f, failAfter: k} })
-		if err := s.Checkpoint(); !errors.Is(err, errInjected) {
-			t.Fatalf("k=%d: checkpoint error %v, want the injected fault", k, err)
+	steps := clean.Steps
+	kinds := map[string]int{}
+	for _, step := range steps {
+		kind, name, _ := strings.Cut(step, " ")
+		switch {
+		case name == generationFile:
+			kind += " record"
+		case strings.HasSuffix(name, entrySuffix):
+			kind += " entry"
 		}
-		if data, err := os.ReadFile(s.cfg.CheckpointPath); err != nil || !bytes.Equal(data, prev) {
-			t.Fatalf("k=%d: a failed checkpoint changed the previous file (err %v)", k, err)
-		}
-		if got := cachedFrames(s); !slices.Equal(got, locs) {
-			t.Fatalf("k=%d: a failed checkpoint moved the cached locations", k)
-		}
-		if entries, _ := os.ReadDir(filepath.Dir(s.cfg.CheckpointPath)); len(entries) != 1 {
-			t.Fatalf("k=%d: the checkpoint directory holds %d entries, want the file alone", k, len(entries))
-		}
+		kinds[kind]++
 	}
-	withTemp(s, func(f *os.File) *faultFile { return &faultFile{File: f, failAfter: -1} })
-	cost, err := s.checkpoint()
-	if err != nil {
-		t.Fatal(err)
+	want := map[string]int{"write": kinds["write"], "fsync": 3, "rename entry": 2, "fsync-dir": 3, "rename record": 1, "remove entry": 2}
+	if !maps.Equal(kinds, want) || kinds["write"] < 3 {
+		t.Fatalf("a clean checkpoint of two dirty stripes took steps %q", steps)
 	}
-	if dirty := uncached(locs); cost.encoded != dirty || cost.copied != int64(len(locs))-dirty {
-		t.Errorf("after the faults: encoded %d, copied %d; want %d and %d", cost.encoded, cost.copied, dirty, int64(len(locs))-dirty)
-	}
-	sameAsEncoded(t, s)
-}
+	t.Logf("a clean checkpoint of two dirty stripes: %d steps", len(steps))
 
-// TestCheckpointFaultFlippedFrame: a bit flipped in a clean frame of
-// the frame cache is caught by its CRC on the way over; the segment is
-// encoded instead, the log says so, and the file still holds the bytes
-// a full encoding writes.
-func TestCheckpointFaultFlippedFrame(t *testing.T) {
-	s, last := ckptDaemon(t)
-	var logged strings.Builder
-	s.cfg.Logf = func(format string, args ...any) { logged.WriteString(format) }
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	s.Ingest(last)
-	locs := cachedFrames(s)
-	dirty := uncached(locs)
-	victim := locs[0]
-	if victim.n == 0 {
-		victim = locs[len(locs)-1]
-	}
-	if victim.n == 0 {
-		t.Fatal("fixture: the held-back batch touched the first and the last segment")
-	}
-	f, err := os.OpenFile(s.cfg.CheckpointPath, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := make([]byte, 1)
-	at := victim.off + victim.n/2
-	if _, err := f.ReadAt(b, at); err != nil {
-		t.Fatal(err)
-	}
-	b[0] ^= 0x08
-	if _, err := f.WriteAt(b, at); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	cost, err := s.checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost.encoded != dirty+1 || cost.copied != int64(len(locs))-dirty-1 {
-		t.Errorf("encoded %d, copied %d; want %d and %d (the dirty segments and the damaged one encoded)",
-			cost.encoded, cost.copied, dirty+1, int64(len(locs))-dirty-1)
-	}
-	if !strings.Contains(logged.String(), "writing it again") {
-		t.Errorf("the damaged frame went unlogged: %q", logged.String())
-	}
-	sameAsEncoded(t, s)
-	if n := uncached(cachedFrames(s)); n != 0 {
-		t.Errorf("%d segments uncached after the checkpoint", n)
+	for at := 1; at <= len(steps); at++ {
+		for _, fault := range []chaos.DiskFault{chaos.ShortWrite, chaos.NoSpace, chaos.Stop} {
+			useDisk(t, clean)
+			s := advance()
+			image := t.TempDir()
+			useDisk(t, &chaos.Disk{At: at, Fault: fault, Dir: s.cfg.CheckpointPath, Image: image})
+			err := s.Checkpoint()
+			useDisk(t, clean)
+			if fault != chaos.Stop {
+				image = s.cfg.CheckpointPath
+			} else if !strings.HasPrefix(steps[at-1], "remove ") && !errors.Is(err, chaos.ErrInjected) {
+				t.Fatalf("step %d (%s): a stop reported %v", at, steps[at-1], err)
+			}
+			r, err := restore(image)
+			if err != nil {
+				t.Fatalf("step %d (%s), fault %d: restore: %v", at, steps[at-1], fault, err)
+			}
+			if got := report(r); got != oldReport && got != newReport {
+				t.Fatalf("step %d (%s), fault %d: the restored daemon renders a third report", at, steps[at-1], fault)
+			}
+			if fault == chaos.Stop {
+				continue
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatalf("step %d (%s), fault %d: the next checkpoint: %v", at, steps[at-1], fault, err)
+			}
+			sameAsEncoded(t, s)
+			if r, err := restore(s.cfg.CheckpointPath); err != nil || report(r) != newReport {
+				t.Fatalf("step %d (%s), fault %d: after the next checkpoint the directory does not restore the new report (%v)",
+					at, steps[at-1], fault, err)
+			}
+		}
 	}
 }
 
-// TestCheckpointFaultIngestAfterCut: a batch that lands after a
-// checkpoint's cut — here, while its frames are being copied — is not
-// in that checkpoint, and the segment it extended keeps no location in
-// it; the next checkpoint encodes that segment alone.
+// recordHook is a disk with a hook that runs once each generation
+// record is renamed into place, before the checkpoint prunes.
+type recordHook struct {
+	dist.FS
+	hook func()
+}
+
+func (d recordHook) Rename(from, to string) error {
+	err := d.FS.Rename(from, to)
+	if err == nil && filepath.Base(to) == generationFile {
+		d.hook()
+	}
+	return err
+}
+
+// TestCheckpointFaultIngestAfterCut: a batch that lands after a checkpoint's
+// cut — here, once its generation record is in place — is not in that
+// checkpoint, and the stripe it extended stays to be written; the next
+// checkpoint writes that stripe alone.
 func TestCheckpointFaultIngestAfterCut(t *testing.T) {
 	s, last := ckptDaemon(t)
 	s.Ingest(last)
-	res := daemonFixture(t)
-	tail := append([]trace.Record(nil), res.Records[len(res.Records)-1])
-	var once sync.Once
+	tail := last[len(last)-1:] // the latest instant: extends the latest stripe's newest segment
 	landed := false
-	withTemp(s, func(f *os.File) *faultFile {
-		return &faultFile{File: f, failAfter: -1, hook: func() {
-			once.Do(func() {
-				if !s.mu.TryRLock() {
-					t.Error("the frame cache is read while the cut holds mu")
-					return
-				}
-				s.mu.RUnlock()
-				s.Ingest(tail) // the latest instant: extends the latest stripe's newest segment
-				landed = true
-			})
-		}}
-	})
-	if err := s.Checkpoint(); err != nil { // from here on the frame cache is a faultFile
-		t.Fatal(err)
-	}
+	useDisk(t, recordHook{dist.Disk, func() {
+		if landed {
+			return
+		}
+		if !s.mu.TryRLock() {
+			t.Error("the generation record is written while the cut holds mu")
+			return
+		}
+		s.mu.RUnlock()
+		s.Ingest(tail)
+		landed = true
+	}})
 	before := s.StatsNow()
-	cost, err := s.checkpoint()
-	if err != nil {
+	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if !landed || cost.encoded != 0 || s.StatsNow().Segments != before.Segments {
-		t.Fatalf("fixture: ingest landed %v, the checkpoint encoded %d, segments %d → %d",
-			landed, cost.encoded, before.Segments, s.StatsNow().Segments)
-	}
-	if n := uncached(cachedFrames(s)); n != 1 {
-		t.Fatalf("%d segments uncached after an ingest between cut and rename, want 1", n)
+	if !landed || s.StatsNow().Records != before.Records+1 {
+		t.Fatalf("fixture: ingest landed %v", landed)
 	}
 	r, err := NewServer(s.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RestoreCheckpointFile(s.cfg.CheckpointPath); err != nil {
+	if err := r.RestoreCheckpointDir(s.cfg.CheckpointPath); err != nil {
 		t.Fatal(err)
 	}
-	r.Close()
 	if got := r.StatsNow().Records; got != before.Records {
 		t.Fatalf("the checkpoint holds %d records, want the %d of its cut", got, before.Records)
 	}
-	if cost, err = s.checkpoint(); err != nil || cost.encoded != 1 {
-		t.Fatalf("the next checkpoint encoded %d segments (err %v), want the one that ingested", cost.encoded, err)
+	cost, err := s.checkpoint()
+	if err != nil || cost.stripes != 1 {
+		t.Fatalf("the next checkpoint wrote %d stripes (err %v), want the one that ingested", cost.stripes, err)
 	}
 	sameAsEncoded(t, s)
+}
+
+// TestCheckpointFaultFlippedFrame: a bit flipped in a frame of a stripe
+// entry fails a restore with an error naming the entry, and installs
+// nothing. The daemon that wrote it never reads its entries back: once
+// that stripe ingests, its next checkpoint writes the entry afresh and
+// the directory restores again.
+func TestCheckpointFaultFlippedFrame(t *testing.T) {
+	s, last := ckptDaemon(t)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	k := s.shardKey(last[0].Start)
+	path := filepath.Join(s.cfg.CheckpointPath, s.shards[k].entry)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0x08
+	if err := os.WriteFile(path, b, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewServer(s.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = r.RestoreCheckpointDir(s.cfg.CheckpointPath)
+	if err == nil || !strings.Contains(err.Error(), path) || !errors.Is(err, dist.ErrFrame) {
+		t.Fatalf("restore over a flipped bit: %v, want a frame error naming %s", err, path)
+	}
+	if st := r.StatsNow(); st != (Stats{}) {
+		t.Fatalf("a failed restore left state behind: %+v", st)
+	}
+	s.Ingest(last)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	sameAsEncoded(t, s)
+	if r, err = NewServer(s.cfg); err == nil {
+		err = r.RestoreCheckpointDir(s.cfg.CheckpointPath)
+	}
+	if err != nil {
+		t.Fatalf("the rewritten checkpoint does not restore: %v", err)
+	}
 }

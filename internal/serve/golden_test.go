@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -57,9 +56,13 @@ const (
 )
 
 // TestMigdCheckpointGolden pins the daemon's two byte-level outputs —
-// the checkpoint file and the rendered report — to what the daemon
-// wrote before its segments became journal-only: however the state is
-// held in memory, the same arrivals serialize to the same bytes.
+// the checkpoint and the rendered report — to what the daemon wrote
+// before its segments became journal-only and its checkpoint a
+// directory: however the state is held in memory or split on disk, the
+// same arrivals serialize to the same bytes. The checkpoint is pinned
+// twice: as EncodeCheckpoint serializes it, and as the stripe entries
+// the directory's generation record lists, read in order after the c1
+// header.
 func TestMigdCheckpointGolden(t *testing.T) {
 	res := daemonFixture(t)
 	ckpt := filepath.Join(t.TempDir(), "migd.ckpt")
@@ -78,12 +81,14 @@ func TestMigdCheckpointGolden(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(ckpt)
+	encoded, err := s.EncodeCheckpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sha(data); got != goldenCheckpointSHA {
-		t.Errorf("checkpoint file sha256 = %s, want %s (%d bytes, %d segments)", got, goldenCheckpointSHA, len(data), s.StatsNow().Segments)
+	for name, data := range map[string][]byte{"checkpoint directory": dirCheckpoint(t, ckpt), "EncodeCheckpoint": encoded} {
+		if got := sha(data); got != goldenCheckpointSHA {
+			t.Errorf("%s sha256 = %s, want %s (%d bytes, %d segments)", name, got, goldenCheckpointSHA, len(data), s.StatsNow().Segments)
+		}
 	}
 	report, err := s.Report()
 	if err != nil {

@@ -271,7 +271,7 @@ func (s *Server) applyRun(k int64, recs []trace.Record, ids []trace.FileID) {
 		}
 		sg.p.Observe(&recs[i], ids[i])
 	}
-	sg.frame = frameLoc{}
+	sh.records += int64(len(recs))
 	sh.noteBounds(sg)
 }
 

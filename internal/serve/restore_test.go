@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -271,6 +273,78 @@ func TestMigdRestoreRejects(t *testing.T) {
 	}
 }
 
+// TestRestoreCheckpointDirRefuses: a missing directory, or one without
+// a generation record, is a first start (fs.ErrNotExist); a c1 file in
+// the directory's place, an unknown record version and a damaged
+// record each fail with an error naming the file, and install nothing
+// (a damaged stripe entry: TestCheckpointFaultFlippedFrame).
+func TestRestoreCheckpointDirRefuses(t *testing.T) {
+	s, _ := ckptDaemon(t)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := readGeneration(s.cfg.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1, err := s.EncodeCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// damaged copies the checkpoint and hands the copy to mutate.
+	damaged := func(mutate func(dir string)) string {
+		dir := filepath.Join(t.TempDir(), "ckpt")
+		if err := os.CopyFS(dir, os.DirFS(s.cfg.CheckpointPath)); err != nil {
+			t.Fatal(err)
+		}
+		mutate(dir)
+		return dir
+	}
+	write := func(path string, b []byte) {
+		if err := os.WriteFile(path, b, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c1File := filepath.Join(t.TempDir(), "migd.ckpt")
+	write(c1File, c1)
+	future := rec
+	future.Version = "g9"
+	for _, tc := range []struct {
+		name, dir, want string
+	}{
+		{"c1 file", c1File, c1File + ": not a checkpoint directory"},
+		{"version", damaged(func(dir string) {
+			if err := writeGeneration(dir, future); err != nil {
+				t.Fatal(err)
+			}
+		}), generationFile + `: unknown generation version "g9"`},
+		{"record", damaged(func(dir string) {
+			write(filepath.Join(dir, generationFile), []byte("#dist-frame f1\n"))
+		}), generationFile + ": dist: bad frame"},
+	} {
+		r, err := NewServer(s.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = r.RestoreCheckpointDir(tc.dir)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s: restore error %v, want one naming the file: %q", tc.name, err, tc.want)
+		}
+		if st := r.StatsNow(); st != (Stats{}) {
+			t.Errorf("%s: failed restore left state behind: %+v", tc.name, st)
+		}
+	}
+	for _, dir := range []string{filepath.Join(t.TempDir(), "missing"), t.TempDir()} {
+		r, err := NewServer(s.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.RestoreCheckpointDir(dir); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("restore from %s: %v, want a first start (fs.ErrNotExist)", dir, err)
+		}
+	}
+}
+
 // answers is everything a daemon says about its state, rendered: the
 // report, the stats, and /v1/file for every path, at a pinned instant.
 func answers(t testing.TB, s *Server, paths []string, now time.Time) string {
@@ -386,8 +460,8 @@ func TestMigdRestartKeepsAnswers(t *testing.T) {
 
 // TestMigdCheckpointIfChanged covers the shutdown and interval
 // checkpoint rule: write when something was ingested since the last
-// checkpoint or restore, or when the file is gone; otherwise leave the
-// file alone.
+// checkpoint or restore, or when the checkpoint is gone; otherwise
+// leave the directory alone.
 func TestMigdCheckpointIfChanged(t *testing.T) {
 	res := daemonFixture(t)
 	ckpt := filepath.Join(t.TempDir(), "migd.ckpt")
@@ -407,36 +481,33 @@ func TestMigdCheckpointIfChanged(t *testing.T) {
 		}
 	}
 	s.Ingest(res.Records[:300])
-	step(s, true, "records ingested, no file yet")
+	step(s, true, "records ingested, no checkpoint yet")
 	step(s, false, "nothing since the checkpoint")
-	if err := os.Remove(ckpt); err != nil {
+	if err := os.RemoveAll(ckpt); err != nil {
 		t.Fatal(err)
 	}
-	step(s, true, "the file is gone")
+	step(s, true, "the checkpoint directory is gone")
 	s.Ingest(res.Records[300:400])
 	if err := s.Checkpoint(); err != nil { // the explicit endpoint always writes
 		t.Fatal(err)
 	}
 	step(s, false, "nothing since the explicit checkpoint")
 
-	data, err := os.ReadFile(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	restored, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.RestoreCheckpoint(data); err != nil {
+	if err := restored.RestoreCheckpointDir(ckpt); err != nil {
 		t.Fatal(err)
 	}
+	record := filepath.Join(ckpt, generationFile)
 	stamp := time.Date(2001, 1, 1, 0, 0, 0, 0, time.UTC)
-	if err := os.Chtimes(ckpt, stamp, stamp); err != nil {
+	if err := os.Chtimes(record, stamp, stamp); err != nil {
 		t.Fatal(err)
 	}
 	step(restored, false, "nothing since the restore")
-	if fi, err := os.Stat(ckpt); err != nil || !fi.ModTime().Equal(stamp) {
-		t.Fatalf("a skipped checkpoint touched the file (%v, err %v)", fi.ModTime(), err)
+	if fi, err := os.Stat(record); err != nil || !fi.ModTime().Equal(stamp) {
+		t.Fatalf("a skipped checkpoint touched the generation record (%v, err %v)", fi.ModTime(), err)
 	}
 	restored.Ingest(res.Records[400:450])
 	step(restored, true, "records ingested since the restore")
@@ -536,53 +607,40 @@ func TestMigdIngestSteadyStateAllocs(t *testing.T) {
 }
 
 // TestMigdConcurrentCheckpoints: eight clients ingest past the record
-// cadence at once, so cadence checkpoints fire from many goroutines,
-// while a reader restores whatever file sits at CheckpointPath. Every
-// file observed must restore (no torn or interleaved write ever reaches
-// the final name), the pending-record count must never go negative (no
-// checkpoint settles records another already settled), no temporary may
-// be left behind, and the last checkpoint must carry the daemon's state.
+// cadence at once, so cadence checkpoints fire from many goroutines.
+// Every generation record put in place must restore at once — before
+// its prune, with ingest running on — into a daemon holding no more
+// records than the writer; the pending-record count must never go
+// negative (no checkpoint settles records another already settled);
+// and the last checkpoint must leave nothing behind but its record and
+// entries, and carry the daemon's state.
 func TestMigdConcurrentCheckpoints(t *testing.T) {
 	res := daemonFixture(t)
-	dir := t.TempDir()
-	cfg := Config{CheckpointPath: filepath.Join(dir, "migd.ckpt"), CheckpointEvery: 50, Now: fixedClock(res)}
+	dir := filepath.Join(t.TempDir(), "migd.ckpt")
+	cfg := Config{CheckpointPath: dir, CheckpointEvery: 50, Now: fixedClock(res)}
 	s, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restore := func(data []byte) (*Server, error) {
+	restore := func() (*Server, error) {
 		r, err := NewServer(cfg)
 		if err != nil {
 			return nil, err
 		}
-		return r, r.RestoreCheckpoint(data)
+		return r, r.RestoreCheckpointDir(dir)
 	}
-
-	stop, readerDone := make(chan struct{}), make(chan struct{})
 	observed := 0
-	go func() {
-		defer close(readerDone)
-		for last := false; !last; {
-			select {
-			case <-stop:
-				last = true // one more look, at the file the writers left
-			default:
-			}
-			if n := s.sinceCkpt.Load(); n < 0 {
-				t.Errorf("sinceCkpt read %d", n)
-				return
-			}
-			data, err := os.ReadFile(cfg.CheckpointPath)
-			if err != nil {
-				continue // not written yet
-			}
-			observed++
-			if _, err := restore(data); err != nil {
-				t.Errorf("checkpoint file %d (%d bytes) does not restore: %v", observed, len(data), err)
-				return
-			}
+	useDisk(t, recordHook{dist.Disk, func() {
+		observed++
+		r, err := restore()
+		if err != nil {
+			t.Errorf("generation %d does not restore: %v", observed, err)
+			return
 		}
-	}()
+		if got, max := r.StatsNow().Records, s.StatsNow().Records; got > max {
+			t.Errorf("generation %d holds %d records, the writer only %d", observed, got, max)
+		}
+	}})
 
 	const clients, batch = 8, 10
 	var wg sync.WaitGroup
@@ -600,11 +658,8 @@ func TestMigdConcurrentCheckpoints(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	close(stop)
-	<-readerDone
-	if observed == 0 || s.StatsNow().Checkpoints < 2 {
-		t.Fatalf("reader saw %d files over %d checkpoints; the cadence never raced",
-			observed, s.StatsNow().Checkpoints)
+	if observed < 2 {
+		t.Fatalf("%d generations over %d checkpoints; the cadence never raced", observed, s.StatsNow().Checkpoints)
 	}
 
 	if err := s.Checkpoint(); err != nil {
@@ -613,18 +668,8 @@ func TestMigdConcurrentCheckpoints(t *testing.T) {
 	if n := s.sinceCkpt.Load(); n != 0 {
 		t.Errorf("sinceCkpt = %d after a quiescent checkpoint, want 0", n)
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "migd.ckpt" {
-		t.Errorf("checkpoint directory holds %v, want only migd.ckpt", entries)
-	}
-	data, err := os.ReadFile(cfg.CheckpointPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := restore(data)
+	sameAsEncoded(t, s)
+	restored, err := restore()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,11 +22,12 @@
 //     the STP rank of internal/migration;
 //   - POST /v1/checkpoint (and the record-count cadence in
 //     Config.CheckpointEvery) serializes each segment with the s1
-//     snapshot codec inside a dist frame, streamed to the file; the last
-//     checkpoint file stays open as the frame cache, from which a
-//     segment untouched since is copied instead of re-serialized. A
-//     restarted daemon reads the frames one at a time straight back into
-//     segments — nothing is replayed — so it resumes exactly.
+//     snapshot codec inside a dist frame, one entry file per time stripe
+//     in the checkpoint directory, written only for the stripes that
+//     ingested since the last checkpoint, fsynced, and committed by a
+//     generation record written last. A restarted daemon reads the
+//     frames one at a time straight back into segments — nothing is
+//     replayed — so it resumes exactly.
 //
 // Daemon-wide FileIDs are process-local: they are never serialized or
 // rendered (a checkpoint frame carries its segment's own first-seen
@@ -41,11 +42,11 @@
 package serve
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,8 +82,8 @@ type Config struct {
 	// stripe over segments). Zero means DefaultShardDuration.
 	ShardDuration time.Duration
 
-	// CheckpointPath is where Checkpoint atomically writes the daemon's
-	// state. Empty disables checkpointing.
+	// CheckpointPath is the directory Checkpoint writes the daemon's
+	// state to. Empty disables checkpointing.
 	CheckpointPath string
 
 	// CheckpointEvery triggers a checkpoint after that many ingested
@@ -110,13 +111,10 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// segment is one live journal-only Partial plus where its current
-// checkpoint frame sits in the frame cache — zero once it ingests — so
-// an idle segment is never re-serialized.
+// segment is one live journal-only Partial.
 type segment struct {
-	p     *core.Partial
-	seq   int64 // creation order, tie-break for equal first instants
-	frame frameLoc
+	p   *core.Partial
+	seq int64 // creation order, tie-break for equal first instants
 }
 
 // shard is one time stripe of segments. Its mutex serializes appends by
@@ -127,12 +125,19 @@ type segment struct {
 // later ones — it merges interleaved segments — but it replays records
 // at one instant across segments in segment order (first instant, then
 // creation order), so the run would replay ahead of equal-instant
-// records that later-ordered segments received before it.
+// records that later-ordered segments received before it. records
+// counts the stripe's records; entry is its current checkpoint entry
+// file and saved its record count when that entry was cut, so the
+// stripe is written again only once it ingests.
 type shard struct {
 	mu      sync.Mutex
 	segs    []*segment
 	lastSeg *segment
 	maxLast time.Time
+	records int64
+
+	entry string // guarded by Server.ckptMu, as is saved
+	saved int64
 }
 
 // noteBounds updates the stripe's latest-record bookkeeping after sg
@@ -200,14 +205,11 @@ type Server struct {
 	paths   *trace.Interner
 	files   []fileRow
 
-	// ckptMu serialises checkpoints: the cut, the file write, the rename
-	// and the sinceCkpt settlement are one step. It is taken before mu,
-	// never while holding it, and guards the frame cache: the last
-	// checkpoint file written or restored, held open. createTemp makes
-	// each checkpoint's temporary file.
-	ckptMu     sync.Mutex
-	cache      checkpointFile
-	createTemp func(dir string) (checkpointFile, error)
+	// ckptMu serialises checkpoints: the stripe entries, the generation
+	// record, the prune and the sinceCkpt settlement are one step. It is
+	// taken before mu, never while holding it, and guards each stripe's
+	// entry.
+	ckptMu sync.Mutex
 
 	records     atomic.Int64
 	errRecords  atomic.Int64
@@ -233,10 +235,6 @@ func NewServer(cfg Config) (*Server, error) {
 		migrateAfter: cfg.MigrateAfter,
 		shards:       map[int64]*shard{},
 		paths:        trace.NewFileTable(),
-		createTemp: func(dir string) (checkpointFile, error) {
-			// Mode 0600: os.CreateTemp makes the file owner-only.
-			return os.CreateTemp(dir, ".tmp-*")
-		},
 	}
 	if s.shardDur <= 0 {
 		s.shardDur = DefaultShardDuration
@@ -286,29 +284,42 @@ func (s *Server) getShard(k int64) *shard {
 	return sh
 }
 
-// orderedSegments returns every segment sorted into trace order: by
-// first observed instant, creation order breaking exact ties. The
-// caller must hold mu exclusively.
-func (s *Server) orderedSegments() []*segment {
+// stripeKeys returns every stripe's key in ascending order. The caller
+// must hold mu exclusively.
+func (s *Server) stripeKeys() []int64 {
 	s.shardsMu.Lock()
 	keys := make([]int64, 0, len(s.shards))
 	for k := range s.shards {
 		keys = append(keys, k)
 	}
 	s.shardsMu.Unlock()
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	var segs []*segment
-	for _, k := range keys {
-		segs = append(segs, s.shards[k].segs...)
-	}
-	sort.SliceStable(segs, func(i, j int) bool {
-		fi, _ := segs[i].p.Bounds()
-		fj, _ := segs[j].p.Bounds()
-		if !fi.Equal(fj) {
-			return fi.Before(fj)
+	slices.Sort(keys)
+	return keys
+}
+
+// sortSegments sorts the stripe's segments into trace order — by first
+// observed instant, creation order breaking exact ties — and returns
+// them. The caller must hold mu exclusively.
+func (sh *shard) sortSegments() []*segment {
+	slices.SortFunc(sh.segs, func(a, b *segment) int {
+		fa, _ := a.p.Bounds()
+		fb, _ := b.p.Bounds()
+		if c := fa.Compare(fb); c != 0 {
+			return c
 		}
-		return segs[i].seq < segs[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
+	return sh.segs
+}
+
+// orderedSegments returns every segment in trace order: the stripes in
+// key order, each one's segments sorted — a segment's first instant
+// lies in its own stripe. The caller must hold mu exclusively.
+func (s *Server) orderedSegments() []*segment {
+	var segs []*segment
+	for _, k := range s.stripeKeys() {
+		segs = append(segs, s.shards[k].sortSegments()...)
+	}
 	return segs
 }
 

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -366,15 +365,12 @@ func TestMigdCheckpointResume(t *testing.T) {
 	beforeKill, okBefore := s1.FileStatusAt(probe, now())
 	hs1.Close() // the daemon dies here; batches[cut:] were never delivered
 
-	data, err := os.ReadFile(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := dirCheckpoint(t, ckpt)
 	s2, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.RestoreCheckpoint(data); err != nil {
+	if err := s2.RestoreCheckpointDir(ckpt); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 
@@ -425,8 +421,8 @@ func TestMigdCheckpointCadence(t *testing.T) {
 	if n := s.StatsNow().Checkpoints; n == 0 {
 		t.Fatal("no cadence checkpoint was written")
 	}
-	if _, err := os.Stat(ckpt); err != nil {
-		t.Fatalf("checkpoint file missing: %v", err)
+	if _, err := readGeneration(ckpt); err != nil {
+		t.Fatalf("no checkpoint in place: %v", err)
 	}
 }
 

@@ -29,57 +29,37 @@ func byValue(a, b float64) int {
 
 // CDF accumulates sample values and answers empirical-distribution queries.
 // It is the workhorse behind every cumulative-percentage figure in the
-// paper (Figures 3 and 7–12). Unit samples (Add) are stored as bare
-// float64s — the per-record hot-path representation — while a weighted
-// sample is one (value, multiplicity) run however large the
-// multiplicity, so byte-scale weights cost one run, not one appended
-// copy per byte. The zero value is ready to use.
+// paper (Figures 3 and 7–12). Samples are stored as bare float64s — the
+// per-record hot-path representation. The zero value is ready to use.
 type CDF struct {
-	vals   []float64 // unit samples, insertion order
-	runs   []run     // weighted samples, insertion order
-	n      int64     // total multiplicity across vals and runs
+	vals   []float64 // samples, insertion order until the first query sorts them
 	sorted bool
-
-	// Merged query view, built by ensureSorted only when runs exist:
-	// qruns is vals and runs interleaved in value order, cum its
-	// cumulative multiplicities. Run-free CDFs query vals directly.
-	qruns []run
-	cum   []int64
-}
-
-// run is one stored sample with its multiplicity.
-type run struct {
-	v float64
-	n int64
 }
 
 // NewCDF returns a CDF pre-sized for n samples.
 func NewCDF(n int) *CDF { return &CDF{vals: make([]float64, 0, n)} }
 
-// Grow reserves room for n more unit samples, as slices.Grow does, so
-// the next n Adds append without reallocating.
+// Grow reserves room for n more samples, as slices.Grow does, so the
+// next n Adds append without reallocating.
 func (c *CDF) Grow(n int) { c.vals = slices.Grow(c.vals, n) }
 
 // Add records one sample.
 func (c *CDF) Add(v float64) {
 	c.vals = append(c.vals, v)
-	c.n++
 	c.sorted = false
 }
 
-// N reports the number of samples, counting multiplicities.
-func (c *CDF) N() int { return int(c.n) }
+// N reports the number of samples.
+func (c *CDF) N() int { return len(c.vals) }
 
 // Merge appends every sample of other to c, in other's insertion order —
 // exactly as if each had been Added individually. Used by the sharded
 // streaming analysis to fold per-shard distributions together.
 func (c *CDF) Merge(other *CDF) {
-	if other == nil || other.n == 0 {
+	if other == nil || len(other.vals) == 0 {
 		return
 	}
 	c.vals = append(c.vals, other.vals...)
-	c.runs = append(c.runs, other.runs...)
-	c.n += other.n
 	c.sorted = false
 }
 
@@ -88,42 +68,13 @@ func (c *CDF) Merge(other *CDF) {
 func (c *CDF) ensureSorted() { c.sortWith(nil) }
 
 // sortWith is ensureSorted radix-sorting in scratch (nil: a fresh one,
-// made only if the radix sort runs). A run-free CDF (the hot case) just
-// sorts vals; otherwise the weighted runs and unit samples are merged
-// into the qruns/cum view queries binary-search over. The runs keep
-// pdqsort: ties among them carry unequal multiplicities, so their order
-// feeds the cumulative table. It returns the scratch for the next sort.
+// made only if the radix sort runs). It returns the scratch for the next
+// sort.
 func (c *CDF) sortWith(scratch *radixScratch) *radixScratch {
 	if c.sorted {
 		return scratch
 	}
 	scratch = sortFloats(c.vals, scratch)
-	if len(c.runs) > 0 {
-		slices.SortFunc(c.runs, func(a, b run) int { return byValue(a.v, b.v) })
-		c.qruns = c.qruns[:0]
-		if cap(c.qruns) < len(c.vals)+len(c.runs) {
-			c.qruns = make([]run, 0, len(c.vals)+len(c.runs))
-		}
-		i, j := 0, 0
-		for i < len(c.vals) || j < len(c.runs) {
-			if j >= len(c.runs) || (i < len(c.vals) && c.vals[i] <= c.runs[j].v) {
-				c.qruns = append(c.qruns, run{c.vals[i], 1})
-				i++
-			} else {
-				c.qruns = append(c.qruns, c.runs[j])
-				j++
-			}
-		}
-		if cap(c.cum) < len(c.qruns) {
-			c.cum = make([]int64, len(c.qruns))
-		}
-		c.cum = c.cum[:len(c.qruns)]
-		var total int64
-		for k, r := range c.qruns {
-			total += r.n
-			c.cum[k] = total
-		}
-	}
 	c.sorted = true
 	return scratch
 }
@@ -248,53 +199,32 @@ func sortFloats(vals []float64, scratch *radixScratch) *radixScratch {
 
 // P returns the empirical P(X <= v), in [0, 1]. P of an empty CDF is 0.
 func (c *CDF) P(v float64) float64 {
-	if c.n == 0 {
+	if len(c.vals) == 0 {
 		return 0
 	}
 	c.ensureSorted()
-	if len(c.runs) == 0 {
-		i := sort.SearchFloat64s(c.vals, math.Nextafter(v, math.Inf(1)))
-		return float64(i) / float64(c.n)
-	}
-	i := sort.Search(len(c.qruns), func(i int) bool { return c.qruns[i].v > v })
-	if i == 0 {
-		return 0
-	}
-	return float64(c.cum[i-1]) / float64(c.n)
+	i := sort.SearchFloat64s(c.vals, math.Nextafter(v, math.Inf(1)))
+	return float64(i) / float64(len(c.vals))
 }
 
 // Quantile returns the q-th quantile (q in [0,1]) using the nearest-rank
 // method. Quantile of an empty CDF is NaN.
 func (c *CDF) Quantile(q float64) float64 {
-	if c.n == 0 {
+	if len(c.vals) == 0 {
 		return math.NaN()
 	}
 	c.ensureSorted()
-	if len(c.runs) == 0 {
-		if q <= 0 {
-			return c.vals[0]
-		}
-		if q >= 1 {
-			return c.vals[len(c.vals)-1]
-		}
-		i := int(math.Ceil(q*float64(c.n))) - 1
-		if i < 0 {
-			i = 0
-		}
-		return c.vals[i]
-	}
 	if q <= 0 {
-		return c.qruns[0].v
+		return c.vals[0]
 	}
 	if q >= 1 {
-		return c.qruns[len(c.qruns)-1].v
+		return c.vals[len(c.vals)-1]
 	}
-	rank := int64(math.Ceil(q * float64(c.n)))
-	if rank < 1 {
-		rank = 1
+	i := int(math.Ceil(q*float64(len(c.vals)))) - 1
+	if i < 0 {
+		i = 0
 	}
-	i := sort.Search(len(c.cum), func(i int) bool { return c.cum[i] >= rank })
-	return c.qruns[i].v
+	return c.vals[i]
 }
 
 // Median is Quantile(0.5).
@@ -302,17 +232,14 @@ func (c *CDF) Median() float64 { return c.Quantile(0.5) }
 
 // Mean returns the sample mean, or NaN when empty.
 func (c *CDF) Mean() float64 {
-	if c.n == 0 {
+	if len(c.vals) == 0 {
 		return math.NaN()
 	}
 	s := 0.0
 	for _, v := range c.vals {
 		s += v
 	}
-	for _, r := range c.runs {
-		s += r.v * float64(r.n)
-	}
-	return s / float64(c.n)
+	return s / float64(len(c.vals))
 }
 
 // WeightedCDF is a CDF over (value, weight) pairs — e.g. "fraction of all
@@ -339,13 +266,10 @@ type weighted struct{ v, w float64 }
 // is the prefix sum of c's own sorted samples whatever order a sort
 // leaves ties in. total is the samples' sum accumulated in insertion
 // order (what such a WeightedCDF's TotalWeight would be). The curve reads
-// c in place: c must hold no weighted runs or negative samples, and takes no
-// further samples while the curve is in use; the curve itself is
-// read-only — Add is for curves built from pairs.
+// c in place: c must hold no negative samples, and takes no further
+// samples while the curve is in use; the curve itself is read-only — Add
+// is for curves built from pairs.
 func SelfWeighted(c *CDF, total float64) *WeightedCDF {
-	if len(c.runs) > 0 {
-		panic("stats: SelfWeighted over a CDF holding weighted runs")
-	}
 	return &WeightedCDF{src: c, total: total}
 }
 

@@ -213,7 +213,7 @@ func TestCDFMerge(t *testing.T) {
 }
 
 // TestSortAll sorts CDFs of every shape side by side — radix-sized,
-// small, holding weighted runs, holding a NaN, already sorted, empty,
+// small, holding a NaN, already sorted, empty,
 // nil — and checks each ends exactly as its own serial sort leaves a
 // twin fed the same samples. Run under -race it also checks the sorts
 // share nothing.
@@ -229,8 +229,6 @@ func TestSortAll(t *testing.T) {
 		add(2, rng.NormFloat64())
 		add(3, rng.Float64())
 	}
-	got[3].AddN(0.5, 7)
-	want[3].AddN(0.5, 7)
 	for k := 0; k < 5000; k++ {
 		add(4, rng.Float64())
 	}
@@ -244,78 +242,14 @@ func TestSortAll(t *testing.T) {
 	SortAll(&got[0], &got[1], &got[2], &got[3], &got[4], &got[5], &got[6], nil)
 	for i := range got {
 		g, w := &got[i], &want[i]
-		if !g.sorted || g.n != w.n || len(g.vals) != len(w.vals) || len(g.qruns) != len(w.qruns) {
-			t.Fatalf("CDF %d: sorted %v, n %d/%d, vals %d/%d, qruns %d/%d", i,
-				g.sorted, g.n, w.n, len(g.vals), len(w.vals), len(g.qruns), len(w.qruns))
+		if !g.sorted || len(g.vals) != len(w.vals) {
+			t.Fatalf("CDF %d: sorted %v, vals %d/%d", i, g.sorted, len(g.vals), len(w.vals))
 		}
 		for k := range g.vals {
 			if math.Float64bits(g.vals[k]) != math.Float64bits(w.vals[k]) {
 				t.Fatalf("CDF %d: sample %d = %v, want %v", i, k, g.vals[k], w.vals[k])
 			}
 		}
-		for k := range g.qruns {
-			if g.qruns[k] != w.qruns[k] || g.cum[k] != w.cum[k] {
-				t.Fatalf("CDF %d: run %d = %v/%d, want %v/%d", i, k, g.qruns[k], g.cum[k], w.qruns[k], w.cum[k])
-			}
-		}
-	}
-}
-
-// TestAddNQuantileRegression pins the weighted-run storage: AddN must
-// answer every distribution query exactly as the same samples fed one
-// Add at a time — the behaviour before AddN became O(1) — including at
-// byte-scale multiplicities that would be unaffordable to expand.
-func TestAddNQuantileRegression(t *testing.T) {
-	var weighted, expanded CDF
-	samples := []struct {
-		v float64
-		n int
-	}{
-		{4, 3}, {1, 1}, {9, 5}, {4, 2}, {0.5, 4}, {7, 1}, {9, 0}, {2, -3},
-	}
-	for _, s := range samples {
-		weighted.AddN(s.v, s.n)
-		for i := 0; i < s.n; i++ {
-			expanded.Add(s.v)
-		}
-	}
-	if weighted.N() != expanded.N() {
-		t.Fatalf("N = %d, want %d", weighted.N(), expanded.N())
-	}
-	for _, q := range []float64{-0.5, 0, 0.01, 0.25, 0.5, 0.75, 0.99, 1, 1.5} {
-		if got, want := weighted.Quantile(q), expanded.Quantile(q); got != want {
-			t.Fatalf("Quantile(%v) = %v, want %v", q, got, want)
-		}
-	}
-	for _, x := range []float64{0, 0.5, 1, 3.9, 4, 8.9, 9, 100} {
-		if got, want := weighted.P(x), expanded.P(x); got != want {
-			t.Fatalf("P(%v) = %v, want %v", x, got, want)
-		}
-	}
-	for _, f := range []func(*CDF) float64{(*CDF).Median, (*CDF).Mean} {
-		if got, want := f(&weighted), f(&expanded); got != want {
-			t.Fatalf("summary stat = %v, want %v", got, want)
-		}
-	}
-}
-
-// TestAddNConstantStorage verifies the satellite fix itself: a byte-scale
-// multiplicity stores one run, not n copies.
-func TestAddNConstantStorage(t *testing.T) {
-	var c CDF
-	c.AddN(1e6, 1<<30)
-	c.AddN(2e6, 1<<30)
-	if len(c.runs) != 2 {
-		t.Fatalf("AddN stored %d runs, want 2", len(c.runs))
-	}
-	if c.N() != 2<<30 {
-		t.Fatalf("N = %d, want %d", c.N(), 2<<30)
-	}
-	if got := c.Quantile(0.5); got != 1e6 {
-		t.Fatalf("Quantile(0.5) = %v, want 1e6", got)
-	}
-	if got := c.P(1e6); got != 0.5 {
-		t.Fatalf("P(1e6) = %v, want 0.5", got)
 	}
 }
 

@@ -8,21 +8,20 @@ import (
 
 // Binary serialization for CDFs, used by the s1 analysis-snapshot codec
 // (internal/core, docs/snapshots.md). The encoding preserves insertion
-// order — unit samples first, then the weighted (value, multiplicity)
-// runs — because float sums such as Mean accumulate in storage order:
-// a decoded CDF answers every query with bit-identical results, and a
+// order, because float sums such as Mean accumulate in storage order: a
+// decoded CDF answers every query with bit-identical results, and a
 // merged chain of decoded CDFs matches the Merge of the originals.
 //
 // Layout (uvarint = unsigned LEB128, float64 = 8 raw little-endian
 // bytes):
 //
 //	cdf := nVals uvarint (float64 × nVals)
-//	       nRuns uvarint (float64 uvarint) × nRuns
+//	       nRuns uvarint
 //
-// Run multiplicities must be at least 2 (smaller multiplicities are
-// unit samples), and the total sample count must fit
-// int64; UnmarshalBinary rejects anything else, so corrupt input
-// surfaces as an error, never a panic or a silently absurd CDF.
+// nRuns is always 0. It once counted weighted (value, multiplicity)
+// runs, which no writer produces any more; UnmarshalBinary rejects a
+// non-zero count, as it rejects truncation and trailing bytes, so corrupt
+// input surfaces as an error, never a panic or a silently absurd CDF.
 //
 // Queries sort the sample arrays in place, so encode a CDF before
 // querying it when byte-stable re-encoding matters (query results are
@@ -37,12 +36,7 @@ func (c *CDF) AppendBinary(dst []byte) ([]byte, error) {
 	for _, v := range c.vals {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(c.runs)))
-	for _, r := range c.runs {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.v))
-		dst = binary.AppendUvarint(dst, uint64(r.n))
-	}
-	return dst, nil
+	return append(dst, 0), nil // nRuns
 }
 
 // MarshalBinary encodes the CDF (the encoding.BinaryMarshaler
@@ -51,9 +45,8 @@ func (c *CDF) MarshalBinary() ([]byte, error) { return c.AppendBinary(nil) }
 
 // UnmarshalBinary replaces the CDF's contents with the decoded samples
 // (the encoding.BinaryUnmarshaler interface). The input must be exactly
-// one encoded CDF; trailing bytes, truncation, undersized run
-// multiplicities, and overflowing totals are all errors that leave the
-// receiver unchanged.
+// one encoded CDF; trailing bytes, truncation and a non-zero run count
+// are all errors that leave the receiver unchanged.
 func (c *CDF) UnmarshalBinary(data []byte) error {
 	dec, rest, err := decodeCDF(data)
 	if err != nil {
@@ -86,33 +79,12 @@ func decodeCDF(data []byte) (CDF, []byte, error) {
 			data = data[8:]
 		}
 	}
-	c.n = int64(nVals)
 	nRuns, data, err := cdfUvarint(data, "run count")
 	if err != nil {
 		return c, nil, err
 	}
-	if nRuns > uint64(len(data))/9 { // 8-byte value + at least 1 varint byte
-		return c, nil, fmt.Errorf("stats: encoded CDF truncated: %d runs declared, %d bytes left", nRuns, len(data))
-	}
-	if nRuns > 0 {
-		c.runs = make([]run, nRuns)
-		for i := range c.runs {
-			c.runs[i].v = math.Float64frombits(binary.LittleEndian.Uint64(data))
-			data = data[8:]
-			n, rest, err := cdfUvarint(data, "run multiplicity")
-			if err != nil {
-				return c, nil, err
-			}
-			data = rest
-			if n < 2 {
-				return c, nil, fmt.Errorf("stats: CDF run multiplicity %d below 2", n)
-			}
-			if n > math.MaxInt64 || int64(n) > math.MaxInt64-c.n {
-				return c, nil, fmt.Errorf("stats: CDF sample count overflows int64")
-			}
-			c.runs[i].n = int64(n)
-			c.n += int64(n)
-		}
+	if nRuns != 0 {
+		return c, nil, fmt.Errorf("stats: encoded CDF run count %d: weighted runs are not supported", nRuns)
 	}
 	return c, data, nil
 }

@@ -2,21 +2,21 @@ package stats
 
 import (
 	"bytes"
-	"math"
+	"strings"
 	"testing"
 )
 
 // TestCDFBinaryRoundTrip checks that a CDF survives encode → decode with
 // bit-identical query results and byte-stable re-encoding, including the
-// weighted AddN runs and the insertion order Mean depends on.
+// insertion order Mean depends on.
 func TestCDFBinaryRoundTrip(t *testing.T) {
 	c := &CDF{}
 	c.Add(3.5)
 	c.Add(-1.25)
-	c.AddN(10, 4)
+	c.Add(10)
 	c.Add(3.5)
-	c.AddN(0.125, 1000000)
-	c.AddN(2, 1) // stored as a unit sample
+	c.Add(0.125)
+	c.Add(2)
 
 	enc, err := c.MarshalBinary()
 	if err != nil {
@@ -92,20 +92,20 @@ func TestCDFBinaryMergeOrder(t *testing.T) {
 func TestCDFBinaryErrors(t *testing.T) {
 	valid := &CDF{}
 	valid.Add(1)
-	valid.AddN(2, 3)
+	valid.Add(2)
 	enc, _ := valid.MarshalBinary()
 
 	cases := map[string][]byte{
 		"empty input":        {},
 		"truncated samples":  enc[:5],
-		"truncated runs":     enc[:len(enc)-1],
+		"missing run count":  enc[:len(enc)-1],
 		"trailing bytes":     append(append([]byte{}, enc...), 0),
 		"huge sample count":  {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
-		"run multiplicity 1": {0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1},
+		"non-zero run count": {0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 2},
 		// 8 * (1<<61) wraps uint64 to exactly 0: the truncation guard
 		// must divide, not multiply, or this reaches make() and panics.
 		"sample count overflowing 8*n": appendUvarintBytes(nil, 1<<61),
-		"run count overflowing 9*n":    appendUvarintBytes([]byte{0}, (1<<64-1)/9+1),
+		"huge run count":               appendUvarintBytes([]byte{0}, (1<<64-1)/9+1),
 	}
 	for name, data := range cases {
 		c := &CDF{}
@@ -120,15 +120,11 @@ func TestCDFBinaryErrors(t *testing.T) {
 		}
 	}
 
-	// Overflowing total multiplicity.
-	over := []byte{0, 2}
-	over = append(over, make([]byte, 8)...)
-	over = appendUvarintBytes(over, uint64(math.MaxInt64))
-	over = append(over, make([]byte, 8)...)
-	over = appendUvarintBytes(over, uint64(math.MaxInt64))
+	// A run count is refused by name: no writer produces runs.
 	c := &CDF{}
-	if err := c.UnmarshalBinary(over); err == nil {
-		t.Error("overflowing multiplicity accepted")
+	err := c.UnmarshalBinary([]byte{0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 2})
+	if err == nil || !strings.Contains(err.Error(), "run count") {
+		t.Errorf("a non-zero run count: error %v, want one naming the run count", err)
 	}
 }
 

@@ -9,22 +9,6 @@ import (
 // Test-only helpers: probes and fixtures that the tests build curves and
 // mixtures with, and no command needs.
 
-// AddN records the sample v with multiplicity n (used for byte-weighted
-// distributions where a request of s bytes contributes weight s). It
-// stores at most one run regardless of n; n <= 0 records nothing.
-func (c *CDF) AddN(v float64, n int) {
-	switch {
-	case n <= 0:
-		return
-	case n == 1:
-		c.Add(v)
-		return
-	}
-	c.runs = append(c.runs, run{v, int64(n)})
-	c.n += int64(n)
-	c.sorted = false
-}
-
 // TotalWeight reports the sum of all weights.
 func (c *WeightedCDF) TotalWeight() float64 { return c.total }
 

@@ -19,10 +19,6 @@ func refSortPairs(p []weighted) {
 	sort.Slice(p, func(i, j int) bool { return p[i].v < p[j].v })
 }
 
-func refSortRuns(r []run) {
-	sort.Slice(r, func(i, j int) bool { return r[i].v < r[j].v })
-}
-
 func refSortByPower(p []PeriodogramPoint) {
 	sort.Slice(p, func(i, j int) bool {
 		if p[i].Power != p[j].Power {
@@ -57,22 +53,6 @@ func TestWeightedCDFSortMatchesReference(t *testing.T) {
 			if math.Float64bits(c.cum[i]) != math.Float64bits(w) {
 				t.Fatalf("n=%d: cum[%d] = %v, reference %v", n, i, c.cum[i], w)
 			}
-		}
-	}
-}
-
-func TestCDFRunSortMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, n := range sortSizes {
-		var c CDF
-		for i := 0; i < n; i++ {
-			c.AddN(float64(1+rng.Intn(9)), 2+rng.Intn(1000))
-		}
-		ref := slices.Clone(c.runs)
-		refSortRuns(ref)
-		c.ensureSorted()
-		if !slices.Equal(c.runs, ref) {
-			t.Fatalf("n=%d: slices.SortFunc left the runs in a different order than sort.Slice", n)
 		}
 	}
 }
@@ -204,9 +184,6 @@ func TestSelfWeightedRejectsMisuse(t *testing.T) {
 		}()
 		fn()
 	}
-	var runs CDF
-	runs.AddN(3, 5)
-	mustPanic("SelfWeighted over runs", func() { SelfWeighted(&runs, 15) })
 	var neg CDF
 	neg.Add(-1)
 	mustPanic("a negative sample", func() { SelfWeighted(&neg, -1).Quantile(0.5) })

@@ -40,16 +40,13 @@ func fuzzB2RoundTrip(t *testing.T, data []byte) (accepted bool) {
 	requireSameRecords(t, inPlace, recs, "in place vs pipe")
 	epoch := Epoch
 	if len(data) > 0 {
-		f, err := OpenB2File(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			t.Fatalf("accepted input fails to open: %v", err)
-		}
+		f, reads := openCounted(t, data)
 		par, err := Collect(f.Stream(3))
 		if err != nil {
 			t.Fatalf("accepted input fails parallel decode: %v", err)
 		}
 		requireSameRecords(t, par, recs, "parallel vs sequential")
-		requireDecoderContract(t, f, recs)
+		requireDecoderContract(t, f, reads, recs)
 		epoch = f.Epoch()
 	}
 	var enc1 bytes.Buffer

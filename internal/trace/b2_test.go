@@ -84,12 +84,13 @@ func requireSameRecords(t *testing.T, got, want []Record, label string) {
 // f, in order, and checks what DecodeInto promises beside the records:
 // ids[k] names recs[k].MSSPath in the decoder's table, for error records
 // too; the table holds each distinct path once; no decode disturbs an ID
-// issued by an earlier one; and each accepted block counts as exactly
-// one decode. want is the file's records in order.
-func requireDecoderContract(t *testing.T, f *B2File, want []Record) {
+// issued by an earlier one; and each block decode reads exactly one
+// block. reads counts f's block reads; want is the file's records in
+// order.
+func requireDecoderContract(t *testing.T, f *B2File, reads func() int64, want []Record) {
 	t.Helper()
 	d := f.NewBlockDecoder()
-	before := f.DecodeCount()
+	before := reads()
 	distinct := map[string]FileID{}
 	at := 0
 	for i := 0; i < f.NumBlocks(); i++ {
@@ -115,8 +116,8 @@ func requireDecoderContract(t *testing.T, f *B2File, want []Record) {
 				t.Fatalf("block %d moved ID %d from %q to %q", i, id, p, got)
 			}
 		}
-		if got := f.DecodeCount() - before; got != int64(i+1) {
-			t.Fatalf("after block %d DecodeCount moved by %d, want one decode per block", i, got)
+		if got := reads() - before; got != int64(i+1) {
+			t.Fatalf("after block %d the block reads moved by %d, want one read per block", i, got)
 		}
 	}
 	if d.Table().Len() != len(distinct) {
@@ -158,10 +159,7 @@ func resealB2Block(t *testing.T, enc []byte, i int, mutate func(body []byte)) []
 func TestB2DecoderRejectedBlock(t *testing.T) {
 	_, enc := b2Fixture(t, 60, 10)
 	bad := resealB2Block(t, enc, 2, func(body []byte) { body[len(body)-1] = 0x7f })
-	f, err := OpenB2File(bytes.NewReader(bad), int64(len(bad)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, reads := openCounted(t, bad)
 	d := f.NewBlockDecoder()
 	recs, ids := make([]Record, 10), make([]FileID, 10)
 	for i := 0; i < 2; i++ {
@@ -170,12 +168,12 @@ func TestB2DecoderRejectedBlock(t *testing.T) {
 		}
 	}
 	issued := d.Table().Paths()
-	err = d.DecodeInto(2, recs, ids)
+	err := d.DecodeInto(2, recs, ids)
 	if err == nil || !strings.Contains(err.Error(), "local path ref") {
 		t.Fatalf("resealed block: err = %v, want the column decode's reference error", err)
 	}
-	if f.DecodeCount() != 2 {
-		t.Fatalf("DecodeCount = %d after a rejected block, want 2", f.DecodeCount())
+	if reads() != 3 {
+		t.Fatalf("%d block reads for two decodes and a rejected block, want 3", reads())
 	}
 	if d.Table().Len() < len(issued) {
 		t.Fatalf("table shrank from %d to %d paths", len(issued), d.Table().Len())
@@ -259,18 +257,15 @@ func TestB2MultiBlock(t *testing.T) {
 	recs, enc := b2Fixture(t, 100, 7)
 	requireSameRecords(t, readB2Both(t, enc), recs, "sequential")
 
-	f, err := OpenB2File(bytes.NewReader(enc), int64(len(enc)))
-	if err != nil {
-		t.Fatalf("OpenB2File: %v", err)
-	}
+	f, reads := openCounted(t, enc)
 	if f.NumBlocks() != 15 { // ceil(100/7)
 		t.Fatalf("NumBlocks = %d, want 15", f.NumBlocks())
 	}
 	if f.NumRecords() != 100 {
 		t.Fatalf("NumRecords = %d, want 100", f.NumRecords())
 	}
-	if f.DecodeCount() != 0 {
-		t.Fatalf("opening the file decoded %d blocks; planning must decode none", f.DecodeCount())
+	if reads() != 0 {
+		t.Fatalf("opening the file read %d blocks; planning must read none", reads())
 	}
 	for _, workers := range []int{1, 2, 8} {
 		got, err := Collect(f.Stream(workers))
@@ -279,10 +274,10 @@ func TestB2MultiBlock(t *testing.T) {
 		}
 		requireSameRecords(t, got, recs, "parallel")
 	}
-	if f.DecodeCount() != 3*15 {
-		t.Fatalf("DecodeCount = %d after three full reads of 15 blocks", f.DecodeCount())
+	if reads() != 3*15 {
+		t.Fatalf("%d block reads after three full reads of 15 blocks", reads())
 	}
-	requireDecoderContract(t, f, recs)
+	requireDecoderContract(t, f, reads, recs)
 
 	// Block metadata matches the records without decoding.
 	var total int64
@@ -302,20 +297,17 @@ func TestB2MultiBlock(t *testing.T) {
 
 func TestB2SingleBlockDecode(t *testing.T) {
 	recs, enc := b2Fixture(t, 60, 10)
-	f, err := OpenB2File(bytes.NewReader(enc), int64(len(enc)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, reads := openCounted(t, enc)
 	d := f.NewBlockDecoder()
 	// Decode only block 3; exactly its records come back and exactly one
-	// decode happens.
+	// block is read.
 	got, err := d.Decode(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameRecords(t, got, recs[30:40], "block 3")
-	if f.DecodeCount() != 1 {
-		t.Fatalf("DecodeCount = %d, want 1", f.DecodeCount())
+	if reads() != 1 {
+		t.Fatalf("%d block reads, want 1", reads())
 	}
 	if err := d.DecodeInto(2, make([]Record, 3), nil); err == nil {
 		t.Fatal("wrong-sized dst must be rejected")
@@ -646,9 +638,14 @@ func TestTakeB2File(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		f := TakeB2File(s)
-		if f == nil || f.NumRecords() != int64(len(recs)) || f.DecodeCount() != 0 {
-			t.Fatalf("%s: TakeB2File = %v, want the undecoded file of %d records", name, f, len(recs))
+		if f == nil || f.NumRecords() != int64(len(recs)) {
+			t.Fatalf("%s: TakeB2File = %v, want the file of %d records", name, f, len(recs))
 		}
+		got, err := Collect(f.Stream(1))
+		if err != nil {
+			t.Fatalf("%s: reading the taken file: %v", name, err)
+		}
+		requireSameRecords(t, got, recs, name+" taken file")
 		if TakeB2File(s) != nil {
 			t.Fatalf("%s: the file was handed over twice", name)
 		}

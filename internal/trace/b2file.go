@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync/atomic"
 	"time"
 
 	"filemig/internal/pool"
@@ -21,16 +20,13 @@ import (
 // order, from any number of goroutines — the file itself holds no
 // decode state, so block decoders share nothing but the reader. It is
 // the one b2 reader: OpenStream reads a b2 input through it too, one
-// block after another. It counts the block decodes that actually
-// happened, so tests can prove planning decoded nothing and analysis
-// decoded each block exactly once.
+// block after another.
 type B2File struct {
 	r       io.ReaderAt
 	epoch   time.Time
 	header  int64
 	entries []b2IndexEntry
 	records int64
-	decodes atomic.Int64
 }
 
 // BlockMeta describes one block from the index alone: how many records
@@ -265,7 +261,6 @@ func (d *B2BlockDecoder) DecodeInto(i int, dst []Record, ids []FileID) error {
 	if err := decodeB2Columns(&d.blk, d.f.epoch, dst, ids); err != nil {
 		return fmt.Errorf("trace: b2: block %d at byte offset %d: %v", i, e.offset, err)
 	}
-	d.f.decodes.Add(1)
 	return nil
 }
 

@@ -1,15 +1,42 @@
 package trace
 
-import "time"
+import (
+	"bytes"
+	"io"
+	"sync/atomic"
+	"testing"
+	"time"
+)
 
 // Accessors the tests inspect files and tables through.
 
+// countingReaderAt counts ReadAt calls: after the open, each one reads
+// one block's frame.
+type countingReaderAt struct {
+	r     io.ReaderAt
+	calls atomic.Int64
+}
+
+func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	c.calls.Add(1)
+	return c.r.ReadAt(p, off)
+}
+
+// openCounted opens an encoded b2 trace seekably and returns with it a
+// count of the blocks read since the open.
+func openCounted(t testing.TB, enc []byte) (*B2File, func() int64) {
+	t.Helper()
+	c := &countingReaderAt{r: bytes.NewReader(enc)}
+	f, err := OpenB2File(c, int64(len(enc)))
+	if err != nil {
+		t.Fatalf("OpenB2File: %v", err)
+	}
+	opened := c.calls.Load()
+	return f, func() int64 { return c.calls.Load() - opened }
+}
+
 // Epoch returns the header epoch.
 func (f *B2File) Epoch() time.Time { return f.epoch }
-
-// DecodeCount reports how many block decodes have happened over the
-// file's lifetime — the observable the shard-skipping tests assert on.
-func (f *B2File) DecodeCount() int64 { return f.decodes.Load() }
 
 // DirPath returns the directory path string for a DirID.
 func (in *Interner) DirPath(id DirID) string { return in.dirPaths[id] }

@@ -57,6 +57,7 @@ var reachBenchmarkOnly = []string{
 	"serve.(*Server).EncodeCheckpoint",
 	"serve.(*Server).Ingest",
 	"serve.(*Server).RestoreCheckpoint",
+	"serve.CheckpointHeader",
 	"serve.DecodeIngest",
 	"serve.DecodeIngestFrame",
 	"trace.(*B2BlockDecoder).Decode",
