@@ -5,11 +5,12 @@
 //   - allocs_op must match the committed value up to max(16, 0.5%):
 //     effectively exact — the worker-pool benchmarks jitter by a few
 //     allocations with goroutine scheduling, and each parallel b2 block
-//     decoder owns a path table and a bounded local-path cache, so
-//     which blocks land on which worker decides how many workers meet a
-//     path for the first time — tens of allocations from run to run —
-//     while a real per-record allocation regression shows up thousands
-//     of times over the slack.
+//     decoder keeps a bounded local-path cache of its own, so which
+//     blocks land on which worker decides how many workers copy a local
+//     path — while a real per-record allocation regression shows up
+//     thousands of times over the slack. (The MSS paths no longer
+//     jitter: a run's decoders share one path table, which copies each
+//     path once whichever worker meets it first.)
 //   - b_op must stay within 10% of the committed value.
 //   - ns_op is informational only: CI boxes are noisy, so timing is
 //     printed but never fails the gate.
@@ -54,9 +55,8 @@ func load(path string) (map[string]entry, error) {
 }
 
 // allocSlack is the permitted allocs_op drift: max(16, 0.5%). The
-// proportional term covers scheduling-dependent per-worker table and
-// cache churn in the parallel decode benchmarks (observed spread ~0.3%
-// of the total);
+// proportional term covers scheduling-dependent per-worker local-path
+// cache churn and goroutine start-up in the parallel decode benchmarks;
 // the floor keeps small-count benchmarks effectively exact.
 func allocSlack(committed float64) float64 {
 	return math.Max(16, committed/200)

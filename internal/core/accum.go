@@ -18,8 +18,8 @@ import (
 // stream paths feed an Analysis directly (New + Add); every other
 // path cuts the trace into journal-only Partial segments and merges them
 // into a master through the one fold, FoldPartials: the b2 index-seek
-// path, one block group per call, in time order, each segment over its
-// shard worker's path table, which the worker keeps extending while
+// path, one block group per call, in time order, every segment over the
+// run's one path table, which the shard workers keep extending while
 // earlier segments fold; the s1 snapshot codec, one decoded snapshot per
 // call; and the migd daemon (internal/serve), every ingest segment over
 // its one daemon-wide path table at once, on demand.
@@ -37,12 +37,16 @@ import (
 // The fold replays per-file state rather than merging it, because §5.3
 // dedup survival does not compose from end states (see the package
 // comment in snapshot.go), and preserves the master's first-seen FileID
-// assignment by interning segment paths in the order the replayed
+// assignment by numbering segment paths in the order the replayed
 // records first touch them, lazily, entry by entry, through one
-// table-ID → master-ID remap per path table (idRemaps), with the hash
-// the segment's table already holds — so the master hashes no path
-// string, probes its table once per path per table that knows it within
-// a call, and never takes a path no good reference names.
+// table-ID → master-ID remap per path table (idRemaps), and never takes
+// a path no good reference names. While every segment a master folds
+// sits over one table — a b2 run's shared table, one daemon's — the
+// master borrows it (borrowed): a new file's master ID is the next
+// number, its path the table's, read through a prefix view, and the
+// remap persists from fold to fold. Over more than one table the master
+// interns into a table of its own, with the hash the segment's table
+// already holds, so it hashes no path string either way.
 
 // NewAccumulator is New under the name the benchmark module's fold probe
 // calls.
@@ -57,14 +61,14 @@ func NewAccumulator(opts Options) *Analysis { return New(opts) }
 type Partial struct {
 	*sums
 
-	// paths is the table the journal's FileIDs index: a shard worker's
-	// (every segment that worker accumulates sits over it), one daemon's
+	// paths is the table the journal's FileIDs index: a b2 run's shared
+	// table (every segment of the run sits over it), one daemon's
 	// (likewise), or private to the segment (AccumulatePartial, a decoded
 	// snapshot — dense in the segment's own first-seen order). view and
 	// hview, when set, are the prefixes of its paths and path hashes the
-	// journal can reference, captured by the goroutine that owns the
-	// table when the segment was finished: what a fold on another
-	// goroutine reads through while the owner goes on interning.
+	// journal can reference, captured under the table's lock when the
+	// segment was finished: what a fold on another goroutine reads
+	// through while the shard workers go on interning.
 	paths  *trace.Interner
 	view   []string
 	hview  []uint64
@@ -166,8 +170,9 @@ func (p *Partial) setBounds(first, last time.Time) {
 
 // pathView returns the FileID-indexed paths and path hashes the
 // journal's IDs resolve through: the prefixes captured when a shard
-// worker finished the segment, else the table as it stands (a daemon's
-// segments — the caller holds whatever lock guards that table).
+// worker finished the segment, else the table's prefix as it stands (a
+// daemon's segments — the caller holds whatever lock guards that table,
+// and the views stay valid after it is released).
 func (p *Partial) pathView() ([]string, []uint64) {
 	if p.view != nil {
 		return p.view, p.hview
@@ -178,7 +183,7 @@ func (p *Partial) pathView() ([]string, []uint64) {
 // AccumulatePartial runs one contiguous segment of records through a
 // fresh segment over a private path table, its journal sized for recs.
 func AccumulatePartial(opts Options, recs []trace.Record) *Partial {
-	paths := trace.NewInterner()
+	paths := trace.NewFileTable()
 	p := NewSegment(opts, paths)
 	p.journal = make([]journalEntry, 0, len(recs))
 	for i := range recs {
@@ -196,9 +201,9 @@ func AccumulatePartial(opts Options, recs []trace.Record) *Partial {
 // master-ID translation per path table in play, NoFileID marking an ID
 // the master has not met. FoldPartials fills it lazily through masterID
 // as the replay first touches each file, so every segment of one daemon
-// in a call shares a remap and a file costs the master one probe, and no
-// string hash, per table that knows it. The table pointer is only ever a
-// key here; paths and hashes are read through views.
+// in a call shares a remap and a file costs the master one lookup per
+// table that knows it. The table pointer is only ever a key here; paths
+// and hashes are read through views.
 type idRemaps map[*trace.Interner][]trace.FileID
 
 // covering returns table's remap, extended to translate IDs below n.
@@ -214,15 +219,75 @@ func (m idRemaps) covering(table *trace.Interner, n int) []trace.FileID {
 	return remap
 }
 
-// masterID translates one journal ID through remap, interning
-// view[id] into the master, under the hash hview[id] its table holds,
-// on the ID's first appearance.
+// borrowed is a master's path column while every segment it has folded
+// sits over one table: instead of a table of its own, the master keeps
+// the translations between that table's IDs and its own and reads paths
+// through the longest prefix views of the table a fold has captured —
+// never the live table, which its owner goes on extending. Master IDs
+// are the next number on a file's first appearance, the order a table
+// of the master's own would assign.
+type borrowed struct {
+	table *trace.Interner // the table the segments sit over: a key only
+	remap []trace.FileID  // table ID → master ID, NoFileID until met
+	order []trace.FileID  // master ID → table ID
+	view  []string        // the table's paths and hashes, as far as a fold has seen them
+	hview []uint64
+}
+
+// adoptTable settles, before a fold of ps, where the master's IDs come
+// from: a master that has met no file borrows the table of the first
+// segment with a journal, and a borrowing master that meets a segment
+// over another table interns its column into a table of its own, once.
+func (a *Analysis) adoptTable(ps []*Partial) {
+	fresh := a.borrow == nil && len(a.files) == 0
+	for _, p := range ps {
+		switch {
+		case len(p.journal) == 0:
+		case fresh:
+			a.interner, a.borrow, fresh = nil, &borrowed{table: p.paths}, false
+		case a.borrow != nil && p.paths != a.borrow.table:
+			a.ownTable()
+		}
+	}
+}
+
+// ownTable ends a borrow: the master interns its column, in master-ID
+// order and so under the same IDs, into a table of its own, which every
+// later fold and Add goes through.
+func (a *Analysis) ownTable() {
+	b := a.borrow
+	in := trace.NewFileTable()
+	in.Grow(len(b.order))
+	for _, id := range b.order {
+		in.InternHashed(b.view[id], b.hview[id])
+	}
+	a.interner, a.borrow = in, nil
+}
+
+// pathColumn returns the master's paths by FileID: view[id], or
+// view[order[id]] when order is non-nil (a borrowed table).
+func (a *Analysis) pathColumn() (view []string, order []trace.FileID) {
+	if b := a.borrow; b != nil {
+		return b.view, b.order
+	}
+	return a.interner.Paths(), nil
+}
+
+// masterID translates one journal ID through remap on the ID's first
+// appearance: the next master ID when borrowing, else view[id] interned
+// into the master's table under the hash hview[id] its table holds.
 //
 //filemig:hotpath
 func (a *Analysis) masterID(remap []trace.FileID, view []string, hview []uint64, id trace.FileID) trace.FileID {
 	m := remap[id]
 	if m == trace.NoFileID {
-		m = a.extendFiles(a.interner.InternHashed(view[id], hview[id]))
+		if b := a.borrow; b != nil {
+			m = trace.FileID(len(b.order))
+			b.order = append(b.order, id)
+		} else {
+			m = a.interner.InternHashed(view[id], hview[id])
+		}
+		m = a.extendFiles(m, view[id])
 		remap[id] = m
 	}
 	return m
@@ -231,7 +296,7 @@ func (a *Analysis) masterID(remap []trace.FileID, view []string, hview []uint64,
 // reserve makes room in the master for a replay of refs good references
 // — ops[i] of them in op i — over at most files files it has not met,
 // reaching hours hours into the calendar: the per-reference CDFs, the
-// per-file arena and path index, and the periodicity series each grow
+// per-file arena and path column, and the periodicity series each grow
 // once, to what the replay will hold, rather than by append's steps.
 // The arena and index at least double when they grow, as they do
 // unreserved, so many small folds into one master still grow them
@@ -244,8 +309,13 @@ func (a *Analysis) reserve(refs int, ops [2]int, files, hours int) {
 	}
 	if need := len(a.files) + files; need > cap(a.files) {
 		a.files = append(make([]fileState, 0, max(need, 2*cap(a.files))), a.files...)
+		a.dirOf = append(make([]trace.DirID, 0, cap(a.files)), a.dirOf...)
 	}
-	a.interner.Grow(files)
+	if b := a.borrow; b != nil {
+		b.order = slices.Grow(b.order, files)
+	} else {
+		a.interner.Grow(files)
+	}
 	if hours > cap(a.hourlyReqs) {
 		a.hourlyReqs = slices.Grow(a.hourlyReqs, hours-len(a.hourlyReqs))
 		a.hourlyRead = slices.Grow(a.hourlyRead, hours-len(a.hourlyRead))
@@ -278,12 +348,15 @@ func hoursThrough(last int64, origin time.Time) int {
 // precedes the master's last is an error, as is a dedup-window
 // disagreement. Master file IDs are assigned in replay
 // order, exactly as a single process reading the merged trace would:
-// each path table in play gets one flat table-ID → master-ID remap for
-// the call, filled on a file's first appearance in the merged order —
-// so the segments of a daemon, which share one table, share one remap
-// and a file costs the master one probe however many segments name it,
-// and no string hash at all: it interns under the hash the segment's
-// table holds.
+// each path table in play gets one flat table-ID → master-ID remap,
+// filled on a file's first appearance in the merged order — so the
+// segments of a daemon, which share one table, share one remap and a
+// file costs the master one lookup however many segments name it. A
+// master whose segments all sit over one table borrows it (see
+// borrowed) and keeps that table's remap from call to call; otherwise
+// the remaps last one call and the master interns into its own table
+// under the hash the segment's table holds, so no path string is hashed
+// at all.
 func (a *Analysis) FoldPartials(ps []*Partial) error {
 	entries := 0
 	for i, p := range ps {
@@ -322,6 +395,7 @@ func (a *Analysis) FoldPartials(ps []*Partial) error {
 		n := a.foldSums(p.sums)
 		ops[0], ops[1] = ops[0]+n[0], ops[1]+n[1]
 	}
+	a.adoptTable(ps)
 
 	// Merge-replay the journals. The heap orders by (start, segment
 	// index); within one segment the journal is already in record order,
@@ -332,6 +406,10 @@ func (a *Analysis) FoldPartials(ps []*Partial) error {
 	views := make([][]string, len(ps))
 	hviews := make([][]uint64, len(ps))
 	byTable := idRemaps{}
+	b := a.borrow
+	if b != nil {
+		byTable[b.table] = b.remap
+	}
 	// The tables' lengths bound the files the replay can meet: exactly,
 	// for a daemon's one table, which holds only paths its journals name.
 	files, last := 0, int64(math.MinInt64)
@@ -343,8 +421,17 @@ func (a *Analysis) FoldPartials(ps []*Partial) error {
 		last = max(last, p.journal[len(p.journal)-1].start)
 		views[si], hviews[si] = p.pathView()
 		known := len(byTable[p.paths])
-		remaps[si] = byTable.covering(p.paths, len(views[si]))
-		files += len(remaps[si]) - known
+		files += len(byTable.covering(p.paths, len(views[si]))) - known
+		if b != nil && len(views[si]) > len(b.view) {
+			b.view, b.hview = views[si], hviews[si]
+		}
+	}
+	// Only now is each table's remap as long as it gets this call.
+	for si, p := range ps {
+		remaps[si] = byTable[p.paths]
+	}
+	if b != nil {
+		b.remap = byTable[b.table]
 	}
 	if entries > 0 {
 		a.reserve(entries, ops, min(files, entries), hoursThrough(last, a.start))

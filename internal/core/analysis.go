@@ -102,11 +102,24 @@ type Analysis struct {
 	hasLast   bool
 	interCDF  *stats.CDF
 
-	// Part two: per-file state in a FileID-indexed arena. The interner
-	// assigns dense IDs in first-seen record order, which also fixes the
-	// (deterministic) iteration order of every per-file report loop.
+	// Part two: per-file state in a FileID-indexed arena, and the paths
+	// those FileIDs name. IDs are dense in first-seen record order, which
+	// also fixes the (deterministic) iteration order of every per-file
+	// report loop. The paths sit in the master's own table (interner:
+	// the slice path, and a fold over segments on more than one table)
+	// or, while every segment the master has folded sits over one table,
+	// in that table, borrowed (borrow, see accum.go) — exactly one of
+	// the two is set.
 	interner *trace.Interner
+	borrow   *borrowed
 	files    []fileState
+
+	// Table 4 and Figure 12: each file's directory (dirOf, by FileID),
+	// numbered in the order a file first names it, and the deepest path
+	// — filed as each file first appears, so the report reads no path.
+	dirOf    []trace.DirID
+	dirIDs   map[string]trace.DirID
+	maxDepth int
 
 	// Figure 9: interreference gaps, appended in record order as each
 	// surviving access closes one — per-file gap lists are never stored.
@@ -271,7 +284,8 @@ func New(opts Options) *Analysis {
 		coalesce:  Coalesce{Window: opts.DedupWindow},
 		weekBytes: map[int][2]int64{},
 		interCDF:  &stats.CDF{},
-		interner:  trace.NewInterner(),
+		interner:  trace.NewFileTable(),
+		dirIDs:    map[string]trace.DirID{},
 		gapCDF:    &stats.CDF{},
 		dynFiles:  [2]*stats.CDF{{}, {}},
 	}
@@ -412,22 +426,35 @@ func (a *Analysis) addInterval(start int64) {
 // interreference gaps) under the §5.3 dedup rule. Dedup depends only on
 // the file's own access history in time order, which is what lets the
 // shard merge replay each shard's accesses through this same method. The
-// file is resolved through the interner: a known path costs one table
-// probe, a new one extends the arena by a single inline slot.
+// file is resolved through the master's own table (taking one first if
+// it was borrowing): a known path costs one table probe, a new one
+// extends the arena by a single inline slot.
 func (a *Analysis) addFileAccess(path string, op trace.Op, start time.Time, size units.Bytes) {
-	a.addFileAccessID(a.extendFiles(a.interner.Intern(path)), op, start.UnixNano(), size)
+	if a.borrow != nil {
+		a.ownTable()
+	}
+	a.addFileAccessID(a.extendFiles(a.interner.Intern(path), path), op, start.UnixNano(), size)
 }
 
-// extendFiles keeps the per-file arena in step with the interner: id is
-// a FileID the interner just resolved, one past the arena on first
-// sight. A full arena doubles, as the interner's index does, rather
-// than growing by append's quarter.
-func (a *Analysis) extendFiles(id trace.FileID) trace.FileID {
+// extendFiles keeps the per-file arena in step with the path column:
+// id is a FileID just resolved for path, one past the arena on first
+// sight, when the file's directory is filed too. A full arena doubles,
+// as a table's index does, rather than growing by append's quarter.
+func (a *Analysis) extendFiles(id trace.FileID, path string) trace.FileID {
 	if int(id) == len(a.files) {
 		if len(a.files) == cap(a.files) {
 			a.files = slices.Grow(a.files, len(a.files)+1)
+			a.dirOf = slices.Grow(a.dirOf, cap(a.files)-len(a.dirOf))
 		}
 		a.files = append(a.files, fileState{})
+		dir := trace.DirOf(path)
+		d, ok := a.dirIDs[dir]
+		if !ok {
+			d = trace.DirID(len(a.dirIDs))
+			a.dirIDs[dir] = d
+		}
+		a.dirOf = append(a.dirOf, d)
+		a.maxDepth = max(a.maxDepth, depthOf(path))
 	}
 	return id
 }
@@ -499,7 +526,7 @@ func (a *Analysis) AddAll(recs []trace.Record) {
 }
 
 // depthOf counts path components below the root. (Directory derivation
-// itself lives in trace.Interner, the single copy of that rule.)
+// itself is trace.DirOf, the single copy of that rule.)
 func depthOf(path string) int {
 	return strings.Count(path, "/")
 }

@@ -69,9 +69,12 @@ func AnalyzeB2(ctx context.Context, opts B2Options, f *trace.B2File) (*Report, e
 // byte-for-byte.
 //
 // The range's shard groups fan over the pool, each worker decoding its
-// groups' blocks with a private block decoder, and the pool's merger
-// folds the Partials in group order into a master anchored at the
-// calendar origin resolved here, once, which also cuts the groups.
+// groups' blocks with a block decoder of its own over the run's one
+// shared path table, and the pool's merger folds the Partials in group
+// order into a master anchored at the calendar origin resolved here,
+// once, which also cuts the groups. The master borrows that table (see
+// FoldPartials), so each distinct path is copied into a string once per
+// run and hashed into no second table.
 // Decode and fold (a journal replay) overlap, and a failed block fails
 // the run and stops dispatch: at most Workers+1 groups past the last
 // folded one are ever decoded.
@@ -101,9 +104,10 @@ func AccumulateB2Blocks(ctx context.Context, opts StreamOptions, f *trace.B2File
 		records += int(g.count)
 	}
 	master.reserve(records, [2]int{records, records}, 0, hoursThrough(f.Meta(hi-1).End.UnixNano(), opts.Start))
+	table := trace.NewSharedTable()
 	err := pool.Run(ctx, opts.Workers, pool.Indices(len(groups)),
 		func() func(int) (*Partial, error) {
-			w := &b2Worker{opts: opts.Options, f: f, d: f.NewBlockDecoder()}
+			w := &b2Worker{opts: opts.Options, f: f, d: f.NewBlockDecoder(table)}
 			return func(i int) (*Partial, error) { return w.accumulate(groups[i]) }
 		},
 		func(sh *Partial) error { return master.FoldPartials([]*Partial{sh}) })
@@ -166,10 +170,11 @@ func b2Groups(opts StreamOptions, f *trace.B2File, lo, hi int) []blockGroup {
 	return groups
 }
 
-// b2Worker is one shard worker's state: a block decoder, whose path
-// table every Partial the worker produces sits over — the decoder interns
-// each block's dictionary into it and hands back FileIDs, so the worker
-// never hashes a path — and a block-sized decode scratch.
+// b2Worker is one shard worker's state: a block decoder over the run's
+// shared path table, which every Partial of the run sits over — the
+// decoder interns each block's dictionary into it and hands back
+// FileIDs, so the worker never hashes a path — and a block-sized decode
+// scratch.
 type b2Worker struct {
 	opts Options
 	f    *trace.B2File
@@ -181,10 +186,11 @@ type b2Worker struct {
 // accumulate decodes one group block by block through the scratch,
 // observing each block's records into a journal-only segment whose
 // journal is sized from the index, and closes the segment with the
-// prefix of the worker's table it can reference — the path and hash
-// views the fold reads while this worker moves on.
+// prefix of the shared table it can reference — the path and hash views
+// the fold reads while the workers go on interning.
 func (w *b2Worker) accumulate(g blockGroup) (*Partial, error) {
-	p := NewSegment(w.opts, w.d.Table())
+	table := w.d.Table()
+	p := NewSegment(w.opts, table.Interner)
 	p.journal = make([]journalEntry, 0, g.count)
 	for i := g.lo; i < g.hi; i++ {
 		n := int(w.f.Meta(i).Count)
@@ -196,7 +202,9 @@ func (w *b2Worker) accumulate(g blockGroup) (*Partial, error) {
 		}
 		w.observeBlock(p, w.recs[:n], w.ids[:n])
 	}
-	p.view, p.hview = w.d.Table().Paths(), w.d.Table().Hashes()
+	table.RLock()
+	p.view, p.hview = table.Paths(), table.Hashes()
+	table.RUnlock()
 	return p, nil
 }
 

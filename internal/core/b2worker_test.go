@@ -26,6 +26,20 @@ func snapshotBytes(t *testing.T, a *Analysis) []byte {
 	return buf.Bytes()
 }
 
+// masterPaths lists a master's paths in FileID order, whichever column
+// holds them.
+func masterPaths(a *Analysis) []string {
+	view, order := a.pathColumn()
+	if order == nil {
+		return slices.Clone(view)
+	}
+	out := make([]string, len(order))
+	for i, id := range order {
+		out[i] = view[id]
+	}
+	return out
+}
+
 // sliceSnapshot is the reference every b2 snapshot is held to: the
 // slice path over recs with the journal on.
 func sliceSnapshot(t *testing.T, recs []trace.Record) []byte {
@@ -143,7 +157,7 @@ func TestB2ErrorOnlyPathsStayOutOfMaster(t *testing.T) {
 	// The premise: a decoder over the block holding the error-only record
 	// does intern its path.
 	f := openB2(t, enc)
-	d := f.NewBlockDecoder()
+	d := f.NewBlockDecoder(trace.NewSharedTable())
 	interned := false
 	for i := 0; i < f.NumBlocks() && !interned; i++ {
 		if _, err := d.Decode(i); err != nil {
@@ -165,10 +179,10 @@ func TestB2ErrorOnlyPathsStayOutOfMaster(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := a.interner.Lookup(errOnly); ok {
-			t.Fatalf("workers=%d: the master interned a path only an error record names", workers)
+		if slices.Contains(masterPaths(a), errOnly) {
+			t.Fatalf("workers=%d: the master took a path only an error record names", workers)
 		}
-		if !slices.Equal(a.interner.Paths(), slice.interner.Paths()) {
+		if !slices.Equal(masterPaths(a), masterPaths(slice)) {
 			t.Fatalf("workers=%d: master path table differs from the slice path's", workers)
 		}
 		if got, want := a.Report().Table4.NumFiles, slice.Report().Table4.NumFiles; got != want {
@@ -227,7 +241,7 @@ func TestB2WorkerGroupAllocs(t *testing.T) {
 	opts := StreamOptions{ShardDuration: DefaultShardDuration}
 	opts.Start = f.Meta(0).Base.Truncate(24 * time.Hour)
 	groups := b2Groups(opts, f, 0, f.NumBlocks())
-	w := &b2Worker{opts: opts.Options, f: f, d: f.NewBlockDecoder()}
+	w := &b2Worker{opts: opts.Options, f: f, d: f.NewBlockDecoder(trace.NewSharedTable())}
 	g := groups[0]
 	for _, gg := range groups { // warm, and pick the largest group
 		if _, err := w.accumulate(gg); err != nil {

@@ -402,21 +402,17 @@ func (a *Analysis) buildFileStore() (Table4, Figure12) {
 		files int64
 		bytes units.Bytes
 	}
-	// Every interned directory has at least one interned file, so the
-	// DirID-indexed slice plays the role of the old dir-keyed map.
-	dirs := make([]dirAgg, a.interner.NumDirs())
+	// Every directory has at least one file, so the DirID-indexed slice
+	// plays the role of a dir-keyed map.
+	dirs := make([]dirAgg, len(a.dirIDs))
 	var total units.Bytes
-	maxDepth := 0
 	var neverReread int64
 	for i := range a.files {
 		st := &a.files[i]
-		agg := &dirs[a.interner.Dir(trace.FileID(i))]
+		agg := &dirs[a.dirOf[i]]
 		agg.files++
 		agg.bytes += st.size
 		total += st.size
-		if dep := depthOf(a.interner.Path(trace.FileID(i))); dep > maxDepth {
-			maxDepth = dep
-		}
 		// §5.4: metadata describing files never accessed again — here,
 		// files whose whole history is a single write.
 		if st.reads == 0 && st.writes <= 1 {
@@ -426,7 +422,7 @@ func (a *Analysis) buildFileStore() (Table4, Figure12) {
 	t4 := Table4{
 		NumFiles:  int64(len(a.files)),
 		NumDirs:   int64(len(dirs)),
-		MaxDepth:  maxDepth,
+		MaxDepth:  a.maxDepth,
 		TotalData: total,
 	}
 	if t4.NumFiles > 0 {

@@ -73,20 +73,22 @@ func (a *Analysis) WriteSnapshot(w io.Writer) error {
 		return errors.New("core: an analysis with a namespace Tree cannot be snapshotted (trees are not serialized)")
 	}
 	ww := trace.NewWireWriter(w)
-	// The analysis's own interner is the snapshot's path table as it
+	// The analysis's path column is the snapshot's path table as it
 	// stands: dense, in first-seen order.
-	if err := a.sums.encode(ww, a.opts.DedupWindow, a.interner, nil, nil); err != nil {
+	view, order := a.pathColumn()
+	if err := a.sums.encode(ww, a.opts.DedupWindow, view, order, nil); err != nil {
 		return err
 	}
 	return ww.Flush()
 }
 
 // encode emits one s1 snapshot: the sums, then the path table, then the
-// journal. order lists the snapshot's path table as IDs of paths in
-// first-seen order and local maps those IDs back to positions in it; a
-// nil order means paths is itself that table, whole and in order. The
+// journal. order lists the snapshot's path table as indexes into paths
+// in first-seen order; a nil order means paths is itself that table,
+// whole and in order. local, when non-nil, maps the journal's IDs to
+// positions in order; a nil local means they are those positions. The
 // caller flushes.
-func (s *sums) encode(ww *trace.WireWriter, dedup time.Duration, paths *trace.Interner, order, local []trace.FileID) error {
+func (s *sums) encode(ww *trace.WireWriter, dedup time.Duration, paths []string, order, local []trace.FileID) error {
 	ww.Raw([]byte(trace.SnapshotHeader))
 	ww.Byte('\n')
 
@@ -122,14 +124,14 @@ func (s *sums) encode(ww *trace.WireWriter, dedup time.Duration, paths *trace.In
 	}
 
 	if order == nil {
-		ww.Uvarint(uint64(paths.Len()))
-		for i := 0; i < paths.Len(); i++ {
-			ww.String(paths.Path(trace.FileID(i)))
+		ww.Uvarint(uint64(len(paths)))
+		for _, p := range paths {
+			ww.String(p)
 		}
 	} else {
 		ww.Uvarint(uint64(len(order)))
 		for _, id := range order {
-			ww.String(paths.Path(id))
+			ww.String(paths[id])
 		}
 	}
 
@@ -138,7 +140,7 @@ func (s *sums) encode(ww *trace.WireWriter, dedup time.Duration, paths *trace.In
 	for k := range s.journal {
 		e := &s.journal[k]
 		id := e.id
-		if order != nil {
+		if local != nil {
 			id = local[id]
 		}
 		idOp := uint64(id) << 1
@@ -232,7 +234,7 @@ func (c *SegmentCodec) Write(w io.Writer, p *Partial) error {
 	} else {
 		c.ww.Reset(w)
 	}
-	if err := p.sums.encode(c.ww, p.dedup, c.paths, c.order, c.local); err != nil {
+	if err := p.sums.encode(c.ww, p.dedup, c.paths.Paths(), c.order, c.local); err != nil {
 		return err
 	}
 	return c.ww.Flush()
@@ -321,7 +323,7 @@ func (sm *SnapshotMerger) Analysis() (*Analysis, error) {
 // over a table of its own and folds it into m through FoldPartials. The
 // master is untouched on any decode or validation error.
 func (m *Analysis) mergeSnapshot(r io.Reader, first bool) error {
-	p, err := NewSegmentCodec(trace.NewInterner()).decode(trace.NewWireReader(r), time.Time{}, time.Time{})
+	p, err := NewSegmentCodec(trace.NewFileTable()).decode(trace.NewWireReader(r), time.Time{}, time.Time{})
 	if err != nil {
 		return err
 	}

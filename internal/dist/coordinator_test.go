@@ -7,12 +7,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -642,5 +644,52 @@ func TestJournalV1Resumes(t *testing.T) {
 	_, served := serve(t, t.Context(), c)
 	if err := returned(t, served); err != nil {
 		t.Fatalf("Serve: %v", err)
+	}
+}
+
+// TestWorkerHoldsOneConnection: a worker's exchanges are one at a time,
+// so its default client dials the coordinator once and reuses that
+// connection for the whole run — never a second one while the first is
+// still being handed back. Two workers over many short tasks, counted
+// through the default client's dialer over repeated runs.
+func TestWorkerHoldsOneConnection(t *testing.T) {
+	var dials atomic.Int64
+	prev := workerDial
+	workerDial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		return prev(ctx, network, addr)
+	}
+	t.Cleanup(func() { workerDial = prev })
+	const workers = 2
+	for run := 0; run < 25; run++ {
+		dials.Store(0)
+		c, delivered := testCoordinator(t, 20, Options{Now: newFakeClock().Now, Lease: time.Minute})
+		base, served := serve(t, t.Context(), c)
+		// Both workers fetch the plan before either claims, so neither
+		// can finish the run — and end it — before the other has joined.
+		var joined sync.WaitGroup
+		joined.Add(workers)
+		echo := func(string, []byte) (ExecFunc, error) {
+			joined.Done()
+			joined.Wait()
+			return func(_ context.Context, p []byte) ([]byte, error) { return p, nil }, nil
+		}
+		wait := startWorkers(t.Context(), base, workers, func(i int) WorkerOptions {
+			return WorkerOptions{Seed: int64(run*workers + i), NewExec: echo}
+		})
+		for i, err := range wait() {
+			if err != nil {
+				t.Fatalf("run %d: worker %d: %v", run, i, err)
+			}
+		}
+		if err := returned(t, served); err != nil {
+			t.Fatalf("run %d: Serve: %v", run, err)
+		}
+		if len(*delivered) != 20 {
+			t.Fatalf("run %d: delivered %d of 20 tasks", run, len(*delivered))
+		}
+		if n := dials.Load(); n != workers {
+			t.Fatalf("run %d: %d workers dialed %d connections, want one each", run, workers, n)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -24,7 +25,9 @@ type ExecFunc func(ctx context.Context, payload []byte) ([]byte, error)
 // WorkerOptions tunes a worker's claim loop.
 type WorkerOptions struct {
 	// Client performs the HTTP requests; wrap its Transport to inject
-	// faults in tests. Nil means a fresh client with sane timeouts.
+	// faults in tests. Nil means a fresh client with sane timeouts over
+	// a transport of the worker's own, which holds one connection to
+	// the coordinator.
 	Client *http.Client
 
 	// Seed seeds the worker's jitter RNG and the name it gives the
@@ -52,7 +55,8 @@ const maxNetFailures = 40
 // consecutive attempts, or ctx is cancelled.
 func RunWorker(ctx context.Context, baseURL string, opts WorkerOptions) error {
 	if opts.Client == nil {
-		opts.Client = &http.Client{Timeout: 2 * time.Minute}
+		opts.Client = newWorkerClient()
+		defer opts.Client.CloseIdleConnections()
 	}
 	if opts.NewExec == nil {
 		opts.NewExec = DefaultExec
@@ -97,6 +101,25 @@ func RunWorker(ctx context.Context, baseURL string, opts WorkerOptions) error {
 			w.execute(ctx, exec, msg)
 		}
 	}
+}
+
+// workerDial opens a default worker client's connection to the
+// coordinator.
+var workerDial = (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext
+
+// newWorkerClient returns the client a worker runs with when it is
+// given none. A worker makes one exchange at a time, so its transport,
+// shared with nothing, holds at most one connection to the coordinator:
+// the next exchange waits for the connection the last one is handing
+// back rather than dialing a second beside it.
+func newWorkerClient() *http.Client {
+	return &http.Client{Timeout: 2 * time.Minute, Transport: &http.Transport{
+		Proxy:               http.ProxyFromEnvironment,
+		DialContext:         workerDial,
+		MaxConnsPerHost:     1,
+		MaxIdleConnsPerHost: 1,
+		IdleConnTimeout:     90 * time.Second,
+	}}
 }
 
 // worker is one claim loop's state.

@@ -65,7 +65,7 @@ var requiredHotpath = map[string][]string{
 		"(*WireReader).Uvarint",
 		"(*WireReader).Bytes",
 		"decodeB2Columns",
-		"(*B2BlockDecoder).internMSS",
+		"(*B2BlockDecoder).lookupMSS",
 	},
 	ModulePath + "/internal/core": {
 		"(*Analysis).addFileAccessID",

@@ -133,7 +133,7 @@ func (s *Server) EncodeCheckpoint() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := bytes.NewBufferString(CheckpointHeader)
-	enc := frameEncoder{codec: core.NewSegmentCodec(s.paths)}
+	enc := frameEncoder{codec: core.NewSegmentCodec(s.paths.Interner)}
 	if _, err := enc.writeAll(out, s.orderedSegments()); err != nil {
 		return nil, fmt.Errorf("serve: checkpoint %w", err)
 	}
@@ -200,7 +200,7 @@ func (s *Server) writeStripes(dir string, gen int64, all bool) (rec generation, 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec = generation{Version: generationVersion, Gen: gen}
-	enc := frameEncoder{codec: core.NewSegmentCodec(s.paths)}
+	enc := frameEncoder{codec: core.NewSegmentCodec(s.paths.Interner)}
 	out := bufio.NewWriterSize(nil, 1<<16)
 	for _, k := range s.stripeKeys() {
 		sh := s.shards[k]
@@ -323,11 +323,15 @@ func (s *Server) maybeCheckpoint() {
 }
 
 // restorer decodes checkpoint frames into segments over a fresh path
-// table.
+// table. buf is the one read buffer every stripe entry of a directory
+// restore is read into in turn: nothing decoded keeps a view of it —
+// paths are interned, journals, sums and latency samples decode into
+// memory of their own.
 type restorer struct {
 	paths *trace.Interner
 	codec *core.SegmentCodec
 	segs  []*segment
+	buf   []byte
 }
 
 func newRestorer() *restorer {
@@ -385,18 +389,26 @@ func (s *Server) RestoreCheckpointDir(dir string) error {
 	if fi, err := os.Stat(dir); err == nil && !fi.IsDir() {
 		return fmt.Errorf("serve: restore %s: not a checkpoint directory (a c1 checkpoint file?)", dir)
 	}
+	return s.restoreDir(dir, newRestorer())
+}
+
+// restoreDir is RestoreCheckpointDir through the given restorer.
+func (s *Server) restoreDir(dir string, r *restorer) error {
 	rec, err := readGeneration(dir)
 	if err != nil {
 		return fmt.Errorf("serve: restore: %w", err)
 	}
-	r := newRestorer()
 	keep := true
 	for _, e := range rec.Entries {
 		path := filepath.Join(dir, e.File)
 		from := len(r.segs)
-		data, err := os.ReadFile(path)
+		f, err := os.Open(path)
 		if err == nil {
-			err = r.frames(data)
+			r.buf, err = readBody(r.buf, f, 0) // grows only when an entry outruns it
+			f.Close()
+		}
+		if err == nil {
+			err = r.frames(r.buf)
 		}
 		if err != nil {
 			return fmt.Errorf("serve: restore %s: %w", path, err)
@@ -430,12 +442,12 @@ func (s *Server) install(r *restorer, entries []entry) error {
 	defer s.ckptMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tableMu.Lock()
-	defer s.tableMu.Unlock()
+	s.paths.Lock()
+	defer s.paths.Unlock()
 	if s.records.Load() != 0 || s.paths.Len() != 0 {
 		return errors.New("serve: restore into a non-empty server")
 	}
-	s.paths, s.files = r.paths, files
+	s.paths.Interner, s.files = r.paths, files
 	for _, sg := range r.segs {
 		sg.seq = s.segSeq.Add(1)
 		first, _ := sg.p.Bounds()

@@ -301,6 +301,64 @@ func TestRestoredCheckpointCopiesEverything(t *testing.T) {
 	sameAsEncoded(t, wide)
 }
 
+// TestRestoreKeepsNoViewOfItsBuffer: a directory restore reads every
+// stripe entry into one buffer in turn, so nothing restored may keep a
+// view of it. Restored through a buffer that holds the largest entry —
+// every entry then passes through the same bytes — which is scribbled
+// over afterwards, the daemon must still serve the checkpointed
+// daemon's /v1/report byte for byte and encode the same checkpoint.
+func TestRestoreKeepsNoViewOfItsBuffer(t *testing.T) {
+	s, _ := ckptDaemon(t)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	get := func(srv *Server) []byte {
+		rr := httptest.NewRecorder()
+		srv.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/report", nil))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("/v1/report: %d %s", rr.Code, rr.Body)
+		}
+		return rr.Body.Bytes()
+	}
+	want := get(s)
+	wantCkpt, err := s.EncodeCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	largest := int64(0)
+	for _, name := range dirNames(t, s.cfg.CheckpointPath) {
+		fi, err := os.Stat(filepath.Join(s.cfg.CheckpointPath, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		largest = max(largest, fi.Size())
+	}
+	r, err := NewServer(s.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := newRestorer()
+	rs.buf = make([]byte, 0, largest+1)
+	backing := &rs.buf[:1][0]
+	if err := r.restoreDir(s.cfg.CheckpointPath, rs); err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.segs) < 10 || &rs.buf[:1][0] != backing {
+		t.Fatalf("restore decoded %d segments, buffer reused: %v", len(rs.segs), &rs.buf[:1][0] == backing)
+	}
+	scribble := rs.buf[:cap(rs.buf)]
+	for i := range scribble {
+		scribble[i] = 0xa5
+	}
+	if got := get(r); !bytes.Equal(got, want) {
+		t.Fatalf("after the read buffer was overwritten the restored report differs (%d vs %d bytes)", len(got), len(want))
+	}
+	if got, err := r.EncodeCheckpoint(); err != nil || !bytes.Equal(got, wantCkpt) {
+		t.Fatalf("after the read buffer was overwritten the restored checkpoint differs (err %v)", err)
+	}
+}
+
 // TestCheckpointFaultWrite is the checkpoint write's cut-point matrix,
 // through the one seam under the durable write path (dist.Disk). From a
 // checkpointed daemon, two batches land in two stripes; the next

@@ -67,8 +67,8 @@ func putScratch(sc *ingestScratch) {
 // the daemon's table already holds resolves — one hash, no allocation —
 // to the table's own string and its FileID, which ingest then uses as
 // is; any other path gets a fresh string and NoFileID, and enters the
-// table only if the whole batch validates. The caller holds tableMu
-// shared.
+// table only if the whole batch validates. The caller holds the table's
+// read lock.
 //
 //filemig:hotpath
 func (sc *ingestScratch) lookup(b []byte) string {
@@ -110,8 +110,8 @@ func (sc *ingestScratch) decode(body []byte) error {
 	case looksUp:
 		sc.b1.ResetBytes(body, sc.canon, dropPath)
 		st = &sc.b1
-		sc.srv.tableMu.RLock()
-		defer sc.srv.tableMu.RUnlock()
+		sc.srv.paths.RLock()
+		defer sc.srv.paths.RUnlock()
 	case f == trace.FormatBinary:
 		sc.b1.ResetBytes(body, nil, nil)
 		st = &sc.b1
@@ -134,8 +134,8 @@ func (sc *ingestScratch) decode(body []byte) error {
 		}
 		sc.recs = append(sc.recs, r)
 		if looksUp && len(sc.recs)%lookupStride == 0 {
-			sc.srv.tableMu.RUnlock()
-			sc.srv.tableMu.RLock()
+			sc.srv.paths.RUnlock()
+			sc.srv.paths.RLock()
 		}
 	}
 	if !looksUp {
@@ -226,8 +226,8 @@ func (s *Server) ingest(recs []trace.Record, ids []trace.FileID) {
 // reference into its file's live row, all under one hold of the table
 // lock. The caller holds mu shared.
 func (s *Server) internBatch(recs []trace.Record, ids []trace.FileID) {
-	s.tableMu.Lock()
-	defer s.tableMu.Unlock()
+	s.paths.Lock()
+	defer s.paths.Unlock()
 	for i := range recs {
 		r := &recs[i]
 		if !r.OK() {
@@ -260,7 +260,7 @@ func (s *Server) applyRun(k int64, recs []trace.Record, ids []trace.FileID) {
 	if sh.lastSeg != nil && !recs[0].Start.Before(sh.maxLast) {
 		sg = sh.lastSeg
 	} else {
-		sg = &segment{p: core.NewSegment(s.cfg.Opts, s.paths), seq: s.segSeq.Add(1)}
+		sg = &segment{p: core.NewSegment(s.cfg.Opts, s.paths.Interner), seq: s.segSeq.Add(1)}
 		sh.segs = append(sh.segs, sg)
 		s.segCount.Add(1)
 	}

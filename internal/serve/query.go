@@ -39,14 +39,14 @@ type FileStatus struct {
 // instant. The second result reports whether the file has ever been
 // referenced.
 func (s *Server) FileStatusAt(path string, now time.Time) (FileStatus, bool) {
-	s.tableMu.RLock()
+	s.paths.RLock()
 	id, ok := s.paths.Lookup(path)
 	if !ok {
-		s.tableMu.RUnlock()
+		s.paths.RUnlock()
 		return FileStatus{}, false
 	}
 	f := s.files[id]
-	s.tableMu.RUnlock()
+	s.paths.RUnlock()
 	st := FileStatus{
 		Path:   path,
 		Size:   int64(f.size),
@@ -141,9 +141,9 @@ type Stats struct {
 
 // StatsNow snapshots the live counters.
 func (s *Server) StatsNow() Stats {
-	s.tableMu.RLock()
+	s.paths.RLock()
 	files := int64(len(s.files))
-	s.tableMu.RUnlock()
+	s.paths.RUnlock()
 	s.shardsMu.Lock()
 	shards := int64(len(s.shards))
 	s.shardsMu.Unlock()

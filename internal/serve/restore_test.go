@@ -71,7 +71,7 @@ func reencode(t testing.TB, s *Server) []byte {
 	segs := s.orderedSegments()
 	s.mu.Unlock()
 	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
-	enc := frameEncoder{codec: core.NewSegmentCodec(s.paths)}
+	enc := frameEncoder{codec: core.NewSegmentCodec(s.paths.Interner)}
 	out := []byte(CheckpointHeader)
 	for _, sg := range segs {
 		frame, err := enc.encode(sg.p)

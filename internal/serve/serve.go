@@ -196,14 +196,12 @@ type Server struct {
 	shardsMu sync.Mutex
 	shards   map[int64]*shard
 
-	// tableMu guards the daemon-wide path table (file-only: nothing
-	// here reads a directory) and the per-file rows its FileIDs index;
-	// it nests inside mu. Ingest extends both under
-	// the write lock, once per validated batch; decode-time lookups and
-	// /v1/file take the read lock.
-	tableMu sync.RWMutex
-	paths   *trace.Interner
-	files   []fileRow
+	// paths is the daemon-wide path table, and its lock also guards the
+	// per-file rows its FileIDs index; it nests inside mu. Ingest
+	// extends both under the write lock, once per validated batch;
+	// decode-time lookups and /v1/file take the read lock.
+	paths *trace.SharedTable
+	files []fileRow
 
 	// ckptMu serialises checkpoints: the stripe entries, the generation
 	// record, the prune and the sinceCkpt settlement are one step. It is
@@ -234,7 +232,7 @@ func NewServer(cfg Config) (*Server, error) {
 		stpK:         cfg.STPK,
 		migrateAfter: cfg.MigrateAfter,
 		shards:       map[int64]*shard{},
-		paths:        trace.NewFileTable(),
+		paths:        trace.NewSharedTable(),
 	}
 	if s.shardDur <= 0 {
 		s.shardDur = DefaultShardDuration

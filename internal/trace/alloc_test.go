@@ -105,7 +105,7 @@ func TestB2BlockDecodeSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := f.NewBlockDecoder()
+	d := f.NewBlockDecoder(NewSharedTable())
 	dst := make([]Record, f.Meta(0).Count)
 	ids := make([]FileID, len(dst))
 	decode := func() {

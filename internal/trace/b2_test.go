@@ -89,7 +89,7 @@ func requireSameRecords(t *testing.T, got, want []Record, label string) {
 // order.
 func requireDecoderContract(t *testing.T, f *B2File, reads func() int64, want []Record) {
 	t.Helper()
-	d := f.NewBlockDecoder()
+	d := f.NewBlockDecoder(NewSharedTable())
 	before := reads()
 	distinct := map[string]FileID{}
 	at := 0
@@ -160,7 +160,7 @@ func TestB2DecoderRejectedBlock(t *testing.T) {
 	_, enc := b2Fixture(t, 60, 10)
 	bad := resealB2Block(t, enc, 2, func(body []byte) { body[len(body)-1] = 0x7f })
 	f, reads := openCounted(t, bad)
-	d := f.NewBlockDecoder()
+	d := f.NewBlockDecoder(NewSharedTable())
 	recs, ids := make([]Record, 10), make([]FileID, 10)
 	for i := 0; i < 2; i++ {
 		if err := d.DecodeInto(i, recs, ids); err != nil {
@@ -298,7 +298,7 @@ func TestB2MultiBlock(t *testing.T) {
 func TestB2SingleBlockDecode(t *testing.T) {
 	recs, enc := b2Fixture(t, 60, 10)
 	f, reads := openCounted(t, enc)
-	d := f.NewBlockDecoder()
+	d := f.NewBlockDecoder(NewSharedTable())
 	// Decode only block 3; exactly its records come back and exactly one
 	// block is read.
 	got, err := d.Decode(3)
@@ -554,7 +554,7 @@ func TestB2ParallelErrorIsDeterministic(t *testing.T) {
 	}
 	// Flip one byte in block 2's body: entry offsets are private, so find
 	// it by decoding geometry from the clean file.
-	d := f0.NewBlockDecoder()
+	d := f0.NewBlockDecoder(NewSharedTable())
 	if _, err := d.Decode(2); err != nil {
 		t.Fatal(err)
 	}

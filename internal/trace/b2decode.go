@@ -28,15 +28,15 @@ type b2Block struct {
 	count      int
 	base, span int64 // first record's start and last-minus-first, seconds since epoch
 	mssDict    []string
-	mssIDs     []FileID // parallel to mssDict when a block decoder's table interned it, else empty
+	mssIDs     []FileID // parallel to mssDict when a block decoder's table resolved it, else empty
 	localDict  []string
 	cols       [b2NumCols][]byte
 }
 
-// internFunc canonicalises one path's bytes into a string; the readers
-// pass an Interner-backed hook for MSS paths and pathCache.canonical for
-// local paths so dictionary entries intern once per block, not once per
-// record.
+// internFunc canonicalises one validated path's bytes into a string;
+// the block decoder passes its table lookup for MSS paths and
+// pathCache.canonical for local paths, so dictionary entries resolve
+// once per block, not once per record.
 type internFunc func([]byte) string
 
 // parseB2Block decodes a verified block body into blk. Dictionary
@@ -106,11 +106,10 @@ func parseB2Dict(r *WireReader, which string, maxEntries uint64, canon internFun
 		if err != nil {
 			return dst, fmt.Errorf("%s dictionary entry %d: %v", which, i, err)
 		}
-		s := canon(b)
-		if !validPath(s) {
-			return dst, fmt.Errorf("%s dictionary entry %d: bad path %q", which, i, s)
+		if !validPath(b) {
+			return dst, fmt.Errorf("%s dictionary entry %d: bad path %q", which, i, b)
 		}
-		dst = append(dst, s)
+		dst = append(dst, canon(b))
 	}
 	return dst, nil
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"time"
 
@@ -169,55 +170,87 @@ func (f *B2File) Meta(i int) BlockMeta {
 }
 
 // B2BlockDecoder decodes individual blocks of one B2File. It owns the
-// frame and dictionary scratch a decode needs and its own path table:
-// every MSS dictionary entry of every block it decodes is interned there
-// once (a file-only table — no directories derived), and DecodeInto
-// hands back each record's FileID in it, so a caller that analyses by
-// FileID never hashes a path itself. Concurrent goroutines each use
-// their own decoder and share nothing; a decoder is not safe for
-// concurrent use itself.
+// frame and dictionary scratch a decode needs and interns into a path
+// table it may share with other decoders (a file-only table — no
+// directories derived): a block's MSS dictionary is looked up there
+// under the table's read lock, and the entries no decoder has interned
+// yet are interned together under its write lock. DecodeInto hands
+// back each record's FileID in that table, so a caller that analyses by
+// FileID never hashes a path itself, and decoders over one table — a
+// b2 run's shard workers — copy each distinct path into a string once
+// between them. A decoder is not safe for concurrent use itself;
+// concurrent goroutines each use their own.
 //
 // The table is append-only, so a FileID, once issued, names the same
-// path for the decoder's life. A block rejected after its frame
-// checksum verified may already have interned some of its dictionary —
-// paths no record was issued for. Callers treat a decode error as the
-// failure of whatever they were decoding for (the analysis paths fail
-// the whole run), and a fold interns only paths a journal references,
-// so such strays never reach a master's table.
+// path for the table's life. A block rejected after its dictionaries
+// parsed may already have interned some of its MSS paths — paths no
+// record was issued for. Callers treat a decode error as the failure of
+// whatever they were decoding for (the analysis paths fail the whole
+// run), and a fold takes only paths a journal references, so such
+// strays never reach a master.
 type B2BlockDecoder struct {
-	f     *B2File
-	table *Interner
-	local pathCache
-	body  []byte
-	blk   b2Block
+	f      *B2File
+	table  *SharedTable
+	local  pathCache
+	body   []byte
+	blk    b2Block
+	misses []b2Miss // the block's MSS dictionary entries the table lacked
 
 	// The dictionary hooks, bound once so a decode allocates no closure.
 	mssCanon, localCanon internFunc
 }
 
-// NewBlockDecoder returns a decoder for f's blocks over a fresh path
+// b2Miss is one MSS dictionary entry the shared table did not hold when
+// the block's dictionary was looked up: its position, its bytes (a view
+// into the decoder's frame) and their hash.
+type b2Miss struct {
+	k    int
+	path []byte
+	h    uint64
+}
+
+// NewBlockDecoder returns a decoder for f's blocks that interns into
 // table.
-func (f *B2File) NewBlockDecoder() *B2BlockDecoder {
-	d := &B2BlockDecoder{f: f, table: NewFileTable()}
-	d.mssCanon, d.localCanon = d.internMSS, d.local.canonical
+func (f *B2File) NewBlockDecoder(table *SharedTable) *B2BlockDecoder {
+	d := &B2BlockDecoder{f: f, table: table}
+	d.mssCanon, d.localCanon = d.lookupMSS, d.local.canonical
 	return d
 }
 
 // Table returns the decoder's path table: the one the FileIDs DecodeInto
-// hands back index. Only the goroutine running the decoder may call its
-// methods; hand another goroutine Table().Paths(), a prefix view the
-// decoder's later appends never touch.
-func (d *B2BlockDecoder) Table() *Interner { return d.table }
+// hands back index. Read it under its lock, or through a prefix view
+// (Paths, Hashes) taken under the lock, which later interns never touch.
+func (d *B2BlockDecoder) Table() *SharedTable { return d.table }
 
-// internMSS is the MSS dictionary hook: the one place the decode side
-// hashes a path — once per dictionary entry, however many records
-// reference it — keeping the entry's FileID beside its canonical string.
+// lookupMSS is the MSS dictionary hook, run under the table's read lock:
+// the one place the decode side hashes a path — once per dictionary
+// entry, however many records reference it. A path the table holds
+// resolves to its FileID and canonical string; any other is noted as a
+// miss, for internMisses to fill in.
 //
 //filemig:hotpath
-func (d *B2BlockDecoder) internMSS(b []byte) string {
-	id := d.table.InternBytes(b)
+func (d *B2BlockDecoder) lookupMSS(b []byte) string {
+	h := maphash.Bytes(pathSeed, b)
+	id, _ := probe(d.table.Interner, b, h)
 	d.blk.mssIDs = append(d.blk.mssIDs, id)
+	if id == NoFileID {
+		d.misses = append(d.misses, b2Miss{k: len(d.blk.mssIDs) - 1, path: b, h: h})
+		return ""
+	}
 	return d.table.paths[id]
+}
+
+// internMisses interns the block's missed MSS entries under the table's
+// write lock — each re-probed there first, since another decoder may
+// have interned it since the lookup, so a path is copied into a string
+// once per table — and fills in their FileIDs and strings.
+func (d *B2BlockDecoder) internMisses() {
+	d.table.Lock()
+	for _, m := range d.misses {
+		id := d.table.internBytes(m.path, m.h)
+		d.blk.mssIDs[m.k], d.blk.mssDict[m.k] = id, d.table.paths[id]
+	}
+	d.table.Unlock()
 }
 
 // Decode decodes block i into a freshly allocated record slice.
@@ -252,8 +285,15 @@ func (d *B2BlockDecoder) DecodeInto(i int, dst []Record, ids []FileID) error {
 	if err != nil {
 		return fmt.Errorf("trace: b2: block %d at byte offset %d: %v", i, e.offset, err)
 	}
-	if err := parseB2Block(body, d.mssCanon, d.localCanon, &d.blk); err != nil {
+	d.misses = d.misses[:0]
+	d.table.RLock()
+	err = parseB2Block(body, d.mssCanon, d.localCanon, &d.blk)
+	d.table.RUnlock()
+	if err != nil {
 		return fmt.Errorf("trace: b2: block %d at byte offset %d: %v", i, e.offset, err)
+	}
+	if len(d.misses) > 0 {
+		d.internMisses()
 	}
 	if err := checkB2Block(i, &d.blk, e); err != nil {
 		return fmt.Errorf("trace: b2: at byte offset %d: %v", e.offset, err)
@@ -284,7 +324,7 @@ func openB2Stream(at io.ReaderAt, size int64, rest io.Reader) (Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &b2Stream{d: f.NewBlockDecoder()}, nil
+	return &b2Stream{d: f.NewBlockDecoder(NewSharedTable())}, nil
 }
 
 // TakeB2File hands over the b2 file under a stream that OpenStream,
@@ -343,16 +383,19 @@ func (s *b2Stream) Next() (Record, error) {
 // the given number of worker goroutines but yields records in exact
 // file order — byte-for-byte the same sequence at any worker count.
 // At most workers+1 decoded blocks wait for the consumer, so memory
-// stays bounded on arbitrarily large files. The stream must be drained
-// to io.EOF or its first error; both tear the workers down.
+// stays bounded on arbitrarily large files. The workers' decoders share
+// one path table, so a path string is copied once, not once per worker
+// that meets it. The stream must be drained to io.EOF or its first
+// error; both tear the workers down.
 func (f *B2File) Stream(workers int) Stream {
 	s := &b2ParallelStream{blocks: make(chan []Record)}
+	table := NewSharedTable()
 	// The pump runs the pool and feeds Next; by the time it closes
 	// blocks every worker has finished, so once Next has reported the
 	// end or an error nothing still touches the underlying reader.
 	go func() {
 		s.err = pool.Run(context.Background(), workers, pool.Indices(len(f.entries)),
-			func() func(int) ([]Record, error) { return f.NewBlockDecoder().Decode },
+			func() func(int) ([]Record, error) { return f.NewBlockDecoder(table).Decode },
 			func(recs []Record) error { s.blocks <- recs; return nil })
 		close(s.blocks)
 	}()

@@ -40,3 +40,6 @@ func (f *B2File) Epoch() time.Time { return f.epoch }
 
 // DirPath returns the directory path string for a DirID.
 func (in *Interner) DirPath(id DirID) string { return in.dirPaths[id] }
+
+// NumDirs reports the number of distinct directories derived so far.
+func (in *Interner) NumDirs() int { return len(in.dirPaths) }

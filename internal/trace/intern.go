@@ -4,6 +4,7 @@ import (
 	"hash/maphash"
 	"math/bits"
 	"strings"
+	"sync"
 )
 
 // Path interning: the shared hot-path layer that maps MSS path strings to
@@ -47,8 +48,9 @@ const minSlots = 16
 // string, and growing re-slots from the stored hashes, so a path string
 // is hashed once on its way in — and not at all when it arrives with
 // the hash another table holds for it (InternHashed, the fold's path
-// from a worker's table into the master's). The zero value is not
-// ready; use NewInterner. An Interner is not safe for concurrent use.
+// from a segment's table into a master's). The zero value is not
+// ready; use NewInterner. An Interner is not safe for concurrent use;
+// a table many goroutines intern into is a SharedTable.
 type Interner struct {
 	paths  []string // FileID -> canonical path string
 	hashes []uint64 // FileID -> the path's hash under pathSeed
@@ -68,10 +70,11 @@ func NewInterner() *Interner {
 }
 
 // NewFileTable returns an empty Interner that derives no directories:
-// the kind whose IDs are only ever translated into a master's, which
-// derives them once — a b2 block decoder's, the migd daemon's and its
-// checkpoint restore's. Dir has nothing to answer there and must not be
-// called; NumDirs is zero.
+// every table the analysis keeps — a b2 run's shared table, the migd
+// daemon's and its checkpoint restore's, a segment's private one, a
+// master's own — since the master files each file's directory itself
+// as the file first appears. Dir has nothing to answer there and must
+// not be called.
 func NewFileTable() *Interner {
 	return &Interner{slots: make([]uint32, minSlots)}
 }
@@ -90,11 +93,16 @@ func (in *Interner) Intern(path string) FileID {
 //
 //filemig:hotpath
 func (in *Interner) InternBytes(path []byte) FileID {
-	h := maphash.Bytes(pathSeed, path)
+	return in.internBytes(path, maphash.Bytes(pathSeed, path))
+}
+
+// internBytes is InternBytes under path's hash h. Only a first
+// sighting allocates: the one canonical copy per distinct path.
+func (in *Interner) internBytes(path []byte, h uint64) FileID {
 	if id, _ := probe(in, path, h); id != NoFileID {
 		return id
 	}
-	return in.InternHashed(string(path), h) //lint:hotalloc-ok first sighting only: the one canonical copy per distinct path
+	return in.InternHashed(string(path), h)
 }
 
 // InternHashed is Intern for a path whose hash is already known: h must
@@ -201,10 +209,7 @@ func (in *Interner) emptySlot(h uint64) int {
 // internDir returns the DirID for path's directory, registering it on
 // first sight.
 func (in *Interner) internDir(path string) DirID {
-	dir := "/"
-	if i := strings.LastIndexByte(path, '/'); i > 0 {
-		dir = path[:i]
-	}
+	dir := DirOf(path)
 	if id, ok := in.dirIDs[dir]; ok {
 		return id
 	}
@@ -212,6 +217,16 @@ func (in *Interner) internDir(path string) DirID {
 	in.dirIDs[dir] = id
 	in.dirPaths = append(in.dirPaths, dir)
 	return id
+}
+
+// DirOf returns path's directory: everything before its last slash, or
+// "/" for a path directly under the root — the one rule every DirID and
+// every derived directory count follows.
+func DirOf(path string) string {
+	if i := strings.LastIndexByte(path, '/'); i > 0 {
+		return path[:i]
+	}
+	return "/"
 }
 
 // Canonical returns the interned canonical string for the given path
@@ -240,8 +255,24 @@ func (in *Interner) Dir(id FileID) DirID { return in.dirs[id] }
 // Len reports the number of distinct paths interned.
 func (in *Interner) Len() int { return len(in.paths) }
 
-// NumDirs reports the number of distinct directories derived so far.
-func (in *Interner) NumDirs() int { return len(in.dirPaths) }
+// SharedTable is a file-only path table (NewFileTable) that many
+// goroutines intern into at once, with the lock that guards it: the b2
+// index path's one table per run, which every shard worker's block
+// decoder interns its dictionaries into, and the migd daemon's. The
+// protocol is lookups under the read lock, which a caller holds across
+// a run of them (a block's dictionary, a batch's decode), and interning
+// the misses under the write lock, so each distinct path is hashed and
+// copied into a string once per table, however many goroutines meet
+// it. Every Interner method reads the table and needs the read lock, or
+// extends it and needs the write lock; the prefix views Paths and
+// Hashes hand out may be read after the lock is released.
+type SharedTable struct {
+	sync.RWMutex
+	*Interner
+}
+
+// NewSharedTable returns an empty SharedTable.
+func NewSharedTable() *SharedTable { return &SharedTable{Interner: NewFileTable()} }
 
 // pathCache is a fixed-size direct-mapped canonical-string cache for
 // path fields that have no interned downstream consumer (the codec

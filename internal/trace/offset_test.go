@@ -146,7 +146,7 @@ func TestB2DecodeOffset(t *testing.T) {
 	// block's byte offset.
 	bad := append([]byte{}, enc...)
 	bad[40] ^= 0x01
-	_, err := open(bad).NewBlockDecoder().Decode(0)
+	_, err := open(bad).NewBlockDecoder(NewSharedTable()).Decode(0)
 	if err == nil {
 		t.Fatal("corrupt block decoded cleanly")
 	}

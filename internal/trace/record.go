@@ -137,8 +137,9 @@ func (r *Record) Validate() error {
 // non-empty and free of the whitespace bytes the ASCII codec uses as
 // field and record separators. Every writer's Validate calls it twice
 // per record, so it tests a word of eight bytes at a time; a shorter
-// path is padded with '/'.
-func validPath(s string) bool {
+// path is padded with '/'. A b2 dictionary entry is checked as bytes,
+// before anything is interned.
+func validPath[S string | []byte](s S) bool {
 	n := len(s)
 	if n < 8 {
 		w := uint64(0x2f2f2f2f2f2f2f2f)
