@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -47,6 +46,12 @@ import (
 // remap persists from fold to fold. Over more than one table the master
 // interns into a table of its own, with the hash the segment's table
 // already holds, so it hashes no path string either way.
+//
+// The replay of a fold over more than one journal runs in two lanes (see
+// replayLanes): the calling goroutine merges the journals and runs the
+// global series, a second one runs the per-file half over the same
+// merged entries, handed on in chunks. The two halves write disjoint
+// fields of the master, so the lanes change no byte of any report.
 
 // NewAccumulator is New under the name the benchmark module's fold probe
 // calls.
@@ -127,16 +132,16 @@ func (p *Partial) Errors() int64 { return p.errors }
 
 // VisitRefs replays the segment's good references in record order,
 // calling fn with each reference's FileID in the segment's path table,
-// op, start, and size — the hook migd uses to rebuild its live per-file
-// rows after decoding segments from a checkpoint.
-func (p *Partial) VisitRefs(fn func(id trace.FileID, op trace.Op, start time.Time, size units.Bytes)) {
+// op, start (UnixNano), and size — the hook migd uses to rebuild its
+// live per-file rows after decoding segments from a checkpoint.
+func (p *Partial) VisitRefs(fn func(id trace.FileID, op trace.Op, start int64, size units.Bytes)) {
 	for k := range p.journal {
 		e := &p.journal[k]
 		op := trace.Read
 		if e.write {
 			op = trace.Write
 		}
-		fn(e.id, op, time.Unix(0, e.start).UTC(), units.Bytes(e.size))
+		fn(e.id, op, e.start, units.Bytes(e.size))
 	}
 }
 
@@ -356,7 +361,10 @@ func hoursThrough(last int64, origin time.Time) int {
 // borrowed) and keeps that table's remap from call to call; otherwise
 // the remaps last one call and the master interns into its own table
 // under the hash the segment's table holds, so no path string is hashed
-// at all.
+// at all. A fold of more than one journal and more than foldChunk
+// entries — migd's report — replays in two lanes (replayLanes); one
+// journal per call, as the b2 and s1 paths fold, replays on the calling
+// goroutine alone.
 func (a *Analysis) FoldPartials(ps []*Partial) error {
 	entries := 0
 	for i, p := range ps {
@@ -436,27 +444,104 @@ func (a *Analysis) FoldPartials(ps []*Partial) error {
 	if entries > 0 {
 		a.reserve(entries, ops, min(files, entries), hoursThrough(last, a.start))
 	}
-	heap.Init(&h)
-	for len(h) > 0 {
-		cur := &h[0]
-		p := ps[cur.si]
-		e := &p.journal[cur.k]
-		op := trace.Read
-		opIdx := 0
-		if e.write {
-			op, opIdx = trace.Write, 1
-		}
-		a.addDerived(e.start, 0, opIdx, e.size)
-		a.addInterval(e.start)
-		a.addFileAccessID(a.masterID(remaps[cur.si], views[cur.si], hviews[cur.si], e.id), op, e.start, units.Bytes(e.size))
-		if cur.k++; cur.k < len(p.journal) {
-			cur.start = p.journal[cur.k].start
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
-		}
+	h.init()
+	r := fileReplay{a: a, remaps: remaps, views: views, hviews: hviews}
+	if len(h) > 1 && entries > foldChunk {
+		a.replayLanes(ps, h, &r, entries)
+		return nil
+	}
+	for si, e, ok := h.next(ps); ok; si, e, ok = h.next(ps) {
+		a.replayGlobal(e)
+		r.replay(si, e)
 	}
 	return nil
+}
+
+// foldChunk is how many merged journal entries the global lane of a
+// two-lane replay hands the per-file lane at a time, and foldChunks how
+// many such chunks are in flight at most: enough that neither lane waits
+// on the other's next step, small enough that the chunks cost a fold
+// 16 KB.
+const (
+	foldChunk  = 1024
+	foldChunks = 4
+)
+
+// replayLanes is the replay of a fold over more than one journal, in two
+// lanes that each take one half of every entry's transitions. The
+// calling goroutine k-way-merges the journals and runs the global
+// series (replayGlobal), handing on the merged order in chunks — each
+// entry as its segment's index, since the per-file lane walks every
+// journal with a cursor of its own; one more goroutine takes them in
+// the same order and runs the per-file half (fileReplay). The halves
+// write disjoint fields of the master — the calendar, periodicity,
+// interval and dynamic-size series on one side; the path column, the
+// per-file arena, the directories, the gap CDF, the coalescing count
+// and the master's own journal on the other — and each sees every entry
+// in merged order, so the master ends exactly as the one-lane loop
+// leaves it.
+func (a *Analysis) replayLanes(ps []*Partial, h journalHeap, r *fileReplay, entries int) {
+	n := min(foldChunks, (entries+foldChunk-1)/foldChunk)
+	full := make(chan []int32, n)
+	free := make(chan []int32, n)
+	for range n {
+		free <- make([]int32, 0, foldChunk)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		next := make([]int, len(ps))
+		for chunk := range full {
+			for _, si := range chunk {
+				r.replay(int(si), &ps[si].journal[next[si]])
+				next[si]++
+			}
+			free <- chunk[:0]
+		}
+	}()
+	chunk := <-free
+	for si, e, ok := h.next(ps); ok; si, e, ok = h.next(ps) {
+		a.replayGlobal(e)
+		if chunk = append(chunk, int32(si)); len(chunk) == foldChunk {
+			full <- chunk
+			chunk = <-free
+		}
+	}
+	full <- chunk
+	close(full)
+	<-done
+}
+
+// replayGlobal is the half of one entry's replay that reads no file:
+// the calendar, periodicity and dynamic-size series and Figure 7's
+// global interval.
+func (a *Analysis) replayGlobal(e *journalEntry) {
+	opIdx := 0
+	if e.write {
+		opIdx = 1
+	}
+	a.addDerived(e.start, 0, opIdx, e.size)
+	a.addInterval(e.start)
+}
+
+// fileReplay is the per-file half of a fold's replay: each segment's
+// remap and path views, through which an entry's ID becomes the
+// master's before the per-file transition runs.
+type fileReplay struct {
+	a      *Analysis
+	remaps [][]trace.FileID
+	views  [][]string
+	hviews [][]uint64
+}
+
+// replay runs segment si's entry e through the per-file transition.
+func (r *fileReplay) replay(si int, e *journalEntry) {
+	op := trace.Read
+	if e.write {
+		op = trace.Write
+	}
+	a := r.a
+	a.addFileAccessID(a.masterID(r.remaps[si], r.views[si], r.hviews[si], e.id), op, e.start, units.Bytes(e.size))
 }
 
 // journalCursor is one segment's replay position in the merge heap.
@@ -469,16 +554,57 @@ type journalCursor struct {
 // journalHeap is a min-heap of journal cursors by (start, segment).
 type journalHeap []journalCursor
 
-func (h journalHeap) Len() int { return len(h) }
-func (h journalHeap) Less(i, j int) bool {
+func (h journalHeap) less(i, j int) bool {
 	if h[i].start != h[j].start {
 		return h[i].start < h[j].start
 	}
 	return h[i].si < h[j].si
 }
-func (h journalHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *journalHeap) Push(x any)   { *h = append(*h, x.(journalCursor)) }
-func (h *journalHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+
+// next pops the next entry of the journals of ps in merged order — by
+// start instant, ties in segment order — with its segment's index, or
+// false once every journal is spent.
+func (h *journalHeap) next(ps []*Partial) (si int, e *journalEntry, ok bool) {
+	if len(*h) == 0 {
+		return 0, nil, false
+	}
+	cur := &(*h)[0]
+	si, j := cur.si, ps[cur.si].journal
+	e = &j[cur.k]
+	if cur.k++; cur.k < len(j) {
+		cur.start = j[cur.k].start
+	} else {
+		*cur = (*h)[len(*h)-1]
+		*h = (*h)[:len(*h)-1]
+	}
+	h.down(0)
+	return si, e, true
+}
+
+// init orders the heap.
+func (h journalHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// down sifts cursor i down to its place.
+func (h journalHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h.less(r, c) {
+			c = r
+		}
+		if !h.less(c, i) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
 
 // foldSums folds a segment's position-independent state into the
 // master — record and error counts, the op×class accumulators, and the

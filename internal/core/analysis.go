@@ -102,6 +102,19 @@ type Analysis struct {
 	hasLast   bool
 	interCDF  *stats.CDF
 
+	// Figure 10: dynamic size distributions, [op index]. Each access
+	// size is held once, in dynFiles; the byte-weighted curves weigh a
+	// sample by its own value, so Report derives them from the same
+	// samples plus dynTotal, the sizes' running sum in record order.
+	dynFiles [2]*stats.CDF
+	dynTotal [2]float64
+
+	// The fields above are the global series, the fields below the
+	// per-file state. A two-lane fold (replayLanes) writes the two
+	// halves from two goroutines at once, entry after entry; the pad
+	// keeps them off each other's cache lines.
+	_ [64]byte
+
 	// Part two: per-file state in a FileID-indexed arena, and the paths
 	// those FileIDs name. IDs are dense in first-seen record order, which
 	// also fixes the (deterministic) iteration order of every per-file
@@ -127,13 +140,14 @@ type Analysis struct {
 
 	// §6 coalescing, counted by the per-file transition.
 	coalesce Coalesce
+}
 
-	// Figure 10: dynamic size distributions, [op index]. Each access
-	// size is held once, in dynFiles; the byte-weighted curves weigh a
-	// sample by its own value, so Report derives them from the same
-	// samples plus dynTotal, the sizes' running sum in record order.
-	dynFiles [2]*stats.CDF
-	dynTotal [2]float64
+// paddedCDF is a CDF alone on its cache line: during a two-lane fold the
+// per-file lane appends to the gap CDF while the other lane appends to
+// the interval and size CDFs, which New allocates beside it.
+type paddedCDF struct {
+	stats.CDF
+	_ [32]byte
 }
 
 // sums is the part of an accumulation that an s1 snapshot serializes
@@ -284,9 +298,9 @@ func New(opts Options) *Analysis {
 		coalesce:  Coalesce{Window: opts.DedupWindow},
 		weekBytes: map[int][2]int64{},
 		interCDF:  &stats.CDF{},
+		gapCDF:    &new(paddedCDF).CDF,
 		interner:  trace.NewFileTable(),
 		dirIDs:    map[string]trace.DirID{},
-		gapCDF:    &stats.CDF{},
 		dynFiles:  [2]*stats.CDF{{}, {}},
 	}
 }

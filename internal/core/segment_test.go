@@ -45,9 +45,8 @@ func TestSegmentCodecMatchesPrivateTable(t *testing.T) {
 			shared.Intern(recs[i].MSSPath)
 		}
 	}
-	codec := NewSegmentCodec(shared)
-	restored := trace.NewInterner()
-	decoder := NewSegmentCodec(restored)
+	codec := NewSegmentCodec(&trace.SharedTable{Interner: shared})
+	decoder := NewSegmentCodec(trace.NewSharedTable())
 
 	var segs, decoded, private []*Partial
 	for i, sl := range slices {
@@ -62,7 +61,10 @@ func TestSegmentCodecMatchesPrivateTable(t *testing.T) {
 			t.Fatalf("slice %d: shared-table snapshot differs from the private-table one (%d vs %d bytes)", i, got.Len(), len(want))
 		}
 		first, last := p.Bounds()
-		d, err := decoder.Decode(want, first, last)
+		d, dpaths, err := decoder.Decode(want, first, last)
+		if err == nil {
+			err = decoder.Bind(d, dpaths)
+		}
 		if err != nil {
 			t.Fatalf("slice %d: Decode: %v", i, err)
 		}
@@ -100,7 +102,7 @@ func TestSegmentCodecMatchesPrivateTable(t *testing.T) {
 		}
 	}
 
-	if err := NewSegmentCodec(trace.NewInterner()).Write(&bytes.Buffer{}, segs[0]); err == nil {
+	if err := NewSegmentCodec(trace.NewSharedTable()).Write(&bytes.Buffer{}, segs[0]); err == nil {
 		t.Fatal("a codec wrote a segment that indexes another table")
 	}
 }
@@ -115,7 +117,11 @@ func TestSegmentDecodeRejects(t *testing.T) {
 	res := streamFixture(t)
 	small := saveSlice(t, Options{}, res.Records[:40])
 	decode := func(b []byte) error {
-		_, err := NewSegmentCodec(trace.NewInterner()).Decode(b, time.Time{}, time.Time{})
+		c := NewSegmentCodec(trace.NewSharedTable())
+		p, paths, err := c.Decode(b, time.Time{}, time.Time{})
+		if err == nil {
+			err = c.Bind(p, paths)
+		}
 		return err
 	}
 	if err := decode(small); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"filemig/internal/device"
+	"filemig/internal/pool"
 	"filemig/internal/stats"
 	"filemig/internal/trace"
 )
@@ -171,12 +173,15 @@ func (s *sums) encode(ww *trace.WireWriter, dedup time.Duration, paths []string,
 // the segments of a daemon number them by one daemon-wide table; the
 // codec derives a segment's local table from its journal when encoding,
 // and translates local IDs to table IDs (interning the snapshot's
-// paths) when decoding, so the bytes are those a private-table producer
-// writes. It keeps one table-sized translation scratch and one
-// WireWriter across calls and is not safe for concurrent use; while it
-// runs nothing else may touch the table.
+// paths) when binding a decoded one, so the bytes are those a
+// private-table producer writes. It keeps one table-sized translation
+// scratch, one WireWriter and one WireReader across calls and is not
+// safe for concurrent use. Codecs over one table are, as far as their
+// methods touch it: Write reads the table without its lock, so nothing
+// may extend it while codecs write; Decode does not touch it at all;
+// Bind interns under its write lock.
 type SegmentCodec struct {
-	paths *trace.Interner
+	table *trace.SharedTable
 	local []trace.FileID // table ID → snapshot-local ID while one snapshot is in flight, else NoFileID
 	order []trace.FileID // snapshot-local ID → table ID
 	ww    *trace.WireWriter
@@ -184,8 +189,25 @@ type SegmentCodec struct {
 }
 
 // NewSegmentCodec returns a codec over the given path table.
-func NewSegmentCodec(paths *trace.Interner) *SegmentCodec {
-	return &SegmentCodec{paths: paths}
+func NewSegmentCodec(table *trace.SharedTable) *SegmentCodec {
+	return &SegmentCodec{table: table}
+}
+
+// RunCodecs runs job(w, i) for every i below n on at most workers
+// goroutines (pool.Run), each of which makes its state w once, through
+// newWorker, around a codec of its own over table, and hands the
+// results to deliver, when it is not nil, in job order on one further
+// goroutine. The error is the lowest-indexed failure of a job or of
+// deliver, at any worker count, and nothing is pulled past a failure;
+// one worker runs every job, and its delivery, in order on the calling
+// goroutine.
+func RunCodecs[W, R any](workers int, table *trace.SharedTable, n int,
+	newWorker func(*SegmentCodec) W, job func(w W, i int) (R, error), deliver func(R) error) error {
+	return pool.Run(context.Background(), workers, pool.Indices(n),
+		func() func(int) (R, error) {
+			w := newWorker(NewSegmentCodec(table))
+			return func(i int) (R, error) { return job(w, i) }
+		}, deliver)
 }
 
 // place files table ID id as the snapshot in flight's next local ID,
@@ -195,7 +217,7 @@ func (c *SegmentCodec) place(id trace.FileID) bool {
 		// Sized to the table, or doubled while a decode still grows it:
 		// growing by append as IDs arrive copies a large table over many
 		// times.
-		grown := make([]trace.FileID, max(c.paths.Len(), 2*len(c.local), int(id)+1))
+		grown := make([]trace.FileID, max(c.table.Len(), 2*len(c.local), int(id)+1))
 		copy(grown, c.local)
 		for i := len(c.local); i < len(grown); i++ {
 			grown[i] = trace.NoFileID
@@ -222,7 +244,7 @@ func (c *SegmentCodec) release() {
 // Write serializes one segment over the codec's table as an s1 snapshot.
 // The segment stays live and can keep observing records afterwards.
 func (c *SegmentCodec) Write(w io.Writer, p *Partial) error {
-	if p.paths != c.paths {
+	if p.paths != c.table.Interner {
 		return errors.New("core: segment does not index this codec's path table")
 	}
 	defer c.release()
@@ -234,23 +256,62 @@ func (c *SegmentCodec) Write(w io.Writer, p *Partial) error {
 	} else {
 		c.ww.Reset(w)
 	}
-	if err := p.sums.encode(c.ww, p.dedup, c.paths.Paths(), c.order, c.local); err != nil {
+	if err := p.sums.encode(c.ww, p.dedup, c.table.Paths(), c.order, c.local); err != nil {
 		return err
 	}
 	return c.ww.Flush()
 }
 
+// SnapshotPaths is a decoded snapshot's path table as the snapshot
+// holds it, already validated: n length-prefixed paths, a view into the
+// snapshot's bytes, which must stay as they are until Bind.
+type SnapshotPaths struct {
+	raw []byte
+	n   int
+}
+
 // Decode turns one s1 snapshot held in memory straight into a
-// journal-only segment over the codec's table: it validates exactly what
-// loading a snapshot validates, interns the snapshot's paths into the
-// table, and keeps the journal under table IDs — nothing is replayed.
+// journal-only segment — validating exactly what loading a snapshot
+// validates, nothing replayed — that no table indexes yet: its journal
+// holds the snapshot's own path IDs, and Bind, handed the path table
+// Decode returns, makes them the codec table's. Decode reads no table,
+// so many codecs decode at once while one binds what they decoded, in
+// order (migd's restore); nothing may read the segment before Bind.
 // first and last are the segment's record-time bounds where the caller
-// recorded them (see setBounds). A failed Decode may already have
-// interned some of the snapshot's paths: a caller that must stay
-// all-or-nothing decodes into a table it can still discard.
-func (c *SegmentCodec) Decode(snapshot []byte, first, last time.Time) (*Partial, error) {
+// recorded them (see setBounds).
+func (c *SegmentCodec) Decode(snapshot []byte, first, last time.Time) (*Partial, SnapshotPaths, error) {
 	c.wr.ResetBytes(snapshot)
-	return c.decode(&c.wr, first, last)
+	return c.decode(&c.wr, snapshot, first, last)
+}
+
+// Bind interns the paths of p, a segment Decode returned with paths,
+// into the codec's table — under its write lock, in the snapshot's
+// order — and rewrites p's journal to the table's IDs. A snapshot that
+// names one path twice is refused. A failed Bind may already have
+// interned some of the paths: a caller that must stay all-or-nothing
+// binds into a table it can still discard.
+func (c *SegmentCodec) Bind(p *Partial, paths SnapshotPaths) error {
+	defer c.release()
+	t := c.table
+	c.wr.ResetBytes(paths.raw)
+	t.Lock()
+	for i := 0; i < paths.n; i++ {
+		b, err := c.wr.Bytes("path", "path length", maxSnapshotPathLen)
+		if err == nil && !c.place(t.InternBytes(b)) {
+			err = fmt.Errorf("path %d repeats an earlier path", i)
+		}
+		if err != nil {
+			t.Unlock()
+			return err
+		}
+	}
+	t.Unlock()
+	for k := range p.journal {
+		e := &p.journal[k]
+		e.id = c.order[e.id]
+	}
+	p.paths = t.Interner
+	return nil
 }
 
 // MergeSnapshots loads any number of s1 snapshots — in trace time
@@ -323,7 +384,7 @@ func (sm *SnapshotMerger) Analysis() (*Analysis, error) {
 // over a table of its own and folds it into m through FoldPartials. The
 // master is untouched on any decode or validation error.
 func (m *Analysis) mergeSnapshot(r io.Reader, first bool) error {
-	p, err := NewSegmentCodec(trace.NewFileTable()).decode(trace.NewWireReader(r), time.Time{}, time.Time{})
+	p, _, err := NewSegmentCodec(trace.NewSharedTable()).decode(trace.NewWireReader(r), nil, time.Time{}, time.Time{})
 	if err != nil {
 		return err
 	}
@@ -342,53 +403,60 @@ func (m *Analysis) mergeSnapshot(r io.Reader, first bool) error {
 // returned segment holds the raw accumulators and the absolute-time
 // journal, and a fold recomputes everything derivable when the segment
 // merges into a master.
-func (c *SegmentCodec) decode(wr *trace.WireReader, first, last time.Time) (*Partial, error) {
+//
+// held, when not nil, is the snapshot in memory that wr reads: its path
+// table is then only validated, and handed back for Bind, and the
+// journal keeps the snapshot's own IDs. A streaming reader reuses its
+// buffer, so its paths are interned into the codec's table as they are
+// read, and the segment comes back bound.
+func (c *SegmentCodec) decode(wr *trace.WireReader, held []byte, first, last time.Time) (*Partial, SnapshotPaths, error) {
+	var none SnapshotPaths
 	line, err := wr.Line()
 	if err != nil {
-		return nil, fmt.Errorf("header: %w", err)
+		return nil, none, fmt.Errorf("header: %w", err)
 	}
 	if line != trace.SnapshotHeader {
-		return nil, fmt.Errorf("not an s1 snapshot header: %.60q", line)
+		return nil, none, fmt.Errorf("not an s1 snapshot header: %.60q", line)
 	}
 	flags, err := wr.ReadByte()
 	if err != nil {
-		return nil, fmt.Errorf("flags: %w", unexpectEOF(err))
+		return nil, none, fmt.Errorf("flags: %w", unexpectEOF(err))
 	}
 	if flags&^byte(snapHasStart) != 0 {
-		return nil, fmt.Errorf("reserved flag bits set (0x%02x)", flags)
+		return nil, none, fmt.Errorf("reserved flag bits set (0x%02x)", flags)
 	}
 	var start time.Time
 	if flags&snapHasStart != 0 {
 		ns, err := wr.Svarint("start time")
 		if err != nil {
-			return nil, err
+			return nil, none, err
 		}
 		start = time.Unix(0, ns).UTC()
 	}
 	dw, err := wr.Uvarint("dedup window", math.MaxInt64)
 	if err != nil {
-		return nil, err
+		return nil, none, err
 	}
 	if dw == 0 {
-		return nil, errors.New("dedup window must be positive")
+		return nil, none, errors.New("dedup window must be positive")
 	}
 	nc, err := wr.Uvarint("device class count", 64)
 	if err != nil {
-		return nil, err
+		return nil, none, err
 	}
 	if int(nc) != device.NClasses {
-		return nil, fmt.Errorf("snapshot has %d device classes, this build has %d", nc, device.NClasses)
+		return nil, none, fmt.Errorf("snapshot has %d device classes, this build has %d", nc, device.NClasses)
 	}
 	total, err := wr.Uvarint("total references", math.MaxInt64)
 	if err != nil {
-		return nil, err
+		return nil, none, err
 	}
 	errRefs, err := wr.Uvarint("error references", math.MaxInt64)
 	if err != nil {
-		return nil, err
+		return nil, none, err
 	}
 	if errRefs > total {
-		return nil, fmt.Errorf("%d error references exceed %d total", errRefs, total)
+		return nil, none, fmt.Errorf("%d error references exceed %d total", errRefs, total)
 	}
 
 	sub := &sums{start: start, total: int64(total), errors: int64(errRefs)}
@@ -409,7 +477,7 @@ func (c *SegmentCodec) decode(wr *trace.WireReader, first, last time.Time) (*Par
 			} {
 				v, err := wr.Uvarint(f.field, math.MaxInt64)
 				if err != nil {
-					return nil, err
+					return nil, none, err
 				}
 				*f.dst = int64(v)
 			}
@@ -423,58 +491,71 @@ func (c *SegmentCodec) decode(wr *trace.WireReader, first, last time.Time) (*Par
 	for ci := range sub.latCDF {
 		blob, err := readBlob(wr, "latency cdf")
 		if err != nil {
-			return nil, err
+			return nil, none, err
 		}
 		if len(blob) == 0 {
 			continue
 		}
 		c := &stats.CDF{}
 		if err := c.UnmarshalBinary(blob); err != nil {
-			return nil, fmt.Errorf("latency cdf class %d: %w", ci, err)
+			return nil, none, fmt.Errorf("latency cdf class %d: %w", ci, err)
 		}
 		if c.N() == 0 {
-			return nil, fmt.Errorf("latency cdf class %d: present but empty", ci)
+			return nil, none, fmt.Errorf("latency cdf class %d: present but empty", ci)
 		}
 		sub.latCDF[ci] = c
 		latSamples += int64(c.N())
 	}
 	if latSamples != latSum {
-		return nil, fmt.Errorf("latency cdfs hold %d samples, op×class counts say %d", latSamples, latSum)
+		return nil, none, fmt.Errorf("latency cdfs hold %d samples, op×class counts say %d", latSamples, latSum)
 	}
 
 	// The snapshot's path table, in its first-seen order, interned into
 	// the codec's table; the journal below is rewritten to table IDs.
 	nPaths, err := wr.Uvarint("path count", 1<<32)
 	if err != nil {
-		return nil, err
+		return nil, none, err
 	}
 	defer c.release()
+	paths := SnapshotPaths{n: int(nPaths)}
+	from := wr.Offset()
+	if held == nil {
+		c.table.Lock()
+	}
 	for i := uint64(0); i < nPaths; i++ {
 		p, err := wr.Bytes("path", "path length", maxSnapshotPathLen)
+		if err == nil && len(p) == 0 {
+			err = fmt.Errorf("path %d is empty", i)
+		}
+		if err == nil && held == nil && !c.place(c.table.InternBytes(p)) {
+			err = fmt.Errorf("path %d repeats an earlier path", i)
+		}
 		if err != nil {
-			return nil, err
+			if held == nil {
+				c.table.Unlock()
+			}
+			return nil, none, err
 		}
-		if len(p) == 0 {
-			return nil, fmt.Errorf("path %d is empty", i)
-		}
-		if !c.place(c.paths.InternBytes(p)) {
-			return nil, fmt.Errorf("path %d repeats an earlier path", i)
-		}
+	}
+	if held == nil {
+		c.table.Unlock()
+	} else {
+		paths.raw = held[from:wr.Offset():wr.Offset()]
 	}
 
 	// The journal, decoded to absolute times for replay at fold time.
 	nEntries, err := wr.Uvarint("journal entry count", math.MaxInt64)
 	if err != nil {
-		return nil, err
+		return nil, none, err
 	}
 	if int64(nEntries) != refsSum {
-		return nil, fmt.Errorf("journal holds %d entries, op×class references sum to %d", nEntries, refsSum)
+		return nil, none, fmt.Errorf("journal holds %d entries, op×class references sum to %d", nEntries, refsSum)
 	}
 	if total != errRefs+uint64(refsSum) {
-		return nil, fmt.Errorf("%d total references != %d errors + %d good", total, errRefs, refsSum)
+		return nil, none, fmt.Errorf("%d total references != %d errors + %d good", total, errRefs, refsSum)
 	}
 	if nEntries > 0 && start.IsZero() {
-		return nil, errors.New("journal entries present but no start instant")
+		return nil, none, errors.New("journal entries present but no start instant")
 	}
 	sub.journal = make([]journalEntry, 0, capHint(nEntries))
 	var prev int64
@@ -482,14 +563,14 @@ func (c *SegmentCodec) decode(wr *trace.WireReader, first, last time.Time) (*Par
 	for k := uint64(0); k < nEntries; k++ {
 		idOp, err := wr.Uvarint("journal file id", 1<<33-1)
 		if err != nil {
-			return nil, err
+			return nil, none, err
 		}
 		sid := trace.FileID(idOp >> 1)
 		if uint64(sid) >= nPaths {
-			return nil, fmt.Errorf("journal entry %d references path %d of %d", k+1, sid, nPaths)
+			return nil, none, fmt.Errorf("journal entry %d references path %d of %d", k+1, sid, nPaths)
 		}
 		if sid > seen {
-			return nil, fmt.Errorf("journal entry %d breaks first-seen id order (%d after %d ids)", k+1, sid, seen)
+			return nil, none, fmt.Errorf("journal entry %d breaks first-seen id order (%d after %d ids)", k+1, sid, seen)
 		}
 		if sid == seen {
 			seen++
@@ -498,35 +579,40 @@ func (c *SegmentCodec) decode(wr *trace.WireReader, first, last time.Time) (*Par
 		if k == 0 {
 			at, err = wr.Svarint("journal start time")
 			if err != nil {
-				return nil, err
+				return nil, none, err
 			}
 		} else {
 			dt, err := wr.Uvarint("journal time delta", math.MaxInt64)
 			if err != nil {
-				return nil, err
+				return nil, none, err
 			}
 			if prev > 0 && int64(dt) > math.MaxInt64-prev {
-				return nil, fmt.Errorf("journal entry %d time overflows", k+1)
+				return nil, none, fmt.Errorf("journal entry %d time overflows", k+1)
 			}
 			at = prev + int64(dt)
 		}
 		size, err := wr.Uvarint("journal size", math.MaxInt64)
 		if err != nil {
-			return nil, err
+			return nil, none, err
 		}
-		sub.journal = append(sub.journal, journalEntry{
-			start: at, size: int64(size), id: c.order[sid], write: idOp&1 != 0})
+		if held == nil {
+			sid = c.order[sid]
+		}
+		sub.journal = append(sub.journal, journalEntry{start: at, size: int64(size), id: sid, write: idOp&1 != 0})
 		prev = at
 	}
 	if uint64(seen) != nPaths {
-		return nil, fmt.Errorf("interner table has %d paths but the journal references only %d", nPaths, seen)
+		return nil, none, fmt.Errorf("interner table has %d paths but the journal references only %d", nPaths, seen)
 	}
 	if err := wr.ExpectEOF(); err != nil {
-		return nil, err
+		return nil, none, err
 	}
-	p := &Partial{sums: sub, paths: c.paths, dedup: time.Duration(dw)}
+	p := &Partial{sums: sub, dedup: time.Duration(dw)}
+	if held == nil {
+		p.paths = c.table.Interner
+	}
 	p.setBounds(first, last)
-	return p, nil
+	return p, paths, nil
 }
 
 // readBlob reads one length-prefixed binary section in window-sized

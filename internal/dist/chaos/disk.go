@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"syscall"
 )
 
@@ -12,19 +13,29 @@ import (
 // assigned to dist.Disk, it sees every step a durable write or a prune
 // takes — each write into a temporary, the temporary's fsync, the
 // rename, the directory's fsync, a removal. It records each in Steps,
-// as "<step> <base name>", and at the At'th (counting from 1) injects
-// Fault; with At zero it only records. It satisfies dist.FS
-// structurally, so this package imports nothing of the module. Fsyncs
-// are recorded, not performed: nothing here models a power loss. One
-// writer at a time.
+// as "<step> <base name>" — a temporary's writes and fsync under the
+// name of the file it is to become — and at the At'th (counting from 1)
+// injects Fault; with At zero it only records. When Step is set, At
+// counts only the steps recorded as Step: with many writers at once the
+// order of the steps of different files varies from run to run, but
+// each file's own steps come in one order, so a fault named by its step
+// and its count there hits the same step every run. It satisfies
+// dist.FS structurally, so this package imports nothing of the module.
+// Fsyncs are recorded, not performed: nothing here models a power loss.
+// It is safe for concurrent use; a Stop's crash image is taken while no
+// other step runs.
 type Disk struct {
 	At    int
+	Step  string
 	Fault DiskFault
 	// Dir and Image are where a Stop fault takes its crash image: the
 	// files of Dir are copied into the empty directory Image right after
 	// the step, as a process killed at that moment would leave them.
 	Dir, Image string
 	Steps      []string
+
+	mu   sync.Mutex
+	seen int // the steps At counts
 }
 
 // DiskFault is what Disk injects at its step.
@@ -44,9 +55,15 @@ const (
 // do takes one step under the fault plan: op does it, writing only
 // half its bytes when short is set.
 func (d *Disk) do(step, path string, op func(short bool) error) error {
-	d.Steps = append(d.Steps, step+" "+filepath.Base(path))
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	rec := step + " " + filepath.Base(path)
+	d.Steps = append(d.Steps, rec)
+	if d.Step == "" || rec == d.Step {
+		d.seen++
+	}
 	switch {
-	case len(d.Steps) != d.At:
+	case d.seen != d.At || d.Step != "" && rec != d.Step:
 		return op(false)
 	case d.Fault == Stop:
 		if err := op(false); err != nil {
@@ -62,18 +79,19 @@ func (d *Disk) do(step, path string, op func(short bool) error) error {
 	return fmt.Errorf("chaos: %s %s: %w", step, path, syscall.ENOSPC)
 }
 
-// CreateTemp makes a temporary in dir whose writes and fsync are steps.
-func (d *Disk) CreateTemp(dir string) (interface {
+// CreateTemp makes a temporary for path, in its directory, whose writes
+// and fsync are steps.
+func (d *Disk) CreateTemp(path string) (interface {
 	io.Writer
 	Sync() error
 	Close() error
 	Name() string
 }, error) {
-	f, err := os.CreateTemp(dir, ".tmp-*")
+	f, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return nil, err
 	}
-	return &diskFile{f, d}, nil
+	return &diskFile{f, d, path}, nil
 }
 
 // Rename is the rename step.
@@ -91,14 +109,15 @@ func (d *Disk) Remove(path string) error {
 	return d.do("remove", path, func(bool) error { return os.Remove(path) })
 }
 
-// diskFile is a temporary of a Disk.
+// diskFile is a temporary of a Disk, to become the file at path.
 type diskFile struct {
 	*os.File
-	d *Disk
+	d    *Disk
+	path string
 }
 
 func (f *diskFile) Write(b []byte) (n int, err error) {
-	err = f.d.do("write", f.Name(), func(short bool) error {
+	err = f.d.do("write", f.path, func(short bool) error {
 		if short {
 			b = b[:len(b)/2]
 		}
@@ -109,5 +128,5 @@ func (f *diskFile) Write(b []byte) (n int, err error) {
 }
 
 func (f *diskFile) Sync() error {
-	return f.d.do("fsync", f.Name(), func(bool) error { return nil })
+	return f.d.do("fsync", f.path, func(bool) error { return nil })
 }

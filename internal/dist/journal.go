@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 )
 
 // The coordinator's resumable journal: a directory holding one
@@ -18,9 +20,10 @@ import (
 // tasks. A torn or tampered spool file fails its frame check and is
 // treated as not-done — re-executed, never merged corrupt.
 //
-// WriteFileAtomic and ReadFrameFile are the module's one durable write
-// path and its verified read: migd's checkpoint directory
-// (internal/serve) is written and read through them too.
+// WriteFileAtomic (or, for many files at once, Stage and Commit) and
+// ReadFrameFile are the module's one durable write path and its
+// verified read: migd's checkpoint directory (internal/serve) is
+// written and read through them too.
 
 // journalPlanFile records the run identity a journal belongs to.
 const journalPlanFile = "plan.json"
@@ -124,28 +127,110 @@ func ReadFrameFile(path string) ([]byte, error) {
 // the new one survives a power loss as far as the file system keeps
 // its fsync promises. Two writers never share a temporary; the
 // temporary is removed on a failure before the rename. Every step goes
-// through Disk.
+// through Disk. It is Stage and Commit of one file.
 func WriteFileAtomic(path string, write func(io.Writer) error) error {
-	dir := filepath.Dir(path)
-	tmp, err := Disk.CreateTemp(dir)
+	f, err := Stage(path, write)
 	if err != nil {
 		return err
 	}
-	err = write(tmp)
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = Disk.Rename(tmp.Name(), path)
-	}
+	return Commit(filepath.Dir(path), []*Staged{f})
+}
+
+// Staged is a durable write taken as far as its temporary, filled but
+// not yet fsynced: the first half of WriteFileAtomic, for a writer that
+// fills many files under a lock and makes them durable after releasing
+// it (migd's checkpoint).
+type Staged struct {
+	tmp  TempFile
+	path string
+}
+
+// Stage creates a temporary for path, in path's directory, and fills it
+// through write. A failure removes the temporary.
+func Stage(path string, write func(io.Writer) error) (*Staged, error) {
+	tmp, err := Disk.CreateTemp(path)
 	if err != nil {
+		return nil, err
+	}
+	if err := write(tmp); err != nil {
+		tmp.Close()
 		os.Remove(tmp.Name()) // best effort; err is the failure to report
-		return err
+		return nil, err
+	}
+	return &Staged{tmp, path}, nil
+}
+
+// commitSyncs is how many of a Commit's temporaries are fsynced at
+// once: a file system overlaps the flushes of a few files, and a
+// checkpoint of many stripes spends most of its commit waiting on them.
+const commitSyncs = 4
+
+// Commit makes staged files durable under their paths, every one in
+// directory dir: it fsyncs the temporaries, up to commitSyncs at once,
+// closes them, renames each over its path in the given order, and then
+// fsyncs dir, once for them all. A kill at any step leaves each path
+// with its previous file or its complete new one; once Commit returns
+// nil every new file survives a power loss as WriteFileAtomic's does.
+// Whatever fails, every temporary not yet renamed is removed. Commit
+// of no files takes no step.
+func Commit(dir string, files []*Staged) error {
+	if len(files) == 0 {
+		return nil
+	}
+	err := syncAll(files)
+	for _, f := range files {
+		if cerr := f.tmp.Close(); err == nil {
+			err = cerr
+		}
+	}
+	for i, f := range files {
+		if err == nil {
+			err = Disk.Rename(f.tmp.Name(), f.path)
+		}
+		if err != nil {
+			Discard(files[i:])
+			return err
+		}
 	}
 	return Disk.SyncDir(dir)
+}
+
+// syncAll fsyncs the temporaries of files, up to commitSyncs at once,
+// and returns the first failure in file order.
+func syncAll(files []*Staged) error {
+	errs := make([]error, len(files))
+	var next atomic.Int64
+	work := func() {
+		for i := next.Add(1) - 1; i < int64(len(files)); i = next.Add(1) - 1 {
+			errs[i] = files[i].tmp.Sync()
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(commitSyncs, len(files)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Discard removes the temporaries of staged files that will not be
+// committed, closing them first; a closed or removed one is skipped
+// without complaint.
+func Discard(files []*Staged) {
+	for _, f := range files {
+		f.tmp.Close()
+		os.Remove(f.tmp.Name()) // best effort
+	}
 }
 
 // writeBytes is the WriteFileAtomic callback for contents already in
@@ -163,9 +248,10 @@ func writeBytes(b []byte) func(io.Writer) error {
 var Disk FS = osFS{}
 
 // FS is what the durable write path asks of a file system: a fresh
-// temporary in a directory, a rename, a directory fsync and a removal.
+// temporary for a path, in its directory, a rename, a directory fsync
+// and a removal. Concurrent commits call it from many goroutines.
 type FS interface {
-	CreateTemp(dir string) (TempFile, error)
+	CreateTemp(path string) (TempFile, error)
 	Rename(from, to string) error
 	SyncDir(dir string) error
 	Remove(path string) error
@@ -184,8 +270,11 @@ type TempFile = interface {
 // osFS is the operating system's file system.
 type osFS struct{}
 
-// CreateTemp makes an owner-only (mode 0600) temporary in dir.
-func (osFS) CreateTemp(dir string) (TempFile, error) { return os.CreateTemp(dir, ".tmp-*") }
+// CreateTemp makes an owner-only (mode 0600) temporary in path's
+// directory.
+func (osFS) CreateTemp(path string) (TempFile, error) {
+	return os.CreateTemp(filepath.Dir(path), ".tmp-*")
+}
 
 func (osFS) Rename(from, to string) error { return os.Rename(from, to) }
 

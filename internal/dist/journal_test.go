@@ -46,7 +46,7 @@ func TestJournalPutCutPoints(t *testing.T) {
 	}
 	steps := clean.Steps
 	// The plan.json write, then the spool put's four steps.
-	if len(steps) != 8 || !strings.HasPrefix(steps[4], "write .tmp-") || !strings.HasPrefix(steps[5], "fsync .tmp-") ||
+	if len(steps) != 8 || steps[4] != "write r00000001.frame" || steps[5] != "fsync r00000001.frame" ||
 		steps[6] != "rename r00000001.frame" || !strings.HasPrefix(steps[7], "fsync-dir ") {
 		t.Fatalf("a clean journal open and put took steps %q", steps)
 	}

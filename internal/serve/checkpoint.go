@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -35,11 +36,21 @@ import (
 // lists, read in order after the header, are the c1 bytes. A checkpoint
 // writes an entry only for a stripe that ingested since its entry was
 // written, each under a name the record in place does not use, through
-// dist.WriteFileAtomic (temporary, fsync, rename, directory fsync);
-// then the record the same way; then it prunes the entries the record
-// does not name. Until the record's rename the previous record still
-// names a complete set of entries, so a crash at any step leaves the
-// previous checkpoint or the new one, never a mix.
+// dist's one durable write path: the entries are encoded into
+// temporaries (dist.Stage) while ingest waits, and made durable
+// (dist.Commit: fsync, rename, one directory fsync) after it resumes;
+// then the record is written the same way; then the checkpoint prunes
+// the entries the record does not name. Until the record's rename the
+// previous record still names a complete set of entries, so a crash at
+// any step leaves the previous checkpoint or the new one, never a mix.
+//
+// Encoding and decoding use every core: ckptWorkers goroutines, each
+// with a codec and a frame buffer of its own, encode the dirty stripes
+// of a checkpoint, and decode the entries (or, in memory, the frames)
+// of a restore, whose paths one more goroutine interns into the fresh
+// path table in the record's order (see restorer). Each stripe's bytes
+// are the ones a single goroutine writes, and a restore installs its
+// segments in the record's order, all or nothing.
 
 // CheckpointHeader opens every in-memory (c1) migd checkpoint.
 const CheckpointHeader = "#migd-checkpoint c1\n"
@@ -53,6 +64,13 @@ const (
 
 // entrySuffix ends every stripe entry's file name.
 const entrySuffix = ".frames"
+
+// ckptWorkers is how many goroutines encode a checkpoint's stripes or
+// decode a restore's entries. An encoder holds one segment's frame and
+// a codec's table-sized scratch, a decoder one entry's bytes, so the
+// count bounds what a checkpoint or a restore holds besides the state
+// itself.
+const ckptWorkers = 4
 
 // generation is the generation record: this JSON inside one dist
 // frame.
@@ -87,13 +105,17 @@ type written struct {
 }
 
 // frameEncoder serializes segments into checkpoint frames through one
-// codec and two reused buffers, so at most one segment's frame is held
+// codec and two reused buffers, so it holds at most one segment's frame
 // at a time.
 type frameEncoder struct {
 	codec   *core.SegmentCodec
 	payload bytes.Buffer
 	frame   []byte
+	out     *bufio.Writer // an entry's buffered writer, when the encoder writes entries
+	part    bytes.Buffer  // a stripe's frames, when the encoder writes them to memory
 }
+
+func newFrameEncoder(c *core.SegmentCodec) *frameEncoder { return &frameEncoder{codec: c} }
 
 // encode returns p's checkpoint frame — its two bounds, then its s1
 // snapshot — valid until the next call.
@@ -128,16 +150,24 @@ func (e *frameEncoder) writeAll(w io.Writer, segs []*segment) (n int64, err erro
 }
 
 // EncodeCheckpoint serializes the daemon's full segment state in the c1
-// checkpoint form, encoding every segment.
+// checkpoint form, encoding every segment — each stripe's frames on one
+// of ckptWorkers goroutines, joined in stripe order.
 func (s *Server) EncodeCheckpoint() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := bytes.NewBufferString(CheckpointHeader)
-	enc := frameEncoder{codec: core.NewSegmentCodec(s.paths.Interner)}
-	if _, err := enc.writeAll(out, s.orderedSegments()); err != nil {
+	keys := s.stripeKeys()
+	parts := make([][]byte, 1+len(keys))
+	parts[0] = []byte(CheckpointHeader)
+	err := core.RunCodecs(ckptWorkers, s.paths, len(keys), newFrameEncoder, func(e *frameEncoder, i int) (struct{}, error) {
+		e.part.Reset()
+		_, err := e.writeAll(&e.part, s.shards[keys[i]].sortSegments())
+		parts[1+i] = bytes.Clone(e.part.Bytes())
+		return struct{}{}, err
+	}, nil)
+	if err != nil {
 		return nil, fmt.Errorf("serve: checkpoint %w", err)
 	}
-	return out.Bytes(), nil
+	return bytes.Join(parts, nil), nil
 }
 
 // Checkpoint writes the daemon's state to the directory
@@ -145,7 +175,8 @@ func (s *Server) EncodeCheckpoint() ([]byte, error) {
 // stripes that ingested since the last checkpoint, then the generation
 // record, then the prune. Checkpoints are serialised — a call that
 // finds another in flight waits for it and then takes its own — and
-// ingest is stalled only while the stripe entries are written.
+// ingest is stalled only while the stripe entries are encoded: their
+// fsyncs, renames and the record come after it resumes.
 func (s *Server) Checkpoint() error {
 	_, err := s.checkpoint()
 	return err
@@ -175,7 +206,10 @@ func (s *Server) checkpointLocked() (checkpointCost, error) {
 	// entries it named may be gone with it (the directory emptied under
 	// the daemon): every stripe is written.
 	disk, err := readGeneration(dir)
-	rec, wrote, pending, cost, err := s.writeStripes(dir, disk.Gen+1, err != nil)
+	rec, staged, wrote, pending, cost, err := s.stageStripes(dir, disk.Gen+1, err != nil)
+	if err == nil {
+		err = dist.Commit(dir, staged)
+	}
 	if err == nil {
 		err = writeGeneration(dir, rec)
 	}
@@ -191,42 +225,61 @@ func (s *Server) checkpointLocked() (checkpointCost, error) {
 	return cost, nil
 }
 
-// writeStripes writes, under mu, the entry of every stripe that
+// stageStripes encodes, under mu, the entry of every stripe that
 // ingested since its entry was written — of every stripe, when all is
-// set — streaming one segment's frame at a time. It returns generation
-// gen's record naming each stripe's entry, the entries written, and the
+// set — into a staged temporary, ckptWorkers stripes at a time, each
+// streamed one segment's frame at a time. It returns generation gen's
+// record naming each stripe's entry, the staged entries (for
+// dist.Commit, in stripe order), the stripes they belong to, and the
 // count of records ingested since the last checkpoint, as of this cut.
-func (s *Server) writeStripes(dir string, gen int64, all bool) (rec generation, wrote []written, pending int64, cost checkpointCost, err error) {
+// On a failure nothing stays staged.
+func (s *Server) stageStripes(dir string, gen int64, all bool) (rec generation, staged []*dist.Staged, wrote []written, pending int64, cost checkpointCost, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec = generation{Version: generationVersion, Gen: gen}
-	enc := frameEncoder{codec: core.NewSegmentCodec(s.paths.Interner)}
-	out := bufio.NewWriterSize(nil, 1<<16)
 	for _, k := range s.stripeKeys() {
 		sh := s.shards[k]
 		e := entry{Stripe: k, File: sh.entry}
 		if all || e.File == "" || sh.records != sh.saved {
 			e.File = entryName(k, gen)
-			err = dist.WriteFileAtomic(filepath.Join(dir, e.File), func(w io.Writer) error {
-				out.Reset(w)
-				segs := sh.sortSegments()
-				n, err := enc.writeAll(out, segs)
-				cost.encoded += int64(len(segs))
-				cost.bytes += n
-				if err != nil {
-					return err
-				}
-				return out.Flush()
-			})
-			if err != nil {
-				return rec, nil, 0, cost, fmt.Errorf("stripe %d: %w", k, err)
-			}
 			wrote = append(wrote, written{sh, e.File, sh.records})
-			cost.stripes++
 		}
 		rec.Entries = append(rec.Entries, e)
 	}
-	return rec, wrote, s.sinceCkpt.Load(), cost, nil
+	staged = make([]*dist.Staged, len(wrote))
+	costs := make([]checkpointCost, len(wrote))
+	err = core.RunCodecs(ckptWorkers, s.paths, len(wrote), newFrameEncoder, func(e *frameEncoder, i int) (struct{}, error) {
+		w := wrote[i]
+		var err error
+		staged[i], err = dist.Stage(filepath.Join(dir, w.file), func(f io.Writer) error {
+			if e.out == nil {
+				e.out = bufio.NewWriterSize(f, 1<<16)
+			} else {
+				e.out.Reset(f)
+			}
+			segs := w.sh.sortSegments()
+			n, err := e.writeAll(e.out, segs)
+			costs[i] = checkpointCost{stripes: 1, encoded: int64(len(segs)), bytes: n}
+			if err != nil {
+				return err
+			}
+			return e.out.Flush()
+		})
+		if err != nil {
+			return struct{}{}, fmt.Errorf("entry %s: %w", w.file, err)
+		}
+		return struct{}{}, nil
+	}, nil)
+	for _, c := range costs {
+		cost.stripes += c.stripes
+		cost.encoded += c.encoded
+		cost.bytes += c.bytes
+	}
+	if err != nil {
+		dist.Discard(slices.DeleteFunc(staged, func(f *dist.Staged) bool { return f == nil }))
+		return rec, nil, nil, 0, cost, err
+	}
+	return rec, staged, wrote, s.sinceCkpt.Load(), cost, nil
 }
 
 // readGeneration reads and checks the generation record in dir. Every
@@ -322,49 +375,104 @@ func (s *Server) maybeCheckpoint() {
 	}
 }
 
-// restorer decodes checkpoint frames into segments over a fresh path
-// table. buf is the one read buffer every stripe entry of a directory
-// restore is read into in turn: nothing decoded keeps a view of it —
-// paths are interned, journals, sums and latency samples decode into
-// memory of their own.
+// restorer restores a checkpoint into a fresh path table in two lanes:
+// ckptWorkers goroutines decode frames, each with a codec of its own,
+// into segments no table indexes yet, and one more goroutine binds them
+// to the table (core.SegmentCodec.Bind) in checkpoint order, so the
+// table numbers the files in trace order, as a one-goroutine restore
+// would. bufs holds the read buffers of a directory restore: a worker
+// takes one for each entry (or starts one) and the binding lane hands
+// it back once the entry's paths are interned, so there are no more
+// buffers than decodes in flight — the workers and one more — and
+// nothing decoded keeps a view of one: paths are interned, journals,
+// sums and latency samples decode into memory of their own.
 type restorer struct {
-	paths *trace.Interner
-	codec *core.SegmentCodec
+	paths *trace.SharedTable
+	bind  *core.SegmentCodec
 	segs  []*segment
-	buf   []byte
+	bufs  chan []byte
 }
 
 func newRestorer() *restorer {
-	paths := trace.NewFileTable()
-	return &restorer{paths: paths, codec: core.NewSegmentCodec(paths)}
+	paths := trace.NewSharedTable()
+	return &restorer{paths: paths, bind: core.NewSegmentCodec(paths), bufs: make(chan []byte, ckptWorkers+1)}
 }
 
-// frames decodes every frame in data into a segment.
-func (r *restorer) frames(data []byte) error {
-	for i := 0; len(data) > 0; i++ {
-		payload, rest, err := dist.NextFrame(data)
-		if err != nil {
-			return fmt.Errorf("segment %d: %w", i, err)
+// decoded is one frame's segment as a worker decoded it, with the path
+// table Bind interns.
+type decoded struct {
+	p     *core.Partial
+	paths core.SnapshotPaths
+}
+
+// add binds segments decoded from one entry (or, in memory, one frame)
+// and appends them to the restore, in order; segs[0] is segment first of
+// whatever an error names.
+func (r *restorer) add(segs []decoded, first int) error {
+	for k, d := range segs {
+		if err := r.bind.Bind(d.p, d.paths); err != nil {
+			return fmt.Errorf("segment %d: %w", first+k, err)
 		}
-		p, err := decodeSegment(r.codec, payload)
-		if err != nil {
-			return fmt.Errorf("segment %d: %w", i, err)
-		}
-		r.segs = append(r.segs, &segment{p: p})
-		data = rest
+		r.segs = append(r.segs, &segment{p: d.p})
 	}
 	return nil
 }
 
+// codecAlone is the state of a decode worker: its codec, nothing more.
+func codecAlone(c *core.SegmentCodec) *core.SegmentCodec { return c }
+
+// frames decodes every frame in data, in order.
+func frames(codec *core.SegmentCodec, data []byte) ([]decoded, error) {
+	var segs []decoded
+	for i := 0; len(data) > 0; i++ {
+		payload, rest, err := dist.NextFrame(data)
+		if err != nil {
+			return nil, fmt.Errorf("segment %d: %w", i, err)
+		}
+		p, paths, err := decodeSegment(codec, payload)
+		if err != nil {
+			return nil, fmt.Errorf("segment %d: %w", i, err)
+		}
+		segs = append(segs, decoded{p, paths})
+		data = rest
+	}
+	return segs, nil
+}
+
 // RestoreCheckpoint loads a c1 checkpoint held in memory into an empty
-// server; see RestoreCheckpointDir. Every restored stripe is written at
-// the next checkpoint.
+// server; see RestoreCheckpointDir. The frames are split off in order
+// and decoded framesPerJob at a time on ckptWorkers goroutines. Every
+// restored stripe is written at the next checkpoint.
 func (s *Server) RestoreCheckpoint(data []byte) error {
 	if !bytes.HasPrefix(data, []byte(CheckpointHeader)) {
 		return errors.New("serve: not a migd checkpoint (bad header)")
 	}
+	var payloads [][]byte
+	for data = data[len(CheckpointHeader):]; len(data) > 0; {
+		payload, rest, err := dist.NextFrame(data)
+		if err != nil {
+			return fmt.Errorf("serve: restore segment %d: %w", len(payloads), err)
+		}
+		payloads, data = append(payloads, payload), rest
+	}
+	// A worker decodes framesPerJob frames at a time: enough that handing
+	// the batch to the binding lane costs little beside decoding it.
+	const framesPerJob = 32
 	r := newRestorer()
-	if err := r.frames(data[len(CheckpointHeader):]); err != nil {
+	jobs := (len(payloads) + framesPerJob - 1) / framesPerJob
+	err := core.RunCodecs(ckptWorkers, r.paths, jobs, codecAlone, func(c *core.SegmentCodec, j int) ([]decoded, error) {
+		from := j * framesPerJob
+		segs := make([]decoded, min(framesPerJob, len(payloads)-from))
+		for k := range segs {
+			p, paths, err := decodeSegment(c, payloads[from+k])
+			if err != nil {
+				return nil, fmt.Errorf("segment %d: %w", from+k, err)
+			}
+			segs[k] = decoded{p, paths}
+		}
+		return segs, nil
+	}, func(segs []decoded) error { return r.add(segs, len(r.segs)) })
+	if err != nil {
 		return fmt.Errorf("serve: restore %w", err)
 	}
 	return s.install(r, nil)
@@ -372,10 +480,12 @@ func (s *Server) RestoreCheckpoint(data []byte) error {
 
 // RestoreCheckpointDir loads the checkpoint directory at dir into an
 // empty server: the generation record, then each entry it names, read
-// whole and decoded frame by frame. A missing directory, or one without
-// a record, is an error wrapping fs.ErrNotExist — a first start.
-// Anything else that fails — a file at dir, an unknown record version,
-// a damaged entry — is an error naming the file, and installs nothing.
+// whole and decoded frame by frame, ckptWorkers entries at a time. A
+// missing directory, or one without a record, is an error wrapping
+// fs.ErrNotExist — a first start. Anything else that fails — a file at
+// dir, an unknown record version, a damaged entry — is an error naming
+// the file (the first damaged entry in the record's order, whichever
+// worker meets one first), and installs nothing.
 //
 // Each frame's s1 snapshot decodes straight into a journal-only
 // segment — validated exactly as loading a snapshot validates it,
@@ -392,6 +502,15 @@ func (s *Server) RestoreCheckpointDir(dir string) error {
 	return s.restoreDir(dir, newRestorer())
 }
 
+// entryDecoded is one stripe entry as a worker decoded it: the entry's
+// index in the record, its segments, and the buffer their path tables
+// are views into.
+type entryDecoded struct {
+	i    int
+	segs []decoded
+	buf  []byte
+}
+
 // restoreDir is RestoreCheckpointDir through the given restorer.
 func (s *Server) restoreDir(dir string, r *restorer) error {
 	rec, err := readGeneration(dir)
@@ -399,28 +518,47 @@ func (s *Server) restoreDir(dir string, r *restorer) error {
 		return fmt.Errorf("serve: restore: %w", err)
 	}
 	keep := true
-	for _, e := range rec.Entries {
-		path := filepath.Join(dir, e.File)
-		from := len(r.segs)
+	err = core.RunCodecs(ckptWorkers, r.paths, len(rec.Entries), codecAlone, func(c *core.SegmentCodec, i int) (entryDecoded, error) {
+		path := filepath.Join(dir, rec.Entries[i].File)
+		var buf []byte
+		select {
+		case buf = <-r.bufs:
+		default:
+		}
 		f, err := os.Open(path)
 		if err == nil {
-			r.buf, err = readBody(r.buf, f, 0) // grows only when an entry outruns it
+			buf, err = readBody(buf, f, 0) // grows only when an entry outruns it
 			f.Close()
 		}
+		var segs []decoded
 		if err == nil {
-			err = r.frames(r.buf)
+			segs, err = frames(c, buf)
 		}
 		if err != nil {
-			return fmt.Errorf("serve: restore %s: %w", path, err)
+			return entryDecoded{}, fmt.Errorf("serve: restore %s: %w", path, err)
 		}
-		for _, sg := range r.segs[from:] {
-			first, _ := sg.p.Bounds()
+		return entryDecoded{i, segs, buf}, nil
+	}, func(ed entryDecoded) error {
+		e := rec.Entries[ed.i]
+		if err := r.add(ed.segs, 0); err != nil {
+			return fmt.Errorf("serve: restore %s: %w", filepath.Join(dir, e.File), err)
+		}
+		select {
+		case r.bufs <- ed.buf:
+		default: // a buffer more than decodes can be in flight: none is
+		}
+		// The entries stay the stripes' only while every segment falls
+		// in its entry's stripe: not when the daemon restarted at
+		// another stripe width.
+		for _, d := range ed.segs {
+			first, _ := d.p.Bounds()
 			keep = keep && s.shardKey(first) == e.Stripe
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	// The entries stay the stripes' only while every segment falls in
-	// its entry's stripe: not when the daemon restarted at another
-	// stripe width.
 	if !keep {
 		rec.Entries = nil
 	}
@@ -431,10 +569,10 @@ func (s *Server) restoreDir(dir string, r *restorer) error {
 // server already holds state, installs them; each of entries becomes
 // its stripe's current entry.
 func (s *Server) install(r *restorer, entries []entry) error {
-	files := make([]fileRow, r.paths.Len())
+	files := make([]fileRow, r.paths.Len()) // every lane is done: no lock needed
 	for _, sg := range r.segs {
-		sg.p.VisitRefs(func(id trace.FileID, op trace.Op, start time.Time, size units.Bytes) {
-			files[id].observe(op, start.UnixNano(), size)
+		sg.p.VisitRefs(func(id trace.FileID, op trace.Op, start int64, size units.Bytes) {
+			files[id].observe(op, start, size)
 		})
 	}
 
@@ -447,7 +585,7 @@ func (s *Server) install(r *restorer, entries []entry) error {
 	if s.records.Load() != 0 || s.paths.Len() != 0 {
 		return errors.New("serve: restore into a non-empty server")
 	}
-	s.paths.Interner, s.files = r.paths, files
+	s.paths.Interner, s.files = r.paths.Interner, files
 	for _, sg := range r.segs {
 		sg.seq = s.segSeq.Add(1)
 		first, _ := sg.p.Bounds()
@@ -467,16 +605,18 @@ func (s *Server) install(r *restorer, entries []entry) error {
 	return nil
 }
 
-// decodeSegment rebuilds one segment from a checkpoint frame payload.
-func decodeSegment(codec *core.SegmentCodec, payload []byte) (*core.Partial, error) {
+// decodeSegment decodes one segment, not yet bound to a table, from a
+// checkpoint frame payload.
+func decodeSegment(codec *core.SegmentCodec, payload []byte) (*core.Partial, core.SnapshotPaths, error) {
+	var none core.SnapshotPaths
 	firstNs, n := binary.Varint(payload)
 	if n <= 0 {
-		return nil, errors.New("bad first-bound varint")
+		return nil, none, errors.New("bad first-bound varint")
 	}
 	payload = payload[n:]
 	lastNs, n := binary.Varint(payload)
 	if n <= 0 {
-		return nil, errors.New("bad last-bound varint")
+		return nil, none, errors.New("bad last-bound varint")
 	}
 	var first, last time.Time
 	if firstNs != 0 {

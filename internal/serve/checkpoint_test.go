@@ -301,12 +301,14 @@ func TestRestoredCheckpointCopiesEverything(t *testing.T) {
 	sameAsEncoded(t, wide)
 }
 
-// TestRestoreKeepsNoViewOfItsBuffer: a directory restore reads every
-// stripe entry into one buffer in turn, so nothing restored may keep a
-// view of it. Restored through a buffer that holds the largest entry —
-// every entry then passes through the same bytes — which is scribbled
-// over afterwards, the daemon must still serve the checkpointed
-// daemon's /v1/report byte for byte and encode the same checkpoint.
+// TestRestoreKeepsNoViewOfItsBuffer: a directory restore reads its
+// stripe entries into a few buffers in turn, each handed back once its
+// entry's paths are interned, so nothing restored may keep a view of
+// one. Restored through buffers that each hold the largest entry — every
+// entry then passes through one of them, and several through each —
+// which are scribbled over afterwards, the daemon must still serve the
+// checkpointed daemon's /v1/report byte for byte and encode the same
+// checkpoint.
 func TestRestoreKeepsNoViewOfItsBuffer(t *testing.T) {
 	s, _ := ckptDaemon(t)
 	if err := s.Checkpoint(); err != nil {
@@ -339,17 +341,29 @@ func TestRestoreKeepsNoViewOfItsBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := newRestorer()
-	rs.buf = make([]byte, 0, largest+1)
-	backing := &rs.buf[:1][0]
+	backing := map[*byte]bool{}
+	// Decodes in flight are bounded by the pool's window: the workers
+	// and one more.
+	for range cap(rs.bufs) {
+		buf := make([]byte, 0, largest+1)
+		rs.bufs <- buf
+		backing[&buf[:1][0]] = true
+	}
 	if err := r.restoreDir(s.cfg.CheckpointPath, rs); err != nil {
 		t.Fatal(err)
 	}
-	if len(rs.segs) < 10 || &rs.buf[:1][0] != backing {
-		t.Fatalf("restore decoded %d segments, buffer reused: %v", len(rs.segs), &rs.buf[:1][0] == backing)
+	if len(rs.segs) < 10 || len(rs.bufs) != cap(rs.bufs) {
+		t.Fatalf("restore decoded %d segments and handed back %d buffers", len(rs.segs), len(rs.bufs))
 	}
-	scribble := rs.buf[:cap(rs.buf)]
-	for i := range scribble {
-		scribble[i] = 0xa5
+	for range cap(rs.bufs) {
+		buf := <-rs.bufs
+		if !backing[&buf[:1][0]] {
+			t.Fatal("a restore worker read into a buffer of its own")
+		}
+		scribble := buf[:cap(buf)]
+		for i := range scribble {
+			scribble[i] = 0xa5
+		}
 	}
 	if got := get(r); !bytes.Equal(got, want) {
 		t.Fatalf("after the read buffer was overwritten the restored report differs (%d vs %d bytes)", len(got), len(want))
@@ -363,12 +377,17 @@ func TestRestoreKeepsNoViewOfItsBuffer(t *testing.T) {
 // through the one seam under the durable write path (dist.Disk). From a
 // checkpointed daemon, two batches land in two stripes; the next
 // checkpoint is faulted at each of its steps in turn — each stripe
-// entry's write, fsync, rename and directory fsync, the same four of
-// the generation record, and the prune's removals — by a short write,
-// by ENOSPC, and by a stop right after the step. After each, a fresh
-// daemon restored from the directory (from its crash image, for a
-// stop) renders either the old report or the new one, and the daemon
-// that took the fault checkpoints cleanly on the next try.
+// entry's writes, fsync and rename, the entries' one directory fsync,
+// the generation record's write, fsync, rename and directory fsync, and
+// the prune's removals — by a short write, by ENOSPC, and by a stop
+// right after the step. The two entries are written and fsynced on
+// goroutines of their own, so their steps interleave differently from
+// run to run; each fault is named by its step and its count among the
+// equal steps of a clean checkpoint, which picks the same step every
+// run. After each, a fresh daemon restored from the directory (from
+// its crash image, for a stop) renders either the old report or the
+// new one, and the daemon that took the fault checkpoints cleanly on
+// the next try.
 func TestCheckpointFaultWrite(t *testing.T) {
 	base, last := ckptDaemon(t)
 	if err := base.Checkpoint(); err != nil {
@@ -427,42 +446,55 @@ func TestCheckpointFaultWrite(t *testing.T) {
 		}
 		kinds[kind]++
 	}
-	want := map[string]int{"write": kinds["write"], "fsync": 3, "rename entry": 2, "fsync-dir": 3, "rename record": 1, "remove entry": 2}
-	if !maps.Equal(kinds, want) || kinds["write"] < 3 {
+	want := map[string]int{"write entry": kinds["write entry"], "fsync entry": 2, "rename entry": 2, "fsync-dir": 2,
+		"write record": 1, "fsync record": 1, "rename record": 1, "remove entry": 2}
+	if !maps.Equal(kinds, want) || kinds["write entry"] < 2 {
 		t.Fatalf("a clean checkpoint of two dirty stripes took steps %q", steps)
 	}
 	t.Logf("a clean checkpoint of two dirty stripes: %d steps", len(steps))
 
-	for at := 1; at <= len(steps); at++ {
+	seen := map[string]int{}
+	for _, step := range steps {
+		seen[step]++
+		at := seen[step]
 		for _, fault := range []chaos.DiskFault{chaos.ShortWrite, chaos.NoSpace, chaos.Stop} {
 			useDisk(t, clean)
 			s := advance()
 			image := t.TempDir()
-			useDisk(t, &chaos.Disk{At: at, Fault: fault, Dir: s.cfg.CheckpointPath, Image: image})
+			named := step
+			if strings.HasPrefix(step, "fsync-dir ") { // the directory is named afresh for every daemon
+				named = "fsync-dir " + filepath.Base(s.cfg.CheckpointPath)
+			}
+			useDisk(t, &chaos.Disk{Step: named, At: at, Fault: fault, Dir: s.cfg.CheckpointPath, Image: image})
 			err := s.Checkpoint()
 			useDisk(t, clean)
+			switch {
+			case strings.HasPrefix(step, "remove "): // a prune's failure is logged, not returned
+			case err == nil:
+				t.Fatalf("%s #%d, fault %d: the checkpoint did not fail", step, at, fault)
+			case fault == chaos.Stop && !errors.Is(err, chaos.ErrInjected):
+				t.Fatalf("%s #%d: a stop reported %v", step, at, err)
+			}
 			if fault != chaos.Stop {
 				image = s.cfg.CheckpointPath
-			} else if !strings.HasPrefix(steps[at-1], "remove ") && !errors.Is(err, chaos.ErrInjected) {
-				t.Fatalf("step %d (%s): a stop reported %v", at, steps[at-1], err)
 			}
 			r, err := restore(image)
 			if err != nil {
-				t.Fatalf("step %d (%s), fault %d: restore: %v", at, steps[at-1], fault, err)
+				t.Fatalf("%s #%d, fault %d: restore: %v", step, at, fault, err)
 			}
 			if got := report(r); got != oldReport && got != newReport {
-				t.Fatalf("step %d (%s), fault %d: the restored daemon renders a third report", at, steps[at-1], fault)
+				t.Fatalf("%s #%d, fault %d: the restored daemon renders a third report", step, at, fault)
 			}
 			if fault == chaos.Stop {
 				continue
 			}
 			if err := s.Checkpoint(); err != nil {
-				t.Fatalf("step %d (%s), fault %d: the next checkpoint: %v", at, steps[at-1], fault, err)
+				t.Fatalf("%s #%d, fault %d: the next checkpoint: %v", step, at, fault, err)
 			}
 			sameAsEncoded(t, s)
 			if r, err := restore(s.cfg.CheckpointPath); err != nil || report(r) != newReport {
-				t.Fatalf("step %d (%s), fault %d: after the next checkpoint the directory does not restore the new report (%v)",
-					at, steps[at-1], fault, err)
+				t.Fatalf("%s #%d, fault %d: after the next checkpoint the directory does not restore the new report (%v)",
+					step, at, fault, err)
 			}
 		}
 	}
@@ -570,4 +602,90 @@ func TestCheckpointFaultFlippedFrame(t *testing.T) {
 	if err != nil {
 		t.Fatalf("the rewritten checkpoint does not restore: %v", err)
 	}
+}
+
+// parkSync is a disk on which each stripe entry's fsync reports itself
+// on parked (when there is room) and then waits for release to close.
+type parkSync struct {
+	dist.FS
+	parked  chan<- string
+	release <-chan struct{}
+}
+
+func (d parkSync) CreateTemp(path string) (dist.TempFile, error) {
+	f, err := d.FS.CreateTemp(path)
+	if err != nil {
+		return nil, err
+	}
+	return parkedFile{f, d, path}, nil
+}
+
+// parkedFile is a temporary of a parkSync disk.
+type parkedFile struct {
+	dist.TempFile
+	d    parkSync
+	path string
+}
+
+func (f parkedFile) Sync() error {
+	if strings.HasSuffix(f.path, entrySuffix) {
+		select {
+		case f.d.parked <- filepath.Base(f.path):
+		default:
+		}
+		<-f.d.release
+	}
+	return f.TempFile.Sync()
+}
+
+// TestCheckpointSyncsAfterTheCut: a checkpoint holds the ingest lock
+// only while it encodes. With its entries' fsyncs parked, an ingest
+// issued meanwhile completes before they are released; the checkpoint
+// then holds its cut and not that batch, whose stripe the next
+// checkpoint writes alone.
+func TestCheckpointSyncsAfterTheCut(t *testing.T) {
+	s, last := ckptDaemon(t)
+	parked, release := make(chan string, ckptWorkers), make(chan struct{})
+	useDisk(t, parkSync{&chaos.Disk{}, parked, release})
+	before := s.StatsNow()
+	done := make(chan error, 1)
+	go func() { done <- s.Checkpoint() }()
+	select {
+	case <-parked:
+	case err := <-done:
+		t.Fatalf("the checkpoint finished (%v) without an entry's fsync", err)
+	}
+	ingested := make(chan struct{})
+	go func() {
+		s.Ingest(last)
+		close(ingested)
+	}()
+	select {
+	case <-ingested:
+	case <-time.After(10 * time.Second):
+		t.Error("an ingest waited on the checkpoint's fsyncs")
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	<-ingested
+	if t.Failed() {
+		return
+	}
+	r, err := NewServer(s.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RestoreCheckpointDir(s.cfg.CheckpointPath); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.StatsNow().Records; got != before.Records {
+		t.Fatalf("the checkpoint holds %d records, want the %d of its cut", got, before.Records)
+	}
+	cost, err := s.checkpoint()
+	if err != nil || cost.stripes != 1 {
+		t.Fatalf("the next checkpoint wrote %d stripes (err %v), want the one that ingested", cost.stripes, err)
+	}
+	sameAsEncoded(t, s)
 }

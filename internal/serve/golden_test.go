@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"filemig/internal/core"
+	"filemig/internal/dist"
 	"filemig/internal/trace"
 )
 
@@ -157,5 +161,112 @@ func TestMigdReportAllocs(t *testing.T) {
 	}
 	if whole > 180 {
 		t.Errorf("Server.Report allocates %.1f B a journal entry, want <= 180", whole)
+	}
+}
+
+// TestMigdCheckpointGoldenRestore: the golden daemon's checkpoint,
+// restored on ckptWorkers goroutines into one shared path table — from
+// its directory and from its c1 bytes — answers /v1/report (the golden
+// sha), /v1/stats and /v1/file for every path as the daemon that wrote
+// it does, and re-encodes to the golden checkpoint. A damaged entry in
+// the middle of the record fails the restore naming that entry, with
+// nothing installed, whichever worker meets it first: with a later
+// entry damaged too, the error still names the middle one.
+func TestMigdCheckpointGoldenRestore(t *testing.T) {
+	res := daemonFixture(t)
+	cfg := Config{
+		Opts:           core.Options{Start: res.Config.Start, Days: res.Config.Days},
+		ShardDuration:  5 * 24 * time.Hour,
+		CheckpointPath: filepath.Join(t.TempDir(), "migd.ckpt"),
+		Now:            fixedClock(res),
+	}
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range goldenOrder(res.Records) {
+		postFramed(t, s, frameBatch(t, b))
+	}
+	seen := map[string]bool{}
+	var paths []string
+	for i := range res.Records {
+		if p := res.Records[i].MSSPath; !seen[p] {
+			seen[p] = true
+			paths = append(paths, p)
+		}
+	}
+	now := fixedClock(res)()
+	want := answers(t, s, paths, now) // before the checkpoint its stats count
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := s.EncodeCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for name, restore := range map[string]func(*Server) error{
+		"directory": func(r *Server) error { return r.RestoreCheckpointDir(cfg.CheckpointPath) },
+		"c1":        func(r *Server) error { return r.RestoreCheckpoint(ckpt) },
+	} {
+		r, err := NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := restore(r); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		report, err := r.Report()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sha([]byte(report)); got != goldenReportSHA {
+			t.Errorf("%s: restored /v1/report sha256 = %s, want %s", name, got, goldenReportSHA)
+		}
+		if got := answers(t, r, paths, now); got != want {
+			t.Errorf("%s: the restored daemon answers differently from the one that wrote the checkpoint", name)
+		}
+		again, err := r.EncodeCheckpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sha(again); got != goldenCheckpointSHA {
+			t.Errorf("%s: the restored daemon re-encodes to sha256 %s, want %s", name, got, goldenCheckpointSHA)
+		}
+	}
+
+	rec, err := readGeneration(cfg.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Entries) < 3*ckptWorkers {
+		t.Fatalf("fixture: %d entries, too few to keep %d workers busy", len(rec.Entries), ckptWorkers)
+	}
+	damage := func(e entry) string {
+		path := filepath.Join(cfg.CheckpointPath, e.File)
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[len(b)/2] ^= 0x08
+		if err := os.WriteFile(path, b, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	middle := damage(rec.Entries[len(rec.Entries)/2])
+	damage(rec.Entries[len(rec.Entries)-2])
+	for range 20 {
+		r, err := NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = r.RestoreCheckpointDir(cfg.CheckpointPath)
+		if err == nil || !strings.Contains(err.Error(), middle) || !errors.Is(err, dist.ErrFrame) {
+			t.Fatalf("restore over two damaged entries: %v, want a frame error naming %s", err, middle)
+		}
+		if st := r.StatsNow(); st != (Stats{}) {
+			t.Fatalf("a failed restore left state behind: %+v", st)
+		}
 	}
 }

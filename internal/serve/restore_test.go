@@ -71,7 +71,7 @@ func reencode(t testing.TB, s *Server) []byte {
 	segs := s.orderedSegments()
 	s.mu.Unlock()
 	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
-	enc := frameEncoder{codec: core.NewSegmentCodec(s.paths.Interner)}
+	enc := newFrameEncoder(core.NewSegmentCodec(s.paths))
 	out := []byte(CheckpointHeader)
 	for _, sg := range segs {
 		frame, err := enc.encode(sg.p)
@@ -221,8 +221,8 @@ func reportable(s *Server) bool {
 	defer s.mu.Unlock()
 	ok := true
 	for _, sg := range s.orderedSegments() {
-		sg.p.VisitRefs(func(_ trace.FileID, _ trace.Op, start time.Time, _ units.Bytes) {
-			ok = ok && start.Year() < 1994
+		sg.p.VisitRefs(func(_ trace.FileID, _ trace.Op, start int64, _ units.Bytes) {
+			ok = ok && time.Unix(0, start).UTC().Year() < 1994
 		})
 	}
 	return ok

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"filemig/internal/units"
@@ -64,11 +65,20 @@ func parseB2Block(body []byte, mss, local internFunc, blk *b2Block) error {
 	}
 	blk.count = int(count)
 	blk.base, blk.span = int64(base), int64(span)
-	blk.mssIDs = blk.mssIDs[:0]
-	if blk.mssDict, err = parseB2Dict(&r, "mss", count, mss, blk.mssDict[:0]); err != nil {
+	n, err := b2DictSize(&r, "mss", count)
+	if err != nil {
 		return err
 	}
-	if blk.localDict, err = parseB2Dict(&r, "local", count, local, blk.localDict[:0]); err != nil {
+	// The block decoder's lookup fills mssIDs entry by entry, and sizes
+	// its miss scratch from what is left of it.
+	blk.mssIDs = slices.Grow(blk.mssIDs[:0], b2DictHint(&r, n))
+	if blk.mssDict, err = parseB2Dict(&r, "mss", n, mss, blk.mssDict[:0]); err != nil {
+		return err
+	}
+	if n, err = b2DictSize(&r, "local", count); err != nil {
+		return err
+	}
+	if blk.localDict, err = parseB2Dict(&r, "local", n, local, blk.localDict[:0]); err != nil {
 		return err
 	}
 	// Every record carries two path references, so a non-empty block
@@ -92,15 +102,30 @@ func parseB2Block(body []byte, mss, local internFunc, blk *b2Block) error {
 	return nil
 }
 
-// parseB2Dict decodes one per-block path dictionary: an entry count and
-// that many length-prefixed paths in first-appearance order. Every
+// b2DictSize reads one per-block path dictionary's entry count. Every
 // entry backs at least one record, so the count is bounded by the
 // block's record count.
-func parseB2Dict(r *WireReader, which string, maxEntries uint64, canon internFunc, dst []string) ([]string, error) {
+func b2DictSize(r *WireReader, which string, maxEntries uint64) (uint64, error) {
 	n, err := r.Uvarint("dictionary size", maxEntries)
 	if err != nil {
-		return dst, fmt.Errorf("%s dictionary: %v", which, err)
+		return 0, fmt.Errorf("%s dictionary: %v", which, err)
 	}
+	return n, nil
+}
+
+// b2DictHint is how many entries of an n-entry dictionary the bytes
+// left in r can hold — each takes at least a length byte and a path
+// byte — so that sizing a slice for them trusts no count the block does
+// not back with bytes.
+func b2DictHint(r *WireReader, n uint64) int {
+	return int(min(n, uint64(r.remaining()/2)))
+}
+
+// parseB2Dict decodes one per-block path dictionary of n entries,
+// whose count b2DictSize read: that many length-prefixed paths in
+// first-appearance order.
+func parseB2Dict(r *WireReader, which string, n uint64, canon internFunc, dst []string) ([]string, error) {
+	dst = slices.Grow(dst, b2DictHint(r, n))
 	for i := uint64(0); i < n; i++ {
 		b, err := r.Bytes("path", "path length", maxBinaryPathLen)
 		if err != nil {

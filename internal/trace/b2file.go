@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"io"
+	"slices"
 	"time"
 
 	"filemig/internal/pool"
@@ -226,15 +227,22 @@ func (d *B2BlockDecoder) Table() *SharedTable { return d.table }
 // the one place the decode side hashes a path — once per dictionary
 // entry, however many records reference it. A path the table holds
 // resolves to its FileID and canonical string; any other is noted as a
-// miss, for internMisses to fill in.
+// miss, for internMisses to fill in. A block's first miss makes room
+// for the rest of its dictionary to miss too — parseB2Block sized
+// mssIDs to the dictionary — so a fresh decoder's scratch grows once
+// rather than by append's steps.
 //
 //filemig:hotpath
 func (d *B2BlockDecoder) lookupMSS(b []byte) string {
 	h := maphash.Bytes(pathSeed, b)
 	id, _ := probe(d.table.Interner, b, h)
+	k := len(d.blk.mssIDs)
 	d.blk.mssIDs = append(d.blk.mssIDs, id)
 	if id == NoFileID {
-		d.misses = append(d.misses, b2Miss{k: len(d.blk.mssIDs) - 1, path: b, h: h})
+		if len(d.misses) == 0 {
+			d.misses = slices.Grow(d.misses, cap(d.blk.mssIDs)-k)
+		}
+		d.misses = append(d.misses, b2Miss{k: k, path: b, h: h})
 		return ""
 	}
 	return d.table.paths[id]
