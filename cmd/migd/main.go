@@ -60,7 +60,7 @@ func main() {
 		ckptEvery    = flag.Int64("checkpoint-every", 0, "checkpoint after this many ingested records (0 disables)")
 		ckptInterval = flag.Duration("checkpoint-interval", 0, "checkpoint on this wall-time interval (0 disables)")
 		dedup        = flag.Duration("dedup", 0, "per-file dedup window (0 means the paper's eight hours)")
-		shardDur     = flag.Duration("shard", 0, "ingest shard (lock stripe) time width (0 means one week)")
+		shardDur     = flag.Duration("shard", 0, "time width of a stripe, the segments one checkpoint entry holds (0 means one week)")
 		stpK         = flag.Float64("stp-k", 0, "STP rank exponent for /v1/file (0 means 1.4)")
 		migrateAfter = flag.Duration("migrate-after", 0, "idle age at which /v1/file says migrate (0 means one week)")
 	)

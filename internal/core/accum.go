@@ -20,8 +20,9 @@ import (
 // path, one block group per call, in time order, every segment over the
 // run's one path table, which the shard workers keep extending while
 // earlier segments fold; the s1 snapshot codec, one decoded snapshot per
-// call; and the migd daemon (internal/serve), every ingest segment over
-// its one daemon-wide path table at once, on demand.
+// call; and the migd daemon (internal/serve), every segment of one
+// capture of its state (Capture) at once, on demand, while ingest goes
+// on extending the segments and their one daemon-wide path table.
 //
 // The fold makes no origin assumption: only the fields a journal replay
 // cannot recompute — the op×class accumulators and the startup-latency
@@ -71,9 +72,10 @@ type Partial struct {
 	// (likewise), or private to the segment (AccumulatePartial, a decoded
 	// snapshot — dense in the segment's own first-seen order). view and
 	// hview, when set, are the prefixes of its paths and path hashes the
-	// journal can reference, captured under the table's lock when the
-	// segment was finished: what a fold on another goroutine reads
-	// through while the shard workers go on interning.
+	// journal can reference, captured under the table's lock when a
+	// shard worker finished the segment or a daemon captured it: what a
+	// fold or a codec on another goroutine reads through while the table
+	// goes on growing.
 	paths  *trace.Interner
 	view   []string
 	hview  []uint64
@@ -175,14 +177,35 @@ func (p *Partial) setBounds(first, last time.Time) {
 
 // pathView returns the FileID-indexed paths and path hashes the
 // journal's IDs resolve through: the prefixes captured when a shard
-// worker finished the segment, else the table's prefix as it stands (a
-// daemon's segments — the caller holds whatever lock guards that table,
-// and the views stay valid after it is released).
+// worker finished the segment or a daemon captured it, else the table
+// as it stands (a private table's segment).
 func (p *Partial) pathView() ([]string, []uint64) {
 	if p.view != nil {
 		return p.view, p.hview
 	}
 	return p.paths.Paths(), p.paths.Hashes()
+}
+
+// Capture returns a copy of the segment as it stands, for a fold or a
+// codec on another goroutine to read while the segment's owner goes on
+// observing into it and extending its table: the sums by value, the
+// journal and the latency samples cut to their current length, which
+// later observations append past, and the table's current prefix views,
+// which any segment over the table it is folded with reads through (see
+// FoldPartials). The caller holds the lock that guards the segment and
+// its table, for reading.
+func (p *Partial) Capture() *Partial {
+	s := *p.sums
+	s.journal = slices.Clip(s.journal)
+	for ci, c := range s.latCDF {
+		if c != nil {
+			s.latCDF[ci] = c.Prefix()
+		}
+	}
+	cp := *p
+	cp.sums = &s
+	cp.view, cp.hview = p.paths.Paths(), p.paths.Hashes()
+	return &cp
 }
 
 // AccumulatePartial runs one contiguous segment of records through a
@@ -418,6 +441,15 @@ func (a *Analysis) FoldPartials(ps []*Partial) error {
 	if b != nil {
 		byTable[b.table] = b.remap
 	}
+	// A segment reads its table through the longest prefix views a
+	// segment over that table carries: a daemon's capture takes them for
+	// each stripe's latest segment alone (Capture) and shares the rest.
+	viewed := map[*trace.Interner]*Partial{}
+	for _, p := range ps {
+		if q := viewed[p.paths]; len(p.view) > 0 && (q == nil || len(p.view) > len(q.view)) {
+			viewed[p.paths] = p
+		}
+	}
 	// The tables' lengths bound the files the replay can meet: exactly,
 	// for a daemon's one table, which holds only paths its journals name.
 	files, last := 0, int64(math.MinInt64)
@@ -427,7 +459,11 @@ func (a *Analysis) FoldPartials(ps []*Partial) error {
 		}
 		h = append(h, journalCursor{si: si, start: p.journal[0].start})
 		last = max(last, p.journal[len(p.journal)-1].start)
-		views[si], hviews[si] = p.pathView()
+		if q := viewed[p.paths]; q != nil {
+			views[si], hviews[si] = q.view, q.hview
+		} else {
+			views[si], hviews[si] = p.pathView()
+		}
 		known := len(byTable[p.paths])
 		files += len(byTable.covering(p.paths, len(views[si]))) - known
 		if b != nil && len(views[si]) > len(b.view) {

@@ -54,7 +54,7 @@ func TestSegmentCodecMatchesPrivateTable(t *testing.T) {
 		want := saveSlice(t, Options{}, sl)
 		p := observeShared(Options{}, shared, sl)
 		var got bytes.Buffer
-		if err := codec.Write(&got, p); err != nil {
+		if err := codec.Write(&got, p, shared.Paths()); err != nil {
 			t.Fatalf("slice %d: Write: %v", i, err)
 		}
 		if !bytes.Equal(got.Bytes(), want) {
@@ -69,7 +69,7 @@ func TestSegmentCodecMatchesPrivateTable(t *testing.T) {
 			t.Fatalf("slice %d: Decode: %v", i, err)
 		}
 		got.Reset()
-		if err := decoder.Write(&got, d); err != nil {
+		if err := decoder.Write(&got, d, decoder.table.Paths()); err != nil {
 			t.Fatalf("slice %d: re-Write: %v", i, err)
 		}
 		if !bytes.Equal(got.Bytes(), want) {
@@ -102,7 +102,7 @@ func TestSegmentCodecMatchesPrivateTable(t *testing.T) {
 		}
 	}
 
-	if err := NewSegmentCodec(trace.NewSharedTable()).Write(&bytes.Buffer{}, segs[0]); err == nil {
+	if err := NewSegmentCodec(trace.NewSharedTable()).Write(&bytes.Buffer{}, segs[0], shared.Paths()); err == nil {
 		t.Fatal("a codec wrote a segment that indexes another table")
 	}
 }

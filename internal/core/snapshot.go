@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -9,7 +8,6 @@ import (
 	"time"
 
 	"filemig/internal/device"
-	"filemig/internal/pool"
 	"filemig/internal/stats"
 	"filemig/internal/trace"
 )
@@ -177,8 +175,8 @@ func (s *sums) encode(ww *trace.WireWriter, dedup time.Duration, paths []string,
 // private-table producer writes. It keeps one table-sized translation
 // scratch, one WireWriter and one WireReader across calls and is not
 // safe for concurrent use. Codecs over one table are, as far as their
-// methods touch it: Write reads the table without its lock, so nothing
-// may extend it while codecs write; Decode does not touch it at all;
+// methods touch it: Write reads only the path view it is handed, so the
+// table may grow while codecs write; Decode does not touch it at all;
 // Bind interns under its write lock.
 type SegmentCodec struct {
 	table *trace.SharedTable
@@ -193,31 +191,15 @@ func NewSegmentCodec(table *trace.SharedTable) *SegmentCodec {
 	return &SegmentCodec{table: table}
 }
 
-// RunCodecs runs job(w, i) for every i below n on at most workers
-// goroutines (pool.Run), each of which makes its state w once, through
-// newWorker, around a codec of its own over table, and hands the
-// results to deliver, when it is not nil, in job order on one further
-// goroutine. The error is the lowest-indexed failure of a job or of
-// deliver, at any worker count, and nothing is pulled past a failure;
-// one worker runs every job, and its delivery, in order on the calling
-// goroutine.
-func RunCodecs[W, R any](workers int, table *trace.SharedTable, n int,
-	newWorker func(*SegmentCodec) W, job func(w W, i int) (R, error), deliver func(R) error) error {
-	return pool.Run(context.Background(), workers, pool.Indices(n),
-		func() func(int) (R, error) {
-			w := newWorker(NewSegmentCodec(table))
-			return func(i int) (R, error) { return job(w, i) }
-		}, deliver)
-}
-
 // place files table ID id as the snapshot in flight's next local ID,
-// reporting false when the snapshot already holds it.
-func (c *SegmentCodec) place(id trace.FileID) bool {
+// reporting false when the snapshot already holds it. size is the
+// table's length as the caller reads it.
+func (c *SegmentCodec) place(id trace.FileID, size int) bool {
 	if int(id) >= len(c.local) {
 		// Sized to the table, or doubled while a decode still grows it:
 		// growing by append as IDs arrive copies a large table over many
 		// times.
-		grown := make([]trace.FileID, max(c.table.Len(), 2*len(c.local), int(id)+1))
+		grown := make([]trace.FileID, max(size, 2*len(c.local), int(id)+1))
 		copy(grown, c.local)
 		for i := len(c.local); i < len(grown); i++ {
 			grown[i] = trace.NoFileID
@@ -241,22 +223,24 @@ func (c *SegmentCodec) release() {
 	c.order = c.order[:0]
 }
 
-// Write serializes one segment over the codec's table as an s1 snapshot.
+// Write serializes one segment over the codec's table as an s1 snapshot,
+// resolving its journal's IDs through paths: a prefix view of the
+// table's paths (Paths) that covers them, taken under the table's lock.
 // The segment stays live and can keep observing records afterwards.
-func (c *SegmentCodec) Write(w io.Writer, p *Partial) error {
+func (c *SegmentCodec) Write(w io.Writer, p *Partial, paths []string) error {
 	if p.paths != c.table.Interner {
 		return errors.New("core: segment does not index this codec's path table")
 	}
 	defer c.release()
 	for k := range p.journal {
-		c.place(p.journal[k].id)
+		c.place(p.journal[k].id, len(paths))
 	}
 	if c.ww == nil {
 		c.ww = trace.NewWireWriter(w)
 	} else {
 		c.ww.Reset(w)
 	}
-	if err := p.sums.encode(c.ww, p.dedup, c.table.Paths(), c.order, c.local); err != nil {
+	if err := p.sums.encode(c.ww, p.dedup, paths, c.order, c.local); err != nil {
 		return err
 	}
 	return c.ww.Flush()
@@ -297,7 +281,7 @@ func (c *SegmentCodec) Bind(p *Partial, paths SnapshotPaths) error {
 	t.Lock()
 	for i := 0; i < paths.n; i++ {
 		b, err := c.wr.Bytes("path", "path length", maxSnapshotPathLen)
-		if err == nil && !c.place(t.InternBytes(b)) {
+		if err == nil && !c.place(t.InternBytes(b), t.Len()) {
 			err = fmt.Errorf("path %d repeats an earlier path", i)
 		}
 		if err != nil {
@@ -527,7 +511,7 @@ func (c *SegmentCodec) decode(wr *trace.WireReader, held []byte, first, last tim
 		if err == nil && len(p) == 0 {
 			err = fmt.Errorf("path %d is empty", i)
 		}
-		if err == nil && held == nil && !c.place(c.table.InternBytes(p)) {
+		if err == nil && held == nil && !c.place(c.table.InternBytes(p), c.table.Len()) {
 			err = fmt.Errorf("path %d repeats an earlier path", i)
 		}
 		if err != nil {

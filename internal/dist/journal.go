@@ -1,14 +1,15 @@
 package dist
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
+
+	"filemig/internal/pool"
 )
 
 // The coordinator's resumable journal: a directory holding one
@@ -198,29 +199,9 @@ func Commit(dir string, files []*Staged) error {
 // syncAll fsyncs the temporaries of files, up to commitSyncs at once,
 // and returns the first failure in file order.
 func syncAll(files []*Staged) error {
-	errs := make([]error, len(files))
-	var next atomic.Int64
-	work := func() {
-		for i := next.Add(1) - 1; i < int64(len(files)); i = next.Add(1) - 1 {
-			errs[i] = files[i].tmp.Sync()
-		}
-	}
-	var wg sync.WaitGroup
-	for range min(commitSyncs, len(files)) - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return pool.Run(context.Background(), commitSyncs, pool.Indices(len(files)), func() func(int) (struct{}, error) {
+		return func(i int) (struct{}, error) { return struct{}{}, files[i].tmp.Sync() }
+	}, nil)
 }
 
 // Discard removes the temporaries of staged files that will not be

@@ -37,8 +37,8 @@ var allowedImports = map[string][]string{
 	"core":       {"device", "namespace", "pool", "stats", "trace", "units", "workload"},
 	"migration":  {"pool", "trace", "units"},
 	"experiment": {"migration", "trace", "units", "workload"},
-	"dist":       {"core", "experiment", "trace"},
-	"serve":      {"core", "dist", "migration", "trace", "units"},
+	"dist":       {"core", "experiment", "pool", "trace"},
+	"serve":      {"core", "dist", "migration", "pool", "trace", "units"},
 	"dist/chaos": {},
 	"host":       {},
 	"lint":       {},

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -17,6 +18,7 @@ import (
 
 	"filemig/internal/core"
 	"filemig/internal/dist"
+	"filemig/internal/pool"
 	"filemig/internal/trace"
 	"filemig/internal/units"
 )
@@ -36,10 +38,10 @@ import (
 // lists, read in order after the header, are the c1 bytes. A checkpoint
 // writes an entry only for a stripe that ingested since its entry was
 // written, each under a name the record in place does not use, through
-// dist's one durable write path: the entries are encoded into
-// temporaries (dist.Stage) while ingest waits, and made durable
-// (dist.Commit: fsync, rename, one directory fsync) after it resumes;
-// then the record is written the same way; then the checkpoint prunes
+// dist's one durable write path: the entries of one captured version
+// are encoded into temporaries (dist.Stage) with no lock held, and made
+// durable (dist.Commit: fsync, rename, one directory fsync); then the
+// record is written the same way; then the checkpoint prunes
 // the entries the record does not name. Until the record's rename the
 // previous record still names a complete set of entries, so a crash at
 // any step leaves the previous checkpoint or the new one, never a mix.
@@ -96,26 +98,24 @@ type checkpointCost struct {
 	stripes, encoded, bytes int64
 }
 
-// written is a stripe entry a checkpoint wrote: the stripe, its file,
-// and the stripe's record count at the cut.
+// written is a stripe entry a checkpoint wrote: the stripe as the cut
+// captured it, and its file.
 type written struct {
-	sh      *shard
-	file    string
-	records int64
+	stripeCut
+	file string
 }
 
-// frameEncoder serializes segments into checkpoint frames through one
-// codec and two reused buffers, so it holds at most one segment's frame
-// at a time.
+// frameEncoder serializes a version's segments into checkpoint frames
+// through one codec and two reused buffers, so it holds at most one
+// segment's frame at a time.
 type frameEncoder struct {
+	paths   []string // the version's path view
 	codec   *core.SegmentCodec
 	payload bytes.Buffer
 	frame   []byte
 	out     *bufio.Writer // an entry's buffered writer, when the encoder writes entries
 	part    bytes.Buffer  // a stripe's frames, when the encoder writes them to memory
 }
-
-func newFrameEncoder(c *core.SegmentCodec) *frameEncoder { return &frameEncoder{codec: c} }
 
 // encode returns p's checkpoint frame — its two bounds, then its s1
 // snapshot — valid until the next call.
@@ -126,7 +126,7 @@ func (e *frameEncoder) encode(p *core.Partial) ([]byte, error) {
 	n += binary.PutVarint(bounds[n:], last.UnixNano())
 	e.payload.Reset()
 	e.payload.Write(bounds[:n])
-	if err := e.codec.Write(&e.payload, p); err != nil {
+	if err := e.codec.Write(&e.payload, p, e.paths); err != nil {
 		return nil, err
 	}
 	e.frame = dist.AppendFrame(e.frame[:0], e.payload.Bytes())
@@ -135,9 +135,9 @@ func (e *frameEncoder) encode(p *core.Partial) ([]byte, error) {
 
 // writeAll writes the frames of segs to w, one at a time, and returns
 // their length.
-func (e *frameEncoder) writeAll(w io.Writer, segs []*segment) (n int64, err error) {
-	for i, sg := range segs {
-		frame, err := e.encode(sg.p)
+func (e *frameEncoder) writeAll(w io.Writer, segs []*core.Partial) (n int64, err error) {
+	for i, p := range segs {
+		frame, err := e.encode(p)
 		if err == nil {
 			_, err = w.Write(frame)
 		}
@@ -149,21 +149,30 @@ func (e *frameEncoder) writeAll(w io.Writer, segs []*segment) (n int64, err erro
 	return n, nil
 }
 
-// EncodeCheckpoint serializes the daemon's full segment state in the c1
-// checkpoint form, encoding every segment — each stripe's frames on one
-// of ckptWorkers goroutines, joined in stripe order.
-func (s *Server) EncodeCheckpoint() ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := s.stripeKeys()
-	parts := make([][]byte, 1+len(keys))
-	parts[0] = []byte(CheckpointHeader)
-	err := core.RunCodecs(ckptWorkers, s.paths, len(keys), newFrameEncoder, func(e *frameEncoder, i int) (struct{}, error) {
-		e.part.Reset()
-		_, err := e.writeAll(&e.part, s.shards[keys[i]].sortSegments())
-		parts[1+i] = bytes.Clone(e.part.Bytes())
-		return struct{}{}, err
+// encodeEach runs job(e, i) for every i below n on ckptWorkers
+// goroutines, each with a frame encoder of its own over v; the error is
+// the lowest-indexed job's.
+func (s *Server) encodeEach(v version, n int, job func(e *frameEncoder, i int) error) error {
+	return pool.Run(context.Background(), ckptWorkers, pool.Indices(n), func() func(int) (struct{}, error) {
+		e := &frameEncoder{paths: v.paths, codec: core.NewSegmentCodec(s.paths)}
+		return func(i int) (struct{}, error) { return struct{}{}, job(e, i) }
 	}, nil)
+}
+
+// EncodeCheckpoint serializes the daemon's full segment state in the c1
+// checkpoint form, encoding every segment of one captured version —
+// each stripe's frames on one of ckptWorkers goroutines, joined in
+// stripe order.
+func (s *Server) EncodeCheckpoint() ([]byte, error) {
+	v := s.capture(nil)
+	parts := make([][]byte, 1+len(v.stripes))
+	parts[0] = []byte(CheckpointHeader)
+	err := s.encodeEach(v, len(v.stripes), func(e *frameEncoder, i int) error {
+		e.part.Reset()
+		_, err := e.writeAll(&e.part, v.stripes[i].segs)
+		parts[1+i] = bytes.Clone(e.part.Bytes())
+		return err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("serve: checkpoint %w", err)
 	}
@@ -175,8 +184,8 @@ func (s *Server) EncodeCheckpoint() ([]byte, error) {
 // stripes that ingested since the last checkpoint, then the generation
 // record, then the prune. Checkpoints are serialised — a call that
 // finds another in flight waits for it and then takes its own — and
-// ingest is stalled only while the stripe entries are encoded: their
-// fsyncs, renames and the record come after it resumes.
+// ingest is stalled only while the checkpoint captures the version it
+// writes.
 func (s *Server) Checkpoint() error {
 	_, err := s.checkpoint()
 	return err
@@ -225,30 +234,29 @@ func (s *Server) checkpointLocked() (checkpointCost, error) {
 	return cost, nil
 }
 
-// stageStripes encodes, under mu, the entry of every stripe that
-// ingested since its entry was written — of every stripe, when all is
-// set — into a staged temporary, ckptWorkers stripes at a time, each
-// streamed one segment's frame at a time. It returns generation gen's
-// record naming each stripe's entry, the staged entries (for
-// dist.Commit, in stripe order), the stripes they belong to, and the
-// count of records ingested since the last checkpoint, as of this cut.
-// On a failure nothing stays staged.
+// stageStripes captures a version — the cut — with the segments of
+// every stripe that ingested since its entry was written — of every
+// stripe, when all is set — and encodes each such stripe's entry into a
+// staged temporary, ckptWorkers stripes at a time, each streamed one
+// segment's frame at a time. It
+// returns generation gen's record naming each stripe's entry, the
+// staged entries (for dist.Commit, in stripe order), the stripes they
+// belong to, and the count of records ingested since the last
+// checkpoint, as of the cut. On a failure nothing stays staged.
 func (s *Server) stageStripes(dir string, gen int64, all bool) (rec generation, staged []*dist.Staged, wrote []written, pending int64, cost checkpointCost, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	v := s.capture(func(sh *shard) bool { return all || sh.entry == "" || sh.records != sh.saved })
 	rec = generation{Version: generationVersion, Gen: gen}
-	for _, k := range s.stripeKeys() {
-		sh := s.shards[k]
-		e := entry{Stripe: k, File: sh.entry}
-		if all || e.File == "" || sh.records != sh.saved {
-			e.File = entryName(k, gen)
-			wrote = append(wrote, written{sh, e.File, sh.records})
+	for _, c := range v.stripes {
+		e := entry{Stripe: c.sh.key, File: c.sh.entry}
+		if c.segs != nil {
+			e.File = entryName(c.sh.key, gen)
+			wrote = append(wrote, written{c, e.File})
 		}
 		rec.Entries = append(rec.Entries, e)
 	}
 	staged = make([]*dist.Staged, len(wrote))
 	costs := make([]checkpointCost, len(wrote))
-	err = core.RunCodecs(ckptWorkers, s.paths, len(wrote), newFrameEncoder, func(e *frameEncoder, i int) (struct{}, error) {
+	err = s.encodeEach(v, len(wrote), func(e *frameEncoder, i int) error {
 		w := wrote[i]
 		var err error
 		staged[i], err = dist.Stage(filepath.Join(dir, w.file), func(f io.Writer) error {
@@ -257,19 +265,18 @@ func (s *Server) stageStripes(dir string, gen int64, all bool) (rec generation, 
 			} else {
 				e.out.Reset(f)
 			}
-			segs := w.sh.sortSegments()
-			n, err := e.writeAll(e.out, segs)
-			costs[i] = checkpointCost{stripes: 1, encoded: int64(len(segs)), bytes: n}
+			n, err := e.writeAll(e.out, w.segs)
+			costs[i] = checkpointCost{stripes: 1, encoded: int64(len(w.segs)), bytes: n}
 			if err != nil {
 				return err
 			}
 			return e.out.Flush()
 		})
 		if err != nil {
-			return struct{}{}, fmt.Errorf("entry %s: %w", w.file, err)
+			return fmt.Errorf("entry %s: %w", w.file, err)
 		}
-		return struct{}{}, nil
-	}, nil)
+		return nil
+	})
 	for _, c := range costs {
 		cost.stripes += c.stripes
 		cost.encoded += c.encoded
@@ -279,7 +286,7 @@ func (s *Server) stageStripes(dir string, gen int64, all bool) (rec generation, 
 		dist.Discard(slices.DeleteFunc(staged, func(f *dist.Staged) bool { return f == nil }))
 		return rec, nil, nil, 0, cost, err
 	}
-	return rec, staged, wrote, s.sinceCkpt.Load(), cost, nil
+	return rec, staged, wrote, v.pending, cost, nil
 }
 
 // readGeneration reads and checks the generation record in dir. Every
@@ -380,16 +387,18 @@ func (s *Server) maybeCheckpoint() {
 // into segments no table indexes yet, and one more goroutine binds them
 // to the table (core.SegmentCodec.Bind) in checkpoint order, so the
 // table numbers the files in trace order, as a one-goroutine restore
-// would. bufs holds the read buffers of a directory restore: a worker
-// takes one for each entry (or starts one) and the binding lane hands
-// it back once the entry's paths are interned, so there are no more
-// buffers than decodes in flight — the workers and one more — and
+// would, and observes each segment's references into the per-file rows
+// as it binds it. bufs holds the read buffers of a directory restore: a
+// worker takes one for each entry (or starts one) and the binding lane
+// hands it back once the entry's paths are interned, so there are no
+// more buffers than decodes in flight — the workers and one more — and
 // nothing decoded keeps a view of one: paths are interned, journals,
 // sums and latency samples decode into memory of their own.
 type restorer struct {
 	paths *trace.SharedTable
 	bind  *core.SegmentCodec
-	segs  []*segment
+	segs  []*core.Partial
+	files []fileRow
 	bufs  chan []byte
 }
 
@@ -405,21 +414,30 @@ type decoded struct {
 	paths core.SnapshotPaths
 }
 
-// add binds segments decoded from one entry (or, in memory, one frame)
-// and appends them to the restore, in order; segs[0] is segment first of
-// whatever an error names.
+// add binds segments decoded from one entry (or, in memory, one frame),
+// observes their references into the per-file rows and appends them to
+// the restore, in order; segs[0] is segment first of whatever an error
+// names. Only the binding lane extends the table, so it reads the
+// table's length without its lock.
 func (r *restorer) add(segs []decoded, first int) error {
 	for k, d := range segs {
 		if err := r.bind.Bind(d.p, d.paths); err != nil {
 			return fmt.Errorf("segment %d: %w", first+k, err)
 		}
-		r.segs = append(r.segs, &segment{p: d.p})
+		n := r.paths.Len()
+		if n > cap(r.files) {
+			// Doubled, as ingest's rows are: growing by append's quarter
+			// copies them over many times.
+			r.files = slices.Grow(r.files, max(n, 2*cap(r.files))-len(r.files))
+		}
+		r.files = r.files[:n]
+		d.p.VisitRefs(func(id trace.FileID, op trace.Op, start int64, size units.Bytes) {
+			r.files[id].observe(op, start, size)
+		})
+		r.segs = append(r.segs, d.p)
 	}
 	return nil
 }
-
-// codecAlone is the state of a decode worker: its codec, nothing more.
-func codecAlone(c *core.SegmentCodec) *core.SegmentCodec { return c }
 
 // frames decodes every frame in data, in order.
 func frames(codec *core.SegmentCodec, data []byte) ([]decoded, error) {
@@ -460,17 +478,20 @@ func (s *Server) RestoreCheckpoint(data []byte) error {
 	const framesPerJob = 32
 	r := newRestorer()
 	jobs := (len(payloads) + framesPerJob - 1) / framesPerJob
-	err := core.RunCodecs(ckptWorkers, r.paths, jobs, codecAlone, func(c *core.SegmentCodec, j int) ([]decoded, error) {
-		from := j * framesPerJob
-		segs := make([]decoded, min(framesPerJob, len(payloads)-from))
-		for k := range segs {
-			p, paths, err := decodeSegment(c, payloads[from+k])
-			if err != nil {
-				return nil, fmt.Errorf("segment %d: %w", from+k, err)
+	err := pool.Run(context.Background(), ckptWorkers, pool.Indices(jobs), func() func(int) ([]decoded, error) {
+		c := core.NewSegmentCodec(r.paths)
+		return func(j int) ([]decoded, error) {
+			from := j * framesPerJob
+			segs := make([]decoded, min(framesPerJob, len(payloads)-from))
+			for k := range segs {
+				p, paths, err := decodeSegment(c, payloads[from+k])
+				if err != nil {
+					return nil, fmt.Errorf("segment %d: %w", from+k, err)
+				}
+				segs[k] = decoded{p, paths}
 			}
-			segs[k] = decoded{p, paths}
+			return segs, nil
 		}
-		return segs, nil
 	}, func(segs []decoded) error { return r.add(segs, len(r.segs)) })
 	if err != nil {
 		return fmt.Errorf("serve: restore %w", err)
@@ -489,8 +510,9 @@ func (s *Server) RestoreCheckpoint(data []byte) error {
 //
 // Each frame's s1 snapshot decodes straight into a journal-only
 // segment — validated exactly as loading a snapshot validates it,
-// nothing replayed — over a fresh path table, and one pass over the
-// journals rebuilds the live per-file rows. The restored daemon's
+// nothing replayed — over a fresh path table, and the live per-file
+// rows are rebuilt from each segment's journal as it is bound. The
+// restored daemon's
 // report is byte-identical to the pre-restart daemon's, ingest
 // continues from where the checkpoint was cut, and, unless the daemon
 // restarted at another stripe width, each stripe keeps its entry: the
@@ -518,26 +540,29 @@ func (s *Server) restoreDir(dir string, r *restorer) error {
 		return fmt.Errorf("serve: restore: %w", err)
 	}
 	keep := true
-	err = core.RunCodecs(ckptWorkers, r.paths, len(rec.Entries), codecAlone, func(c *core.SegmentCodec, i int) (entryDecoded, error) {
-		path := filepath.Join(dir, rec.Entries[i].File)
-		var buf []byte
-		select {
-		case buf = <-r.bufs:
-		default:
+	err = pool.Run(context.Background(), ckptWorkers, pool.Indices(len(rec.Entries)), func() func(int) (entryDecoded, error) {
+		c := core.NewSegmentCodec(r.paths)
+		return func(i int) (entryDecoded, error) {
+			path := filepath.Join(dir, rec.Entries[i].File)
+			var buf []byte
+			select {
+			case buf = <-r.bufs:
+			default:
+			}
+			f, err := os.Open(path)
+			if err == nil {
+				buf, err = readBody(buf, f, 0) // grows only when an entry outruns it
+				f.Close()
+			}
+			var segs []decoded
+			if err == nil {
+				segs, err = frames(c, buf)
+			}
+			if err != nil {
+				return entryDecoded{}, fmt.Errorf("serve: restore %s: %w", path, err)
+			}
+			return entryDecoded{i, segs, buf}, nil
 		}
-		f, err := os.Open(path)
-		if err == nil {
-			buf, err = readBody(buf, f, 0) // grows only when an entry outruns it
-			f.Close()
-		}
-		var segs []decoded
-		if err == nil {
-			segs, err = frames(c, buf)
-		}
-		if err != nil {
-			return entryDecoded{}, fmt.Errorf("serve: restore %s: %w", path, err)
-		}
-		return entryDecoded{i, segs, buf}, nil
 	}, func(ed entryDecoded) error {
 		e := rec.Entries[ed.i]
 		if err := r.add(ed.segs, 0); err != nil {
@@ -565,40 +590,29 @@ func (s *Server) restoreDir(dir string, r *restorer) error {
 	return s.install(r, rec.Entries)
 }
 
-// install rebuilds the per-file rows from r's segments and, unless the
-// server already holds state, installs them; each of entries becomes
-// its stripe's current entry.
+// install installs r's segments and per-file rows, unless the server
+// already holds state; each of entries becomes its stripe's current
+// entry.
 func (s *Server) install(r *restorer, entries []entry) error {
-	files := make([]fileRow, r.paths.Len()) // every lane is done: no lock needed
-	for _, sg := range r.segs {
-		sg.p.VisitRefs(func(id trace.FileID, op trace.Op, start int64, size units.Bytes) {
-			files[id].observe(op, start, size)
-		})
-	}
-
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.paths.Lock()
 	defer s.paths.Unlock()
 	if s.records.Load() != 0 || s.paths.Len() != 0 {
 		return errors.New("serve: restore into a non-empty server")
 	}
-	s.paths.Interner, s.files = r.paths.Interner, files
-	for _, sg := range r.segs {
-		sg.seq = s.segSeq.Add(1)
-		first, _ := sg.p.Bounds()
+	s.paths.Interner, s.files = r.paths.Interner, r.files
+	for _, p := range r.segs {
+		first, _ := p.Bounds()
 		sh := s.getShard(s.shardKey(first))
-		sh.segs = append(sh.segs, sg)
-		sh.noteBounds(sg)
-		sh.records += sg.p.Records()
-		s.segCount.Add(1)
-		s.records.Add(sg.p.Records())
-		s.errRecords.Add(sg.p.Errors())
+		sh.add(p, true)
+		sh.records += p.Records()
+		s.records.Add(p.Records())
+		s.errRecords.Add(p.Errors())
 	}
 	for _, e := range entries {
-		if sh := s.shards[e.Stripe]; sh != nil {
+		if i, ok := slices.BinarySearchFunc(s.shards, e.Stripe, byKey); ok {
+			sh := s.shards[i]
 			sh.entry, sh.saved = e.File, sh.records
 		}
 	}
@@ -637,7 +651,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	writeJSON(w, map[string]int64{
-		"segments":    s.segCount.Load(),
+		"segments":    s.StatsNow().Segments,
 		"checkpoints": s.checkpoints.Load(),
 		"stripes":     cost.stripes,
 		"encoded":     cost.encoded,

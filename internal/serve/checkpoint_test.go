@@ -230,9 +230,8 @@ func TestCheckpointEncodesOnlyDirty(t *testing.T) {
 			t.Errorf("entry %s changed though its stripe ingested nothing", name)
 		}
 	}
-	s.mu.Lock()
-	segs := int64(len(s.shards[k].segs))
-	s.mu.Unlock()
+	v := s.capture(nil).stripes
+	segs := int64(len(v[slices.IndexFunc(v, func(c stripeCut) bool { return c.sh.key == k })].segs))
 	want := map[string]int64{
 		"segments":    s.StatsNow().Segments,
 		"checkpoints": 2,
@@ -528,11 +527,11 @@ func TestCheckpointFaultIngestAfterCut(t *testing.T) {
 		if landed {
 			return
 		}
-		if !s.mu.TryRLock() {
-			t.Error("the generation record is written while the cut holds mu")
+		if !s.paths.TryLock() {
+			t.Error("the generation record is written while the cut holds the state lock")
 			return
 		}
-		s.mu.RUnlock()
+		s.paths.Unlock()
 		s.Ingest(tail)
 		landed = true
 	}})
@@ -571,7 +570,7 @@ func TestCheckpointFaultFlippedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := s.shardKey(last[0].Start)
-	path := filepath.Join(s.cfg.CheckpointPath, s.shards[k].entry)
+	path := filepath.Join(s.cfg.CheckpointPath, s.getShard(k).entry)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -638,11 +637,11 @@ func (f parkedFile) Sync() error {
 	return f.TempFile.Sync()
 }
 
-// TestCheckpointSyncsAfterTheCut: a checkpoint holds the ingest lock
-// only while it encodes. With its entries' fsyncs parked, an ingest
-// issued meanwhile completes before they are released; the checkpoint
-// then holds its cut and not that batch, whose stripe the next
-// checkpoint writes alone.
+// TestCheckpointSyncsAfterTheCut: a checkpoint holds the state lock
+// only while it captures its version. With its entries' fsyncs parked,
+// an ingest issued meanwhile completes before they are released; the
+// checkpoint then holds its cut and not that batch, whose stripe the
+// next checkpoint writes alone.
 func TestCheckpointSyncsAfterTheCut(t *testing.T) {
 	s, last := ckptDaemon(t)
 	parked, release := make(chan string, ckptWorkers), make(chan struct{})

@@ -109,8 +109,10 @@ func TestMigdCheckpointGolden(t *testing.T) {
 // allocates is one the report holds: a per-reference or per-file slice
 // left to grow by append regrows several times over and shows up here
 // as bytes past the bound, before any benchmark sees it. Measured on
-// the goldenOrder arrivals at 58.2 B an entry for Accumulate, 54.4 B
-// for the core Report and 175.1 B for the whole Server.Report (71.8,
+// the goldenOrder arrivals at 61.8 B an entry for Accumulate, 54.4 B
+// for the core Report and 178.7 B for the whole Server.Report — 1.9 B
+// an entry of it the capture's copy of each stripe's latest segment
+// (58.2–59.9 B for Accumulate while the fold held the lock instead; 71.8,
 // 54.4 and 188.6 B while the master hashed every path into a table of
 // its own rather than borrowing the daemon's; 208 B and 114 B for the
 // first two before the fold was sized and the radix sort kept one

@@ -203,7 +203,7 @@ func (s *Server) ingest(recs []trace.Record, ids []trace.FileID) {
 	if len(recs) == 0 {
 		return
 	}
-	s.mu.RLock()
+	s.paths.Lock()
 	s.internBatch(recs, ids)
 	for i := 0; i < len(recs); {
 		k := s.shardKey(recs[i].Start)
@@ -211,23 +211,21 @@ func (s *Server) ingest(recs []trace.Record, ids []trace.FileID) {
 		for j < len(recs) && s.shardKey(recs[j].Start) == k {
 			j++
 		}
-		s.applyRun(k, recs[i:j], ids[i:j])
+		s.applyRun(s.getShard(k), recs[i:j], ids[i:j])
 		i = j
 	}
 	s.records.Add(int64(len(recs)))
 	s.sinceCkpt.Add(int64(len(recs)))
-	s.mu.RUnlock()
+	s.paths.Unlock()
 	s.maybeCheckpoint()
 }
 
 // internBatch interns the batch's not-yet-known paths into the
 // daemon-wide table — the one place the table grows, and only ever
 // with paths of a batch that validated whole — and folds every good
-// reference into its file's live row, all under one hold of the table
-// lock. The caller holds mu shared.
+// reference into its file's live row. The caller holds the state lock
+// exclusively.
 func (s *Server) internBatch(recs []trace.Record, ids []trace.FileID) {
-	s.paths.Lock()
-	defer s.paths.Unlock()
 	for i := range recs {
 		r := &recs[i]
 		if !r.OK() {
@@ -248,31 +246,24 @@ func (s *Server) internBatch(recs []trace.Record, ids []trace.FileID) {
 	}
 }
 
-// applyRun observes one run of records that share a shard stripe,
-// appending to the stripe's newest segment when the run continues it in
-// time order and opening a fresh segment otherwise. The caller holds mu
-// shared; the stripe mutex serializes concurrent runs.
-func (s *Server) applyRun(k int64, recs []trace.Record, ids []trace.FileID) {
-	sh := s.getShard(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	var sg *segment
-	if sh.lastSeg != nil && !recs[0].Start.Before(sh.maxLast) {
-		sg = sh.lastSeg
-	} else {
-		sg = &segment{p: core.NewSegment(s.cfg.Opts, s.paths.Interner), seq: s.segSeq.Add(1)}
-		sh.segs = append(sh.segs, sg)
-		s.segCount.Add(1)
+// applyRun observes one run of records that share a stripe, appending
+// to the stripe's latest segment when the run continues it in time
+// order and opening a fresh segment otherwise. The caller holds the
+// state lock exclusively.
+func (s *Server) applyRun(sh *shard, recs []trace.Record, ids []trace.FileID) {
+	p, created := sh.lastSeg, sh.lastSeg == nil || recs[0].Start.Before(sh.maxLast)
+	if created {
+		p = core.NewSegment(s.cfg.Opts, s.paths.Interner)
 	}
-	sg.p.Grow(len(recs))
+	p.Grow(len(recs))
 	for i := range recs {
 		if !recs[i].OK() {
 			s.errRecords.Add(1)
 		}
-		sg.p.Observe(&recs[i], ids[i])
+		p.Observe(&recs[i], ids[i])
 	}
 	sh.records += int64(len(recs))
-	sh.noteBounds(sg)
+	sh.add(p, created)
 }
 
 // handleIngest serves POST /v1/ingest: a bare trace-stream body.

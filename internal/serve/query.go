@@ -142,19 +142,18 @@ type Stats struct {
 // StatsNow snapshots the live counters.
 func (s *Server) StatsNow() Stats {
 	s.paths.RLock()
-	files := int64(len(s.files))
-	s.paths.RUnlock()
-	s.shardsMu.Lock()
-	shards := int64(len(s.shards))
-	s.shardsMu.Unlock()
-	return Stats{
+	defer s.paths.RUnlock()
+	st := Stats{
 		Records:     s.records.Load(),
 		Errors:      s.errRecords.Load(),
-		Files:       files,
-		Shards:      shards,
-		Segments:    s.segCount.Load(),
+		Files:       int64(len(s.files)),
+		Shards:      int64(len(s.shards)),
 		Checkpoints: s.checkpoints.Load(),
 	}
+	for _, sh := range s.shards {
+		st.Segments += int64(len(sh.segs))
+	}
+	return st
 }
 
 // handleStats serves GET /v1/stats.

@@ -11,7 +11,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -64,21 +63,12 @@ func replayingRestore(data []byte) ([]byte, error) {
 	return out, nil
 }
 
-// reencode serializes every segment afresh, in restore order.
+// reencode serializes every segment afresh, in trace order.
 func reencode(t testing.TB, s *Server) []byte {
 	t.Helper()
-	s.mu.Lock()
-	segs := s.orderedSegments()
-	s.mu.Unlock()
-	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
-	enc := newFrameEncoder(core.NewSegmentCodec(s.paths))
-	out := []byte(CheckpointHeader)
-	for _, sg := range segs {
-		frame, err := enc.encode(sg.p)
-		if err != nil {
-			t.Fatalf("re-encoding segment %d: %v", sg.seq, err)
-		}
-		out = append(out, frame...)
+	out, err := s.EncodeCheckpoint()
+	if err != nil {
+		t.Fatalf("re-encoding: %v", err)
 	}
 	return out
 }
@@ -217,13 +207,13 @@ func FuzzMigdRestoreCheckpoint(f *testing.F) {
 // the calendar origin, and the report's hourly series — and the
 // periodogram over it — is as long as that reach.
 func reportable(s *Server) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	ok := true
-	for _, sg := range s.orderedSegments() {
-		sg.p.VisitRefs(func(_ trace.FileID, _ trace.Op, start int64, _ units.Bytes) {
-			ok = ok && time.Unix(0, start).UTC().Year() < 1994
-		})
+	for _, c := range s.capture(nil).stripes {
+		for _, p := range c.segs {
+			p.VisitRefs(func(_ trace.FileID, _ trace.Op, start int64, _ units.Bytes) {
+				ok = ok && time.Unix(0, start).UTC().Year() < 1994
+			})
+		}
 	}
 	return ok
 }

@@ -3,20 +3,21 @@
 // the journal, not an analysis: one journal-only core.Partial segment
 // per contiguous run of ingested records — start instant, counts, the
 // op×class sums, the Figure 3 latency CDFs and one journal entry per
-// good reference, exactly what an s1 snapshot serializes — striped
-// across time shards for lock locality, all over one daemon-wide path
-// table (a trace.Interner) whose dense FileIDs the journals carry and
-// the live per-file rows are indexed by. Every answer derives from
-// that:
+// good reference, exactly what an s1 snapshot serializes — filed by
+// time stripe, the unit of a checkpoint entry, all over one daemon-wide
+// path table (a trace.SharedTable) whose dense FileIDs the journals
+// carry and the live per-file rows are indexed by. Every answer derives
+// from that:
 //
 //   - POST /v1/ingest and /v1/ingest/batch decode a trace-stream body
 //     (the batch variant wrapped in the internal/dist CRC frame)
 //     straight out of the pooled request buffer, validate it fully, and
 //     only then intern its new paths and observe it into segment state;
-//   - GET /v1/report merges every segment's journal back into global
-//     time order inside a fresh accumulator (Analysis.FoldPartials)
-//     and renders the full op×class report — byte-identical to the
-//     offline slice path over the same records;
+//   - GET /v1/report captures a version of the state and merges every
+//     segment's journal back into global time order inside a fresh
+//     accumulator (Analysis.FoldPartials), and renders the full op×class
+//     report — byte-identical to the offline slice path over the same
+//     records;
 //   - GET /v1/file/{path} answers migrate/keep/prefetch for one file
 //     from its per-file row — one table probe, one slice index — and
 //     the STP rank of internal/migration;
@@ -28,6 +29,18 @@
 //     generation record written last. A restarted daemon reads the
 //     frames one at a time straight back into segments — nothing is
 //     replayed — so it resumes exactly.
+//
+// The table's lock is the daemon's one state lock: it guards the table,
+// the stripes, their segments and the per-file rows. An ingest holds it
+// once, exclusively, to intern a batch's new paths, fill their rows and
+// observe its records; a decode's lookups, /v1/file and /v1/stats hold
+// it shared. A report, a checkpoint and EncodeCheckpoint hold it shared
+// only to capture a version — each stripe's segments in trace order,
+// read through prefix views of the table — and fold or encode that
+// version with no lock held, so ingest never waits for a fold or an
+// encode. A capture is cheap because only a stripe's latest segment can
+// still grow: it is copied (core.Partial.Capture), the rest shared.
+// Checkpoints are serialised by a second mutex of their own.
 //
 // Daemon-wide FileIDs are process-local: they are never serialized or
 // rendered (a checkpoint frame carries its segment's own first-seen
@@ -56,10 +69,10 @@ import (
 	"filemig/internal/units"
 )
 
-// DefaultShardDuration is the time width of one ingest shard when
-// Config.ShardDuration is zero: wide enough that a steady trace touches
-// one lock stripe at a time, narrow enough that backfill and live
-// traffic do not contend.
+// DefaultShardDuration is the time width of one stripe when
+// Config.ShardDuration is zero: wide enough that a steady trace extends
+// one stripe's latest segment at a time, narrow enough that a checkpoint
+// after steady ingest rewrites one small entry, not the whole state.
 const DefaultShardDuration = 7 * 24 * time.Hour
 
 // DefaultMigrateAfter is the idle age at which /v1/file recommends
@@ -78,8 +91,9 @@ type Config struct {
 	// Journal is forced on for segments regardless of its value here.
 	Opts core.Options
 
-	// ShardDuration is the time width of one ingest shard (a lock
-	// stripe over segments). Zero means DefaultShardDuration.
+	// ShardDuration is the time width of one stripe: the segments a
+	// checkpoint writes as one entry file. Zero means
+	// DefaultShardDuration.
 	ShardDuration time.Duration
 
 	// CheckpointPath is the directory Checkpoint writes the daemon's
@@ -111,28 +125,22 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// segment is one live journal-only Partial.
-type segment struct {
-	p   *core.Partial
-	seq int64 // creation order, tie-break for equal first instants
-}
-
-// shard is one time stripe of segments. Its mutex serializes appends by
-// concurrent ingests that land in the same stripe. lastSeg is the
-// segment holding the stripe's latest record (maxLast): a run may only
-// extend that segment, from maxLast on, and otherwise opens a fresh one.
+// shard is one time stripe of journal-only segments, guarded by the
+// state lock, its segments kept in trace order: by first instant, then
+// creation order. lastSeg is the segment holding the stripe's latest
+// record (maxLast): a run may only extend that segment, from maxLast on,
+// and otherwise opens a fresh one, so no other segment ever grows.
 // FoldPartials would accept an earlier segment extended past records of
 // later ones — it merges interleaved segments — but it replays records
-// at one instant across segments in segment order (first instant, then
-// creation order), so the run would replay ahead of equal-instant
-// records that later-ordered segments received before it. records
-// counts the stripe's records; entry is its current checkpoint entry
-// file and saved its record count when that entry was cut, so the
-// stripe is written again only once it ingests.
+// at one instant across segments in segment order, so the run would
+// replay ahead of equal-instant records that later-ordered segments
+// received before it. records counts the stripe's records; entry is its
+// current checkpoint entry file and saved its record count when that
+// entry was cut, so the stripe is written again only once it ingests.
 type shard struct {
-	mu      sync.Mutex
-	segs    []*segment
-	lastSeg *segment
+	key     int64
+	segs    []*core.Partial
+	lastSeg *core.Partial
 	maxLast time.Time
 	records int64
 
@@ -140,13 +148,24 @@ type shard struct {
 	saved int64
 }
 
-// noteBounds updates the stripe's latest-record bookkeeping after sg
-// observed records. The caller holds the stripe mutex.
-func (sh *shard) noteBounds(sg *segment) {
-	_, last := sg.p.Bounds()
+// add files p, a segment that just observed records, in the stripe: a
+// created one after every segment that starts no later, which keeps the
+// segments in trace order with creation order breaking ties; then it
+// updates the latest-record bookkeeping.
+func (sh *shard) add(p *core.Partial, created bool) {
+	first, last := p.Bounds()
+	if created {
+		// Never 0, so the search lands past every equal first instant.
+		i, _ := slices.BinarySearchFunc(sh.segs, first, func(q *core.Partial, t time.Time) int {
+			if f, _ := q.Bounds(); f.After(t) {
+				return 1
+			}
+			return -1
+		})
+		sh.segs = slices.Insert(sh.segs, i, p)
+	}
 	if sh.lastSeg == nil || last.After(sh.maxLast) {
-		sh.lastSeg = sg
-		sh.maxLast = last
+		sh.lastSeg, sh.maxLast = p, last
 	}
 }
 
@@ -188,31 +207,21 @@ type Server struct {
 	migrateAfter time.Duration
 	mux          *http.ServeMux
 
-	// mu is the big ingest/fold lock: ingest holds it shared (many
-	// batches in flight, each serialized per shard below), report and
-	// checkpoint hold it exclusive so they see every segment — and the
-	// path table, which only grows under mu held shared — quiescent.
-	mu       sync.RWMutex
-	shardsMu sync.Mutex
-	shards   map[int64]*shard
-
-	// paths is the daemon-wide path table, and its lock also guards the
-	// per-file rows its FileIDs index; it nests inside mu. Ingest
-	// extends both under the write lock, once per validated batch;
-	// decode-time lookups and /v1/file take the read lock.
-	paths *trace.SharedTable
-	files []fileRow
+	// paths is the daemon-wide path table, and its lock is the state
+	// lock (see the package comment): it also guards the per-file rows
+	// its FileIDs index and the stripes, in key order.
+	paths  *trace.SharedTable
+	files  []fileRow
+	shards []*shard
 
 	// ckptMu serialises checkpoints: the stripe entries, the generation
 	// record, the prune and the sinceCkpt settlement are one step. It is
-	// taken before mu, never while holding it, and guards each stripe's
-	// entry.
+	// taken before the state lock, never while holding it, and guards
+	// each stripe's entry.
 	ckptMu sync.Mutex
 
 	records     atomic.Int64
 	errRecords  atomic.Int64
-	segCount    atomic.Int64
-	segSeq      atomic.Int64
 	sinceCkpt   atomic.Int64
 	checkpoints atomic.Int64
 }
@@ -231,7 +240,6 @@ func NewServer(cfg Config) (*Server, error) {
 		shardDur:     cfg.ShardDuration,
 		stpK:         cfg.STPK,
 		migrateAfter: cfg.MigrateAfter,
-		shards:       map[int64]*shard{},
 		paths:        trace.NewSharedTable(),
 	}
 	if s.shardDur <= 0 {
@@ -270,80 +278,78 @@ func (s *Server) shardKey(t time.Time) int64 {
 	return k
 }
 
-// getShard returns the stripe for key k, creating it on first use.
+// getShard returns the stripe for key k, creating it on first use. The
+// caller holds the state lock exclusively.
 func (s *Server) getShard(k int64) *shard {
-	s.shardsMu.Lock()
-	defer s.shardsMu.Unlock()
-	sh := s.shards[k]
-	if sh == nil {
-		sh = &shard{}
-		s.shards[k] = sh
+	i, ok := slices.BinarySearchFunc(s.shards, k, byKey)
+	if !ok {
+		s.shards = slices.Insert(s.shards, i, &shard{key: k})
 	}
-	return sh
+	return s.shards[i]
 }
 
-// stripeKeys returns every stripe's key in ascending order. The caller
-// must hold mu exclusively.
-func (s *Server) stripeKeys() []int64 {
-	s.shardsMu.Lock()
-	keys := make([]int64, 0, len(s.shards))
-	for k := range s.shards {
-		keys = append(keys, k)
-	}
-	s.shardsMu.Unlock()
-	slices.Sort(keys)
-	return keys
+// byKey orders a stripe against key k, for a binary search.
+func byKey(sh *shard, k int64) int { return cmp.Compare(sh.key, k) }
+
+// version is the daemon's state as one capture saw it, which nothing
+// changes afterwards: every stripe in key order, the path table's
+// prefix view that their journals resolve through, and the count of
+// records ingested since the last checkpoint.
+type version struct {
+	stripes []stripeCut
+	paths   []string
+	pending int64
 }
 
-// sortSegments sorts the stripe's segments into trace order — by first
-// observed instant, creation order breaking exact ties — and returns
-// them. The caller must hold mu exclusively.
-func (sh *shard) sortSegments() []*segment {
-	slices.SortFunc(sh.segs, func(a, b *segment) int {
-		fa, _ := a.p.Bounds()
-		fb, _ := b.p.Bounds()
-		if c := fa.Compare(fb); c != 0 {
-			return c
+// stripeCut is one stripe of a version: its record count and, when the
+// capture wanted them, its segments in trace order.
+type stripeCut struct {
+	sh      *shard
+	records int64
+	segs    []*core.Partial // nil for a stripe the capture did not want
+}
+
+// capture takes a version under the state lock held shared, with the
+// segments of every stripe want selects (of every stripe, when want is
+// nil). A stripe's latest segment is copied as it stands, with the
+// table's prefix views (core.Partial.Capture), and every other segment,
+// which nothing extends again, is shared.
+func (s *Server) capture(want func(*shard) bool) version {
+	s.paths.RLock()
+	defer s.paths.RUnlock()
+	v := version{stripes: make([]stripeCut, len(s.shards)), paths: s.paths.Paths(), pending: s.sinceCkpt.Load()}
+	for i, sh := range s.shards {
+		v.stripes[i] = stripeCut{sh: sh, records: sh.records}
+		if want == nil || want(sh) {
+			segs := slices.Clone(sh.segs)
+			segs[slices.Index(segs, sh.lastSeg)] = sh.lastSeg.Capture()
+			v.stripes[i].segs = segs
 		}
-		return cmp.Compare(a.seq, b.seq)
-	})
-	return sh.segs
-}
-
-// orderedSegments returns every segment in trace order: the stripes in
-// key order, each one's segments sorted — a segment's first instant
-// lies in its own stripe. The caller must hold mu exclusively.
-func (s *Server) orderedSegments() []*segment {
-	var segs []*segment
-	for _, k := range s.stripeKeys() {
-		segs = append(segs, s.shards[k].sortSegments()...)
 	}
-	return segs
+	return v
 }
 
-// Accumulate folds every segment, in trace order, into a fresh master
-// accumulator — the exact state the offline slice path would hold after
-// analyzing the concatenated records.
-func (s *Server) Accumulate() (*core.Analysis, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.accumulateLocked()
-}
-
-// accumulateLocked is Accumulate with mu already held exclusively.
-func (s *Server) accumulateLocked() (*core.Analysis, error) {
+// fold folds a version, in trace order, into a fresh master accumulator
+// — the exact state the offline slice path would hold after analyzing
+// the concatenated records. It holds no lock.
+func (s *Server) fold(v version) (*core.Analysis, error) {
 	opts := s.cfg.Opts
 	opts.Journal = false
 	m := core.New(opts)
-	segs := s.orderedSegments()
-	ps := make([]*core.Partial, len(segs))
-	for i, sg := range segs {
-		ps[i] = sg.p
+	var ps []*core.Partial
+	for _, c := range v.stripes {
+		ps = append(ps, c.segs...)
 	}
 	if err := m.FoldPartials(ps); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	return m, nil
+}
+
+// Accumulate folds everything ingested so far into a fresh master
+// accumulator (see fold); ingest goes on meanwhile.
+func (s *Server) Accumulate() (*core.Analysis, error) {
+	return s.fold(s.capture(nil))
 }
 
 // Report renders the full op×class report over everything ingested so

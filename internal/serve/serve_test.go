@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -434,7 +435,9 @@ func TestMigdConcurrentQueries(t *testing.T) {
 	res := daemonFixture(t)
 	opts := core.Options{Start: res.Config.Start, Days: res.Config.Days}
 	want := sliceBaseline(res.Records, opts)
-	s, err := NewServer(Config{Opts: opts, ShardDuration: 3 * 24 * time.Hour, Now: fixedClock(res)})
+	cfg := Config{Opts: opts, ShardDuration: 3 * 24 * time.Hour, Now: fixedClock(res),
+		CheckpointPath: filepath.Join(t.TempDir(), "migd.ckpt")}
+	s, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +447,10 @@ func TestMigdConcurrentQueries(t *testing.T) {
 	batches := cutBatches(res.Records, 2*24*time.Hour)
 	done := make(chan struct{})
 	var readers sync.WaitGroup
-	for r := 0; r < 2; r++ {
+	// Two report readers, a checkpoint writer and an in-memory
+	// checkpoint encoder: each captures a version and folds or encodes
+	// it while the clients below go on ingesting.
+	for _, path := range []string{"GET /v1/report", "GET /v1/report", "POST /v1/checkpoint", "EncodeCheckpoint"} {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
@@ -454,7 +460,15 @@ func TestMigdConcurrentQueries(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Get(hs.URL + "/v1/report")
+				if path == "EncodeCheckpoint" {
+					if _, err := s.EncodeCheckpoint(); err != nil {
+						t.Errorf("EncodeCheckpoint: %v", err)
+					}
+					continue
+				}
+				method, url, _ := strings.Cut(path, " ")
+				req, _ := http.NewRequest(method, hs.URL+url, nil)
+				resp, err := http.DefaultClient.Do(req)
 				if err == nil {
 					io.Copy(io.Discard, resp.Body)
 					resp.Body.Close()
@@ -496,6 +510,70 @@ func TestMigdConcurrentQueries(t *testing.T) {
 
 	if got := string(getBody(t, hs.URL+"/v1/report")); got != want {
 		t.Fatalf("report after concurrent load diverges (%d vs %d bytes)", len(got), len(want))
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewServer(cfg)
+	if err == nil {
+		err = r.RestoreCheckpointDir(cfg.CheckpointPath)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := r.Report(); err != nil || got != want {
+		t.Fatalf("the checkpoint written after concurrent load restores another report (err %v)", err)
+	}
+}
+
+// TestMigdIngestDuringFold: a report folds a version captured under the
+// state lock, not the live state. Half the golden trace's batches are
+// ingested, every other one, and a version captured; the other half —
+// batches that open segments between captured ones, extend captured
+// latest segments and intern new paths, growing the table the version
+// reads through — is ingested once the capture returns and while the
+// version folds. The version must fold to the report of the records
+// before the capture, byte for byte, and a fresh report to the slice
+// path over every record.
+func TestMigdIngestDuringFold(t *testing.T) {
+	res := daemonFixture(t)
+	opts := core.Options{Start: res.Config.Start, Days: res.Config.Days}
+	s, err := NewServer(Config{Opts: opts, ShardDuration: 3 * 24 * time.Hour, Now: fixedClock(res)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := cutBatches(res.Records, 12*time.Hour)
+	var before []trace.Record
+	for i := 0; i < len(batches); i += 2 {
+		s.Ingest(batches[i])
+		before = append(before, batches[i]...)
+	}
+	files := s.StatsNow().Files
+	v := s.capture(nil)
+
+	// The first later batch lands before the fold starts, the rest beside it.
+	s.Ingest(batches[1])
+	folded := make(chan string, 1)
+	go func() {
+		m, err := s.fold(v)
+		if err != nil {
+			t.Error(err)
+			folded <- ""
+			return
+		}
+		folded <- core.RenderReport(m.Report())
+	}()
+	for i := 3; i < len(batches); i += 2 {
+		s.Ingest(batches[i])
+	}
+	if got := s.StatsNow().Files; got <= files {
+		t.Fatalf("fixture: the later batches interned no path (%d files before, %d after)", files, got)
+	}
+	if got, want := <-folded, sliceBaseline(before, opts); got != want {
+		t.Fatalf("the captured version folds to another report than the records before it (%d vs %d bytes)", len(got), len(want))
+	}
+	if got, err := s.Report(); err != nil || got != sliceBaseline(res.Records, opts) {
+		t.Fatalf("a fresh report after the later batches diverges from the slice path (err %v)", err)
 	}
 }
 

@@ -52,6 +52,12 @@ func (c *CDF) Add(v float64) {
 // N reports the number of samples.
 func (c *CDF) N() int { return len(c.vals) }
 
+// Prefix returns a CDF of the samples c holds now that shares their
+// storage: c's later Adds append past its end, so neither changes the
+// other's samples. Nothing may query c — which sorts it in place —
+// while the prefix is read.
+func (c *CDF) Prefix() *CDF { return &CDF{vals: slices.Clip(c.vals), sorted: c.sorted} }
+
 // Merge appends every sample of other to c, in other's insertion order —
 // exactly as if each had been Added individually. Used by the sharded
 // streaming analysis to fold per-shard distributions together.
