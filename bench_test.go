@@ -1207,6 +1207,7 @@ func BenchmarkMigdIngest(b *testing.B) {
 			s.Ingest(batch)
 		}
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			m, err := s.Accumulate()
 			if err != nil {
@@ -1229,6 +1230,7 @@ func BenchmarkMigdIngest(b *testing.B) {
 			s.Ingest(batch)
 		}
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ckpt, err := s.EncodeCheckpoint()
 			if err != nil {

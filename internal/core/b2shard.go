@@ -197,7 +197,7 @@ func (w *b2Worker) accumulate(g blockGroup) (*Partial, error) {
 		if cap(w.recs) < n {
 			w.recs, w.ids = make([]trace.Record, n), make([]trace.FileID, n)
 		}
-		if err := w.d.DecodeInto(i, w.recs[:n], w.ids[:n]); err != nil {
+		if err := w.d.DecodeForAnalysis(i, w.recs[:n], w.ids[:n]); err != nil {
 			return nil, err
 		}
 		w.observeBlock(p, w.recs[:n], w.ids[:n])

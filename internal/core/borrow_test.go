@@ -48,7 +48,7 @@ func TestB2EquivalenceOneTable(t *testing.T) {
 		}
 		view, order := a.pathColumn()
 		for m, id := range order {
-			if unsafe.StringData(view[id]) != unsafe.StringData(table.Path(id)) {
+			if unsafe.StringData(view[id]) != unsafe.StringData(table.Paths()[id]) {
 				t.Fatalf("%s: master file %d holds a second copy of %q", name, m, view[id])
 			}
 		}

@@ -60,12 +60,13 @@ var requiredHotpath = map[string][]string{
 		"(*Interner).InternBytes",
 		"(*Interner).InternHashed",
 		"(*Interner).Lookup",
-		"(*Interner).LookupBytes",
 		"(*WireReader).ReadByte",
 		"(*WireReader).Uvarint",
 		"(*WireReader).Bytes",
 		"decodeB2Columns",
-		"(*B2BlockDecoder).lookupMSS",
+		"(*Interner).LookupBatch",
+		"(*Interner).InternMiss",
+		"(*B2BlockDecoder).resolveMSS",
 	},
 	ModulePath + "/internal/core": {
 		"(*Analysis).addFileAccessID",
@@ -76,7 +77,7 @@ var requiredHotpath = map[string][]string{
 		"(*Analysis).masterID",
 	},
 	ModulePath + "/internal/serve": {
-		"(*ingestScratch).lookup",
+		"(*ingestScratch).resolve",
 	},
 	ModulePath + "/internal/migration": {
 		"(*Cache).Step",

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"filemig/internal/core"
@@ -150,11 +151,13 @@ func (e *frameEncoder) writeAll(w io.Writer, segs []*core.Partial) (n int64, err
 }
 
 // encodeEach runs job(e, i) for every i below n on ckptWorkers
-// goroutines, each with a frame encoder of its own over v; the error is
-// the lowest-indexed job's.
+// goroutines, each with a frame encoder of its own over v around one of
+// the server's codecs; the error is the lowest-indexed job's. The
+// caller holds ckptMu.
 func (s *Server) encodeEach(v version, n int, job func(e *frameEncoder, i int) error) error {
+	var next atomic.Int32
 	return pool.Run(context.Background(), ckptWorkers, pool.Indices(n), func() func(int) (struct{}, error) {
-		e := &frameEncoder{paths: v.paths, codec: core.NewSegmentCodec(s.paths)}
+		e := &frameEncoder{paths: v.paths, codec: s.codecs[next.Add(1)-1]}
 		return func(i int) (struct{}, error) { return struct{}{}, job(e, i) }
 	}, nil)
 }
@@ -162,8 +165,11 @@ func (s *Server) encodeEach(v version, n int, job func(e *frameEncoder, i int) e
 // EncodeCheckpoint serializes the daemon's full segment state in the c1
 // checkpoint form, encoding every segment of one captured version —
 // each stripe's frames on one of ckptWorkers goroutines, joined in
-// stripe order.
+// stripe order. It waits for a checkpoint in flight, whose codecs it
+// shares.
 func (s *Server) EncodeCheckpoint() ([]byte, error) {
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
 	v := s.capture(nil)
 	parts := make([][]byte, 1+len(v.stripes))
 	parts[0] = []byte(CheckpointHeader)

@@ -34,50 +34,65 @@ const lookupStride = 256
 
 // ingestScratch is everything one ingest request needs that can be
 // reused by the next: the body buffer, the b1 reader state, the decoded
-// records, and their FileIDs where the path table already knew the
-// path. Scratches are pooled; nothing in one outlives its request
-// except what Ingest copied into the table.
+// records, their MSS path keys, and their FileIDs where the path table
+// already knew the path. Scratches are pooled; nothing in one outlives
+// its request except what Ingest copied into the table.
 type ingestScratch struct {
-	body []byte
-	b1   trace.BinaryReader
-	recs []trace.Record
-	ids  []trace.FileID // parallel to recs; NoFileID: not in the table when decoded
-	ack  []byte         // the response body
+	body   []byte
+	b1     trace.BinaryReader
+	recs   []trace.Record
+	keys   [][]byte         // parallel to recs inside a request: each MSS path, a view into body
+	ids    []trace.FileID   // parallel to recs; NoFileID: not in the table when decoded
+	misses []trace.PathMiss // the records whose path the table lacked, in record order
+	ack    []byte           // the response body
 
-	srv   *Server             // whose table lookup probes; nil outside a request
-	canon func([]byte) string // sc.lookup, bound once
+	srv  *Server             // whose table the keys resolve in; nil outside a request
+	keep func([]byte) string // sc.keepKey, bound once
 }
 
 var scratchPool = sync.Pool{New: func() any {
 	sc := &ingestScratch{}
-	sc.canon = sc.lookup
+	sc.keep = sc.keepKey
 	return sc
 }}
 
 // putScratch returns sc to the pool unless one request bloated it.
 func putScratch(sc *ingestScratch) {
 	sc.srv = nil
+	clear(sc.keys) // views into a body buffer the next request may replace
 	if cap(sc.body) > maxPooledBody || cap(sc.recs) > maxPooledRecs || cap(sc.ids) > maxPooledRecs {
 		return
 	}
 	scratchPool.Put(sc)
 }
 
-// lookup canonicalises one MSS path field of a b1 request body. A path
-// the daemon's table already holds resolves — one hash, no allocation —
-// to the table's own string and its FileID, which ingest then uses as
-// is; any other path gets a fresh string and NoFileID, and enters the
-// table only if the whole batch validates. The caller holds the table's
-// read lock.
+// keepKey is a b1 request body's MSS path hook: it keeps the path's
+// bytes, a view into the body, for resolve, and gives the record no
+// string — nothing downstream of the decode reads one.
+func (sc *ingestScratch) keepKey(b []byte) string {
+	sc.keys = append(sc.keys, b)
+	return ""
+}
+
+// resolve looks every kept key up in the daemon's table, lookupStride
+// keys per hold of its read lock: a path the table holds resolves to its
+// FileID, which ingest then uses as is; any other is noted as a miss,
+// and enters the table only once the whole batch has validated
+// (internBatch).
 //
 //filemig:hotpath
-func (sc *ingestScratch) lookup(b []byte) string {
-	if id, ok := sc.srv.paths.LookupBytes(b); ok {
-		sc.ids = append(sc.ids, id)
-		return sc.srv.paths.Path(id)
+func (sc *ingestScratch) resolve() {
+	t := sc.srv.paths
+	sc.ids = slices.Grow(sc.ids[:0], len(sc.keys))[:len(sc.keys)]
+	for lo := 0; lo < len(sc.keys); lo += lookupStride {
+		hi, n := min(lo+lookupStride, len(sc.keys)), len(sc.misses)
+		t.RLock()
+		sc.misses = t.LookupBatch(sc.keys[lo:hi], sc.ids[lo:hi], sc.misses)
+		t.RUnlock()
+		for k := n; k < len(sc.misses); k++ {
+			sc.misses[k].Key += lo
+		}
 	}
-	sc.ids = append(sc.ids, trace.NoFileID)
-	return string(b) //lint:hotalloc-ok first sighting only: the copy that becomes the table's canonical string
 }
 
 // dropPath canonicalises a path field nobody will read.
@@ -92,7 +107,7 @@ func dropPath([]byte) string { return "" }
 // is reset, not rebuilt. ASCII v1 and columnar b2 bodies go through
 // NewFormatReader; a b2 body is read in place through its block index.
 func (sc *ingestScratch) decode(body []byte) error {
-	sc.recs, sc.ids = sc.recs[:0], sc.ids[:0]
+	sc.recs, sc.keys, sc.ids, sc.misses = sc.recs[:0], sc.keys[:0], sc.ids[:0], sc.misses[:0]
 	if len(body) == 0 {
 		return nil // the empty trace
 	}
@@ -100,18 +115,17 @@ func (sc *ingestScratch) decode(body []byte) error {
 	if err != nil {
 		return err
 	}
-	// Inside a request, a b1 body's MSS paths resolve against the
-	// daemon's table as they decode and its local paths, of which the
-	// daemon keeps nothing, are dropped; outside one (DecodeIngest) both
-	// go through the pooled reader's bounded cache.
+	// Inside a request, a b1 body's MSS paths are kept as keys and
+	// resolved against the daemon's table once the body has decoded,
+	// and its local paths, of which the daemon keeps nothing, are
+	// dropped; outside one (DecodeIngest) both go through the pooled
+	// reader's bounded cache.
 	looksUp := f == trace.FormatBinary && sc.srv != nil
 	var st trace.Stream
 	switch {
 	case looksUp:
-		sc.b1.ResetBytes(body, sc.canon, dropPath)
+		sc.b1.ResetBytes(body, sc.keep, dropPath)
 		st = &sc.b1
-		sc.srv.paths.RLock()
-		defer sc.srv.paths.RUnlock()
 	case f == trace.FormatBinary:
 		sc.b1.ResetBytes(body, nil, nil)
 		st = &sc.b1
@@ -133,12 +147,10 @@ func (sc *ingestScratch) decode(body []byte) error {
 				n+1, r.Start, n, sc.recs[n-1].Start)
 		}
 		sc.recs = append(sc.recs, r)
-		if looksUp && len(sc.recs)%lookupStride == 0 {
-			sc.srv.paths.RUnlock()
-			sc.srv.paths.RLock()
-		}
 	}
-	if !looksUp {
+	if looksUp {
+		sc.resolve()
+	} else {
 		sc.ids = unknownIDs(sc.ids, len(sc.recs))
 	}
 	return nil
@@ -191,20 +203,22 @@ func DecodeIngestFrame(body []byte) ([]trace.Record, error) {
 func (s *Server) Ingest(recs []trace.Record) {
 	sc := scratchPool.Get().(*ingestScratch)
 	sc.ids = unknownIDs(sc.ids, len(recs))
-	s.ingest(recs, sc.ids)
+	s.ingest(recs, sc.ids, nil, nil)
 	putScratch(sc)
 }
 
 // ingest applies one validated batch. ids is parallel to recs: a good
 // record's FileID in the daemon-wide table where the decoder already
 // resolved it, NoFileID where the path has yet to be interned (ingest
-// fills those in).
-func (s *Server) ingest(recs []trace.Record, ids []trace.FileID) {
+// fills those in). misses are the decoder's lookups that missed, over
+// its keys; a batch that arrives as records (Ingest) has none, and
+// interns its NoFileID records' paths by string.
+func (s *Server) ingest(recs []trace.Record, ids []trace.FileID, keys [][]byte, misses []trace.PathMiss) {
 	if len(recs) == 0 {
 		return
 	}
 	s.paths.Lock()
-	s.internBatch(recs, ids)
+	s.internBatch(recs, ids, keys, misses)
 	for i := 0; i < len(recs); {
 		k := s.shardKey(recs[i].Start)
 		j := i + 1
@@ -222,28 +236,39 @@ func (s *Server) ingest(recs []trace.Record, ids []trace.FileID) {
 
 // internBatch interns the batch's not-yet-known paths into the
 // daemon-wide table — the one place the table grows, and only ever
-// with paths of a batch that validated whole — and folds every good
-// reference into its file's live row. The caller holds the state lock
-// exclusively.
-func (s *Server) internBatch(recs []trace.Record, ids []trace.FileID) {
+// with the good records' paths of a batch that validated whole, in
+// record order — and folds every good reference into its file's live
+// row. A miss resumes its lookup's probe (InternMiss), so a new path is
+// hashed once. The caller holds the state lock exclusively.
+func (s *Server) internBatch(recs []trace.Record, ids []trace.FileID, keys [][]byte, misses []trace.PathMiss) {
+	for _, m := range misses {
+		if recs[m.Key].OK() {
+			ids[m.Key] = s.fileRow(s.paths.InternMiss(keys[m.Key], m))
+		}
+	}
 	for i := range recs {
 		r := &recs[i]
 		if !r.OK() {
 			continue
 		}
 		if ids[i] == trace.NoFileID {
-			ids[i] = s.paths.Intern(r.MSSPath)
-			if int(ids[i]) == len(s.files) {
-				// Full rows double, in step with the table's index, rather
-				// than growing by append's quarter.
-				if len(s.files) == cap(s.files) {
-					s.files = slices.Grow(s.files, len(s.files)+1)
-				}
-				s.files = append(s.files, fileRow{})
-			}
+			ids[i] = s.fileRow(s.paths.Intern(r.MSSPath))
 		}
 		s.files[ids[i]].observe(r.Op, r.Start.UnixNano(), r.Size)
 	}
+}
+
+// fileRow returns id, first adding its file's live row when the table
+// has just issued it. Full rows double, in step with the table's index,
+// rather than growing by append's quarter.
+func (s *Server) fileRow(id trace.FileID) trace.FileID {
+	if int(id) == len(s.files) {
+		if len(s.files) == cap(s.files) {
+			s.files = slices.Grow(s.files, len(s.files)+1)
+		}
+		s.files = append(s.files, fileRow{})
+	}
+	return id
 }
 
 // applyRun observes one run of records that share a stripe, appending
@@ -301,7 +326,7 @@ func (s *Server) ingestHTTP(w http.ResponseWriter, req *http.Request, framed boo
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.ingest(sc.recs, sc.ids)
+	s.ingest(sc.recs, sc.ids, sc.keys, sc.misses)
 	// The acknowledgement, byte for byte what encoding/json indents for
 	// {"records": n, "total": m}.
 	sc.ack = append(sc.ack[:0], "{\n  \"records\": "...)

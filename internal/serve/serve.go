@@ -33,8 +33,8 @@
 // The table's lock is the daemon's one state lock: it guards the table,
 // the stripes, their segments and the per-file rows. An ingest holds it
 // once, exclusively, to intern a batch's new paths, fill their rows and
-// observe its records; a decode's lookups, /v1/file and /v1/stats hold
-// it shared. A report, a checkpoint and EncodeCheckpoint hold it shared
+// observe its records; a decoded batch's lookups, /v1/file and
+// /v1/stats hold it shared. A report, a checkpoint and EncodeCheckpoint hold it shared
 // only to capture a version — each stripe's segments in trace order,
 // read through prefix views of the table — and fold or encode that
 // version with no lock held, so ingest never waits for a fold or an
@@ -217,8 +217,12 @@ type Server struct {
 	// ckptMu serialises checkpoints: the stripe entries, the generation
 	// record, the prune and the sinceCkpt settlement are one step. It is
 	// taken before the state lock, never while holding it, and guards
-	// each stripe's entry.
+	// each stripe's entry and codecs.
 	ckptMu sync.Mutex
+	// codecs are the checkpoint encoders' segment codecs, one per
+	// worker, kept from checkpoint to checkpoint so that each one's
+	// table-sized translation scratch is made once, not per checkpoint.
+	codecs [ckptWorkers]*core.SegmentCodec
 
 	records     atomic.Int64
 	errRecords  atomic.Int64
@@ -241,6 +245,9 @@ func NewServer(cfg Config) (*Server, error) {
 		stpK:         cfg.STPK,
 		migrateAfter: cfg.MigrateAfter,
 		paths:        trace.NewSharedTable(),
+	}
+	for i := range s.codecs {
+		s.codecs[i] = core.NewSegmentCodec(s.paths)
 	}
 	if s.shardDur <= 0 {
 		s.shardDur = DefaultShardDuration

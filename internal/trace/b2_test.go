@@ -5,6 +5,9 @@ import (
 	"encoding/binary"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -675,5 +678,64 @@ func TestTakeB2File(t *testing.T) {
 		if TakeB2File(s) != nil {
 			t.Fatalf("%T handed over a b2 file", s)
 		}
+	}
+}
+
+// TestB2DecodeForAnalysis holds the block decoder's analysis form to
+// DecodeInto on testdata/mini.b2: every field of every record but
+// LocalPath, which it leaves empty, and every FileID. A local dictionary
+// entry holding a separator byte, resealed so that the frame checksum
+// passes, fails both forms with the same error.
+func TestB2DecodeForAnalysis(t *testing.T) {
+	enc, err := os.ReadFile(filepath.Join("..", "..", "testdata", "mini.b2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := OpenB2File(bytes.NewReader(enc), int64(len(enc)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, analysis := f.NewBlockDecoder(NewSharedTable()), f.NewBlockDecoder(NewSharedTable())
+	for i := 0; i < f.NumBlocks(); i++ {
+		n := int(f.Meta(i).Count)
+		want, wantIDs := make([]Record, n), make([]FileID, n)
+		got, gotIDs := make([]Record, n), make([]FileID, n)
+		if err := full.DecodeInto(i, want, wantIDs); err != nil {
+			t.Fatal(err)
+		}
+		if err := analysis.DecodeForAnalysis(i, got, gotIDs); err != nil {
+			t.Fatal(err)
+		}
+		for k := range want {
+			if want[k].LocalPath == "" || got[k].LocalPath != "" {
+				t.Fatalf("block %d record %d: LocalPath %q from DecodeInto, %q from DecodeForAnalysis",
+					i, k, want[k].LocalPath, got[k].LocalPath)
+			}
+			want[k].LocalPath = ""
+		}
+		requireSameRecords(t, got, want, "DecodeForAnalysis vs DecodeInto")
+		if !slices.Equal(gotIDs, wantIDs) {
+			t.Fatalf("block %d: FileIDs %v, want %v", i, gotIDs, wantIDs)
+		}
+	}
+
+	bad := resealB2Block(t, enc, 0, func(body []byte) {
+		var blk b2Block
+		if err := parseB2Block(body, &blk); err != nil {
+			t.Fatal(err)
+		}
+		blk.localKeys[1][1] = '\t' // a view into body
+	})
+	if f, err = OpenB2File(bytes.NewReader(bad), int64(len(bad))); err != nil {
+		t.Fatal(err)
+	}
+	n := int(f.Meta(0).Count)
+	wantErr := f.NewBlockDecoder(NewSharedTable()).DecodeInto(0, make([]Record, n), nil)
+	if wantErr == nil || !strings.Contains(wantErr.Error(), "local dictionary entry 1: bad path") {
+		t.Fatalf("DecodeInto of the resealed block: err = %v, want a bad local path", wantErr)
+	}
+	gotErr := f.NewBlockDecoder(NewSharedTable()).DecodeForAnalysis(0, make([]Record, n), make([]FileID, n))
+	if gotErr == nil || gotErr.Error() != wantErr.Error() {
+		t.Fatalf("DecodeForAnalysis of the resealed block: err = %v, want %v", gotErr, wantErr)
 	}
 }

@@ -22,30 +22,28 @@ import (
 // impossible counts, out-of-order timestamps — and never panicking or
 // silently skewing.
 
-// b2Block is one decoded block body: its header fields, per-block path
-// dictionaries already canonicalised to strings, and the raw column
-// byte runs (views into the body buffer).
+// b2Block is one decoded block body: its header fields, its per-block
+// path dictionaries (validated views into the body, and the strings the
+// block decoder resolves them to), and the raw column byte runs (views
+// into the body buffer).
 type b2Block struct {
 	count      int
 	base, span int64 // first record's start and last-minus-first, seconds since epoch
-	mssDict    []string
-	mssIDs     []FileID // parallel to mssDict when a block decoder's table resolved it, else empty
-	localDict  []string
+	mssKeys    [][]byte
+	localKeys  [][]byte
+	mssDict    []string // parallel to mssKeys: the block decoder's table's strings
+	mssIDs     []FileID // parallel to mssKeys: their FileIDs there
+	localDict  []string // parallel to localKeys: canonical strings, or all "" when nothing reads them
 	cols       [b2NumCols][]byte
 }
 
-// internFunc canonicalises one validated path's bytes into a string;
-// the block decoder passes its table lookup for MSS paths and
-// pathCache.canonical for local paths, so dictionary entries resolve
-// once per block, not once per record.
-type internFunc func([]byte) string
-
-// parseB2Block decodes a verified block body into blk. Dictionary
-// entries are validated as wire-legal paths here, so any record
-// assembled from the block re-encodes cleanly. blk's dictionary slices
-// are reused across calls; the column slices are views into body and
-// share its lifetime.
-func parseB2Block(body []byte, mss, local internFunc, blk *b2Block) error {
+// parseB2Block decodes a verified block body into blk, up to its
+// dictionaries' keys: the strings are the block decoder's to resolve.
+// Dictionary entries are validated as wire-legal paths here, so any
+// record assembled from the block re-encodes cleanly. blk's dictionary
+// slices are reused across calls; the keys and column slices are views
+// into body and share its lifetime.
+func parseB2Block(body []byte, blk *b2Block) error {
 	var r WireReader
 	r.ResetBytes(body)
 	count, err := r.Uvarint("block record count", maxB2BlockRecords)
@@ -69,22 +67,19 @@ func parseB2Block(body []byte, mss, local internFunc, blk *b2Block) error {
 	if err != nil {
 		return err
 	}
-	// The block decoder's lookup fills mssIDs entry by entry, and sizes
-	// its miss scratch from what is left of it.
-	blk.mssIDs = slices.Grow(blk.mssIDs[:0], b2DictHint(&r, n))
-	if blk.mssDict, err = parseB2Dict(&r, "mss", n, mss, blk.mssDict[:0]); err != nil {
+	if blk.mssKeys, err = parseB2Dict(&r, "mss", n, blk.mssKeys[:0]); err != nil {
 		return err
 	}
 	if n, err = b2DictSize(&r, "local", count); err != nil {
 		return err
 	}
-	if blk.localDict, err = parseB2Dict(&r, "local", n, local, blk.localDict[:0]); err != nil {
+	if blk.localKeys, err = parseB2Dict(&r, "local", n, blk.localKeys[:0]); err != nil {
 		return err
 	}
 	// Every record carries two path references, so a non-empty block
 	// cannot have an empty dictionary (and the reference columns below
 	// bound their values by the dictionary sizes).
-	if len(blk.mssDict) == 0 || len(blk.localDict) == 0 {
+	if len(blk.mssKeys) == 0 || len(blk.localKeys) == 0 {
 		return fmt.Errorf("empty path dictionary in a block of %d records", blk.count)
 	}
 	for col := 0; col < b2NumCols; col++ {
@@ -123,8 +118,8 @@ func b2DictHint(r *WireReader, n uint64) int {
 
 // parseB2Dict decodes one per-block path dictionary of n entries,
 // whose count b2DictSize read: that many length-prefixed paths in
-// first-appearance order.
-func parseB2Dict(r *WireReader, which string, n uint64, canon internFunc, dst []string) ([]string, error) {
+// first-appearance order, appended to dst as views into r's window.
+func parseB2Dict(r *WireReader, which string, n uint64, dst [][]byte) ([][]byte, error) {
 	dst = slices.Grow(dst, b2DictHint(r, n))
 	for i := uint64(0); i < n; i++ {
 		b, err := r.Bytes("path", "path length", maxBinaryPathLen)
@@ -134,7 +129,7 @@ func parseB2Dict(r *WireReader, which string, n uint64, canon internFunc, dst []
 		if !validPath(b) {
 			return dst, fmt.Errorf("%s dictionary entry %d: bad path %q", which, i, b)
 		}
-		dst = append(dst, canon(b))
+		dst = append(dst, b)
 	}
 	return dst, nil
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"hash/maphash"
 	"io"
 	"slices"
 	"time"
@@ -20,9 +19,9 @@ import (
 // index-aware shard cutter in internal/core groups whole blocks into
 // shards from it — and then decode only the blocks they need, in any
 // order, from any number of goroutines — the file itself holds no
-// decode state, so block decoders share nothing but the reader. It is
-// the one b2 reader: OpenStream reads a b2 input through it too, one
-// block after another.
+// decode state, so block decoders share only the reader and the path
+// table each is handed. It is the one b2 reader: OpenStream reads a b2
+// input through it too, one block after another.
 type B2File struct {
 	r       io.ReaderAt
 	epoch   time.Time
@@ -173,18 +172,18 @@ func (f *B2File) Meta(i int) BlockMeta {
 // B2BlockDecoder decodes individual blocks of one B2File. It owns the
 // frame and dictionary scratch a decode needs and interns into a path
 // table it may share with other decoders (a file-only table — no
-// directories derived): a block's MSS dictionary is looked up there
-// under the table's read lock, and the entries no decoder has interned
-// yet are interned together under its write lock. DecodeInto hands
-// back each record's FileID in that table, so a caller that analyses by
-// FileID never hashes a path itself, and decoders over one table — a
-// b2 run's shard workers — copy each distinct path into a string once
-// between them. A decoder is not safe for concurrent use itself;
-// concurrent goroutines each use their own.
+// directories derived): a block's MSS dictionary is looked up there as
+// one batch under the table's read lock, and the entries no decoder has
+// interned yet are interned together under its write lock. DecodeInto
+// hands back each record's FileID in that table, so a caller that
+// analyses by FileID never hashes a path itself, and decoders over one
+// table — a b2 run's shard workers — copy each distinct path into a
+// string once between them. A decoder is not safe for concurrent use
+// itself; concurrent goroutines each use their own.
 //
 // The table is append-only, so a FileID, once issued, names the same
 // path for the table's life. A block rejected after its dictionaries
-// parsed may already have interned some of its MSS paths — paths no
+// resolved may already have interned some of its MSS paths — paths no
 // record was issued for. Callers treat a decode error as the failure of
 // whatever they were decoding for (the analysis paths fail the whole
 // run), and a fold takes only paths a journal references, so such
@@ -195,27 +194,13 @@ type B2BlockDecoder struct {
 	local  pathCache
 	body   []byte
 	blk    b2Block
-	misses []b2Miss // the block's MSS dictionary entries the table lacked
-
-	// The dictionary hooks, bound once so a decode allocates no closure.
-	mssCanon, localCanon internFunc
-}
-
-// b2Miss is one MSS dictionary entry the shared table did not hold when
-// the block's dictionary was looked up: its position, its bytes (a view
-// into the decoder's frame) and their hash.
-type b2Miss struct {
-	k    int
-	path []byte
-	h    uint64
+	misses []PathMiss // the block's MSS dictionary entries the table lacked
 }
 
 // NewBlockDecoder returns a decoder for f's blocks that interns into
 // table.
 func (f *B2File) NewBlockDecoder(table *SharedTable) *B2BlockDecoder {
-	d := &B2BlockDecoder{f: f, table: table}
-	d.mssCanon, d.localCanon = d.lookupMSS, d.local.canonical
-	return d
+	return &B2BlockDecoder{f: f, table: table}
 }
 
 // Table returns the decoder's path table: the one the FileIDs DecodeInto
@@ -223,42 +208,36 @@ func (f *B2File) NewBlockDecoder(table *SharedTable) *B2BlockDecoder {
 // (Paths, Hashes) taken under the lock, which later interns never touch.
 func (d *B2BlockDecoder) Table() *SharedTable { return d.table }
 
-// lookupMSS is the MSS dictionary hook, run under the table's read lock:
-// the one place the decode side hashes a path — once per dictionary
-// entry, however many records reference it. A path the table holds
-// resolves to its FileID and canonical string; any other is noted as a
-// miss, for internMisses to fill in. A block's first miss makes room
-// for the rest of its dictionary to miss too — parseB2Block sized
-// mssIDs to the dictionary — so a fresh decoder's scratch grows once
-// rather than by append's steps.
+// resolveMSS resolves the block's MSS dictionary in the decoder's table
+// — the one place the decode side hashes a path, once per dictionary
+// entry however many records reference it: one LookupBatch under the
+// read lock, then, only if some entry missed, InternMiss for each miss
+// under the write lock (another decoder may have interned it since, so
+// a path is copied into a string once per table). The dictionary's
+// strings are the table's own, read through a prefix view taken under
+// the lock.
 //
 //filemig:hotpath
-func (d *B2BlockDecoder) lookupMSS(b []byte) string {
-	h := maphash.Bytes(pathSeed, b)
-	id, _ := probe(d.table.Interner, b, h)
-	k := len(d.blk.mssIDs)
-	d.blk.mssIDs = append(d.blk.mssIDs, id)
-	if id == NoFileID {
-		if len(d.misses) == 0 {
-			d.misses = slices.Grow(d.misses, cap(d.blk.mssIDs)-k)
+func (d *B2BlockDecoder) resolveMSS() {
+	blk, t := &d.blk, d.table
+	n := len(blk.mssKeys)
+	blk.mssIDs = slices.Grow(blk.mssIDs[:0], n)[:n]
+	blk.mssDict = slices.Grow(blk.mssDict[:0], n)[:n]
+	t.RLock()
+	d.misses = t.LookupBatch(blk.mssKeys, blk.mssIDs, d.misses[:0])
+	paths := t.Paths()
+	t.RUnlock()
+	if len(d.misses) > 0 {
+		t.Lock()
+		for _, m := range d.misses {
+			blk.mssIDs[m.Key] = t.InternMiss(blk.mssKeys[m.Key], m)
 		}
-		d.misses = append(d.misses, b2Miss{k: k, path: b, h: h})
-		return ""
+		paths = t.Paths()
+		t.Unlock()
 	}
-	return d.table.paths[id]
-}
-
-// internMisses interns the block's missed MSS entries under the table's
-// write lock — each re-probed there first, since another decoder may
-// have interned it since the lookup, so a path is copied into a string
-// once per table — and fills in their FileIDs and strings.
-func (d *B2BlockDecoder) internMisses() {
-	d.table.Lock()
-	for _, m := range d.misses {
-		id := d.table.internBytes(m.path, m.h)
-		d.blk.mssIDs[m.k], d.blk.mssDict[m.k] = id, d.table.paths[id]
+	for k, id := range blk.mssIDs {
+		blk.mssDict[k] = paths[id]
 	}
-	d.table.Unlock()
 }
 
 // Decode decodes block i into a freshly allocated record slice.
@@ -278,6 +257,19 @@ func (d *B2BlockDecoder) Decode(i int) ([]Record, error) {
 // index row, and column-decoded; any mismatch or malformation is an
 // error.
 func (d *B2BlockDecoder) DecodeInto(i int, dst []Record, ids []FileID) error {
+	return d.decode(i, dst, ids, true)
+}
+
+// DecodeForAnalysis is DecodeInto for the analysis, which reads no local
+// path: the block's local dictionary is validated as strictly — a
+// block DecodeInto rejects fails here with the same error — but never
+// turned into strings, and every record's LocalPath is empty.
+func (d *B2BlockDecoder) DecodeForAnalysis(i int, dst []Record, ids []FileID) error {
+	return d.decode(i, dst, ids, false)
+}
+
+// decode is DecodeInto, or DecodeForAnalysis when locals is false.
+func (d *B2BlockDecoder) decode(i int, dst []Record, ids []FileID, locals bool) error {
 	e := &d.f.entries[i]
 	if int64(len(dst)) != e.count || (ids != nil && len(ids) != len(dst)) {
 		return fmt.Errorf("trace: b2: block %d holds %d records, dst holds %d (ids %d)", i, e.count, len(dst), len(ids))
@@ -293,18 +285,20 @@ func (d *B2BlockDecoder) DecodeInto(i int, dst []Record, ids []FileID) error {
 	if err != nil {
 		return fmt.Errorf("trace: b2: block %d at byte offset %d: %v", i, e.offset, err)
 	}
-	d.misses = d.misses[:0]
-	d.table.RLock()
-	err = parseB2Block(body, d.mssCanon, d.localCanon, &d.blk)
-	d.table.RUnlock()
-	if err != nil {
+	if err := parseB2Block(body, &d.blk); err != nil {
 		return fmt.Errorf("trace: b2: block %d at byte offset %d: %v", i, e.offset, err)
-	}
-	if len(d.misses) > 0 {
-		d.internMisses()
 	}
 	if err := checkB2Block(i, &d.blk, e); err != nil {
 		return fmt.Errorf("trace: b2: at byte offset %d: %v", e.offset, err)
+	}
+	d.resolveMSS()
+	n := len(d.blk.localKeys)
+	d.blk.localDict = slices.Grow(d.blk.localDict[:0], n)[:n]
+	for k, b := range d.blk.localKeys {
+		d.blk.localDict[k] = ""
+		if locals {
+			d.blk.localDict[k] = d.local.canonical(b)
+		}
 	}
 	if err := decodeB2Columns(&d.blk, d.f.epoch, dst, ids); err != nil {
 		return fmt.Errorf("trace: b2: block %d at byte offset %d: %v", i, e.offset, err)

@@ -162,6 +162,10 @@ type BinaryReader struct {
 	mssCanon, localCanon internFunc
 }
 
+// internFunc canonicalises one validated path's bytes into a string:
+// a BinaryReader's hook for each of a record's two paths.
+type internFunc func([]byte) string
+
 // NewBinaryReader returns a BinaryReader over r with a private path
 // table, which derives no directories: nothing reads them from a
 // reader's table. The header line is consumed lazily on the first Next.

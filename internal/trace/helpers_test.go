@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"hash/maphash"
 	"io"
 	"sync/atomic"
 	"testing"
@@ -43,3 +44,14 @@ func (in *Interner) DirPath(id DirID) string { return in.dirPaths[id] }
 
 // NumDirs reports the number of distinct directories derived so far.
 func (in *Interner) NumDirs() int { return len(in.dirPaths) }
+
+// Path returns the canonical path string for id.
+func (in *Interner) Path(id FileID) string { return in.paths[id] }
+
+// LookupBytes is Lookup for a byte-slice key, one key at a time: the
+// reference LookupBatch is held to. It never allocates.
+func (in *Interner) LookupBytes(path []byte) (FileID, bool) {
+	h := maphash.Bytes(pathSeed, path)
+	id, _ := probe(in, path, h, in.home(h))
+	return id, id != NoFileID
+}

@@ -3,6 +3,7 @@ package trace
 import (
 	"hash/maphash"
 	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -93,16 +94,8 @@ func (in *Interner) Intern(path string) FileID {
 //
 //filemig:hotpath
 func (in *Interner) InternBytes(path []byte) FileID {
-	return in.internBytes(path, maphash.Bytes(pathSeed, path))
-}
-
-// internBytes is InternBytes under path's hash h. Only a first
-// sighting allocates: the one canonical copy per distinct path.
-func (in *Interner) internBytes(path []byte, h uint64) FileID {
-	if id, _ := probe(in, path, h); id != NoFileID {
-		return id
-	}
-	return in.InternHashed(string(path), h)
+	h := maphash.Bytes(pathSeed, path)
+	return intern(in, path, h, in.home(h))
 }
 
 // InternHashed is Intern for a path whose hash is already known: h must
@@ -112,7 +105,15 @@ func (in *Interner) internBytes(path []byte, h uint64) FileID {
 //
 //filemig:hotpath
 func (in *Interner) InternHashed(path string, h uint64) FileID {
-	id, slot := probe(in, path, h)
+	return intern(in, path, h, in.home(h))
+}
+
+// intern returns key's FileID, assigning the next one on first sight,
+// with one probe from slot i of key's probe path (see probe). Only the
+// first sighting of a byte key allocates: the one canonical copy per
+// distinct path.
+func intern[K string | []byte](in *Interner, key K, h uint64, i int) FileID {
+	id, slot := probe(in, key, h, i)
 	if id != NoFileID {
 		return id
 	}
@@ -121,6 +122,7 @@ func (in *Interner) InternHashed(path string, h uint64) FileID {
 		in.grow(2 * len(in.slots))
 		slot = in.emptySlot(h)
 	}
+	path := string(key)
 	in.slots[slot] = uint32(id) + 1
 	in.paths = append(in.paths, path)
 	in.hashes = append(in.hashes, h)
@@ -136,27 +138,22 @@ func (in *Interner) InternHashed(path string, h uint64) FileID {
 //
 //filemig:hotpath
 func (in *Interner) Lookup(path string) (FileID, bool) {
-	id, _ := probe(in, path, maphash.String(pathSeed, path))
+	h := maphash.String(pathSeed, path)
+	id, _ := probe(in, path, h, in.home(h))
 	return id, id != NoFileID
 }
 
-// LookupBytes is Lookup for a byte-slice key (migd resolves a batch's
-// paths while decoding it, and interns the new ones only once the whole
-// batch has validated). It never allocates.
-//
-//filemig:hotpath
-func (in *Interner) LookupBytes(path []byte) (FileID, bool) {
-	id, _ := probe(in, path, maphash.Bytes(pathSeed, path))
-	return id, id != NoFileID
-}
+// home is hash h's home slot in the index.
+func (in *Interner) home(h uint64) int { return int(h) & (len(in.slots) - 1) }
 
-// probe walks the index from key's home slot: the FileID of key and its
-// slot, or NoFileID and the empty slot where key would go. A string key
-// and a byte key share the loop; string(key) in the comparison copies
-// nothing.
-func probe[K string | []byte](in *Interner, key K, h uint64) (FileID, int) {
+// probe walks the index from slot i of key's probe path — its home
+// slot, or a later one when every slot before i is known to hold
+// another key: the FileID of key and its slot, or NoFileID and the
+// empty slot where key would go. A string key and a byte key share the
+// loop; string(key) in the comparison copies nothing.
+func probe[K string | []byte](in *Interner, key K, h uint64, i int) (FileID, int) {
 	mask := len(in.slots) - 1
-	for i := int(h) & mask; ; i = (i + 1) & mask {
+	for ; ; i = (i + 1) & mask {
 		s := in.slots[i]
 		if s == 0 {
 			return NoFileID, i
@@ -165,6 +162,80 @@ func probe[K string | []byte](in *Interner, key K, h uint64) (FileID, int) {
 			return id, i
 		}
 	}
+}
+
+// resolveWidth is how many keys LookupBatch carries through each stage
+// together: enough independent loads in flight for their cache misses
+// to overlap, few enough that a stage's state stays in L1.
+const resolveWidth = 32
+
+// PathMiss is a key LookupBatch did not find: its position in the
+// batch, its hash, and the empty slot its probe stopped at in an index
+// of the recorded size. InternMiss resumes the probe there.
+type PathMiss struct {
+	Key  int // the key's index in the batch
+	h    uint64
+	slot int
+	size int // len(slots) when slot was found
+}
+
+// LookupBatch looks up a batch of path keys without ever assigning an
+// ID: ids[k] receives the FileID of keys[k], or NoFileID when the table
+// lacks it, in which case a PathMiss for it is appended to misses (in
+// key order), which is returned. ids must be as long as keys. The
+// probes run in stages over resolveWidth keys at a time — hash every
+// key, load every home slot, then verify (a key whose home slot is
+// empty is a miss with no further load) — so the cache misses of a
+// stage's independent slot loads overlap rather than each waiting
+// behind the last key's whole probe chain. misses grows at most once per
+// call, to room for every key still unresolved. The caller holds the
+// read lock of a SharedTable.
+//
+//filemig:hotpath
+func (in *Interner) LookupBatch(keys [][]byte, ids []FileID, misses []PathMiss) []PathMiss {
+	var hs [resolveWidth]uint64
+	var home [resolveWidth]uint32
+	for lo := 0; lo < len(keys); lo += resolveWidth {
+		stage := keys[lo:min(lo+resolveWidth, len(keys))]
+		for j, k := range stage {
+			hs[j] = maphash.Bytes(pathSeed, k)
+		}
+		for j := range stage {
+			home[j] = in.slots[in.home(hs[j])]
+		}
+		for j, k := range stage {
+			h, i, id := hs[j], in.home(hs[j]), NoFileID
+			if home[j] != 0 {
+				id, i = probe(in, k, h, i)
+			}
+			ids[lo+j] = id
+			if id == NoFileID {
+				if len(misses) == cap(misses) {
+					misses = slices.Grow(misses, len(keys)-lo-j)
+				}
+				misses = append(misses, PathMiss{Key: lo + j, h: h, slot: i, size: len(in.slots)})
+			}
+		}
+	}
+	return misses
+}
+
+// InternMiss returns the FileID for key, a key LookupBatch missed as m,
+// assigning the next one if no intern has added key since: one probe,
+// resumed at the slot the lookup stopped at. Every slot before it on
+// key's probe path held another key at lookup time, and the table never
+// deletes, so key can only sit at that slot or past it — unless the
+// index has grown (been re-slotted) since, when the probe starts again
+// from key's home slot. The same new key missed twice in one batch thus
+// resolves to one ID. The caller holds the write lock of a SharedTable.
+//
+//filemig:hotpath
+func (in *Interner) InternMiss(key []byte, m PathMiss) FileID {
+	i := m.slot
+	if m.size != len(in.slots) {
+		i = in.home(m.h)
+	}
+	return intern(in, key, m.h, i)
 }
 
 // Grow makes room for n more paths, as slices.Grow does for a slice: the
@@ -236,9 +307,6 @@ func (in *Interner) Canonical(path []byte) string {
 	return in.paths[in.InternBytes(path)]
 }
 
-// Path returns the canonical path string for id.
-func (in *Interner) Path(id FileID) string { return in.paths[id] }
-
 // Paths returns the FileID-indexed path table as it stands: a read-only
 // prefix view that later Interns never change (they append past its end
 // or move to a new backing array), so a goroutine handed the view may
@@ -259,9 +327,10 @@ func (in *Interner) Len() int { return len(in.paths) }
 // goroutines intern into at once, with the lock that guards it: the b2
 // index path's one table per run, which every shard worker's block
 // decoder interns its dictionaries into, and the migd daemon's. The
-// protocol is lookups under the read lock, which a caller holds across
-// a run of them (a block's dictionary, a batch's decode), and interning
-// the misses under the write lock, so each distinct path is hashed and
+// protocol is a batch's lookups under the read lock (LookupBatch over a
+// block's dictionary or a decoded ingest batch), then its misses
+// interned under the write lock (InternMiss, each one probe resumed
+// where its lookup stopped), so each distinct path is hashed once and
 // copied into a string once per table, however many goroutines meet
 // it. Every Interner method reads the table and needs the read lock, or
 // extends it and needs the write lock; the prefix views Paths and
